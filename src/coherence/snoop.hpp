@@ -68,6 +68,17 @@ struct LineSnoopSummary {
     }
 };
 
+/**
+ * Whether snoop mask @p mask (bit per CPU) selects @p cpu. CPUs >= 64 lie
+ * beyond the mask and are always snooped.
+ */
+inline bool
+snoopMaskHas(std::uint64_t mask, CpuId cpu)
+{
+    return static_cast<unsigned>(cpu) >= 64 ||
+           ((mask >> static_cast<unsigned>(cpu)) & 1) != 0;
+}
+
 /** Full snoop response delivered back to the requester. */
 struct SnoopResponse {
     LineSnoopSummary line;

@@ -140,6 +140,17 @@ class AddrTable
         return false;
     }
 
+    /** Visit every entry as (key, value), in slot order. */
+    template <typename F>
+    void
+    forEach(F &&f) const
+    {
+        for (std::size_t i = 0; i < slots_.size(); ++i) {
+            if (used_[i])
+                f(slots_[i].key, slots_[i].val);
+        }
+    }
+
     void
     clear()
     {

@@ -1,5 +1,7 @@
 #include "cpu/core_model.hpp"
 
+#include <bit>
+
 #include "common/log.hpp"
 #include "snapshot/serializer.hpp"
 
@@ -7,7 +9,8 @@ namespace cgct {
 
 CoreModel::CoreModel(CpuId cpu, const CoreParams &params, EventQueue &eq,
                      Node &node, OpSource &source)
-    : cpu_(cpu), params_(params), eq_(eq), node_(node), source_(source)
+    : cpu_(cpu), params_(params), eq_(eq), node_(node), source_(source),
+      loads_(std::bit_ceil(std::size_t{params.robEntries} + 2))
 {
     // Trace replay: a fetch that returns Blocked (sync event) resumes
     // the core through this callback, from event-queue context.
@@ -48,12 +51,12 @@ CoreModel::wake(Tick ready)
 void
 CoreModel::checkDrained()
 {
-    while (!loads_.empty() && loads_.front()->resolved) {
-        if (loads_.front()->ready > clock_)
-            clock_ = loads_.front()->ready;
-        loads_.pop_front();
+    while (!loadsEmpty() && load(loadHead_).resolved) {
+        if (load(loadHead_).ready > clock_)
+            clock_ = load(loadHead_).ready;
+        ++loadHead_;
     }
-    if (loads_.empty() && outstandingStores_ == 0)
+    if (loadsEmpty() && outstandingStores_ == 0)
         state_ = State::Finished;
 }
 
@@ -61,25 +64,24 @@ bool
 CoreModel::enforceWindow()
 {
     // Retire loads whose data has arrived within the core's current time.
-    while (!loads_.empty() && loads_.front()->resolved &&
-           loads_.front()->ready <= clock_) {
-        loads_.pop_front();
+    while (!loadsEmpty() && load(loadHead_).resolved &&
+           load(loadHead_).ready <= clock_) {
+        ++loadHead_;
     }
     // The oldest outstanding load pins the ROB: once the core has retired
     // a full window past it, it cannot proceed until the data arrives.
-    while (!loads_.empty() &&
-           instructions_ - loads_.front()->inst >=
-               params_.robEntries) {
-        auto &head = loads_.front();
-        if (!head->resolved) {
+    while (!loadsEmpty() &&
+           instructions_ - load(loadHead_).inst >= params_.robEntries) {
+        const LoadSlot &head = load(loadHead_);
+        if (!head.resolved) {
             state_ = State::WaitRobHead;
             return false;
         }
-        if (head->ready > clock_) {
-            stats_.robStallCycles += head->ready - clock_;
-            clock_ = head->ready;
+        if (head.ready > clock_) {
+            stats_.robStallCycles += head.ready - clock_;
+            clock_ = head.ready;
         }
-        loads_.pop_front();
+        ++loadHead_;
     }
     return true;
 }
@@ -149,47 +151,40 @@ CoreModel::step()
       }
 
       case CpuOpKind::Load: {
-        auto slot = std::make_shared<LoadSlot>();
-        slot->inst = instructions_;
+        const std::uint64_t seq = loadTail_;
         const bool sync = node_.access(
             CpuOpKind::Load, op.addr, clock_, ready,
-            [this, slot](Tick r) {
-                slot->resolved = true;
-                slot->ready = r;
-                if (state_ == State::WaitRobHead &&
-                    !loads_.empty() && loads_.front() == slot) {
-                    stats_.robStallCycles += r > clock_ ? r - clock_ : 0;
+            [this, seq](Tick r) {
+                // Unresolved loads never retire: slot seq is this load.
+                load(seq).resolved = true;
+                load(seq).ready = r;
+                const Tick stall = r > clock_ ? r - clock_ : 0;
+                if (state_ == State::WaitRobHead && seq == loadHead_) {
+                    stats_.robStallCycles += stall;
                     wake(r);
                 } else if (state_ == State::WaitLoadDep &&
-                           depWait_ == slot) {
-                    stats_.loadStallCycles += r > clock_ ? r - clock_ : 0;
-                    depWait_.reset();
+                           seq + 1 == loadTail_) {
+                    stats_.loadStallCycles += stall;
                     wake(r);
                 } else if (state_ == State::Draining) {
                     wake(r);
                 }
             });
-        if (sync) {
-            slot->resolved = true;
-            slot->ready = ready;
-            if (op.dependent) {
-                if (ready > clock_) {
-                    stats_.loadStallCycles += ready - clock_;
-                    clock_ = ready;
-                }
-                return true;
+        if (sync && (op.dependent || ready <= clock_)) {
+            // Retired at once, after any dependent stall: no slot.
+            if (ready > clock_) {
+                stats_.loadStallCycles += ready - clock_;
+                clock_ = ready;
             }
-            if (ready > clock_)
-                loads_.push_back(std::move(slot));
             return true;
         }
-        loads_.push_back(slot);
-        if (op.dependent) {
-            depWait_ = slot;
-            state_ = State::WaitLoadDep;
-            return false;
-        }
-        return true;
+        if (loadTail_ - loadHead_ == loads_.size())
+            panic("CoreModel: cpu %d load window overflow", cpu_);
+        load(loadTail_++) = LoadSlot{instructions_, sync ? ready : 0, sync};
+        if (sync || !op.dependent)
+            return true;
+        state_ = State::WaitLoadDep;
+        return false;
       }
 
       case CpuOpKind::Store:
@@ -245,7 +240,7 @@ CoreModel::run()
 void
 CoreModel::serialize(Serializer &s) const
 {
-    if (state_ != State::Finished || !loads_.empty() || depWait_ ||
+    if (state_ != State::Finished || !loadsEmpty() ||
         outstandingStores_ != 0 || runScheduled_)
         panic("CoreModel: serializing cpu %d before it drained — "
               "snapshots require a quiescent system", cpu_);
@@ -273,8 +268,7 @@ CoreModel::deserialize(SectionReader &r)
     stats_.storeStallCycles = r.u64();
     stats_.syncStallCycles = r.u64();
     state_ = State::Finished;
-    loads_.clear();
-    depWait_.reset();
+    loadHead_ = loadTail_;
     outstandingStores_ = 0;
     runScheduled_ = false;
 }
@@ -284,8 +278,7 @@ CoreModel::warmAdvance(Tick clock, std::uint64_t instructions,
                        std::uint64_t mem_ops)
 {
     if ((state_ != State::Running && state_ != State::Finished) ||
-        !loads_.empty() || depWait_ || outstandingStores_ != 0 ||
-        runScheduled_)
+        !loadsEmpty() || outstandingStores_ != 0 || runScheduled_)
         panic("CoreModel: warmAdvance on cpu %d with timing state in "
               "flight — functional warming requires an idle core", cpu_);
     if (clock < clock_)

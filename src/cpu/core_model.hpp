@@ -12,9 +12,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
+#include <vector>
 
 #include "common/config.hpp"
 #include "common/stats.hpp"
@@ -171,6 +170,9 @@ class CoreModel
         bool resolved = false;
     };
 
+    LoadSlot &load(std::uint64_t s) { return loads_[s & (loads_.size() - 1)]; }
+    bool loadsEmpty() const { return loadHead_ == loadTail_; }
+
     /** Main execution loop; runs until a wait state or the quantum ends. */
     void run();
 
@@ -201,8 +203,12 @@ class CoreModel
     std::uint64_t memOps_ = 0;
     std::uint32_t gapCarry_ = 0;
 
-    std::deque<std::shared_ptr<LoadSlot>> loads_;
-    std::shared_ptr<LoadSlot> depWait_;   ///< Slot for WaitLoadDep.
+    /** Outstanding loads, oldest first: a ring indexed by load sequence
+     *  number, live over [loadHead_, loadTail_) and at most robEntries + 1
+     *  long; a WaitLoadDep core waits on the last one issued. */
+    std::vector<LoadSlot> loads_;
+    std::uint64_t loadHead_ = 0;
+    std::uint64_t loadTail_ = 0;
     unsigned outstandingStores_ = 0;
     bool runScheduled_ = false;
 

@@ -58,11 +58,10 @@ inline constexpr unsigned kNumEventPriorities = 5;
 
 /**
  * Inline capture capacity of an event callback, in bytes. Sized for the
- * fattest hot-path capture (the node's broadcast-response continuation:
- * a SystemRequest, a completion std::function, and assorted scalars,
- * wrapped once more by the bus grant event). Growing a capture past this
- * is a compile error at the schedule() call site, not a runtime
- * allocation.
+ * fattest hot-path capture (the node's broadcast-response continuation
+ * plus its SystemRequest, wrapped once more by an interconnect resolve
+ * event). Growing a capture past this is a compile error at the
+ * schedule() call site, not a runtime allocation.
  */
 inline constexpr std::size_t kEventCallbackCapacity = 192;
 

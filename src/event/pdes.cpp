@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/log.hpp"
-#include "interconnect/bus.hpp"
 #include "sim/node.hpp"
 
 namespace cgct {
@@ -58,8 +57,8 @@ pdesStopTick(bool hub_has, Tick hub_tick, int hub_prio, bool shard_has,
 
 PdesCoordinator::PdesCoordinator(EventQueue &hub,
                                  std::vector<EventQueue *> shard_qs,
-                                 Bus &bus, Tick lookahead)
-    : hub_(hub), qs_(std::move(shard_qs)), bus_(bus),
+                                 Tick lookahead)
+    : hub_(hub), qs_(std::move(shard_qs)),
       lookahead_(lookahead),
       pool_(static_cast<unsigned>(qs_.size()) - 1),
       recs_(qs_.size()), slots_(qs_.size())
@@ -72,7 +71,6 @@ PdesCoordinator::PdesCoordinator(EventQueue &hub,
     hub_.setLineage(&ctx_);
     for (EventQueue *q : qs_)
         q->setLineage(&ctx_);
-    bus_.setLogicalGrants(true);
 }
 
 PdesCoordinator::~PdesCoordinator() = default;
@@ -274,22 +272,18 @@ PdesCoordinator::finalize()
 {
     // Quiesce to the exact state a drained sequential run would have:
     // every clock at the tick of the globally last event, and the hub
-    // queue owning the full executed-event count (including the grant
-    // events the logical-grant bus skipped), so the "eq" snapshot
-    // section is byte-identical.
+    // queue owning the full executed-event count, so the "eq" snapshot
+    // section is byte-identical. Every grant's accounting was settled by
+    // its resolve, which ran on the hub before the drain.
     Tick max_last = hub_.lastExecutedTick();
     for (EventQueue *q : qs_)
         max_last = std::max(max_last, q->lastExecutedTick());
-    // Every deferred grant resolved before the drain (g + snoopLatency
-    // <= max_last), so this applies the remaining accounting in full.
-    bus_.settleGrants(max_last);
     hub_.runUntil(max_last);
     std::uint64_t extra = 0;
     for (EventQueue *q : qs_) {
         q->restoreClock(max_last);
         extra += q->takeExecuted();
     }
-    extra += bus_.takeSyntheticGrants();
     hub_.addExecuted(extra);
 }
 

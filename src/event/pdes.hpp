@@ -20,10 +20,10 @@
  * At the quantum barrier the coordinator merges all channels into the
  * sequential enqueue order — ties at the same tick are broken by event
  * lineage (src/event/lineage.hpp), reconstructing the sequential
- * insertion sequence exactly — and replays them through the bus's
- * logical-grant path, interleaved with the hub queue's own events in
- * (tick, priority) order. The result is byte-identical statistics at
- * any shard count.
+ * insertion sequence exactly — and replays them through the bus with
+ * their logical enqueue ticks (Bus::broadcastAt), interleaved with the
+ * hub queue's own events in (tick, priority) order. The result is
+ * byte-identical statistics at any shard count.
  */
 
 #pragma once
@@ -40,7 +40,6 @@
 
 namespace cgct {
 
-class Bus;
 class Node;
 
 /**
@@ -81,7 +80,7 @@ class PdesCoordinator
      * shard queue.
      */
     PdesCoordinator(EventQueue &hub, std::vector<EventQueue *> shard_qs,
-                    Bus &bus, Tick lookahead);
+                    Tick lookahead);
     ~PdesCoordinator();
 
     unsigned shards() const
@@ -96,8 +95,8 @@ class PdesCoordinator
     /**
      * Run quanta until every queue drains (or @p max_events executed),
      * then quiesce: align all clocks to the global last-event tick and
-     * fold shard + synthetic-grant execution counts into the hub so
-     * the serialized state matches a sequential run byte for byte.
+     * fold shard execution counts into the hub so the serialized state
+     * matches a sequential run byte for byte.
      */
     std::uint64_t run(std::uint64_t max_events);
 
@@ -113,7 +112,6 @@ class PdesCoordinator
 
     EventQueue &hub_;
     std::vector<EventQueue *> qs_;
-    Bus &bus_;
     Tick lookahead_;
     Tick stop_ = 0;
     LineageCtx ctx_;

@@ -9,45 +9,36 @@ namespace cgct {
 Bus::Bus(EventQueue &eq, const InterconnectParams &params,
          const AddressMap &map, DataNetwork &data_net,
          std::vector<MemoryController *> mem_ctrls)
-    : Interconnect(eq, params, map, data_net, std::move(mem_ctrls))
+    : Interconnect(eq, params, map, data_net, std::move(mem_ctrls)),
+      charges_(64)
 {
-}
-
-void
-Bus::broadcast(const SystemRequest &req, ResponseFn fn)
-{
-    if (logicalGrants_) {
-        // Hub-context callers (DMA) issue at the hub clock.
-        broadcastAt(req, std::move(fn), eq_.now());
-        return;
-    }
-    queue_.push_back(Pending{req, std::move(fn), eq_.now()});
-    if (!grantScheduled_)
-        scheduleGrant();
 }
 
 void
 Bus::broadcastAt(const SystemRequest &req, ResponseFn fn, Tick enq)
 {
-    if (!logicalGrants_)
-        panic("Bus: broadcastAt outside logical-grant (PDES) mode");
-    // Inline FCFS arbitration: identical to the grant-event recurrence
-    // g = max(enq, previous grant + busSlot), with the same side effects
-    // in the same order (see Bus::grant).
+    // Inline FCFS arbitration: the grant recurrence is a pure function
+    // of arrival order, so no grant event is needed.
     const Tick g = nextFreeSlot_ > enq ? nextFreeSlot_ : enq;
-    // The per-grant accounting belongs to tick g, which can lie beyond
-    // the hub clock (backlogged bus) — defer it so a stats reset between
-    // enqueue and grant classifies the broadcast exactly as the
-    // sequential grant event would (see settleGrants).
-    grantCharges_.push_back(GrantCharge{g, g - enq});
+    nextFreeSlot_ = g + params_.busSlot;
+    if (chargeCount_ == charges_.size()) {
+        // Full: double the ring, unrolling the FIFO to start at 0.
+        std::vector<GrantCharge> grown(2 * charges_.size());
+        for (std::size_t i = 0; i < chargeCount_; ++i)
+            grown[i] = charges_[(chargeHead_ + i) & (charges_.size() - 1)];
+        charges_.swap(grown);
+        chargeHead_ = 0;
+    }
+    charges_[(chargeHead_ + chargeCount_++) & (charges_.size() - 1)] =
+        GrantCharge{g, g - enq};
     CGCT_TRACE(trace_, busGrant(g, req.cpu, req.type, req.lineAddr,
                                 g - enq));
-    nextFreeSlot_ = g + params_.busSlot;
-    ++syntheticGrants_;
 
+    // The snoop resolves a fixed latency after the broadcast slot.
     eq_.schedule(g + params_.snoopLatency,
                  [this, req, fn = std::move(fn)]() mutable {
-                     resolve(req, std::move(fn));
+                     settleGrants(eq_.now());
+                     resolveRequest(req, fn, kSnoopAll);
                  },
                  EventPriority::Snoop);
 }
@@ -55,67 +46,25 @@ Bus::broadcastAt(const SystemRequest &req, ResponseFn fn, Tick enq)
 void
 Bus::settleGrants(Tick up_to)
 {
-    // Charges are queued in grant-tick order (the logical recurrence is
-    // monotone), so a prefix drain applies them in sequential order.
-    while (!grantCharges_.empty() && grantCharges_.front().grant <= up_to) {
-        const GrantCharge &c = grantCharges_.front();
+    // Charges sit in grant-tick order (the recurrence is monotone), so a
+    // prefix drain applies them in the order the grants happened.
+    while (chargeCount_ > 0 && charges_[chargeHead_].grant <= up_to) {
+        const GrantCharge &c = charges_[chargeHead_];
         stats_.queueCycles += c.queued;
         ++stats_.broadcasts;
         traffic_.note(c.grant);
-        grantCharges_.pop_front();
+        chargeHead_ = (chargeHead_ + 1) & (charges_.size() - 1);
+        --chargeCount_;
     }
-}
-
-void
-Bus::scheduleGrant()
-{
-    grantScheduled_ = true;
-    const Tick when =
-        nextFreeSlot_ > eq_.now() ? nextFreeSlot_ : eq_.now();
-    eq_.schedule(when, [this] { grant(); }, EventPriority::Snoop);
-}
-
-void
-Bus::grant()
-{
-    grantScheduled_ = false;
-    if (queue_.empty())
-        return;
-    Pending p = std::move(queue_.front());
-    queue_.pop_front();
-
-    const Tick now = eq_.now();
-    stats_.queueCycles += now - p.enqueued;
-    ++stats_.broadcasts;
-    traffic_.note(now);
-    CGCT_TRACE(trace_, busGrant(now, p.req.cpu, p.req.type, p.req.lineAddr,
-                                now - p.enqueued));
-    nextFreeSlot_ = now + params_.busSlot;
-
-    // The snoop resolves a fixed latency after the broadcast slot.
-    eq_.schedule(now + params_.snoopLatency,
-                 [this, p = std::move(p)]() mutable {
-                     resolve(p.req, std::move(p.fn));
-                 },
-                 EventPriority::Snoop);
-
-    if (!queue_.empty())
-        scheduleGrant();
-}
-
-void
-Bus::resolve(const SystemRequest &req, ResponseFn fn)
-{
-    resolveRequest(req, fn, kSnoopAll);
 }
 
 void
 Bus::serialize(Serializer &s) const
 {
-    if (!queue_.empty() || grantScheduled_ || !grantCharges_.empty())
-        panic("Bus: serializing with %zu requests queued and %zu grant "
-              "charges unsettled — snapshots require a drained system",
-              queue_.size(), grantCharges_.size());
+    if (chargeCount_ != 0)
+        panic("Bus: serializing with %zu grants unresolved — snapshots "
+              "require a drained system",
+              chargeCount_);
     s.u64(nextFreeSlot_);
     s.u64(stats_.broadcasts);
     s.u64(stats_.queueCycles);

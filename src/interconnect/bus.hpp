@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "interconnect/interconnect.hpp"
@@ -34,41 +33,19 @@ class Bus : public Interconnect
      * Broadcast @p req, invoking @p fn at resolution. Must be called at
      * the issuing event's time (requests are granted FCFS).
      */
-    void broadcast(const SystemRequest &req, ResponseFn fn) override;
-
-    /**
-     * PDES logical-grant mode (docs/PDES.md). Sharded runs replay bus
-     * enqueues at the quantum barrier, where the hub clock lags the
-     * request's logical enqueue tick — so the enqueue time is passed
-     * explicitly and the FCFS grant is computed inline instead of via a
-     * grant event: g_i = max(enq_i, g_{i-1} + busSlot), byte-identical
-     * to the sequential grant-event recurrence as long as requests
-     * arrive in the sequential enqueue order (which the barrier merge
-     * guarantees). The skipped grant events are tallied so quiesce can
-     * reconcile the executed-event count with a sequential run.
-     */
-    void setLogicalGrants(bool on) { logicalGrants_ = on; }
-    void broadcastAt(const SystemRequest &req, ResponseFn fn,
-                     Tick enq) override;
-    std::uint64_t takeSyntheticGrants()
+    void broadcast(const SystemRequest &req, ResponseFn fn) override
     {
-        const std::uint64_t n = syntheticGrants_;
-        syntheticGrants_ = 0;
-        return n;
+        broadcastAt(req, std::move(fn), eq_.now());
     }
 
     /**
-     * Apply the deferred per-grant accounting of every logical grant
-     * with grant tick <= @p up_to. A sequential run counts a broadcast
-     * (stats_.broadcasts, queue cycles, the traffic window) at its
-     * *grant event*, which can fire well after the enqueue when the bus
-     * is backlogged — so a stats reset between enqueue and grant must
-     * see the grant as not-yet-counted. Logical mode reproduces that by
-     * queuing the accounting at replay time and settling it here:
-     * resetStats() settles up to the reset tick first, and the PDES
-     * quiesce settles everything at the final clock.
+     * Arbitrate inline for a request enqueued at @p enq: FCFS grant
+     * g = max(enq, previous grant + busSlot), resolve at g + snoopLatency.
+     * Sharded (PDES) runs replay enqueues at the quantum barrier, where
+     * the hub clock lags the logical enqueue tick (docs/PDES.md).
      */
-    void settleGrants(Tick up_to);
+    void broadcastAt(const SystemRequest &req, ResponseFn fn,
+                     Tick enq) override;
 
     /** On the flat bus every broadcast occupies the system-wide level. */
     std::uint64_t interChipBroadcasts() const override
@@ -87,36 +64,36 @@ class Bus : public Interconnect
     }
 
     /**
-     * Checkpoint support. The request queue must be empty (drained
-     * system); serialize() panics otherwise. Saves the arbitration
-     * slot cursor, the counters and the traffic windows.
+     * Checkpoint support. No grant may be in flight (drained system);
+     * serialize() panics otherwise. Saves the arbitration slot cursor,
+     * the counters and the traffic windows.
      */
     void serialize(Serializer &s) const override;
     void deserialize(SectionReader &r) override;
 
   private:
-    struct Pending {
-        SystemRequest req;
-        ResponseFn fn;
-        Tick enqueued;
-    };
+    /**
+     * Apply the accounting of every grant with grant tick <= @p up_to.
+     * A broadcast counts (stats_.broadcasts, queue cycles, the traffic
+     * window) at its grant tick, which lies beyond the enqueue when the
+     * bus is backlogged — so a stats reset between enqueue and grant
+     * must see the grant as not-yet-counted. Called by resetStats() and
+     * by every resolve (which fires after its own grant).
+     */
+    void settleGrants(Tick up_to);
 
-    void scheduleGrant();
-    void grant();
-    void resolve(const SystemRequest &req, ResponseFn fn);
-
-    std::deque<Pending> queue_;
-    bool grantScheduled_ = false;
-    bool logicalGrants_ = false;
     Tick nextFreeSlot_ = 0;
-    std::uint64_t syntheticGrants_ = 0;
 
-    /** Deferred logical-grant accounting: (grant tick, queue wait). */
+    /** Unsettled per-grant accounting: (grant tick, queue wait). */
     struct GrantCharge {
         Tick grant;
         Tick queued;
     };
-    std::deque<GrantCharge> grantCharges_;
+    /** FIFO ring in grant order; grows (doubling) only past its
+     *  high-water mark, so the steady state never allocates. */
+    std::vector<GrantCharge> charges_;
+    std::size_t chargeHead_ = 0;
+    std::size_t chargeCount_ = 0;
 };
 
 } // namespace cgct

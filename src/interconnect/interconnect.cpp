@@ -2,6 +2,7 @@
 
 #include "common/log.hpp"
 #include "common/trace_sink.hpp"
+#include "sim/oracle.hpp"
 
 namespace cgct {
 
@@ -19,7 +20,7 @@ Interconnect::broadcastAt(const SystemRequest &req, ResponseFn fn, Tick enq)
     (void)req;
     (void)fn;
     (void)enq;
-    panic("interconnect: logical grants (PDES) are only supported on the "
+    panic("interconnect: sharded (PDES) runs are only supported on the "
           "flat bus topology");
 }
 
@@ -29,20 +30,21 @@ Interconnect::resolveRequest(const SystemRequest &req, ResponseFn &fn,
 {
     const Tick now = eq_.now();
 
-    // Let the oracle classify the broadcast against pre-snoop cache state.
-    if (observer_)
-        observer_(req);
-
     // Phase 1: conventional line snoop on every selected processor.
     SnoopResponse resp;
     const SnoopKind kind = snoopKindOf(req.type);
     for (SnoopClient *client : clients_) {
         if (client->cpuId() == req.cpu)
             continue;
-        if (!maskHas(snoop_mask, client->cpuId()))
+        if (!snoopMaskHas(snoop_mask, client->cpuId()))
             continue;
         resp.line.fold(client->cpuId(), client->snoopLine(req));
     }
+
+    // The oracle classifies against pre-snoop state: the summary holds it
+    // for the snooped CPUs, and the line snoop left the others untouched.
+    if (oracle_)
+        oracle_->observe(req, resp.line, snoop_mask);
 
     // What copy will the requester end up with? DCB flush/invalidate ops
     // count as exclusive for the region downgrade: no remote copy of the
@@ -59,7 +61,7 @@ Interconnect::resolveRequest(const SystemRequest &req, ResponseFn &fn,
         for (SnoopClient *client : clients_) {
             if (client->cpuId() == req.cpu)
                 continue;
-            if (!maskHas(snoop_mask, client->cpuId()))
+            if (!snoopMaskHas(snoop_mask, client->cpuId()))
                 continue;
             resp.region.merge(client->snoopRegion(req, gets_exclusive));
         }

@@ -20,9 +20,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "common/config.hpp"
@@ -37,6 +35,7 @@
 
 namespace cgct {
 
+class Oracle;
 class TraceSink;
 
 /**
@@ -88,9 +87,6 @@ class Interconnect
         InlineFunction<void(const SnoopResponse &, Tick data_ready),
                        kResponseFnCapacity>;
 
-    /** Observer invoked at resolution time *before* any state changes. */
-    using Observer = std::function<void(const SystemRequest &)>;
-
     /**
      * Hook invoked after a resolution fully completes (response delivered,
      * requester state updated). The invariant checker uses it to validate
@@ -106,8 +102,12 @@ class Interconnect
     /** Register a processor node. */
     void addClient(SnoopClient *client) { clients_.push_back(client); }
 
-    /** Register a pre-snoop observer (the unnecessary-broadcast oracle). */
-    void setObserver(Observer obs) { observer_ = std::move(obs); }
+    /**
+     * Register the unnecessary-broadcast oracle. Each resolution hands it
+     * the line-snoop summary (pre-snoop states of the snooped CPUs) and
+     * the snoop mask; it peeks only the CPUs outside the mask.
+     */
+    void setOracle(Oracle *oracle) { oracle_ = oracle; }
 
     void setPostResolveHook(PostResolveFn fn) { postResolve_ = std::move(fn); }
 
@@ -121,8 +121,9 @@ class Interconnect
     virtual void broadcast(const SystemRequest &req, ResponseFn fn) = 0;
 
     /**
-     * PDES logical-grant entry point (docs/PDES.md). Only the flat bus
-     * participates in sharded runs; other topologies panic.
+     * Broadcast with an explicit enqueue tick, for PDES barrier replay
+     * (docs/PDES.md). Only the flat bus participates in sharded runs;
+     * other topologies panic.
      */
     virtual void broadcastAt(const SystemRequest &req, ResponseFn fn,
                              Tick enq);
@@ -224,13 +225,6 @@ class Interconnect
     ResolveOutcome resolveRequest(const SystemRequest &req, ResponseFn &fn,
                                   std::uint64_t snoop_mask);
 
-    static bool
-    maskHas(std::uint64_t mask, CpuId cpu)
-    {
-        return static_cast<unsigned>(cpu) >= 64 ||
-               ((mask >> static_cast<unsigned>(cpu)) & 1) != 0;
-    }
-
     static constexpr std::uint64_t kSnoopAll = ~0ULL;
 
     EventQueue &eq_;
@@ -239,7 +233,7 @@ class Interconnect
     DataNetwork &dataNet_;
     std::vector<MemoryController *> memCtrls_;
     std::vector<SnoopClient *> clients_;
-    Observer observer_;
+    Oracle *oracle_ = nullptr;
     PostResolveFn postResolve_;
     TraceSink *trace_ = nullptr;
 

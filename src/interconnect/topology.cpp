@@ -172,8 +172,10 @@ HierRouter::serialize(Serializer &s) const
     traffic_.serialize(s);
 
     // The presence map in deterministic (sorted) order.
-    std::vector<std::pair<Addr, std::uint64_t>> entries(presence_.begin(),
-                                                        presence_.end());
+    std::vector<std::pair<Addr, std::uint64_t>> entries;
+    presence_.forEach([&entries](Addr region, std::uint64_t bits) {
+        entries.emplace_back(region, bits);
+    });
     std::sort(entries.begin(), entries.end());
     s.u64(entries.size());
     for (const auto &e : entries) {
@@ -204,7 +206,7 @@ HierRouter::deserialize(SectionReader &r)
     const std::uint64_t entries = r.u64();
     for (std::uint64_t i = 0; i < entries; ++i) {
         const Addr region = r.u64();
-        presence_[region] = r.u64();
+        presenceAt(region) = r.u64();
     }
 }
 

@@ -20,9 +20,9 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/addr_table.hpp"
 #include "interconnect/interconnect.hpp"
 
 namespace cgct {
@@ -54,7 +54,7 @@ class HierRouter : public Interconnect
     /** Corrupt the presence map (invariant-checker injection test). */
     void corruptPresenceForTest(Addr line, std::uint64_t mask)
     {
-        presence_[regionOf(line)] = mask;
+        presenceAt(regionOf(line)) = mask;
     }
 
   private:
@@ -66,8 +66,15 @@ class HierRouter : public Interconnect
     std::uint64_t
     presenceOf(Addr line) const
     {
-        const auto it = presence_.find(regionOf(line));
-        return it == presence_.end() ? 0 : it->second;
+        const std::uint64_t *bits = presence_.find(regionOf(line));
+        return bits ? *bits : 0;
+    }
+
+    std::uint64_t &
+    presenceAt(Addr region)
+    {
+        std::uint64_t *bits = presence_.find(region);
+        return bits ? *bits : presence_.insert(region);
     }
 
     /** Mask of the processors on chip @p chip. */
@@ -97,7 +104,7 @@ class HierRouter : public Interconnect
     {
         if (static_cast<unsigned>(req.cpu) < topo_.numCpus &&
             req.type != RequestType::Writeback)
-            presence_[regionOf(req.lineAddr)] |=
+            presenceAt(regionOf(req.lineAddr)) |=
                 chipMask(topo_.chipOfCpu(req.cpu));
     }
 
@@ -109,8 +116,9 @@ class HierRouter : public Interconnect
     /** FCFS arbitration cursor of the inter-chip level. */
     Tick globalNextFree_ = 0;
 
-    /** Region address -> mask of processors that may hold it. */
-    std::unordered_map<Addr, std::uint64_t> presence_;
+    /** Region address -> mask of processors that may hold it. Open
+     *  addressing: new regions allocate only when the table doubles. */
+    AddrTable<std::uint64_t> presence_;
 };
 
 } // namespace cgct

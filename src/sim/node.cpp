@@ -980,8 +980,9 @@ Node::warmBroadcast(RequestType type, Addr line_addr, Tick now,
     req.lineAddr = line_addr;
     req.isPrefetch = is_prefetch;
 
-    // Mirror of Bus::resolve, minus the oracle (measurement-only, reset
-    // at every window start), timing and data movement.
+    // Mirror of Interconnect::resolveRequest, minus the oracle
+    // (measurement-only, reset at every window start), timing and data
+    // movement.
     SnoopResponse resp;
     for (Node *peer : *warmPeers_) {
         if (peer->cpuId() == cpu_)

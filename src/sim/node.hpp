@@ -149,7 +149,7 @@ class Node : public SnoopClient
      * miss-latency accounting) at @p issued. Sequentially this is the
      * body of the enqueue event; in a sharded run the PdesCoordinator
      * calls it at the quantum barrier, replaying deferred enqueues in
-     * the sequential order through the bus's logical-grant path.
+     * the sequential order with their logical enqueue ticks.
      */
     void postBroadcast(const SystemRequest &req, Tick issued, Tick enq);
 

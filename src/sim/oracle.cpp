@@ -6,12 +6,14 @@
 namespace cgct {
 
 void
-Oracle::observe(const SystemRequest &req)
+Oracle::observe(const SystemRequest &req, const LineSnoopSummary &snooped,
+                std::uint64_t snoop_mask)
 {
-    bool any_copy = false;
-    bool any_dirty = false;
+    bool any_copy = snooped.anyCopy;
+    bool any_dirty = snooped.anyDirty;
     for (Node *node : nodes_) {
-        if (node->cpuId() == req.cpu)
+        if (node->cpuId() == req.cpu ||
+            snoopMaskHas(snoop_mask, node->cpuId()))
             continue;
         const LineState s = node->peekLine(req.lineAddr);
         if (isValid(s))

@@ -9,6 +9,10 @@
  *    other cache holds a *modified* copy of the line;
  *  - everything else (data reads/writes, upgrades, DCB operations) needs
  *    one only if some other cache holds *any* copy of the line.
+ *
+ * The interconnect calls it right after the line-snoop phase: the snooped
+ * CPUs' pre-snoop states are already folded into the line summary, so the
+ * oracle peeks only the CPUs outside the snoop mask (none on the flat bus).
  */
 
 #pragma once
@@ -30,8 +34,14 @@ class Oracle
   public:
     explicit Oracle(std::vector<Node *> nodes) : nodes_(std::move(nodes)) {}
 
-    /** Bus pre-snoop observer. */
-    void observe(const SystemRequest &req);
+    /**
+     * Classify @p req. @p snooped summarizes the pre-snoop line states of
+     * the CPUs selected by @p snoop_mask; every other CPU except the
+     * requester is peeked. The defaults (nothing snooped) peek everyone.
+     */
+    void observe(const SystemRequest &req,
+                 const LineSnoopSummary &snooped = {},
+                 std::uint64_t snoop_mask = 0);
 
     /** Per-category tallies. */
     struct Counts {

@@ -135,8 +135,7 @@ System::System(const SystemConfig &config, OpSource &source,
     }
 
     oracle_ = std::make_unique<Oracle>(node_ptrs);
-    bus_->setObserver(
-        [this](const SystemRequest &req) { oracle_->observe(req); });
+    bus_->setOracle(oracle_.get());
 
     for (unsigned i = 0; i < config_.topology.numCpus; ++i) {
         EventQueue &core_eq =
@@ -183,10 +182,8 @@ System::System(const SystemConfig &config, OpSource &source,
         qs.reserve(shardQs_.size());
         for (auto &q : shardQs_)
             qs.push_back(q.get());
-        // pdes_ok implies the flat-bus topology (gated above).
         pdes_ = std::make_unique<PdesCoordinator>(
-            eq_, std::move(qs), static_cast<Bus &>(*bus_),
-            config_.interconnect.snoopLatency);
+            eq_, std::move(qs), config_.interconnect.snoopLatency);
         for (unsigned i = 0; i < config_.topology.numCpus; ++i)
             nodes_[i]->setPdes(pdes_.get(),
                                shardOfCpu(static_cast<CpuId>(i)));

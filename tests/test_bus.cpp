@@ -3,7 +3,8 @@
  * Tests for the broadcast bus with scripted snoop clients: arbitration and
  * snoop timing, FCFS queueing, response combining (line summary, region
  * bits, memory-controller id), data sourcing (cache-to-cache vs DRAM),
- * write-back handling, and the oracle observer hook.
+ * write-back handling, grant accounting across stats resets, and the
+ * oracle hook.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "interconnect/bus.hpp"
+#include "sim/oracle.hpp"
 
 namespace cgct {
 namespace {
@@ -29,7 +31,11 @@ class FakeClient : public SnoopClient
     {
         ++lineSnoops;
         lastLineReq = req;
-        return applyLineSnoop(lineState, snoopKindOf(req.type));
+        const LineSnoopOutcome out =
+            applyLineSnoop(lineState, snoopKindOf(req.type));
+        if (applyTransitions)
+            lineState = out.next;
+        return out;
     }
 
     RegionSnoopBits
@@ -42,6 +48,7 @@ class FakeClient : public SnoopClient
     }
 
     LineState lineState = LineState::Invalid;
+    bool applyTransitions = false; ///< Move lineState on each snoop.
     RegionSnoopBits regionBits;
     int lineSnoops = 0;
     int regionSnoops = 0;
@@ -248,20 +255,57 @@ TEST_F(BusTest, MemCtrlIdFollowsAddressMap)
     EXPECT_EQ(got.memCtrl, map.controllerOf(0x1000));
 }
 
-TEST_F(BusTest, ObserverSeesRequestBeforeStateChanges)
+TEST_F(BusTest, OracleSeesPreSnoopState)
 {
+    // An oracle with no nodes to peek classifies from the line-snoop
+    // summary alone — which must hold the state *before* the snoop.
+    Oracle oracle({});
+    bus.setOracle(&oracle);
     clients[1]->lineState = LineState::Modified;
-    bool observed = false;
-    bus.setObserver([&](const SystemRequest &req) {
-        observed = true;
-        EXPECT_EQ(req.type, RequestType::ReadExclusive);
-        // Pre-snoop: the remote still holds its modified copy.
-        EXPECT_EQ(clients[1]->lineSnoops, 0);
-    });
+    clients[1]->applyTransitions = true;
     bus.broadcast(makeReq(0, RequestType::ReadExclusive, 0x0000),
                   [](auto &, Tick) {});
     eq.run();
-    EXPECT_TRUE(observed);
+    // The RFO invalidated the remote copy, yet it made the RFO necessary.
+    EXPECT_EQ(clients[1]->lineState, LineState::Invalid);
+    EXPECT_EQ(oracle.total(), 1u);
+    EXPECT_EQ(oracle.unnecessary(), 0u);
+
+    // Now nobody holds the line: the same request was unnecessary.
+    bus.broadcast(makeReq(0, RequestType::ReadExclusive, 0x0000),
+                  [](auto &, Tick) {});
+    eq.run();
+    EXPECT_EQ(oracle.total(), 2u);
+    EXPECT_EQ(oracle.unnecessary(), 1u);
+}
+
+TEST_F(BusTest, ResetBetweenEnqueueAndGrantCountsAfterReset)
+{
+    // Three requests at tick 0 are granted at 0, busSlot and 2 * busSlot.
+    // A reset strictly between the second and third grant zeroes the
+    // first two; the third counts after it, with its full queue wait.
+    ASSERT_GE(params.busSlot, 2u);
+    for (int i = 0; i < 3; ++i)
+        bus.broadcast(makeReq(0, RequestType::Upgrade, 0x1000 * i),
+                      [](auto &, Tick) {});
+    eq.runUntil(params.busSlot + 1);
+    bus.resetStats(eq.now());
+    EXPECT_EQ(bus.stats().broadcasts, 0u);
+    eq.run();
+    EXPECT_EQ(bus.stats().broadcasts, 1u);
+    EXPECT_EQ(bus.stats().queueCycles, 2 * params.busSlot);
+    EXPECT_EQ(bus.traffic().total(), 1u);
+}
+
+TEST_F(BusTest, OneEventPerBroadcast)
+{
+    // Arbitration is inline at broadcast(): only the resolve is an event.
+    for (int i = 0; i < 5; ++i)
+        bus.broadcast(makeReq(0, RequestType::Upgrade, 0x1000 * i),
+                      [](auto &, Tick) {});
+    eq.run();
+    EXPECT_EQ(eq.executed(), 5u);
+    EXPECT_EQ(bus.stats().broadcasts, 5u);
 }
 
 TEST_F(BusTest, TrafficTrackerCounts)

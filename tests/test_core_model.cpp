@@ -3,7 +3,9 @@
  * Tests for the out-of-order core timing model, driven by scripted op
  * sources against a real single-node memory system: completion of finite
  * streams, front-end pacing, miss overlap under the ROB window, dependent
- * load serialization, and ifetch stalls.
+ * load serialization, and ifetch stalls. A small-window suite pins the
+ * exact stall counters of the outstanding-load ring: out-of-order
+ * completions, dependent-load and ROB-head waits, and draining.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include "interconnect/bus.hpp"
 #include "cpu/core_model.hpp"
 #include "sim/node.hpp"
+#include "snapshot/serializer.hpp"
 
 namespace cgct {
 namespace {
@@ -52,7 +55,8 @@ op(CpuOpKind kind, Addr addr, std::uint32_t gap = 0, bool dep = false)
 
 /** A complete single-node memory system plus a scripted core. */
 struct MiniSystem {
-    MiniSystem()
+    explicit MiniSystem(SystemConfig cfg = makeDefaultConfig())
+        : config(std::move(cfg))
     {
         config.prefetch.enabled = false;
         config.validate();
@@ -71,20 +75,27 @@ struct MiniSystem {
         bus->addClient(node.get());
     }
 
-    /** Run a script to completion; returns the core's finish time. */
-    Tick
-    runScript(std::vector<CpuOp> ops)
+    /** Build a core over @p ops and schedule its first activation. */
+    void
+    startScript(std::vector<CpuOp> ops)
     {
         source = std::make_unique<ScriptSource>(std::move(ops));
         core = std::make_unique<CoreModel>(0, config.core, eq, *node,
                                            *source);
         core->start();
+    }
+
+    /** Run a script to completion; returns the core's finish time. */
+    Tick
+    runScript(std::vector<CpuOp> ops)
+    {
+        startScript(std::move(ops));
         eq.run();
         EXPECT_TRUE(core->finished());
         return core->clock();
     }
 
-    SystemConfig config = makeDefaultConfig();
+    SystemConfig config;
     EventQueue eq;
     std::unique_ptr<AddressMap> map;
     std::vector<std::unique_ptr<MemoryController>> mcs;
@@ -217,6 +228,137 @@ TEST_F(CoreModelTest, StatsRegistration)
     std::ostringstream os;
     g.dump(os);
     EXPECT_NE(os.str().find("core0.rob_stall_cycles"), std::string::npos);
+}
+
+/**
+ * A 4-entry ROB and 2-entry LSQ, with the two chips on different boards:
+ * CPU 0's misses to the other chip's controller take the remote data
+ * transfer, many cycles longer than a miss to its own controller, so a
+ * later local miss completes before an earlier remote one. Of two misses
+ * issued back to back, the second waits for a bus slot and then for
+ * CPU 0's inbound data link: it is late by the bus queue cycles plus the
+ * data network's link-wait cycles.
+ */
+SystemConfig
+smallWindowConfig()
+{
+    SystemConfig c = makeDefaultConfig();
+    c.core.robEntries = 4;
+    c.core.lsqEntries = 2;
+    c.topology.chipsPerSwitch = 1;
+    c.topology.switchesPerBoard = 1;
+    return c;
+}
+
+constexpr Addr kLocalA = 0x100000;  ///< Interleave block 256: controller 0.
+constexpr Addr kRemote = 0x101000;  ///< Block 257: controller 1.
+constexpr Addr kLocalB = 0x102000;
+
+/** Issue-to-data latency of a lone load miss to @p addr. */
+Tick
+missLatency(Addr addr)
+{
+    MiniSystem s(smallWindowConfig());
+    // A dependent load issued at clock 1 stalls exactly for its miss.
+    const Tick done = s.runScript({op(CpuOpKind::Load, addr, 0, true)});
+    EXPECT_EQ(done, 1 + s.core->stats().loadStallCycles);
+    return s.core->stats().loadStallCycles;
+}
+
+class CoreModelRingTest : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        MiniSystem probe(smallWindowConfig());
+        ASSERT_EQ(probe.map->controllerOf(kLocalA), 0);
+        ASSERT_EQ(probe.map->controllerOf(kLocalB), 0);
+        ASSERT_EQ(probe.map->controllerOf(kRemote), 1);
+        local = missLatency(kLocalA);
+        remote = missLatency(kRemote);
+        ASSERT_GT(remote, local + 2);
+    }
+
+    Tick local = 0;
+    Tick remote = 0;
+};
+
+TEST_F(CoreModelRingTest, DrainsOutOfOrderCompletions)
+{
+    // Remote miss at clock 1, local miss at clock 2, then the stream
+    // ends: the core drains with both in flight, the younger load
+    // completes first, and neither completion counts as a stall.
+    MiniSystem sys(smallWindowConfig());
+    const Tick done = sys.runScript({op(CpuOpKind::Load, kRemote),
+                                     op(CpuOpKind::Load, kLocalA)});
+    EXPECT_LT(2 + local + sys.bus->stats().queueCycles +
+                  sys.net->stats().linkWaitCycles,
+              1 + remote);
+    EXPECT_EQ(done, 1 + remote);
+    EXPECT_EQ(sys.core->stats().robStallCycles, 0u);
+    EXPECT_EQ(sys.core->stats().loadStallCycles, 0u);
+}
+
+TEST_F(CoreModelRingTest, RobHeadWaitIgnoresYoungerCompletion)
+{
+    // The remote load (inst 1) pins the ROB once 8 gap instructions
+    // retire behind the local load (inst 10): the core blocks at clock 3.
+    // The local load completes first and must not wake it; the head's
+    // completion does, and both retire together.
+    MiniSystem sys(smallWindowConfig());
+    const Tick done = sys.runScript({op(CpuOpKind::Load, kRemote),
+                                     op(CpuOpKind::Load, kLocalA, 8),
+                                     op(CpuOpKind::Load, kLocalB)});
+    EXPECT_EQ(sys.core->stats().robStallCycles, (1 + remote) - 3);
+    EXPECT_EQ(sys.core->stats().loadStallCycles, 0u);
+    // The third load issues one cycle after the wake and drains alone.
+    EXPECT_EQ(done, (1 + remote) + 1 + local);
+}
+
+TEST_F(CoreModelRingTest, DependentLoadWaitsForItsOwnLoadOnly)
+{
+    {
+        // The dependent local load completes first: a load stall of its
+        // own latency, then the older remote load drains.
+        MiniSystem sys(smallWindowConfig());
+        const Tick done = sys.runScript(
+            {op(CpuOpKind::Load, kRemote),
+             op(CpuOpKind::Load, kLocalA, 0, true)});
+        const Tick wait = sys.bus->stats().queueCycles +
+                          sys.net->stats().linkWaitCycles;
+        EXPECT_LT(2 + local + wait, 1 + remote);
+        EXPECT_EQ(sys.core->stats().loadStallCycles, local + wait);
+        EXPECT_EQ(sys.core->stats().robStallCycles, 0u);
+        EXPECT_EQ(done, 1 + remote);
+    }
+    {
+        // The older independent load completes first and must not wake
+        // the core; the dependent remote load ends the wait.
+        MiniSystem sys(smallWindowConfig());
+        const Tick done = sys.runScript(
+            {op(CpuOpKind::Load, kLocalA),
+             op(CpuOpKind::Load, kRemote, 0, true)});
+        const Tick wait = sys.bus->stats().queueCycles +
+                          sys.net->stats().linkWaitCycles;
+        EXPECT_EQ(sys.core->stats().loadStallCycles, remote + wait);
+        EXPECT_EQ(sys.core->stats().robStallCycles, 0u);
+        EXPECT_EQ(done, 2 + remote + wait);
+    }
+}
+
+TEST_F(CoreModelRingTest, SerializePanicsWithLoadsOutstanding)
+{
+    MiniSystem sys(smallWindowConfig());
+    sys.startScript({op(CpuOpKind::Load, kRemote),
+                     op(CpuOpKind::Load, kLocalA)});
+    // Both loads issued, neither resolved: the core is draining.
+    sys.eq.runUntil(4);
+    ASSERT_FALSE(sys.core->finished());
+    Serializer s;
+    EXPECT_DEATH(sys.core->serialize(s), "before it drained");
+    sys.eq.run();
+    EXPECT_TRUE(sys.core->finished());
 }
 
 } // namespace

@@ -1,12 +1,15 @@
 /**
  * @file
  * Tests for the Figure 2 oracle: necessity classification per request
- * type against real node cache state.
+ * type against real node cache state, and a randomized differential of
+ * the interconnect's summary-plus-mask classification against a full
+ * pre-snoop peek.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <random>
 #include <vector>
 
 #include "interconnect/bus.hpp"
@@ -156,6 +159,97 @@ TEST_F(OracleTest, Reset)
     EXPECT_EQ(oracle->total(), 0u);
     EXPECT_EQ(oracle->unnecessary(), 0u);
     EXPECT_EQ(oracle->category(RequestCategory::DataReadWrite).total, 0u);
+}
+
+/**
+ * The interconnect hands the oracle the line-snoop summary of the CPUs in
+ * the snoop mask, after those snoops were applied, and the oracle peeks
+ * only the rest. Over random machine sizes, line states, requests and
+ * masks, that must count exactly what a full peek of every node before
+ * any snoop counts.
+ */
+TEST(OracleDifferentialTest, SummaryPlusMaskMatchesFullPeek)
+{
+    constexpr LineState kStates[] = {
+        LineState::Invalid, LineState::Shared, LineState::Exclusive,
+        LineState::Owned, LineState::Modified};
+    constexpr RequestType kTypes[] = {
+        RequestType::Read, RequestType::ReadExclusive, RequestType::Upgrade,
+        RequestType::Ifetch, RequestType::Writeback, RequestType::Prefetch,
+        RequestType::PrefetchExclusive, RequestType::Dcbz, RequestType::Dcbf,
+        RequestType::Dcbi};
+    std::mt19937_64 rng(20050609);
+
+    for (unsigned n = 4; n <= 16; ++n) {
+        SystemConfig config = makeDefaultConfig();
+        config.topology.numCpus = n;
+        config.prefetch.enabled = false;
+        config.validate();
+        EventQueue eq;
+        AddressMap map(config.topology);
+        std::vector<std::unique_ptr<MemoryController>> mcs;
+        std::vector<MemoryController *> mc_ptrs;
+        for (unsigned i = 0; i < config.topology.numMemCtrls(); ++i) {
+            mcs.push_back(std::make_unique<MemoryController>(
+                static_cast<MemCtrlId>(i), eq, config.interconnect));
+            mc_ptrs.push_back(mcs.back().get());
+        }
+        DataNetwork net(n, config.interconnect);
+        Bus bus(eq, config.interconnect, map, net, mc_ptrs);
+        std::vector<std::unique_ptr<Node>> nodes;
+        std::vector<Node *> node_ptrs;
+        for (unsigned i = 0; i < n; ++i) {
+            nodes.push_back(std::make_unique<Node>(
+                static_cast<CpuId>(i), config, eq, bus, net, map, mc_ptrs,
+                nullptr));
+            node_ptrs.push_back(nodes.back().get());
+        }
+        Oracle full(node_ptrs);
+        Oracle folded(node_ptrs);
+
+        for (int trial = 0; trial < 400; ++trial) {
+            const Addr line = 0x40000 + (rng() % 4) * 64;
+            for (auto &node : nodes) {
+                const LineState s = kStates[rng() % 5];
+                node->l2().invalidateLine(line);
+                if (s != LineState::Invalid) {
+                    Eviction ev;
+                    node->l2().fill(line, s, 0, 0, ev);
+                }
+            }
+            SystemRequest r;
+            // One request in eight comes from the I/O bridge (cpu n).
+            r.cpu = static_cast<CpuId>(rng() % 8 == 0 ? n : rng() % n);
+            r.type = kTypes[rng() % 10];
+            r.lineAddr = line;
+            const std::uint64_t mask =
+                rng() % 4 == 0 ? ~0ULL : rng() & ((1ULL << n) - 1);
+
+            full.observe(r);
+            LineSnoopSummary snooped;
+            for (auto &node : nodes) {
+                if (node->cpuId() != r.cpu &&
+                    snoopMaskHas(mask, node->cpuId()))
+                    snooped.fold(node->cpuId(), node->snoopLine(r));
+            }
+            folded.observe(r, snooped, mask);
+        }
+
+        EXPECT_EQ(folded.total(), full.total()) << n << " nodes";
+        EXPECT_EQ(folded.unnecessary(), full.unnecessary()) << n << " nodes";
+        for (auto cat : {RequestCategory::DataReadWrite,
+                         RequestCategory::Ifetch,
+                         RequestCategory::Writeback,
+                         RequestCategory::DcbOp}) {
+            EXPECT_EQ(folded.category(cat).total, full.category(cat).total);
+            EXPECT_EQ(folded.category(cat).unnecessary,
+                      full.category(cat).unnecessary)
+                << n << " nodes";
+        }
+        // Both outcomes occur, so the comparison is not vacuous.
+        EXPECT_GT(full.unnecessary(), 0u);
+        EXPECT_LT(full.unnecessary(), full.total());
+    }
 }
 
 } // namespace

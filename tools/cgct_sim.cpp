@@ -191,7 +191,8 @@ main(int argc, char **argv)
                      "directory); see docs/TOPOLOGY.md");
     parser.addU64("ops", &ops, "memory operations per processor");
     parser.addU64("warmup", &warmup,
-                  "warmup ops per processor (0 = ops/5)");
+                  "warmup ops per processor (0 = ops/5; with --replay, "
+                  "the trace header's declared ops/5)");
     parser.addU64("seeds", &seeds, "runs (seeds) to average");
     parser.addU64("seed", &seed, "base random seed");
     parser.addU64("jobs", &jobs,
@@ -289,7 +290,11 @@ main(int argc, char **argv)
 
     RunOptions opts;
     opts.opsPerCpu = ops;
-    opts.warmupOps = warmup ? warmup : ops / 5;
+    // A replay's op count is the trace's, not --ops: derive the default
+    // warmup from the header so a capture replays to the live stats.
+    const std::uint64_t ops_for_warmup =
+        replay_path.empty() ? ops : readTraceInfo(replay_path).opsDeclared;
+    opts.warmupOps = warmup ? warmup : ops_for_warmup / 5;
     opts.seed = seed;
     opts.capturePath = capture_path;
     opts.shards = static_cast<unsigned>(shards);

@@ -64,6 +64,25 @@ for bench in ocean raytrace barnes specint2000rate specweb99 \
     fi
 done
 
+# The default warmup of a replay comes from the trace header's declared
+# op count, not from --ops: a capture at a non-default --ops replays with
+# no --ops/--warmup to the live run's stats.
+"$sim" tpc-w --ops 50000 --seed 7 --capture "$tmp/ops50k.trace" \
+    --json > "$tmp/ops50k.live.json" 2> /dev/null &&
+"$sim" --replay "$tmp/ops50k.trace" --json \
+    > "$tmp/ops50k.replay.json" 2> /dev/null || {
+    echo "trace_replay_test: 50000-op capture or replay failed" >&2
+    exit 1
+}
+normalize "$tmp/ops50k.live.json" > "$tmp/ops50k.live.norm"
+normalize "$tmp/ops50k.replay.json" > "$tmp/ops50k.replay.norm"
+if ! cmp -s "$tmp/ops50k.live.norm" "$tmp/ops50k.replay.norm"; then
+    echo "trace_replay_test: replay without --warmup diverged from the" \
+         "live run (diff follows)" >&2
+    diff "$tmp/ops50k.live.norm" "$tmp/ops50k.replay.norm" >&2
+    exit 1
+fi
+
 # Replays are configuration-portable: the same trace replayed under a
 # different region size must run to completion (different stats, same
 # op stream).

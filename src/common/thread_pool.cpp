@@ -34,55 +34,6 @@ ThreadPool::~ThreadPool()
 }
 
 void
-ThreadPool::Queue::pushRing(Task t)
-{
-    if (ringCount == ring.size()) {
-        // At capacity: rebuild at double size with the FIFO linearized.
-        // This is the only allocating path; once the ring reaches the
-        // in-flight high-water mark it never grows again.
-        std::vector<Task> bigger(ring.empty() ? 8 : ring.size() * 2);
-        for (std::size_t i = 0; i < ringCount; ++i)
-            bigger[i] = std::move(ring[(ringHead + i) % ring.size()]);
-        ring.swap(bigger);
-        ringHead = 0;
-    }
-    ring[(ringHead + ringCount) % ring.size()] = std::move(t);
-    ++ringCount;
-}
-
-bool
-ThreadPool::Queue::popRingFront(Task *out)
-{
-    if (ringCount == 0)
-        return false;
-    *out = std::move(ring[ringHead]);
-    ringHead = (ringHead + 1) % ring.size();
-    --ringCount;
-    return true;
-}
-
-bool
-ThreadPool::Queue::popRingBack(Task *out)
-{
-    if (ringCount == 0)
-        return false;
-    --ringCount;
-    *out = std::move(ring[(ringHead + ringCount) % ring.size()]);
-    return true;
-}
-
-void
-ThreadPool::publish(std::size_t q)
-{
-    (void)q;
-    // Empty critical section pairs with the predicate re-check in
-    // workerLoop, so a worker between "queues empty" and sleeping cannot
-    // miss this task.
-    { std::lock_guard<std::mutex> g(sleepMutex_); }
-    wake_.notify_one();
-}
-
-void
 ThreadPool::post(std::function<void()> task)
 {
     pending_.fetch_add(1);
@@ -92,31 +43,19 @@ ThreadPool::post(std::function<void()> task)
         std::lock_guard<std::mutex> g(queues_[q]->mutex);
         queues_[q]->tasks.push_back(std::move(task));
     }
-    publish(q);
-}
-
-void
-ThreadPool::postTask(Task task)
-{
-    pending_.fetch_add(1);
-    const std::size_t q =
-        static_cast<std::size_t>(nextQueue_.fetch_add(1)) % queues_.size();
-    {
-        std::lock_guard<std::mutex> g(queues_[q]->mutex);
-        queues_[q]->pushRing(std::move(task));
-    }
-    publish(q);
+    // Empty critical section pairs with the predicate re-check in
+    // workerLoop, so a worker between "queues empty" and sleeping cannot
+    // miss this task.
+    { std::lock_guard<std::mutex> g(sleepMutex_); }
+    wake_.notify_one();
 }
 
 bool
-ThreadPool::tryPop(unsigned self, std::function<void()> *fn_out,
-                   Task *task_out)
+ThreadPool::tryPop(unsigned self, std::function<void()> *fn_out)
 {
     {
         Queue &own = *queues_[self];
         std::lock_guard<std::mutex> g(own.mutex);
-        if (own.popRingFront(task_out))
-            return true;
         if (!own.tasks.empty()) {
             *fn_out = std::move(own.tasks.front());
             own.tasks.pop_front();
@@ -126,8 +65,6 @@ ThreadPool::tryPop(unsigned self, std::function<void()> *fn_out,
     for (std::size_t i = 1; i < queues_.size(); ++i) {
         Queue &victim = *queues_[(self + i) % queues_.size()];
         std::lock_guard<std::mutex> g(victim.mutex);
-        if (victim.popRingBack(task_out))
-            return true;
         if (!victim.tasks.empty()) {
             *fn_out = std::move(victim.tasks.back());
             victim.tasks.pop_back();
@@ -142,7 +79,7 @@ ThreadPool::anyQueued()
 {
     for (auto &q : queues_) {
         std::lock_guard<std::mutex> g(q->mutex);
-        if (!q->tasks.empty() || q->ringCount > 0)
+        if (!q->tasks.empty())
             return true;
     }
     return false;
@@ -162,12 +99,8 @@ ThreadPool::workerLoop(unsigned self)
 {
     for (;;) {
         std::function<void()> fn;
-        Task task;
-        if (tryPop(self, &fn, &task)) {
-            if (task)
-                task();
-            else
-                fn();
+        if (tryPop(self, &fn)) {
+            fn();
             finishOne();
             continue;
         }

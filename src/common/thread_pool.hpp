@@ -15,16 +15,6 @@
  * Tasks must not call submit()/wait() on their own pool (no nested
  * scheduling) — sweep jobs are independent simulations, which is all the
  * harness needs.
- *
- * postTask() is the allocation-free variant for high-frequency callers:
- * the PDES quantum loop (src/event/pdes.cpp) dispatches one task per
- * shard per quantum — often thousands per simulated second — and a
- * std::function per dispatch would put a malloc/free pair on the
- * simulation's critical path. Tasks are InlineFunctions stored in a
- * per-queue ring that grows (under the queue mutex) only until it
- * reaches the high-water mark of in-flight tasks; after warm-up every
- * postTask() is allocation-free (bench_pdes_scaling gates on this with
- * a counting allocator).
  */
 
 #pragma once
@@ -40,8 +30,6 @@
 #include <thread>
 #include <type_traits>
 #include <vector>
-
-#include "common/inline_function.hpp"
 
 namespace cgct {
 
@@ -64,21 +52,6 @@ class ThreadPool
     /** Enqueue a fire-and-forget task. Must not throw when invoked. */
     void post(std::function<void()> task);
 
-    /**
-     * Inline-storage task for the allocation-free path. Sized for the
-     * PDES shard dispatch (coordinator pointer + shard index) with slack
-     * for test harness lambdas; oversized captures fail to compile.
-     */
-    using Task = InlineFunction<void(), 128>;
-
-    /**
-     * Enqueue a fire-and-forget task with no per-call heap allocation in
-     * the steady state (the per-queue ring grows to the in-flight
-     * high-water mark, then stops). Same execution and wait() semantics
-     * as post(). Must not throw when invoked.
-     */
-    void postTask(Task task);
-
     /** Enqueue a task and get a future for its result (or exception). */
     template <typename F>
     auto
@@ -99,30 +72,16 @@ class ThreadPool
     static unsigned defaultThreads();
 
   private:
-    /**
-     * One worker's queues. Owner pops the front; thieves take the back.
-     * `tasks` serves post()/submit(); `ring` is the fixed-capacity FIFO
-     * behind postTask() (head/count cursors; capacity grows only at the
-     * high-water mark of in-flight inline tasks).
-     */
+    /** One worker's queue. Owner pops the front; thieves take the back. */
     struct Queue {
         std::mutex mutex;
         std::deque<std::function<void()>> tasks;
-        std::vector<Task> ring;
-        std::size_t ringHead = 0;
-        std::size_t ringCount = 0;
-
-        void pushRing(Task t);
-        bool popRingFront(Task *out);
-        bool popRingBack(Task *out);
     };
 
     void workerLoop(unsigned self);
-    bool tryPop(unsigned self, std::function<void()> *fn_out,
-                Task *task_out);
+    bool tryPop(unsigned self, std::function<void()> *fn_out);
     bool anyQueued();
     void finishOne();
-    void publish(std::size_t q);
 
     std::vector<std::unique_ptr<Queue>> queues_;
     std::vector<std::thread> workers_;

@@ -78,16 +78,6 @@ class OpSource
         (void)cpu;
         (void)wake;
     }
-
-    /**
-     * True when every lane's op stream is a pure function of
-     * (cpu, op index) — no shared draw state, no cross-lane coupling —
-     * so lanes may be fetched from different threads in any relative
-     * order with identical results. This is the workload-side
-     * requirement for sharded (PDES) runs; see docs/PDES.md. The
-     * conservative default is false.
-     */
-    virtual bool drawsIndependent() const { return false; }
 };
 
 /** One simulated processor core. */

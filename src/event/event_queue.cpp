@@ -1,36 +1,14 @@
 #include "event/event_queue.hpp"
 
 #include "common/log.hpp"
-#include "event/lineage.hpp"
 #include "snapshot/serializer.hpp"
 
 namespace cgct {
 
-namespace {
-// The event currently executing on this thread — the scheduling context
-// for lineage parentage. Thread-local because each PDES shard queue runs
-// on its own worker thread.
-thread_local LineageNode *tls_current_lineage = nullptr;
-} // namespace
-
-LineageNode *
-EventQueue::currentLineage()
-{
-    return tls_current_lineage;
-}
-
-LineageNode *
-EventQueue::setCurrentLineage(LineageNode *lin)
-{
-    LineageNode *prev = tls_current_lineage;
-    tls_current_lineage = lin;
-    return prev;
-}
-
 EventQueue::EventQueue() : wheel_(kWheelTicks) {}
 
 void
-EventQueue::pushWheel(Tick when, unsigned cls, Callback cb, LineageNode *lin)
+EventQueue::pushWheel(Tick when, unsigned cls, Callback cb)
 {
     // Grab a pooled node: recycle from the free list if one is available,
     // else grow the pool. Growth stops at the high-water mark of
@@ -46,7 +24,6 @@ EventQueue::pushWheel(Tick when, unsigned cls, Callback cb, LineageNode *lin)
     }
     Node &n = pool_[idx];
     n.cb = std::move(cb);
-    n.lin = lin;
     n.next = kNil;
 
     Bucket &b = bucketOf(when);
@@ -67,26 +44,13 @@ EventQueue::schedule(Tick when, Callback cb, EventPriority prio)
               static_cast<unsigned long long>(when),
               static_cast<unsigned long long>(now_));
     const auto cls = static_cast<unsigned>(prio);
-    LineageNode *lin = nullptr;
-    if (lineage_) {
-        // PDES determinism tracking: record who scheduled this event and
-        // at what rank, so quantum barriers can reconstruct the
-        // sequential insertion order (src/event/lineage.hpp).
-        LineageNode *parent = tls_current_lineage;
-        lin = new LineageNode;
-        LineageNode::liveCount.fetch_add(1, std::memory_order_relaxed);
-        lin->tick = when;
-        lin->prio = static_cast<int>(cls);
-        lin->parent = lineageRef(parent);
-        lin->seq = parent ? parent->children++ : lineage_->rootSeq++;
-    }
     if (when - now_ < kWheelTicks) {
-        pushWheel(when, cls, std::move(cb), lin);
+        pushWheel(when, cls, std::move(cb));
         ++seq_; // Wheel FIFOs encode seq order positionally; keep the
                 // counter in step for events that overflow to the heap.
     } else {
         heap_.push(HeapItem{when, static_cast<int>(cls), seq_++,
-                            std::move(cb), lin});
+                            std::move(cb)});
     }
 }
 
@@ -125,7 +89,7 @@ EventQueue::advanceTo(Tick when)
         HeapItem item = std::move(const_cast<HeapItem &>(heap_.top()));
         heap_.pop();
         pushWheel(item.when, static_cast<unsigned>(item.prio),
-                  std::move(item.cb), item.lin);
+                  std::move(item.cb));
     }
 }
 
@@ -155,29 +119,15 @@ EventQueue::runOne()
         --b->count;
         --wheelCount_;
         ++executed_;
-        lastExec_ = now_;
         // Move the callback out and return the node to the free list
         // *before* invoking: the callback may schedule (growing pool_,
         // which would invalidate `n`) and may legitimately reuse this
         // very node.
         Callback cb = std::move(n.cb);
-        LineageNode *lin = n.lin;
         n.cb.reset();
-        n.lin = nullptr;
         n.next = freeHead_;
         freeHead_ = idx;
-        if (lin) {
-            // Expose this event as the scheduling context for its
-            // children, then park its node in the execution log (it
-            // keeps the schedule()-time reference) until the PDES
-            // barrier stamps it.
-            LineageNode *prev = setCurrentLineage(lin);
-            cb();
-            setCurrentLineage(prev);
-            execLog_.push_back(lin);
-        } else {
-            cb();
-        }
+        cb();
         return true;
     }
     panic("event wheel bucket count/FIFO mismatch at tick %llu",
@@ -215,12 +165,6 @@ EventQueue::clear()
     // loop was O(n log n)) and a walk of the occupied wheel FIFOs. Pool
     // nodes go back on the free list so the next phase stays
     // allocation-free.
-    if (lineage_) {
-        while (!heap_.empty()) {
-            lineageUnref(heap_.top().lin);
-            heap_.pop();
-        }
-    }
     decltype(heap_) empty_heap;
     heap_.swap(empty_heap);
     if (wheelCount_ > 0) {
@@ -233,8 +177,6 @@ EventQueue::clear()
                     Node &n = pool_[idx];
                     const std::uint32_t next = n.next;
                     n.cb.reset();
-                    lineageUnref(n.lin);
-                    n.lin = nullptr;
                     n.next = freeHead_;
                     freeHead_ = idx;
                     idx = next;
@@ -246,41 +188,6 @@ EventQueue::clear()
         }
         wheelCount_ = 0;
     }
-}
-
-bool
-EventQueue::peekNext(Tick *when, int *prio) const
-{
-    if (empty())
-        return false;
-    const Tick t = nextEventTick();
-    // All wheel events live inside the horizon and below any heap event,
-    // so if the bucket for t holds anything it owns the earliest key;
-    // otherwise the heap top (already (tick, prio, seq)-ordered) does.
-    const Bucket &b = wheel_[t & kWheelMask];
-    if (b.count > 0) {
-        for (unsigned cls = 0; cls < kNumEventPriorities; ++cls) {
-            if (b.head[cls] != kNil) {
-                *when = t;
-                *prio = static_cast<int>(cls);
-                return true;
-            }
-        }
-        panic("EventQueue: wheel bucket count/FIFO mismatch in peekNext");
-    }
-    *when = heap_.top().when;
-    *prio = heap_.top().prio;
-    return true;
-}
-
-void
-EventQueue::restoreClock(Tick now)
-{
-    if (!empty())
-        panic("EventQueue: restoreClock with %zu events pending",
-              pending());
-    now_ = now;
-    lastExec_ = now;
 }
 
 void
@@ -301,7 +208,6 @@ EventQueue::deserialize(SectionReader &r)
               pending());
     now_ = r.u64();
     executed_ = r.u64();
-    lastExec_ = now_;
 }
 
 } // namespace cgct

@@ -37,8 +37,6 @@ namespace cgct {
 
 class Serializer;
 class SectionReader;
-struct LineageNode;
-struct LineageCtx;
 
 /**
  * Priority classes for events scheduled at the same tick. Lower runs first.
@@ -117,43 +115,6 @@ class EventQueue
     std::uint64_t executed() const { return executed_; }
 
     /**
-     * PDES support (docs/PDES.md). peekNext reports the key of the
-     * earliest pending event without executing it; lastExecutedTick is
-     * the tick of the last event actually run (runUntil() may advance
-     * now() past it over an empty span); addExecuted/takeExecuted move
-     * shard-side execution counts into the hub queue at quiesce so the
-     * serialized "eq" section matches a sequential run byte for byte;
-     * restoreClock snaps an (empty) shard queue's clock back to the
-     * global last-event tick after the quantum overshoot.
-     */
-    bool peekNext(Tick *when, int *prio) const;
-    Tick lastExecutedTick() const { return lastExec_; }
-    void addExecuted(std::uint64_t n) { executed_ += n; }
-    std::uint64_t takeExecuted()
-    {
-        const std::uint64_t n = executed_;
-        executed_ = 0;
-        return n;
-    }
-    void restoreClock(Tick now);
-
-    /**
-     * Determinism tracking (PDES only; see src/event/lineage.hpp).
-     * When a LineageCtx is attached, every schedule() allocates a
-     * LineageNode recording which event scheduled it, runOne() exposes
-     * the executing event's node through currentLineage(), and
-     * executed nodes accumulate in execLog() until the PDES barrier
-     * stamps and releases them. With no context attached (the default,
-     * and always in sequential runs) none of this machinery runs and
-     * the kernel stays allocation-free.
-     */
-    void setLineage(LineageCtx *ctx) { lineage_ = ctx; }
-    std::vector<LineageNode *> &execLog() { return execLog_; }
-    static LineageNode *currentLineage();
-    /** Swap the calling thread's scheduling context; returns the old one. */
-    static LineageNode *setCurrentLineage(LineageNode *lin);
-
-    /**
      * Drop all pending events (used between simulation phases). O(n):
      * swaps the overflow heap away and free-lists the wheel's pooled
      * nodes. Pool capacity is retained so the next phase stays
@@ -184,7 +145,6 @@ class EventQueue
      */
     struct Node {
         Callback cb;
-        LineageNode *lin = nullptr;
         std::uint32_t next = kNil;
     };
 
@@ -211,7 +171,6 @@ class EventQueue
         int prio;
         std::uint64_t seq;
         Callback cb;
-        LineageNode *lin = nullptr;
     };
 
     struct Later {
@@ -229,7 +188,7 @@ class EventQueue
     Bucket &bucketOf(Tick when) { return wheel_[when & kWheelMask]; }
 
     /** Append @p cb to the wheel FIFO for (when, cls). */
-    void pushWheel(Tick when, unsigned cls, Callback cb, LineageNode *lin);
+    void pushWheel(Tick when, unsigned cls, Callback cb);
 
     /** Tick of the earliest pending event (queue must be non-empty). */
     Tick nextEventTick() const;
@@ -243,11 +202,8 @@ class EventQueue
     std::size_t wheelCount_ = 0;
     std::priority_queue<HeapItem, std::vector<HeapItem>, Later> heap_;
     Tick now_ = 0;
-    Tick lastExec_ = 0;
     std::uint64_t seq_ = 0;
     std::uint64_t executed_ = 0;
-    LineageCtx *lineage_ = nullptr;
-    std::vector<LineageNode *> execLog_;
 };
 
 } // namespace cgct

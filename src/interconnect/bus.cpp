@@ -15,10 +15,11 @@ Bus::Bus(EventQueue &eq, const InterconnectParams &params,
 }
 
 void
-Bus::broadcastAt(const SystemRequest &req, ResponseFn fn, Tick enq)
+Bus::broadcast(const SystemRequest &req, ResponseFn fn)
 {
     // Inline FCFS arbitration: the grant recurrence is a pure function
     // of arrival order, so no grant event is needed.
+    const Tick enq = eq_.now();
     const Tick g = nextFreeSlot_ > enq ? nextFreeSlot_ : enq;
     nextFreeSlot_ = g + params_.busSlot;
     if (chargeCount_ == charges_.size()) {

@@ -31,21 +31,11 @@ class Bus : public Interconnect
 
     /**
      * Broadcast @p req, invoking @p fn at resolution. Must be called at
-     * the issuing event's time (requests are granted FCFS).
+     * the issuing event's time: arbitration is inline and FCFS, granting
+     * g = max(now, previous grant + busSlot) and resolving at
+     * g + snoopLatency.
      */
-    void broadcast(const SystemRequest &req, ResponseFn fn) override
-    {
-        broadcastAt(req, std::move(fn), eq_.now());
-    }
-
-    /**
-     * Arbitrate inline for a request enqueued at @p enq: FCFS grant
-     * g = max(enq, previous grant + busSlot), resolve at g + snoopLatency.
-     * Sharded (PDES) runs replay enqueues at the quantum barrier, where
-     * the hub clock lags the logical enqueue tick (docs/PDES.md).
-     */
-    void broadcastAt(const SystemRequest &req, ResponseFn fn,
-                     Tick enq) override;
+    void broadcast(const SystemRequest &req, ResponseFn fn) override;
 
     /** On the flat bus every broadcast occupies the system-wide level. */
     std::uint64_t interChipBroadcasts() const override

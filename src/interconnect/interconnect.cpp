@@ -1,6 +1,5 @@
 #include "interconnect/interconnect.hpp"
 
-#include "common/log.hpp"
 #include "common/trace_sink.hpp"
 #include "sim/oracle.hpp"
 
@@ -12,16 +11,6 @@ Interconnect::Interconnect(EventQueue &eq, const InterconnectParams &params,
     : eq_(eq), params_(params), map_(map), dataNet_(data_net),
       memCtrls_(std::move(mem_ctrls))
 {
-}
-
-void
-Interconnect::broadcastAt(const SystemRequest &req, ResponseFn fn, Tick enq)
-{
-    (void)req;
-    (void)fn;
-    (void)enq;
-    panic("interconnect: sharded (PDES) runs are only supported on the "
-          "flat bus topology");
 }
 
 Interconnect::ResolveOutcome

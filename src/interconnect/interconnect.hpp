@@ -121,14 +121,6 @@ class Interconnect
     virtual void broadcast(const SystemRequest &req, ResponseFn fn) = 0;
 
     /**
-     * Broadcast with an explicit enqueue tick, for PDES barrier replay
-     * (docs/PDES.md). Only the flat bus participates in sharded runs;
-     * other topologies panic.
-     */
-    virtual void broadcastAt(const SystemRequest &req, ResponseFn fn,
-                             Tick enq);
-
-    /**
      * Functional-warming mirror of broadcast (docs/SAMPLING.md): the node
      * applied the snoop fan-out itself with no timing events, and reports
      * the request here so topology-private tracking state (presence /

@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "common/log.hpp"
-#include "event/pdes.hpp"
 #include "sim/invariants.hpp"
 #include "snapshot/serializer.hpp"
 
@@ -259,17 +258,10 @@ Node::dispatchSystemRequest(RequestType type, Addr line_addr, Tick now,
         req.isPrefetch = is_prefetch;
         // The bus orders requests at their issue tick; the core's local
         // clock may be ahead of global event time, so enter the bus then.
-        // Sharded runs defer the bus entry to the quantum barrier
-        // (docs/PDES.md); the enqueue event itself still executes on
-        // this node's shard at the same tick.
         const Tick when = std::max(now, eq_.now());
         eq_.schedule(when,
                      [this, req, issued = now] {
-                         if (pdes_)
-                             pdes_->defer(pdesShard_, this, req, issued,
-                                          eq_.now());
-                         else
-                             postBroadcast(req, issued, eq_.now());
+                         postBroadcast(req, issued);
                      },
                      EventPriority::Cpu);
         break;
@@ -297,18 +289,14 @@ Node::dispatchSystemRequest(RequestType type, Addr line_addr, Tick now,
 }
 
 void
-Node::postBroadcast(const SystemRequest &req, Tick issued, Tick enq)
+Node::postBroadcast(const SystemRequest &req, Tick issued)
 {
-    Interconnect::ResponseFn fn = [this, req, issued](const SnoopResponse &resp,
-                                             Tick data_ready) {
+    bus_.broadcast(req, [this, req, issued](const SnoopResponse &resp,
+                                            Tick data_ready) {
         handleBroadcastResponse(req.type, req.lineAddr, resp, data_ready);
         if (!req.isPrefetch && req.type != RequestType::Writeback)
             noteMissLatency(issued, data_ready);
-    };
-    if (pdes_)
-        bus_.broadcastAt(req, std::move(fn), enq);
-    else
-        bus_.broadcast(req, std::move(fn));
+    });
 }
 
 void

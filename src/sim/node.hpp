@@ -46,7 +46,6 @@
 namespace cgct {
 
 class InvariantChecker;
-class PdesCoordinator;
 class TraceSink;
 
 /** One processor node. */
@@ -132,26 +131,6 @@ class Node : public SnoopClient
     {
         checker_ = checker;
     }
-
-    /**
-     * Sharded-run wiring (docs/PDES.md): this node lives on shard
-     * @p shard of @p pdes. Bus enqueues are deferred to the coordinator
-     * instead of touching the (hub-owned) bus from a shard thread.
-     */
-    void setPdes(PdesCoordinator *pdes, unsigned shard)
-    {
-        pdes_ = pdes;
-        pdesShard_ = shard;
-    }
-
-    /**
-     * Enter the bus with @p req, enqueued at tick @p enq and issued (for
-     * miss-latency accounting) at @p issued. Sequentially this is the
-     * body of the enqueue event; in a sharded run the PdesCoordinator
-     * calls it at the quantum barrier, replaying deferred enqueues in
-     * the sequential order with their logical enqueue ticks.
-     */
-    void postBroadcast(const SystemRequest &req, Tick issued, Tick enq);
 
     /** Per-node request statistics, broken down for Figures 2 and 7. */
     struct Stats {
@@ -262,6 +241,12 @@ class Node : public SnoopClient
     /** The request, with an MSHR (if needed) already claimed. */
     void dispatchSystemRequest(RequestType type, Addr line_addr, Tick now,
                                bool is_prefetch);
+
+    /**
+     * Enter the bus with @p req (the body of the enqueue event); @p issued
+     * is the tick the request left the L2, for miss-latency accounting.
+     */
+    void postBroadcast(const SystemRequest &req, Tick issued);
 
     /** Handle a broadcast's snoop response (ordering-point event). */
     void handleBroadcastResponse(RequestType type, Addr line_addr,
@@ -388,9 +373,6 @@ class Node : public SnoopClient
     InvariantChecker *checker_ = nullptr;
     /** Warm-phase peer nodes (null outside functional warming). */
     const std::vector<Node *> *warmPeers_ = nullptr;
-    /** Sharded-run coordinator (null in sequential runs). */
-    PdesCoordinator *pdes_ = nullptr;
-    unsigned pdesShard_ = 0;
 };
 
 } // namespace cgct

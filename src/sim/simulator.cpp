@@ -53,7 +53,7 @@ simulateOnce(const SystemConfig &config, const WorkloadProfile &profile,
             opts.opsPerCpu);
         source = capture.get();
     }
-    System sys(config, *source, opts.shards);
+    System sys(config, *source);
 
     Tick measure_start = 0;
     sys.start();

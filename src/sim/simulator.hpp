@@ -54,15 +54,6 @@ struct RunOptions {
     /** Hard event cap (runaway guard). */
     std::uint64_t maxEvents = 2000000000ULL;
     /**
-     * Event-queue shards for this run (docs/PDES.md). 1 = sequential;
-     * larger values request a parallel (PDES) run with byte-identical
-     * statistics, silently falling back to sequential when the
-     * configuration does not support sharding (see System::shards()).
-     * Not part of SystemConfig: the shard count affects wall-clock
-     * only, never results, so snapshots and sweep rows ignore it.
-     */
-    unsigned shards = 1;
-    /**
      * When set, tee every op the simulation consumes into a v2 trace
      * file at this path (TraceCapture). Replaying the capture under
      * the same configuration reproduces the run's statistics

@@ -5,26 +5,11 @@
 #include <unordered_map>
 
 #include "common/log.hpp"
-#include "event/pdes.hpp"
 #include "snapshot/serializer.hpp"
 
 namespace cgct {
 
-unsigned
-System::shardOfCpu(CpuId cpu) const
-{
-    // Whole chips map to shards (a chip may share one region tracker,
-    // and its cores share the chip's locality) with the chip range
-    // split as evenly as possible.
-    const unsigned n_chips = config_.topology.numChips();
-    const unsigned n_shards =
-        static_cast<unsigned>(shardQs_.size());
-    const unsigned chip = config_.topology.chipOfCpu(cpu);
-    return chip * n_shards / n_chips;
-}
-
-System::System(const SystemConfig &config, OpSource &source,
-               unsigned shards)
+System::System(const SystemConfig &config, OpSource &source)
     : config_(config), map_(config.topology)
 {
     config_.validate();
@@ -32,48 +17,6 @@ System::System(const SystemConfig &config, OpSource &source,
     // Sources that schedule their own wakeups (trace replay sync
     // events) need the event queue before any core binds its waiter.
     source.attach(eq_);
-
-    // Sharded-run gating (docs/PDES.md): decide up front, because the
-    // nodes and cores must be constructed against their shard queues.
-    bool check = config_.obs.checkInvariants;
-#ifndef NDEBUG
-    check = check || config_.cgct.enabled;
-#endif
-    const unsigned n_chips = config_.topology.numChips();
-    unsigned eff_shards = shards < n_chips ? shards : n_chips;
-    const bool flat_bus =
-        config_.interconnect.topology == TopologyKind::Bus;
-    const bool pdes_ok = eff_shards > 1 && flat_bus &&
-                         !config_.cgct.enabled &&
-                         !config_.obs.trace && !check &&
-                         config_.interconnect.snoopLatency >= 1 &&
-                         source.drawsIndependent();
-    if (shards > 1 && !pdes_ok) {
-        // The fallback is silent per run (byte-identical results either
-        // way), but the *first* ignored --shards request names its gate
-        // once on stderr so the user knows why no speedup appeared.
-        const char *gate =
-            eff_shards <= 1 ? "the machine has fewer than two chips"
-            : !flat_bus     ? "--topology is not the flat bus (only the "
-                              "single-hub bus has a PDES deferral channel)"
-            : config_.cgct.enabled
-                ? "CGCT is enabled (shared-tracker routing is cross-CPU "
-                  "state outside the bus ordering point)"
-            : config_.obs.trace ? "tracing is enabled"
-            : check             ? "invariant checking is enabled"
-            : config_.interconnect.snoopLatency < 1
-                ? "the snoop latency (the PDES lookahead) is zero"
-                : "the workload's lanes do not draw independently";
-        warnOnce("pdes-fallback", "system",
-                 "--shards %u ignored, running sequentially: %s "
-                 "(docs/PDES.md)",
-                 shards, gate);
-    }
-    if (pdes_ok) {
-        shardQs_.reserve(eff_shards);
-        for (unsigned i = 0; i < eff_shards; ++i)
-            shardQs_.push_back(std::make_unique<EventQueue>());
-    }
 
     const unsigned n_ctrl = config_.topology.numMemCtrls();
     std::vector<MemoryController *> ctrl_ptrs;
@@ -121,14 +64,8 @@ System::System(const SystemConfig &config, OpSource &source,
             tracker = makeTracker(static_cast<CpuId>(i), config_.cgct,
                                   config_.l2.lineBytes);
         }
-        // A sharded node lives on its shard's queue; the bus, memory
-        // controllers and data network stay on the hub queue.
-        EventQueue &node_eq =
-            shardQs_.empty()
-                ? eq_
-                : *shardQs_[shardOfCpu(static_cast<CpuId>(i))];
         nodes_.push_back(std::make_unique<Node>(
-            static_cast<CpuId>(i), config_, node_eq, *bus_, *dataNet_,
+            static_cast<CpuId>(i), config_, eq_, *bus_, *dataNet_,
             map_, ctrl_ptrs, std::move(tracker)));
         bus_->addClient(nodes_.back().get());
         node_ptrs.push_back(nodes_.back().get());
@@ -138,12 +75,8 @@ System::System(const SystemConfig &config, OpSource &source,
     bus_->setOracle(oracle_.get());
 
     for (unsigned i = 0; i < config_.topology.numCpus; ++i) {
-        EventQueue &core_eq =
-            shardQs_.empty()
-                ? eq_
-                : *shardQs_[shardOfCpu(static_cast<CpuId>(i))];
         cores_.push_back(std::make_unique<CoreModel>(
-            static_cast<CpuId>(i), config_.core, core_eq, *nodes_[i],
+            static_cast<CpuId>(i), config_.core, eq_, *nodes_[i],
             source));
     }
 
@@ -156,6 +89,10 @@ System::System(const SystemConfig &config, OpSource &source,
     // Observability: the trace sink is always present (one pointer + bool
     // test per site when disabled); the checker only when requested, or
     // in debug builds whenever CGCT runs.
+    bool check = config_.obs.checkInvariants;
+#ifndef NDEBUG
+    check = check || config_.cgct.enabled;
+#endif
     trace_.setEnabled(config_.obs.trace);
     bus_->setTraceSink(&trace_);
     for (auto &mc : memCtrls_)
@@ -176,34 +113,6 @@ System::System(const SystemConfig &config, OpSource &source,
         for (auto &node : nodes_)
             node->setInvariantChecker(checker_.get());
     }
-
-    if (!shardQs_.empty()) {
-        std::vector<EventQueue *> qs;
-        qs.reserve(shardQs_.size());
-        for (auto &q : shardQs_)
-            qs.push_back(q.get());
-        pdes_ = std::make_unique<PdesCoordinator>(
-            eq_, std::move(qs), config_.interconnect.snoopLatency);
-        for (unsigned i = 0; i < config_.topology.numCpus; ++i)
-            nodes_[i]->setPdes(pdes_.get(),
-                               shardOfCpu(static_cast<CpuId>(i)));
-    }
-}
-
-System::~System() = default;
-
-std::uint64_t
-System::run(std::uint64_t max_events)
-{
-    if (pdes_)
-        return pdes_->run(max_events);
-    return eq_.run(max_events);
-}
-
-unsigned
-System::shards() const
-{
-    return pdes_ ? pdes_->shards() : 1;
 }
 
 void
@@ -262,15 +171,7 @@ System::serializeState(Serializer &s) const
 {
     if (!allCoresFinished())
         panic("System: serializing before every core drained");
-    for (const auto &q : shardQs_) {
-        if (!q->empty())
-            panic("System: serializing with shard events pending");
-    }
 
-    // Sharded runs quiesce into the sequential representation (clocks
-    // aligned, executed counts folded into the hub — see
-    // PdesCoordinator::run), so the sections below are byte-identical
-    // at any shard count and snapshots are interchangeable.
     s.beginSection("eq");
     eq_.serialize(s);
     s.endSection();
@@ -326,11 +227,6 @@ System::restoreState(const Deserializer &d)
     {
         SectionReader r = d.section("eq");
         eq_.deserialize(r);
-    }
-    if (pdes_) {
-        // Shard clocks are not serialized (they are always aligned with
-        // the hub at quiescence); re-align them with the restored hub.
-        pdes_->restoreClocks(eq_.now());
     }
     {
         SectionReader r = d.section("bus");

@@ -30,7 +30,6 @@
 
 namespace cgct {
 
-class PdesCoordinator;
 class Serializer;
 class Deserializer;
 
@@ -41,39 +40,21 @@ class System
     /**
      * @param config validated system configuration
      * @param source workload op streams (must outlive the system)
-     * @param shards requested event-queue shard count (docs/PDES.md).
-     *        1 (the default) is the sequential simulator. Larger values
-     *        request a sharded run: chips are partitioned across shard
-     *        queues that advance in bounded-lag quanta on a thread pool,
-     *        with statistics byte-identical to the sequential run. The
-     *        request engages only when the configuration supports it
-     *        (see shards() below); otherwise the system silently — and
-     *        deterministically — falls back to sequential execution.
      */
-    System(const SystemConfig &config, OpSource &source,
-           unsigned shards = 1);
-    ~System();
+    System(const SystemConfig &config, OpSource &source);
 
     /** Kick off every core. */
     void start();
 
     /**
-     * Execute pending events — the PDES quantum loop when sharded, the
-     * plain event loop otherwise. @return events executed; a value >=
+     * Execute pending events. @return events executed; a value >=
      * @p max_events means the runaway guard tripped (the system is NOT
      * drained and must not be serialized).
      */
-    std::uint64_t run(std::uint64_t max_events);
-
-    /**
-     * Effective shard count: the constructor's request clamped to the
-     * chip count, or 1 when sharding could not engage. Sharding
-     * requires >= 2 chips, an OpSource whose lanes draw independently,
-     * no CGCT (its shared-tracker routing is cross-CPU state outside
-     * the bus ordering point), no trace sink, no invariant checker and
-     * a nonzero snoop latency (the lookahead).
-     */
-    unsigned shards() const;
+    std::uint64_t run(std::uint64_t max_events)
+    {
+        return eq_.run(max_events);
+    }
 
     EventQueue &eq() { return eq_; }
     const SystemConfig &config() const { return config_; }
@@ -143,15 +124,9 @@ class System
     void resumePhase();
 
   private:
-    /** Shard index of @p cpu (valid only in sharded runs). */
-    unsigned shardOfCpu(CpuId cpu) const;
-
     SystemConfig config_;
     EventQueue eq_;
     AddressMap map_;
-    /** Shard event queues (empty in sequential runs). Owned here so
-     *  they outlive the nodes and cores bound to them. */
-    std::vector<std::unique_ptr<EventQueue>> shardQs_;
     std::vector<std::unique_ptr<MemoryController>> memCtrls_;
     std::unique_ptr<DataNetwork> dataNet_;
     std::unique_ptr<Interconnect> bus_;
@@ -161,9 +136,6 @@ class System
     std::unique_ptr<DmaEngine> dma_;
     TraceSink trace_;
     std::unique_ptr<InvariantChecker> checker_;
-    /** Declared last: joins its worker threads before anything it
-     *  references is torn down. */
-    std::unique_ptr<PdesCoordinator> pdes_;
 };
 
 } // namespace cgct

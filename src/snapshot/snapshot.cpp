@@ -173,7 +173,7 @@ simulateCheckpointed(const SystemConfig &config,
 {
     SyntheticWorkload workload(profile, config.topology.numCpus,
                                opts.opsPerCpu, opts.seed);
-    System sys(config, workload, opts.shards);
+    System sys(config, workload);
 
     HarnessState h;
     h.profileName = profile.name;

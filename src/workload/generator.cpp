@@ -96,22 +96,6 @@ SyntheticWorkload::deserialize(SectionReader &r)
         owner = static_cast<CpuId>(r.i64());
 }
 
-bool
-SyntheticWorkload::drawsIndependent() const
-{
-    if (rwOwner_.empty())
-        return true;
-    // The ownership table is the only cross-lane state; it is written
-    // exclusively by migratory shared-RW draws. If no phase can reach
-    // that write, reads see the constant initial table and every lane
-    // is a pure function of (cpu, op index).
-    for (const PhaseSpec &ph : profile_.phases) {
-        if (ph.pSharedRW > 0 && ph.pMigrate > 0)
-            return false;
-    }
-    return true;
-}
-
 std::uint64_t
 SyntheticWorkload::minOpsDrawn() const
 {

@@ -46,16 +46,6 @@ class SyntheticWorkload : public OpSource
 
     bool next(CpuId cpu, CpuOp &op) override;
 
-    /**
-     * Per-CPU streams fork their RNGs from the master seed and draw from
-     * per-CPU cursors; the only cross-lane state is the shared-object
-     * ownership table. When no phase can write it (no migratory
-     * shared-RW traffic), every stream is a pure function of
-     * (cpu, op index) and lanes may run on different threads — the
-     * requirement for sharded PDES runs (docs/PDES.md).
-     */
-    bool drawsIndependent() const override;
-
     std::uint64_t opsPerCpu() const { return opsPerCpu_; }
     std::uint64_t opsDrawn(CpuId cpu) const
     {

@@ -1,13 +1,16 @@
 /**
  * @file
- * Tests for the command-line parser used by the tools.
+ * Tests for the command-line parser used by the tools, and for the
+ * warnOnce() diagnostic they emit when a flag is ignored.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "common/argparse.hpp"
+#include "common/log.hpp"
 
 namespace cgct {
 namespace {
@@ -140,6 +143,27 @@ TEST(ArgParse, HexValuesAccepted)
     const char *argv[] = {"prog", "--addr", "0x1000"};
     EXPECT_TRUE(p.parse(3, argv));
     EXPECT_EQ(n, 0x1000u);
+}
+
+class WarnOnceReset : public ::testing::Test
+{
+  protected:
+    void SetUp() override { resetWarnOnceForTest(); }
+    void TearDown() override { resetWarnOnceForTest(); }
+};
+
+TEST_F(WarnOnceReset, WarnOnceDeduplicatesByKey)
+{
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(warnOnceFired(), 0u);
+    EXPECT_TRUE(warnOnce("key-a", "test", "first %d", 1));
+    EXPECT_FALSE(warnOnce("key-a", "test", "suppressed %d", 2));
+    EXPECT_FALSE(warnOnce("key-a", "test", "suppressed %d", 3));
+    EXPECT_TRUE(warnOnce("key-b", "test", "other"));
+    EXPECT_EQ(warnOnceFired(), 2u);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("first 1"), std::string::npos);
+    EXPECT_EQ(err.find("suppressed"), std::string::npos);
 }
 
 } // namespace

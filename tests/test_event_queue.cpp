@@ -48,6 +48,35 @@ TEST(EventQueue, SameTickSamePriorityIsFifo)
         EXPECT_EQ(order[i], i);
 }
 
+TEST(EventQueue, EarlierTickBeatsHigherPriority)
+{
+    // Priority only breaks ties within a tick: a Default event at an
+    // earlier tick runs before a Snoop event at a later one.
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(20, [&] { order.push_back(2); }, EventPriority::Snoop);
+    eq.schedule(10, [&] { order.push_back(1); }, EventPriority::Default);
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(EventQueue, CallbackSchedulesFollowEarlierSameKeySchedules)
+{
+    // At one (tick, priority) key, events run in schedule order: the two
+    // scheduled before run() precede the ones a callback adds, and a
+    // callback's own schedules keep their relative order.
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(9, [&] { order.push_back(1); }, EventPriority::Cpu);
+    eq.schedule(5, [&] {
+        eq.schedule(9, [&] { order.push_back(3); }, EventPriority::Cpu);
+        eq.schedule(9, [&] { order.push_back(4); }, EventPriority::Cpu);
+    });
+    eq.schedule(9, [&] { order.push_back(2); }, EventPriority::Cpu);
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
 TEST(EventQueue, EventsCanScheduleEvents)
 {
     EventQueue eq;

@@ -83,6 +83,30 @@ TEST(ThreadPool, WaitIsReusable)
     EXPECT_EQ(count.load(), 2);
 }
 
+TEST(ThreadPool, PostAndSubmitInterleave)
+{
+    // wait() covers fire-and-forget posts and future-returning submits
+    // alike, and the pool stays usable after it.
+    ThreadPool pool(2);
+    std::atomic<int> n{0};
+    std::vector<std::future<int>> futures;
+    for (int i = 0; i < 50; ++i) {
+        pool.post([&n] { n.fetch_add(1); });
+        futures.push_back(pool.submit([&n, i] {
+            n.fetch_add(1);
+            return i;
+        }));
+    }
+    pool.wait();
+    EXPECT_EQ(n.load(), 100);
+    for (int i = 0; i < 50; ++i)
+        EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i);
+
+    pool.post([&n] { n.fetch_add(1); });
+    pool.wait();
+    EXPECT_EQ(n.load(), 101);
+}
+
 TEST(ThreadPool, SingleThreadPoolStillWorks)
 {
     ThreadPool pool(1);

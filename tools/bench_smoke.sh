@@ -6,7 +6,6 @@
 #                        [bench_memory_system-binary] \
 #                        [bench_trace_replay-binary] \
 #                        [bench_sampling-binary] \
-#                        [bench_pdes_scaling-binary] \
 #                        [bench_topology-binary]
 #
 # 1. Runs bench_event_queue for a few iterations. The binary itself
@@ -34,13 +33,11 @@
 #    requires replay to stay at least as fast as the synthetic
 #    generator — mmap streaming decode regressing below generation
 #    speed would make --replay the frontend bottleneck.
-# 7. When the bench_pdes_scaling binary is given, runs the shard-parallel
-#    PDES bench (docs/PDES.md). The binary itself enforces byte-identity
-#    of the statistics digest at shards 1/2/4 and the allocation-free
-#    postTask contract on every host; the >= CGCT_BENCH_PDES_MIN_SPEEDUP
-#    (default 1.8) 4-shard speedup gate arms only when the host reports
-#    >= 4 CPUs, because on fewer cores the barriers are pure overhead
-#    and a slowdown is the honest expectation (see BENCH_pdes.json).
+# 7. When the bench_sampling binary is given, runs the sampling bench
+#    (docs/SAMPLING.md) and holds the sampled run's wall-clock lead over
+#    full detail to a fraction of BENCH_sampling.json
+#    (CGCT_BENCH_SAMPLING_MIN_FRAC, default 0.35) with a reportably
+#    tight CI.
 # 8. When the bench_topology binary is given, runs the interconnect
 #    bench (docs/TOPOLOGY.md). The binary itself asserts digest
 #    determinism and cgct_sweep --jobs byte-identity; the smoke gate
@@ -53,13 +50,12 @@
 
 set -u
 
-bench="${1:?usage: bench_smoke.sh <bench_event_queue-binary> [repo-root] [bench_memory_system-binary] [bench_trace_replay-binary] [bench_sampling-binary] [bench_pdes_scaling-binary] [bench_topology-binary]}"
+bench="${1:?usage: bench_smoke.sh <bench_event_queue-binary> [repo-root] [bench_memory_system-binary] [bench_trace_replay-binary] [bench_sampling-binary] [bench_topology-binary]}"
 root="${2:-$(cd "$(dirname "$0")/.." && pwd)}"
 membench="${3:-}"
 tracebench="${4:-}"
 samplingbench="${5:-}"
-pdesbench="${6:-}"
-topobench="${7:-}"
+topobench="${6:-}"
 
 if [ ! -x "$bench" ]; then
     echo "bench_smoke: bench binary not found: $bench" >&2
@@ -297,62 +293,6 @@ print(f"bench_smoke: sampling speedup {got:.2f}x >= {frac} x baseline "
 PYEOF
     else
         echo "bench_smoke: python3 missing, skipping sampling gate" >&2
-    fi
-fi
-
-# Shard-parallel PDES gate: the binary exits non-zero on any digest
-# mismatch between shard counts or any steady-state postTask allocation,
-# so running it IS the determinism + allocation gate. The speedup gate
-# is conditional on host parallelism (docs/PDES.md).
-if [ -n "$pdesbench" ]; then
-    if [ ! -x "$pdesbench" ]; then
-        echo "bench_smoke: bench_pdes_scaling binary not found:" \
-             "$pdesbench" >&2
-        exit 1
-    fi
-    pdes_baseline="$root/BENCH_pdes.json"
-    if [ ! -f "$pdes_baseline" ]; then
-        echo "bench_smoke: $pdes_baseline is missing (record the PDES" \
-             "scaling baseline; see docs/PDES.md)" >&2
-        exit 1
-    fi
-    pdes_out="$("$pdesbench" --ops 20000)" || {
-        echo "bench_smoke: bench_pdes_scaling failed (digest mismatch" \
-             "or postTask allocation?)" >&2
-        exit 1
-    }
-    json_check "$pdes_out" "bench_pdes_scaling output" \
-        schema host_cpus cpus ops_per_cpu seconds_shards_1 \
-        seconds_shards_2 seconds_shards_4 speedup_shards_4 \
-        stats_digest digests_identical post_task_steady_allocs || exit 1
-    json_check "$(cat "$pdes_baseline")" "BENCH_pdes.json" \
-        schema date build pdes || exit 1
-
-    pdes_min_speedup="${CGCT_BENCH_PDES_MIN_SPEEDUP:-1.8}"
-    if command -v python3 >/dev/null 2>&1; then
-        python3 - "$pdes_min_speedup" <<PYEOF || exit 1
-import json, sys
-fresh = json.loads("""$pdes_out""")
-need = float(sys.argv[1])
-if fresh["digests_identical"] is not True:
-    sys.exit("bench_smoke: PDES digests differ across shard counts — "
-             "determinism broken")
-cores = fresh["host_cpus"]
-got = fresh["speedup_shards_4"]
-if cores >= 4:
-    if got < need:
-        sys.exit(f"bench_smoke: 4-shard speedup {got:.2f}x is below "
-                 f"{need:.2f}x on a {cores}-core host — PDES scaling "
-                 f"regression?")
-    print(f"bench_smoke: PDES 4-shard speedup {got:.2f}x >= "
-          f"{need:.2f}x on {cores} cores, digests identical")
-else:
-    print(f"bench_smoke: PDES digests identical; speedup gate skipped "
-          f"({cores} host core(s) < 4 — {got:.2f}x is barrier overhead, "
-          f"not a regression)")
-PYEOF
-    else
-        echo "bench_smoke: python3 missing, skipping PDES gate" >&2
     fi
 fi
 

@@ -157,7 +157,6 @@ main(int argc, char **argv)
     std::string warm_mode = "functional";
     double ci_target = 0.0;
     std::uint64_t max_windows = 64;
-    std::uint64_t shards = 1;
 
     ArgParser parser(
         "cgct_sim",
@@ -236,10 +235,6 @@ main(int argc, char **argv)
     parser.addU64("max-windows", &max_windows,
                   "hard cap on the adaptive window count for "
                   "--ci-target");
-    parser.addU64("shards", &shards,
-                  "run the simulation as N bounded-lag PDES shards "
-                  "(docs/PDES.md); results are byte-identical at any "
-                  "count; 1 = sequential");
     parser.addFlag("check-invariants", &check_invariants,
                    "cross-check region state against cache contents at "
                    "every ordering point");
@@ -297,7 +292,6 @@ main(int argc, char **argv)
     opts.warmupOps = warmup ? warmup : ops_for_warmup / 5;
     opts.seed = seed;
     opts.capturePath = capture_path;
-    opts.shards = static_cast<unsigned>(shards);
 
     if (!capture_path.empty()) {
         if (!replay_path.empty()) {

@@ -76,7 +76,6 @@ main(int argc, char **argv)
     std::uint64_t sample = 0;
     std::uint64_t window_ops = 1000;
     std::string warm_mode = "functional";
-    std::uint64_t shards = 1;
     std::uint64_t nodes = 4;
     std::string topology = "bus";
 
@@ -116,9 +115,6 @@ main(int argc, char **argv)
     parser.addString("warm-mode", &warm_mode,
                      "state warming between windows: functional (fast) "
                      "or detailed (reference)");
-    parser.addU64("shards", &shards,
-                  "bounded-lag PDES shards per simulation (docs/PDES.md); "
-                  "rows are byte-identical at any count; 1 = sequential");
     parser.addU64("nodes", &nodes,
                   "processors per run (4, 16, 64, ... up to 64; "
                   "docs/TOPOLOGY.md); non-default values append topology "
@@ -159,7 +155,6 @@ main(int argc, char **argv)
     spec.baseSeed = seed;
     spec.opts.opsPerCpu = ops;
     spec.opts.warmupOps = warmup ? warmup : ops / 5;
-    spec.opts.shards = static_cast<unsigned>(shards);
     spec.baseConfig = makeDefaultConfig();
     TopologyKind topo_kind = TopologyKind::Bus;
     if (!parseTopologyKind(topology, &topo_kind)) {

@@ -26,17 +26,11 @@
 #      the CI math and its stat names, the validation/bench gates, and
 #      the "when not to trust" caveats, and be cross-linked from
 #      README.md, docs/SWEEP.md, and docs/ARCHITECTURE.md.
-#   9. docs/PDES.md must cover the shard-parallel execution mode: the
-#      --shards flag, the bounded-lag quantum/lookahead rule, lineage
-#      ordering, the deferred grant accounting, the engagement gates,
-#      the byte-identity contract, and the scaling bench + TSan preset,
-#      and be cross-linked from README.md, docs/SWEEP.md,
-#      docs/ARCHITECTURE.md, and docs/PERF.md.
-#  10. docs/TOPOLOGY.md must cover the scalable interconnects: the
+#   9. docs/TOPOLOGY.md must cover the scalable interconnects: the
 #      --nodes/--topology flags and all three topology names, the
 #      presence-filter escape rule and its trace events, the directory
-#      protocol, the invariant-checker extension, the fallback-warning
-#      contract, and the bench/baseline gating, and be cross-linked
+#      protocol, the invariant-checker extension, the topology_warn
+#      smoke, and the bench/baseline gating, and be cross-linked
 #      from README.md, docs/SWEEP.md, docs/ARCHITECTURE.md, and
 #      docs/TRACING.md.
 #
@@ -275,38 +269,10 @@ else
     done
 fi
 
-# Shard-parallel PDES documentation: docs/PDES.md is the design
-# contract for --shards. It must cover the partitioning, the
-# bounded-lag synchronization rule, the determinism machinery, the
-# engagement gates, and the CI gates that enforce the contract.
-pdes_doc="$root/docs/PDES.md"
-if [ ! -f "$pdes_doc" ]; then
-    echo "check_docs: $pdes_doc is missing" >&2
-    fail=1
-else
-    for token in --shards bounded-lag lookahead quantum lineage \
-                 snoopLatency settleGrants drawsIndependent postTask \
-                 BroadcastRecord pdesStopTick byte-identical \
-                 test_pdes bench_pdes_scaling BENCH_pdes.json \
-                 CGCT_BENCH_PDES_MIN_SPEEDUP sanitize-thread; do
-        if ! grep -q -- "$token" "$pdes_doc"; then
-            echo "check_docs: docs/PDES.md does not mention $token" >&2
-            fail=1
-        fi
-    done
-    for ref in README.md docs/SWEEP.md docs/ARCHITECTURE.md \
-               docs/PERF.md; do
-        if ! grep -q "PDES.md" "$root/$ref"; then
-            echo "check_docs: $ref does not link to docs/PDES.md" >&2
-            fail=1
-        fi
-    done
-fi
-
 # Scalable-interconnect documentation: docs/TOPOLOGY.md is the design
 # contract for --nodes/--topology. It must cover the three topologies,
 # the presence-filter escape rule, the directory protocol, the
-# distance classes, the invariant and fallback-warning machinery, and
+# distance classes, the invariant machinery, the topology_warn smoke, and
 # the CI gates that enforce the traffic baseline.
 topo_doc="$root/docs/TOPOLOGY.md"
 if [ ! -f "$topo_doc" ]; then
@@ -338,10 +304,9 @@ fi
 if [ "$fail" -ne 0 ]; then
     echo "check_docs: FAILED — update docs/SWEEP.md / docs/PERF.md /" \
          "docs/TRACING.md / docs/ARCHITECTURE.md / docs/SNAPSHOT.md /" \
-         "docs/TRACE_FORMAT.md / docs/SAMPLING.md / docs/PDES.md /" \
-         "docs/TOPOLOGY.md" >&2
+         "docs/TRACE_FORMAT.md / docs/SAMPLING.md / docs/TOPOLOGY.md" >&2
     exit 1
 fi
 echo "check_docs: flags, perf targets, trace event and record types," \
-     "stat names, sampling methodology, PDES contract, and" \
+     "stat names, sampling methodology, topology contract, and" \
      "architecture cross-links are all documented"

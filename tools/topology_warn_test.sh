@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # topology_warn_test.sh — end-to-end check of the once-only fallback
-# warnings (docs/TOPOLOGY.md, docs/PDES.md): a CLI request the run
-# cannot honor must say so on stderr, name the gate that rejected it,
-# and say it exactly once — the PR 9 silent-fallback fix, exercised
-# through the real binaries rather than the unit harness.
+# warning (docs/SAMPLING.md): a CLI request the run cannot honor must
+# say so on stderr, name the reason, and say it exactly once, exercised
+# through the real binaries rather than the unit harness. A run that
+# honors every flag, on a non-default topology, must stay silent.
 #
 #   tools/topology_warn_test.sh <cgct_sim-binary> <cgct_sweep-binary>
 #
@@ -22,34 +22,7 @@ count() {
     grep -o -F -e "$2" "$1" | wc -l
 }
 
-# Leg 1: an ignored --shards request on a hierarchical topology warns
-# once, naming the topology gate, and the run still completes.
-"$sim" tpc-w --nodes 16 --topology hier --shards 4 --ops 4000 \
-    > "$tmp/sim.out" 2> "$tmp/sim.err"
-status=$?
-if [ "$status" -ne 0 ]; then
-    echo "topology_warn_test: cgct_sim failed with $status" >&2
-    exit 1
-fi
-n=$(count "$tmp/sim.err" '--shards 4 ignored')
-if [ "$n" -ne 1 ]; then
-    echo "topology_warn_test: expected the --shards warning exactly" \
-         "once on stderr, saw $n:" >&2
-    cat "$tmp/sim.err" >&2
-    exit 1
-fi
-if ! grep -q -F -- '--topology is not the flat bus' "$tmp/sim.err"; then
-    echo "topology_warn_test: --shards warning does not name the" \
-         "topology gate:" >&2
-    cat "$tmp/sim.err" >&2
-    exit 1
-fi
-if grep -q 'ignored' "$tmp/sim.out"; then
-    echo "topology_warn_test: warning leaked into stdout" >&2
-    exit 1
-fi
-
-# Leg 2: a sampled sweep ignores --seeds (confidence comes from the
+# Leg 1: a sampled sweep ignores --seeds (confidence comes from the
 # windows) — one warning for the whole matrix, not one per cell, and
 # the CSV on stdout still parses.
 "$sweep" --benchmarks tpc-w --regions 0,512 --seeds 3 --sample 2 \
@@ -78,7 +51,7 @@ if ! head -1 "$tmp/sweep.csv" | grep -q '^workload,region_bytes,seed,'; then
     exit 1
 fi
 
-# Leg 3: a run that honors every flag warns about nothing.
+# Leg 2: a run that honors every flag warns about nothing.
 "$sim" tpc-w --nodes 16 --topology hier --ops 4000 \
     > /dev/null 2> "$tmp/clean.err"
 if grep -q 'ignored' "$tmp/clean.err"; then
@@ -87,5 +60,5 @@ if grep -q 'ignored' "$tmp/clean.err"; then
     exit 1
 fi
 
-echo "topology_warn_test: fallback warnings fire exactly once and name" \
-     "their gate"
+echo "topology_warn_test: the fallback warning fires exactly once and" \
+     "names its reason"

@@ -79,6 +79,20 @@ snoopMaskHas(std::uint64_t mask, CpuId cpu)
            ((mask >> static_cast<unsigned>(cpu)) & 1) != 0;
 }
 
+/**
+ * Whether the requester of @p type ends up with a modifiable (or
+ * silently upgradable) copy of the line, given whether some remote cache
+ * held it. DCB flush/invalidate ops count as exclusive for the region
+ * downgrade: no remote copy of the line survives them.
+ */
+constexpr bool
+requesterGetsExclusive(RequestType type, bool remote_had_copy)
+{
+    return wantsExclusive(type) || isDcbOp(type) ||
+           ((type == RequestType::Read || type == RequestType::Prefetch) &&
+            !remote_had_copy);
+}
+
 /** Full snoop response delivered back to the requester. */
 struct SnoopResponse {
     LineSnoopSummary line;

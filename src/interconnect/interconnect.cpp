@@ -35,13 +35,8 @@ Interconnect::resolveRequest(const SystemRequest &req, ResponseFn &fn,
     if (oracle_)
         oracle_->observe(req, resp.line, snoop_mask);
 
-    // What copy will the requester end up with? DCB flush/invalidate ops
-    // count as exclusive for the region downgrade: no remote copy of the
-    // line survives them.
     const bool gets_exclusive =
-        wantsExclusive(req.type) || isDcbOp(req.type) ||
-        ((req.type == RequestType::Read ||
-          req.type == RequestType::Prefetch) && !resp.line.anyCopy);
+        requesterGetsExclusive(req.type, resp.line.anyCopy);
 
     // Phase 2: region snoop — gather the paper's two response bits and
     // apply the Figure 5 downgrades on the other processors. Write-backs
@@ -52,7 +47,8 @@ Interconnect::resolveRequest(const SystemRequest &req, ResponseFn &fn,
                 continue;
             if (!snoopMaskHas(snoop_mask, client->cpuId()))
                 continue;
-            resp.region.merge(client->snoopRegion(req, gets_exclusive));
+            resp.region.merge(
+                client->snoopRegion(req, gets_exclusive, now));
         }
     }
 

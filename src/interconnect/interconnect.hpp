@@ -56,12 +56,14 @@ class SnoopClient
 
     /**
      * Report this processor's region-status bits for the request's region
-     * and apply the external-request downgrade.
+     * and apply the external-request downgrade at @p now.
      * @param requester_gets_exclusive whether the requester will end up
-     *        with a modifiable (or silently-upgradable) copy of the line.
+     *        with a modifiable (or silently-upgradable) copy of the line
+     *        (requesterGetsExclusive).
      */
     virtual RegionSnoopBits
-    snoopRegion(const SystemRequest &req, bool requester_gets_exclusive) = 0;
+    snoopRegion(const SystemRequest &req, bool requester_gets_exclusive,
+                Tick now) = 0;
 };
 
 /** Base class of every interconnect topology (bus / hier / dir). */
@@ -121,10 +123,11 @@ class Interconnect
     virtual void broadcast(const SystemRequest &req, ResponseFn fn) = 0;
 
     /**
-     * Functional-warming mirror of broadcast (docs/SAMPLING.md): the node
-     * applied the snoop fan-out itself with no timing events, and reports
-     * the request here so topology-private tracking state (presence /
-     * sharer maps) stays in sync with the caches it summarizes.
+     * Functional warming's stand-in for broadcast (docs/SAMPLING.md): the
+     * node applied the snoop fan-out itself with no timing events, and
+     * reports the request here so topology-private tracking state
+     * (presence / sharer maps) stays in sync with the caches it
+     * summarizes.
      */
     virtual void warmNote(const SystemRequest &req, bool gets_exclusive)
     {

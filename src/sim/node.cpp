@@ -9,6 +9,18 @@
 
 namespace cgct {
 
+namespace {
+
+/** Demand ops: they train the prefetcher and refill the L1 on resolve. */
+bool
+isDemandOp(CpuOpKind kind)
+{
+    return kind == CpuOpKind::Ifetch || kind == CpuOpKind::Load ||
+           kind == CpuOpKind::Store;
+}
+
+} // namespace
+
 void
 Node::setTraceSink(TraceSink *sink)
 {
@@ -38,49 +50,96 @@ Node::Node(CpuId cpu, const SystemConfig &config, EventQueue &eq,
     }
 }
 
-bool
-Node::access(CpuOpKind kind, Addr addr, Tick now, Tick &ready_out,
-             CompletionFn &&done)
+const CacheLine *
+Node::l1Hit(CpuOpKind kind, Addr addr, Tick now)
 {
     switch (kind) {
       case CpuOpKind::Ifetch:
-        if (CacheLine *line = l1i_.probe(addr, now)) {
-            ready_out = std::max(now + l1i_.latency(), line->readyTick);
-            return true;
-        }
-        return accessL2(kind, addr, now, ready_out, std::move(done));
+        return l1i_.probe(addr, now);
 
       case CpuOpKind::Load:
-        if (CacheLine *line = l1d_.probe(addr, now)) {
-            ready_out = std::max(now + l1d_.latency(), line->readyTick);
-            return true;
-        }
-        return accessL2(kind, addr, now, ready_out, std::move(done));
+        return l1d_.probe(addr, now);
 
-      case CpuOpKind::Store:
-        if (CacheLine *line = l1d_.probe(addr, now)) {
-            if (line->state == LineState::Modified) {
-                ready_out = std::max(now + l1d_.latency(), line->readyTick);
-                return true;
-            }
-            // L1 hit on a shared copy: the L2 (inclusion) decides whether
-            // the store may proceed silently.
-            CacheLine *l2line = l2_.peekMutable(addr);
-            if (l2line && isWritable(l2line->state)) {
-                l2line->state = LineState::Modified;
-                line->state = LineState::Modified;
-                ready_out = std::max(now + l1d_.latency(), line->readyTick);
-                return true;
-            }
-        }
-        return accessL2(kind, addr, now, ready_out, std::move(done));
+      case CpuOpKind::Store: {
+        CacheLine *line = l1d_.probe(addr, now);
+        if (!line || line->state == LineState::Modified)
+            return line;
+        // L1 hit on a shared copy: the L2 (inclusion) decides whether
+        // the store may proceed silently.
+        CacheLine *l2line = l2_.peekMutable(addr);
+        if (!l2line || !isWritable(l2line->state))
+            return nullptr;
+        l2line->state = LineState::Modified;
+        line->state = LineState::Modified;
+        return line;
+      }
 
       case CpuOpKind::Dcbz:
       case CpuOpKind::Dcbf:
       case CpuOpKind::Dcbi:
-        return accessL2(kind, addr, now, ready_out, std::move(done));
+        return nullptr;
     }
-    panic("Node::access: unknown op kind");
+    panic("Node::l1Hit: unknown op kind");
+}
+
+bool
+Node::l2Hit(CpuOpKind kind, Addr addr, CacheLine *line, RequestType &type)
+{
+    switch (kind) {
+      case CpuOpKind::Ifetch:
+      case CpuOpKind::Load:
+        if (line)
+            return true;
+        ++stats_.demandMisses;
+        type = kind == CpuOpKind::Ifetch ? RequestType::Ifetch
+                                         : RequestType::Read;
+        return false;
+
+      case CpuOpKind::Store:
+        if (line) {
+            if (isWritable(line->state)) {
+                line->state = LineState::Modified;
+                return true;
+            }
+            // Shared or Owned: upgrade to a modifiable copy.
+            type = RequestType::Upgrade;
+            return false;
+        }
+        ++stats_.demandMisses;
+        type = RequestType::ReadExclusive;
+        return false;
+
+      case CpuOpKind::Dcbz:
+        if (line && isWritable(line->state)) {
+            line->state = LineState::Modified;
+            if (CacheLine *l1line = l1d_.peekMutable(addr))
+                l1line->state = LineState::Modified;
+            return true;
+        }
+        type = RequestType::Dcbz;
+        return false;
+
+      case CpuOpKind::Dcbf:
+        type = RequestType::Dcbf;
+        return false;
+
+      case CpuOpKind::Dcbi:
+        type = RequestType::Dcbi;
+        return false;
+    }
+    panic("Node::l2Hit: unknown op kind");
+}
+
+bool
+Node::access(CpuOpKind kind, Addr addr, Tick now, Tick &ready_out,
+             CompletionFn &&done)
+{
+    if (const CacheLine *line = l1Hit(kind, addr, now)) {
+        const Cache &l1 = kind == CpuOpKind::Ifetch ? l1i_ : l1d_;
+        ready_out = std::max(now + l1.latency(), line->readyTick);
+        return true;
+    }
+    return accessL2(kind, addr, now, ready_out, std::move(done));
 }
 
 bool
@@ -107,89 +166,41 @@ Node::accessL2(CpuOpKind kind, Addr addr, Tick now, Tick &ready_out,
     }
 
     CacheLine *line = l2_.probe(addr, now);
-    const bool was_miss = line == nullptr;
-    const bool is_store_like = kind == CpuOpKind::Store;
+    const bool demand = isDemandOp(kind);
+    if (demand)
+        maybePrefetch(line_addr, kind == CpuOpKind::Store, line == nullptr,
+                      now);
 
-    if (kind == CpuOpKind::Ifetch || kind == CpuOpKind::Load ||
-        kind == CpuOpKind::Store) {
-        maybePrefetch(line_addr, is_store_like, was_miss, now);
-    }
-
-    switch (kind) {
-      case CpuOpKind::Ifetch:
-      case CpuOpKind::Load:
-        if (line) {
-            fillL1(kind, addr, now, line->readyTick);
-            ready_out = std::max(now + l2_.latency(), line->readyTick);
-            return true;
-        }
-        ++stats_.demandMisses;
-        issueSystemRequest(kind == CpuOpKind::Ifetch
-                               ? RequestType::Ifetch
-                               : RequestType::Read,
-                           line_addr, now,
-                           Completion{std::move(done), addr, kind,
-                                      /*fill=*/true},
-                           /*is_prefetch=*/false);
-        return false;
-
-      case CpuOpKind::Store:
-        if (line) {
-            if (isWritable(line->state)) {
-                line->state = LineState::Modified;
-                fillL1(kind, addr, now, line->readyTick);
-                ready_out = std::max(now + l2_.latency(), line->readyTick);
-                return true;
-            }
-            // Shared or Owned: upgrade to a modifiable copy.
-            issueSystemRequest(RequestType::Upgrade, line_addr, now,
-                               Completion{std::move(done), addr, kind,
-                                          /*fill=*/true},
-                               /*is_prefetch=*/false);
-            return false;
-        }
-        ++stats_.demandMisses;
-        issueSystemRequest(RequestType::ReadExclusive, line_addr, now,
-                           Completion{std::move(done), addr, kind,
-                                      /*fill=*/true},
-                           /*is_prefetch=*/false);
-        return false;
-
-      case CpuOpKind::Dcbz:
-        if (line && isWritable(line->state)) {
-            line->state = LineState::Modified;
-            if (CacheLine *l1line = l1d_.peekMutable(addr))
-                l1line->state = LineState::Modified;
+    RequestType type;
+    if (l2Hit(kind, addr, line, type)) {
+        if (!demand) {
             ready_out = now + l2_.latency();
             return true;
         }
-        issueSystemRequest(RequestType::Dcbz, line_addr, now,
-                           Completion{std::move(done), addr, kind,
-                                      /*fill=*/false},
-                           /*is_prefetch=*/false);
-        return false;
-
-      case CpuOpKind::Dcbf:
-        issueSystemRequest(RequestType::Dcbf, line_addr, now,
-                           Completion{std::move(done), addr, kind,
-                                      /*fill=*/false},
-                           /*is_prefetch=*/false);
-        return false;
-
-      case CpuOpKind::Dcbi:
-        issueSystemRequest(RequestType::Dcbi, line_addr, now,
-                           Completion{std::move(done), addr, kind,
-                                      /*fill=*/false},
-                           /*is_prefetch=*/false);
-        return false;
+        fillL1(kind, addr, now, line->readyTick);
+        ready_out = std::max(now + l2_.latency(), line->readyTick);
+        return true;
     }
-    panic("Node::accessL2: unknown op kind");
+    issueSystemRequest(type, line_addr, now,
+                       Completion{std::move(done), addr, kind,
+                                  /*fill=*/demand},
+                       /*is_prefetch=*/false);
+    return false;
 }
 
 void
 Node::issueSystemRequest(RequestType type, Addr line_addr, Tick now,
                          Completion &&c, bool is_prefetch)
 {
+    // The single switch between the two drivers: during functional
+    // warming the request resolves synchronously through the same core
+    // steps, with no MSHR, no events and data ready at once.
+    if (warmPeers_) {
+        warmRequest(type, line_addr, now, is_prefetch);
+        runCompletion(c, now);
+        return;
+    }
+
     const bool needs_mshr = type != RequestType::Writeback;
     if (needs_mshr) {
         if (mshr_.contains(line_addr)) {
@@ -213,6 +224,39 @@ Node::issueSystemRequest(RequestType type, Addr line_addr, Tick now,
     dispatchSystemRequest(type, line_addr, now, is_prefetch);
 }
 
+RouteDecision
+Node::routeRequest(RequestType type, Addr line_addr, Tick now)
+{
+    RouteDecision route;
+    if (tracker_)
+        route = tracker_->route(type, line_addr, now);
+    traceRouteDecision(trace_, now, cpu_, type, line_addr, route.kind,
+                       route.state);
+    countRoute(type, route.kind);
+    return route;
+}
+
+void
+Node::countRoute(RequestType type, RouteKind kind)
+{
+    ++stats_.requestsTotal;
+    const auto cat = static_cast<std::size_t>(categoryOf(type));
+    switch (kind) {
+      case RouteKind::Broadcast:
+        ++stats_.broadcasts;
+        ++stats_.broadcastsByCat[cat];
+        break;
+      case RouteKind::Direct:
+        ++stats_.directs;
+        ++stats_.directsByCat[cat];
+        break;
+      case RouteKind::LocalComplete:
+        ++stats_.localCompletes;
+        ++stats_.localByCat[cat];
+        break;
+    }
+}
+
 void
 Node::dispatchSystemRequest(RequestType type, Addr line_addr, Tick now,
                             bool is_prefetch)
@@ -230,14 +274,7 @@ Node::dispatchSystemRequest(RequestType type, Addr line_addr, Tick now,
         }
     }
 
-    ++stats_.requestsTotal;
-    const auto cat = static_cast<std::size_t>(categoryOf(type));
-
-    RouteDecision route;
-    if (tracker_)
-        route = tracker_->route(type, line_addr, now);
-    traceRouteDecision(trace_, now, cpu_, type, line_addr, route.kind,
-                       route.state);
+    const RouteDecision route = routeRequest(type, line_addr, now);
 
     if (tracker_ && !drainingRegion_ && type != RequestType::Writeback &&
         route.kind == RouteKind::Broadcast &&
@@ -249,13 +286,7 @@ Node::dispatchSystemRequest(RequestType type, Addr line_addr, Tick now,
 
     switch (route.kind) {
       case RouteKind::Broadcast: {
-        ++stats_.broadcasts;
-        ++stats_.broadcastsByCat[cat];
-        SystemRequest req;
-        req.cpu = cpu_;
-        req.type = type;
-        req.lineAddr = line_addr;
-        req.isPrefetch = is_prefetch;
+        const SystemRequest req{cpu_, type, line_addr, is_prefetch};
         // The bus orders requests at their issue tick; the core's local
         // clock may be ahead of global event time, so enter the bus then.
         const Tick when = std::max(now, eq_.now());
@@ -268,8 +299,6 @@ Node::dispatchSystemRequest(RequestType type, Addr line_addr, Tick now,
       }
 
       case RouteKind::Direct: {
-        ++stats_.directs;
-        ++stats_.directsByCat[cat];
         MemCtrlId mc = route.memCtrl;
         if (mc == kInvalidMemCtrl) {
             // Trackers without a memory-controller index (RegionScout)
@@ -281,8 +310,6 @@ Node::dispatchSystemRequest(RequestType type, Addr line_addr, Tick now,
       }
 
       case RouteKind::LocalComplete:
-        ++stats_.localCompletes;
-        ++stats_.localByCat[cat];
         completeLocally(type, line_addr, now);
         break;
     }
@@ -299,6 +326,18 @@ Node::postBroadcast(const SystemRequest &req, Tick issued)
     });
 }
 
+LineState
+Node::directGrant(RequestType type, Addr line_addr, Tick now)
+{
+    // The region permission proves what copy we can take without asking.
+    const bool region_exclusive =
+        isRegionExclusive(tracker_->peekState(line_addr));
+    const LineState granted =
+        grantedState(type, /*other_had_copy=*/!region_exclusive);
+    tracker_->onDirectIssue(type, line_addr, isWritable(granted), now);
+    return granted;
+}
+
 void
 Node::issueDirect(RequestType type, Addr line_addr, MemCtrlId mc, Tick now,
                   bool is_prefetch)
@@ -312,18 +351,7 @@ Node::issueDirect(RequestType type, Addr line_addr, MemCtrlId mc, Tick now,
         return;
     }
 
-    // The region permission proves what copy we can take without asking.
-    const RegionState region_state =
-        tracker_ ? tracker_->peekState(line_addr) : RegionState::Invalid;
-    const bool region_exclusive = isRegionExclusive(region_state);
-    const LineState granted =
-        grantedState(type, /*other_had_copy=*/!region_exclusive);
-
-    tracker_->onDirectIssue(type, line_addr,
-                            granted == LineState::Exclusive ||
-                                granted == LineState::Modified,
-                            now);
-
+    const LineState granted = directGrant(type, line_addr, now);
     const Tick from_mem = ctrl->accessDirect(arrival);
     const Tick data_ready = dataNet_.deliver(cpu_, from_mem, dist,
                                              config_.l2.lineBytes);
@@ -347,71 +375,21 @@ Node::issueDirect(RequestType type, Addr line_addr, MemCtrlId mc, Tick now,
 }
 
 void
-Node::completeLocally(RequestType type, Addr line_addr, Tick now)
+Node::resolveLocal(RequestType type, Addr line_addr, Tick now, Tick ready)
 {
     tracker_->onLocalComplete(type, line_addr, now);
-    const Tick ready = now + l2_.latency();
-
-    switch (type) {
-      case RequestType::Upgrade: {
-        CacheLine *line = l2_.peekMutable(line_addr);
-        if (line) {
-            line->state = LineState::Modified;
-            if (CacheLine *l1line = l1d_.peekMutable(line_addr))
-                l1line->state = LineState::Modified;
-        } else {
-            // The line was displaced between the store probe and now.
-            ++stats_.upgradeRaces;
-            installL2Line(line_addr, LineState::Modified, now, ready);
-        }
-        break;
-      }
-
-      case RequestType::Dcbz: {
-        CacheLine *line = l2_.peekMutable(line_addr);
-        if (line) {
-            line->state = LineState::Modified;
-            if (CacheLine *l1line = l1d_.peekMutable(line_addr))
-                l1line->state = LineState::Modified;
-        } else {
-            installL2Line(line_addr, LineState::Modified, now, ready);
-        }
-        break;
-      }
-
-      case RequestType::Dcbf: {
-        CacheLine *line = l2_.peekMutable(line_addr);
-        if (line) {
-            const bool dirty = isDirty(line->state);
-            l1d_.invalidateLine(line_addr);
-            l1i_.invalidateLine(line_addr);
-            l2_.invalidateLine(line_addr);
-            if (tracker_)
-                tracker_->onLineEvict(line_addr);
-            if (dirty)
-                issueWriteback(line_addr, now);
-        }
-        break;
-      }
-
-      case RequestType::Dcbi: {
-        if (l2_.peek(line_addr)) {
-            l1d_.invalidateLine(line_addr);
-            l1i_.invalidateLine(line_addr);
-            l2_.invalidateLine(line_addr);
-            if (tracker_)
-                tracker_->onLineEvict(line_addr);
-        }
-        break;
-      }
-
-      default:
-        panic("cpu%d: request type %d cannot complete locally", cpu_,
-              static_cast<int>(type));
-    }
-
+    // Only an exclusive region completes locally: no other copy exists.
+    applyResponse(type, line_addr,
+                  grantedState(type, /*other_had_copy=*/false), now, ready);
     if (checker_)
         checker_->onTransition(line_addr, "local_complete");
+}
+
+void
+Node::completeLocally(RequestType type, Addr line_addr, Tick now)
+{
+    const Tick ready = now + l2_.latency();
+    resolveLocal(type, line_addr, now, ready);
 
     Completion c = grabMshrCtx(line_addr);
     releaseMshr(line_addr);
@@ -428,97 +406,69 @@ Node::completeLocally(RequestType type, Addr line_addr, Tick now)
 }
 
 void
-Node::handleBroadcastResponse(RequestType type, Addr line_addr,
-                              const SnoopResponse &resp, Tick data_ready)
+Node::resolveBroadcast(RequestType type, Addr line_addr,
+                       const SnoopResponse &resp, Tick now, Tick ready)
 {
-    const Tick now = eq_.now();
     const LineState granted = grantedState(type, resp.line.anyCopy);
-    const bool granted_exclusive = granted == LineState::Exclusive ||
-                                   granted == LineState::Modified;
-
-    if (tracker_)
-        tracker_->onBroadcastResponse(type, line_addr, granted_exclusive,
+    if (tracker_) {
+        tracker_->onBroadcastResponse(type, line_addr, isWritable(granted),
                                       resp, now);
-
-    // The region snoop response arrived: release any requests that were
-    // waiting behind this region acquisition. They re-route with the
-    // fresh region state (usually direct or local now).
-    if (tracker_ && type != RequestType::Writeback) {
-        const Addr region = alignDown(line_addr, config_.cgct.regionBytes);
-        PoolFifo<RegionWaiter>::List waiting;
-        if (pendingRegionAcq_.take(region, waiting)) {
-            drainingRegion_ = true;
-            RegionWaiter p;
-            while (regionWaiterPool_.pop(waiting, p)) {
-                // Requests that can now go direct had their memory fetch
-                // started speculatively alongside the acquisition
-                // broadcast, so they dispatch with their original
-                // timestamp; requests that must broadcast pay full price
-                // from now (the bus schedules them at >= now anyway).
-                dispatchSystemRequest(p.type, p.lineAddr, p.queuedAt,
-                                      p.isPrefetch);
-            }
-            drainingRegion_ = false;
-        }
+        if (type != RequestType::Writeback)
+            releaseRegionWaiters(line_addr);
     }
+    applyResponse(type, line_addr, granted, now, ready);
+}
 
+void
+Node::applyResponse(RequestType type, Addr line_addr, LineState granted,
+                    Tick now, Tick ready)
+{
     switch (type) {
+      case RequestType::Upgrade:
+      case RequestType::Dcbz:
+        if (CacheLine *line = l2_.peekMutable(line_addr)) {
+            line->state = LineState::Modified;
+            if (CacheLine *l1line = l1d_.peekMutable(line_addr))
+                l1line->state = LineState::Modified;
+            break;
+        }
+        // An earlier-ordered external request took the line away; the
+        // upgrade degenerates into a refetch. The data latency is
+        // approximated by the request that already ran.
+        if (type == RequestType::Upgrade)
+            ++stats_.upgradeRaces;
+        [[fallthrough]];
+
       case RequestType::Read:
       case RequestType::ReadExclusive:
       case RequestType::Ifetch:
       case RequestType::Prefetch:
       case RequestType::PrefetchExclusive:
-        installL2Line(line_addr, granted, now, data_ready);
+        installL2Line(line_addr, granted, now, ready);
         break;
-
-      case RequestType::Upgrade: {
-        CacheLine *line = l2_.peekMutable(line_addr);
-        if (line) {
-            line->state = LineState::Modified;
-            if (CacheLine *l1line = l1d_.peekMutable(line_addr))
-                l1line->state = LineState::Modified;
-        } else {
-            // An earlier-ordered external request took the line away; the
-            // upgrade degenerates into a refetch. The data latency is
-            // approximated by the broadcast that already ran.
-            ++stats_.upgradeRaces;
-            installL2Line(line_addr, LineState::Modified, now, data_ready);
-        }
-        break;
-      }
-
-      case RequestType::Dcbz: {
-        CacheLine *line = l2_.peekMutable(line_addr);
-        if (line) {
-            line->state = LineState::Modified;
-            if (CacheLine *l1line = l1d_.peekMutable(line_addr))
-                l1line->state = LineState::Modified;
-        } else {
-            installL2Line(line_addr, LineState::Modified, now, data_ready);
-        }
-        break;
-      }
 
       case RequestType::Dcbf:
-      case RequestType::Dcbi: {
-        CacheLine *line = l2_.peekMutable(line_addr);
-        if (line) {
+      case RequestType::Dcbi:
+        if (const CacheLine *line = l2_.peek(line_addr)) {
             const bool dirty = isDirty(line->state) &&
                                type == RequestType::Dcbf;
-            l1d_.invalidateLine(line_addr);
-            l1i_.invalidateLine(line_addr);
-            l2_.invalidateLine(line_addr);
-            if (tracker_)
-                tracker_->onLineEvict(line_addr);
+            dropLine(line_addr);
             if (dirty)
                 issueWriteback(line_addr, now);
         }
         break;
-      }
 
       case RequestType::Writeback:
-        break; // The bus already sank the data into the controller.
+        break; // The data already sank into the controller.
     }
+}
+
+void
+Node::handleBroadcastResponse(RequestType type, Addr line_addr,
+                              const SnoopResponse &resp, Tick data_ready)
+{
+    const Tick now = eq_.now();
+    resolveBroadcast(type, line_addr, resp, now, data_ready);
 
     const bool needs_mshr = type != RequestType::Writeback;
     if (data_ready > now) {
@@ -530,6 +480,31 @@ Node::handleBroadcastResponse(RequestType type, Addr line_addr,
     } else {
         finishRequest(line_addr, needs_mshr, now);
     }
+}
+
+void
+Node::releaseRegionWaiters(Addr line_addr)
+{
+    // The region snoop response arrived: release any requests that were
+    // waiting behind this region acquisition. They re-route with the
+    // fresh region state (usually direct or local now). Functional
+    // warming never queues any.
+    const Addr region = alignDown(line_addr, config_.cgct.regionBytes);
+    PoolFifo<RegionWaiter>::List waiting;
+    if (!pendingRegionAcq_.take(region, waiting))
+        return;
+    drainingRegion_ = true;
+    RegionWaiter p;
+    while (regionWaiterPool_.pop(waiting, p)) {
+        // Requests that can now go direct had their memory fetch started
+        // speculatively alongside the acquisition broadcast, so they
+        // dispatch with their original timestamp; requests that must
+        // broadcast pay full price from now (the bus schedules them at
+        // >= now anyway).
+        dispatchSystemRequest(p.type, p.lineAddr, p.queuedAt,
+                              p.isPrefetch);
+    }
+    drainingRegion_ = false;
 }
 
 Node::Completion
@@ -682,16 +657,13 @@ Node::flushRegion(Addr region_addr, std::uint64_t region_bytes,
         ++stats_.inclusionWritebacks;
         if (isDirty(state)) {
             // The dying region entry still knows its memory controller;
-            // the write-back goes directly there.
-            ++stats_.requestsTotal;
+            // the write-back goes directly there. Functional warming
+            // skips the controller timing, as for any other write-back.
             ++stats_.writebacksIssued;
-            ++stats_.directs;
-            ++stats_.directsByCat[static_cast<std::size_t>(
-                RequestCategory::Writeback)];
-            const Distance dist = map_.distanceToCtrl(cpu_, mc);
-            const Tick arrival =
-                now + config_.interconnect.directLatency(dist);
-            memCtrls_[static_cast<unsigned>(mc)]->acceptWriteback(arrival);
+            countRoute(RequestType::Writeback, RouteKind::Direct);
+            if (!warmPeers_)
+                issueDirect(RequestType::Writeback, addr, mc, now,
+                            /*is_prefetch=*/false);
         }
     }
     if (checker_)
@@ -755,26 +727,26 @@ Node::releaseMshr(Addr line_addr)
     }
 }
 
-LineSnoopOutcome
-Node::snoopLine(const SystemRequest &req)
+void
+Node::dropLine(Addr line_addr)
 {
-    // The external lookup occupies this node's L2 tag port.
-    ++stats_.snoopsReceived;
-    const Tick now = eq_.now();
-    l2TagBusy_ = std::max(l2TagBusy_, now) +
-                 config_.interconnect.snoopTagOccupancy;
+    l1d_.invalidateLine(line_addr);
+    l1i_.invalidateLine(line_addr);
+    l2_.invalidateLine(line_addr);
+    if (tracker_)
+        tracker_->onLineEvict(line_addr);
+}
 
-    const SnoopKind kind = snoopKindOf(req.type);
+LineSnoopOutcome
+Node::lineSnoop(const SystemRequest &req)
+{
     CacheLine *line = l2_.peekMutable(req.lineAddr);
     const LineSnoopOutcome out =
-        applyLineSnoop(line ? line->state : LineState::Invalid, kind);
+        applyLineSnoop(line ? line->state : LineState::Invalid,
+                       snoopKindOf(req.type));
     if (line && out.next != out.before) {
         if (out.next == LineState::Invalid) {
-            l1d_.invalidateLine(req.lineAddr);
-            l1i_.invalidateLine(req.lineAddr);
-            l2_.invalidateLine(req.lineAddr);
-            if (tracker_)
-                tracker_->onLineEvict(req.lineAddr);
+            dropLine(req.lineAddr);
         } else {
             line->state = out.next;
             // The L1 keeps at most a shared copy after any snoop hit.
@@ -785,8 +757,19 @@ Node::snoopLine(const SystemRequest &req)
     return out;
 }
 
+LineSnoopOutcome
+Node::snoopLine(const SystemRequest &req)
+{
+    // The external lookup occupies this node's L2 tag port.
+    ++stats_.snoopsReceived;
+    l2TagBusy_ = std::max(l2TagBusy_, eq_.now()) +
+                 config_.interconnect.snoopTagOccupancy;
+    return lineSnoop(req);
+}
+
 RegionSnoopBits
-Node::snoopRegion(const SystemRequest &req, bool requester_gets_exclusive)
+Node::snoopRegion(const SystemRequest &req, bool requester_gets_exclusive,
+                  Tick now)
 {
     if (!tracker_)
         return RegionSnoopBits{};
@@ -799,56 +782,23 @@ Node::snoopRegion(const SystemRequest &req, bool requester_gets_exclusive)
         return RegionSnoopBits{};
     }
     return tracker_->externalSnoop(req.lineAddr, requester_gets_exclusive,
-                                   eq_.now());
+                                   now);
 }
 
 // ---------------------------------------------------------------------------
-// Functional warming (docs/SAMPLING.md). Each warm* function is the
-// architectural mirror of its timing twin above: identical cache, MOESI
-// and region-tracker transitions, applied synchronously at the warm tick
-// with no events, no bus arbitration, no MSHR occupancy and no latency.
-// Keep the two in lockstep when changing either.
+// Functional warming (docs/SAMPLING.md): the second driver of the protocol
+// core above. Each op resolves synchronously at the warm tick through the
+// same core steps as a timed request, with data ready at once: no events,
+// no bus arbitration, no MSHR occupancy and no latency. Peers are snooped
+// directly instead of through the interconnect.
 
 void
 Node::warmAccess(CpuOpKind kind, Addr addr, Tick now)
 {
     if (!warmPeers_)
         panic("cpu%d: warmAccess without setWarmPeers", cpu_);
-
-    switch (kind) {
-      case CpuOpKind::Ifetch:
-        if (l1i_.probe(addr, now))
-            return;
+    if (!l1Hit(kind, addr, now))
         warmL2Access(kind, addr, now);
-        return;
-
-      case CpuOpKind::Load:
-        if (l1d_.probe(addr, now))
-            return;
-        warmL2Access(kind, addr, now);
-        return;
-
-      case CpuOpKind::Store:
-        if (CacheLine *line = l1d_.probe(addr, now)) {
-            if (line->state == LineState::Modified)
-                return;
-            CacheLine *l2line = l2_.peekMutable(addr);
-            if (l2line && isWritable(l2line->state)) {
-                l2line->state = LineState::Modified;
-                line->state = LineState::Modified;
-                return;
-            }
-        }
-        warmL2Access(kind, addr, now);
-        return;
-
-      case CpuOpKind::Dcbz:
-      case CpuOpKind::Dcbf:
-      case CpuOpKind::Dcbi:
-        warmL2Access(kind, addr, now);
-        return;
-    }
-    panic("Node::warmAccess: unknown op kind");
 }
 
 void
@@ -856,391 +806,83 @@ Node::warmL2Access(CpuOpKind kind, Addr addr, Tick now)
 {
     const Addr line_addr = l2_.lineAlign(addr);
     CacheLine *line = l2_.probe(addr, now);
-    const bool was_miss = line == nullptr;
-    const bool is_store_like = kind == CpuOpKind::Store;
-
-    if (kind == CpuOpKind::Ifetch || kind == CpuOpKind::Load ||
-        kind == CpuOpKind::Store) {
-        warmMaybePrefetch(line_addr, is_store_like, was_miss, now);
-        // The prefetcher may have filled (or displaced) the line.
+    const bool demand = isDemandOp(kind);
+    if (demand) {
+        maybePrefetch(line_addr, kind == CpuOpKind::Store, line == nullptr,
+                      now);
+        // The prefetches resolved at once and may have filled (or
+        // displaced) the line.
         line = l2_.probe(addr, now);
     }
 
-    switch (kind) {
-      case CpuOpKind::Ifetch:
-      case CpuOpKind::Load:
-        if (line) {
+    RequestType type;
+    if (l2Hit(kind, addr, line, type)) {
+        if (demand)
             fillL1(kind, addr, now, now);
-            return;
-        }
-        ++stats_.demandMisses;
-        warmRequest(kind == CpuOpKind::Ifetch ? RequestType::Ifetch
-                                              : RequestType::Read,
-                    line_addr, now, /*is_prefetch=*/false);
-        fillL1(kind, addr, now, now);
-        return;
-
-      case CpuOpKind::Store:
-        if (line) {
-            if (isWritable(line->state)) {
-                line->state = LineState::Modified;
-                fillL1(kind, addr, now, now);
-                return;
-            }
-            warmRequest(RequestType::Upgrade, line_addr, now,
-                        /*is_prefetch=*/false);
-            fillL1(kind, addr, now, now);
-            return;
-        }
-        ++stats_.demandMisses;
-        warmRequest(RequestType::ReadExclusive, line_addr, now,
-                    /*is_prefetch=*/false);
-        fillL1(kind, addr, now, now);
-        return;
-
-      case CpuOpKind::Dcbz:
-        if (line && isWritable(line->state)) {
-            line->state = LineState::Modified;
-            if (CacheLine *l1line = l1d_.peekMutable(addr))
-                l1line->state = LineState::Modified;
-            return;
-        }
-        warmRequest(RequestType::Dcbz, line_addr, now,
-                    /*is_prefetch=*/false);
-        return;
-
-      case CpuOpKind::Dcbf:
-        warmRequest(RequestType::Dcbf, line_addr, now,
-                    /*is_prefetch=*/false);
-        return;
-
-      case CpuOpKind::Dcbi:
-        warmRequest(RequestType::Dcbi, line_addr, now,
-                    /*is_prefetch=*/false);
         return;
     }
-    panic("Node::warmL2Access: unknown op kind");
+    issueSystemRequest(type, line_addr, now,
+                       Completion{{}, addr, kind, /*fill=*/demand},
+                       /*is_prefetch=*/false);
 }
 
 void
 Node::warmRequest(RequestType type, Addr line_addr, Tick now,
                   bool is_prefetch)
 {
-    ++stats_.requestsTotal;
-    const auto cat = static_cast<std::size_t>(categoryOf(type));
-
-    RouteDecision route;
-    if (tracker_)
-        route = tracker_->route(type, line_addr, now);
-
+    const RouteDecision route = routeRequest(type, line_addr, now);
     switch (route.kind) {
-      case RouteKind::Broadcast:
-        ++stats_.broadcasts;
-        ++stats_.broadcastsByCat[cat];
-        warmBroadcast(type, line_addr, now, is_prefetch);
-        break;
-
-      case RouteKind::Direct: {
-        ++stats_.directs;
-        ++stats_.directsByCat[cat];
-        MemCtrlId mc = route.memCtrl;
-        if (mc == kInvalidMemCtrl)
-            mc = map_.controllerOf(line_addr);
-        warmDirect(type, line_addr, mc, now);
+      case RouteKind::Broadcast: {
+        const SystemRequest req{cpu_, type, line_addr, is_prefetch};
+        resolveBroadcast(type, line_addr, warmFanOut(req, now), now, now);
+        if (checker_)
+            checker_->onTransition(line_addr, "warm_broadcast");
         break;
       }
 
+      case RouteKind::Direct:
+        // A write-back changes no architectural state.
+        if (type != RequestType::Writeback) {
+            installL2Line(line_addr, directGrant(type, line_addr, now), now,
+                          now);
+            if (checker_)
+                checker_->onTransition(line_addr, "direct_issue");
+        }
+        break;
+
       case RouteKind::LocalComplete:
-        ++stats_.localCompletes;
-        ++stats_.localByCat[cat];
-        warmLocalComplete(type, line_addr, now);
+        resolveLocal(type, line_addr, now, now);
         break;
     }
 }
 
-void
-Node::warmBroadcast(RequestType type, Addr line_addr, Tick now,
-                    bool is_prefetch)
+SnoopResponse
+Node::warmFanOut(const SystemRequest &req, Tick now)
 {
-    SystemRequest req;
-    req.cpu = cpu_;
-    req.type = type;
-    req.lineAddr = line_addr;
-    req.isPrefetch = is_prefetch;
-
-    // Mirror of Interconnect::resolveRequest, minus the oracle
-    // (measurement-only, reset at every window start), timing and data
-    // movement.
+    // Interconnect::resolveRequest without the oracle (measurement only,
+    // reset at every window start), timing and data movement.
     SnoopResponse resp;
     for (Node *peer : *warmPeers_) {
-        if (peer->cpuId() == cpu_)
-            continue;
-        resp.line.fold(peer->cpuId(), peer->warmSnoopLine(req));
+        if (peer != this)
+            resp.line.fold(peer->cpuId(), peer->lineSnoop(req));
     }
 
     const bool gets_exclusive =
-        wantsExclusive(type) || isDcbOp(type) ||
-        ((type == RequestType::Read || type == RequestType::Prefetch) &&
-         !resp.line.anyCopy);
+        requesterGetsExclusive(req.type, resp.line.anyCopy);
 
     // Topology-private tracking state (presence / sharer maps) follows
     // the warmed caches just as it would follow a timed resolution.
     bus_.warmNote(req, gets_exclusive);
 
-    if (type != RequestType::Writeback) {
+    if (req.type != RequestType::Writeback) {
         for (Node *peer : *warmPeers_) {
-            if (peer->cpuId() == cpu_)
-                continue;
-            resp.region.merge(
-                peer->warmSnoopRegion(req, gets_exclusive, now));
+            if (peer != this)
+                resp.region.merge(
+                    peer->snoopRegion(req, gets_exclusive, now));
         }
     }
-    resp.memCtrl = map_.controllerOf(line_addr);
-
-    // Mirror of handleBroadcastResponse: requester-side state changes.
-    const LineState granted = grantedState(type, resp.line.anyCopy);
-    const bool granted_exclusive = granted == LineState::Exclusive ||
-                                   granted == LineState::Modified;
-    if (tracker_)
-        tracker_->onBroadcastResponse(type, line_addr, granted_exclusive,
-                                      resp, now);
-
-    switch (type) {
-      case RequestType::Read:
-      case RequestType::ReadExclusive:
-      case RequestType::Ifetch:
-      case RequestType::Prefetch:
-      case RequestType::PrefetchExclusive:
-        warmInstallL2Line(line_addr, granted, now);
-        break;
-
-      case RequestType::Upgrade: {
-        CacheLine *line = l2_.peekMutable(line_addr);
-        if (line) {
-            line->state = LineState::Modified;
-            if (CacheLine *l1line = l1d_.peekMutable(line_addr))
-                l1line->state = LineState::Modified;
-        } else {
-            ++stats_.upgradeRaces;
-            warmInstallL2Line(line_addr, LineState::Modified, now);
-        }
-        break;
-      }
-
-      case RequestType::Dcbz: {
-        CacheLine *line = l2_.peekMutable(line_addr);
-        if (line) {
-            line->state = LineState::Modified;
-            if (CacheLine *l1line = l1d_.peekMutable(line_addr))
-                l1line->state = LineState::Modified;
-        } else {
-            warmInstallL2Line(line_addr, LineState::Modified, now);
-        }
-        break;
-      }
-
-      case RequestType::Dcbf:
-      case RequestType::Dcbi: {
-        CacheLine *line = l2_.peekMutable(line_addr);
-        if (line) {
-            const bool dirty = isDirty(line->state) &&
-                               type == RequestType::Dcbf;
-            l1d_.invalidateLine(line_addr);
-            l1i_.invalidateLine(line_addr);
-            l2_.invalidateLine(line_addr);
-            if (tracker_)
-                tracker_->onLineEvict(line_addr);
-            if (dirty)
-                warmWriteback(line_addr, now);
-        }
-        break;
-      }
-
-      case RequestType::Writeback:
-        break;
-    }
-
-    if (checker_)
-        checker_->onTransition(line_addr, "warm_broadcast");
-}
-
-void
-Node::warmDirect(RequestType type, Addr line_addr, MemCtrlId mc, Tick now)
-{
-    (void)mc; // Data movement and controller timing are skipped.
-    if (type == RequestType::Writeback)
-        return;
-
-    const RegionState region_state =
-        tracker_ ? tracker_->peekState(line_addr) : RegionState::Invalid;
-    const bool region_exclusive = isRegionExclusive(region_state);
-    const LineState granted =
-        grantedState(type, /*other_had_copy=*/!region_exclusive);
-
-    tracker_->onDirectIssue(type, line_addr,
-                            granted == LineState::Exclusive ||
-                                granted == LineState::Modified,
-                            now);
-    warmInstallL2Line(line_addr, granted, now);
-    if (checker_)
-        checker_->onTransition(line_addr, "warm_direct");
-}
-
-void
-Node::warmLocalComplete(RequestType type, Addr line_addr, Tick now)
-{
-    tracker_->onLocalComplete(type, line_addr, now);
-
-    switch (type) {
-      case RequestType::Upgrade: {
-        CacheLine *line = l2_.peekMutable(line_addr);
-        if (line) {
-            line->state = LineState::Modified;
-            if (CacheLine *l1line = l1d_.peekMutable(line_addr))
-                l1line->state = LineState::Modified;
-        } else {
-            ++stats_.upgradeRaces;
-            warmInstallL2Line(line_addr, LineState::Modified, now);
-        }
-        break;
-      }
-
-      case RequestType::Dcbz: {
-        CacheLine *line = l2_.peekMutable(line_addr);
-        if (line) {
-            line->state = LineState::Modified;
-            if (CacheLine *l1line = l1d_.peekMutable(line_addr))
-                l1line->state = LineState::Modified;
-        } else {
-            warmInstallL2Line(line_addr, LineState::Modified, now);
-        }
-        break;
-      }
-
-      case RequestType::Dcbf: {
-        CacheLine *line = l2_.peekMutable(line_addr);
-        if (line) {
-            const bool dirty = isDirty(line->state);
-            l1d_.invalidateLine(line_addr);
-            l1i_.invalidateLine(line_addr);
-            l2_.invalidateLine(line_addr);
-            if (tracker_)
-                tracker_->onLineEvict(line_addr);
-            if (dirty)
-                warmWriteback(line_addr, now);
-        }
-        break;
-      }
-
-      case RequestType::Dcbi: {
-        if (l2_.peek(line_addr)) {
-            l1d_.invalidateLine(line_addr);
-            l1i_.invalidateLine(line_addr);
-            l2_.invalidateLine(line_addr);
-            if (tracker_)
-                tracker_->onLineEvict(line_addr);
-        }
-        break;
-      }
-
-      default:
-        panic("cpu%d: request type %d cannot complete locally", cpu_,
-              static_cast<int>(type));
-    }
-
-    if (checker_)
-        checker_->onTransition(line_addr, "warm_local_complete");
-}
-
-void
-Node::warmInstallL2Line(Addr line_addr, LineState state, Tick now)
-{
-    Eviction evicted;
-    l2_.fill(line_addr, state, now, now, evicted);
-    if (evicted.valid)
-        warmEvictL2Line(evicted.lineAddr, evicted.state, now);
-    if (tracker_)
-        tracker_->onLineFill(line_addr);
-}
-
-void
-Node::warmEvictL2Line(Addr line_addr, LineState state, Tick now)
-{
-    l1d_.invalidateLine(line_addr);
-    l1i_.invalidateLine(line_addr);
-    if (tracker_)
-        tracker_->onLineEvict(line_addr);
-    if (isDirty(state))
-        warmWriteback(line_addr, now);
-}
-
-void
-Node::warmWriteback(Addr line_addr, Tick now)
-{
-    ++stats_.writebacksIssued;
-    warmRequest(RequestType::Writeback, line_addr, now,
-                /*is_prefetch=*/false);
-}
-
-void
-Node::warmMaybePrefetch(Addr line_addr, bool is_store, bool was_miss,
-                        Tick now)
-{
-    prefetchScratch_.clear();
-    prefetcher_.observe(line_addr, is_store, was_miss, prefetchScratch_);
-    for (const PrefetchCandidate &c : prefetchScratch_) {
-        if (l2_.peek(c.lineAddr))
-            continue;
-        if (tracker_ && config_.cgct.regionPrefetchHints) {
-            if (isExternallyDirty(tracker_->peekState(c.lineAddr)))
-                continue;
-        }
-        ++stats_.prefetchesIssued;
-        warmRequest(c.exclusive ? RequestType::PrefetchExclusive
-                                : RequestType::Prefetch,
-                    c.lineAddr, now, /*is_prefetch=*/true);
-    }
-}
-
-LineSnoopOutcome
-Node::warmSnoopLine(const SystemRequest &req)
-{
-    // Same transitions as snoopLine, without the tag-port occupancy or
-    // the snoop statistics (the warm phase is not measured).
-    const SnoopKind kind = snoopKindOf(req.type);
-    CacheLine *line = l2_.peekMutable(req.lineAddr);
-    const LineSnoopOutcome out =
-        applyLineSnoop(line ? line->state : LineState::Invalid, kind);
-    if (line && out.next != out.before) {
-        if (out.next == LineState::Invalid) {
-            l1d_.invalidateLine(req.lineAddr);
-            l1i_.invalidateLine(req.lineAddr);
-            l2_.invalidateLine(req.lineAddr);
-            if (tracker_)
-                tracker_->onLineEvict(req.lineAddr);
-        } else {
-            line->state = out.next;
-            if (CacheLine *l1line = l1d_.peekMutable(req.lineAddr))
-                l1line->state = LineState::Shared;
-        }
-    }
-    return out;
-}
-
-RegionSnoopBits
-Node::warmSnoopRegion(const SystemRequest &req,
-                      bool requester_gets_exclusive, Tick now)
-{
-    if (!tracker_)
-        return RegionSnoopBits{};
-    if (config_.cgct.sharedPerChip && req.cpu >= 0 &&
-        static_cast<unsigned>(req.cpu) < config_.topology.numCpus &&
-        config_.topology.chipOfCpu(req.cpu) ==
-            config_.topology.chipOfCpu(cpu_)) {
-        return RegionSnoopBits{};
-    }
-    return tracker_->externalSnoop(req.lineAddr, requester_gets_exclusive,
-                                   now);
+    resp.memCtrl = map_.controllerOf(req.lineAddr);
+    return resp;
 }
 
 LineState

@@ -11,6 +11,16 @@
  * apply their state changes at issue, which is safe because the region
  * protocol guarantees no other processor holds a conflicting copy.
  *
+ * Structure: one synchronous protocol core and two drivers. Each core
+ * step (L1/L2 hit rules, routing, the direct grant, the requester-side
+ * response, line install/evict, prefetch, the line and region snoops)
+ * applies architectural transitions only, taking the current tick and
+ * the data-arrival tick as arguments. The timed driver wraps the steps
+ * in MSHRs, bus events and latencies; functional warming
+ * (docs/SAMPLING.md) calls them directly with data ready at once. Every
+ * request leaves the node through issueSystemRequest, the one place the
+ * two drivers part.
+ *
  * Request-path storage: a miss's completion context — the callback plus
  * what fillL1 needs — lives in a per-MSHR-slot Completion struct
  * (mshrCtx_) instead of being captured inside nested heap-allocated
@@ -84,7 +94,8 @@ class Node : public SnoopClient
     CpuId cpuId() const override { return cpu_; }
     LineSnoopOutcome snoopLine(const SystemRequest &req) override;
     RegionSnoopBits snoopRegion(const SystemRequest &req,
-                                bool requester_gets_exclusive) override;
+                                bool requester_gets_exclusive,
+                                Tick now) override;
 
     /** Side-effect-free L2 state probe (oracle, tests). */
     LineState peekLine(Addr addr) const;
@@ -94,15 +105,16 @@ class Node : public SnoopClient
      * memory operation with full architectural effect — cache contents,
      * MOESI states, region tracker, prefetcher — but zero timing: no
      * events, no bus arbitration, no MSHR occupancy, no latency. Every
-     * request resolves synchronously at warm tick @p now; peer caches
-     * are snooped through the warm snoop path, which applies the same
-     * state transitions as a bus snoop without occupying tag ports.
+     * request resolves synchronously at warm tick @p now through the
+     * same protocol core as a timed request; peer caches take the same
+     * line and region snoop transitions without occupying tag ports.
      * Requires setWarmPeers() first and a node with nothing in flight.
      */
     void warmAccess(CpuOpKind kind, Addr addr, Tick now);
 
     /** All nodes of the warm system (including this one), in CPU order.
-     *  Borrowed for the lifetime of the warming phase. */
+     *  Borrowed for the lifetime of the warming phase; while set, every
+     *  request resolves functionally. */
     void setWarmPeers(const std::vector<Node *> *peers)
     {
         warmPeers_ = peers;
@@ -230,11 +242,86 @@ class Node : public SnoopClient
         Tick queuedAt = 0;
     };
 
+    // Protocol core: synchronous steps shared by both drivers. Each takes
+    // the current tick and, where data arrives, the arrival tick (now
+    // when warming).
+
+    /** L1 hit rule, including the silent store to a writable L2 line.
+     *  @return the hit L1 line, or nullptr if the op must go to the L2. */
+    const CacheLine *l1Hit(CpuOpKind kind, Addr addr, Tick now);
+
+    /**
+     * L2 hit rule for @p line (the probe result): apply the store / dcbz
+     * upgrade of a writable line and @return true, or set @p type to the
+     * system request that resolves the op and @return false.
+     */
+    bool l2Hit(CpuOpKind kind, Addr addr, CacheLine *line,
+               RequestType &type);
+
+    /** Consult the region tracker, trace and count the route. */
+    RouteDecision routeRequest(RequestType type, Addr line_addr, Tick now);
+
+    /** Count one system request under @p kind (Figures 2 and 7). */
+    void countRoute(RequestType type, RouteKind kind);
+
+    /** Region-permission grant of a direct request, applied to the RCA.
+     *  @return the line state the requester installs. */
+    LineState directGrant(RequestType type, Addr line_addr, Tick now);
+
+    /** Requester side of a resolved broadcast: region update, then the
+     *  line transitions (applyResponse). */
+    void resolveBroadcast(RequestType type, Addr line_addr,
+                          const SnoopResponse &resp, Tick now, Tick ready);
+
+    /** A request completed with no external request (exclusive region). */
+    void resolveLocal(RequestType type, Addr line_addr, Tick now,
+                      Tick ready);
+
+    /**
+     * The requester-side transition switch: install @p granted, upgrade
+     * (or refetch a line lost to a race), dcbz, or dcbf / dcbi with the
+     * dirty write-back.
+     */
+    void applyResponse(RequestType type, Addr line_addr, LineState granted,
+                       Tick now, Tick ready);
+
+    /** Install a line into the L2 (and bookkeeping around eviction). */
+    void installL2Line(Addr line_addr, LineState state, Tick now,
+                       Tick ready);
+
+    /** Move/refresh the line into the right L1 after an L2 resolution. */
+    void fillL1(CpuOpKind kind, Addr addr, Tick now, Tick ready);
+
+    /** Evict a line from L2: back-invalidate L1s, write back if dirty. */
+    void evictL2Line(Addr line_addr, LineState state, Tick now);
+
+    /** Invalidate a line in every cache level and tell the tracker. */
+    void dropLine(Addr line_addr);
+
+    /** Send a write-back for @p line_addr to the system. */
+    void issueWriteback(Addr line_addr, Tick now);
+
+    /** Region-eviction flush: push the region's lines out (inclusion). */
+    void flushRegion(Addr region_addr, std::uint64_t region_bytes,
+                     MemCtrlId mc, Tick now);
+
+    /** Run the stream prefetcher after a demand L2 access. */
+    void maybePrefetch(Addr line_addr, bool is_store, bool was_miss,
+                       Tick now);
+
+    /** Peer-side line snoop transition (snoopLine adds the timing). */
+    LineSnoopOutcome lineSnoop(const SystemRequest &req);
+
+    // Timed driver.
+
     /** Handle an access that reached the L2. */
     bool accessL2(CpuOpKind kind, Addr addr, Tick now, Tick &ready_out,
                   CompletionFn &&done);
 
-    /** Issue (or queue) a request to the system. */
+    /**
+     * Issue (or queue) a request to the system; while warm peers are
+     * set, resolve it functionally instead and run @p c at once.
+     */
     void issueSystemRequest(RequestType type, Addr line_addr, Tick now,
                             Completion &&c, bool is_prefetch);
 
@@ -253,33 +340,15 @@ class Node : public SnoopClient
                                  const SnoopResponse &resp,
                                  Tick data_ready);
 
+    /** Re-dispatch the requests queued behind a region acquisition. */
+    void releaseRegionWaiters(Addr line_addr);
+
     /** Issue a direct-to-memory request (region permission held). */
     void issueDirect(RequestType type, Addr line_addr, MemCtrlId mc,
                      Tick now, bool is_prefetch);
 
     /** Complete a request locally with no external request. */
     void completeLocally(RequestType type, Addr line_addr, Tick now);
-
-    /** Install a line into the L2 (and bookkeeping around eviction). */
-    void installL2Line(Addr line_addr, LineState state, Tick now,
-                       Tick ready);
-
-    /** Move/refresh the line into the right L1 after an L2 resolution. */
-    void fillL1(CpuOpKind kind, Addr addr, Tick now, Tick ready);
-
-    /** Evict a line from L2: back-invalidate L1s, write back if dirty. */
-    void evictL2Line(Addr line_addr, LineState state, Tick now);
-
-    /** Send a write-back for @p line_addr to the system. */
-    void issueWriteback(Addr line_addr, Tick now);
-
-    /** Region-eviction flush: push the region's lines out (inclusion). */
-    void flushRegion(Addr region_addr, std::uint64_t region_bytes,
-                     MemCtrlId mc, Tick now);
-
-    /** Run the stream prefetcher after a demand L2 access. */
-    void maybePrefetch(Addr line_addr, bool is_store, bool was_miss,
-                       Tick now);
 
     /** Release an MSHR and start a queued request if one is waiting. */
     void releaseMshr(Addr line_addr);
@@ -302,28 +371,19 @@ class Node : public SnoopClient
     /** Record a completed demand miss's latency. */
     void noteMissLatency(Tick issued, Tick ready);
 
-    // Functional-warming mirrors of the request path (docs/SAMPLING.md).
-    // Each applies exactly the architectural transitions of its timing
-    // twin, synchronously, with no events and no timing side effects.
+    // Functional-warming driver (docs/SAMPLING.md).
+
+    /** warmAccess past the L1; re-probes after the (synchronous)
+     *  prefetches. */
     void warmL2Access(CpuOpKind kind, Addr addr, Tick now);
+
+    /** Route and resolve one request at once through the core steps. */
     void warmRequest(RequestType type, Addr line_addr, Tick now,
                      bool is_prefetch);
-    void warmBroadcast(RequestType type, Addr line_addr, Tick now,
-                       bool is_prefetch);
-    void warmDirect(RequestType type, Addr line_addr, MemCtrlId mc,
-                    Tick now);
-    void warmLocalComplete(RequestType type, Addr line_addr, Tick now);
-    void warmInstallL2Line(Addr line_addr, LineState state, Tick now);
-    void warmEvictL2Line(Addr line_addr, LineState state, Tick now);
-    void warmWriteback(Addr line_addr, Tick now);
-    void warmMaybePrefetch(Addr line_addr, bool is_store, bool was_miss,
-                           Tick now);
-    /** Peer-side line snoop without the L2 tag-port occupancy. */
-    LineSnoopOutcome warmSnoopLine(const SystemRequest &req);
-    /** Peer-side region snoop at warm tick @p now. */
-    RegionSnoopBits warmSnoopRegion(const SystemRequest &req,
-                                    bool requester_gets_exclusive,
-                                    Tick now);
+
+    /** Snoop every peer directly, as Interconnect::resolveRequest would,
+     *  and @return the combined response. */
+    SnoopResponse warmFanOut(const SystemRequest &req, Tick now);
 
     CpuId cpu_;
     const SystemConfig &config_;

@@ -39,11 +39,12 @@ class FakeClient : public SnoopClient
     }
 
     RegionSnoopBits
-    snoopRegion(const SystemRequest &req, bool excl) override
+    snoopRegion(const SystemRequest &req, bool excl, Tick now) override
     {
         ++regionSnoops;
         lastExclusive = excl;
         static_cast<void>(req);
+        static_cast<void>(now);
         return regionBits;
     }
 

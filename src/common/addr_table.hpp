@@ -71,6 +71,14 @@ class AddrTable
 
     bool contains(Addr key) const { return find(key) != nullptr; }
 
+    /** The value stored under @p key, default-inserted if absent. */
+    V &
+    findOrInsert(Addr key)
+    {
+        V *v = find(key);
+        return v ? *v : insert(key);
+    }
+
     /**
      * Insert @p key with a default-constructed value and return it.
      * @pre the key is absent (callers check; the MSHR panics first).

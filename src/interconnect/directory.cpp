@@ -87,8 +87,9 @@ DirectoryInterconnect::lookup(const SystemRequest &req, ResponseFn fn)
     // exclusive grant overwrites the vector right after anyway.
     if (static_cast<unsigned>(req.cpu) < topo_.numCpus &&
         req.type != RequestType::Writeback) {
-        sharers_[req.lineAddr] |= 1ULL << static_cast<unsigned>(req.cpu);
-        presence_[regionOf(req.lineAddr)] |=
+        sharers_.findOrInsert(req.lineAddr) |=
+            1ULL << static_cast<unsigned>(req.cpu);
+        presence_.findOrInsert(regionOf(req.lineAddr)) |=
             chipMask(topo_.chipOfCpu(req.cpu));
     }
 
@@ -109,22 +110,19 @@ DirectoryInterconnect::updateDirectory(const SystemRequest &req,
     }
     const std::uint64_t bit = 1ULL << static_cast<unsigned>(req.cpu);
     if (req.type == RequestType::Writeback) {
-        const auto it = sharers_.find(req.lineAddr);
-        if (it != sharers_.end()) {
-            it->second &= ~bit;
-            if (it->second == 0)
-                sharers_.erase(it);
+        if (std::uint64_t *bits = sharers_.find(req.lineAddr)) {
+            *bits &= ~bit;
+            if (*bits == 0)
+                sharers_.erase(req.lineAddr);
         }
         return;
     }
-    if (gets_exclusive)
-        sharers_[req.lineAddr] = bit;
-    else
-        sharers_[req.lineAddr] |= bit;
+    std::uint64_t &bits = sharers_.findOrInsert(req.lineAddr);
+    bits = gets_exclusive ? bit : bits | bit;
     // Chip-granular, like the hierarchy's map: a sibling core sharing
     // the requester's chip RCA can direct-fill lines of this region
     // without a directory lookup of its own.
-    presence_[regionOf(req.lineAddr)] |=
+    presence_.findOrInsert(regionOf(req.lineAddr)) |=
         chipMask(topo_.chipOfCpu(req.cpu));
 }
 
@@ -175,35 +173,6 @@ DirectoryInterconnect::addStats(StatGroup &group) const
                      });
 }
 
-namespace {
-
-void
-serializeSortedMap(Serializer &s,
-                   const std::unordered_map<Addr, std::uint64_t> &m)
-{
-    std::vector<std::pair<Addr, std::uint64_t>> entries(m.begin(), m.end());
-    std::sort(entries.begin(), entries.end());
-    s.u64(entries.size());
-    for (const auto &e : entries) {
-        s.u64(e.first);
-        s.u64(e.second);
-    }
-}
-
-void
-deserializeMap(SectionReader &r,
-               std::unordered_map<Addr, std::uint64_t> &m)
-{
-    m.clear();
-    const std::uint64_t entries = r.u64();
-    for (std::uint64_t i = 0; i < entries; ++i) {
-        const Addr key = r.u64();
-        m[key] = r.u64();
-    }
-}
-
-} // namespace
-
 void
 DirectoryInterconnect::serialize(Serializer &s) const
 {
@@ -217,8 +186,8 @@ DirectoryInterconnect::serialize(Serializer &s) const
     s.u64(stats_.localResolves);
     s.u64(stats_.interChip);
     traffic_.serialize(s);
-    serializeSortedMap(s, sharers_);
-    serializeSortedMap(s, presence_);
+    saveMaskTable(s, sharers_);
+    saveMaskTable(s, presence_);
 }
 
 void
@@ -238,8 +207,8 @@ DirectoryInterconnect::deserialize(SectionReader &r)
     stats_.localResolves = r.u64();
     stats_.interChip = r.u64();
     traffic_.deserialize(r);
-    deserializeMap(r, sharers_);
-    deserializeMap(r, presence_);
+    loadMaskTable(r, sharers_);
+    loadMaskTable(r, presence_);
 }
 
 } // namespace cgct

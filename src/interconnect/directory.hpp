@@ -21,9 +21,9 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/addr_table.hpp"
 #include "interconnect/interconnect.hpp"
 
 namespace cgct {
@@ -55,15 +55,15 @@ class DirectoryInterconnect : public Interconnect
     bool tracksSharers() const override { return true; }
     std::uint64_t sharerMask(Addr line) const override
     {
-        const auto it = sharers_.find(line);
-        return it == sharers_.end() ? 0 : it->second;
+        const std::uint64_t *bits = sharers_.find(line);
+        return bits ? *bits : 0;
     }
 
     /** Corrupt directory state (invariant-checker injection test). */
     void corruptSharersForTest(Addr line, std::uint64_t mask)
     {
-        sharers_[line] = mask;
-        presence_[regionOf(line)] = mask;
+        sharers_.findOrInsert(line) = mask;
+        presence_.findOrInsert(regionOf(line)) = mask;
     }
 
   private:
@@ -75,8 +75,8 @@ class DirectoryInterconnect : public Interconnect
     std::uint64_t
     presenceOf(Addr line) const
     {
-        const auto it = presence_.find(regionOf(line));
-        return it == presence_.end() ? 0 : it->second;
+        const std::uint64_t *bits = presence_.find(regionOf(line));
+        return bits ? *bits : 0;
     }
 
     /** Mask of the processors on chip @p chip. */
@@ -101,9 +101,9 @@ class DirectoryInterconnect : public Interconnect
     std::vector<Tick> bankNextFree_;
 
     /** Line address -> full-map sharer vector. */
-    std::unordered_map<Addr, std::uint64_t> sharers_;
+    AddrTable<std::uint64_t> sharers_;
     /** Region address -> sticky presence mask (covers direct fills). */
-    std::unordered_map<Addr, std::uint64_t> presence_;
+    AddrTable<std::uint64_t> presence_;
 };
 
 } // namespace cgct

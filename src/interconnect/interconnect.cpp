@@ -1,7 +1,10 @@
 #include "interconnect/interconnect.hpp"
 
+#include <algorithm>
+
 #include "common/trace_sink.hpp"
 #include "sim/oracle.hpp"
+#include "snapshot/serializer.hpp"
 
 namespace cgct {
 
@@ -90,6 +93,35 @@ Interconnect::resolveRequest(const SystemRequest &req, ResponseFn &fn,
         postResolve_(req);
 
     return ResolveOutcome{gets_exclusive, data_ready};
+}
+
+void
+Interconnect::saveMaskTable(Serializer &s,
+                            const AddrTable<std::uint64_t> &table)
+{
+    std::vector<std::pair<Addr, std::uint64_t>> entries;
+    entries.reserve(table.size());
+    table.forEach([&entries](Addr key, std::uint64_t bits) {
+        entries.emplace_back(key, bits);
+    });
+    std::sort(entries.begin(), entries.end());
+    s.u64(entries.size());
+    for (const auto &e : entries) {
+        s.u64(e.first);
+        s.u64(e.second);
+    }
+}
+
+void
+Interconnect::loadMaskTable(SectionReader &r,
+                            AddrTable<std::uint64_t> &table)
+{
+    table.clear();
+    const std::uint64_t entries = r.u64();
+    for (std::uint64_t i = 0; i < entries; ++i) {
+        const Addr key = r.u64();
+        table.findOrInsert(key) = r.u64();
+    }
 }
 
 } // namespace cgct

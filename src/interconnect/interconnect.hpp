@@ -23,6 +23,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/addr_table.hpp"
 #include "common/config.hpp"
 #include "common/inline_function.hpp"
 #include "common/stats.hpp"
@@ -219,6 +220,16 @@ class Interconnect
      */
     ResolveOutcome resolveRequest(const SystemRequest &req, ResponseFn &fn,
                                   std::uint64_t snoop_mask);
+
+    /**
+     * Checkpoint a presence / sharer map in ascending address order, so
+     * the bytes do not depend on the table's slot layout.
+     */
+    static void saveMaskTable(Serializer &s,
+                              const AddrTable<std::uint64_t> &table);
+    /** Replace @p table with a map written by saveMaskTable. */
+    static void loadMaskTable(SectionReader &r,
+                              AddrTable<std::uint64_t> &table);
 
     static constexpr std::uint64_t kSnoopAll = ~0ULL;
 

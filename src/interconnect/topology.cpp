@@ -170,18 +170,7 @@ HierRouter::serialize(Serializer &s) const
     s.u64(stats_.localResolves);
     s.u64(stats_.interChip);
     traffic_.serialize(s);
-
-    // The presence map in deterministic (sorted) order.
-    std::vector<std::pair<Addr, std::uint64_t>> entries;
-    presence_.forEach([&entries](Addr region, std::uint64_t bits) {
-        entries.emplace_back(region, bits);
-    });
-    std::sort(entries.begin(), entries.end());
-    s.u64(entries.size());
-    for (const auto &e : entries) {
-        s.u64(e.first);
-        s.u64(e.second);
-    }
+    saveMaskTable(s, presence_);
 }
 
 void
@@ -201,13 +190,7 @@ HierRouter::deserialize(SectionReader &r)
     stats_.localResolves = r.u64();
     stats_.interChip = r.u64();
     traffic_.deserialize(r);
-
-    presence_.clear();
-    const std::uint64_t entries = r.u64();
-    for (std::uint64_t i = 0; i < entries; ++i) {
-        const Addr region = r.u64();
-        presenceAt(region) = r.u64();
-    }
+    loadMaskTable(r, presence_);
 }
 
 } // namespace cgct

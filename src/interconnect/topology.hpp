@@ -54,7 +54,7 @@ class HierRouter : public Interconnect
     /** Corrupt the presence map (invariant-checker injection test). */
     void corruptPresenceForTest(Addr line, std::uint64_t mask)
     {
-        presenceAt(regionOf(line)) = mask;
+        presence_.findOrInsert(regionOf(line)) = mask;
     }
 
   private:
@@ -68,13 +68,6 @@ class HierRouter : public Interconnect
     {
         const std::uint64_t *bits = presence_.find(regionOf(line));
         return bits ? *bits : 0;
-    }
-
-    std::uint64_t &
-    presenceAt(Addr region)
-    {
-        std::uint64_t *bits = presence_.find(region);
-        return bits ? *bits : presence_.insert(region);
     }
 
     /** Mask of the processors on chip @p chip. */
@@ -104,7 +97,7 @@ class HierRouter : public Interconnect
     {
         if (static_cast<unsigned>(req.cpu) < topo_.numCpus &&
             req.type != RequestType::Writeback)
-            presenceAt(regionOf(req.lineAddr)) |=
+            presence_.findOrInsert(regionOf(req.lineAddr)) |=
                 chipMask(topo_.chipOfCpu(req.cpu));
     }
 

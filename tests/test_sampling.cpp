@@ -3,8 +3,9 @@
  * Tests for the statistical-sampling engine (docs/SAMPLING.md):
  * determinism across job counts, agreement with full-detail runs,
  * geometry validation, warm-state invariants, journal persistence of
- * the sampling tail, the sampled sweep CSV columns, and digest pins of
- * the functionally-warmed output.
+ * the sampling tail, the sampled sweep CSV columns, the recorded
+ * full-vs-sampled cell, and digest pins of the functionally-warmed
+ * output.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "golden.hpp"
 #include "sha256.hpp"
 #include "sim/sampling.hpp"
 #include "sim/sweep.hpp"
@@ -376,6 +378,51 @@ TEST(Sampling, SweepCsvIdenticalAcrossJobs)
         return os.str();
     };
     EXPECT_EQ(sweepCsv(1), sweepCsv(4));
+}
+
+TEST(Sampling, RecordedCellAgainstFullDetail)
+{
+    // The recorded comparison of docs/SAMPLING.md: one default sweep cell
+    // (tpc-w, 512 B, 3 full-detail seeds on the sweep seed chain) against
+    // one functionally-warmed run of 8 windows x 2000 ops.
+    if (CGCT_SANITIZED)
+        GTEST_SKIP() << "1.2M-op cell is too slow under sanitizers";
+    const SystemConfig config = makeDefaultConfig().withCgct(512);
+    const WorkloadProfile &profile = benchmarkByName("tpc-w");
+    RunOptions opts;
+    opts.opsPerCpu = 1200000;
+    opts.warmupOps = opts.opsPerCpu / 5;
+
+    double avoided = 0, miss_ratio = 0, latency = 0;
+    std::uint64_t seed = 20050609;
+    for (int i = 0; i < 3; ++i) {
+        seed = nextSweepSeed(seed);
+        opts.seed = seed;
+        const RunResult r = simulateOnce(config, profile, opts);
+        avoided += r.avoidedFraction();
+        miss_ratio += r.l2MissRatio;
+        latency += r.avgMissLatency;
+    }
+    EXPECT_NEAR(avoided / 3, 0.863574, 5e-7);
+    EXPECT_NEAR(miss_ratio / 3, 0.356832, 5e-7);
+    EXPECT_NEAR(latency / 3, 291.53, 5e-3);
+
+    opts.seed = nextSweepSeed(20050609);
+    SamplingOptions sopts;
+    sopts.windows = 8;
+    sopts.windowOps = 2000;
+    sopts.jobs = 1;
+    const RunResult sampled = simulateSampled(config, profile, opts, sopts);
+    ASSERT_NE(sampled.sampling, nullptr);
+    const SamplingInfo &si = *sampled.sampling;
+    EXPECT_NEAR(1.0 / si.scale, 0.0167, 5e-5); // detail fraction
+    EXPECT_NEAR(si.cycles.ci95Half / si.cycles.mean, 0.0323, 5e-5);
+    EXPECT_NEAR(sampled.avoidedFraction(), 0.866755, 5e-7);
+    EXPECT_NEAR(si.avoidedFraction.ci95Half, 0.005885, 5e-7);
+    EXPECT_NEAR(sampled.l2MissRatio, 0.341431, 5e-7);
+    EXPECT_NEAR(si.l2MissRatio.ci95Half, 0.017932, 5e-7);
+    EXPECT_NEAR(sampled.avgMissLatency, 291.97, 5e-3);
+    EXPECT_NEAR(si.avgMissLatency.ci95Half, 3.27, 5e-3);
 }
 
 /**

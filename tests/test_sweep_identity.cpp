@@ -5,8 +5,8 @@
  * chain) must not change simulated behavior by even one bit. The full
  * default matrix — every standard benchmark x regions {0,256,512,1024}
  * x 3 seeds at 120000 ops — is run in process and its CSV hashed with a
- * self-contained SHA-256; the digest must equal the recorded value in
- * BENCH_sweep.json, at --jobs 1 and at --jobs 0 (hardware concurrency).
+ * self-contained SHA-256; the digest must equal golden::kDefaultSweepSha256
+ * (tests/golden.hpp), at --jobs 1 and at --jobs 0 (hardware concurrency).
  *
  * Under sanitizers the full matrix is too slow, so those builds run a
  * reduced matrix and assert jobs-count identity only (the full digest
@@ -18,27 +18,13 @@
 #include <sstream>
 #include <string>
 
+#include "golden.hpp"
 #include "sha256.hpp"
 #include "sim/sweep.hpp"
 #include "workload/benchmarks.hpp"
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define CGCT_SANITIZED 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define CGCT_SANITIZED 1
-#endif
-#endif
-#ifndef CGCT_SANITIZED
-#define CGCT_SANITIZED 0
-#endif
-
 namespace cgct {
 namespace {
-
-/** The digest recorded in BENCH_sweep.json (and docs/PERF.md). */
-constexpr const char *kDefaultSweepSha256 =
-    "a4fe05cba1939a49ca6e5f165c6df01b4b2d32cdfb1a80dc9d94d42f7950246e";
 
 SweepSpec
 defaultSweepSpec()
@@ -86,9 +72,9 @@ TEST(SweepIdentity, DefaultSweepDigestAtJobs1)
                         "sanitizers; the normal-build leg asserts the "
                         "digest";
     EXPECT_EQ(sha256Hex(runToCsv(defaultSweepSpec(), 1)),
-              kDefaultSweepSha256)
-        << "default sweep output changed — the hot-path rewrite must be "
-           "byte-identical (or the digest in BENCH_sweep.json needs a "
+              golden::kDefaultSweepSha256)
+        << "default sweep output changed — a refactor must be "
+           "byte-identical (or the digest in tests/golden.hpp needs a "
            "deliberate, documented update)";
 }
 
@@ -99,7 +85,7 @@ TEST(SweepIdentity, DefaultSweepDigestAtJobs0)
                         "sanitizers; the normal-build leg asserts the "
                         "digest";
     EXPECT_EQ(sha256Hex(runToCsv(defaultSweepSpec(), 0)),
-              kDefaultSweepSha256)
+              golden::kDefaultSweepSha256)
         << "default sweep output differs at hardware-concurrency jobs";
 }
 

@@ -3,20 +3,23 @@
  * Tests for the interconnect topology subsystem (docs/TOPOLOGY.md):
  * address-map distance classes under the 16- and 64-node maps, the
  * TopologyKind parser, the two-level snoop hierarchy's escape filter,
- * the full-map directory baseline, the topology CSV columns, the
- * invariant checker's presence/sharer cross-validation (including
- * injected corruption — a validator that passes on every input
- * validates nothing), and checkpoint/restore of topology state.
+ * the full-map directory baseline, the topology CSV columns, the golden
+ * 16-node traffic pins, the invariant checker's presence/sharer
+ * cross-validation (including injected corruption — a validator that
+ * passes on every input validates nothing), and checkpoint/restore of
+ * topology state.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/cgct_controller.hpp"
+#include "golden.hpp"
 #include "interconnect/bus.hpp"
 #include "interconnect/directory.hpp"
 #include "interconnect/topology.hpp"
@@ -275,6 +278,123 @@ TEST(Topology, CsvTopologyColumnsAppendAfterHistoricalFormat)
     std::ostringstream row;
     writeSweepCsvRow(row, r, false, true);
     EXPECT_NE(row.str().find(",hier,16,10,3"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// Golden 16-node tpc-w pins (tests/golden.hpp): the traffic split of the
+// flat bus, the hierarchy and the directory at 40000 ops per CPU.
+
+constexpr std::uint64_t kPinOps = 40000;
+
+std::uint64_t
+fnv1a(const std::uint8_t *p, std::size_t n)
+{
+    std::uint64_t h = 1469598103934665603ULL;
+    for (std::size_t i = 0; i < n; ++i) {
+        h ^= p[i];
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+/** 16 CPUs of the default machine; CGCT with 512 B regions unless bus. */
+SystemConfig
+pinConfig(TopologyKind kind)
+{
+    SystemConfig c = makeDefaultConfig();
+    c.topology.numCpus = 16;
+    if (kind != TopologyKind::Bus)
+        c = c.withCgct(512);
+    c.interconnect.topology = kind;
+    c.validate();
+    return c;
+}
+
+RunResult
+pinRun(TopologyKind kind)
+{
+    RunOptions opts;
+    opts.opsPerCpu = kPinOps;
+    opts.warmupOps = kPinOps / 5;
+    opts.seed = 20050609;
+    return simulateOnce(pinConfig(kind), benchmarkByName("tpc-w"), opts);
+}
+
+std::uint64_t
+statsDigest(const RunResult &r)
+{
+    const std::vector<std::uint8_t> bytes = encoded(r);
+    return fnv1a(bytes.data(), bytes.size());
+}
+
+TEST(TopologyPin, Hier16TpcwStatsDigest)
+{
+    const std::uint64_t digest = statsDigest(pinRun(TopologyKind::Hier));
+    std::printf("hier16 tpc-w stats digest: %016llx\n",
+                static_cast<unsigned long long>(digest));
+    EXPECT_EQ(digest, golden::kHier16TpcwStatsFnv);
+    EXPECT_EQ(statsDigest(pinRun(TopologyKind::Hier)), digest)
+        << "a repeated run must reproduce the digest";
+}
+
+TEST(TopologyPin, Hier16TpcwSweepCsvDigest)
+{
+    SweepSpec spec;
+    spec.profiles = {&benchmarkByName("tpc-w")};
+    spec.regionSizes = {0, 512};
+    spec.seedsPerCell = 1;
+    spec.opts.opsPerCpu = kPinOps / 8;
+    spec.opts.warmupOps = kPinOps / 40;
+    spec.baseConfig = pinConfig(TopologyKind::Bus);
+    spec.baseConfig.interconnect.topology = TopologyKind::Hier;
+    const auto csvAt = [&spec](unsigned jobs) {
+        std::ostringstream os;
+        writeSweepCsvHeader(os, /*sampled=*/false, /*topo=*/true);
+        SweepRunner runner(spec, jobs);
+        runner.run([&os](const SweepCell &, const RunResult &r) {
+            writeSweepCsvRow(os, r, /*sampled=*/false, /*topo=*/true);
+        });
+        return os.str();
+    };
+    const std::string csv = csvAt(1);
+    const std::uint64_t digest =
+        fnv1a(reinterpret_cast<const std::uint8_t *>(csv.data()),
+              csv.size());
+    std::printf("hier16 tpc-w sweep CSV digest: %016llx\n",
+                static_cast<unsigned long long>(digest));
+    EXPECT_EQ(digest, golden::kHier16TpcwSweepCsvFnv);
+    EXPECT_EQ(csvAt(4), csv) << "--jobs 4 must emit the --jobs 1 bytes";
+}
+
+TEST(TopologyPin, Hier16TpcwTrafficRatios)
+{
+    const RunResult bus = pinRun(TopologyKind::Bus);
+    const RunResult hier = pinRun(TopologyKind::Hier);
+    const RunResult dir = pinRun(TopologyKind::Dir);
+
+    // The flat bus has no local tier: every grant snoops every chip.
+    EXPECT_EQ(bus.localResolves, 0u);
+    EXPECT_EQ(bus.interChipBroadcasts, 271902u);
+    EXPECT_EQ(hier.localResolves, 36090u);
+    EXPECT_EQ(hier.interChipBroadcasts, 31500u);
+    EXPECT_EQ(dir.localResolves, 36169u);
+    EXPECT_EQ(dir.interChipBroadcasts, 31689u);
+
+    const auto bypass = [](const RunResult &r) {
+        return static_cast<double>(r.localResolves) /
+               static_cast<double>(r.localResolves + r.interChipBroadcasts);
+    };
+    const auto reduction = [&bus](const RunResult &r) {
+        return 1.0 - static_cast<double>(r.interChipBroadcasts) /
+                         static_cast<double>(bus.interChipBroadcasts);
+    };
+    std::printf("hier16 tpc-w bypass / inter-chip reduction: hier %.4f / "
+                "%.4f, dir %.4f / %.4f\n",
+                bypass(hier), reduction(hier), bypass(dir), reduction(dir));
+    EXPECT_NEAR(bypass(hier), 0.5340, 5e-5);
+    EXPECT_NEAR(reduction(hier), 0.8841, 5e-5);
+    EXPECT_NEAR(bypass(dir), 0.5330, 5e-5);
+    EXPECT_NEAR(reduction(dir), 0.8835, 5e-5);
 }
 
 // ---------------------------------------------------------------------

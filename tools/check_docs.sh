@@ -5,7 +5,9 @@
 #   1. Every option registered through ArgParser::addFlag/addU64/
 #      addDouble/addString must appear in docs/SWEEP.md as `--name`, and
 #      every positional registered through addPositional as `<name>`.
-#   2. docs/PERF.md must cover the perf bench targets and build knobs.
+#   2. docs/PERF.md must cover the perf tooling and build knobs, and its
+#      "Golden results" section must list every constant in
+#      tests/golden.hpp and every SamplingPin case, each with its value.
 #   3. Every trace event type in the CGCT_TRACE_EVENT_TYPES X-macro
 #      (src/common/trace_sink.hpp) must be documented in docs/TRACING.md.
 #   4. Every histogram/distribution stat registered through
@@ -23,15 +25,15 @@
 #      and docs/ARCHITECTURE.md.
 #   8. docs/SAMPLING.md must cover the sampling flags (including the
 #      adaptive --ci-target / --max-windows loop), both warming modes,
-#      the CI math and its stat names, the validation/bench gates, and
-#      the "when not to trust" caveats, and be cross-linked from
+#      the CI math and its stat names, the validation tests and golden
+#      cell, and the "when not to trust" caveats, and be cross-linked from
 #      README.md, docs/SWEEP.md, and docs/ARCHITECTURE.md.
 #   9. docs/TOPOLOGY.md must cover the scalable interconnects: the
 #      --nodes/--topology flags and all three topology names, the
 #      presence-filter escape rule and its trace events, the directory
 #      protocol, the invariant-checker extension, the topology_warn
-#      smoke, and the bench/baseline gating, and be cross-linked
-#      from README.md, docs/SWEEP.md, docs/ARCHITECTURE.md, and
+#      smoke, and the golden traffic pins, and be cross-linked from
+#      README.md, docs/SWEEP.md, docs/ARCHITECTURE.md, and
 #      docs/TRACING.md.
 #
 # Run from anywhere:
@@ -77,23 +79,48 @@ for src in "$root"/tools/*.cpp; do
 done
 
 # Performance documentation: docs/PERF.md must exist and cover the perf
-# bench targets, tooling entry points, and build knobs, so the recorded
-# kernel baseline stays discoverable and reproducible.
+# tooling entry points and build knobs, and its "Golden results" section
+# must list every frozen digest — the golden.hpp constants and the
+# SamplingPin cases — with its value, so no pin goes undocumented.
 perf_doc="$root/docs/PERF.md"
 if [ ! -f "$perf_doc" ]; then
     echo "check_docs: $perf_doc is missing" >&2
     fail=1
 else
-    for token in bench_event_queue bench_sweep_scaling bench_smoke \
-                 CGCT_SANITIZE BENCH_kernel.json cgct_sweep --events \
-                 bench_memory_system BENCH_sweep.json \
-                 CGCT_BENCH_MIN_FRAC sanitize_hotpath \
+    for token in benchmark/run.py --compare --check CGCT_SANITIZE \
+                 cgct_sweep sanitize_hotpath test_hotpath_allocs \
                  test_hotpath_differential test_sweep_identity; do
         if ! grep -q -- "$token" "$perf_doc"; then
             echo "check_docs: docs/PERF.md does not mention $token" >&2
             fail=1
         fi
     done
+
+    golden_doc=$(awk '/^## Golden results/ { on = 1; next }
+                      on && /^## / { exit }
+                      on' "$perf_doc")
+    # "name value" per pin: golden.hpp constants (string or 0x literal)
+    # and SamplingPin cases (name ... sha256).
+    pins=$( (tr '\n' ' ' < "$root/tests/golden.hpp" |
+             grep -oE 'constexpr [^;]*;' |
+             sed -E 's/.*[ *](k[A-Za-z0-9]+) =[^"0-9]*"?(0x)?([0-9a-f]+).*/\1 \3/'
+             tr '\n' ' ' < "$root/tests/test_sampling.cpp" |
+             grep -oE 'PinCase\{"[a-z0-9_]+"[^}]*"[0-9a-f]{64}"' |
+             sed -E 's/PinCase\{"([a-z0-9_]+)".*"([0-9a-f]{64})"/\1 \2/') )
+    if [ -z "$pins" ]; then
+        echo "check_docs: found no golden pins in tests/golden.hpp or" \
+             "tests/test_sampling.cpp" >&2
+        fail=1
+    fi
+    while read -r name value; do
+        [ -n "$name" ] || continue
+        if ! grep -q -- "$name" <<< "$golden_doc" ||
+           ! grep -q -- "$value" <<< "$golden_doc"; then
+            echo "check_docs: pin $name ($value) is not in the \"Golden" \
+                 "results\" section of docs/PERF.md" >&2
+            fail=1
+        fi
+    done <<< "$pins"
 fi
 
 # Tracing documentation: every event type in the X-macro and every
@@ -159,7 +186,7 @@ else
     for token in CGCTSNAP CGCTJRNL xxhash64 fingerprint \
                  --checkpoint-every --checkpoint --restore --resume \
                  CGCT_TEST_CRASH_AFTER_CELLS snapshot_resume_test.sh \
-                 BENCH_sweep.json setPauseAt resumePhase \
+                 golden.hpp setPauseAt resumePhase \
                  simulateCheckpointed; do
         if ! grep -q -- "$token" "$snap_doc"; then
             echo "check_docs: docs/SNAPSHOT.md does not mention $token" >&2
@@ -219,8 +246,7 @@ else
 
     for token in record convert upgrade info verify xxhash64 trace_id \
                  payload_hash directory_offset little-endian \
-                 text-format ops_declared num_lanes TraceWriter \
-                 BENCH_trace.json; do
+                 text-format ops_declared num_lanes TraceWriter; do
         if ! grep -q -- "$token" "$fmt_doc"; then
             echo "check_docs: docs/TRACE_FORMAT.md does not mention" \
                  "$token" >&2
@@ -239,8 +265,8 @@ fi
 # Sampling methodology documentation: docs/SAMPLING.md is the
 # measurement handbook for sampled runs. It must cover the flags, both
 # warming modes, the CI statistics surfaced in JSON/CSV, the math they
-# come from, the validation and bench gates, and the caveats that bound
-# when a sampled number can be trusted.
+# come from, the validation tests and golden cell, and the caveats that
+# bound when a sampled number can be trusted.
 sampling_doc="$root/docs/SAMPLING.md"
 if [ ! -f "$sampling_doc" ]; then
     echo "check_docs: $sampling_doc is missing" >&2
@@ -252,8 +278,7 @@ else
                  avg_miss_latency avg_broadcasts_per_100k warm_mode \
                  span_ops sampled_ops CGCTSNAP Cold-start \
                  peak_bcast_per_100k test_sampling test_confidence \
-                 bench_sampling BENCH_sampling.json \
-                 CGCT_BENCH_SAMPLING_MIN_FRAC --ci-target \
+                 RecordedCellAgainstFullDetail --ci-target \
                  --max-windows; do
         if ! grep -q -- "$token" "$sampling_doc"; then
             echo "check_docs: docs/SAMPLING.md does not mention $token" \
@@ -273,7 +298,7 @@ fi
 # contract for --nodes/--topology. It must cover the three topologies,
 # the presence-filter escape rule, the directory protocol, the
 # distance classes, the invariant machinery, the topology_warn smoke, and
-# the CI gates that enforce the traffic baseline.
+# the golden pins that freeze the traffic split.
 topo_doc="$root/docs/TOPOLOGY.md"
 if [ ! -f "$topo_doc" ]; then
     echo "check_docs: $topo_doc is missing" >&2
@@ -284,8 +309,7 @@ else
                  localSnoopLatency dirLookupLatency controllerOf \
                  OwnChip SameSwitch SameBoard Remote check-invariants \
                  corruptPresenceForTest corruptSharersForTest \
-                 test_topology topology_warn bench_topology \
-                 BENCH_topology.json CGCT_BENCH_TOPO_MIN_FRAC \
+                 test_topology topology_warn TopologyPin \
                  local_resolves interchip_broadcasts; do
         if ! grep -q -- "$token" "$topo_doc"; then
             echo "check_docs: docs/TOPOLOGY.md does not mention $token" >&2
@@ -307,6 +331,6 @@ if [ "$fail" -ne 0 ]; then
          "docs/TRACE_FORMAT.md / docs/SAMPLING.md / docs/TOPOLOGY.md" >&2
     exit 1
 fi
-echo "check_docs: flags, perf targets, trace event and record types," \
-     "stat names, sampling methodology, topology contract, and" \
-     "architecture cross-links are all documented"
+echo "check_docs: flags, perf tooling, golden pins, trace event and" \
+     "record types, stat names, sampling methodology, topology contract," \
+     "and architecture cross-links are all documented"

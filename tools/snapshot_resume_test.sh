@@ -5,8 +5,8 @@
 # Crashes cgct_sweep mid-matrix twice via the CGCT_TEST_CRASH_AFTER_CELLS
 # hook (_exit(86) straight after the Nth journal append — no flush, no
 # teardown), resumes from the journal each time, and requires the final
-# CSV of the default matrix to match the digest recorded in
-# BENCH_sweep.json — i.e. crash-resume-resume produces byte-identical
+# CSV of the default matrix to match golden::kDefaultSweepSha256 in
+# tests/golden.hpp — i.e. crash-resume-resume produces byte-identical
 # output to one uninterrupted run.
 #
 #   tools/snapshot_resume_test.sh <cgct_sweep-binary> <repo-root>
@@ -19,10 +19,11 @@ set -u
 sweep="${1:?usage: snapshot_resume_test.sh <cgct_sweep> <repo-root>}"
 root="${2:?usage: snapshot_resume_test.sh <cgct_sweep> <repo-root>}"
 
-expected=$(grep -oE '"output_sha256": "[0-9a-f]{64}"' \
-    "$root/BENCH_sweep.json" | grep -oE '[0-9a-f]{64}')
+expected=$(grep -A1 'kDefaultSweepSha256 =' "$root/tests/golden.hpp" |
+    grep -oE '[0-9a-f]{64}')
 if [ -z "$expected" ]; then
-    echo "snapshot_resume_test: no output_sha256 in BENCH_sweep.json" >&2
+    echo "snapshot_resume_test: no kDefaultSweepSha256 in" \
+         "tests/golden.hpp" >&2
     exit 1
 fi
 

@@ -1,7 +1,8 @@
 /**
  * @file
- * Golden results: the frozen digests of simulated output that a change
- * must reproduce bit for bit, in one table. Each constant names the test
+ * Golden results: the frozen digests of simulated output (and of the
+ * checkpoint files a run writes) that a change must reproduce bit for
+ * bit, in one table. Each constant names the test
  * that asserts it and the command that regenerates it; docs/PERF.md
  * ("Golden results") lists the same table and tools/check_docs.sh keeps
  * the two in step. The SamplingPin digests stay next to their configs in
@@ -55,5 +56,28 @@ inline constexpr std::uint64_t kHier16TpcwStatsFnv = 0x760a76b4c601f663ULL;
  *   build/tests/test_topology --gtest_filter='TopologyPin.*'
  */
 inline constexpr std::uint64_t kHier16TpcwSweepCsvFnv = 0x90ab876a4cb843c5ULL;
+
+/**
+ * SHA-256 of the CGCTSNAP file a generated run writes at its 10000-op
+ * drain: tpc-w, 512 B CGCT, 20000 ops per CPU, warmup 4000, seed
+ * nextSweepSeed(20050609). Asserted by
+ * SnapshotPin.GeneratedCheckpointBytes. Regenerate:
+ *   build/tools/cgct_sim tpc-w --ops 20000 --checkpoint-every 10000
+ *     --checkpoint /tmp/gen && sha256sum /tmp/gen.10000
+ */
+inline constexpr const char *kGeneratedCheckpointSha256 =
+    "bad4eef737bb44c82d82fbe61525441f4e5f436b2e5f83de6379fd5b6b73c5fc";
+
+/**
+ * SHA-256 of the CGCTSNAP file a v2 trace replay writes at its 10000-op
+ * drain: the capture of `cgct_sim tpc-w --ops 20000`, replayed on the
+ * same system (warmup 4000 from the trace header, seed 20050609).
+ * Asserted by SnapshotPin.ReplayCheckpointBytes. Regenerate:
+ *   build/tools/cgct_sim tpc-w --ops 20000 --capture /tmp/t.trace
+ *   build/tools/cgct_sim --replay /tmp/t.trace --checkpoint-every 10000
+ *     --checkpoint /tmp/rep && sha256sum /tmp/rep.10000
+ */
+inline constexpr const char *kReplayCheckpointSha256 =
+    "6bfed5c307e45c0f3bdeecb34e372593b89636073edabcbbd0f501881b04df6d";
 
 } // namespace cgct::golden

@@ -5,7 +5,9 @@
  * — every RunResult field, histograms included — by restoring any of
  * its checkpoints and running to the end. The comparison is on the
  * journal byte encoding, so "equal" means byte-identical, not
- * approximately equal.
+ * approximately equal. The SnapshotPin cases pin the checkpoint files
+ * themselves (tests/golden.hpp): one from a generated run, one from a v2
+ * trace replay.
  *
  * Under sanitizers the benchmark x region x drain-point matrix is cut
  * down to one cell (the full matrix is asserted by the normal-build CI
@@ -20,22 +22,14 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "golden.hpp"
+#include "sha256.hpp"
 #include "sim/simulator.hpp"
+#include "sim/sweep.hpp"
 #include "snapshot/journal.hpp"
 #include "snapshot/serializer.hpp"
 #include "snapshot/snapshot.hpp"
 #include "workload/benchmarks.hpp"
-
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define CGCT_SANITIZED 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define CGCT_SANITIZED 1
-#endif
-#endif
-#ifndef CGCT_SANITIZED
-#define CGCT_SANITIZED 0
-#endif
 
 using namespace cgct;
 
@@ -47,6 +41,29 @@ encode(const RunResult &r)
     Serializer s;
     encodeRunResult(s, r);
     return s.buffer();
+}
+
+std::vector<std::uint8_t>
+slurp(const std::string &path)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    EXPECT_NE(f, nullptr) << path;
+    std::vector<std::uint8_t> data;
+    if (f) {
+        std::fseek(f, 0, SEEK_END);
+        data.resize(static_cast<std::size_t>(std::ftell(f)));
+        std::fseek(f, 0, SEEK_SET);
+        EXPECT_EQ(std::fread(data.data(), 1, data.size(), f), data.size());
+        std::fclose(f);
+    }
+    return data;
+}
+
+std::string
+sha256Of(const std::string &path)
+{
+    const std::vector<std::uint8_t> bytes = slurp(path);
+    return sha256Hex(bytes.data(), bytes.size());
 }
 
 SystemConfig
@@ -174,25 +191,57 @@ TEST(SnapshotRestore, CheckpointFilesAreReproducedByRestoredRuns)
     second.restorePath = a + ".3000";
     simulateCheckpointed(config, profile, opts, second);
 
-    auto slurp = [](const std::string &path) {
-        std::FILE *f = std::fopen(path.c_str(), "rb");
-        EXPECT_NE(f, nullptr) << path;
-        std::vector<std::uint8_t> data;
-        if (f) {
-            std::fseek(f, 0, SEEK_END);
-            data.resize(static_cast<std::size_t>(std::ftell(f)));
-            std::fseek(f, 0, SEEK_SET);
-            EXPECT_EQ(std::fread(data.data(), 1, data.size(), f),
-                      data.size());
-            std::fclose(f);
-        }
-        return data;
-    };
     EXPECT_EQ(slurp(a + ".6000"), slurp(b + ".6000"));
     for (const char *suffix : {".3000", ".6000"}) {
         std::remove((a + suffix).c_str());
         std::remove((b + suffix).c_str());
     }
+}
+
+/** `cgct_sim tpc-w --ops 20000` on the default CGCT system. */
+RunOptions
+pinnedRun()
+{
+    RunOptions opts;
+    opts.opsPerCpu = 20000;
+    opts.warmupOps = 4000;
+    opts.seed = nextSweepSeed(20050609);
+    return opts;
+}
+
+TEST(SnapshotPin, GeneratedCheckpointBytes)
+{
+    const std::string prefix =
+        std::string(::testing::TempDir()) + "pin_generated";
+    CheckpointOptions ckpt;
+    ckpt.everyOps = 10000;
+    ckpt.writePrefix = prefix;
+    simulateCheckpointed(configFor(512), benchmarkByName("tpc-w"),
+                         pinnedRun(), ckpt);
+    EXPECT_EQ(sha256Of(prefix + ".10000"),
+              golden::kGeneratedCheckpointSha256);
+    std::remove((prefix + ".10000").c_str());
+}
+
+TEST(SnapshotPin, ReplayCheckpointBytes)
+{
+    const std::string dir = ::testing::TempDir();
+    const std::string trace = dir + "pin_replay.trace";
+    const std::string prefix = dir + "pin_replay";
+    RunOptions live = pinnedRun();
+    live.capturePath = trace;
+    simulateOnce(configFor(512), benchmarkByName("tpc-w"), live);
+
+    RunOptions replay = pinnedRun();
+    replay.seed = 20050609; // cgct_sim --replay does not chain the seed.
+    CheckpointOptions ckpt;
+    ckpt.everyOps = 10000;
+    ckpt.writePrefix = prefix;
+    simulateCheckpointedReplay(configFor(512), trace, replay, ckpt);
+    EXPECT_EQ(sha256Of(prefix + ".10000"),
+              golden::kReplayCheckpointSha256);
+    std::remove((prefix + ".10000").c_str());
+    std::remove(trace.c_str());
 }
 
 } // namespace

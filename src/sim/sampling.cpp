@@ -125,9 +125,9 @@ warmFunctional(const SystemConfig &config, const WorkloadProfile &profile,
 }
 
 /**
- * Detailed warming: the simulateCheckpointed drain loop with the pause
- * schedule at the window starts, snapshotting to memory instead of disk.
- * The reference mode: no speedup, but the warm state is exact.
+ * Detailed warming: the drain loop's phases with the pause schedule at
+ * the window starts, snapshotting to memory instead of disk. The
+ * reference mode: no speedup, but the warm state is exact.
  */
 std::vector<std::vector<std::uint8_t>>
 warmDetailed(const SystemConfig &config, const WorkloadProfile &profile,
@@ -141,25 +141,9 @@ warmDetailed(const SystemConfig &config, const WorkloadProfile &profile,
 
     std::vector<std::vector<std::uint8_t>> snapshots;
     snapshots.reserve(starts.size());
-
-    bool first = true;
     for (std::uint64_t target : starts) {
         workload.setPauseAt(target);
-        if (first)
-            sys.start();
-        else
-            sys.resumePhase();
-        first = false;
-
-        const std::uint64_t executed = sys.eq().run(opts.maxEvents);
-        if (executed >= opts.maxEvents)
-            fatal("simulateSampled: event cap hit (%llu) during detailed "
-                  "warming — runaway simulation?",
-                  static_cast<unsigned long long>(opts.maxEvents));
-        if (!sys.allCoresFinished())
-            panic("simulateSampled: event queue drained before cores "
-                  "reached the window start");
-
+        runPhase(sys, /*resume=*/!snapshots.empty(), opts.maxEvents);
         snapshots.push_back(makeWarmSnapshot(sys, workload, fingerprint));
     }
     return snapshots;
@@ -200,16 +184,7 @@ runWindow(const SystemConfig &config, const WorkloadProfile &profile,
     sys.resetStats(measure_start);
 
     workload.setPauseAt(window_end);
-    sys.resumePhase();
-
-    const std::uint64_t executed = sys.eq().run(opts.maxEvents);
-    if (executed >= opts.maxEvents)
-        fatal("simulateSampled: event cap hit (%llu) inside a "
-              "measurement window — runaway simulation?",
-              static_cast<unsigned long long>(opts.maxEvents));
-    if (!sys.allCoresFinished())
-        panic("simulateSampled: event queue drained before the window "
-              "completed");
+    runPhase(sys, /*resume=*/true, opts.maxEvents);
 
     RunResult r =
         collectRunResult(sys, profile.name, opts.seed, measure_start);

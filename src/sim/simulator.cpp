@@ -5,9 +5,7 @@
 #include "common/log.hpp"
 #include "common/thread_pool.hpp"
 #include "sim/system.hpp"
-#include "workload/generator.hpp"
-#include "workload/trace.hpp"
-#include "workload/trace_replay.hpp"
+#include "snapshot/snapshot.hpp"
 
 namespace cgct {
 
@@ -37,95 +35,45 @@ scheduleWarmupCheck(System &sys, std::function<std::uint64_t()> min_ops,
     });
 }
 
+void
+runPhase(System &sys, bool resume, std::uint64_t max_events,
+         const std::function<void()> &after_start)
+{
+    if (resume)
+        sys.resumePhase();
+    else
+        sys.start();
+    if (after_start)
+        after_start();
+
+    if (sys.run(max_events) >= max_events)
+        fatal("run: event cap hit (%llu) — runaway simulation?",
+              static_cast<unsigned long long>(max_events));
+    if (sys.allCoresFinished())
+        return;
+    if (const unsigned wedged = sys.coresWaitingOnSync())
+        fatal("checkpoint drain wedged: %u core(s) are blocked on trace "
+              "synchronization events at a pause point — a paused lane "
+              "holds a lock or owes a barrier arrival that a blocked "
+              "lane needs. Choose a --checkpoint-every interval aligned "
+              "with the trace's synchronization structure (or checkpoint "
+              "less often)",
+              wedged);
+    panic("run: event queue drained before cores reached the pause point");
+}
+
 RunResult
 simulateOnce(const SystemConfig &config, const WorkloadProfile &profile,
              const RunOptions &opts)
 {
-    SyntheticWorkload workload(profile, config.topology.numCpus,
-                               opts.opsPerCpu, opts.seed);
-    // With a capture path, tee every consumed op into a v2 trace; the
-    // tee is transparent, so captured and plain runs are identical.
-    std::unique_ptr<TraceCapture> capture;
-    OpSource *source = &workload;
-    if (!opts.capturePath.empty()) {
-        capture = std::make_unique<TraceCapture>(
-            workload, opts.capturePath, config.topology.numCpus,
-            opts.opsPerCpu);
-        source = capture.get();
-    }
-    System sys(config, *source);
-
-    Tick measure_start = 0;
-    sys.start();
-    if (opts.warmupOps > 0 && opts.warmupOps < opts.opsPerCpu)
-        scheduleWarmupCheck(
-            sys, [&workload] { return workload.minOpsDrawn(); },
-            opts.warmupOps, &measure_start);
-
-    const std::uint64_t executed = sys.run(opts.maxEvents);
-    if (executed >= opts.maxEvents)
-        fatal("simulateOnce: event cap hit (%llu) — runaway simulation?",
-              static_cast<unsigned long long>(opts.maxEvents));
-    if (!sys.allCoresFinished())
-        panic("simulateOnce: event queue drained before cores finished");
-
-    if (capture)
-        capture->finish();
-    return collectRunResult(sys, profile.name, opts.seed, measure_start);
+    return simulateCheckpointed(config, profile, opts, {});
 }
 
 RunResult
 simulateReplay(const SystemConfig &config, const std::string &trace_path,
                const RunOptions &opts, std::ostream *stats_out)
 {
-    const std::string name = "trace:" + trace_path;
-    if (traceFileVersion(trace_path) == kTraceVersion1) {
-        TraceReader reader(trace_path);
-        if (reader.numCpus() != config.topology.numCpus)
-            fatal("trace has %u CPUs but the system has %u",
-                  reader.numCpus(), config.topology.numCpus);
-        System sys(config, reader);
-        sys.start();
-        const std::uint64_t executed = sys.run(opts.maxEvents);
-        if (executed >= opts.maxEvents)
-            fatal("simulateReplay: event cap hit (%llu) — runaway "
-                  "simulation?",
-                  static_cast<unsigned long long>(opts.maxEvents));
-        if (!sys.allCoresFinished())
-            panic("simulateReplay: event queue drained before cores "
-                  "finished");
-        RunResult r = collectRunResult(sys, name, opts.seed,
-                                       /*measure_start=*/0);
-        if (stats_out)
-            sys.dumpStats(*stats_out);
-        return r;
-    }
-
-    TraceReplay replay(trace_path);
-    if (replay.numLanes() != config.topology.numCpus)
-        fatal("trace has %u lanes but the system has %u CPUs",
-              replay.numLanes(), config.topology.numCpus);
-    System sys(config, replay);
-
-    Tick measure_start = 0;
-    sys.start();
-    if (opts.warmupOps > 0 && opts.warmupOps < replay.maxLaneMemOps())
-        scheduleWarmupCheck(
-            sys, [&replay] { return replay.minOpsConsumed(); },
-            opts.warmupOps, &measure_start);
-
-    const std::uint64_t executed = sys.run(opts.maxEvents);
-    if (executed >= opts.maxEvents)
-        fatal("simulateReplay: event cap hit (%llu) — runaway "
-              "simulation?",
-              static_cast<unsigned long long>(opts.maxEvents));
-    if (!sys.allCoresFinished())
-        panic("simulateReplay: event queue drained before cores "
-              "finished");
-    RunResult r = collectRunResult(sys, name, opts.seed, measure_start);
-    if (stats_out)
-        sys.dumpStats(*stats_out);
-    return r;
+    return simulateCheckpointed(config, trace_path, opts, {}, stats_out);
 }
 
 RunResult
@@ -287,56 +235,28 @@ collectRunResult(System &sys, const std::string &workload_name,
     return r;
 }
 
-namespace {
-
-/** The multi-seed chain: each run's seed derives from the previous one,
- * so the whole sequence is fixed by the base seed alone. */
-std::vector<std::uint64_t>
-seedChain(std::uint64_t base, unsigned n_seeds)
-{
-    std::vector<std::uint64_t> seeds;
-    seeds.reserve(n_seeds);
-    std::uint64_t s = base;
-    for (unsigned i = 0; i < n_seeds; ++i) {
-        s = s * 2654435761ULL + 12345 + i;
-        seeds.push_back(s);
-    }
-    return seeds;
-}
-
-} // namespace
-
 std::vector<RunResult>
 simulateSeeds(const SystemConfig &config, const WorkloadProfile &profile,
-              RunOptions opts, unsigned n_seeds)
+              RunOptions opts, unsigned n_seeds, unsigned jobs)
 {
+    std::vector<RunOptions> runs(n_seeds, opts);
+    for (RunOptions &run : runs)
+        run.seed = opts.seed = nextSweepSeed(opts.seed);
+
     std::vector<RunResult> out;
     out.reserve(n_seeds);
-    for (std::uint64_t seed : seedChain(opts.seed, n_seeds)) {
-        opts.seed = seed;
-        out.push_back(simulateOnce(config, profile, opts));
+    if (jobs == 1) {
+        for (const RunOptions &run : runs)
+            out.push_back(simulateOnce(config, profile, run));
+        return out;
     }
-    return out;
-}
-
-std::vector<RunResult>
-simulateSeedsParallel(const SystemConfig &config,
-                      const WorkloadProfile &profile, RunOptions opts,
-                      unsigned n_seeds, unsigned jobs)
-{
-    const std::vector<std::uint64_t> seeds = seedChain(opts.seed, n_seeds);
+    ThreadPool pool(jobs);
     std::vector<std::future<RunResult>> futures;
     futures.reserve(n_seeds);
-    ThreadPool pool(jobs);
-    for (unsigned i = 0; i < n_seeds; ++i) {
-        RunOptions run_opts = opts;
-        run_opts.seed = seeds[i];
-        futures.push_back(pool.submit([&config, &profile, run_opts] {
-            return simulateOnce(config, profile, run_opts);
+    for (const RunOptions &run : runs)
+        futures.push_back(pool.submit([&config, &profile, &run] {
+            return simulateOnce(config, profile, run);
         }));
-    }
-    std::vector<RunResult> out;
-    out.reserve(n_seeds);
     for (auto &f : futures)
         out.push_back(f.get());
     return out;

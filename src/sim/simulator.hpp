@@ -1,8 +1,11 @@
 /**
  * @file
- * Run harness: builds a System around a synthetic workload, warms it up,
- * measures, and returns a RunResult with everything the benches need to
- * reproduce the paper's figures. Multi-seed helpers implement the paper's
+ * Run harness: builds a System around an op source (the synthetic
+ * workload generator or a recorded v2 trace), warms it up, measures, and
+ * returns a RunResult with everything the benches need to reproduce the
+ * paper's figures. Every run, plain or checkpointed, goes through one
+ * drain loop (simulateCheckpointed in snapshot/snapshot.hpp) built from
+ * the steps declared here. Multi-seed helpers implement the paper's
  * variability methodology (several perturbed runs, 95% confidence
  * intervals, after Alameldeen et al. [27]).
  */
@@ -178,24 +181,21 @@ struct RunResult {
     }
 };
 
-/** Run one simulation. */
+/** Run one simulation of a generated workload. */
 RunResult simulateOnce(const SystemConfig &config,
                        const WorkloadProfile &profile,
                        const RunOptions &opts);
 
 class System;
-class SyntheticWorkload;
 
 /**
- * Replay a recorded trace (either format version) to completion on
- * @p config and return the full RunResult, exactly as simulateOnce()
- * would for a generated workload. v2 traces stream through the mmap
- * replayer with their synchronization events re-created; v1 traces
- * load eagerly. opts.opsPerCpu is ignored (the trace defines the
- * stream); opts.warmupOps applies to v2 replays only (v1 traces have
- * no per-lane progress tracking). When @p stats_out is non-null the
- * full component statistics are dumped to it before the system is torn
- * down (the CLI's --stats).
+ * Replay a recorded v2 trace to completion on @p config and return the
+ * full RunResult, exactly as simulateOnce() would for a generated
+ * workload. The trace streams through the mmap replayer with its
+ * synchronization events re-created. opts.opsPerCpu is ignored (the
+ * trace defines the stream). A version-1 trace is rejected. When
+ * @p stats_out is non-null the full component statistics are dumped to
+ * it before the system is torn down (the CLI's --stats).
  */
 RunResult simulateReplay(const SystemConfig &config,
                          const std::string &trace_path,
@@ -205,10 +205,8 @@ RunResult simulateReplay(const SystemConfig &config,
 /**
  * Assemble a RunResult from a finished (fully drained) system: request
  * routing, oracle verdicts, traffic, RCA behavior, histograms, the
- * end-of-run invariant sweep, and the captured trace. Shared by
- * simulateOnce(), simulateReplay() and the checkpoint harness
- * (snapshot/snapshot.hpp). @p workload_name labels the result (a
- * profile name, or "trace:<path>" for replays).
+ * end-of-run invariant sweep, and the captured trace. @p workload_name
+ * labels the result (a profile name, or "trace:<path>" for replays).
  */
 RunResult collectRunResult(System &sys, const std::string &workload_name,
                            std::uint64_t seed, Tick measure_start);
@@ -220,31 +218,50 @@ RunResult collectRunResult(System &sys, const std::string &workload_name,
  * @p warmup_ops, and reset the measurement statistics (recording the
  * tick in @p measure_start) once it has. The event stops rescheduling
  * when every core is finished — at a checkpoint drain as well as at the
- * end of the run — so the checkpoint harness re-arms it each phase and
- * uses @p done (may be null) to know whether the reset already
- * happened.
+ * end of the run — so the drain loop re-arms it each phase and uses
+ * @p done (may be null) to know whether the reset already happened.
  */
 void scheduleWarmupCheck(System &sys,
                          std::function<std::uint64_t()> min_ops,
                          std::uint64_t warmup_ops, Tick *measure_start,
                          bool *done = nullptr);
 
-/** Run @p n_seeds simulations differing only in seed. */
-std::vector<RunResult> simulateSeeds(const SystemConfig &config,
-                                     const WorkloadProfile &profile,
-                                     RunOptions opts, unsigned n_seeds);
+/**
+ * Run one phase to its drain point, the step every harness shares:
+ * start() a fresh system, or resumePhase() one that drained or was
+ * restored (@p resume), call @p after_start (events that must be
+ * scheduled after the cores, such as the warmup check), and run the
+ * event queue dry. fatal()s when @p max_events is hit, and when the
+ * queue ran dry with cores still blocked on trace synchronization (a
+ * pause point that splits a lock or barrier); panic()s on any other
+ * drain that left a core unfinished.
+ */
+void runPhase(System &sys, bool resume, std::uint64_t max_events,
+              const std::function<void()> &after_start = nullptr);
 
 /**
- * Like simulateSeeds() — same seed chain, same result order — but runs
- * the seeds concurrently on @p jobs worker threads (0 = hardware
- * concurrency). Every run owns its simulation state, so the results are
- * identical to the serial helper at any job count.
+ * The multi-seed chain step: seed k of a batch is link k+1 from the
+ * base seed. Shared by simulateSeeds, SweepSpec::expand and cgct_sim,
+ * so `cgct_sim --seeds N` and `cgct_sweep --seeds N` run the same
+ * perturbations.
  */
-std::vector<RunResult> simulateSeedsParallel(const SystemConfig &config,
-                                             const WorkloadProfile &profile,
-                                             RunOptions opts,
-                                             unsigned n_seeds,
-                                             unsigned jobs);
+inline std::uint64_t
+nextSweepSeed(std::uint64_t s)
+{
+    return s * 2654435761ULL + 12345;
+}
+
+/**
+ * Run @p n_seeds simulations differing only in seed (the nextSweepSeed
+ * chain from opts.seed), on @p jobs worker threads (0 = hardware
+ * concurrency, 1 = serial on the calling thread). Every run owns its
+ * simulation state, so the results, in chain order, are identical at any
+ * job count.
+ */
+std::vector<RunResult> simulateSeeds(const SystemConfig &config,
+                                     const WorkloadProfile &profile,
+                                     RunOptions opts, unsigned n_seeds,
+                                     unsigned jobs = 1);
 
 /** Summarize the runtimes (cycles) of a batch of runs. */
 RunSummary runtimeSummary(const std::vector<RunResult> &runs);

@@ -7,8 +7,8 @@
  * completion order.
  *
  * Determinism contract: every cell's seed is derived at expansion time
- * from the base seed alone (the same multiply-add chain the serial
- * cgct_sweep always used), each job owns its entire simulation state
+ * from the base seed alone (the nextSweepSeed chain of
+ * sim/simulator.hpp), each job owns its entire simulation state
  * (workload generator, RNGs, System), and rows are emitted strictly in
  * cell-index order. Same spec + same base seed => same bytes at any
  * --jobs value.
@@ -29,13 +29,6 @@
 #include "workload/profile.hpp"
 
 namespace cgct {
-
-/** The seed-chain step shared by cgct_sweep and simulateSeeds. */
-inline std::uint64_t
-nextSweepSeed(std::uint64_t s)
-{
-    return s * 2654435761ULL + 12345;
-}
 
 /** One cell of the experiment matrix (one simulation job). */
 struct SweepCell {

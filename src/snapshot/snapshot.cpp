@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "common/log.hpp"
 #include "sim/system.hpp"
 #include "snapshot/serializer.hpp"
 #include "workload/generator.hpp"
+#include "workload/trace.hpp"
 #include "workload/trace_replay.hpp"
 
 namespace cgct {
@@ -106,47 +108,26 @@ namespace {
 
 /** Everything the harness itself must remember across a restore. */
 struct HarnessState {
-    std::string profileName;
-    std::uint64_t opsPerCpu = 0;
+    std::string profileName; ///< Run identity: profile, or trace:<id>.
+    std::uint64_t opsPerCpu = 0; ///< Stream length, the last pause point.
     std::uint64_t warmupOps = 0;
     std::uint64_t seed = 0;
     std::uint64_t everyOps = 0;
     std::uint64_t opsDone = 0;
     Tick measureStart = 0;
     bool warmupDone = false;
+
+    /** The header fingerprint of this run identity. */
+    std::uint64_t
+    fingerprint(const SystemConfig &config) const
+    {
+        RunOptions id;
+        id.opsPerCpu = opsPerCpu;
+        id.warmupOps = warmupOps;
+        id.seed = seed;
+        return snapshotFingerprint(config, profileName, id, everyOps);
+    }
 };
-
-void
-writeCheckpoint(System &sys, const SyntheticWorkload &workload,
-                const HarnessState &h, std::uint64_t fingerprint,
-                const std::string &prefix)
-{
-    Serializer s;
-    s.beginSection("harness");
-    s.str(h.profileName);
-    s.u64(h.opsPerCpu);
-    s.u64(h.warmupOps);
-    s.u64(h.seed);
-    s.u64(h.everyOps);
-    s.u64(h.opsDone);
-    s.u64(h.measureStart);
-    s.b(h.warmupDone);
-    s.endSection();
-
-    s.beginSection("workload");
-    workload.serialize(s);
-    s.endSection();
-
-    sys.serializeState(s);
-
-    const std::string path = prefix + "." + std::to_string(h.opsDone);
-    const std::string err =
-        writeFileAtomic(path, makeSnapshotFile(fingerprint, s));
-    if (!err.empty())
-        fatal("checkpoint: %s", err.c_str());
-    if (InvariantChecker *checker = sys.invariantChecker())
-        checker->noteCheckpoint(path, sys.eq().now());
-}
 
 HarnessState
 readHarness(const Deserializer &d)
@@ -164,136 +145,99 @@ readHarness(const Deserializer &d)
     return h;
 }
 
-} // namespace
+// The two op sources the drain loop runs. Each states once what differs
+// between them: run identity, warmup progress, stream length, snapshot
+// section, and whether the seed is part of what a restore must match.
 
-RunResult
-simulateCheckpointed(const SystemConfig &config,
-                     const WorkloadProfile &profile, const RunOptions &opts,
-                     const CheckpointOptions &ckpt)
+/** A generated run, teed into a v2 capture when opts.capturePath is set
+ *  (the tee is transparent, so captured and plain runs are identical). */
+class GeneratedRun
 {
-    SyntheticWorkload workload(profile, config.topology.numCpus,
-                               opts.opsPerCpu, opts.seed);
-    System sys(config, workload);
+  public:
+    static constexpr const char *kSection = "workload";
+    static constexpr bool kSeeded = true;
 
-    HarnessState h;
-    h.profileName = profile.name;
-    h.opsPerCpu = opts.opsPerCpu;
-    h.warmupOps = opts.warmupOps;
-    h.seed = opts.seed;
-    h.everyOps =
-        (ckpt.everyOps && ckpt.everyOps < opts.opsPerCpu) ? ckpt.everyOps
-                                                          : opts.opsPerCpu;
-    h.warmupDone = !(opts.warmupOps > 0 && opts.warmupOps < opts.opsPerCpu);
-
-    bool restored = false;
-    if (!ckpt.restorePath.empty()) {
-        Deserializer d;
-        const std::string err = d.open(ckpt.restorePath);
-        if (!err.empty())
-            fatal("restore: %s", err.c_str());
-
-        const HarnessState stored = readHarness(d);
-        RunOptions stored_opts;
-        stored_opts.opsPerCpu = stored.opsPerCpu;
-        stored_opts.warmupOps = stored.warmupOps;
-        stored_opts.seed = stored.seed;
-        const std::uint64_t expected = snapshotFingerprint(
-            config, stored.profileName, stored_opts, stored.everyOps);
-        if (expected != d.fingerprint()) {
-            fatal("restore: snapshot '%s' was taken under a different "
-                  "system configuration (header fingerprint %016llx, "
-                  "this configuration would be %016llx) — refusing to "
-                  "restore",
-                  ckpt.restorePath.c_str(),
-                  static_cast<unsigned long long>(d.fingerprint()),
-                  static_cast<unsigned long long>(expected));
-        }
-        if (stored.profileName != profile.name)
-            fatal("restore: snapshot '%s' is for workload '%s', not '%s'",
-                  ckpt.restorePath.c_str(), stored.profileName.c_str(),
-                  profile.name.c_str());
-        if (stored.opsPerCpu != opts.opsPerCpu ||
-            stored.warmupOps != opts.warmupOps ||
-            stored.seed != opts.seed) {
-            fatal("restore: run parameters differ from snapshot '%s' "
-                  "(ops %llu vs %llu, warmup %llu vs %llu, seed %llu vs "
-                  "%llu)",
-                  ckpt.restorePath.c_str(),
-                  static_cast<unsigned long long>(opts.opsPerCpu),
-                  static_cast<unsigned long long>(stored.opsPerCpu),
-                  static_cast<unsigned long long>(opts.warmupOps),
-                  static_cast<unsigned long long>(stored.warmupOps),
-                  static_cast<unsigned long long>(opts.seed),
-                  static_cast<unsigned long long>(stored.seed));
-        }
-        if (ckpt.everyOps && ckpt.everyOps != stored.everyOps)
-            fatal("restore: snapshot '%s' was taken with a checkpoint "
-                  "interval of %llu ops; pass the same --checkpoint-every "
-                  "(or none) when restoring",
-                  ckpt.restorePath.c_str(),
-                  static_cast<unsigned long long>(stored.everyOps));
-
-        {
-            SectionReader w = d.section("workload");
-            workload.deserialize(w);
-        }
-        sys.restoreState(d);
-        h = stored;
-        restored = true;
+    GeneratedRun(const SystemConfig &config, const WorkloadProfile &profile,
+                 const RunOptions &opts)
+        : workload_(profile, config.topology.numCpus, opts.opsPerCpu,
+                    opts.seed)
+    {
+        if (!opts.capturePath.empty())
+            capture_ = std::make_unique<TraceCapture>(
+                workload_, opts.capturePath, config.topology.numCpus,
+                opts.opsPerCpu);
     }
 
-    const std::uint64_t fingerprint = snapshotFingerprint(
-        config, h.profileName, opts, h.everyOps);
+    OpSource &
+    source()
+    {
+        return capture_ ? static_cast<OpSource &>(*capture_) : workload_;
+    }
+    std::string identity() const { return workload_.profile().name; }
+    std::string label() const { return identity(); }
+    std::uint64_t progress() const { return workload_.minOpsDrawn(); }
+    std::uint64_t streamOps() const { return workload_.opsPerCpu(); }
+    void setPauseAt(std::uint64_t ops) { workload_.setPauseAt(ops); }
+    void serialize(Serializer &s) const { workload_.serialize(s); }
+    void deserialize(SectionReader &r) { workload_.deserialize(r); }
 
-    Tick measure_start = h.measureStart;
-    bool warmup_done = h.warmupDone;
-    bool first = true;
-
-    while (true) {
-        const std::uint64_t next_pause =
-            std::min(h.opsDone + h.everyOps, h.opsPerCpu);
-        workload.setPauseAt(next_pause);
-        if (first && !restored)
-            sys.start();
-        else
-            sys.resumePhase();
-        first = false;
-        // The warmup-check event dies at each drain (it stops
-        // rescheduling once every core is Finished) and is re-armed
-        // here, after resume, matching simulateOnce's start order.
-        if (!warmup_done)
-            scheduleWarmupCheck(
-                sys, [&workload] { return workload.minOpsDrawn(); },
-                h.warmupOps, &measure_start, &warmup_done);
-
-        const std::uint64_t executed = sys.run(opts.maxEvents);
-        if (executed >= opts.maxEvents)
-            fatal("simulateCheckpointed: event cap hit (%llu) — runaway "
-                  "simulation?",
-                  static_cast<unsigned long long>(opts.maxEvents));
-        if (!sys.allCoresFinished())
-            panic("simulateCheckpointed: event queue drained before cores "
-                  "reached the pause point");
-
-        h.opsDone = next_pause;
-        h.measureStart = measure_start;
-        h.warmupDone = warmup_done;
-        if (h.opsDone >= h.opsPerCpu)
-            break;
-        if (!ckpt.writePrefix.empty())
-            writeCheckpoint(sys, workload, h, fingerprint,
-                            ckpt.writePrefix);
+    void
+    finish()
+    {
+        if (capture_)
+            capture_->finish();
     }
 
-    return collectRunResult(sys, profile.name, opts.seed, measure_start);
-}
+  private:
+    SyntheticWorkload workload_;
+    std::unique_ptr<TraceCapture> capture_;
+};
 
-namespace {
+/** A v2 trace replay. Its identity is the trace_id, so a snapshot never
+ *  restores against a re-captured file; its stream is the longest lane
+ *  (shorter lanes simply end earlier); the seed plays no part. */
+class ReplayRun
+{
+  public:
+    static constexpr const char *kSection = "replay";
+    static constexpr bool kSeeded = false;
 
+    ReplayRun(const SystemConfig &config, const std::string &path)
+        : replay_(path), path_(path)
+    {
+        if (replay_.numLanes() != config.topology.numCpus)
+            fatal("trace has %u lanes but the system has %u CPUs",
+                  replay_.numLanes(), config.topology.numCpus);
+    }
+
+    OpSource &source() { return replay_; }
+
+    std::string
+    identity() const
+    {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "trace:%016llx",
+                      static_cast<unsigned long long>(replay_.traceId()));
+        return buf;
+    }
+
+    std::string label() const { return "trace:" + path_; }
+    std::uint64_t progress() const { return replay_.minOpsConsumed(); }
+    std::uint64_t streamOps() const { return replay_.maxLaneMemOps(); }
+    void setPauseAt(std::uint64_t ops) { replay_.setPauseAt(ops); }
+    void serialize(Serializer &s) const { replay_.serialize(s); }
+    void deserialize(SectionReader &r) { replay_.deserialize(r); }
+    void finish() {}
+
+  private:
+    TraceReplay replay_;
+    std::string path_;
+};
+
+template <class Run>
 void
-writeReplayCheckpoint(System &sys, const TraceReplay &replay,
-                      const HarnessState &h, std::uint64_t fingerprint,
-                      const std::string &prefix)
+writeCheckpoint(System &sys, const Run &run, const HarnessState &h,
+                std::uint64_t fingerprint, const std::string &prefix)
 {
     Serializer s;
     s.beginSection("harness");
@@ -307,8 +251,8 @@ writeReplayCheckpoint(System &sys, const TraceReplay &replay,
     s.b(h.warmupDone);
     s.endSection();
 
-    s.beginSection("replay");
-    replay.serialize(s);
+    s.beginSection(Run::kSection);
+    run.serialize(s);
     s.endSection();
 
     sys.serializeState(s);
@@ -322,152 +266,135 @@ writeReplayCheckpoint(System &sys, const TraceReplay &replay,
         checker->noteCheckpoint(path, sys.eq().now());
 }
 
-/** Hex trace_id: the replay's run identity in the fingerprint. */
-std::string
-replayIdentity(const TraceReplay &replay)
+/**
+ * Restore @p sys and @p run from ckpt.restorePath after checking that
+ * the snapshot belongs to this run (@p fresh, the state it would start
+ * from). Returns the stored harness state.
+ */
+template <class Run>
+HarnessState
+restoreRun(const SystemConfig &config, System &sys, Run &run,
+           const HarnessState &fresh, const CheckpointOptions &ckpt)
 {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "trace:%016llx",
-                  static_cast<unsigned long long>(replay.traceId()));
-    return buf;
+    const char *path = ckpt.restorePath.c_str();
+    Deserializer d;
+    const std::string err = d.open(ckpt.restorePath);
+    if (!err.empty())
+        fatal("restore: %s", err.c_str());
+
+    const HarnessState stored = readHarness(d);
+    const std::uint64_t expected = stored.fingerprint(config);
+    if (expected != d.fingerprint())
+        fatal("restore: snapshot '%s' was taken under a different system "
+              "configuration (header fingerprint %016llx, this "
+              "configuration would be %016llx) — refusing to restore",
+              path, static_cast<unsigned long long>(d.fingerprint()),
+              static_cast<unsigned long long>(expected));
+    if (stored.profileName != fresh.profileName)
+        fatal("restore: snapshot '%s' is for workload '%s', not '%s' (a "
+              "replay's workload is its trace_id)",
+              path, stored.profileName.c_str(), fresh.profileName.c_str());
+    if (stored.opsPerCpu != fresh.opsPerCpu ||
+        stored.warmupOps != fresh.warmupOps ||
+        (Run::kSeeded && stored.seed != fresh.seed))
+        fatal("restore: run parameters differ from snapshot '%s' (ops "
+              "%llu vs %llu, warmup %llu vs %llu, seed %llu vs %llu)",
+              path, static_cast<unsigned long long>(fresh.opsPerCpu),
+              static_cast<unsigned long long>(stored.opsPerCpu),
+              static_cast<unsigned long long>(fresh.warmupOps),
+              static_cast<unsigned long long>(stored.warmupOps),
+              static_cast<unsigned long long>(fresh.seed),
+              static_cast<unsigned long long>(stored.seed));
+    if (ckpt.everyOps && ckpt.everyOps != stored.everyOps)
+        fatal("restore: snapshot '%s' was taken with a checkpoint "
+              "interval of %llu ops; pass the same --checkpoint-every "
+              "(or none) when restoring",
+              path, static_cast<unsigned long long>(stored.everyOps));
+
+    SectionReader r = d.section(Run::kSection);
+    run.deserialize(r);
+    sys.restoreState(d);
+    return stored;
+}
+
+/** The one drain loop: run the pause schedule, checkpoint between
+ *  phases when asked, restore first when asked, collect. */
+template <class Run>
+RunResult
+drainLoop(const SystemConfig &config, Run &run, const RunOptions &opts,
+          const CheckpointOptions &ckpt, std::ostream *stats_out)
+{
+    System sys(config, run.source());
+
+    const std::uint64_t stream = run.streamOps();
+    HarnessState h;
+    h.profileName = run.identity();
+    h.opsPerCpu = stream;
+    h.warmupOps = opts.warmupOps;
+    h.seed = opts.seed;
+    h.everyOps =
+        (ckpt.everyOps && ckpt.everyOps < stream) ? ckpt.everyOps : stream;
+    h.warmupDone = !(opts.warmupOps > 0 && opts.warmupOps < stream);
+
+    const bool restored = !ckpt.restorePath.empty();
+    if (restored)
+        h = restoreRun(config, sys, run, h, ckpt);
+    const std::uint64_t fingerprint = h.fingerprint(config);
+
+    Tick measure_start = h.measureStart;
+    bool warmup_done = h.warmupDone;
+    for (bool resume = restored;; resume = true) {
+        const std::uint64_t next_pause =
+            std::min(h.opsDone + h.everyOps, h.opsPerCpu);
+        const bool last = next_pause >= h.opsPerCpu;
+        // The last phase runs every lane to its end record, trailing
+        // synchronization records included.
+        run.setPauseAt(last ? UINT64_MAX : next_pause);
+        // The warmup-check event dies at each drain (it stops
+        // rescheduling once every core is Finished) and is re-armed
+        // each phase, after the cores start.
+        runPhase(sys, resume, opts.maxEvents, [&] {
+            if (!warmup_done)
+                scheduleWarmupCheck(
+                    sys, [&run] { return run.progress(); }, h.warmupOps,
+                    &measure_start, &warmup_done);
+        });
+        if (last)
+            break;
+
+        h.opsDone = next_pause;
+        h.measureStart = measure_start;
+        h.warmupDone = warmup_done;
+        if (!ckpt.writePrefix.empty())
+            writeCheckpoint(sys, run, h, fingerprint, ckpt.writePrefix);
+    }
+
+    run.finish();
+    RunResult r = collectRunResult(sys, run.label(), opts.seed,
+                                   measure_start);
+    if (stats_out)
+        sys.dumpStats(*stats_out);
+    return r;
 }
 
 } // namespace
 
 RunResult
-simulateCheckpointedReplay(const SystemConfig &config,
-                           const std::string &trace_path,
-                           const RunOptions &opts,
-                           const CheckpointOptions &ckpt)
+simulateCheckpointed(const SystemConfig &config,
+                     const WorkloadProfile &profile, const RunOptions &opts,
+                     const CheckpointOptions &ckpt, std::ostream *stats_out)
 {
-    TraceReplay replay(trace_path);
-    if (replay.numLanes() != config.topology.numCpus)
-        fatal("trace has %u lanes but the system has %u CPUs",
-              replay.numLanes(), config.topology.numCpus);
-    System sys(config, replay);
+    GeneratedRun run(config, profile, opts);
+    return drainLoop(config, run, opts, ckpt, stats_out);
+}
 
-    // The pause schedule is bounded by the longest lane; shorter lanes
-    // simply end earlier, exactly as in an uncheckpointed replay.
-    const std::uint64_t ops_bound = replay.maxLaneMemOps();
-
-    HarnessState h;
-    h.profileName = replayIdentity(replay);
-    h.opsPerCpu = ops_bound;
-    h.warmupOps = opts.warmupOps;
-    h.seed = opts.seed;
-    h.everyOps = (ckpt.everyOps && ckpt.everyOps < ops_bound)
-                     ? ckpt.everyOps
-                     : ops_bound;
-    h.warmupDone = !(opts.warmupOps > 0 && opts.warmupOps < ops_bound);
-
-    bool restored = false;
-    if (!ckpt.restorePath.empty()) {
-        Deserializer d;
-        const std::string err = d.open(ckpt.restorePath);
-        if (!err.empty())
-            fatal("restore: %s", err.c_str());
-
-        const HarnessState stored = readHarness(d);
-        RunOptions stored_opts;
-        stored_opts.opsPerCpu = stored.opsPerCpu;
-        stored_opts.warmupOps = stored.warmupOps;
-        stored_opts.seed = stored.seed;
-        const std::uint64_t expected = snapshotFingerprint(
-            config, stored.profileName, stored_opts, stored.everyOps);
-        if (expected != d.fingerprint())
-            fatal("restore: snapshot '%s' was taken under a different "
-                  "system configuration (header fingerprint %016llx, "
-                  "this configuration would be %016llx) — refusing to "
-                  "restore",
-                  ckpt.restorePath.c_str(),
-                  static_cast<unsigned long long>(d.fingerprint()),
-                  static_cast<unsigned long long>(expected));
-        if (stored.profileName != h.profileName)
-            fatal("restore: snapshot '%s' is for %s, not %s (the "
-                  "trace_id identifies the exact capture)",
-                  ckpt.restorePath.c_str(), stored.profileName.c_str(),
-                  h.profileName.c_str());
-        if (stored.warmupOps != opts.warmupOps)
-            fatal("restore: snapshot '%s' used --warmup %llu; pass the "
-                  "same value",
-                  ckpt.restorePath.c_str(),
-                  static_cast<unsigned long long>(stored.warmupOps));
-        if (ckpt.everyOps && ckpt.everyOps != stored.everyOps)
-            fatal("restore: snapshot '%s' was taken with a checkpoint "
-                  "interval of %llu ops; pass the same "
-                  "--checkpoint-every (or none) when restoring",
-                  ckpt.restorePath.c_str(),
-                  static_cast<unsigned long long>(stored.everyOps));
-
-        {
-            SectionReader w = d.section("replay");
-            replay.deserialize(w);
-        }
-        sys.restoreState(d);
-        h = stored;
-        restored = true;
-    }
-
-    // The replay's run identity: opsPerCpu comes from the trace itself
-    // (opts.opsPerCpu is meaningless for a replay).
-    RunOptions id_opts;
-    id_opts.opsPerCpu = h.opsPerCpu;
-    id_opts.warmupOps = h.warmupOps;
-    id_opts.seed = h.seed;
-    const std::uint64_t fingerprint =
-        snapshotFingerprint(config, h.profileName, id_opts, h.everyOps);
-
-    Tick measure_start = h.measureStart;
-    bool warmup_done = h.warmupDone;
-    bool first = true;
-
-    while (true) {
-        const std::uint64_t next_pause =
-            std::min(h.opsDone + h.everyOps, h.opsPerCpu);
-        replay.setPauseAt(next_pause);
-        if (first && !restored)
-            sys.start();
-        else
-            sys.resumePhase();
-        first = false;
-        if (!warmup_done)
-            scheduleWarmupCheck(
-                sys, [&replay] { return replay.minOpsConsumed(); },
-                h.warmupOps, &measure_start, &warmup_done);
-
-        const std::uint64_t executed = sys.run(opts.maxEvents);
-        if (executed >= opts.maxEvents)
-            fatal("simulateCheckpointedReplay: event cap hit (%llu) — "
-                  "runaway simulation?",
-                  static_cast<unsigned long long>(opts.maxEvents));
-        if (!sys.allCoresFinished()) {
-            const unsigned wedged = sys.coresWaitingOnSync();
-            if (wedged > 0)
-                fatal("checkpoint drain wedged: %u core(s) are blocked "
-                      "on trace synchronization events at the %llu-op "
-                      "pause point — a paused lane holds a lock or owes "
-                      "a barrier arrival that a blocked lane needs. "
-                      "Choose a --checkpoint-every interval aligned "
-                      "with the trace's synchronization structure (or "
-                      "checkpoint less often)",
-                      wedged,
-                      static_cast<unsigned long long>(next_pause));
-            panic("simulateCheckpointedReplay: event queue drained "
-                  "before cores reached the pause point");
-        }
-
-        h.opsDone = next_pause;
-        h.measureStart = measure_start;
-        h.warmupDone = warmup_done;
-        if (h.opsDone >= h.opsPerCpu)
-            break;
-        if (!ckpt.writePrefix.empty())
-            writeReplayCheckpoint(sys, replay, h, fingerprint,
-                                  ckpt.writePrefix);
-    }
-
-    return collectRunResult(sys, "trace:" + trace_path, opts.seed,
-                            measure_start);
+RunResult
+simulateCheckpointed(const SystemConfig &config,
+                     const std::string &trace_path, const RunOptions &opts,
+                     const CheckpointOptions &ckpt, std::ostream *stats_out)
+{
+    ReplayRun run(config, trace_path);
+    return drainLoop(config, run, opts, ckpt, stats_out);
 }
 
 } // namespace cgct

@@ -1,10 +1,13 @@
 /**
  * @file
- * Drain-based checkpoint/restore harness (docs/SNAPSHOT.md).
+ * The run harness's drain loop, with checkpoint/restore
+ * (docs/SNAPSHOT.md). simulateOnce() and simulateReplay() are this loop
+ * with a single phase; sampling runs its phases through the same
+ * runPhase() step.
  *
  * Event callbacks (InlineFunction closures) cannot be serialized, so a
- * checkpoint is only taken on a *quiescent* system: the workload pauses
- * op injection at a per-CPU op budget (OpSource::setPauseAt), every core
+ * checkpoint is only taken on a *quiescent* system: the op source pauses
+ * op injection at a per-CPU op budget (setPauseAt), every core
  * drains to Finished, the event queue runs empty, and only then is the
  * architectural state — caches, RCAs, MSHR free lists, RNG streams,
  * workload cursors, statistics — written out. Restoring a snapshot and
@@ -26,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 
 #include "common/config.hpp"
@@ -69,33 +73,35 @@ std::uint64_t snapshotFingerprint(const SystemConfig &config,
 
 /**
  * Run one simulation with periodic drain checkpoints and/or an initial
- * restore. With ckpt.everyOps == 0 (or >= opts.opsPerCpu) and no
- * restore path this is bit-identical to simulateOnce(). fatal()s on a
- * fingerprint mismatch, unreadable/corrupt snapshot, or run parameters
- * that differ from the snapshot's.
+ * restore, over a generated workload (@p profile) or a recorded v2
+ * trace (@p trace_path). The pause schedule is every ckpt.everyOps ops
+ * per CPU, bounded by the stream length (opts.opsPerCpu, or the trace's
+ * longest lane); with no interval and no restore path the run has one
+ * phase and is simulateOnce() / simulateReplay() itself. A restored run
+ * continues mid-stream and finishes byte-identical to the uninterrupted
+ * run with the same schedule.
+ *
+ * The run identity hashed into the header is the profile name, or for a
+ * replay "trace:<trace_id>", so a snapshot refuses to restore against a
+ * different (or re-captured) trace. fatal()s on a fingerprint mismatch,
+ * an unreadable or corrupt snapshot, or run parameters that differ from
+ * the snapshot's (ops, warmup and, for a generated run, seed).
+ *
+ * A replay drain can wedge: if a paused lane holds a lock (or owes a
+ * barrier arrival) that another lane is blocked on, the event queue
+ * runs dry with cores still waiting. runPhase() reports that with
+ * guidance instead of producing a corrupt snapshot. @p stats_out, when
+ * non-null, receives the full component statistics (the CLI's --stats).
  */
 RunResult simulateCheckpointed(const SystemConfig &config,
                                const WorkloadProfile &profile,
                                const RunOptions &opts,
-                               const CheckpointOptions &ckpt);
-
-/**
- * Checkpointed run of a v2 trace replay: pauses every lane at the op
- * schedule, drains, snapshots (lane byte cursors, lock owners, banked
- * signals), and resumes — a restored replay continues mid-trace and
- * finishes byte-identical to an uninterrupted checkpointed run. The
- * run identity hashed into the header is the trace_id, so a snapshot
- * refuses to restore against a different (or re-captured) trace file.
- *
- * A drain can wedge: if a paused lane holds a lock (or owes a barrier
- * arrival) that a non-paused lane is blocked on, the event queue runs
- * dry with cores still waiting. That is detected and reported with
- * guidance (pick an interval aligned with the trace's synchronization,
- * or checkpoint less often) instead of producing a corrupt snapshot.
- */
-RunResult simulateCheckpointedReplay(const SystemConfig &config,
-                                     const std::string &trace_path,
-                                     const RunOptions &opts,
-                                     const CheckpointOptions &ckpt);
+                               const CheckpointOptions &ckpt,
+                               std::ostream *stats_out = nullptr);
+RunResult simulateCheckpointed(const SystemConfig &config,
+                               const std::string &trace_path,
+                               const RunOptions &opts,
+                               const CheckpointOptions &ckpt,
+                               std::ostream *stats_out = nullptr);
 
 } // namespace cgct

@@ -1,5 +1,6 @@
 #include "workload/trace.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -56,29 +57,6 @@ get64(const std::uint8_t *p)
 /** Spill a lane buffer to its (unlinked) spool file once it holds this
  *  much, keeping writer memory bounded for arbitrarily long captures. */
 constexpr std::size_t kSpoolThreshold = 4u << 20;
-
-/** Legacy v1 record, as read from the flat stream. */
-struct V1Record {
-    std::uint8_t cpu;
-    std::uint8_t kind;
-    std::uint8_t flags;
-    std::uint32_t gap;
-    std::uint64_t addr;
-};
-
-bool
-readV1Record(std::FILE *f, V1Record &r, const std::string &path)
-{
-    if (std::fread(&r.cpu, 1, 1, f) != 1)
-        return false;
-    if (std::fread(&r.kind, 1, 1, f) != 1 ||
-        std::fread(&r.flags, 1, 1, f) != 1 ||
-        std::fread(&r.gap, 4, 1, f) != 1 ||
-        std::fread(&r.addr, 8, 1, f) != 1) {
-        fatal("trace: truncated record in '%s'", path.c_str());
-    }
-    return true;
-}
 
 } // namespace
 
@@ -265,111 +243,7 @@ TraceWriter::discard()
 }
 
 // ---------------------------------------------------------------------------
-// TraceReader (legacy v1)
-
-TraceReader::TraceReader(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        fatal("trace: cannot open '%s': %s", path.c_str(),
-              std::strerror(errno));
-    char magic[4];
-    std::uint32_t version = 0, pad = 0;
-    if (std::fread(magic, 4, 1, f) != 1 ||
-        std::memcmp(magic, kTraceMagic, 4) != 0)
-        fatal("trace: '%s' is not a CGCT trace", path.c_str());
-    if (std::fread(&version, 4, 1, f) != 1)
-        fatal("trace: truncated header in '%s'", path.c_str());
-    if (version == kTraceVersion2)
-        fatal("trace: '%s' is a v2 trace — use the streaming replayer "
-              "(TraceReplay / cgct_sim --replay handles both versions)",
-              path.c_str());
-    if (version != kTraceVersion1)
-        fatal("trace: unsupported version %u in '%s'", version,
-              path.c_str());
-    if (std::fread(&numCpus_, 4, 1, f) != 1 ||
-        std::fread(&pad, 4, 1, f) != 1 ||
-        std::fread(&opsPerCpu_, 8, 1, f) != 1)
-        fatal("trace: truncated header in '%s'", path.c_str());
-    if (numCpus_ == 0 || numCpus_ > kTraceMaxLanes)
-        fatal("trace: implausible CPU count %u", numCpus_);
-
-    perCpu_.resize(numCpus_);
-    cursor_.assign(numCpus_, 0);
-    V1Record r;
-    while (readV1Record(f, r, path)) {
-        if (r.cpu >= numCpus_)
-            fatal("trace: record for CPU %u out of range", r.cpu);
-        CpuOp op;
-        op.kind = static_cast<CpuOpKind>(r.kind);
-        op.gap = r.gap;
-        op.addr = r.addr;
-        op.dependent = (r.flags & 1) != 0;
-        perCpu_[r.cpu].push_back(op);
-        ++total_;
-    }
-    std::fclose(f);
-}
-
-bool
-TraceReader::next(CpuId cpu, CpuOp &op)
-{
-    auto &cur = cursor_[static_cast<unsigned>(cpu)];
-    const auto &q = perCpu_[static_cast<unsigned>(cpu)];
-    if (cur >= q.size() || cur >= pauseAt_)
-        return false;
-    op = q[cur++];
-    return true;
-}
-
-void
-TraceReader::serialize(Serializer &s) const
-{
-    s.u32(numCpus_);
-    s.u64(opsPerCpu_);
-    s.u64(total_);
-    for (std::size_t cur : cursor_)
-        s.u64(cur);
-}
-
-void
-TraceReader::deserialize(SectionReader &r)
-{
-    const std::uint32_t num_cpus = r.u32();
-    const std::uint64_t ops = r.u64();
-    const std::uint64_t total = r.u64();
-    if (num_cpus != numCpus_ || ops != opsPerCpu_ || total != total_)
-        fatal("snapshot section '%s': trace stream mismatch "
-              "(%u CPUs / %llu ops / %llu records stored vs "
-              "%u / %llu / %llu here)",
-              r.name().c_str(), num_cpus,
-              static_cast<unsigned long long>(ops),
-              static_cast<unsigned long long>(total), numCpus_,
-              static_cast<unsigned long long>(opsPerCpu_),
-              static_cast<unsigned long long>(total_));
-    for (std::size_t &cur : cursor_)
-        cur = static_cast<std::size_t>(r.u64());
-}
-
-// ---------------------------------------------------------------------------
 // Inspection helpers
-
-std::uint32_t
-traceFileVersion(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        fatal("trace: cannot open '%s': %s", path.c_str(),
-              std::strerror(errno));
-    std::uint8_t head[8];
-    if (std::fread(head, 1, 8, f) != 8 ||
-        std::memcmp(head, kTraceMagic, 4) != 0) {
-        std::fclose(f);
-        fatal("trace: '%s' is not a CGCT trace", path.c_str());
-    }
-    std::fclose(f);
-    return get32(head + 4);
-}
 
 std::string
 parseTraceV2Header(const std::uint8_t *data, std::uint64_t file_bytes,
@@ -377,6 +251,9 @@ parseTraceV2Header(const std::uint8_t *data, std::uint64_t file_bytes,
 {
     if (file_bytes < 4 || std::memcmp(data, kTraceMagic, 4) != 0)
         return "not a CGCT trace";
+    // Version 1 was the flat interleaved format; nothing writes it.
+    if (file_bytes >= 8 && get32(data + 4) == 1)
+        return "legacy v1 trace is no longer supported";
     if (file_bytes < kTraceV2HeaderBytes)
         return "truncated header";
     const std::uint32_t version = get32(data + 4);
@@ -440,26 +317,6 @@ TraceInfo
 readTraceInfo(const std::string &path)
 {
     TraceInfo info;
-    const std::uint32_t version = traceFileVersion(path);
-    if (version == kTraceVersion1) {
-        std::FILE *f = std::fopen(path.c_str(), "rb");
-        if (!f)
-            fatal("trace: cannot open '%s': %s", path.c_str(),
-                  std::strerror(errno));
-        std::uint8_t head[kTraceV1HeaderBytes];
-        if (std::fread(head, 1, sizeof(head), f) != sizeof(head)) {
-            std::fclose(f);
-            fatal("trace: truncated header in '%s'", path.c_str());
-        }
-        std::fseek(f, 0, SEEK_END);
-        info.fileBytes = static_cast<std::uint64_t>(std::ftell(f));
-        std::fclose(f);
-        info.version = version;
-        info.numLanes = get32(head + 8);
-        info.opsDeclared = get64(head + 16);
-        return info;
-    }
-
     MappedFile map;
     const std::string err = map.open(path);
     if (!err.empty())
@@ -542,20 +399,8 @@ syncIndex(TraceRecOp op)
     }
 }
 
-void
-scanOp(TraceScan &scan, const CpuOp &op)
-{
-    ++scan.memOps;
-    ++scan.kindCount[static_cast<unsigned>(op.kind)];
-    scan.gapSum += op.gap;
-    if (op.addr < scan.minAddr)
-        scan.minAddr = op.addr;
-    if (op.addr > scan.maxAddr)
-        scan.maxAddr = op.addr;
-}
-
 /**
- * Walk one v2 lane payload, recomputing its hash and validating every
+ * Walk one lane payload, recomputing its hash and validating every
  * record; accumulates into @p scan. Returns an error message or "".
  */
 std::string
@@ -590,7 +435,11 @@ walkLane(const std::uint8_t *payload, std::uint64_t bytes,
             ++scan.syncCount[syncIndex(rec.op)];
         } else {
             ++mem;
-            scanOp(scan, rec.mem);
+            ++scan.memOps;
+            ++scan.kindCount[static_cast<unsigned>(rec.mem.kind)];
+            scan.gapSum += rec.mem.gap;
+            scan.minAddr = std::min(scan.minAddr, rec.mem.addr);
+            scan.maxAddr = std::max(scan.maxAddr, rec.mem.addr);
         }
     }
     if (!ended)
@@ -603,7 +452,7 @@ walkLane(const std::uint8_t *payload, std::uint64_t bytes,
 }
 
 std::string
-walkV2(const std::string &path, TraceScan &scan, bool check_hash)
+walkTrace(const std::string &path, TraceScan &scan, bool check_hash)
 {
     MappedFile map;
     std::string err = map.open(path);
@@ -630,14 +479,7 @@ TraceScan
 scanTrace(const std::string &path)
 {
     TraceScan scan;
-    if (traceFileVersion(path) == kTraceVersion1) {
-        TraceReader reader(path);
-        for (unsigned cpu = 0; cpu < reader.numCpus(); ++cpu)
-            for (const CpuOp &op : reader.laneOps(cpu))
-                scanOp(scan, op);
-        return scan;
-    }
-    const std::string err = walkV2(path, scan, /*check_hash=*/false);
+    const std::string err = walkTrace(path, scan, /*check_hash=*/false);
     if (!err.empty())
         fatal("trace: '%s': %s", path.c_str(), err.c_str());
     return scan;
@@ -646,11 +488,8 @@ scanTrace(const std::string &path)
 std::string
 verifyTrace(const std::string &path)
 {
-    if (traceFileVersion(path) != kTraceVersion2)
-        return "'" + path + "' is not a v2 trace (nothing to verify; "
-               "upgrade it with `cgct_trace upgrade`)";
     TraceScan scan;
-    return walkV2(path, scan, /*check_hash=*/true);
+    return walkTrace(path, scan, /*check_hash=*/true);
 }
 
 // ---------------------------------------------------------------------------

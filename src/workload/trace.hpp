@@ -6,23 +6,18 @@
  * binary file and replay it later, bit-identically, across
  * configurations.
  *
- * Two on-disk formats exist (constants in workload/trace_format.hpp,
- * byte-level contract in docs/TRACE_FORMAT.md):
+ * The on-disk format is v2 (constants in workload/trace_format.hpp,
+ * byte-level contract in docs/TRACE_FORMAT.md): per-lane contiguous
+ * payloads behind a checksummed lane directory, explicit
+ * synchronization records (barrier / lock / signal / wait), written
+ * atomically (temp file + fsync + rename) and decoded by mmap-backed
+ * streaming (workload/trace_replay.hpp), so multi-GB traces replay in
+ * bounded memory. A file of the retired version 1 is rejected wherever
+ * a trace is opened.
  *
- *   v1 (legacy): one flat interleaved stream of 15-byte records, read
- *   eagerly into memory. Still readable (TraceReader), no longer
- *   written.
- *
- *   v2 (current): per-lane contiguous payloads behind a checksummed
- *   lane directory, explicit synchronization records (barrier / lock /
- *   signal / wait), written atomically (temp file + fsync + rename) and
- *   decoded by mmap-backed streaming (workload/trace_replay.hpp), so
- *   multi-GB traces replay in bounded memory.
- *
- * This header holds the writer, the legacy reader, the capture tee, and
- * the inspection helpers; the streaming v2 replayer lives in
- * workload/trace_replay.hpp and the text-format converter in
- * workload/trace_text.hpp.
+ * This header holds the writer, the capture tee, and the inspection
+ * helpers; the streaming replayer lives in workload/trace_replay.hpp and
+ * the text-format converter in workload/trace_text.hpp.
  */
 
 #pragma once
@@ -102,58 +97,6 @@ class TraceWriter
 };
 
 /**
- * Replays a legacy v1 trace as an OpSource (loads the whole file into
- * memory; v1 has no sync records, so plain next() semantics suffice).
- * Rejects v2 files with a pointer at the streaming replayer.
- */
-class TraceReader : public OpSource
-{
-  public:
-    /** Load @p path fully into memory; fatal() on parse errors. */
-    explicit TraceReader(const std::string &path);
-
-    bool next(CpuId cpu, CpuOp &op) override;
-
-    unsigned numCpus() const { return numCpus_; }
-    std::uint64_t opsPerCpu() const { return opsPerCpu_; }
-    std::uint64_t totalRecords() const { return total_; }
-
-    /** Ops remaining for @p cpu. */
-    std::uint64_t
-    remaining(CpuId cpu) const
-    {
-        const auto &q = perCpu_[static_cast<unsigned>(cpu)];
-        return q.size() - cursor_[static_cast<unsigned>(cpu)];
-    }
-
-    /** Walk the per-CPU streams without consuming them. */
-    const std::vector<CpuOp> &
-    laneOps(unsigned cpu) const
-    {
-        return perCpu_[cpu];
-    }
-
-    /**
-     * Checkpoint support: next() returns false once a CPU's cursor
-     * reaches @p ops records (clamped to the per-CPU stream length), so
-     * replayed runs drain at the same pause points as generated ones.
-     */
-    void setPauseAt(std::uint64_t ops) { pauseAt_ = ops; }
-
-    /** Serialize the replay cursors; stream identity is verified. */
-    void serialize(Serializer &s) const;
-    void deserialize(SectionReader &r);
-
-  private:
-    unsigned numCpus_ = 0;
-    std::uint64_t opsPerCpu_ = 0;
-    std::uint64_t total_ = 0;
-    std::uint64_t pauseAt_ = UINT64_MAX;
-    std::vector<std::vector<CpuOp>> perCpu_;
-    std::vector<std::size_t> cursor_;
-};
-
-/**
  * Capture tee: wraps a live OpSource, forwards every call, and records
  * each op handed out into a v2 trace file. Because the ops are recorded
  * in the exact order the simulation consumed them, generator-global
@@ -209,12 +152,12 @@ class TraceCapture : public OpSource
     TraceWriter writer_;
 };
 
-/** Header/directory summary of a trace file (either version). */
+/** Header/directory summary of a trace file. */
 struct TraceInfo {
     std::uint32_t version = 0;
     std::uint32_t numLanes = 0;
     std::uint64_t opsDeclared = 0;
-    std::uint64_t traceId = 0; ///< v2 only.
+    std::uint64_t traceId = 0;
     std::uint64_t fileBytes = 0;
 
     struct Lane {
@@ -224,27 +167,26 @@ struct TraceInfo {
         std::uint64_t syncOps = 0;
         std::uint64_t payloadHash = 0;
     };
-    std::vector<Lane> lanes; ///< v2 only (v1 has no directory).
+    std::vector<Lane> lanes;
 };
 
-/** Version field of the trace at @p path; fatal() if not a CGCT trace. */
-std::uint32_t traceFileVersion(const std::string &path);
-
-/** Parse the header (and, for v2, the validated lane directory). */
+/** Parse the header and the validated lane directory; fatal() on any
+ *  format error. */
 TraceInfo readTraceInfo(const std::string &path);
 
 /**
  * Parse and validate a v2 header + lane directory from the start of a
  * file image. Returns an error message ("" on success); on success
  * fills @p out with the directory. @p file_bytes is the full file size
- * (payload extents are bounds-checked against it).
+ * (payload extents are bounds-checked against it). A version-1 file is
+ * rejected as a legacy trace.
  */
 std::string parseTraceV2Header(const std::uint8_t *data,
                                std::uint64_t file_bytes, TraceInfo &out);
 
 /**
- * Record-by-record scan of a trace (either version), for inspection
- * and payload verification.
+ * Record-by-record scan of a trace, for inspection and payload
+ * verification.
  */
 struct TraceScan {
     std::uint64_t memOps = 0;
@@ -258,7 +200,7 @@ struct TraceScan {
 TraceScan scanTrace(const std::string &path);
 
 /**
- * Recompute every lane's payload hash and re-walk all records of a v2
+ * Recompute every lane's payload hash and re-walk all records of a
  * trace. Returns an error message, or "" when the file checks out.
  */
 std::string verifyTrace(const std::string &path);

@@ -1,14 +1,14 @@
 /**
  * @file
- * On-disk constants for the CGCT trace formats. The byte-level contract
+ * On-disk constants for the CGCT trace format. The byte-level contract
  * lives in docs/TRACE_FORMAT.md; this header is the single place the
  * code states the same numbers, and tools/check_docs.sh cross-checks the
  * two (every record type in the X-macro below must appear in the spec).
  *
- * v1 (legacy): flat interleaved stream, 15 bytes per op, read eagerly.
- * v2 (current): per-lane contiguous payloads behind a lane directory,
+ * Version 2: per-lane contiguous payloads behind a lane directory,
  * explicit synchronization records, mmap-friendly streaming decode.
- * Everything is little-endian.
+ * Everything is little-endian. Version 1 (a flat interleaved stream) is
+ * retired and rejected on open.
  */
 
 #pragma once
@@ -20,14 +20,8 @@ namespace cgct {
 /** Magic bytes shared by every trace version. */
 inline constexpr char kTraceMagic[4] = {'C', 'G', 'C', 'T'};
 
-/** Legacy flat format (PR 3 era). Still readable, no longer written. */
-inline constexpr std::uint32_t kTraceVersion1 = 1;
 /** Current lane-directory format (docs/TRACE_FORMAT.md). */
 inline constexpr std::uint32_t kTraceVersion2 = 2;
-
-/** Size of the v1 header and of one v1 record. */
-inline constexpr std::size_t kTraceV1HeaderBytes = 24;
-inline constexpr std::size_t kTraceV1RecordBytes = 15;
 
 /**
  * v2 file header, 48 bytes at offset 0:
@@ -57,7 +51,7 @@ inline constexpr std::size_t kTraceV2HeaderBytes = 48;
  */
 inline constexpr std::size_t kTraceV2LaneDirBytes = 40;
 
-/** Hard sanity cap on lanes (matches the v1 CPU-count cap). */
+/** Hard sanity cap on lanes. */
 inline constexpr std::uint32_t kTraceMaxLanes = 1024;
 
 /**

@@ -13,14 +13,6 @@ TraceReplay::TraceReplay(const std::string &path) : path_(path)
     std::string err = map_.open(path);
     if (!err.empty())
         fatal("trace replay: %s", err.c_str());
-    if (map_.size() >= 8 &&
-        std::memcmp(map_.data(), kTraceMagic, 4) == 0 &&
-        map_.data()[4] == kTraceVersion1) {
-        fatal("trace replay: '%s' is a legacy v1 trace — replay it "
-              "through TraceReader, or convert it with "
-              "`cgct_trace upgrade`",
-              path.c_str());
-    }
     err = parseTraceV2Header(map_.data(), map_.size(), info_);
     if (!err.empty())
         fatal("trace replay: '%s': %s", path.c_str(), err.c_str());
@@ -216,12 +208,10 @@ TraceReplay::handleSync(std::uint32_t lane, const SyncRecord &sync,
 }
 
 OpFetch
-TraceReplay::fetch(CpuId cpu, Tick &now, CpuOp &op)
+TraceReplay::advance(std::uint32_t li, Tick *now, CpuOp &op)
 {
-    const auto li = static_cast<std::uint32_t>(cpu);
     if (li >= lanes_.size())
-        fatal("trace replay: fetch for cpu %u but the trace has %zu "
-              "lanes",
+        fatal("trace replay: op for cpu %u but the trace has %zu lanes",
               li, lanes_.size());
     Lane &lane = lanes_[li];
     if (lane.state == LaneState::Ended)
@@ -246,7 +236,8 @@ TraceReplay::fetch(CpuId cpu, Tick &now, CpuOp &op)
         lane.cursor += rec.bytes;
         if (rec.op >= TraceRecOp::barrier) {
             ++lane.syncConsumed;
-            if (!handleSync(li, rec.sync, now))
+            // Timing-free iteration (no clock) skips the record.
+            if (now && !handleSync(li, rec.sync, *now))
                 return OpFetch::Blocked;
             continue;
         }
@@ -256,46 +247,17 @@ TraceReplay::fetch(CpuId cpu, Tick &now, CpuOp &op)
     }
 }
 
+OpFetch
+TraceReplay::fetch(CpuId cpu, Tick &now, CpuOp &op)
+{
+    return advance(static_cast<std::uint32_t>(cpu), &now, op);
+}
+
 bool
 TraceReplay::next(CpuId cpu, CpuOp &op)
 {
-    const auto li = static_cast<std::uint32_t>(cpu);
-    if (li >= lanes_.size())
-        fatal("trace replay: next for cpu %u but the trace has %zu "
-              "lanes",
-              li, lanes_.size());
-    Lane &lane = lanes_[li];
-    if (lane.state == LaneState::Ended)
-        return false;
-
-    while (true) {
-        if (lane.memConsumed >= pauseAt_)
-            return false;
-        DecodedRecord rec;
-        const std::string err = decodeTraceRecord(
-            lane.base + lane.cursor, lane.bytes - lane.cursor, rec);
-        if (!err.empty())
-            fatal("trace replay: '%s' lane %u at payload offset %llu: "
-                  "%s",
-                  path_.c_str(), li,
-                  static_cast<unsigned long long>(lane.cursor),
-                  err.c_str());
-        if (rec.op == TraceRecOp::end) {
-            // Timing-free mode never blocks, so ending a lane here
-            // cannot complete a deadlock; just mark it.
-            lane.state = LaneState::Ended;
-            ++endedLanes_;
-            return false;
-        }
-        lane.cursor += rec.bytes;
-        if (rec.op >= TraceRecOp::barrier) {
-            ++lane.syncConsumed; // Skipped: no timing to synchronize.
-            continue;
-        }
-        ++lane.memConsumed;
-        op = rec.mem;
-        return true;
-    }
+    return advance(static_cast<std::uint32_t>(cpu), nullptr, op) ==
+           OpFetch::Op;
 }
 
 void

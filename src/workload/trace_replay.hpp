@@ -1,6 +1,6 @@
 /**
  * @file
- * Streaming v2 trace replayer. Maps the trace read-only (mmap) and
+ * Streaming trace replayer. Maps the trace read-only (mmap) and
  * decodes each lane's records at a byte cursor, so replay memory stays
  * bounded no matter the trace size — a multi-GB capture replays without
  * ever being resident at once.
@@ -48,7 +48,8 @@ class SectionReader;
 class TraceReplay : public OpSource
 {
   public:
-    /** mmap and validate @p path; fatal() on any format error. */
+    /** mmap and validate @p path; fatal() on any format error, and on
+     *  a legacy version-1 trace. */
     explicit TraceReplay(const std::string &path);
 
     /**
@@ -80,8 +81,8 @@ class TraceReplay : public OpSource
     /**
      * Checkpoint support: fetch() reports End for a lane once it has
      * consumed @p ops memory ops, so the run drains for a snapshot.
-     * Sync-blocked lanes cannot drain — the harness detects that wedge
-     * (see snapshot.cpp) and asks for a different interval.
+     * Sync-blocked lanes cannot drain — runPhase() (sim/simulator.hpp)
+     * detects that wedge and asks for a different interval.
      */
     void setPauseAt(std::uint64_t ops) { pauseAt_ = ops; }
 
@@ -129,6 +130,13 @@ class TraceReplay : public OpSource
         std::uint64_t count = 0;
         std::deque<std::uint32_t> waiters;
     };
+
+    /**
+     * The one decode loop behind fetch() and next(): advance lane @p li
+     * to its next memory op. Sync records are handled at @p now, or
+     * skipped when @p now is null (timing-free iteration).
+     */
+    OpFetch advance(std::uint32_t li, Tick *now, CpuOp &op);
 
     /** Consume one sync record; false means the lane blocked. */
     bool handleSync(std::uint32_t lane, const SyncRecord &sync,

@@ -25,11 +25,11 @@
 #include "golden.hpp"
 #include "sha256.hpp"
 #include "sim/simulator.hpp"
-#include "sim/sweep.hpp"
 #include "snapshot/journal.hpp"
 #include "snapshot/serializer.hpp"
 #include "snapshot/snapshot.hpp"
 #include "workload/benchmarks.hpp"
+#include "workload/trace.hpp"
 
 using namespace cgct;
 
@@ -137,6 +137,67 @@ TEST(SnapshotRestore, NoPauseMatchesSimulateOnce)
     EXPECT_EQ(std::memcmp(once.data(), harness.data(), once.size()), 0);
 }
 
+TEST(SnapshotRestore, NoPauseReplayMatchesSimulateReplay)
+{
+    const SystemConfig config = configFor(512);
+    const std::string trace =
+        std::string(::testing::TempDir()) + "nopause_replay.trace";
+    RunOptions opts;
+    opts.opsPerCpu = 8000;
+    opts.warmupOps = 1600;
+    opts.seed = 7;
+    opts.capturePath = trace;
+    simulateOnce(config, benchmarkByName("tpc-w"), opts);
+    opts.capturePath.clear();
+
+    const std::vector<std::uint8_t> replay =
+        encode(simulateReplay(config, trace, opts));
+    const std::vector<std::uint8_t> harness =
+        encode(simulateCheckpointed(config, trace, opts, {}));
+    ASSERT_EQ(replay.size(), harness.size());
+    EXPECT_EQ(std::memcmp(replay.data(), harness.data(), replay.size()), 0);
+    std::remove(trace.c_str());
+}
+
+TEST(SnapshotRestore, LastPhaseRunsTrailingSyncRecords)
+{
+    // Lane 0's barrier comes after its last memory op. The last phase
+    // must not pause lane 0 before it, or lane 1 waits forever.
+    const std::string trace =
+        std::string(::testing::TempDir()) + "trailing_sync.trace";
+    {
+        TraceWriter writer(trace, 2, 2);
+        CpuOp load;
+        load.kind = CpuOpKind::Load;
+        SyncRecord barrier;
+        barrier.op = TraceRecOp::barrier;
+        barrier.id = 1;
+        load.addr = 0x1000;
+        writer.append(0, load);
+        load.addr = 0x2000;
+        writer.append(0, load);
+        writer.appendSync(0, barrier);
+        load.addr = 0x3000;
+        writer.append(1, load);
+        writer.appendSync(1, barrier);
+        load.addr = 0x4000;
+        writer.append(1, load);
+        writer.close();
+    }
+    SystemConfig config = configFor(512);
+    config.topology.numCpus = 2;
+    RunOptions opts;
+    opts.warmupOps = 0;
+    CheckpointOptions ckpt;
+    ckpt.everyOps = 100; // Past the stream: one (last) phase.
+    const std::vector<std::uint8_t> replay =
+        encode(simulateReplay(config, trace, opts));
+    const std::vector<std::uint8_t> harness =
+        encode(simulateCheckpointed(config, trace, opts, ckpt));
+    EXPECT_EQ(replay, harness);
+    std::remove(trace.c_str());
+}
+
 TEST(SnapshotRestore, WarmupCrossesAfterRestore)
 {
     // Warmup (4000 ops) completes in the *second* phase, so restoring
@@ -237,7 +298,7 @@ TEST(SnapshotPin, ReplayCheckpointBytes)
     CheckpointOptions ckpt;
     ckpt.everyOps = 10000;
     ckpt.writePrefix = prefix;
-    simulateCheckpointedReplay(configFor(512), trace, replay, ckpt);
+    simulateCheckpointed(configFor(512), trace, replay, ckpt);
     EXPECT_EQ(sha256Of(prefix + ".10000"),
               golden::kReplayCheckpointSha256);
     std::remove((prefix + ".10000").c_str());

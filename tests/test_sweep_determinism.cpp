@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the parallel sweep runner: matrix expansion order, the seed
- * chain, and the determinism contract — the same 2-benchmark x 2-seed
+ * chain (shared with simulateSeeds), and the determinism contract — the same 2-benchmark x 2-seed
  * matrix emits identical rows at --jobs 1 and --jobs 4, and identical
  * JSON, regardless of completion order.
  */
@@ -132,7 +132,7 @@ TEST(Sweep, ParallelSeedsMatchSerialHelper)
     opts.warmupOps = 0;
     opts.seed = 77;
     const auto serial = simulateSeeds(cfg, p, opts, 3);
-    const auto parallel = simulateSeedsParallel(cfg, p, opts, 3, 4);
+    const auto parallel = simulateSeeds(cfg, p, opts, 3, 4);
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         EXPECT_EQ(serial[i].seed, parallel[i].seed);
@@ -140,6 +140,27 @@ TEST(Sweep, ParallelSeedsMatchSerialHelper)
         EXPECT_EQ(serial[i].broadcasts, parallel[i].broadcasts);
         EXPECT_EQ(serial[i].requestsTotal, parallel[i].requestsTotal);
     }
+}
+
+TEST(Sweep, SimulateSeedsFollowsSweepChain)
+{
+    // `cgct_sim --seeds 3` and `cgct_sweep --seeds 3` run the same
+    // perturbations: simulateSeeds walks the chain SweepSpec expands.
+    SweepSpec spec = smallSpec();
+    spec.profiles = {&benchmarkByName("ocean")};
+    spec.regionSizes = {0};
+    spec.seedsPerCell = 3;
+    const std::vector<SweepCell> cells = spec.expand();
+
+    RunOptions opts;
+    opts.opsPerCpu = 500;
+    opts.warmupOps = 0;
+    opts.seed = spec.baseSeed;
+    const auto runs =
+        simulateSeeds(spec.baseConfig, *spec.profiles[0], opts, 3);
+    ASSERT_EQ(runs.size(), cells.size());
+    for (std::size_t k = 0; k < runs.size(); ++k)
+        EXPECT_EQ(runs[k].seed, cells[k].seed) << "seed " << k;
 }
 
 } // namespace

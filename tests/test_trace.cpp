@@ -2,8 +2,8 @@
  * @file
  * Tests for the trace frontend: v2 round-trip fidelity, header and lane
  * directory validation (docs/TRACE_FORMAT.md), capture from the
- * synthetic generator, legacy v1 compatibility, atomic publication, and
- * the malformed-file rejection matrix.
+ * synthetic generator, atomic publication, the malformed-file rejection
+ * matrix, and the rejection of legacy v1 files.
  */
 
 #include <gtest/gtest.h>
@@ -118,32 +118,6 @@ makeValidV2()
     return bytes;
 }
 
-/** Hand-write a legacy v1 trace (the writer only emits v2 now). */
-void
-writeV1File(const std::string &path, unsigned num_cpus,
-            const std::vector<std::pair<unsigned, CpuOp>> &records)
-{
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::uint8_t header[kTraceV1HeaderBytes] = {};
-    std::memcpy(header, kTraceMagic, 4);
-    std::vector<std::uint8_t> h(header, header + sizeof(header));
-    put32At(h, 4, kTraceVersion1);
-    put32At(h, 8, num_cpus);
-    put64At(h, 16, records.size() / num_cpus);
-    std::fwrite(h.data(), 1, h.size(), f);
-    for (const auto &[cpu, op] : records) {
-        std::vector<std::uint8_t> rec(kTraceV1RecordBytes, 0);
-        rec[0] = static_cast<std::uint8_t>(cpu);
-        rec[1] = static_cast<std::uint8_t>(op.kind);
-        rec[2] = op.dependent ? 1 : 0;
-        put32At(rec, 3, op.gap);
-        put64At(rec, 7, op.addr);
-        std::fwrite(rec.data(), 1, rec.size(), f);
-    }
-    std::fclose(f);
-}
-
 TEST(Trace, RoundTripPreservesOps)
 {
     const std::string path = tempPath("roundtrip");
@@ -163,8 +137,12 @@ TEST(Trace, RoundTripPreservesOps)
         op.kind = CpuOpKind::Dcbz;
         op.addr = 0x40000000;
         writer.append(0, op);
+        op.kind = CpuOpKind::Dcbf;
+        op.addr = 0x222;
+        op.dependent = true;
+        writer.append(0, op);
         writer.close();
-        EXPECT_EQ(writer.recordsWritten(), 3u);
+        EXPECT_EQ(writer.recordsWritten(), 4u);
     }
 
     const TraceInfo info = readTraceInfo(path);
@@ -172,13 +150,13 @@ TEST(Trace, RoundTripPreservesOps)
     EXPECT_EQ(info.numLanes, 2u);
     EXPECT_EQ(info.opsDeclared, 3u);
     ASSERT_EQ(info.lanes.size(), 2u);
-    EXPECT_EQ(info.lanes[0].memOps, 2u);
+    EXPECT_EQ(info.lanes[0].memOps, 3u);
     EXPECT_EQ(info.lanes[1].memOps, 1u);
 
     TraceReplay replay(path);
     EXPECT_EQ(replay.numLanes(), 2u);
-    EXPECT_EQ(replay.memOpsTotal(), 3u);
-    EXPECT_EQ(replay.maxLaneMemOps(), 2u);
+    EXPECT_EQ(replay.memOpsTotal(), 4u);
+    EXPECT_EQ(replay.maxLaneMemOps(), 3u);
     CpuOp op;
     ASSERT_TRUE(replay.next(0, op));
     EXPECT_EQ(op.kind, CpuOpKind::Load);
@@ -187,6 +165,11 @@ TEST(Trace, RoundTripPreservesOps)
     EXPECT_TRUE(op.dependent);
     ASSERT_TRUE(replay.next(0, op));
     EXPECT_EQ(op.kind, CpuOpKind::Dcbz);
+    EXPECT_FALSE(op.dependent);
+    ASSERT_TRUE(replay.next(0, op));
+    EXPECT_EQ(op.kind, CpuOpKind::Dcbf);
+    EXPECT_EQ(op.addr, 0x222u);
+    EXPECT_TRUE(op.dependent);
     EXPECT_FALSE(replay.next(0, op)); // Lane 0 stream exhausted.
     ASSERT_TRUE(replay.next(1, op));
     EXPECT_EQ(op.kind, CpuOpKind::Store);
@@ -337,72 +320,6 @@ TEST(Trace, DiscardPublishesNothing)
     }
     EXPECT_FALSE(fileExists(path));
     EXPECT_FALSE(fileExists(path + ".tmp"));
-}
-
-TEST(Trace, V1FilesStillReadable)
-{
-    const std::string path = tempPath("v1compat");
-    CpuOp op;
-    op.kind = CpuOpKind::Load;
-    op.addr = 0xAB00;
-    op.gap = 3;
-    std::vector<std::pair<unsigned, CpuOp>> recs;
-    recs.emplace_back(0, op);
-    op.kind = CpuOpKind::Store;
-    op.addr = 0xCD00;
-    recs.emplace_back(1, op);
-    writeV1File(path, 2, recs);
-
-    EXPECT_EQ(traceFileVersion(path), kTraceVersion1);
-    TraceReader reader(path);
-    EXPECT_EQ(reader.numCpus(), 2u);
-    EXPECT_EQ(reader.totalRecords(), 2u);
-    CpuOp got;
-    ASSERT_TRUE(reader.next(0, got));
-    EXPECT_EQ(got.addr, 0xAB00u);
-    EXPECT_EQ(got.gap, 3u);
-
-    const TraceScan scan = scanTrace(path);
-    EXPECT_EQ(scan.memOps, 2u);
-    std::remove(path.c_str());
-}
-
-TEST(Trace, UpgradedV1MatchesOriginalStream)
-{
-    const std::string v1 = tempPath("upgrade_src");
-    const std::string v2 = tempPath("upgrade_dst");
-    CpuOp op;
-    op.kind = CpuOpKind::Ifetch;
-    op.addr = 0x111;
-    std::vector<std::pair<unsigned, CpuOp>> recs;
-    recs.emplace_back(0, op);
-    op.kind = CpuOpKind::Dcbf;
-    op.addr = 0x222;
-    op.dependent = true;
-    recs.emplace_back(0, op);
-    writeV1File(v1, 1, recs);
-
-    // The upgrade path: read v1 lanes, rewrite through the v2 writer.
-    {
-        TraceReader reader(v1);
-        TraceWriter writer(v2, reader.numCpus(), reader.opsPerCpu());
-        for (unsigned cpu = 0; cpu < reader.numCpus(); ++cpu)
-            for (const CpuOp &o : reader.laneOps(cpu))
-                writer.append(static_cast<CpuId>(cpu), o);
-        writer.close();
-    }
-    EXPECT_EQ(verifyTrace(v2), "");
-    TraceReplay replay(v2);
-    CpuOp got;
-    ASSERT_TRUE(replay.next(0, got));
-    EXPECT_EQ(got.kind, CpuOpKind::Ifetch);
-    EXPECT_EQ(got.addr, 0x111u);
-    ASSERT_TRUE(replay.next(0, got));
-    EXPECT_EQ(got.kind, CpuOpKind::Dcbf);
-    EXPECT_TRUE(got.dependent);
-    EXPECT_FALSE(replay.next(0, got));
-    std::remove(v1.c_str());
-    std::remove(v2.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -576,44 +493,38 @@ TEST(TraceDeath, RejectsGarbageFile)
         std::fputs("not a trace at all", f);
         std::fclose(f);
     }
-    EXPECT_DEATH(TraceReader reader(path), "not a CGCT trace");
     EXPECT_DEATH(TraceReplay replay(path), "not a CGCT trace");
     std::remove(path.c_str());
 }
 
 TEST(TraceDeath, RejectsMissingFile)
 {
-    EXPECT_DEATH(TraceReader reader("/nonexistent/cgct.trace"),
-                 "cannot open");
     EXPECT_DEATH(TraceReplay replay("/nonexistent/cgct.trace"),
                  "cannot open");
 }
 
-TEST(TraceDeath, LegacyReaderRejectsV2)
+TEST(TraceDeath, LegacyV1RejectedEverywhere)
 {
-    const std::string path = tempPath("v2_for_v1reader");
-    {
-        TraceWriter writer(path, 1, 1);
-        CpuOp op;
-        op.kind = CpuOpKind::Load;
-        op.addr = 0x10;
-        writer.append(0, op);
-        writer.close();
-    }
-    EXPECT_DEATH(TraceReader reader(path), "is a v2 trace");
-    std::remove(path.c_str());
-}
+    // A hand-written version-1 file: the 24-byte header (magic, version
+    // 1, one CPU, one op per CPU) and one 15-byte load record.
+    const std::string path = tempPath("v1");
+    std::vector<std::uint8_t> v1(24 + 15, 0);
+    std::memcpy(v1.data(), kTraceMagic, 4);
+    put32At(v1, 4, 1);
+    put32At(v1, 8, 1);
+    put64At(v1, 16, 1);
+    v1[24 + 1] = static_cast<std::uint8_t>(CpuOpKind::Load);
+    put64At(v1, 24 + 7, 0x1000);
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(v1.data(), 1, v1.size(), f);
+    std::fclose(f);
 
-TEST(TraceDeath, StreamingReplayerRejectsV1)
-{
-    const std::string path = tempPath("v1_for_replayer");
-    CpuOp op;
-    op.kind = CpuOpKind::Load;
-    op.addr = 0x10;
-    std::vector<std::pair<unsigned, CpuOp>> recs;
-    recs.emplace_back(0, op);
-    writeV1File(path, 1, recs);
-    EXPECT_DEATH(TraceReplay replay(path), "legacy v1 trace");
+    const char *msg = "legacy v1 trace is no longer supported";
+    EXPECT_DEATH(TraceReplay replay(path), msg);
+    EXPECT_DEATH(readTraceInfo(path), msg);
+    EXPECT_DEATH(scanTrace(path), msg);
+    EXPECT_EQ(verifyTrace(path), msg);
     std::remove(path.c_str());
 }
 

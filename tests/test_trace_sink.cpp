@@ -133,8 +133,7 @@ TEST(TraceSink, DeterministicAcrossJobs)
     const SystemConfig c = tracedConfig();
     const WorkloadProfile &profile = benchmarkByName("ocean");
     const auto serial = simulateSeeds(c, profile, shortRun(), 3);
-    const auto parallel =
-        simulateSeedsParallel(c, profile, shortRun(), 3, 3);
+    const auto parallel = simulateSeeds(c, profile, shortRun(), 3, 3);
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         ASSERT_NE(serial[i].trace, nullptr);

@@ -15,7 +15,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 
 #include "common/argparse.hpp"
@@ -25,10 +24,8 @@
 #include "sim/json_stats.hpp"
 #include "sim/sampling.hpp"
 #include "sim/simulator.hpp"
-#include "sim/system.hpp"
 #include "snapshot/snapshot.hpp"
 #include "workload/benchmarks.hpp"
-#include "workload/generator.hpp"
 #include "workload/trace.hpp"
 
 using namespace cgct;
@@ -335,13 +332,6 @@ main(int argc, char **argv)
         }
     }
     if (checkpointing) {
-        if (!replay_path.empty() &&
-            traceFileVersion(replay_path) == kTraceVersion1) {
-            std::fprintf(stderr, "cgct_sim: checkpoint/restore needs a "
-                                 "v2 trace (no per-lane cursors in v1 — "
-                                 "run `cgct_trace upgrade` first)\n");
-            return 1;
-        }
         if (!capture_path.empty()) {
             std::fprintf(stderr, "cgct_sim: --capture does not combine "
                                  "with checkpoint/restore\n");
@@ -361,12 +351,17 @@ main(int argc, char **argv)
         }
     }
 
+    // Replays and generated single runs share one harness; the seed of a
+    // generated run is the first link of the --seeds chain, so it is the
+    // same experiment as `--seeds 1`. A replay's stream is the trace's.
+    const CheckpointOptions ckpt{checkpoint_every, checkpoint_path,
+                                 restore_path};
     std::vector<RunResult> results;
-    if (sample) {
-        const WorkloadProfile &profile = benchmarkByName(benchmark);
-        // First link of simulateSeeds' chain, so a sampled run estimates
-        // the same experiment as `--seeds 1`.
-        opts.seed = opts.seed * 2654435761ULL + 12345;
+    if (!replay_path.empty()) {
+        results.push_back(simulateCheckpointed(
+            config, replay_path, opts, ckpt, stats ? &std::cout : nullptr));
+    } else if (sample) {
+        opts.seed = nextSweepSeed(opts.seed);
         SamplingOptions sopts;
         sopts.windows = sample;
         sopts.windowOps = window_ops;
@@ -374,41 +369,16 @@ main(int argc, char **argv)
         sopts.jobs = static_cast<unsigned>(jobs);
         sopts.ciTarget = ci_target;
         sopts.maxWindows = max_windows;
-        results.push_back(simulateSampled(config, profile, opts, sopts));
-    } else if (checkpointing && !replay_path.empty()) {
-        CheckpointOptions ckpt;
-        ckpt.everyOps = checkpoint_every;
-        ckpt.writePrefix = checkpoint_path;
-        ckpt.restorePath = restore_path;
-        results.push_back(
-            simulateCheckpointedReplay(config, replay_path, opts, ckpt));
+        results.push_back(simulateSampled(
+            config, benchmarkByName(benchmark), opts, sopts));
     } else if (checkpointing) {
-        const WorkloadProfile &profile = benchmarkByName(benchmark);
-        // Match the first link of simulateSeeds' chain, so a
-        // checkpointed run is the same experiment as `--seeds 1`.
-        opts.seed = opts.seed * 2654435761ULL + 12345;
-        CheckpointOptions ckpt;
-        ckpt.everyOps = checkpoint_every;
-        ckpt.writePrefix = checkpoint_path;
-        ckpt.restorePath = restore_path;
-        results.push_back(
-            simulateCheckpointed(config, profile, opts, ckpt));
-    } else if (!replay_path.empty()) {
-        // Trace replay: stream the recorded trace through a System and
-        // collect the same RunResult a generated run would produce.
-        results.push_back(simulateReplay(config, replay_path, opts,
-                                         stats ? &std::cout : nullptr));
+        opts.seed = nextSweepSeed(opts.seed);
+        results.push_back(simulateCheckpointed(
+            config, benchmarkByName(benchmark), opts, ckpt));
     } else {
-        const WorkloadProfile &profile = benchmarkByName(benchmark);
-        // Seed chains are precomputed, so serial and parallel runs
-        // return identical results in identical order.
-        if (jobs == 1)
-            results = simulateSeeds(config, profile, opts,
-                                    static_cast<unsigned>(seeds));
-        else
-            results = simulateSeedsParallel(
-                config, profile, opts, static_cast<unsigned>(seeds),
-                static_cast<unsigned>(jobs));
+        results = simulateSeeds(config, benchmarkByName(benchmark), opts,
+                                static_cast<unsigned>(seeds),
+                                static_cast<unsigned>(jobs));
     }
 
     if (!trace_out.empty()) {

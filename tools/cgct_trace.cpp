@@ -5,7 +5,6 @@
  *
  *   cgct_trace record tpc-w out.trace --ops 100000 --seed 7
  *   cgct_trace convert events.txt out.trace
- *   cgct_trace upgrade old-v1.trace new-v2.trace
  *   cgct_trace info out.trace
  *   cgct_trace verify out.trace
  */
@@ -61,30 +60,6 @@ cmdConvert(const std::string &in_path, const std::string &out_path)
 }
 
 int
-cmdUpgrade(const std::string &in_path, const std::string &out_path)
-{
-    if (traceFileVersion(in_path) != kTraceVersion1) {
-        std::fprintf(stderr,
-                     "cgct_trace: '%s' is not a v1 trace — nothing to "
-                     "upgrade\n",
-                     in_path.c_str());
-        return 1;
-    }
-    TraceReader reader(in_path);
-    TraceWriter writer(out_path, reader.numCpus(), reader.opsPerCpu());
-    for (unsigned cpu = 0; cpu < reader.numCpus(); ++cpu)
-        for (const CpuOp &op : reader.laneOps(cpu))
-            writer.append(static_cast<CpuId>(cpu), op);
-    const std::uint64_t written = writer.recordsWritten();
-    writer.close();
-    std::printf("upgraded %s (v1, %llu records) to %s (v2, %u lanes)\n",
-                in_path.c_str(),
-                static_cast<unsigned long long>(written),
-                out_path.c_str(), reader.numCpus());
-    return 0;
-}
-
-int
 cmdInfo(const std::string &path)
 {
     const TraceInfo info = readTraceInfo(path);
@@ -95,20 +70,18 @@ cmdInfo(const std::string &path)
                 static_cast<unsigned long long>(info.opsDeclared));
     std::printf("file size           %llu bytes\n",
                 static_cast<unsigned long long>(info.fileBytes));
-    if (info.version == kTraceVersion2) {
-        std::printf("trace id            %016llx\n",
-                    static_cast<unsigned long long>(info.traceId));
-        std::printf("lane directory:\n");
-        std::printf("  %-5s %12s %12s %10s  %s\n", "lane", "bytes",
-                    "mem ops", "sync ops", "payload hash");
-        for (std::uint32_t i = 0; i < info.numLanes; ++i) {
-            const auto &l = info.lanes[i];
-            std::printf("  %-5u %12llu %12llu %10llu  %016llx\n", i,
-                        static_cast<unsigned long long>(l.payloadBytes),
-                        static_cast<unsigned long long>(l.memOps),
-                        static_cast<unsigned long long>(l.syncOps),
-                        static_cast<unsigned long long>(l.payloadHash));
-        }
+    std::printf("trace id            %016llx\n",
+                static_cast<unsigned long long>(info.traceId));
+    std::printf("lane directory:\n");
+    std::printf("  %-5s %12s %12s %10s  %s\n", "lane", "bytes", "mem ops",
+                "sync ops", "payload hash");
+    for (std::uint32_t i = 0; i < info.numLanes; ++i) {
+        const auto &l = info.lanes[i];
+        std::printf("  %-5u %12llu %12llu %10llu  %016llx\n", i,
+                    static_cast<unsigned long long>(l.payloadBytes),
+                    static_cast<unsigned long long>(l.memOps),
+                    static_cast<unsigned long long>(l.syncOps),
+                    static_cast<unsigned long long>(l.payloadHash));
     }
 
     const TraceScan scan = scanTrace(path);
@@ -176,13 +149,12 @@ main(int argc, char **argv)
     ArgParser parser(
         "cgct_trace",
         "Record benchmark op streams to a v2 trace file, convert a "
-        "SynchroTrace-style text log, upgrade a legacy v1 trace, or "
-        "inspect/verify an existing trace (docs/TRACE_FORMAT.md).\n"
+        "SynchroTrace-style text log, or inspect/verify an existing "
+        "trace (docs/TRACE_FORMAT.md).\n"
         "commands: record <benchmark> <file>, convert <text> <file>, "
-        "upgrade <v1-file> <v2-file>, info <file>, verify <file>");
+        "info <file>, verify <file>");
     parser.addPositional("command", &command,
-                         "record | convert | upgrade | info | verify",
-                         true);
+                         "record | convert | info | verify", true);
     parser.addPositional("arg1", &arg1,
                          "benchmark (record) or input file");
     parser.addPositional("arg2", &arg2, "output file");
@@ -216,14 +188,6 @@ main(int argc, char **argv)
             return 1;
         }
         return cmdConvert(arg1, arg2);
-    }
-    if (command == "upgrade") {
-        if (arg1.empty() || arg2.empty()) {
-            std::fprintf(stderr, "cgct_trace: upgrade needs <v1-file> "
-                                 "<v2-file>\n");
-            return 1;
-        }
-        return cmdUpgrade(arg1, arg2);
     }
     if (command == "info") {
         if (arg1.empty()) {

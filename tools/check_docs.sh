@@ -244,7 +244,7 @@ else
         fi
     done
 
-    for token in record convert upgrade info verify xxhash64 trace_id \
+    for token in record convert info verify xxhash64 trace_id \
                  payload_hash directory_offset little-endian \
                  text-format ops_declared num_lanes TraceWriter; do
         if ! grep -q -- "$token" "$fmt_doc"; then

@@ -5,7 +5,8 @@
 # JSON result blobs to hash identically after normalizing the fields
 # that legitimately differ (the workload label and, for replays, the
 # seed the trace file does not carry). Also covers the cgct_trace
-# convert/verify/info pipeline and checkpoint-mid-replay restore.
+# convert/verify/info pipeline, checkpoint-mid-replay restore, and the
+# rejection of legacy v1 files.
 #
 #   tools/trace_replay_test.sh <cgct_sim-binary> <cgct_trace-binary>
 #
@@ -182,5 +183,24 @@ if "$trace" verify "$bad" > /dev/null 2>&1; then
     exit 1
 fi
 
+# A legacy v1 file (24-byte header: magic, version 1, one CPU, one op;
+# then one 15-byte record) is refused with one clear message, as a
+# fatal error (exit 1), never a crash.
+v1="$tmp/legacy-v1.trace"
+printf 'CGCT\001\000\000\000\001\000\000\000\000\000\000\000' > "$v1"
+printf '\001\000\000\000\000\000\000\000' >> "$v1"
+printf '\000\002\000\000\000\000\000\000\020\000\000\000\000\000\000' >> "$v1"
+for cmd in "$sim --replay $v1 --cpus 1" "$trace info $v1"; do
+    $cmd > /dev/null 2> "$tmp/v1.err"
+    status=$?
+    if [ "$status" -ne 1 ] ||
+       ! grep -q 'legacy v1 trace is no longer supported' "$tmp/v1.err"; then
+        echo "trace_replay_test: '$cmd' on a v1 trace exited $status" \
+             "without the legacy-v1 message" >&2
+        cat "$tmp/v1.err" >&2
+        exit 1
+    fi
+done
+
 echo "trace_replay_test: capture→replay byte-identity holds for all 9" \
-     "profiles; convert/verify/checkpoint paths OK"
+     "profiles; convert/verify/checkpoint paths OK; v1 rejected"

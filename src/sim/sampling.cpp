@@ -143,7 +143,8 @@ warmDetailed(const SystemConfig &config, const WorkloadProfile &profile,
     snapshots.reserve(starts.size());
     for (std::uint64_t target : starts) {
         workload.setPauseAt(target);
-        runPhase(sys, /*resume=*/!snapshots.empty(), opts.maxEvents);
+        if (runPhase(sys, /*resume=*/!snapshots.empty(), opts.maxEvents))
+            panic("warmDetailed: generated workload blocked on sync");
         snapshots.push_back(makeWarmSnapshot(sys, workload, fingerprint));
     }
     return snapshots;
@@ -184,7 +185,8 @@ runWindow(const SystemConfig &config, const WorkloadProfile &profile,
     sys.resetStats(measure_start);
 
     workload.setPauseAt(window_end);
-    runPhase(sys, /*resume=*/true, opts.maxEvents);
+    if (runPhase(sys, /*resume=*/true, opts.maxEvents))
+        panic("runWindow: generated workload blocked on sync");
 
     RunResult r =
         collectRunResult(sys, profile.name, opts.seed, measure_start);

@@ -35,7 +35,7 @@ scheduleWarmupCheck(System &sys, std::function<std::uint64_t()> min_ops,
     });
 }
 
-void
+unsigned
 runPhase(System &sys, bool resume, std::uint64_t max_events,
          const std::function<void()> &after_start)
 {
@@ -50,15 +50,9 @@ runPhase(System &sys, bool resume, std::uint64_t max_events,
         fatal("run: event cap hit (%llu) — runaway simulation?",
               static_cast<unsigned long long>(max_events));
     if (sys.allCoresFinished())
-        return;
-    if (const unsigned wedged = sys.coresWaitingOnSync())
-        fatal("checkpoint drain wedged: %u core(s) are blocked on trace "
-              "synchronization events at a pause point — a paused lane "
-              "holds a lock or owes a barrier arrival that a blocked "
-              "lane needs. Choose a --checkpoint-every interval aligned "
-              "with the trace's synchronization structure (or checkpoint "
-              "less often)",
-              wedged);
+        return 0;
+    if (const unsigned blocked = sys.coresWaitingOnSync())
+        return blocked;
     panic("run: event queue drained before cores reached the pause point");
 }
 

@@ -231,13 +231,15 @@ void scheduleWarmupCheck(System &sys,
  * start() a fresh system, or resumePhase() one that drained or was
  * restored (@p resume), call @p after_start (events that must be
  * scheduled after the cores, such as the warmup check), and run the
- * event queue dry. fatal()s when @p max_events is hit, and when the
- * queue ran dry with cores still blocked on trace synchronization (a
- * pause point that splits a lock or barrier); panic()s on any other
- * drain that left a core unfinished.
+ * event queue dry. Returns the number of cores the drain left blocked
+ * on trace synchronization (a pause point that splits a lock or
+ * barrier), 0 when every core finished; the caller knows where it
+ * paused and reports it. fatal()s when @p max_events is hit; panic()s on
+ * any other drain that left a core unfinished.
  */
-void runPhase(System &sys, bool resume, std::uint64_t max_events,
-              const std::function<void()> &after_start = nullptr);
+[[nodiscard]] unsigned runPhase(
+    System &sys, bool resume, std::uint64_t max_events,
+    const std::function<void()> &after_start = nullptr);
 
 /**
  * The multi-seed chain step: seed k of a batch is link k+1 from the

@@ -353,12 +353,25 @@ drainLoop(const SystemConfig &config, Run &run, const RunOptions &opts,
         // The warmup-check event dies at each drain (it stops
         // rescheduling once every core is Finished) and is re-armed
         // each phase, after the cores start.
-        runPhase(sys, resume, opts.maxEvents, [&] {
+        const unsigned blocked = runPhase(sys, resume, opts.maxEvents, [&] {
             if (!warmup_done)
                 scheduleWarmupCheck(
                     sys, [&run] { return run.progress(); }, h.warmupOps,
                     &measure_start, &warmup_done);
         });
+        if (blocked && last)
+            fatal("run wedged: %u core(s) are blocked on trace "
+                  "synchronization events at the end of the trace — a "
+                  "lane ended holding a lock or owing a barrier arrival",
+                  blocked);
+        if (blocked)
+            fatal("checkpoint drain wedged: %u core(s) are blocked on "
+                  "trace synchronization events at the %llu-op pause "
+                  "point — a paused lane holds a lock or owes a barrier "
+                  "arrival that a blocked lane needs. Choose a "
+                  "--checkpoint-every interval aligned with the trace's "
+                  "synchronization structure (or checkpoint less often)",
+                  blocked, static_cast<unsigned long long>(next_pause));
         if (last)
             break;
 
@@ -382,10 +395,10 @@ drainLoop(const SystemConfig &config, Run &run, const RunOptions &opts,
 RunResult
 simulateCheckpointed(const SystemConfig &config,
                      const WorkloadProfile &profile, const RunOptions &opts,
-                     const CheckpointOptions &ckpt, std::ostream *stats_out)
+                     const CheckpointOptions &ckpt)
 {
     GeneratedRun run(config, profile, opts);
-    return drainLoop(config, run, opts, ckpt, stats_out);
+    return drainLoop(config, run, opts, ckpt, nullptr);
 }
 
 RunResult

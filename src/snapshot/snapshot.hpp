@@ -89,15 +89,15 @@ std::uint64_t snapshotFingerprint(const SystemConfig &config,
  *
  * A replay drain can wedge: if a paused lane holds a lock (or owes a
  * barrier arrival) that another lane is blocked on, the event queue
- * runs dry with cores still waiting. runPhase() reports that with
- * guidance instead of producing a corrupt snapshot. @p stats_out, when
- * non-null, receives the full component statistics (the CLI's --stats).
+ * runs dry with cores still waiting. The drain loop fatal()s with the
+ * pause point and guidance instead of producing a corrupt snapshot.
+ * For a replay, @p stats_out, when non-null, receives the full
+ * component statistics (the CLI's --stats).
  */
 RunResult simulateCheckpointed(const SystemConfig &config,
                                const WorkloadProfile &profile,
                                const RunOptions &opts,
-                               const CheckpointOptions &ckpt,
-                               std::ostream *stats_out = nullptr);
+                               const CheckpointOptions &ckpt);
 RunResult simulateCheckpointed(const SystemConfig &config,
                                const std::string &trace_path,
                                const RunOptions &opts,

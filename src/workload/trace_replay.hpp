@@ -82,7 +82,8 @@ class TraceReplay : public OpSource
      * Checkpoint support: fetch() reports End for a lane once it has
      * consumed @p ops memory ops, so the run drains for a snapshot.
      * Sync-blocked lanes cannot drain — runPhase() (sim/simulator.hpp)
-     * detects that wedge and asks for a different interval.
+     * counts them, and the drain loop reports the wedged pause point and
+     * asks for a different interval.
      */
     void setPauseAt(std::uint64_t ops) { pauseAt_ = ops; }
 

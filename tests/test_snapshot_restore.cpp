@@ -198,6 +198,41 @@ TEST(SnapshotRestore, LastPhaseRunsTrailingSyncRecords)
     std::remove(trace.c_str());
 }
 
+TEST(SnapshotRestoreDeath, WedgedDrainNamesPausePoint)
+{
+    // Both lanes open with the same lock. The winner pauses after one op
+    // still holding it, so the loser cannot reach the 1-op pause point.
+    const std::string trace =
+        std::string(::testing::TempDir()) + "wedged_drain.trace";
+    {
+        TraceWriter writer(trace, 2, 2);
+        CpuOp load;
+        load.kind = CpuOpKind::Load;
+        SyncRecord lock;
+        lock.id = 1;
+        for (CpuId lane = 0; lane < 2; ++lane) {
+            lock.op = TraceRecOp::lock_acquire;
+            writer.appendSync(lane, lock);
+            load.addr = 0x1000 + 0x1000 * lane;
+            writer.append(lane, load);
+            writer.append(lane, load);
+            lock.op = TraceRecOp::lock_release;
+            writer.appendSync(lane, lock);
+        }
+        writer.close();
+    }
+    SystemConfig config = configFor(512);
+    config.topology.numCpus = 2;
+    RunOptions opts;
+    opts.warmupOps = 0;
+    CheckpointOptions ckpt;
+    ckpt.everyOps = 1;
+    EXPECT_DEATH(simulateCheckpointed(config, trace, opts, ckpt),
+                 "1 core\\(s\\) are blocked on trace synchronization "
+                 "events at the 1-op pause point");
+    std::remove(trace.c_str());
+}
+
 TEST(SnapshotRestore, WarmupCrossesAfterRestore)
 {
     // Warmup (4000 ops) completes in the *second* phase, so restoring

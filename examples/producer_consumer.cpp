@@ -1,7 +1,7 @@
 /**
  * @file
  * Example: a hand-built producer-consumer scenario driven directly through
- * the public Node/Bus API (no workload generator). One processor fills a
+ * each Node of a System (no workload generator). One processor fills a
  * buffer, another consumes it, and the example narrates what the region
  * protocol does at every step — which requests broadcast, which go
  * directly to memory, and how the Region Coherence Array states evolve.
@@ -11,47 +11,20 @@
  */
 
 #include <cstdio>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "interconnect/bus.hpp"
-#include "sim/node.hpp"
+#include "sim/system.hpp"
 
 using namespace cgct;
 
 namespace {
 
-/** Minimal harness around a hand-assembled multiprocessor. */
+/** The machine of Table 3 with idle cores: the example issues each op
+ *  to a node itself. */
 class Machine
 {
   public:
-    explicit Machine(bool cgct_on)
-    {
-        config_ = makeDefaultConfig();
-        config_.prefetch.enabled = false; // Keep the trace readable.
-        if (cgct_on)
-            config_ = config_.withCgct(512);
-        config_.validate();
-        map_ = std::make_unique<AddressMap>(config_.topology);
-        for (unsigned i = 0; i < config_.topology.numMemCtrls(); ++i) {
-            mcs_.push_back(std::make_unique<MemoryController>(
-                static_cast<MemCtrlId>(i), eq_, config_.interconnect));
-            mcPtrs_.push_back(mcs_.back().get());
-        }
-        net_ = std::make_unique<DataNetwork>(config_.topology.numCpus,
-                                             config_.interconnect);
-        bus_ = std::make_unique<Bus>(eq_, config_.interconnect, *map_,
-                                     *net_, mcPtrs_);
-        for (unsigned i = 0; i < config_.topology.numCpus; ++i) {
-            nodes_.push_back(std::make_unique<Node>(
-                static_cast<CpuId>(i), config_, eq_, *bus_, *net_, *map_,
-                mcPtrs_,
-                makeTracker(static_cast<CpuId>(i), config_.cgct,
-                            config_.l2.lineBytes)));
-            bus_->addClient(nodes_.back().get());
-        }
-    }
+    explicit Machine(bool cgct_on) : sys_(configFor(cgct_on), noOps_) {}
 
     /** Perform one op and return how long the data took. */
     Tick
@@ -60,13 +33,13 @@ class Machine
         Tick ready = 0;
         bool pending = false;
         Tick result = 0;
-        const Tick start = eq_.now();
-        if (!nodes_[cpu]->access(kind, addr, start, ready,
-                                 [&](Tick r) {
-                                     pending = true;
-                                     result = r;
-                                 })) {
-            eq_.run();
+        const Tick start = sys_.eq().now();
+        if (!sys_.node(cpu).access(kind, addr, start, ready,
+                                   [&](Tick r) {
+                                       pending = true;
+                                       result = r;
+                                   })) {
+            sys_.eq().run();
             ready = result;
         }
         (void)pending;
@@ -76,23 +49,30 @@ class Machine
     std::string
     regionState(unsigned cpu, Addr addr)
     {
-        if (!nodes_[cpu]->tracker())
+        if (!sys_.node(cpu).tracker())
             return "-";
         return std::string(
-            regionStateName(nodes_[cpu]->tracker()->peekState(addr)));
+            regionStateName(sys_.node(cpu).tracker()->peekState(addr)));
     }
 
-    Node &node(unsigned i) { return *nodes_[i]; }
+    Node &node(unsigned i) { return sys_.node(i); }
 
   private:
-    SystemConfig config_;
-    EventQueue eq_;
-    std::unique_ptr<AddressMap> map_;
-    std::vector<std::unique_ptr<MemoryController>> mcs_;
-    std::vector<MemoryController *> mcPtrs_;
-    std::unique_ptr<DataNetwork> net_;
-    std::unique_ptr<Bus> bus_;
-    std::vector<std::unique_ptr<Node>> nodes_;
+    /** The cores never start, so they draw no ops. */
+    struct NoOps : OpSource {
+        bool next(CpuId, CpuOp &) override { return false; }
+    };
+
+    static SystemConfig
+    configFor(bool cgct_on)
+    {
+        SystemConfig c = makeDefaultConfig();
+        c.prefetch.enabled = false; // Keep the trace readable.
+        return cgct_on ? c.withCgct(512) : c;
+    }
+
+    NoOps noOps_;
+    System sys_;
 };
 
 constexpr Addr kBuffer = 0x100000; // One 512-byte region: 8 lines.

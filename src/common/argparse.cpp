@@ -183,4 +183,16 @@ ArgParser::printHelp(std::ostream &os) const
     os << "  --help\n      show this message\n";
 }
 
+std::vector<std::string>
+splitList(const std::string &s)
+{
+    std::vector<std::string> out;
+    std::stringstream ss(s);
+    std::string item;
+    while (std::getline(ss, item, ','))
+        if (!item.empty())
+            out.push_back(item);
+    return out;
+}
+
 } // namespace cgct

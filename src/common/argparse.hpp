@@ -75,4 +75,7 @@ class ArgParser
     bool helpRequested_ = false;
 };
 
+/** Split a comma-separated option value, dropping empty items. */
+std::vector<std::string> splitList(const std::string &s);
+
 } // namespace cgct

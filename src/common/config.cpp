@@ -113,12 +113,19 @@ SystemConfig::baseline() const
 }
 
 SystemConfig
-SystemConfig::withCgct(std::uint64_t region_bytes, unsigned rca_sets,
-                       unsigned rca_ways) const
+SystemConfig::withCgct(std::uint64_t region_bytes) const
 {
     SystemConfig c = *this;
     c.cgct.enabled = true;
     c.cgct.regionBytes = region_bytes;
+    return c;
+}
+
+SystemConfig
+SystemConfig::withCgct(std::uint64_t region_bytes, unsigned rca_sets,
+                       unsigned rca_ways) const
+{
+    SystemConfig c = withCgct(region_bytes);
     c.cgct.rcaSets = rca_sets;
     c.cgct.rcaWays = rca_ways;
     return c;

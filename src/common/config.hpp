@@ -234,10 +234,14 @@ struct SystemConfig {
     /** Baseline (CGCT disabled) copy of this configuration. */
     SystemConfig baseline() const;
 
-    /** Copy with CGCT enabled at the given region size. */
-    SystemConfig withCgct(std::uint64_t region_bytes,
-                          unsigned rca_sets = 8192,
-                          unsigned rca_ways = 2) const;
+    /** Copy with CGCT enabled at the given region size, keeping this
+     *  configuration's RCA geometry. */
+    SystemConfig withCgct(std::uint64_t region_bytes) const;
+
+    /** Copy with CGCT enabled at the given region size and RCA
+     *  geometry. */
+    SystemConfig withCgct(std::uint64_t region_bytes, unsigned rca_sets,
+                          unsigned rca_ways) const;
 };
 
 /** The paper's default four-processor configuration (Table 3). */

@@ -1,9 +1,6 @@
 #include "sim/simulator.hpp"
 
-#include <future>
-
 #include "common/log.hpp"
-#include "common/thread_pool.hpp"
 #include "sim/system.hpp"
 #include "snapshot/snapshot.hpp"
 
@@ -227,33 +224,6 @@ collectRunResult(System &sys, const std::string &workload_name,
             sys.traceSink().takeEvents());
     }
     return r;
-}
-
-std::vector<RunResult>
-simulateSeeds(const SystemConfig &config, const WorkloadProfile &profile,
-              RunOptions opts, unsigned n_seeds, unsigned jobs)
-{
-    std::vector<RunOptions> runs(n_seeds, opts);
-    for (RunOptions &run : runs)
-        run.seed = opts.seed = nextSweepSeed(opts.seed);
-
-    std::vector<RunResult> out;
-    out.reserve(n_seeds);
-    if (jobs == 1) {
-        for (const RunOptions &run : runs)
-            out.push_back(simulateOnce(config, profile, run));
-        return out;
-    }
-    ThreadPool pool(jobs);
-    std::vector<std::future<RunResult>> futures;
-    futures.reserve(n_seeds);
-    for (const RunOptions &run : runs)
-        futures.push_back(pool.submit([&config, &profile, &run] {
-            return simulateOnce(config, profile, run);
-        }));
-    for (auto &f : futures)
-        out.push_back(f.get());
-    return out;
 }
 
 RunSummary

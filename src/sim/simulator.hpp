@@ -2,12 +2,13 @@
  * @file
  * Run harness: builds a System around an op source (the synthetic
  * workload generator or a recorded v2 trace), warms it up, measures, and
- * returns a RunResult with everything the benches need to reproduce the
+ * returns a RunResult with everything cgct_paper needs to reproduce the
  * paper's figures. Every run, plain or checkpointed, goes through one
  * drain loop (simulateCheckpointed in snapshot/snapshot.hpp) built from
- * the steps declared here. Multi-seed helpers implement the paper's
- * variability methodology (several perturbed runs, 95% confidence
- * intervals, after Alameldeen et al. [27]).
+ * the steps declared here. The seed chain and runtimeSummary implement
+ * the paper's variability methodology (several perturbed runs, 95%
+ * confidence intervals, after Alameldeen et al. [27]); sim/sweep.hpp
+ * runs the perturbed runs.
  */
 
 #pragma once
@@ -243,27 +244,15 @@ void scheduleWarmupCheck(System &sys,
 
 /**
  * The multi-seed chain step: seed k of a batch is link k+1 from the
- * base seed. Shared by simulateSeeds, SweepSpec::expand and cgct_sim,
- * so `cgct_sim --seeds N` and `cgct_sweep --seeds N` run the same
- * perturbations.
+ * base seed. Shared by SweepSpec::expand (and so simulateSeeds) and
+ * cgct_sim, so `cgct_sim --seeds N` and `cgct_sweep --seeds N` run the
+ * same perturbations.
  */
 inline std::uint64_t
 nextSweepSeed(std::uint64_t s)
 {
     return s * 2654435761ULL + 12345;
 }
-
-/**
- * Run @p n_seeds simulations differing only in seed (the nextSweepSeed
- * chain from opts.seed), on @p jobs worker threads (0 = hardware
- * concurrency, 1 = serial on the calling thread). Every run owns its
- * simulation state, so the results, in chain order, are identical at any
- * job count.
- */
-std::vector<RunResult> simulateSeeds(const SystemConfig &config,
-                                     const WorkloadProfile &profile,
-                                     RunOptions opts, unsigned n_seeds,
-                                     unsigned jobs = 1);
 
 /** Summarize the runtimes (cycles) of a batch of runs. */
 RunSummary runtimeSummary(const std::vector<RunResult> &runs);

@@ -100,6 +100,8 @@ SweepRunner::runResumable(const ResumeHooks &hooks,
                 SamplingOptions sopts = spec_.sampling;
                 sopts.jobs = 1;
                 r = simulateSampled(config, *cell.profile, opts, sopts);
+            } else if (spec_.simulate) {
+                r = spec_.simulate(cell, config, opts);
             } else {
                 r = simulateOnce(config, *cell.profile, opts);
             }
@@ -136,6 +138,20 @@ SweepRunner::runResumable(const ResumeHooks &hooks,
             f.wait();
     out.completedCells = completed.load();
     return out;
+}
+
+std::vector<RunResult>
+simulateSeeds(const SystemConfig &config, const WorkloadProfile &profile,
+              const RunOptions &opts, unsigned n_seeds, unsigned jobs)
+{
+    SweepSpec spec;
+    spec.profiles = {&profile};
+    spec.regionSizes = {0}; // Region 0 runs the configuration as given.
+    spec.seedsPerCell = n_seeds;
+    spec.baseSeed = opts.seed;
+    spec.opts = opts;
+    spec.baseConfig = config;
+    return SweepRunner(std::move(spec), jobs).run();
 }
 
 void

@@ -58,6 +58,16 @@ struct SweepSpec {
     bool sampled = false;
     SamplingOptions sampling;
 
+    /**
+     * Runs one full-detail cell in place of simulateOnce, for in-process
+     * callers that read the System after the run (cgct_paper's
+     * RegionScout and energy tables). Called from worker threads. Not
+     * part of sweepFingerprint: resumable sweeps leave it unset.
+     */
+    std::function<RunResult(const SweepCell &cell, const SystemConfig &config,
+                            const RunOptions &opts)>
+        simulate;
+
     /** Enumerate cells: profile-major, then region, then seed — the
      * exact order the serial sweep always emitted. */
     std::vector<SweepCell> expand() const;
@@ -131,6 +141,17 @@ class SweepRunner
     std::vector<SweepCell> cells_;
     unsigned jobs_;
 };
+
+/**
+ * Run @p n_seeds simulations of @p config differing only in seed (the
+ * nextSweepSeed chain from opts.seed) as a one-cell sweep on @p jobs
+ * threads (0 = hardware concurrency), so the results, in chain order,
+ * are identical at any job count.
+ */
+std::vector<RunResult> simulateSeeds(const SystemConfig &config,
+                                     const WorkloadProfile &profile,
+                                     const RunOptions &opts,
+                                     unsigned n_seeds, unsigned jobs = 1);
 
 /**
  * CSV header matching writeSweepCsvRow's column order. The default is

@@ -9,7 +9,8 @@
 
 namespace cgct {
 
-System::System(const SystemConfig &config, OpSource &source)
+System::System(const SystemConfig &config, OpSource &source,
+               const TrackerFactory &make_tracker)
     : config_(config), map_(config.topology)
 {
     config_.validate();
@@ -46,6 +47,12 @@ System::System(const SystemConfig &config, OpSource &source)
         break;
     }
 
+    const auto build_tracker = [&](CpuId cpu) {
+        return make_tracker ? make_tracker(cpu)
+                            : makeTracker(cpu, config_.cgct,
+                                          config_.l2.lineBytes);
+    };
+
     // One tracker per core, or one per chip shared by its cores
     // (Section 3.2) when configured.
     std::vector<std::shared_ptr<RegionTracker>> chip_trackers(
@@ -57,12 +64,10 @@ System::System(const SystemConfig &config, OpSource &source)
             auto &slot = chip_trackers[config_.topology.chipOfCpu(
                 static_cast<CpuId>(i))];
             if (!slot)
-                slot = makeTracker(static_cast<CpuId>(i), config_.cgct,
-                                   config_.l2.lineBytes);
+                slot = build_tracker(static_cast<CpuId>(i));
             tracker = slot;
         } else {
-            tracker = makeTracker(static_cast<CpuId>(i), config_.cgct,
-                                  config_.l2.lineBytes);
+            tracker = build_tracker(static_cast<CpuId>(i));
         }
         nodes_.push_back(std::make_unique<Node>(
             static_cast<CpuId>(i), config_, eq_, *bus_, *dataNet_,

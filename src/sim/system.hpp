@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <vector>
@@ -37,11 +38,20 @@ class Deserializer;
 class System
 {
   public:
+    /** Builds the region tracker of one processor. */
+    using TrackerFactory =
+        std::function<std::shared_ptr<RegionTracker>(CpuId cpu)>;
+
     /**
      * @param config validated system configuration
      * @param source workload op streams (must outlive the system)
+     * @param make_tracker builds each processor's region tracker in place
+     *        of makeTracker(config.cgct), e.g. RegionScout for the
+     *        comparison of the paper's Section 2; a CGCT configuration
+     *        with sharedPerChip calls it once per chip
      */
-    System(const SystemConfig &config, OpSource &source);
+    System(const SystemConfig &config, OpSource &source,
+           const TrackerFactory &make_tracker = {});
 
     /** Kick off every core. */
     void start();

@@ -33,7 +33,8 @@ namespace cgct::golden {
 /**
  * SHA-256 of the default `cgct_sweep` CSV (every standard benchmark x
  * regions {0,256,512,1024} x 3 seeds at 120000 ops), at any --jobs.
- * Asserted by SweepIdentity.DefaultSweepDigestAtJobs{1,0} and by the
+ * Asserted by SweepIdentity.DefaultSweepDigestAndPaperClaimsAtJobs1,
+ * SweepIdentity.DefaultSweepDigestAtJobs0 and by the
  * snapshot_resume ctest. Regenerate:
  *   build/tools/cgct_sweep --jobs 1 --no-progress | sha256sum
  */

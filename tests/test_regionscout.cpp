@@ -1,12 +1,19 @@
 /**
  * @file
  * Tests for the RegionScout comparison tracker: NSRT fills/invalidations,
- * CRH counting and snoop filtering, and its imprecision relative to CGCT.
+ * CRH counting and snoop filtering, its imprecision relative to CGCT, and
+ * a whole run with RegionScout trackers built through System.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/regionscout.hpp"
+#include "sim/simulator.hpp"
+#include "sim/system.hpp"
+#include "workload/benchmarks.hpp"
+#include "workload/generator.hpp"
 
 namespace cgct {
 namespace {
@@ -143,6 +150,27 @@ TEST_F(RegionScoutTest, PeekStateMapsNsrtToExclusive)
     rs.onBroadcastResponse(RequestType::Read, 0x1000, true,
                            response(false, false), 1);
     EXPECT_EQ(rs.peekState(0x1000), RegionState::DirtyInvalid);
+}
+
+TEST(RegionScoutSystem, TrackersBuiltThroughSystemRouteRequests)
+{
+    // cgct_paper's A4 cells: RegionScout trackers handed to System on the
+    // baseline configuration.
+    const SystemConfig config = makeDefaultConfig();
+    SyntheticWorkload workload(benchmarkByName("tpc-w"),
+                               config.topology.numCpus, 5000, 20050609);
+    System sys(config, workload, [&config](CpuId cpu) {
+        return std::make_shared<RegionScout>(cpu, RegionScoutParams{},
+                                             config.l2.lineBytes);
+    });
+    ASSERT_NE(dynamic_cast<RegionScout *>(sys.node(0).tracker()), nullptr);
+    EXPECT_EQ(runPhase(sys, /*resume=*/false, RunOptions{}.maxEvents), 0u);
+    EXPECT_TRUE(sys.allCoresFinished());
+
+    const RunResult r = collectRunResult(sys, "tpc-w", 20050609, 0);
+    EXPECT_GT(r.requestsTotal, 0u);
+    EXPECT_EQ(r.broadcasts + r.directs + r.locals, r.requestsTotal);
+    EXPECT_GT(r.directs, 0u);
 }
 
 TEST(RegionScoutDeath, CrhUnderflowPanics)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/simulator.hpp"
+#include "sim/sweep.hpp"
 #include "workload/benchmarks.hpp"
 
 namespace cgct {

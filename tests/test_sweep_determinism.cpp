@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the parallel sweep runner: matrix expansion order, the seed
- * chain (shared with simulateSeeds), and the determinism contract — the same 2-benchmark x 2-seed
+ * chain (shared with simulateSeeds), CGCT cells keeping the base RCA
+ * geometry, and the determinism contract — the same 2-benchmark x 2-seed
  * matrix emits identical rows at --jobs 1 and --jobs 4, and identical
  * JSON, regardless of completion order.
  */
@@ -15,6 +16,8 @@
 
 #include "sim/json_stats.hpp"
 #include "sim/sweep.hpp"
+#include "snapshot/journal.hpp"
+#include "snapshot/serializer.hpp"
 #include "workload/benchmarks.hpp"
 
 namespace cgct {
@@ -161,6 +164,40 @@ TEST(Sweep, SimulateSeedsFollowsSweepChain)
     ASSERT_EQ(runs.size(), cells.size());
     for (std::size_t k = 0; k < runs.size(); ++k)
         EXPECT_EQ(runs[k].seed, cells[k].seed) << "seed " << k;
+}
+
+std::vector<std::uint8_t>
+encoded(const RunResult &r)
+{
+    Serializer s;
+    encodeRunResult(s, r);
+    return s.buffer();
+}
+
+TEST(Sweep, CgctCellsKeepTheBaseRcaGeometry)
+{
+    // A spec whose base configuration carries a half-size RCA runs it:
+    // the geometry sweepFingerprint hashes is the one simulated.
+    SweepSpec spec;
+    spec.profiles = {&benchmarkByName("tpc-w")};
+    spec.regionSizes = {512};
+    spec.seedsPerCell = 1;
+    spec.opts.opsPerCpu = 20000;
+    spec.opts.warmupOps = 4000;
+    spec.baseConfig = makeDefaultConfig();
+    spec.baseConfig.cgct.rcaSets = 4096;
+    const RunResult swept = SweepRunner(spec, 1).run().at(0);
+
+    RunOptions opts = spec.opts;
+    opts.seed = spec.expand().at(0).seed;
+    const WorkloadProfile &tpcw = *spec.profiles[0];
+    EXPECT_EQ(encoded(swept),
+              encoded(simulateOnce(makeDefaultConfig().withCgct(512, 4096, 2),
+                                   tpcw, opts)));
+    // The geometry matters at this length, so the check above has teeth.
+    EXPECT_NE(encoded(swept),
+              encoded(simulateOnce(makeDefaultConfig().withCgct(512), tpcw,
+                                   opts)));
 }
 
 } // namespace

@@ -16,6 +16,7 @@
 #include "common/trace_sink.hpp"
 #include "core/region_protocol.hpp"
 #include "sim/simulator.hpp"
+#include "sim/sweep.hpp"
 #include "workload/benchmarks.hpp"
 
 namespace cgct {

@@ -24,6 +24,7 @@
 #include "sim/json_stats.hpp"
 #include "sim/sampling.hpp"
 #include "sim/simulator.hpp"
+#include "sim/sweep.hpp"
 #include "snapshot/snapshot.hpp"
 #include "workload/benchmarks.hpp"
 #include "workload/trace.hpp"

@@ -17,7 +17,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -43,18 +42,6 @@ extern "C" void
 onStopSignal(int)
 {
     g_stop = 1;
-}
-
-std::vector<std::string>
-splitCsv(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
 }
 
 } // namespace
@@ -145,10 +132,10 @@ main(int argc, char **argv)
         for (const auto &p : standardBenchmarks())
             spec.profiles.push_back(&p);
     } else {
-        for (const auto &name : splitCsv(benchmarks))
+        for (const auto &name : splitList(benchmarks))
             spec.profiles.push_back(&benchmarkByName(name));
     }
-    for (const auto &r : splitCsv(regions))
+    for (const auto &r : splitList(regions))
         spec.regionSizes.push_back(
             std::strtoull(r.c_str(), nullptr, 10));
     spec.seedsPerCell = static_cast<unsigned>(seeds);

@@ -81,4 +81,27 @@ inline constexpr const char *kGeneratedCheckpointSha256 =
 inline constexpr const char *kReplayCheckpointSha256 =
     "6bfed5c307e45c0f3bdeecb34e372593b89636073edabcbbd0f501881b04df6d";
 
+/**
+ * SHA-256 of the CGCTSNAP file a 16-node hierarchy run with one RCA per
+ * chip writes at its 10000-op drain (HierRouter state, shared-tracker
+ * dedupe). Asserted by SnapshotPin.Hier16SharedRcaCheckpointBytes.
+ * Regenerate:
+ *   build/tools/cgct_sim tpc-w --nodes 16 --topology hier --shared-rca
+ *     --ops 20000 --checkpoint-every 10000 --checkpoint /tmp/hier
+ *     && sha256sum /tmp/hier.10000
+ */
+inline constexpr const char *kHier16SharedRcaCheckpointSha256 =
+    "c20f2e49fa3cdd955747abb1c5d5413918d7e01b50a37777c59a4433c389debf";
+
+/**
+ * SHA-256 of the same checkpoint on the 16-node directory with DMA on
+ * (sharer and presence tables, the "dma" section). Asserted by
+ * SnapshotPin.Dir16DmaCheckpointBytes. Regenerate:
+ *   build/tools/cgct_sim tpc-w --nodes 16 --topology dir --dma
+ *     --shared-rca --ops 20000 --checkpoint-every 10000
+ *     --checkpoint /tmp/dir && sha256sum /tmp/dir.10000
+ */
+inline constexpr const char *kDir16DmaCheckpointSha256 =
+    "80e1fa1dc871461db50ef4c53d667b41ecefe36c924816e1f8abafa77d6da092";
+
 } // namespace cgct::golden

@@ -2,7 +2,8 @@
  * @file
  * Tests for the RegionScout comparison tracker: NSRT fills/invalidations,
  * CRH counting and snoop filtering, its imprecision relative to CGCT, and
- * a whole run with RegionScout trackers built through System.
+ * a whole run with RegionScout trackers built through System, and that
+ * run's snapshot round trip.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "core/regionscout.hpp"
 #include "sim/simulator.hpp"
 #include "sim/system.hpp"
+#include "snapshot/serializer.hpp"
 #include "workload/benchmarks.hpp"
 #include "workload/generator.hpp"
 
@@ -171,6 +173,36 @@ TEST(RegionScoutSystem, TrackersBuiltThroughSystemRouteRequests)
     EXPECT_GT(r.requestsTotal, 0u);
     EXPECT_EQ(r.broadcasts + r.directs + r.locals, r.requestsTotal);
     EXPECT_GT(r.directs, 0u);
+}
+
+TEST(RegionScoutSystem, SnapshotRoundTripIsByteIdentical)
+{
+    // No checkpoint pin runs RegionScout: save a drained system, restore
+    // it into a fresh one and save again; the two must be the same bytes.
+    SystemConfig config = makeDefaultConfig();
+    config.topology.numCpus = 4;
+    const auto scout = [&config](CpuId cpu) {
+        return std::make_shared<RegionScout>(cpu, RegionScoutParams{},
+                                             config.l2.lineBytes);
+    };
+    const WorkloadProfile &profile = benchmarkByName("tpc-w");
+
+    SyntheticWorkload ran(profile, 4, 5000, 20050609);
+    System first(config, ran, scout);
+    ASSERT_EQ(runPhase(first, /*resume=*/false, RunOptions{}.maxEvents), 0u);
+    Serializer saved;
+    first.serializeState(saved);
+
+    Deserializer d;
+    ASSERT_EQ(d.openBytes(makeSnapshotFile(0, saved), "regionscout"), "");
+    SyntheticWorkload fresh(profile, 4, 5000, 20050609);
+    System second(config, fresh, scout);
+    second.restoreState(d);
+    Serializer again;
+    second.serializeState(again);
+
+    EXPECT_GT(saved.size(), 0u);
+    EXPECT_EQ(again.buffer(), saved.buffer());
 }
 
 TEST(RegionScoutDeath, CrhUnderflowPanics)

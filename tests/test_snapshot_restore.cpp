@@ -340,4 +340,42 @@ TEST(SnapshotPin, ReplayCheckpointBytes)
     std::remove(trace.c_str());
 }
 
+/** SHA-256 of the 10000-op checkpoint of `cgct_sim tpc-w --nodes 16
+ *  --topology <topology> --shared-rca --ops 20000 [--dma]`. */
+std::string
+sixteenNodeCheckpointSha(TopologyKind topology, bool dma,
+                         const std::string &stem)
+{
+    SystemConfig config = makeDefaultConfig();
+    config.topology.numCpus = 16;
+    config.interconnect.topology = topology;
+    config = config.withCgct(512);
+    config.cgct.sharedPerChip = true;
+    config.dma.enabled = dma;
+
+    const std::string prefix = std::string(::testing::TempDir()) + stem;
+    CheckpointOptions ckpt;
+    ckpt.everyOps = 10000;
+    ckpt.writePrefix = prefix;
+    simulateCheckpointed(config, benchmarkByName("tpc-w"), pinnedRun(),
+                         ckpt);
+    const std::string sha = sha256Of(prefix + ".10000");
+    std::remove((prefix + ".10000").c_str());
+    return sha;
+}
+
+TEST(SnapshotPin, Hier16SharedRcaCheckpointBytes)
+{
+    EXPECT_EQ(sixteenNodeCheckpointSha(TopologyKind::Hier, false,
+                                       "pin_hier16"),
+              golden::kHier16SharedRcaCheckpointSha256);
+}
+
+TEST(SnapshotPin, Dir16DmaCheckpointBytes)
+{
+    EXPECT_EQ(sixteenNodeCheckpointSha(TopologyKind::Dir, true,
+                                       "pin_dir16"),
+              golden::kDir16DmaCheckpointSha256);
+}
+
 } // namespace

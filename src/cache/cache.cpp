@@ -60,27 +60,15 @@ Cache::missRatio() const
 }
 
 void
-Cache::serialize(Serializer &s) const
+Cache::transfer(Archive &ar)
 {
-    array_.serialize(s);
-    s.u64(stats_.hits);
-    s.u64(stats_.misses);
-    s.u64(stats_.fills);
-    s.u64(stats_.evictionsClean);
-    s.u64(stats_.evictionsDirty);
-    s.u64(stats_.invalidations);
-}
-
-void
-Cache::deserialize(SectionReader &r)
-{
-    array_.deserialize(r);
-    stats_.hits = r.u64();
-    stats_.misses = r.u64();
-    stats_.fills = r.u64();
-    stats_.evictionsClean = r.u64();
-    stats_.evictionsDirty = r.u64();
-    stats_.invalidations = r.u64();
+    array_.transfer(ar);
+    ar.u64(stats_.hits);
+    ar.u64(stats_.misses);
+    ar.u64(stats_.fills);
+    ar.u64(stats_.evictionsClean);
+    ar.u64(stats_.evictionsDirty);
+    ar.u64(stats_.invalidations);
 }
 
 void

@@ -72,9 +72,8 @@ class Cache
     void addStats(StatGroup &group) const;
     void resetStats() { stats_ = Stats{}; }
 
-    /** Checkpoint support: the line array plus the statistics block. */
-    void serialize(Serializer &s) const;
-    void deserialize(SectionReader &r);
+    /** Checkpoint layout: the line array plus the statistics block. */
+    void transfer(Archive &ar);
 
   private:
     std::string name_;

@@ -208,52 +208,37 @@ CacheArray::countValid() const
 }
 
 void
-CacheArray::serialize(Serializer &s) const
+transferSetIndex(Archive &ar, std::vector<Addr> &tags,
+                 std::vector<std::uint64_t> &occupied,
+                 std::vector<std::uint8_t> &mru, unsigned ways)
 {
-    s.u64(sets_);
-    s.u32(ways_);
-    s.u32(lineBytes_);
-    for (Addr t : tags_)
-        s.u64(t);
-    for (std::uint64_t occ : occupied_)
-        s.u64(occ);
-    for (std::uint8_t hint : mruWay_)
-        s.u8(hint);
-    for (const CacheLine &line : meta_) {
-        s.u64(line.lineAddr);
-        s.u8(static_cast<std::uint8_t>(line.state));
-        s.u64(line.readyTick);
-        s.u64(line.lastUse);
+    for (Addr &t : tags)
+        ar.u64(t);
+    const std::uint64_t beyond = ways < 64 ? ~std::uint64_t{0} << ways : 0;
+    for (std::uint64_t &occ : occupied) {
+        ar.u64(occ);
+        if (occ & beyond)
+            ar.fail("occupancy mask %016llx names a way at or above %u",
+                    static_cast<unsigned long long>(occ), ways);
     }
-    s.u64(numValid_);
+    for (std::uint8_t &hint : mru)
+        ar.index("MRU way hint", hint, ways);
 }
 
 void
-CacheArray::deserialize(SectionReader &r)
+CacheArray::transfer(Archive &ar)
 {
-    const std::uint64_t sets = r.u64();
-    const std::uint32_t ways = r.u32();
-    const std::uint32_t line_bytes = r.u32();
-    if (sets != sets_ || ways != ways_ || line_bytes != lineBytes_)
-        fatal("snapshot section '%s': cache geometry mismatch "
-              "(%llu sets x %u ways x %u B stored vs "
-              "%llu x %u x %u here)",
-              r.name().c_str(), static_cast<unsigned long long>(sets),
-              ways, line_bytes, static_cast<unsigned long long>(sets_),
-              ways_, lineBytes_);
-    for (Addr &t : tags_)
-        t = r.u64();
-    for (std::uint64_t &occ : occupied_)
-        occ = r.u64();
-    for (std::uint8_t &hint : mruWay_)
-        hint = r.u8();
+    ar.expect("cache sets", sets_);
+    ar.expect("cache ways", ways_);
+    ar.expect("cache line bytes", lineBytes_);
+    transferSetIndex(ar, tags_, occupied_, mruWay_, ways_);
     for (CacheLine &line : meta_) {
-        line.lineAddr = r.u64();
-        line.state = static_cast<LineState>(r.u8());
-        line.readyTick = r.u64();
-        line.lastUse = r.u64();
+        ar.u64(line.lineAddr);
+        ar.u8(line.state);
+        ar.u64(line.readyTick);
+        ar.u64(line.lastUse);
     }
-    numValid_ = r.u64();
+    ar.u64(numValid_);
 }
 
 void

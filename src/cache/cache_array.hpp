@@ -35,8 +35,7 @@
 
 namespace cgct {
 
-class Serializer;
-class SectionReader;
+class Archive;
 
 /** Metadata for one cache line frame. */
 struct CacheLine {
@@ -54,6 +53,16 @@ struct Eviction {
     Addr lineAddr = 0;
     LineState state = LineState::Invalid;
 };
+
+/**
+ * Checkpoint layout of the set index CacheArray and the RCA share:
+ * packed tags, per-set occupancy masks and MRU way hints. On load, no
+ * mask may name a way at or above @p ways and every hint must be below
+ * it (lookups shift the mask by the hint and index the set with it).
+ */
+void transferSetIndex(Archive &ar, std::vector<Addr> &tags,
+                      std::vector<std::uint64_t> &occupied,
+                      std::vector<std::uint8_t> &mru, unsigned ways);
 
 /** Set-associative cache line array. */
 class CacheArray
@@ -122,12 +131,11 @@ class CacheArray
     void reset();
 
     /**
-     * Checkpoint support: saves/restores tags, occupancy, MRU hints and
-     * line metadata. The geometry (sets/ways/line size) is verified on
-     * restore; mismatches fatal() with the section name.
+     * Checkpoint layout: tags, occupancy, MRU hints and line metadata.
+     * The geometry (sets/ways/line size) is verified on restore;
+     * mismatches fatal() with the section name.
      */
-    void serialize(Serializer &s) const;
-    void deserialize(SectionReader &r);
+    void transfer(Archive &ar);
 
   private:
     std::uint64_t setIndex(Addr addr) const;

@@ -44,28 +44,24 @@ MshrFile::release(Addr line_addr)
 }
 
 void
-MshrFile::serialize(Serializer &s) const
+MshrFile::transfer(Archive &ar)
 {
-    if (inFlight_ != 0)
+    if (ar.saving() && inFlight_ != 0)
         panic("MshrFile: serializing with %zu misses in flight — "
               "snapshots require a drained (quiescent) system",
               inFlight_);
-    s.u32(capacity_);
-    for (std::uint32_t slot : freeSlots_)
-        s.u32(slot);
-}
-
-void
-MshrFile::deserialize(SectionReader &r)
-{
-    const std::uint32_t capacity = r.u32();
-    if (capacity != capacity_)
-        fatal("snapshot section '%s': MSHR capacity mismatch "
-              "(%u stored vs %u here)",
-              r.name().c_str(), capacity, capacity_);
-    clear();
-    for (std::uint32_t &slot : freeSlots_)
-        slot = r.u32();
+    ar.expect("MSHR capacity", capacity_);
+    if (!ar.saving())
+        clear();
+    // allocate() indexes prefetch_ (and the node its per-slot context)
+    // by these ids, so each must be a distinct slot below capacity.
+    std::vector<bool> listed(capacity_, false);
+    for (std::uint32_t &slot : freeSlots_) {
+        ar.index("MSHR free slot", slot, capacity_);
+        if (listed[slot])
+            ar.fail("MSHR free slot %u listed twice", slot);
+        listed[slot] = true;
+    }
 }
 
 void

@@ -22,8 +22,7 @@
 
 namespace cgct {
 
-class Serializer;
-class SectionReader;
+class Archive;
 
 /** Tracks outstanding misses for one cache. */
 class MshrFile
@@ -86,13 +85,12 @@ class MshrFile
     void clear();
 
     /**
-     * Checkpoint support. Snapshots are taken at quiescence, so the file
-     * must be empty; serialize() panics otherwise. The free-slot stack
+     * Checkpoint layout. Snapshots are taken at quiescence, so the file
+     * must be empty when saved (panics otherwise). The free-slot stack
      * order is saved so post-restore slot assignment matches the
      * uninterrupted run exactly.
      */
-    void serialize(Serializer &s) const;
-    void deserialize(SectionReader &r);
+    void transfer(Archive &ar);
 
   private:
     unsigned capacity_;

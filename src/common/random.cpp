@@ -131,17 +131,10 @@ Rng::fork(std::uint64_t salt)
 }
 
 void
-Rng::serialize(Serializer &s) const
-{
-    for (std::uint64_t w : state_)
-        s.u64(w);
-}
-
-void
-Rng::deserialize(SectionReader &r)
+Rng::transfer(Archive &ar)
 {
     for (std::uint64_t &w : state_)
-        w = r.u64();
+        ar.u64(w);
 }
 
 } // namespace cgct

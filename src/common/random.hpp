@@ -14,8 +14,7 @@
 
 namespace cgct {
 
-class Serializer;
-class SectionReader;
+class Archive;
 
 /** xoshiro256** PRNG with SplitMix64 seeding. */
 class Rng
@@ -55,9 +54,8 @@ class Rng
     /** Fork a child RNG with a decorrelated stream (for per-CPU streams). */
     Rng fork(std::uint64_t salt);
 
-    /** Checkpoint support: save/restore the raw xoshiro256** state. */
-    void serialize(Serializer &s) const;
-    void deserialize(SectionReader &r);
+    /** Checkpoint layout: the raw xoshiro256** state. */
+    void transfer(Archive &ar);
 
   private:
     std::uint64_t state_[4];

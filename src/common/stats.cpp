@@ -237,76 +237,35 @@ IntervalTracker::reset(Tick start_tick)
 }
 
 void
-Histogram::serialize(Serializer &s) const
+Histogram::transfer(Archive &ar)
 {
-    s.u64(bucketWidth_);
-    s.u64(buckets_.size());
-    for (std::uint64_t c : buckets_)
-        s.u64(c);
-    s.u64(samples_);
-    s.u64(sum_);
-}
-
-void
-Histogram::deserialize(SectionReader &r)
-{
-    std::uint64_t width = r.u64();
-    std::uint64_t n = r.u64();
-    if (width != bucketWidth_ || n != buckets_.size())
-        fatal("snapshot section '%s': histogram geometry mismatch "
-              "(%llu x %llu stored vs %llu x %zu here)",
-              r.name().c_str(), (unsigned long long)width,
-              (unsigned long long)n, (unsigned long long)bucketWidth_,
-              buckets_.size());
+    ar.expect("histogram bucket width", bucketWidth_);
+    ar.expect("histogram buckets", buckets_.size());
     for (std::uint64_t &c : buckets_)
-        c = r.u64();
-    samples_ = r.u64();
-    sum_ = r.u64();
+        ar.u64(c);
+    ar.u64(samples_);
+    ar.u64(sum_);
 }
 
 void
-Distribution::serialize(Serializer &s) const
+Distribution::transfer(Archive &ar)
 {
-    s.u64(n_);
-    s.f64(sum_);
-    s.f64(sumsq_);
-    s.f64(min_);
-    s.f64(max_);
+    ar.u64(n_);
+    ar.f64(sum_);
+    ar.f64(sumsq_);
+    ar.f64(min_);
+    ar.f64(max_);
 }
 
 void
-Distribution::deserialize(SectionReader &r)
+IntervalTracker::transfer(Archive &ar)
 {
-    n_ = r.u64();
-    sum_ = r.f64();
-    sumsq_ = r.f64();
-    min_ = r.f64();
-    max_ = r.f64();
-}
-
-void
-IntervalTracker::serialize(Serializer &s) const
-{
-    s.u64(window_);
-    s.u64(start_);
-    s.u64(total_);
-    s.u64(currentWindowIndex_);
-    s.u64(currentWindowCount_);
-    s.u64(peak_);
-}
-
-void
-IntervalTracker::deserialize(SectionReader &r)
-{
-    Tick window = r.u64();
-    if (window != window_)
-        fatal("snapshot section '%s': interval-tracker window mismatch",
-              r.name().c_str());
-    start_ = r.u64();
-    total_ = r.u64();
-    currentWindowIndex_ = r.u64();
-    currentWindowCount_ = r.u64();
-    peak_ = r.u64();
+    ar.expect("interval-tracker window", window_);
+    ar.u64(start_);
+    ar.u64(total_);
+    ar.u64(currentWindowIndex_);
+    ar.u64(currentWindowCount_);
+    ar.u64(peak_);
 }
 
 } // namespace cgct

@@ -19,8 +19,7 @@ namespace cgct {
 
 class Histogram;
 class Distribution;
-class Serializer;
-class SectionReader;
+class Archive;
 
 /**
  * A group of named statistics belonging to one component. Components
@@ -104,9 +103,8 @@ class Histogram
     void reset();
     void dump(std::ostream &os, const std::string &label) const;
 
-    /** Checkpoint support; geometry must match on restore. */
-    void serialize(Serializer &s) const;
-    void deserialize(SectionReader &r);
+    /** Checkpoint layout; geometry must match on restore. */
+    void transfer(Archive &ar);
 
   private:
     std::uint64_t bucketWidth_;
@@ -139,9 +137,8 @@ class Distribution
     void reset() { *this = Distribution{}; }
     void dump(std::ostream &os, const std::string &label) const;
 
-    /** Checkpoint support (moments stored as raw double bits). */
-    void serialize(Serializer &s) const;
-    void deserialize(SectionReader &r);
+    /** Checkpoint layout (moments stored as raw double bits). */
+    void transfer(Archive &ar);
 
   private:
     std::uint64_t n_ = 0;
@@ -178,9 +175,8 @@ class IntervalTracker
     /** Clear counts; elapsed time restarts at @p start_tick. */
     void reset(Tick start_tick = 0);
 
-    /** Checkpoint support; window size must match on restore. */
-    void serialize(Serializer &s) const;
-    void deserialize(SectionReader &r);
+    /** Checkpoint layout; window size must match on restore. */
+    void transfer(Archive &ar);
 
   private:
     Tick window_;

@@ -191,32 +191,6 @@ CgctController::addStats(StatGroup &group) const
     rca_.addStats(group);
 }
 
-void
-RegionTracker::serialize(Serializer &) const
-{
-    panic("RegionTracker: this tracker does not implement snapshot "
-          "serialization");
-}
-
-void
-RegionTracker::deserialize(SectionReader &)
-{
-    panic("RegionTracker: this tracker does not implement snapshot "
-          "deserialization");
-}
-
-void
-CgctController::serialize(Serializer &s) const
-{
-    rca_.serialize(s);
-}
-
-void
-CgctController::deserialize(SectionReader &r)
-{
-    rca_.deserialize(r);
-}
-
 std::shared_ptr<RegionTracker>
 makeTracker(CpuId cpu, const CgctParams &params, unsigned line_bytes)
 {

@@ -26,8 +26,7 @@
 namespace cgct {
 
 class TraceSink;
-class Serializer;
-class SectionReader;
+class Archive;
 enum class TransitionCause : std::uint8_t;
 
 /** Routing decision handed to the node. */
@@ -100,13 +99,8 @@ class RegionTracker
     /** Emit region-protocol trace events to @p sink (default: none). */
     virtual void setTraceSink(TraceSink *sink) { (void)sink; }
 
-    /**
-     * Checkpoint support. Concrete trackers save/restore their tracking
-     * structures; the defaults panic so a tracker without snapshot
-     * support fails loudly instead of silently dropping state.
-     */
-    virtual void serialize(Serializer &s) const;
-    virtual void deserialize(SectionReader &r);
+    /** Checkpoint layout of the tracking structures. */
+    virtual void transfer(Archive &ar) = 0;
 };
 
 /** The paper's CGCT mechanism: region protocol over an RCA. */
@@ -145,9 +139,8 @@ class CgctController : public RegionTracker
 
     const CgctParams &params() const { return params_; }
 
-    /** Checkpoint support: the controller's only state is the RCA. */
-    void serialize(Serializer &s) const override;
-    void deserialize(SectionReader &r) override;
+    /** Checkpoint layout: the controller's only state is the RCA. */
+    void transfer(Archive &ar) override { rca_.transfer(ar); }
 
   private:
     /** Emit a region_transition event if the state actually changed. */

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cassert>
 
+#include "cache/cache_array.hpp"
 #include "common/log.hpp"
 #include "common/trace_sink.hpp"
 #include "snapshot/serializer.hpp"
@@ -222,83 +223,34 @@ RegionCoherenceArray::reset()
 }
 
 void
-RegionCoherenceArray::serialize(Serializer &s) const
+RegionCoherenceArray::transfer(Archive &ar)
 {
-    s.u64(sets_);
-    s.u32(ways_);
-    s.u64(regionBytes_);
-    for (Addr t : tags_)
-        s.u64(t);
-    for (std::uint64_t occ : occupied_)
-        s.u64(occ);
-    for (std::uint8_t hint : mruWay_)
-        s.u8(hint);
-    for (const RegionEntry &e : entries_) {
-        s.u64(e.regionAddr);
-        s.u8(static_cast<std::uint8_t>(e.state));
-        s.u32(e.lineCount);
-        s.i64(e.memCtrl);
-        s.u64(e.lastUse);
-        s.u64(e.allocTick);
-    }
-    s.u64(numValid_);
-    s.u64(stats_.hits);
-    s.u64(stats_.misses);
-    s.u64(stats_.allocations);
-    s.u64(stats_.evictedEmpty);
-    s.u64(stats_.evictedOneLine);
-    s.u64(stats_.evictedTwoLines);
-    s.u64(stats_.evictedMoreLines);
-    s.u64(stats_.inclusionFlushedLines);
-    s.u64(stats_.selfInvalidations);
-    s.u64(stats_.lineCountSum);
-    s.u64(stats_.lineCountSamples);
-    evictedLines_.serialize(s);
-    lifetime_.serialize(s);
-}
-
-void
-RegionCoherenceArray::deserialize(SectionReader &r)
-{
-    const std::uint64_t sets = r.u64();
-    const std::uint32_t ways = r.u32();
-    const std::uint64_t region_bytes = r.u64();
-    if (sets != sets_ || ways != ways_ || region_bytes != regionBytes_)
-        fatal("snapshot section '%s': RCA geometry mismatch "
-              "(%llu sets x %u ways x %llu B regions stored vs "
-              "%llu x %u x %llu here)",
-              r.name().c_str(), static_cast<unsigned long long>(sets),
-              ways, static_cast<unsigned long long>(region_bytes),
-              static_cast<unsigned long long>(sets_), ways_,
-              static_cast<unsigned long long>(regionBytes_));
-    for (Addr &t : tags_)
-        t = r.u64();
-    for (std::uint64_t &occ : occupied_)
-        occ = r.u64();
-    for (std::uint8_t &hint : mruWay_)
-        hint = r.u8();
+    ar.expect("RCA sets", sets_);
+    ar.expect("RCA ways", ways_);
+    ar.expect("RCA region bytes", regionBytes_);
+    transferSetIndex(ar, tags_, occupied_, mruWay_, ways_);
     for (RegionEntry &e : entries_) {
-        e.regionAddr = r.u64();
-        e.state = static_cast<RegionState>(r.u8());
-        e.lineCount = r.u32();
-        e.memCtrl = static_cast<MemCtrlId>(r.i64());
-        e.lastUse = r.u64();
-        e.allocTick = r.u64();
+        ar.u64(e.regionAddr);
+        ar.u8(e.state);
+        ar.u32(e.lineCount);
+        ar.u64(e.memCtrl);
+        ar.u64(e.lastUse);
+        ar.u64(e.allocTick);
     }
-    numValid_ = r.u64();
-    stats_.hits = r.u64();
-    stats_.misses = r.u64();
-    stats_.allocations = r.u64();
-    stats_.evictedEmpty = r.u64();
-    stats_.evictedOneLine = r.u64();
-    stats_.evictedTwoLines = r.u64();
-    stats_.evictedMoreLines = r.u64();
-    stats_.inclusionFlushedLines = r.u64();
-    stats_.selfInvalidations = r.u64();
-    stats_.lineCountSum = r.u64();
-    stats_.lineCountSamples = r.u64();
-    evictedLines_.deserialize(r);
-    lifetime_.deserialize(r);
+    ar.u64(numValid_);
+    ar.u64(stats_.hits);
+    ar.u64(stats_.misses);
+    ar.u64(stats_.allocations);
+    ar.u64(stats_.evictedEmpty);
+    ar.u64(stats_.evictedOneLine);
+    ar.u64(stats_.evictedTwoLines);
+    ar.u64(stats_.evictedMoreLines);
+    ar.u64(stats_.inclusionFlushedLines);
+    ar.u64(stats_.selfInvalidations);
+    ar.u64(stats_.lineCountSum);
+    ar.u64(stats_.lineCountSamples);
+    evictedLines_.transfer(ar);
+    lifetime_.transfer(ar);
 }
 
 void

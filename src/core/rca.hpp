@@ -34,8 +34,7 @@
 namespace cgct {
 
 class TraceSink;
-class Serializer;
-class SectionReader;
+class Archive;
 
 /** One RCA entry. */
 struct RegionEntry {
@@ -151,12 +150,11 @@ class RegionCoherenceArray
     void reset();
 
     /**
-     * Checkpoint support: tags, occupancy, MRU hints, entry metadata,
+     * Checkpoint layout: tags, occupancy, MRU hints, entry metadata,
      * statistics and the eviction histograms. Geometry is verified on
      * restore; mismatches fatal() with the section name.
      */
-    void serialize(Serializer &s) const;
-    void deserialize(SectionReader &r);
+    void transfer(Archive &ar);
 
   private:
     std::uint64_t setIndex(Addr addr) const;

@@ -178,47 +178,23 @@ RegionScout::peekState(Addr line_addr) const
 }
 
 void
-RegionScout::serialize(Serializer &s) const
+RegionScout::transfer(Archive &ar)
 {
-    s.u64(regionBytes_);
-    s.u64(nsrtSets_);
-    s.u32(nsrtWays_);
-    s.u64(crh_.size());
-    for (const NsrtEntry &e : nsrt_) {
-        s.b(e.valid);
-        s.u64(e.regionAddr);
-        s.u64(e.lastUse);
-    }
-    for (std::uint32_t c : crh_)
-        s.u32(c);
-    s.u64(stats_.nsrtHits);
-    s.u64(stats_.nsrtFills);
-    s.u64(stats_.nsrtInvalidations);
-    s.u64(stats_.crhFilteredSnoops);
-}
-
-void
-RegionScout::deserialize(SectionReader &r)
-{
-    const std::uint64_t region_bytes = r.u64();
-    const std::uint64_t nsrt_sets = r.u64();
-    const std::uint32_t nsrt_ways = r.u32();
-    const std::uint64_t crh_entries = r.u64();
-    if (region_bytes != regionBytes_ || nsrt_sets != nsrtSets_ ||
-        nsrt_ways != nsrtWays_ || crh_entries != crh_.size())
-        fatal("snapshot section '%s': RegionScout geometry mismatch",
-              r.name().c_str());
+    ar.expect("RegionScout region bytes", regionBytes_);
+    ar.expect("RegionScout NSRT sets", nsrtSets_);
+    ar.expect("RegionScout NSRT ways", nsrtWays_);
+    ar.expect("RegionScout CRH entries", crh_.size());
     for (NsrtEntry &e : nsrt_) {
-        e.valid = r.b();
-        e.regionAddr = r.u64();
-        e.lastUse = r.u64();
+        ar.b(e.valid);
+        ar.u64(e.regionAddr);
+        ar.u64(e.lastUse);
     }
     for (std::uint32_t &c : crh_)
-        c = r.u32();
-    stats_.nsrtHits = r.u64();
-    stats_.nsrtFills = r.u64();
-    stats_.nsrtInvalidations = r.u64();
-    stats_.crhFilteredSnoops = r.u64();
+        ar.u32(c);
+    ar.u64(stats_.nsrtHits);
+    ar.u64(stats_.nsrtFills);
+    ar.u64(stats_.nsrtInvalidations);
+    ar.u64(stats_.crhFilteredSnoops);
 }
 
 void

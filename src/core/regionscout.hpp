@@ -77,9 +77,8 @@ class RegionScout : public RegionTracker
 
     const Stats &stats() const { return stats_; }
 
-    /** Checkpoint support: NSRT entries, CRH counters and statistics. */
-    void serialize(Serializer &s) const override;
-    void deserialize(SectionReader &r) override;
+    /** Checkpoint layout: NSRT entries, CRH counters and statistics. */
+    void transfer(Archive &ar) override;
 
   private:
     struct NsrtEntry {

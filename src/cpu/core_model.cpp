@@ -238,39 +238,27 @@ CoreModel::run()
 }
 
 void
-CoreModel::serialize(Serializer &s) const
+CoreModel::transfer(Archive &ar)
 {
-    if (state_ != State::Finished || !loadsEmpty() ||
-        outstandingStores_ != 0 || runScheduled_)
+    if (ar.saving() && (state_ != State::Finished || !loadsEmpty() ||
+                        outstandingStores_ != 0 || runScheduled_))
         panic("CoreModel: serializing cpu %d before it drained — "
               "snapshots require a quiescent system", cpu_);
-    s.u64(clock_);
-    s.u64(instructions_);
-    s.u64(memOps_);
-    s.u32(gapCarry_);
-    s.u64(stats_.ifetchStallCycles);
-    s.u64(stats_.loadStallCycles);
-    s.u64(stats_.robStallCycles);
-    s.u64(stats_.storeStallCycles);
-    s.u64(stats_.syncStallCycles);
-}
-
-void
-CoreModel::deserialize(SectionReader &r)
-{
-    clock_ = r.u64();
-    instructions_ = r.u64();
-    memOps_ = r.u64();
-    gapCarry_ = r.u32();
-    stats_.ifetchStallCycles = r.u64();
-    stats_.loadStallCycles = r.u64();
-    stats_.robStallCycles = r.u64();
-    stats_.storeStallCycles = r.u64();
-    stats_.syncStallCycles = r.u64();
-    state_ = State::Finished;
-    loadHead_ = loadTail_;
-    outstandingStores_ = 0;
-    runScheduled_ = false;
+    ar.u64(clock_);
+    ar.u64(instructions_);
+    ar.u64(memOps_);
+    ar.u32(gapCarry_);
+    ar.u64(stats_.ifetchStallCycles);
+    ar.u64(stats_.loadStallCycles);
+    ar.u64(stats_.robStallCycles);
+    ar.u64(stats_.storeStallCycles);
+    ar.u64(stats_.syncStallCycles);
+    if (!ar.saving()) {
+        state_ = State::Finished;
+        loadHead_ = loadTail_;
+        outstandingStores_ = 0;
+        runScheduled_ = false;
+    }
 }
 
 void

@@ -23,8 +23,7 @@
 
 namespace cgct {
 
-class Serializer;
-class SectionReader;
+class Archive;
 
 /** Outcome of one timing-aware OpSource fetch. */
 enum class OpFetch : std::uint8_t {
@@ -111,13 +110,13 @@ class CoreModel
     void addStats(StatGroup &group) const;
 
     /**
-     * Checkpoint support. Snapshots are taken at quiescence, so the core
-     * must be Finished with no outstanding loads or stores; serialize()
-     * panics otherwise. Saves the local clock, retire counts, the gap
-     * carry and the stall-cycle statistics.
+     * Checkpoint layout. Snapshots are taken at quiescence, so the core
+     * must be Finished with no outstanding loads or stores when saved
+     * (panics otherwise). Stores the local clock, retire counts, the
+     * gap carry and the stall-cycle statistics; a load leaves the core
+     * Finished and drained.
      */
-    void serialize(Serializer &s) const;
-    void deserialize(SectionReader &r);
+    void transfer(Archive &ar);
 
     /**
      * Wake a drained (Finished) core for the next checkpoint phase after

@@ -191,23 +191,14 @@ EventQueue::clear()
 }
 
 void
-EventQueue::serialize(Serializer &s) const
+EventQueue::transfer(Archive &ar)
 {
     if (!empty())
-        panic("EventQueue: serializing with %zu events pending — "
-              "snapshots require a drained system", pending());
-    s.u64(now_);
-    s.u64(executed_);
-}
-
-void
-EventQueue::deserialize(SectionReader &r)
-{
-    if (!empty())
-        panic("EventQueue: restoring into a queue with %zu events pending",
-              pending());
-    now_ = r.u64();
-    executed_ = r.u64();
+        panic("EventQueue: %s with %zu events pending — snapshots "
+              "require a drained system",
+              ar.saving() ? "serializing" : "restoring", pending());
+    ar.u64(now_);
+    ar.u64(executed_);
 }
 
 } // namespace cgct

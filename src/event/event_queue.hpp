@@ -35,8 +35,7 @@
 
 namespace cgct {
 
-class Serializer;
-class SectionReader;
+class Archive;
 
 /**
  * Priority classes for events scheduled at the same tick. Lower runs first.
@@ -123,15 +122,14 @@ class EventQueue
     void clear();
 
     /**
-     * Checkpoint support. Callbacks cannot be serialized, so snapshots
-     * are only taken when the queue is empty (a drained system); both
-     * directions panic otherwise. Only the clock and the executed-event
+     * Checkpoint layout. Callbacks cannot be serialized, so snapshots
+     * are only taken when the queue is empty (a drained system); saving
+     * and loading both panic otherwise. Only the clock and the executed-event
      * count are state — the insertion sequence counter need not be
      * saved, because execution order depends only on the *relative*
      * order of events scheduled after the restore point.
      */
-    void serialize(Serializer &s) const;
-    void deserialize(SectionReader &r);
+    void transfer(Archive &ar);
 
   private:
     static constexpr Tick kWheelMask = kWheelTicks - 1;

@@ -60,29 +60,14 @@ Bus::settleGrants(Tick up_to)
 }
 
 void
-Bus::serialize(Serializer &s) const
+Bus::transfer(Archive &ar)
 {
-    if (chargeCount_ != 0)
+    if (ar.saving() && chargeCount_ != 0)
         panic("Bus: serializing with %zu grants unresolved — snapshots "
               "require a drained system",
               chargeCount_);
-    s.u64(nextFreeSlot_);
-    s.u64(stats_.broadcasts);
-    s.u64(stats_.queueCycles);
-    s.u64(stats_.cacheToCache);
-    s.u64(stats_.memorySupplied);
-    traffic_.serialize(s);
-}
-
-void
-Bus::deserialize(SectionReader &r)
-{
-    nextFreeSlot_ = r.u64();
-    stats_.broadcasts = r.u64();
-    stats_.queueCycles = r.u64();
-    stats_.cacheToCache = r.u64();
-    stats_.memorySupplied = r.u64();
-    traffic_.deserialize(r);
+    ar.u64(nextFreeSlot_);
+    transferStats(ar, /*domain_counters=*/false);
 }
 
 void

@@ -54,12 +54,11 @@ class Bus : public Interconnect
     }
 
     /**
-     * Checkpoint support. No grant may be in flight (drained system);
-     * serialize() panics otherwise. Saves the arbitration slot cursor,
-     * the counters and the traffic windows.
+     * Checkpoint layout. No grant may be in flight when saving (drained
+     * system; panics otherwise). Stores the arbitration slot cursor, the
+     * counters and the traffic windows.
      */
-    void serialize(Serializer &s) const override;
-    void deserialize(SectionReader &r) override;
+    void transfer(Archive &ar) override;
 
   private:
     /**

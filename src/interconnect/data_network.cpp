@@ -27,30 +27,15 @@ DataNetwork::deliver(CpuId dst, Tick start, Distance d, unsigned bytes)
 }
 
 void
-DataNetwork::serialize(Serializer &s) const
+DataNetwork::transfer(Archive &ar)
 {
-    s.u64(linkFree_.size());
-    for (Tick t : linkFree_)
-        s.u64(t);
-    s.u64(stats_.transfers);
-    s.u64(stats_.bytes);
-    s.u64(stats_.linkWaitCycles);
-}
-
-void
-DataNetwork::deserialize(SectionReader &r)
-{
-    const std::uint64_t links = r.u64();
-    if (links != linkFree_.size())
-        fatal("snapshot section '%s': data-network link count mismatch "
-              "(%llu stored vs %zu here)",
-              r.name().c_str(), static_cast<unsigned long long>(links),
-              linkFree_.size());
+    ar.expect("data-network links",
+              static_cast<std::uint64_t>(linkFree_.size()));
     for (Tick &t : linkFree_)
-        t = r.u64();
-    stats_.transfers = r.u64();
-    stats_.bytes = r.u64();
-    stats_.linkWaitCycles = r.u64();
+        ar.u64(t);
+    ar.u64(stats_.transfers);
+    ar.u64(stats_.bytes);
+    ar.u64(stats_.linkWaitCycles);
 }
 
 void

@@ -43,11 +43,10 @@ class DataNetwork
     void addStats(StatGroup &group) const;
 
     /**
-     * Checkpoint support: per-link busy-until ticks (a link can be
+     * Checkpoint layout: per-link busy-until ticks (a link can be
      * reserved past the drain point) and the transfer counters.
      */
-    void serialize(Serializer &s) const;
-    void deserialize(SectionReader &r);
+    void transfer(Archive &ar);
 
   private:
     InterconnectParams params_;

@@ -174,41 +174,15 @@ DirectoryInterconnect::addStats(StatGroup &group) const
 }
 
 void
-DirectoryInterconnect::serialize(Serializer &s) const
+DirectoryInterconnect::transfer(Archive &ar)
 {
-    s.u32(static_cast<std::uint32_t>(bankNextFree_.size()));
-    for (const Tick t : bankNextFree_)
-        s.u64(t);
-    s.u64(stats_.broadcasts);
-    s.u64(stats_.queueCycles);
-    s.u64(stats_.cacheToCache);
-    s.u64(stats_.memorySupplied);
-    s.u64(stats_.localResolves);
-    s.u64(stats_.interChip);
-    traffic_.serialize(s);
-    saveMaskTable(s, sharers_);
-    saveMaskTable(s, presence_);
-}
-
-void
-DirectoryInterconnect::deserialize(SectionReader &r)
-{
-    const std::uint32_t n = r.u32();
-    if (n != bankNextFree_.size())
-        panic("DirectoryInterconnect: snapshot has %u banks, system has "
-              "%zu",
-              n, bankNextFree_.size());
+    ar.expect("directory banks",
+              static_cast<std::uint32_t>(bankNextFree_.size()));
     for (Tick &t : bankNextFree_)
-        t = r.u64();
-    stats_.broadcasts = r.u64();
-    stats_.queueCycles = r.u64();
-    stats_.cacheToCache = r.u64();
-    stats_.memorySupplied = r.u64();
-    stats_.localResolves = r.u64();
-    stats_.interChip = r.u64();
-    traffic_.deserialize(r);
-    loadMaskTable(r, sharers_);
-    loadMaskTable(r, presence_);
+        ar.u64(t);
+    transferStats(ar, /*domain_counters=*/true);
+    transferMaskTable(ar, sharers_);
+    transferMaskTable(ar, presence_);
 }
 
 } // namespace cgct

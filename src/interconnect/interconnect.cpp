@@ -96,31 +96,42 @@ Interconnect::resolveRequest(const SystemRequest &req, ResponseFn &fn,
 }
 
 void
-Interconnect::saveMaskTable(Serializer &s,
-                            const AddrTable<std::uint64_t> &table)
+Interconnect::transferStats(Archive &ar, bool domain_counters)
 {
-    std::vector<std::pair<Addr, std::uint64_t>> entries;
-    entries.reserve(table.size());
-    table.forEach([&entries](Addr key, std::uint64_t bits) {
-        entries.emplace_back(key, bits);
-    });
-    std::sort(entries.begin(), entries.end());
-    s.u64(entries.size());
-    for (const auto &e : entries) {
-        s.u64(e.first);
-        s.u64(e.second);
+    ar.u64(stats_.broadcasts);
+    ar.u64(stats_.queueCycles);
+    ar.u64(stats_.cacheToCache);
+    ar.u64(stats_.memorySupplied);
+    if (domain_counters) {
+        ar.u64(stats_.localResolves);
+        ar.u64(stats_.interChip);
     }
+    traffic_.transfer(ar);
 }
 
 void
-Interconnect::loadMaskTable(SectionReader &r,
-                            AddrTable<std::uint64_t> &table)
+Interconnect::transferMaskTable(Archive &ar,
+                                AddrTable<std::uint64_t> &table)
 {
-    table.clear();
-    const std::uint64_t entries = r.u64();
-    for (std::uint64_t i = 0; i < entries; ++i) {
-        const Addr key = r.u64();
-        table.findOrInsert(key) = r.u64();
+    std::vector<std::pair<Addr, std::uint64_t>> entries;
+    if (ar.saving()) {
+        entries.reserve(table.size());
+        table.forEach([&entries](Addr key, std::uint64_t bits) {
+            entries.emplace_back(key, bits);
+        });
+        std::sort(entries.begin(), entries.end());
+    }
+    entries.resize(ar.count("mask-table entries",
+                            static_cast<std::uint64_t>(entries.size()),
+                            16));
+    for (auto &[key, bits] : entries) {
+        ar.u64(key);
+        ar.u64(bits);
+    }
+    if (!ar.saving()) {
+        table.clear();
+        for (const auto &[key, bits] : entries)
+            table.findOrInsert(key) = bits;
     }
 }
 

@@ -178,11 +178,10 @@ class Interconnect
     }
 
     /**
-     * Checkpoint support. Topologies must refuse to serialize in-flight
+     * Checkpoint layout. Topologies must refuse to save in-flight
      * requests (snapshots require a drained system).
      */
-    virtual void serialize(Serializer &s) const = 0;
-    virtual void deserialize(SectionReader &r) = 0;
+    virtual void transfer(Archive &ar) = 0;
 
     /**
      * Invariant-checker introspection (sim/invariants.hpp). A topology
@@ -222,14 +221,19 @@ class Interconnect
                                   std::uint64_t snoop_mask);
 
     /**
-     * Checkpoint a presence / sharer map in ascending address order, so
-     * the bytes do not depend on the table's slot layout.
+     * Checkpoint layout of the counters and traffic windows every
+     * topology keeps. The flat bus has no snoop domains, so it stores
+     * neither localResolves nor interChip (@p domain_counters false).
      */
-    static void saveMaskTable(Serializer &s,
-                              const AddrTable<std::uint64_t> &table);
-    /** Replace @p table with a map written by saveMaskTable. */
-    static void loadMaskTable(SectionReader &r,
-                              AddrTable<std::uint64_t> &table);
+    void transferStats(Archive &ar, bool domain_counters);
+
+    /**
+     * Checkpoint layout of a presence / sharer map: entries in ascending
+     * address order, so the bytes do not depend on the table's slot
+     * layout. A load replaces the table.
+     */
+    static void transferMaskTable(Archive &ar,
+                                  AddrTable<std::uint64_t> &table);
 
     static constexpr std::uint64_t kSnoopAll = ~0ULL;
 

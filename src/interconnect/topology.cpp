@@ -157,40 +157,15 @@ HierRouter::addStats(StatGroup &group) const
 }
 
 void
-HierRouter::serialize(Serializer &s) const
+HierRouter::transfer(Archive &ar)
 {
-    s.u64(globalNextFree_);
-    s.u32(static_cast<std::uint32_t>(domainNextFree_.size()));
-    for (const Tick t : domainNextFree_)
-        s.u64(t);
-    s.u64(stats_.broadcasts);
-    s.u64(stats_.queueCycles);
-    s.u64(stats_.cacheToCache);
-    s.u64(stats_.memorySupplied);
-    s.u64(stats_.localResolves);
-    s.u64(stats_.interChip);
-    traffic_.serialize(s);
-    saveMaskTable(s, presence_);
-}
-
-void
-HierRouter::deserialize(SectionReader &r)
-{
-    globalNextFree_ = r.u64();
-    const std::uint32_t n = r.u32();
-    if (n != domainNextFree_.size())
-        panic("HierRouter: snapshot has %u snoop domains, system has %zu",
-              n, domainNextFree_.size());
+    ar.u64(globalNextFree_);
+    ar.expect("snoop domains",
+              static_cast<std::uint32_t>(domainNextFree_.size()));
     for (Tick &t : domainNextFree_)
-        t = r.u64();
-    stats_.broadcasts = r.u64();
-    stats_.queueCycles = r.u64();
-    stats_.cacheToCache = r.u64();
-    stats_.memorySupplied = r.u64();
-    stats_.localResolves = r.u64();
-    stats_.interChip = r.u64();
-    traffic_.deserialize(r);
-    loadMaskTable(r, presence_);
+        ar.u64(t);
+    transferStats(ar, /*domain_counters=*/true);
+    transferMaskTable(ar, presence_);
 }
 
 } // namespace cgct

@@ -42,8 +42,7 @@ class HierRouter : public Interconnect
 
     void addStats(StatGroup &group) const override;
 
-    void serialize(Serializer &s) const override;
-    void deserialize(SectionReader &r) override;
+    void transfer(Archive &ar) override;
 
     bool tracksPresence() const override { return true; }
     std::uint64_t presenceMask(Addr line) const override

@@ -56,23 +56,13 @@ MemoryController::acceptWriteback(Tick arrival)
 }
 
 void
-MemoryController::serialize(Serializer &s) const
+MemoryController::transfer(Archive &ar)
 {
-    s.u64(nextFreeSlot_);
-    s.u64(stats_.overlappedReads);
-    s.u64(stats_.directReads);
-    s.u64(stats_.writebacks);
-    s.u64(stats_.queuedCycles);
-}
-
-void
-MemoryController::deserialize(SectionReader &r)
-{
-    nextFreeSlot_ = r.u64();
-    stats_.overlappedReads = r.u64();
-    stats_.directReads = r.u64();
-    stats_.writebacks = r.u64();
-    stats_.queuedCycles = r.u64();
+    ar.u64(nextFreeSlot_);
+    ar.u64(stats_.overlappedReads);
+    ar.u64(stats_.directReads);
+    ar.u64(stats_.writebacks);
+    ar.u64(stats_.queuedCycles);
 }
 
 void

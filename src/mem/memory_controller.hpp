@@ -75,9 +75,8 @@ class MemoryController
     /** Emit mem_access trace events to @p sink. */
     void setTraceSink(TraceSink *sink) { trace_ = sink; }
 
-    /** Checkpoint support: the initiation-slot cursor and counters. */
-    void serialize(Serializer &s) const;
-    void deserialize(SectionReader &r);
+    /** Checkpoint layout: the initiation-slot cursor and counters. */
+    void transfer(Archive &ar);
 
   private:
     /** Claim the next initiation slot at or after @p at. */

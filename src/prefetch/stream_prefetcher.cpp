@@ -139,45 +139,23 @@ StreamPrefetcher::addStats(StatGroup &group) const
 }
 
 void
-StreamPrefetcher::serialize(Serializer &s) const
+StreamPrefetcher::transfer(Archive &ar)
 {
-    s.u32(static_cast<std::uint32_t>(streams_.size()));
-    for (const Stream &st : streams_) {
-        s.b(st.valid);
-        s.b(st.confirmed);
-        s.b(st.storeStream);
-        s.i64(st.direction);
-        s.u64(st.lastLine);
-        s.u64(st.nextPrefetch);
-        s.u64(st.lastUse);
-    }
-    s.u64(useClock_);
-    s.u64(stats_.streamsAllocated);
-    s.u64(stats_.streamsConfirmed);
-    s.u64(stats_.prefetchesRequested);
-}
-
-void
-StreamPrefetcher::deserialize(SectionReader &r)
-{
-    const std::uint32_t n = r.u32();
-    if (n != streams_.size())
-        fatal("snapshot section '%s': prefetcher stream count mismatch "
-              "(%u stored vs %zu here)",
-              r.name().c_str(), n, streams_.size());
+    ar.expect("prefetcher streams",
+              static_cast<std::uint32_t>(streams_.size()));
     for (Stream &st : streams_) {
-        st.valid = r.b();
-        st.confirmed = r.b();
-        st.storeStream = r.b();
-        st.direction = static_cast<int>(r.i64());
-        st.lastLine = r.u64();
-        st.nextPrefetch = r.u64();
-        st.lastUse = r.u64();
+        ar.b(st.valid);
+        ar.b(st.confirmed);
+        ar.b(st.storeStream);
+        ar.u64(st.direction);
+        ar.u64(st.lastLine);
+        ar.u64(st.nextPrefetch);
+        ar.u64(st.lastUse);
     }
-    useClock_ = r.u64();
-    stats_.streamsAllocated = r.u64();
-    stats_.streamsConfirmed = r.u64();
-    stats_.prefetchesRequested = r.u64();
+    ar.u64(useClock_);
+    ar.u64(stats_.streamsAllocated);
+    ar.u64(stats_.streamsConfirmed);
+    ar.u64(stats_.prefetchesRequested);
 }
 
 void

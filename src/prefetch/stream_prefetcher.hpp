@@ -18,8 +18,7 @@
 
 namespace cgct {
 
-class Serializer;
-class SectionReader;
+class Archive;
 
 /** A prefetch the engine wants issued. */
 struct PrefetchCandidate {
@@ -54,9 +53,8 @@ class StreamPrefetcher
     void addStats(StatGroup &group) const;
     void reset();
 
-    /** Checkpoint support: stream table, use clock and statistics. */
-    void serialize(Serializer &s) const;
-    void deserialize(SectionReader &r);
+    /** Checkpoint layout: stream table, use clock and statistics. */
+    void transfer(Archive &ar);
 
   private:
     struct Stream {

@@ -64,23 +64,13 @@ DmaEngine::transfer()
 }
 
 void
-DmaEngine::serialize(Serializer &s) const
+DmaEngine::transfer(Archive &ar)
 {
-    rng_.serialize(s);
-    s.u64(stats_.transfers);
-    s.u64(stats_.readLines);
-    s.u64(stats_.writeLines);
-    s.u64(stats_.dirtyHits);
-}
-
-void
-DmaEngine::deserialize(SectionReader &r)
-{
-    rng_.deserialize(r);
-    stats_.transfers = r.u64();
-    stats_.readLines = r.u64();
-    stats_.writeLines = r.u64();
-    stats_.dirtyHits = r.u64();
+    rng_.transfer(ar);
+    ar.u64(stats_.transfers);
+    ar.u64(stats_.readLines);
+    ar.u64(stats_.writeLines);
+    ar.u64(stats_.dirtyHits);
 }
 
 void

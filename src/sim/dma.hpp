@@ -59,14 +59,13 @@ class DmaEngine
     void addStats(StatGroup &group) const;
 
     /**
-     * Checkpoint support: the RNG stream and counters. The pending
+     * Checkpoint layout: the RNG stream and counters. The pending
      * transfer event is not saved — scheduleNext() draws the delay
      * *before* checking keep_running, so the aborted event's draw is
-     * already in the serialized RNG state and start() after restore
+     * already in the saved RNG state and start() after restore
      * re-creates the identical schedule.
      */
-    void serialize(Serializer &s) const;
-    void deserialize(SectionReader &r);
+    void transfer(Archive &ar);
 
   private:
     void scheduleNext();

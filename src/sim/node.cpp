@@ -970,68 +970,39 @@ Node::noteMissLatency(Tick issued, Tick ready)
 }
 
 void
-Node::serialize(Serializer &s) const
+Node::transfer(Archive &ar)
 {
-    if (mshr_.inFlight() != 0 || !fillWaiters_.empty() ||
-        !pendingMisses_.empty() || !pendingRegionAcq_.empty() ||
-        drainingRegion_)
+    if (ar.saving() &&
+        (mshr_.inFlight() != 0 || !fillWaiters_.empty() ||
+         !pendingMisses_.empty() || !pendingRegionAcq_.empty() ||
+         drainingRegion_))
         panic("Node: serializing cpu %d with requests in flight — "
               "snapshots require a drained (quiescent) system", cpu_);
-    l1i_.serialize(s);
-    l1d_.serialize(s);
-    l2_.serialize(s);
-    mshr_.serialize(s);
-    prefetcher_.serialize(s);
-    s.u64(l2TagBusy_);
-    s.u64(stats_.requestsTotal);
-    s.u64(stats_.broadcasts);
-    s.u64(stats_.directs);
-    s.u64(stats_.localCompletes);
+    l1i_.transfer(ar);
+    l1d_.transfer(ar);
+    l2_.transfer(ar);
+    mshr_.transfer(ar);
+    prefetcher_.transfer(ar);
+    ar.u64(l2TagBusy_);
+    ar.u64(stats_.requestsTotal);
+    ar.u64(stats_.broadcasts);
+    ar.u64(stats_.directs);
+    ar.u64(stats_.localCompletes);
     for (std::size_t i = 0; i < Stats::kNumCat; ++i) {
-        s.u64(stats_.broadcastsByCat[i]);
-        s.u64(stats_.directsByCat[i]);
-        s.u64(stats_.localByCat[i]);
+        ar.u64(stats_.broadcastsByCat[i]);
+        ar.u64(stats_.directsByCat[i]);
+        ar.u64(stats_.localByCat[i]);
     }
-    s.u64(stats_.writebacksIssued);
-    s.u64(stats_.demandMisses);
-    s.u64(stats_.prefetchesIssued);
-    s.u64(stats_.upgradeRaces);
-    s.u64(stats_.inclusionWritebacks);
-    s.u64(stats_.snoopsReceived);
-    s.u64(stats_.tagWaitCycles);
-    s.u64(stats_.memLatencySum);
-    s.u64(stats_.memLatencyCount);
-    missLatencyHist_.serialize(s);
-}
-
-void
-Node::deserialize(SectionReader &r)
-{
-    l1i_.deserialize(r);
-    l1d_.deserialize(r);
-    l2_.deserialize(r);
-    mshr_.deserialize(r);
-    prefetcher_.deserialize(r);
-    l2TagBusy_ = r.u64();
-    stats_.requestsTotal = r.u64();
-    stats_.broadcasts = r.u64();
-    stats_.directs = r.u64();
-    stats_.localCompletes = r.u64();
-    for (std::size_t i = 0; i < Stats::kNumCat; ++i) {
-        stats_.broadcastsByCat[i] = r.u64();
-        stats_.directsByCat[i] = r.u64();
-        stats_.localByCat[i] = r.u64();
-    }
-    stats_.writebacksIssued = r.u64();
-    stats_.demandMisses = r.u64();
-    stats_.prefetchesIssued = r.u64();
-    stats_.upgradeRaces = r.u64();
-    stats_.inclusionWritebacks = r.u64();
-    stats_.snoopsReceived = r.u64();
-    stats_.tagWaitCycles = r.u64();
-    stats_.memLatencySum = r.u64();
-    stats_.memLatencyCount = r.u64();
-    missLatencyHist_.deserialize(r);
+    ar.u64(stats_.writebacksIssued);
+    ar.u64(stats_.demandMisses);
+    ar.u64(stats_.prefetchesIssued);
+    ar.u64(stats_.upgradeRaces);
+    ar.u64(stats_.inclusionWritebacks);
+    ar.u64(stats_.snoopsReceived);
+    ar.u64(stats_.tagWaitCycles);
+    ar.u64(stats_.memLatencySum);
+    ar.u64(stats_.memLatencyCount);
+    missLatencyHist_.transfer(ar);
 }
 
 void

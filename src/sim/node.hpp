@@ -190,16 +190,15 @@ class Node : public SnoopClient
     std::string checkInvariants() const;
 
     /**
-     * Checkpoint support: the three caches, the MSHR free list, the
+     * Checkpoint layout: the three caches, the MSHR free list, the
      * prefetcher, the L2 tag-port cursor, the request statistics and the
-     * miss-latency histogram. The region tracker is serialized separately
-     * by the System (it may be shared between the cores of a chip).
+     * miss-latency histogram. The region tracker is a section of its own
+     * in the System (it may be shared between the cores of a chip).
      * Snapshots require quiescence — no in-flight misses, fill waiters,
-     * postponed misses or pending region acquisitions; serialize()
-     * panics otherwise.
+     * postponed misses or pending region acquisitions; saving panics
+     * otherwise.
      */
-    void serialize(Serializer &s) const;
-    void deserialize(SectionReader &r);
+    void transfer(Archive &ar);
 
   private:
     /**

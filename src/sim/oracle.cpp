@@ -55,25 +55,14 @@ Oracle::reset()
 }
 
 void
-Oracle::serialize(Serializer &s) const
-{
-    for (const Counts &c : byCat_) {
-        s.u64(c.total);
-        s.u64(c.unnecessary);
-    }
-    s.u64(total_);
-    s.u64(unnecessary_);
-}
-
-void
-Oracle::deserialize(SectionReader &r)
+Oracle::transfer(Archive &ar)
 {
     for (Counts &c : byCat_) {
-        c.total = r.u64();
-        c.unnecessary = r.u64();
+        ar.u64(c.total);
+        ar.u64(c.unnecessary);
     }
-    total_ = r.u64();
-    unnecessary_ = r.u64();
+    ar.u64(total_);
+    ar.u64(unnecessary_);
 }
 
 void

@@ -69,9 +69,8 @@ class Oracle
     void reset();
     void addStats(StatGroup &group) const;
 
-    /** Checkpoint support: per-category and total tallies. */
-    void serialize(Serializer &s) const;
-    void deserialize(SectionReader &r);
+    /** Checkpoint layout: per-category and total tallies. */
+    void transfer(Archive &ar);
 
   private:
     std::vector<Node *> nodes_;

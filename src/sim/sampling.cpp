@@ -50,14 +50,13 @@ windowStarts(std::uint64_t warmup, std::uint64_t span, std::uint64_t k)
 
 /** Serialize the quiescent warm system + workload into CGCTSNAP bytes. */
 std::vector<std::uint8_t>
-makeWarmSnapshot(System &sys, const SyntheticWorkload &workload,
+makeWarmSnapshot(System &sys, SyntheticWorkload &workload,
                  std::uint64_t fingerprint)
 {
     Serializer s;
-    s.beginSection("workload");
-    workload.serialize(s);
-    s.endSection();
-    sys.serializeState(s);
+    Archive ar(s);
+    ar.section("workload", [&] { workload.transfer(ar); });
+    sys.transfer(ar);
     return makeSnapshotFile(fingerprint, s);
 }
 
@@ -170,11 +169,9 @@ runWindow(const SystemConfig &config, const WorkloadProfile &profile,
     if (d.fingerprint() != fingerprint)
         panic("simulateSampled: warm snapshot fingerprint mismatch");
 
-    {
-        SectionReader w = d.section("workload");
-        workload.deserialize(w);
-    }
-    sys.restoreState(d);
+    Archive ar(d);
+    ar.section("workload", [&] { workload.transfer(ar); });
+    sys.transfer(ar);
 
     // The window measures only its own ops: reset everything and record
     // per-core retire baselines (instruction counters are cumulative).

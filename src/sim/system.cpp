@@ -2,7 +2,7 @@
 
 #include <ostream>
 #include <string>
-#include <unordered_map>
+#include <unordered_set>
 
 #include "common/log.hpp"
 #include "snapshot/serializer.hpp"
@@ -172,104 +172,46 @@ System::resetStats(Tick now)
 }
 
 void
-System::serializeState(Serializer &s) const
+System::transfer(Archive &ar)
 {
-    if (!allCoresFinished())
+    if (ar.saving() && !allCoresFinished())
         panic("System: serializing before every core drained");
 
-    s.beginSection("eq");
-    eq_.serialize(s);
-    s.endSection();
-
-    s.beginSection("bus");
-    bus_->serialize(s);
-    s.endSection();
-
-    s.beginSection("datanet");
-    dataNet_->serialize(s);
-    s.endSection();
-
-    s.beginSection("oracle");
-    oracle_->serialize(s);
-    s.endSection();
-
-    if (dma_) {
-        s.beginSection("dma");
-        dma_->serialize(s);
-        s.endSection();
-    }
-
-    for (std::size_t i = 0; i < memCtrls_.size(); ++i) {
-        s.beginSection("memctrl" + std::to_string(i));
-        memCtrls_[i]->serialize(s);
-        s.endSection();
-    }
+    ar.section("eq", [&] { eq_.transfer(ar); });
+    ar.section("bus", [&] { bus_->transfer(ar); });
+    ar.section("datanet", [&] { dataNet_->transfer(ar); });
+    ar.section("oracle", [&] { oracle_->transfer(ar); });
+    if (dma_)
+        ar.section("dma", [&] { dma_->transfer(ar); });
+    for (std::size_t i = 0; i < memCtrls_.size(); ++i)
+        ar.section("memctrl" + std::to_string(i),
+                   [&] { memCtrls_[i]->transfer(ar); });
 
     // Chip-shared trackers appear once, under their first owner's index.
-    std::unordered_map<const RegionTracker *, bool> seen;
+    std::unordered_set<const RegionTracker *> seen;
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        s.beginSection("core" + std::to_string(i));
-        cores_[i]->serialize(s);
-        s.endSection();
-
-        s.beginSection("node" + std::to_string(i));
-        nodes_[i]->serialize(s);
-        s.endSection();
-
-        const RegionTracker *tracker = nodes_[i]->tracker();
-        if (tracker && !seen.count(tracker)) {
-            seen.emplace(tracker, true);
-            s.beginSection("tracker" + std::to_string(i));
-            tracker->serialize(s);
-            s.endSection();
-        }
+        const std::string id = std::to_string(i);
+        ar.section("core" + id, [&] { cores_[i]->transfer(ar); });
+        ar.section("node" + id, [&] { nodes_[i]->transfer(ar); });
+        RegionTracker *tracker = nodes_[i]->tracker();
+        if (tracker && seen.insert(tracker).second)
+            ar.section("tracker" + id, [&] { tracker->transfer(ar); });
     }
+}
+
+void
+System::serializeState(Serializer &s) const
+{
+    Archive ar(s);
+    // Saving reads every field and writes none.
+    const_cast<System *>(this)->transfer(ar);
 }
 
 void
 System::restoreState(const Deserializer &d)
 {
-    {
-        SectionReader r = d.section("eq");
-        eq_.deserialize(r);
-    }
-    {
-        SectionReader r = d.section("bus");
-        bus_->deserialize(r);
-    }
-    {
-        SectionReader r = d.section("datanet");
-        dataNet_->deserialize(r);
-    }
-    {
-        SectionReader r = d.section("oracle");
-        oracle_->deserialize(r);
-    }
-    if (dma_) {
-        SectionReader r = d.section("dma");
-        dma_->deserialize(r);
-    }
-    for (std::size_t i = 0; i < memCtrls_.size(); ++i) {
-        SectionReader r = d.section("memctrl" + std::to_string(i));
-        memCtrls_[i]->deserialize(r);
-    }
-    std::unordered_map<RegionTracker *, bool> seen;
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        {
-            SectionReader r = d.section("core" + std::to_string(i));
-            cores_[i]->deserialize(r);
-        }
-        {
-            SectionReader r = d.section("node" + std::to_string(i));
-            nodes_[i]->deserialize(r);
-        }
-        RegionTracker *tracker = nodes_[i]->tracker();
-        if (tracker && !seen.count(tracker)) {
-            seen.emplace(tracker, true);
-            SectionReader r = d.section("tracker" + std::to_string(i));
-            tracker->deserialize(r);
-        }
-    }
+    Archive ar(d);
+    transfer(ar);
 }
 
 void

@@ -31,6 +31,7 @@
 
 namespace cgct {
 
+class Archive;
 class Serializer;
 class Deserializer;
 
@@ -108,22 +109,21 @@ class System
     void dumpStats(std::ostream &os) const;
 
     /**
-     * Checkpoint support (see docs/SNAPSHOT.md). serializeState()
-     * appends one section per component ("eq", "bus", "datanet",
-     * "oracle", "dma", "memctrl<i>", "core<i>", "node<i>",
-     * "tracker<i>") to @p s. It must be called on a drained system —
-     * event queue empty, every core Finished, no requests in flight —
-     * and panics otherwise. Chip-shared region trackers are serialized
-     * once, under the section of the first core that owns them.
+     * Checkpoint layout (see docs/SNAPSHOT.md): one section per
+     * component ("eq", "bus", "datanet", "oracle", "dma", "memctrl<i>",
+     * "core<i>", "node<i>", "tracker<i>"). Saving requires a drained
+     * system — event queue empty, every core Finished, no requests in
+     * flight — and panics otherwise. Chip-shared region trackers are
+     * stored once, under the section of the first core that owns them.
+     * Loading requires a system freshly constructed under the same
+     * configuration; the caller checks the config fingerprint first.
      */
+    void transfer(Archive &ar);
+
+    /** Append the sections to @p s: transfer() over a saving Archive. */
     void serializeState(Serializer &s) const;
 
-    /**
-     * Restore component state from @p d (same section layout). The
-     * system must be freshly constructed under the same configuration;
-     * the caller is responsible for checking the config fingerprint
-     * before calling this.
-     */
+    /** Restore from @p d: transfer() over a loading Archive. */
     void restoreState(const Deserializer &d);
 
     /**

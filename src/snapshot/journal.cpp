@@ -38,189 +38,128 @@ readLe32(const std::uint8_t *p)
     return v;
 }
 
+/** The journal record layout of one RunResult. */
+void
+transfer(Archive &ar, RunResult &r)
+{
+    ar.str(r.workload);
+    ar.u64(r.regionBytes);
+    ar.u64(r.seed);
+    ar.u64(r.cycles);
+    ar.u64(r.instructions);
+    ar.u64(r.requestsTotal);
+    ar.u64(r.broadcasts);
+    ar.u64(r.directs);
+    ar.u64(r.locals);
+    ar.u64(r.writebacks);
+    for (std::size_t c = 0; c < RunResult::kNumCat; ++c) {
+        ar.u64(r.broadcastsByCat[c]);
+        ar.u64(r.directsByCat[c]);
+        ar.u64(r.localsByCat[c]);
+    }
+    ar.u64(r.oracleTotal);
+    ar.u64(r.oracleUnnecessary);
+    for (std::size_t c = 0; c < RunResult::kNumCat; ++c) {
+        ar.u64(r.oracleTotalByCat[c]);
+        ar.u64(r.oracleUnnecessaryByCat[c]);
+    }
+    ar.f64(r.avgBroadcastsPer100k);
+    ar.f64(r.peakBroadcastsPer100k);
+    ar.f64(r.l2MissRatio);
+    ar.f64(r.avgMissLatency);
+    ar.u64(r.cacheToCache);
+    ar.u64(r.memorySupplied);
+    ar.u64(r.rcaEvictedEmpty);
+    ar.u64(r.rcaEvictedOne);
+    ar.u64(r.rcaEvictedTwo);
+    ar.u64(r.rcaEvictedMore);
+    ar.u64(r.rcaSelfInvalidations);
+    ar.u64(r.inclusionWritebacks);
+    ar.f64(r.avgLinesPerEvictedRegion);
+
+    // Smallest encodings: two empty strings and four u64s; two empty
+    // strings, a u64 and four doubles.
+    r.histograms.resize(ar.count(
+        "histograms", static_cast<std::uint32_t>(r.histograms.size()), 48));
+    for (HistogramSnapshot &h : r.histograms) {
+        ar.str(h.name);
+        ar.str(h.desc);
+        ar.u64(h.bucketWidth);
+        ar.u64(h.samples);
+        ar.u64(h.sum);
+        h.buckets.resize(ar.count(
+            "histogram buckets",
+            static_cast<std::uint64_t>(h.buckets.size()), 8));
+        for (std::uint64_t &b : h.buckets)
+            ar.u64(b);
+    }
+    r.distributions.resize(ar.count(
+        "distributions", static_cast<std::uint32_t>(r.distributions.size()),
+        56));
+    for (DistributionSnapshot &d : r.distributions) {
+        ar.str(d.name);
+        ar.str(d.desc);
+        ar.u64(d.samples);
+        ar.f64(d.min);
+        ar.f64(d.max);
+        ar.f64(d.mean);
+        ar.f64(d.stddev);
+    }
+
+    // Sampling tail (sampled sweeps): optional so records from a
+    // full-detail sweep stay byte-identical to version-1 journals.
+    // Records written before it existed end here.
+    if (ar.atEnd())
+        return;
+    bool sampled = r.sampling != nullptr;
+    ar.b(sampled);
+    if (sampled) {
+        SamplingInfo si = r.sampling ? *r.sampling : SamplingInfo{};
+        ar.u64(si.windows);
+        ar.u64(si.windowOps);
+        ar.str(si.warmMode);
+        ar.u64(si.spanOps);
+        ar.u64(si.sampledOps);
+        ar.f64(si.scale);
+        for (RunSummary *sum : {&si.cycles, &si.avgMissLatency,
+                                &si.l2MissRatio, &si.avoidedFraction,
+                                &si.avgBroadcastsPer100k}) {
+            ar.f64(sum->mean);
+            ar.f64(sum->stddev);
+            ar.f64(sum->ci95Half);
+            ar.u64(sum->count);
+        }
+        if (!ar.saving())
+            r.sampling = std::make_shared<const SamplingInfo>(si);
+    }
+
+    // Topology tail (appended after the sampling tail so older decoders
+    // that stop at their last known field still read their prefix).
+    // Records written before it keep its defaults.
+    if (ar.atEnd())
+        return;
+    ar.str(r.topology);
+    ar.u32(r.nodes);
+    ar.u64(r.localResolves);
+    ar.u64(r.interChipBroadcasts);
+}
+
 } // namespace
 
 void
 encodeRunResult(Serializer &s, const RunResult &r)
 {
-    s.str(r.workload);
-    s.u64(r.regionBytes);
-    s.u64(r.seed);
-    s.u64(r.cycles);
-    s.u64(r.instructions);
-    s.u64(r.requestsTotal);
-    s.u64(r.broadcasts);
-    s.u64(r.directs);
-    s.u64(r.locals);
-    s.u64(r.writebacks);
-    for (std::size_t c = 0; c < RunResult::kNumCat; ++c) {
-        s.u64(r.broadcastsByCat[c]);
-        s.u64(r.directsByCat[c]);
-        s.u64(r.localsByCat[c]);
-    }
-    s.u64(r.oracleTotal);
-    s.u64(r.oracleUnnecessary);
-    for (std::size_t c = 0; c < RunResult::kNumCat; ++c) {
-        s.u64(r.oracleTotalByCat[c]);
-        s.u64(r.oracleUnnecessaryByCat[c]);
-    }
-    s.f64(r.avgBroadcastsPer100k);
-    s.f64(r.peakBroadcastsPer100k);
-    s.f64(r.l2MissRatio);
-    s.f64(r.avgMissLatency);
-    s.u64(r.cacheToCache);
-    s.u64(r.memorySupplied);
-    s.u64(r.rcaEvictedEmpty);
-    s.u64(r.rcaEvictedOne);
-    s.u64(r.rcaEvictedTwo);
-    s.u64(r.rcaEvictedMore);
-    s.u64(r.rcaSelfInvalidations);
-    s.u64(r.inclusionWritebacks);
-    s.f64(r.avgLinesPerEvictedRegion);
-
-    s.u32(static_cast<std::uint32_t>(r.histograms.size()));
-    for (const HistogramSnapshot &h : r.histograms) {
-        s.str(h.name);
-        s.str(h.desc);
-        s.u64(h.bucketWidth);
-        s.u64(h.samples);
-        s.u64(h.sum);
-        s.u64(h.buckets.size());
-        for (std::uint64_t b : h.buckets)
-            s.u64(b);
-    }
-    s.u32(static_cast<std::uint32_t>(r.distributions.size()));
-    for (const DistributionSnapshot &d : r.distributions) {
-        s.str(d.name);
-        s.str(d.desc);
-        s.u64(d.samples);
-        s.f64(d.min);
-        s.f64(d.max);
-        s.f64(d.mean);
-        s.f64(d.stddev);
-    }
-
-    // Sampling tail (sampled sweeps): optional so records from a
-    // full-detail sweep stay byte-identical to version-1 journals.
-    s.b(r.sampling != nullptr);
-    if (r.sampling) {
-        const SamplingInfo &si = *r.sampling;
-        s.u64(si.windows);
-        s.u64(si.windowOps);
-        s.str(si.warmMode);
-        s.u64(si.spanOps);
-        s.u64(si.sampledOps);
-        s.f64(si.scale);
-        const RunSummary *sums[] = {&si.cycles, &si.avgMissLatency,
-                                    &si.l2MissRatio, &si.avoidedFraction,
-                                    &si.avgBroadcastsPer100k};
-        for (const RunSummary *sum : sums) {
-            s.f64(sum->mean);
-            s.f64(sum->stddev);
-            s.f64(sum->ci95Half);
-            s.u64(sum->count);
-        }
-    }
-
-    // Topology tail (appended after the sampling tail so older decoders
-    // that stop at their last known field still read their prefix).
-    s.str(r.topology);
-    s.u32(r.nodes);
-    s.u64(r.localResolves);
-    s.u64(r.interChipBroadcasts);
+    Archive ar(s);
+    // Saving reads every field and writes none.
+    transfer(ar, const_cast<RunResult &>(r));
 }
 
 RunResult
 decodeRunResult(SectionReader &r)
 {
     RunResult out;
-    out.workload = r.str();
-    out.regionBytes = r.u64();
-    out.seed = r.u64();
-    out.cycles = r.u64();
-    out.instructions = r.u64();
-    out.requestsTotal = r.u64();
-    out.broadcasts = r.u64();
-    out.directs = r.u64();
-    out.locals = r.u64();
-    out.writebacks = r.u64();
-    for (std::size_t c = 0; c < RunResult::kNumCat; ++c) {
-        out.broadcastsByCat[c] = r.u64();
-        out.directsByCat[c] = r.u64();
-        out.localsByCat[c] = r.u64();
-    }
-    out.oracleTotal = r.u64();
-    out.oracleUnnecessary = r.u64();
-    for (std::size_t c = 0; c < RunResult::kNumCat; ++c) {
-        out.oracleTotalByCat[c] = r.u64();
-        out.oracleUnnecessaryByCat[c] = r.u64();
-    }
-    out.avgBroadcastsPer100k = r.f64();
-    out.peakBroadcastsPer100k = r.f64();
-    out.l2MissRatio = r.f64();
-    out.avgMissLatency = r.f64();
-    out.cacheToCache = r.u64();
-    out.memorySupplied = r.u64();
-    out.rcaEvictedEmpty = r.u64();
-    out.rcaEvictedOne = r.u64();
-    out.rcaEvictedTwo = r.u64();
-    out.rcaEvictedMore = r.u64();
-    out.rcaSelfInvalidations = r.u64();
-    out.inclusionWritebacks = r.u64();
-    out.avgLinesPerEvictedRegion = r.f64();
-
-    const std::uint32_t n_hist = r.u32();
-    out.histograms.resize(n_hist);
-    for (HistogramSnapshot &h : out.histograms) {
-        h.name = r.str();
-        h.desc = r.str();
-        h.bucketWidth = r.u64();
-        h.samples = r.u64();
-        h.sum = r.u64();
-        h.buckets.resize(r.u64());
-        for (std::uint64_t &b : h.buckets)
-            b = r.u64();
-    }
-    const std::uint32_t n_dist = r.u32();
-    out.distributions.resize(n_dist);
-    for (DistributionSnapshot &d : out.distributions) {
-        d.name = r.str();
-        d.desc = r.str();
-        d.samples = r.u64();
-        d.min = r.f64();
-        d.max = r.f64();
-        d.mean = r.f64();
-        d.stddev = r.f64();
-    }
-
-    // Records written before the sampling tail existed simply end here.
-    if (!r.atEnd() && r.b()) {
-        auto si = std::make_shared<SamplingInfo>();
-        si->windows = r.u64();
-        si->windowOps = r.u64();
-        si->warmMode = r.str();
-        si->spanOps = r.u64();
-        si->sampledOps = r.u64();
-        si->scale = r.f64();
-        RunSummary *sums[] = {&si->cycles, &si->avgMissLatency,
-                              &si->l2MissRatio, &si->avoidedFraction,
-                              &si->avgBroadcastsPer100k};
-        for (RunSummary *sum : sums) {
-            sum->mean = r.f64();
-            sum->stddev = r.f64();
-            sum->ci95Half = r.f64();
-            sum->count = r.u64();
-        }
-        out.sampling = std::move(si);
-    }
-
-    // Records written before the topology tail keep its defaults.
-    if (!r.atEnd()) {
-        out.topology = r.str();
-        out.nodes = r.u32();
-        out.localResolves = r.u64();
-        out.interChipBroadcasts = r.u64();
-    }
+    Archive ar(r);
+    transfer(ar, out);
     return out;
 }
 
@@ -327,7 +266,8 @@ SweepJournal::open(const std::string &path, std::uint64_t fingerprint)
         const std::uint8_t *payload = data.data() + pos + 8;
         if (xxhash64(payload, len) != readLe64(payload + len))
             break; // Torn payload (crash mid-append).
-        SectionReader rec(payload, payload + len, "journal record");
+        SectionReader rec(payload, payload + len,
+                          path + ": record at byte " + std::to_string(pos));
         const std::uint64_t index = rec.u64();
         completed_[index] = decodeRunResult(rec);
         pos += 8 + len + 8;

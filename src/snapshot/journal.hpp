@@ -43,7 +43,9 @@ struct SweepSpec;
  * Encode every RunResult field into @p s, histograms and distributions
  * included; the captured trace is excluded (never set in sweeps). The
  * encoding doubles as the byte-identity witness in the restore tests:
- * two results are identical iff their encodings are.
+ * two results are identical iff their encodings are. Both functions are
+ * entry points over the record's one layout function; a decode of a
+ * crafted record fatal()s naming the record instead of over-allocating.
  */
 void encodeRunResult(Serializer &s, const RunResult &r);
 RunResult decodeRunResult(SectionReader &r);

@@ -281,59 +281,11 @@ Serializer::endSection()
 // SectionReader
 
 void
-SectionReader::need(std::size_t n)
+SectionReader::overrun(std::size_t n) const
 {
-    if (remaining() < n)
-        fatal("snapshot section '%s': read past end (+%zu bytes with %zu "
-              "left) — serialize/deserialize mismatch",
-              name_.c_str(), n, remaining());
-}
-
-std::uint8_t
-SectionReader::u8()
-{
-    need(1);
-    return *p_++;
-}
-
-std::uint16_t
-SectionReader::u16()
-{
-    need(2);
-    std::uint16_t v = static_cast<std::uint16_t>(p_[0] | (p_[1] << 8));
-    p_ += 2;
-    return v;
-}
-
-std::uint32_t
-SectionReader::u32()
-{
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(p_[i]) << (8 * i);
-    p_ += 4;
-    return v;
-}
-
-std::uint64_t
-SectionReader::u64()
-{
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p_[i]) << (8 * i);
-    p_ += 8;
-    return v;
-}
-
-double
-SectionReader::f64()
-{
-    std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, 8);
-    return v;
+    fatal("%s: read past end (+%zu bytes with %zu left) — the stored "
+          "layout is not this build's",
+          name_.c_str(), n, remaining());
 }
 
 std::string
@@ -392,6 +344,7 @@ Deserializer::openBytes(std::vector<std::uint8_t> bytes,
 std::string
 Deserializer::parse(const std::string &path)
 {
+    label_ = path;
     if (data_.size() < sizeof(kSnapshotMagic) + 4 + 8)
         return path + ": truncated snapshot header";
     if (std::memcmp(data_.data(), kSnapshotMagic,
@@ -474,8 +427,51 @@ Deserializer::section(const std::string &name) const
     for (const auto &s : sections_)
         if (s.first == name)
             return SectionReader(data_.data() + s.second.begin,
-                                 data_.data() + s.second.end, name);
-    fatal("snapshot: missing section '%s'", name.c_str());
+                                 data_.data() + s.second.end,
+                                 label_ + " section '" + name + "'");
+    fatal("%s: missing section '%s'", label_.c_str(), name.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Archive
+
+void
+Archive::f64(double &v)
+{
+    if (saving())
+        out_->f64(v);
+    else
+        v = reader().f64();
+}
+
+void
+Archive::str(std::string &v)
+{
+    if (saving())
+        out_->str(v);
+    else
+        v = reader().str();
+}
+
+void
+Archive::expect(const char *what, const std::string &value)
+{
+    std::string stored = value;
+    str(stored);
+    if (stored != value)
+        fail("%s mismatch ('%s' stored, '%s' here)", what, stored.c_str(),
+             value.c_str());
+}
+
+void
+Archive::fail(const char *fmt, ...) const
+{
+    char msg[512];
+    va_list args;
+    va_start(args, fmt);
+    std::vsnprintf(msg, sizeof(msg), fmt, args);
+    va_end(args);
+    fatal("%s: %s", reader().name().c_str(), msg);
 }
 
 // ---------------------------------------------------------------------------

@@ -17,16 +17,23 @@
  * under one SimConfig refuses to restore under another (see
  * docs/SNAPSHOT.md).
  *
- * The same Serializer/SectionReader pair also backs the sweep resume
- * journal (snapshot/journal.hpp), which reuses the per-record checksum
- * but has its own framing.
+ * Inside a section, each type lays out its fields once, in a
+ * transfer(Archive &) that both saves and loads them (see Archive). The
+ * same classes also back the sweep resume journal
+ * (snapshot/journal.hpp), which reuses the per-record checksum but has
+ * its own framing.
  */
 
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
+
+#include "common/log.hpp"
 
 namespace cgct {
 
@@ -103,24 +110,39 @@ class Serializer {
  * Cursor over one section's payload (or any raw byte range).
  *
  * The payload checksum was verified before a SectionReader is handed
- * out, so a read past the end here means a serialize/deserialize code
- * mismatch — a bug, not corruption — and fatal()s with the section name.
+ * out, so a read past the end means the stored layout is not the one
+ * this build's transfer() functions describe (or a crafted payload); it
+ * fatal()s with the reader's label.
  */
 class SectionReader {
   public:
+    /** @p label names the bytes in error messages, e.g. "ck.40000
+     *  section 'node3'". */
     SectionReader(const std::uint8_t *begin, const std::uint8_t *end,
-                  std::string name)
-        : p_(begin), end_(end), name_(std::move(name)) {}
+                  std::string label)
+        : p_(begin), end_(end), name_(std::move(label)) {}
 
-    std::uint8_t u8();
-    std::uint16_t u16();
-    std::uint32_t u32();
-    std::uint64_t u64();
+    std::uint8_t u8() { return get<std::uint8_t>(); }
+    std::uint16_t u16() { return get<std::uint16_t>(); }
+    std::uint32_t u32() { return get<std::uint32_t>(); }
+    std::uint64_t u64() { return get<std::uint64_t>(); }
     std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
     bool b() { return u8() != 0; }
-    double f64();
+    double f64() { return std::bit_cast<double>(u64()); }
     std::string str();
     void bytes(void *out, std::size_t len);
+
+    /** One little-endian integer (the host order, as everywhere here). */
+    template <class W>
+    W
+    get()
+    {
+        need(sizeof(W));
+        W v;
+        std::memcpy(&v, p_, sizeof v);
+        p_ += sizeof v;
+        return v;
+    }
 
     std::size_t remaining() const
     {
@@ -130,7 +152,13 @@ class SectionReader {
     const std::string &name() const { return name_; }
 
   private:
-    void need(std::size_t n);
+    void
+    need(std::size_t n)
+    {
+        if (remaining() < n)
+            overrun(n);
+    }
+    [[noreturn]] void overrun(std::size_t n) const;
 
     const std::uint8_t *p_;
     const std::uint8_t *end_;
@@ -175,8 +203,160 @@ class Deserializer {
 
     std::vector<std::uint8_t> data_;
     std::vector<std::pair<std::string, Range>> sections_;
+    std::string label_;
     std::uint32_t version_ = 0;
     std::uint64_t fingerprint_ = 0;
+};
+
+/**
+ * One layout function per format. Each snapshot and journal type states
+ * its fields once, in `void transfer(Archive &ar)`; the archive's
+ * direction, fixed at construction, decides whether each field is
+ * written or read:
+ *
+ *     ar.u64(numValid_);   // saves numValid_, or loads it
+ *
+ * Primitives take references and store the named width (enums and
+ * narrower integers are cast). On load, the checks that make a crafted
+ * payload fail cleanly live here: expect() for geometry and identity,
+ * count() before anything is sized from a stored length, index() before
+ * a stored id is used to subscript. Every failure fatal()s with the
+ * reader's label. saving() guards the few steps that exist on one side
+ * only (quiescence panics, post-load resets, sorted emission).
+ */
+class Archive
+{
+  public:
+    /** Save: every field is appended to @p s. */
+    explicit Archive(Serializer &s) : out_(&s) {}
+    /** Load one raw record (or section payload) from @p r. */
+    explicit Archive(SectionReader &r) : in_(&r) {}
+    /** Load a snapshot file; fields are read inside section() only. */
+    explicit Archive(const Deserializer &d) : file_(&d) {}
+
+    bool saving() const { return out_ != nullptr; }
+
+    template <class T> void u8(T &v) { field<std::uint8_t>(v); }
+    template <class T> void u32(T &v) { field<std::uint32_t>(v); }
+    /** Also the layout of signed fields (two's complement, i64). */
+    template <class T> void u64(T &v) { field<std::uint64_t>(v); }
+    void b(bool &v) { field<std::uint8_t>(v); }
+    /** Raw IEEE-754 bit pattern — bit-exact round trip. */
+    void f64(double &v);
+    void str(std::string &v);
+
+    /**
+     * A geometry or identity field: saved as @p value at the width of
+     * its type (std::uint32_t or std::uint64_t); on load, fatal()s
+     * naming @p what with the stored and the current value.
+     */
+    template <class T>
+    void
+    expect(const char *what, T value)
+    {
+        T stored = value;
+        raw(stored);
+        if (stored != value)
+            fail("%s mismatch (%llu stored, %llu here)", what,
+                 static_cast<unsigned long long>(stored),
+                 static_cast<unsigned long long>(value));
+    }
+    void expect(const char *what, const std::string &value);
+
+    /**
+     * A container length, stored at the width of @p n's type. Returns
+     * it; on load, fatal()s before the caller sizes anything unless the
+     * bytes left can hold that many items of at least @p item_bytes.
+     */
+    template <class T>
+    std::size_t
+    count(const char *what, T n, std::size_t item_bytes)
+    {
+        raw(n);
+        if (!saving() && n > reader().remaining() / item_bytes)
+            fail("%s %llu exceeds what the %zu bytes left can hold", what,
+                 static_cast<unsigned long long>(n), reader().remaining());
+        return static_cast<std::size_t>(n);
+    }
+
+    /** An array index, stored at the width of its type; on load,
+     *  fatal()s unless it is below @p bound. */
+    template <class T>
+    void
+    index(const char *what, T &v, std::uint64_t bound)
+    {
+        raw(v);
+        if (!saving() && v >= bound)
+            fail("%s %llu out of range (bound %llu)", what,
+                 static_cast<unsigned long long>(v),
+                 static_cast<unsigned long long>(bound));
+    }
+
+    /**
+     * A named snapshot section whose payload is @p fn's fields. On
+     * load the section must exist and @p fn must consume all of it.
+     */
+    template <class Fn>
+    void
+    section(const std::string &name, Fn &&fn)
+    {
+        if (saving()) {
+            out_->beginSection(name);
+            fn();
+            out_->endSection();
+            return;
+        }
+        SectionReader r = file_->section(name);
+        in_ = &r;
+        fn();
+        if (!r.atEnd())
+            fail("%zu bytes left unread", r.remaining());
+        in_ = nullptr;
+    }
+
+    /** Loading, and the record has no bytes left (never when saving):
+     *  for optional tails appended to a format. */
+    bool atEnd() const { return !saving() && reader().atEnd(); }
+
+    /** fatal() with the reader's label: a load-side check failed. */
+    [[noreturn]] void fail(const char *fmt, ...) const
+        __attribute__((format(printf, 2, 3)));
+
+  private:
+    template <class W, class T>
+    void
+    field(T &v)
+    {
+        W w = static_cast<W>(v);
+        raw(w);
+        if (!saving())
+            v = static_cast<T>(w);
+    }
+
+    /** The stored bytes of @p v: its width, little-endian (the host
+     *  order; the simulator targets little-endian hosts throughout). */
+    template <class W>
+    void
+    raw(W &v)
+    {
+        static_assert(std::is_unsigned_v<W>, "store an unsigned width");
+        if (saving())
+            out_->bytes(&v, sizeof v);
+        else
+            v = reader().get<W>();
+    }
+
+    SectionReader &
+    reader() const
+    {
+        if (!in_)
+            panic("Archive: field read outside a section");
+        return *in_;
+    }
+
+    Serializer *out_ = nullptr;
+    SectionReader *in_ = nullptr;
+    const Deserializer *file_ = nullptr;
 };
 
 /** The 8-byte magic at offset 0 of every snapshot file. */

@@ -127,23 +127,21 @@ struct HarnessState {
         id.seed = seed;
         return snapshotFingerprint(config, profileName, id, everyOps);
     }
-};
 
-HarnessState
-readHarness(const Deserializer &d)
-{
-    SectionReader r = d.section("harness");
-    HarnessState h;
-    h.profileName = r.str();
-    h.opsPerCpu = r.u64();
-    h.warmupOps = r.u64();
-    h.seed = r.u64();
-    h.everyOps = r.u64();
-    h.opsDone = r.u64();
-    h.measureStart = r.u64();
-    h.warmupDone = r.b();
-    return h;
-}
+    /** Checkpoint layout: the "harness" section. */
+    void
+    transfer(Archive &ar)
+    {
+        ar.str(profileName);
+        ar.u64(opsPerCpu);
+        ar.u64(warmupOps);
+        ar.u64(seed);
+        ar.u64(everyOps);
+        ar.u64(opsDone);
+        ar.u64(measureStart);
+        ar.b(warmupDone);
+    }
+};
 
 // The two op sources the drain loop runs. Each states once what differs
 // between them: run identity, warmup progress, stream length, snapshot
@@ -178,8 +176,7 @@ class GeneratedRun
     std::uint64_t progress() const { return workload_.minOpsDrawn(); }
     std::uint64_t streamOps() const { return workload_.opsPerCpu(); }
     void setPauseAt(std::uint64_t ops) { workload_.setPauseAt(ops); }
-    void serialize(Serializer &s) const { workload_.serialize(s); }
-    void deserialize(SectionReader &r) { workload_.deserialize(r); }
+    void transfer(Archive &ar) { workload_.transfer(ar); }
 
     void
     finish()
@@ -225,8 +222,7 @@ class ReplayRun
     std::uint64_t progress() const { return replay_.minOpsConsumed(); }
     std::uint64_t streamOps() const { return replay_.maxLaneMemOps(); }
     void setPauseAt(std::uint64_t ops) { replay_.setPauseAt(ops); }
-    void serialize(Serializer &s) const { replay_.serialize(s); }
-    void deserialize(SectionReader &r) { replay_.deserialize(r); }
+    void transfer(Archive &ar) { replay_.transfer(ar); }
     void finish() {}
 
   private:
@@ -236,26 +232,14 @@ class ReplayRun
 
 template <class Run>
 void
-writeCheckpoint(System &sys, const Run &run, const HarnessState &h,
+writeCheckpoint(System &sys, Run &run, HarnessState &h,
                 std::uint64_t fingerprint, const std::string &prefix)
 {
     Serializer s;
-    s.beginSection("harness");
-    s.str(h.profileName);
-    s.u64(h.opsPerCpu);
-    s.u64(h.warmupOps);
-    s.u64(h.seed);
-    s.u64(h.everyOps);
-    s.u64(h.opsDone);
-    s.u64(h.measureStart);
-    s.b(h.warmupDone);
-    s.endSection();
-
-    s.beginSection(Run::kSection);
-    run.serialize(s);
-    s.endSection();
-
-    sys.serializeState(s);
+    Archive ar(s);
+    ar.section("harness", [&] { h.transfer(ar); });
+    ar.section(Run::kSection, [&] { run.transfer(ar); });
+    sys.transfer(ar);
 
     const std::string path = prefix + "." + std::to_string(h.opsDone);
     const std::string err =
@@ -282,7 +266,9 @@ restoreRun(const SystemConfig &config, System &sys, Run &run,
     if (!err.empty())
         fatal("restore: %s", err.c_str());
 
-    const HarnessState stored = readHarness(d);
+    Archive ar(d);
+    HarnessState stored;
+    ar.section("harness", [&] { stored.transfer(ar); });
     const std::uint64_t expected = stored.fingerprint(config);
     if (expected != d.fingerprint())
         fatal("restore: snapshot '%s' was taken under a different system "
@@ -311,9 +297,8 @@ restoreRun(const SystemConfig &config, System &sys, Run &run,
               "(or none) when restoring",
               path, static_cast<unsigned long long>(stored.everyOps));
 
-    SectionReader r = d.section(Run::kSection);
-    run.deserialize(r);
-    sys.restoreState(d);
+    ar.section(Run::kSection, [&] { run.transfer(ar); });
+    sys.transfer(ar);
     return stored;
 }
 

@@ -1,6 +1,5 @@
 #include "workload/generator.hpp"
 
-#include "common/log.hpp"
 #include "snapshot/serializer.hpp"
 
 namespace cgct {
@@ -36,64 +35,28 @@ SyntheticWorkload::setPauseAt(std::uint64_t ops)
 }
 
 void
-SyntheticWorkload::serialize(Serializer &s) const
+SyntheticWorkload::transfer(Archive &ar)
 {
-    s.str(profile_.name);
-    s.u32(numCpus_);
-    s.u64(opsPerCpu_);
-    for (const CpuState &cs : cpus_) {
-        cs.rng.serialize(s);
-        s.u64(cs.ops);
-        for (const SegCursor *cur : {&cs.code, &cs.ro, &cs.priv}) {
-            s.u64(cur->addr);
-            s.u32(cur->runLeft);
-            s.u32(cur->repeatLeft);
-        }
-        s.u64(cs.dcbzLeft);
-        s.u64(cs.dcbzAddr);
-        s.u64(cs.dcbzPage);
-        s.b(cs.rmwPending);
-        s.u64(cs.rmwAddr);
-    }
-    s.u64(rwOwner_.size());
-    for (CpuId owner : rwOwner_)
-        s.i64(owner);
-}
-
-void
-SyntheticWorkload::deserialize(SectionReader &r)
-{
-    const std::string name = r.str();
-    const std::uint32_t num_cpus = r.u32();
-    const std::uint64_t ops = r.u64();
-    if (name != profile_.name || num_cpus != numCpus_ ||
-        ops != opsPerCpu_)
-        fatal("snapshot section '%s': workload mismatch (profile '%s', "
-              "%u CPUs, %llu ops stored vs '%s', %u, %llu here)",
-              r.name().c_str(), name.c_str(), num_cpus,
-              static_cast<unsigned long long>(ops),
-              profile_.name.c_str(), numCpus_,
-              static_cast<unsigned long long>(opsPerCpu_));
+    ar.expect("workload profile", profile_.name);
+    ar.expect("workload CPUs", numCpus_);
+    ar.expect("workload ops per CPU", opsPerCpu_);
     for (CpuState &cs : cpus_) {
-        cs.rng.deserialize(r);
-        cs.ops = r.u64();
+        cs.rng.transfer(ar);
+        ar.u64(cs.ops);
         for (SegCursor *cur : {&cs.code, &cs.ro, &cs.priv}) {
-            cur->addr = r.u64();
-            cur->runLeft = r.u32();
-            cur->repeatLeft = r.u32();
+            ar.u64(cur->addr);
+            ar.u32(cur->runLeft);
+            ar.u32(cur->repeatLeft);
         }
-        cs.dcbzLeft = r.u64();
-        cs.dcbzAddr = r.u64();
-        cs.dcbzPage = r.u64();
-        cs.rmwPending = r.b();
-        cs.rmwAddr = r.u64();
+        ar.u64(cs.dcbzLeft);
+        ar.u64(cs.dcbzAddr);
+        ar.u64(cs.dcbzPage);
+        ar.b(cs.rmwPending);
+        ar.u64(cs.rmwAddr);
     }
-    const std::uint64_t owners = r.u64();
-    if (owners != rwOwner_.size())
-        fatal("snapshot section '%s': shared-object count mismatch",
-              r.name().c_str());
+    ar.expect("shared objects", static_cast<std::uint64_t>(rwOwner_.size()));
     for (CpuId &owner : rwOwner_)
-        owner = static_cast<CpuId>(r.i64());
+        ar.u64(owner);
 }
 
 std::uint64_t

@@ -28,8 +28,7 @@
 
 namespace cgct {
 
-class Serializer;
-class SectionReader;
+class Archive;
 
 /** Generates the operation streams for every processor of one run. */
 class SyntheticWorkload : public OpSource
@@ -69,12 +68,12 @@ class SyntheticWorkload : public OpSource
     std::uint64_t pauseAt() const { return pauseAt_; }
 
     /**
-     * Serialize the generator state: per-CPU RNG streams, cursors and
-     * pending-op latches, plus the shared-object ownership table. The
-     * profile name / CPU count / ops-per-CPU are verified on restore.
+     * Checkpoint layout of the generator state: per-CPU RNG streams,
+     * cursors and pending-op latches, plus the shared-object ownership
+     * table. The profile name / CPU count / ops-per-CPU are verified on
+     * restore.
      */
-    void serialize(Serializer &s) const;
-    void deserialize(SectionReader &r);
+    void transfer(Archive &ar);
 
   private:
     static constexpr unsigned kLine = 64;

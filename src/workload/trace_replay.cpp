@@ -261,95 +261,76 @@ TraceReplay::next(CpuId cpu, CpuOp &op)
 }
 
 void
-TraceReplay::serialize(Serializer &s) const
+TraceReplay::transfer(Archive &ar)
 {
-    if (blockedLanes_ != 0 || wakesPending_ != 0)
+    if (ar.saving() && (blockedLanes_ != 0 || wakesPending_ != 0))
         panic("trace replay: serializing with %u blocked lanes and %u "
               "wakes in flight — snapshots require a drained system",
               blockedLanes_, wakesPending_);
-    s.u64(info_.traceId);
-    s.u32(static_cast<std::uint32_t>(lanes_.size()));
-    for (const Lane &lane : lanes_) {
-        s.u64(lane.cursor);
-        s.u64(lane.memConsumed);
-        s.u64(lane.syncConsumed);
-        s.u8(lane.state == LaneState::Ended ? 1 : 0);
+    ar.expect("trace_id", info_.traceId);
+    ar.expect("trace lanes", static_cast<std::uint32_t>(lanes_.size()));
+    if (!ar.saving()) {
+        endedLanes_ = 0;
+        blockedLanes_ = 0;
+        wakesPending_ = 0;
+    }
+    for (Lane &lane : lanes_) {
+        ar.u64(lane.cursor);
+        ar.u64(lane.memConsumed);
+        ar.u64(lane.syncConsumed);
+        bool ended = lane.state == LaneState::Ended;
+        ar.b(ended);
+        if (ar.saving())
+            continue;
+        if (lane.cursor > lane.bytes)
+            ar.fail("lane cursor past the payload");
+        lane.state = ended ? LaneState::Ended : LaneState::Runnable;
+        endedLanes_ += ended ? 1 : 0;
     }
 
     // Held locks and banked signals survive a drain; waiter queues and
     // partial barriers cannot (they imply a blocked lane).
     std::vector<std::pair<std::uint64_t, std::uint32_t>> held;
-    for (const auto &[id, lock] : locks_) {
-        if (!lock.waiters.empty())
-            panic("trace replay: serializing with lock waiters");
-        if (lock.held)
-            held.emplace_back(id, lock.holder);
-    }
-    std::sort(held.begin(), held.end());
-    s.u32(static_cast<std::uint32_t>(held.size()));
-    for (const auto &[id, holder] : held) {
-        s.u64(id);
-        s.u32(holder);
-    }
-
     std::vector<std::pair<std::uint64_t, std::uint64_t>> counts;
-    for (const auto &[id, cond] : conds_) {
-        if (!cond.waiters.empty())
-            panic("trace replay: serializing with condition waiters");
-        if (cond.count > 0)
-            counts.emplace_back(id, cond.count);
+    if (ar.saving()) {
+        for (const auto &[id, lock] : locks_) {
+            if (!lock.waiters.empty())
+                panic("trace replay: serializing with lock waiters");
+            if (lock.held)
+                held.emplace_back(id, lock.holder);
+        }
+        for (const auto &[id, cond] : conds_) {
+            if (!cond.waiters.empty())
+                panic("trace replay: serializing with condition waiters");
+            if (cond.count > 0)
+                counts.emplace_back(id, cond.count);
+        }
+        std::sort(held.begin(), held.end());
+        std::sort(counts.begin(), counts.end());
     }
-    std::sort(counts.begin(), counts.end());
-    s.u32(static_cast<std::uint32_t>(counts.size()));
-    for (const auto &[id, count] : counts) {
-        s.u64(id);
-        s.u64(count);
+    held.resize(ar.count("held locks",
+                         static_cast<std::uint32_t>(held.size()), 12));
+    for (auto &[id, holder] : held) {
+        ar.u64(id);
+        ar.index("lock holder", holder, lanes_.size());
     }
-}
-
-void
-TraceReplay::deserialize(SectionReader &r)
-{
-    const std::uint64_t trace_id = r.u64();
-    const std::uint32_t num_lanes = r.u32();
-    if (trace_id != info_.traceId ||
-        num_lanes != lanes_.size())
-        fatal("snapshot section '%s': trace mismatch (trace_id "
-              "%016llx / %u lanes stored vs %016llx / %zu here)",
-              r.name().c_str(),
-              static_cast<unsigned long long>(trace_id), num_lanes,
-              static_cast<unsigned long long>(info_.traceId),
-              lanes_.size());
-    endedLanes_ = 0;
-    blockedLanes_ = 0;
-    wakesPending_ = 0;
-    for (Lane &lane : lanes_) {
-        lane.cursor = r.u64();
-        lane.memConsumed = r.u64();
-        lane.syncConsumed = r.u64();
-        lane.state =
-            r.u8() ? LaneState::Ended : LaneState::Runnable;
-        if (lane.cursor > lane.bytes)
-            fatal("snapshot section '%s': lane cursor past the "
-                  "payload",
-                  r.name().c_str());
-        if (lane.state == LaneState::Ended)
-            ++endedLanes_;
+    counts.resize(ar.count("banked signals",
+                           static_cast<std::uint32_t>(counts.size()), 16));
+    for (auto &[id, count] : counts) {
+        ar.u64(id);
+        ar.u64(count);
     }
-    barriers_.clear();
-    locks_.clear();
-    conds_.clear();
-    const std::uint32_t n_locks = r.u32();
-    for (std::uint32_t i = 0; i < n_locks; ++i) {
-        const std::uint64_t id = r.u64();
-        LockState &l = locks_[id];
-        l.held = true;
-        l.holder = r.u32();
-    }
-    const std::uint32_t n_conds = r.u32();
-    for (std::uint32_t i = 0; i < n_conds; ++i) {
-        const std::uint64_t id = r.u64();
-        conds_[id].count = r.u64();
+    if (!ar.saving()) {
+        barriers_.clear();
+        locks_.clear();
+        conds_.clear();
+        for (const auto &[id, holder] : held) {
+            LockState &l = locks_[id];
+            l.held = true;
+            l.holder = holder;
+        }
+        for (const auto &[id, count] : counts)
+            conds_[id].count = count;
     }
 }
 

@@ -41,8 +41,7 @@
 
 namespace cgct {
 
-class Serializer;
-class SectionReader;
+class Archive;
 
 /** OpSource that streams a v2 trace file. */
 class TraceReplay : public OpSource
@@ -91,13 +90,12 @@ class TraceReplay : public OpSource
     bool allEnded() const { return endedLanes_ == lanes_.size(); }
 
     /**
-     * Serialize replay progress (lane cursors, lock owners, semaphore
-     * counts). Only legal on a drained system: panics if any lane is
-     * blocked or has a wake in flight. Deserialization verifies the
-     * trace identity (trace_id) before restoring cursors.
+     * Checkpoint layout of replay progress (lane cursors, lock owners,
+     * semaphore counts). Saving is only legal on a drained system:
+     * panics if any lane is blocked or has a wake in flight. A load
+     * verifies the trace identity (trace_id) before restoring cursors.
      */
-    void serialize(Serializer &s) const;
-    void deserialize(SectionReader &r);
+    void transfer(Archive &ar);
 
   private:
     enum class LaneState : std::uint8_t {

@@ -356,7 +356,8 @@ TEST_F(CoreModelRingTest, SerializePanicsWithLoadsOutstanding)
     sys.eq.runUntil(4);
     ASSERT_FALSE(sys.core->finished());
     Serializer s;
-    EXPECT_DEATH(sys.core->serialize(s), "before it drained");
+    Archive ar(s);
+    EXPECT_DEATH(sys.core->transfer(ar), "before it drained");
     sys.eq.run();
     EXPECT_TRUE(sys.core->finished());
 }

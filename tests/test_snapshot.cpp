@@ -2,23 +2,29 @@
  * @file
  * Snapshot serialization unit tests: the XXH64 digest, primitive and
  * section round trips, file framing, corruption detection, the config
- * fingerprint, RunResult journal encoding, and the sweep resume
- * journal's crash semantics (torn-tail truncation, fingerprint refusal).
- * Label: snapshot.
+ * fingerprint, RunResult journal encoding, the sweep resume journal's
+ * crash semantics (torn-tail truncation, fingerprint refusal), and the
+ * load-side checks that turn crafted counts and indices into clean
+ * exits. Label: snapshot.
  */
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "cache/cache_array.hpp"
+#include "cache/mshr.hpp"
 #include "common/config.hpp"
 #include "common/random.hpp"
+#include "core/rca.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
 #include "snapshot/journal.hpp"
@@ -275,11 +281,13 @@ TEST(Rng, SerializeRoundTripContinuesStream)
     for (int i = 0; i < 100; ++i)
         a.next();
     Serializer s;
-    a.serialize(s);
+    Archive save(s);
+    a.transfer(save);
     Rng b(1);
     SectionReader r(s.buffer().data(), s.buffer().data() + s.size(),
                     "rng");
-    b.deserialize(r);
+    Archive load(r);
+    b.transfer(load);
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(a.next(), b.next());
 }
@@ -419,6 +427,115 @@ TEST(SweepJournalTest, RefusesForeignJournal)
     EXPECT_NE(err, "");
     EXPECT_NE(err.find("different sweep"), std::string::npos);
     std::remove(path.c_str());
+}
+
+// Decoders fed checksum-valid but crafted bytes must exit with a message
+// naming what was wrong — no abort, no allocation sized by the crafted
+// field, no out-of-bounds index (these run under the sanitize preset).
+
+TEST(SnapshotDecoderDeath, CraftedJournalCountExitsCleanly)
+{
+    Serializer payload;
+    payload.u64(0); // cell index
+    encodeRunResult(payload, makeSampleResult());
+    std::vector<std::uint8_t> bytes = payload.buffer();
+
+    // The histogram count (u32 1) directly precedes histogram "h".
+    const std::uint8_t count_then_name[] = {1, 0, 0, 0, 1, 0, 0, 0,
+                                            0, 0, 0, 0, 'h'};
+    const auto at = std::search(bytes.begin(), bytes.end(),
+                                std::begin(count_then_name),
+                                std::end(count_then_name));
+    ASSERT_NE(at, bytes.end());
+    std::fill(at, at + 4, 0xFF);
+
+    // xxhash64 is unkeyed, so the crafted record carries a valid checksum.
+    Serializer file;
+    file.bytes("CGCTJRNL", 8);
+    file.u32(1);
+    file.u64(0xABCD);
+    file.u64(bytes.size());
+    file.bytes(bytes.data(), bytes.size());
+    file.u64(xxhash64(bytes.data(), bytes.size()));
+    const std::string path = tempPath("journal_crafted.bin");
+    ASSERT_EQ(writeFileAtomic(path, file.buffer()), "");
+
+    EXPECT_EXIT(
+        {
+            SweepJournal j;
+            j.open(path, 0xABCD);
+        },
+        ::testing::ExitedWithCode(1),
+        "journal_crafted.bin: record at byte 20: histograms 4294967295 "
+        "exceeds");
+    std::remove(path.c_str());
+}
+
+/** Save @p from raw, let @p patch edit the bytes, load them into @p to. */
+template <class T, class Patch>
+void
+reload(T &from, T &to, Patch patch)
+{
+    Serializer s;
+    Archive save(s);
+    from.transfer(save);
+    std::vector<std::uint8_t> bytes = s.buffer();
+    patch(bytes);
+    SectionReader r(bytes.data(), bytes.data() + bytes.size(), "patched");
+    Archive load(r);
+    to.transfer(load);
+}
+
+TEST(SnapshotDecoderDeath, MshrSlotsMustBeDistinctAndInRange)
+{
+    MshrFile saved(4);
+    MshrFile loaded(4);
+    // Layout: capacity u32, then the four free-slot ids as u32.
+    EXPECT_EXIT(reload(saved, loaded,
+                       [](std::vector<std::uint8_t> &b) { b[4] = 9; }),
+                ::testing::ExitedWithCode(1),
+                "patched: MSHR free slot 9 out of range \\(bound 4\\)");
+    EXPECT_EXIT(reload(saved, loaded,
+                       [](std::vector<std::uint8_t> &b) { b[8] = b[4]; }),
+                ::testing::ExitedWithCode(1),
+                "patched: MSHR free slot 3 listed twice");
+}
+
+TEST(SnapshotDecoderDeath, CacheMruHintAndOccupancyStayInsideTheSet)
+{
+    CacheArray saved(4, 2, 64);
+    CacheArray loaded(4, 2, 64);
+    // Layout: sets u64, ways u32, line bytes u32, 8 tags, 4 occupancy
+    // masks, then 4 one-byte MRU hints.
+    const std::size_t occupancy = 16 + 8 * 8;
+    const std::size_t hints = occupancy + 4 * 8;
+    EXPECT_EXIT(reload(saved, loaded,
+                       [&](std::vector<std::uint8_t> &b) {
+                           b[hints] = 200;
+                       }),
+                ::testing::ExitedWithCode(1),
+                "patched: MRU way hint 200 out of range \\(bound 2\\)");
+    EXPECT_EXIT(reload(saved, loaded,
+                       [&](std::vector<std::uint8_t> &b) {
+                           b[occupancy] = 0x04;
+                       }),
+                ::testing::ExitedWithCode(1),
+                "patched: occupancy mask 0000000000000004 names a way at "
+                "or above 2");
+}
+
+TEST(SnapshotDecoderDeath, RcaMruHintStaysInsideTheSet)
+{
+    RegionCoherenceArray saved(4, 2, 512, true);
+    RegionCoherenceArray loaded(4, 2, 512, true);
+    // Layout: sets u64, ways u32, region bytes u64, 8 tags, 4 masks.
+    const std::size_t hints = 20 + 8 * 8 + 4 * 8;
+    EXPECT_EXIT(reload(saved, loaded,
+                       [&](std::vector<std::uint8_t> &b) {
+                           b[hints + 3] = 64;
+                       }),
+                ::testing::ExitedWithCode(1),
+                "patched: MRU way hint 64 out of range \\(bound 2\\)");
 }
 
 TEST(SweepFingerprintTest, TracksSpecDefinition)

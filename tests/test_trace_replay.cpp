@@ -260,9 +260,8 @@ TEST(TraceReplaySync, ProgressSerializesAndRestores)
     ASSERT_EQ(rig.replay.fetch(1, now, op), OpFetch::Op);
 
     Serializer s;
-    s.beginSection("replay");
-    rig.replay.serialize(s);
-    s.endSection();
+    Archive save(s);
+    save.section("replay", [&] { rig.replay.transfer(save); });
 
     // Restore into a fresh replay of the same file; lane cursors, the
     // held lock, and the banked signal must all survive.
@@ -273,8 +272,8 @@ TEST(TraceReplaySync, ProgressSerializesAndRestores)
     Deserializer d;
     ASSERT_EQ(d.open(snap), "");
     Rig fresh(path);
-    SectionReader r = d.section("replay");
-    fresh.replay.deserialize(r);
+    Archive load(d);
+    load.section("replay", [&] { fresh.replay.transfer(load); });
 
     EXPECT_EQ(fresh.replay.minOpsConsumed(), 1u);
     Tick fnow = 0;

@@ -15,9 +15,10 @@
 #   5. docs/ARCHITECTURE.md must exist and be cross-linked from
 #      README.md, DESIGN.md, docs/PERF.md, and docs/SWEEP.md.
 #   6. docs/SNAPSHOT.md must cover the checkpoint/journal formats, the
-#      checkpoint flags, and the crash/resume semantics, and be
-#      cross-linked from README.md, docs/SWEEP.md, and
-#      docs/ARCHITECTURE.md.
+#      checkpoint flags, and the crash/resume semantics, state the
+#      CGCTSNAP and CGCTJRNL versions the source defines
+#      (kSnapshotVersion, kJournalVersion), and be cross-linked from
+#      README.md, docs/SWEEP.md, and docs/ARCHITECTURE.md.
 #   7. docs/TRACE_FORMAT.md must document every v2 record type in the
 #      CGCT_TRACE_V2_RECORD_TYPES X-macro (src/workload/trace_format.hpp),
 #      every cgct_trace CLI flag and subcommand, and the format
@@ -190,6 +191,26 @@ else
                  simulateCheckpointed; do
         if ! grep -q -- "$token" "$snap_doc"; then
             echo "check_docs: docs/SNAPSHOT.md does not mention $token" >&2
+            fail=1
+        fi
+    done
+    # The "currently N" version under each format's magic must be the
+    # one the source writes.
+    for fmt in CGCTSNAP:kSnapshotVersion:src/snapshot/serializer.hpp \
+               CGCTJRNL:kJournalVersion:src/snapshot/journal.cpp; do
+        IFS=: read -r magic const file <<< "$fmt"
+        src_ver=$(grep -oE "$const = [0-9]+" "$root/$file" |
+            grep -oE '[0-9]+$')
+        doc_ver=$(awk -v m="\"$magic\"" 'index($0, m) {
+                getline
+                if (match($0, /currently [0-9]+/))
+                    print substr($0, RSTART + 10, RLENGTH - 10)
+                exit
+            }' "$snap_doc")
+        if [ -z "$src_ver" ] || [ "$src_ver" != "$doc_ver" ]; then
+            echo "check_docs: docs/SNAPSHOT.md states $magic version" \
+                 "${doc_ver:-(none)}, but $const in $file is" \
+                 "${src_ver:-(not found)}" >&2
             fail=1
         fi
     done

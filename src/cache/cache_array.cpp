@@ -234,7 +234,7 @@ CacheArray::transfer(Archive &ar)
     transferSetIndex(ar, tags_, occupied_, mruWay_, ways_);
     for (CacheLine &line : meta_) {
         ar.u64(line.lineAddr);
-        ar.u8(line.state);
+        ar.enumerant("cache line state", line.state, LineState::Modified);
         ar.u64(line.readyTick);
         ar.u64(line.lastUse);
     }

@@ -231,7 +231,7 @@ RegionCoherenceArray::transfer(Archive &ar)
     transferSetIndex(ar, tags_, occupied_, mruWay_, ways_);
     for (RegionEntry &e : entries_) {
         ar.u64(e.regionAddr);
-        ar.u8(e.state);
+        ar.enumerant("region state", e.state, RegionState::DirtyDirty);
         ar.u32(e.lineCount);
         ar.u64(e.memCtrl);
         ar.u64(e.lastUse);

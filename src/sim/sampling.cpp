@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <future>
+#include <memory>
+#include <optional>
+#include <semaphore>
 #include <vector>
 
 #include "common/log.hpp"
@@ -48,30 +52,45 @@ windowStarts(std::uint64_t warmup, std::uint64_t span, std::uint64_t k)
     return starts;
 }
 
-/** Serialize the quiescent warm system + workload into CGCTSNAP bytes. */
+/**
+ * Serialize the quiescent warm system + workload into CGCTSNAP bytes,
+ * header first, so the image is built once and never copied.
+ * @p image_bytes carries the previous image's size from call to call;
+ * the buffer reserves it plus 1/16, because one run's images grow slowly
+ * (hier and dir presence maps fill up) and one byte over would double
+ * the buffer.
+ */
 std::vector<std::uint8_t>
 makeWarmSnapshot(System &sys, SyntheticWorkload &workload,
-                 std::uint64_t fingerprint)
+                 std::uint64_t fingerprint, std::size_t &image_bytes)
 {
     Serializer s;
+    s.reserve(image_bytes + image_bytes / 16);
+    beginSnapshotFile(s, fingerprint);
     Archive ar(s);
     ar.section("workload", [&] { workload.transfer(ar); });
     sys.transfer(ar);
-    return makeSnapshotFile(fingerprint, s);
+    image_bytes = s.size();
+    return std::move(s).take();
 }
+
+/** Takes window @p i's CGCTSNAP image the moment the warm pass has
+ *  built it; the warm pass resumes when this returns. */
+using EmitWindow =
+    std::function<void(std::uint64_t i, std::vector<std::uint8_t> &&image)>;
 
 /**
  * Functional warming: one serial pass over the op streams. Each op is
  * applied architecturally (Node::warmAccess) at a shared monotonic warm
  * tick — one tick per op, so LRU order matches program order — and at
  * every window start the cores are advanced to the warm tick and the
- * quiescent system is snapshotted.
+ * quiescent system is snapshotted and emitted.
  */
-std::vector<std::vector<std::uint8_t>>
+void
 warmFunctional(const SystemConfig &config, const WorkloadProfile &profile,
                const RunOptions &opts,
                const std::vector<std::uint64_t> &starts,
-               std::uint64_t fingerprint)
+               std::uint64_t fingerprint, const EmitWindow &emit)
 {
     const unsigned n_cpus = config.topology.numCpus;
     SyntheticWorkload workload(profile, n_cpus, opts.opsPerCpu, opts.seed);
@@ -87,12 +106,10 @@ warmFunctional(const SystemConfig &config, const WorkloadProfile &profile,
     Tick warm_tick = 0;
     std::vector<std::uint64_t> instr_delta(n_cpus, 0);
     std::vector<std::uint64_t> memop_delta(n_cpus, 0);
+    std::size_t image_bytes = 0;
 
-    std::vector<std::vector<std::uint8_t>> snapshots;
-    snapshots.reserve(starts.size());
-
-    for (std::uint64_t target : starts) {
-        workload.setPauseAt(target);
+    for (std::size_t i = 0; i < starts.size(); ++i) {
+        workload.setPauseAt(starts[i]);
         // Round-robin draw, one op per CPU per pass: the interleaving a
         // lock-step detailed run approximates, and fully deterministic.
         bool drew = true;
@@ -115,12 +132,11 @@ warmFunctional(const SystemConfig &config, const WorkloadProfile &profile,
             instr_delta[cpu] = 0;
             memop_delta[cpu] = 0;
         }
-        snapshots.push_back(makeWarmSnapshot(sys, workload, fingerprint));
+        emit(i, makeWarmSnapshot(sys, workload, fingerprint, image_bytes));
     }
 
     for (Node *n : peers)
         n->setWarmPeers(nullptr);
-    return snapshots;
 }
 
 /**
@@ -128,50 +144,57 @@ warmFunctional(const SystemConfig &config, const WorkloadProfile &profile,
  * the window starts, snapshotting to memory instead of disk. The
  * reference mode: no speedup, but the warm state is exact.
  */
-std::vector<std::vector<std::uint8_t>>
+void
 warmDetailed(const SystemConfig &config, const WorkloadProfile &profile,
              const RunOptions &opts,
              const std::vector<std::uint64_t> &starts,
-             std::uint64_t fingerprint)
+             std::uint64_t fingerprint, const EmitWindow &emit)
 {
     const unsigned n_cpus = config.topology.numCpus;
     SyntheticWorkload workload(profile, n_cpus, opts.opsPerCpu, opts.seed);
     System sys(config, workload);
 
-    std::vector<std::vector<std::uint8_t>> snapshots;
-    snapshots.reserve(starts.size());
-    for (std::uint64_t target : starts) {
-        workload.setPauseAt(target);
-        if (runPhase(sys, /*resume=*/!snapshots.empty(), opts.maxEvents))
+    std::size_t image_bytes = 0;
+    for (std::size_t i = 0; i < starts.size(); ++i) {
+        workload.setPauseAt(starts[i]);
+        if (runPhase(sys, /*resume=*/i > 0, opts.maxEvents))
             panic("warmDetailed: generated workload blocked on sync");
-        snapshots.push_back(makeWarmSnapshot(sys, workload, fingerprint));
+        emit(i, makeWarmSnapshot(sys, workload, fingerprint, image_bytes));
     }
-    return snapshots;
 }
 
-/** Restore one window's snapshot and run windowOps per CPU in detail. */
+/** Restore one window's image, free it and release @p image_freed, then
+ *  run windowOps per CPU in detail. */
 RunResult
 runWindow(const SystemConfig &config, const WorkloadProfile &profile,
-          const RunOptions &opts, const std::vector<std::uint8_t> &bytes,
+          const RunOptions &opts, std::vector<std::uint8_t> &&image,
           std::uint64_t fingerprint, std::uint64_t window_index,
-          std::uint64_t window_end)
+          std::uint64_t window_end, std::binary_semaphore &image_freed)
 {
+    // Released once the image is freed below, or on a throw before then,
+    // so the warm pass goes on and the caller sees the exception.
+    std::unique_ptr<std::binary_semaphore, void (*)(std::binary_semaphore *)>
+        freed(&image_freed,
+              [](std::binary_semaphore *sem) { sem->release(); });
     const unsigned n_cpus = config.topology.numCpus;
     SyntheticWorkload workload(profile, n_cpus, opts.opsPerCpu, opts.seed);
     System sys(config, workload);
 
-    Deserializer d;
-    const std::string label =
-        "window " + std::to_string(window_index) + " snapshot";
-    const std::string err = d.openBytes(bytes, label);
-    if (!err.empty())
-        fatal("simulateSampled: %s", err.c_str());
-    if (d.fingerprint() != fingerprint)
-        panic("simulateSampled: warm snapshot fingerprint mismatch");
+    {
+        Deserializer d;
+        const std::string label =
+            "window " + std::to_string(window_index) + " snapshot";
+        const std::string err = d.openBytes(std::move(image), label);
+        if (!err.empty())
+            fatal("simulateSampled: %s", err.c_str());
+        if (d.fingerprint() != fingerprint)
+            panic("simulateSampled: warm snapshot fingerprint mismatch");
 
-    Archive ar(d);
-    ar.section("workload", [&] { workload.transfer(ar); });
-    sys.transfer(ar);
+        Archive ar(d);
+        ar.section("workload", [&] { workload.transfer(ar); });
+        sys.transfer(ar);
+    }
+    freed.reset();
 
     // The window measures only its own ops: reset everything and record
     // per-core retire baselines (instruction counters are cumulative).
@@ -231,33 +254,42 @@ sampledAtK(const SystemConfig &config, const WorkloadProfile &profile,
     const std::vector<std::uint64_t> starts =
         windowStarts(opts.warmupOps, span, k);
 
-    std::vector<std::vector<std::uint8_t>> snapshots =
-        sopts.warmMode == WarmMode::Functional
-            ? warmFunctional(config, profile, opts, starts, fingerprint)
-            : warmDetailed(config, profile, opts, starts, fingerprint);
-
-    // Measurement windows: embarrassingly parallel, each owning a
-    // private System restored from its snapshot. Results land in window
-    // order, so aggregation is identical at any job count.
+    // Warm, snapshot and measure as a stream: each image goes to its
+    // window as soon as the warm pass emits it and is freed once
+    // restored. One worker measures each window inline; more measure on
+    // a pool while the warm pass goes on. Either way the warm pass
+    // starts the next image only once this one is freed, so one image
+    // is alive at a time and memory does not grow with K. Results land
+    // by window index, so aggregation is identical at any job count.
+    const unsigned workers = static_cast<unsigned>(std::min<std::uint64_t>(
+        k, sopts.jobs ? sopts.jobs : ThreadPool::defaultThreads()));
     std::vector<RunResult> windows(static_cast<std::size_t>(k));
-    if (sopts.jobs == 1 || k == 1) {
-        for (std::uint64_t i = 0; i < k; ++i)
-            windows[static_cast<std::size_t>(i)] =
-                runWindow(config, profile, opts, snapshots[i], fingerprint,
-                          i, starts[i] + w);
-    } else {
-        ThreadPool pool(sopts.jobs);
-        std::vector<std::future<RunResult>> futures;
-        futures.reserve(static_cast<std::size_t>(k));
-        for (std::uint64_t i = 0; i < k; ++i) {
-            futures.push_back(pool.submit([&, i] {
-                return runWindow(config, profile, opts, snapshots[i],
-                                 fingerprint, i, starts[i] + w);
-            }));
-        }
-        for (std::uint64_t i = 0; i < k; ++i)
-            windows[static_cast<std::size_t>(i)] = futures[i].get();
-    }
+    std::binary_semaphore image_freed(0);
+    std::vector<std::future<void>> measured;
+    // Declared last, so that on a throw it drains the queued windows
+    // before what they use is destroyed.
+    std::optional<ThreadPool> pool;
+    if (workers > 1)
+        pool.emplace(workers);
+    const EmitWindow emit = [&](std::uint64_t i,
+                                std::vector<std::uint8_t> &&image) {
+        auto window = [&, i, image = std::move(image)]() mutable {
+            windows[i] = runWindow(config, profile, opts, std::move(image),
+                                   fingerprint, i, starts[i] + w,
+                                   image_freed);
+        };
+        if (pool)
+            measured.push_back(pool->submit(std::move(window)));
+        else
+            window();
+        image_freed.acquire();
+    };
+    if (sopts.warmMode == WarmMode::Functional)
+        warmFunctional(config, profile, opts, starts, fingerprint, emit);
+    else
+        warmDetailed(config, profile, opts, starts, fingerprint, emit);
+    for (std::future<void> &f : measured)
+        f.get(); // rethrows a window's exception
 
     // Aggregate: counts scale up by span / (K * w); ratio and latency
     // metrics average over windows; the CI samples are per-window.

@@ -8,6 +8,12 @@
  * System), and aggregate the per-window statistics into one RunResult
  * whose headline metrics carry 95% Student-t confidence intervals.
  *
+ * Warm, snapshot and measure form a stream: each checkpoint image goes
+ * to its window the moment the warm pass builds it, and the warm pass
+ * starts the next image once that window has restored and freed it.
+ * Peak memory is one warm System, one image and `jobs` window Systems,
+ * whatever K is.
+ *
  * Two warming modes:
  *
  *  - functional: caches, MOESI states, region trackers and prefetchers
@@ -57,8 +63,9 @@ struct SamplingOptions {
     /** Detailed ops per CPU measured in each window. */
     std::uint64_t windowOps = 1000;
     WarmMode warmMode = WarmMode::Functional;
-    /** Worker threads for the windows (0 = hardware concurrency).
-     *  Results are identical at any value. */
+    /** Window workers: how many windows may run at once (each holds a
+     *  System); 1 measures each window inline right after its snapshot,
+     *  0 = hardware concurrency. Results are identical at any value. */
     unsigned jobs = 0;
     /**
      * Adaptive precision (docs/SAMPLING.md): when > 0, double the

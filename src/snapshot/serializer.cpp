@@ -477,17 +477,24 @@ Archive::fail(const char *fmt, ...) const
 // ---------------------------------------------------------------------------
 // File assembly
 
+void
+beginSnapshotFile(Serializer &s, std::uint64_t fingerprint)
+{
+    if (s.size() != 0)
+        panic("beginSnapshotFile: the serializer already holds %zu bytes",
+              s.size());
+    s.bytes(kSnapshotMagic, sizeof(kSnapshotMagic));
+    s.u32(kSnapshotVersion);
+    s.u64(fingerprint);
+}
+
 std::vector<std::uint8_t>
 makeSnapshotFile(std::uint64_t fingerprint, const Serializer &sections)
 {
-    Serializer header;
-    header.bytes(kSnapshotMagic, sizeof(kSnapshotMagic));
-    header.u32(kSnapshotVersion);
-    header.u64(fingerprint);
-    std::vector<std::uint8_t> out = header.buffer();
-    out.insert(out.end(), sections.buffer().begin(),
-               sections.buffer().end());
-    return out;
+    Serializer file;
+    beginSnapshotFile(file, fingerprint);
+    file.bytes(sections.buffer().data(), sections.size());
+    return std::move(file).take();
 }
 
 std::string

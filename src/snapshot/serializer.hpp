@@ -96,6 +96,9 @@ class Serializer {
 
     const std::vector<std::uint8_t> &buffer() const { return buf_; }
     std::size_t size() const { return buf_.size(); }
+    void reserve(std::size_t bytes) { buf_.reserve(bytes); }
+    /** Move the bytes out without copying them. */
+    std::vector<std::uint8_t> take() && { return std::move(buf_); }
 
   private:
     void le(std::uint64_t v, int n);
@@ -220,9 +223,10 @@ class Deserializer {
  * narrower integers are cast). On load, the checks that make a crafted
  * payload fail cleanly live here: expect() for geometry and identity,
  * count() before anything is sized from a stored length, index() before
- * a stored id is used to subscript. Every failure fatal()s with the
- * reader's label. saving() guards the few steps that exist on one side
- * only (quiescence panics, post-load resets, sorted emission).
+ * a stored id is used to subscript, enumerant() before a stored byte
+ * becomes an enum. Every failure fatal()s with the reader's label.
+ * saving() guards the few steps that exist on one side only (quiescence
+ * panics, post-load resets, sorted emission).
  */
 class Archive
 {
@@ -290,6 +294,17 @@ class Archive
             fail("%s %llu out of range (bound %llu)", what,
                  static_cast<unsigned long long>(v),
                  static_cast<unsigned long long>(bound));
+    }
+
+    /** A one-byte enum whose last enumerator is @p last; on load,
+     *  fatal()s naming @p what unless the stored byte is one of them. */
+    template <class E>
+    void
+    enumerant(const char *what, E &v, E last)
+    {
+        std::uint8_t w = static_cast<std::uint8_t>(v);
+        index(what, w, static_cast<std::uint64_t>(last) + 1);
+        v = static_cast<E>(w);
     }
 
     /**
@@ -366,7 +381,14 @@ extern const char kSnapshotMagic[8];
  *  workload section (lane cursors, lock owners, semaphore counts). */
 constexpr std::uint32_t kSnapshotVersion = 2;
 
-/** Build a complete snapshot byte stream: header + sections. */
+/**
+ * Start a snapshot byte stream in the empty @p s by writing the file
+ * header. The sections written after it complete the file in place:
+ * s.buffer() is the file, and std::move(s).take() hands it over uncopied.
+ */
+void beginSnapshotFile(Serializer &s, std::uint64_t fingerprint);
+
+/** Build a complete snapshot byte stream: header + a copy of @p sections. */
 std::vector<std::uint8_t> makeSnapshotFile(std::uint64_t fingerprint,
                                            const Serializer &sections);
 

@@ -236,14 +236,14 @@ writeCheckpoint(System &sys, Run &run, HarnessState &h,
                 std::uint64_t fingerprint, const std::string &prefix)
 {
     Serializer s;
+    beginSnapshotFile(s, fingerprint);
     Archive ar(s);
     ar.section("harness", [&] { h.transfer(ar); });
     ar.section(Run::kSection, [&] { run.transfer(ar); });
     sys.transfer(ar);
 
     const std::string path = prefix + "." + std::to_string(h.opsDone);
-    const std::string err =
-        writeFileAtomic(path, makeSnapshotFile(fingerprint, s));
+    const std::string err = writeFileAtomic(path, s.buffer());
     if (!err.empty())
         fatal("checkpoint: %s", err.c_str());
     if (InvariantChecker *checker = sys.invariantChecker())

@@ -14,6 +14,10 @@
  * event kernel's self-rescheduling loop (with and without events beyond
  * the wheel horizon), cache-array and RCA lookup/allocate churn, and the
  * MSHR + pooled-waiter request bookkeeping.
+ *
+ * The same operator new also tracks live heap bytes (malloc_usable_size),
+ * which bounds a sampled run's peak heap: it must not grow with the
+ * window count.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +26,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <malloc.h>
 #include <new>
 #include <string>
 #include <vector>
@@ -34,6 +39,7 @@
 #include "common/pool_fifo.hpp"
 #include "core/rca.hpp"
 #include "event/event_queue.hpp"
+#include "sim/sampling.hpp"
 #include "sim/simulator.hpp"
 #include "sim/system.hpp"
 #include "workload/benchmarks.hpp"
@@ -42,24 +48,45 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocs{0};
+/** Bytes held by live operator-new blocks, and their high-water mark. */
+std::atomic<std::uint64_t> g_liveBytes{0};
+std::atomic<std::uint64_t> g_peakLiveBytes{0};
 
 void *
 countedAlloc(std::size_t n)
 {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(n ? n : 1))
-        return p;
-    throw std::bad_alloc();
+    void *p = std::malloc(n ? n : 1);
+    if (!p)
+        throw std::bad_alloc();
+    const std::uint64_t bytes = malloc_usable_size(p);
+    const std::uint64_t live =
+        g_liveBytes.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+    std::uint64_t peak = g_peakLiveBytes.load(std::memory_order_relaxed);
+    while (live > peak &&
+           !g_peakLiveBytes.compare_exchange_weak(
+               peak, live, std::memory_order_relaxed))
+        ;
+    return p;
+}
+
+void
+countedFree(void *p)
+{
+    if (p)
+        g_liveBytes.fetch_sub(malloc_usable_size(p),
+                              std::memory_order_relaxed);
+    std::free(p);
 }
 
 } // namespace
 
 void *operator new(std::size_t n) { return countedAlloc(n); }
 void *operator new[](std::size_t n) { return countedAlloc(n); }
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+void operator delete(void *p) noexcept { countedFree(p); }
+void operator delete[](void *p) noexcept { countedFree(p); }
+void operator delete(void *p, std::size_t) noexcept { countedFree(p); }
+void operator delete[](void *p, std::size_t) noexcept { countedFree(p); }
 
 namespace cgct {
 namespace {
@@ -158,6 +185,49 @@ TEST(HotpathAllocsTest, ReplayAllocationsReported)
                 static_cast<unsigned long long>(allocs), ops,
                 static_cast<double>(allocs) / (ops / 1e3));
     EXPECT_GT(r.cycles, 0u);
+}
+
+/** Peak operator-new bytes live while @p body runs, above those live
+ *  when it starts. */
+template <typename F>
+std::uint64_t
+peakLiveBytesDuring(F &&body)
+{
+    const std::uint64_t base = g_liveBytes.load(std::memory_order_relaxed);
+    g_peakLiveBytes.store(base, std::memory_order_relaxed);
+    body();
+    return g_peakLiveBytes.load(std::memory_order_relaxed) - base;
+}
+
+TEST(HotpathAllocsTest, SampledPeakHeapDoesNotGrowWithWindows)
+{
+    // Warm, snapshot and measure stream one window at a time, so a
+    // serial sampled run holds one warm System, one window System and
+    // one CGCTSNAP image (about 6 MB here) whatever K is. Keeping every
+    // image until the warm pass ends would add 12 images at K = 16.
+    const SystemConfig config = cellConfig();
+    RunOptions opts;
+    opts.opsPerCpu = 40000;
+    opts.warmupOps = 8000;
+    opts.seed = 7;
+    SamplingOptions sopts;
+    sopts.windowOps = 500;
+    sopts.jobs = 1;
+    const WorkloadProfile &profile = benchmarkByName("tpc-w");
+
+    const auto peak_at = [&](std::uint64_t k) {
+        sopts.windows = k;
+        return peakLiveBytesDuring(
+            [&] { simulateSampled(config, profile, opts, sopts); });
+    };
+    const std::uint64_t k4 = peak_at(4);
+    const std::uint64_t k16 = peak_at(16);
+    std::printf("sampled tpc-w peak live heap: %.1f MB at K=4, %.1f MB at "
+                "K=16\n",
+                static_cast<double>(k4) / 1e6,
+                static_cast<double>(k16) / 1e6);
+    constexpr std::uint64_t kSlack = 256 * 1024; // per-window results
+    EXPECT_LE(k16, k4 + kSlack);
 }
 
 /** Heap allocations made while @p body runs. */

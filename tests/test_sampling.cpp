@@ -86,18 +86,41 @@ TEST(Sampling, InfoGeometry)
 
 TEST(Sampling, ByteIdenticalAcrossJobs)
 {
+    // The windows stream through the workers as the warm pass emits
+    // them; K below the job count and K not a multiple of it must land
+    // every window in its slot all the same.
     const SystemConfig config = makeDefaultConfig().withCgct(512);
     const WorkloadProfile &profile = benchmarkByName("tpc-w");
 
-    SamplingOptions serial = smallSampling();
-    serial.jobs = 1;
-    SamplingOptions parallel = smallSampling();
-    parallel.jobs = 4;
+    for (WarmMode mode : {WarmMode::Functional, WarmMode::Detailed}) {
+        for (std::uint64_t k : {1u, 3u, 4u}) {
+            SamplingOptions sopts = smallSampling();
+            sopts.warmMode = mode;
+            sopts.windows = k;
+            sopts.jobs = 1;
+            const std::vector<std::uint8_t> serial =
+                encoded(simulateSampled(config, profile, smallRun(), sopts));
+            for (unsigned jobs : {2u, 3u}) {
+                sopts.jobs = jobs;
+                EXPECT_EQ(encoded(simulateSampled(config, profile,
+                                                  smallRun(), sopts)),
+                          serial)
+                    << warmModeName(mode) << " K=" << k << " jobs=" << jobs;
+            }
+        }
+    }
 
+    // An adaptive run streams each of its rounds the same way.
+    SamplingOptions adaptive = smallSampling();
+    adaptive.windows = 2;
+    adaptive.ciTarget = 1e-9;
+    adaptive.maxWindows = 8;
+    adaptive.jobs = 1;
     const RunResult a =
-        simulateSampled(config, profile, smallRun(), serial);
+        simulateSampled(config, profile, smallRun(), adaptive);
+    adaptive.jobs = 2;
     const RunResult b =
-        simulateSampled(config, profile, smallRun(), parallel);
+        simulateSampled(config, profile, smallRun(), adaptive);
     EXPECT_EQ(encoded(a), encoded(b));
 }
 

@@ -538,6 +538,36 @@ TEST(SnapshotDecoderDeath, RcaMruHintStaysInsideTheSet)
                 "patched: MRU way hint 64 out of range \\(bound 2\\)");
 }
 
+TEST(SnapshotDecoderDeath, CacheLineStateIsALineState)
+{
+    CacheArray saved(4, 2, 64);
+    CacheArray loaded(4, 2, 64);
+    // Layout: 16 geometry bytes, 8 tags, 4 masks, 4 hints, then frame 0:
+    // line address u64 and the state byte.
+    const std::size_t state = 16 + 8 * 8 + 4 * 8 + 4 + 8;
+    EXPECT_EXIT(reload(saved, loaded,
+                       [&](std::vector<std::uint8_t> &b) {
+                           b[state] = 5; // one past Modified
+                       }),
+                ::testing::ExitedWithCode(1),
+                "patched: cache line state 5 out of range \\(bound 5\\)");
+}
+
+TEST(SnapshotDecoderDeath, RegionStateIsARegionState)
+{
+    RegionCoherenceArray saved(4, 2, 512, true);
+    RegionCoherenceArray loaded(4, 2, 512, true);
+    // Layout: 20 geometry bytes, 8 tags, 4 masks, 4 hints, then entry 0:
+    // region address u64 and the state byte.
+    const std::size_t state = 20 + 8 * 8 + 4 * 8 + 4 + 8;
+    EXPECT_EXIT(reload(saved, loaded,
+                       [&](std::vector<std::uint8_t> &b) {
+                           b[state] = 0xFF;
+                       }),
+                ::testing::ExitedWithCode(1),
+                "patched: region state 255 out of range \\(bound 7\\)");
+}
+
 TEST(SweepFingerprintTest, TracksSpecDefinition)
 {
     SweepSpec spec;

@@ -193,8 +193,9 @@ main(int argc, char **argv)
     parser.addU64("seeds", &seeds, "runs (seeds) to average");
     parser.addU64("seed", &seed, "base random seed");
     parser.addU64("jobs", &jobs,
-                  "worker threads for multi-seed runs (0 = hardware "
-                  "concurrency, 1 = serial)");
+                  "worker threads for multi-seed runs, and with --sample "
+                  "the window workers (0 = hardware concurrency, 1 = "
+                  "serial)");
     parser.addString("replay", &replay_path,
                      "replay this recorded trace file instead of a "
                      "benchmark (docs/TRACE_FORMAT.md)");

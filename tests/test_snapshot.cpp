@@ -50,6 +50,73 @@ TEST(XxHash64, ReferenceVectors)
     EXPECT_NE(xxhash64("", 0, 1), 0xEF46DB3751D8E999ULL);
 }
 
+/** The pinned digests' input: @p n bytes of a fixed multiplicative
+ *  pattern that does not repeat every 256 bytes. */
+std::vector<std::uint8_t>
+pinBytes(std::size_t n)
+{
+    std::vector<std::uint8_t> data(n);
+    for (std::size_t i = 0; i < n; ++i)
+        data[i] = static_cast<std::uint8_t>((i * 2654435761ULL) >> 13);
+    return data;
+}
+
+/** Lengths around every branch of the digest: the < 32-byte tail-only
+ *  path, one stripe exactly, a stripe plus a tail, and 1 MiB. */
+constexpr std::size_t kPinLengths[] = {0, 3, 31, 32, 33, 100, 1 << 20};
+
+TEST(XxHash64, PinnedDigests)
+{
+    // {length, seed 0, seed 1}; frozen, so every digest a snapshot,
+    // journal or trace file stores keeps its value.
+    struct Pin {
+        std::size_t len;
+        std::uint64_t seed0;
+        std::uint64_t seed1;
+    };
+    constexpr Pin kPins[] = {
+        {0, 0xEF46DB3751D8E999ULL, 0xD5AFBA1336A3BE4BULL},
+        {3, 0x28823E205E353F69ULL, 0x3FB466E74886F9A4ULL},
+        {31, 0xB74BAA9042B94DEEULL, 0x8B424A4A7C7BD029ULL},
+        {32, 0x4E13111CED6F735DULL, 0x1F66A39093BFFF8BULL},
+        {33, 0xF7B9FAF20B3BCE63ULL, 0x9FF3A5A0588CCD02ULL},
+        {100, 0xD61EA92C5AE13676ULL, 0x1EF08D59A2AF8D8AULL},
+        {1 << 20, 0xAE5BA942A34ABDCFULL, 0x8C913575959E3DFCULL},
+    };
+    for (const Pin &pin : kPins) {
+        const std::vector<std::uint8_t> data = pinBytes(pin.len);
+        const std::uint64_t d0 = xxhash64(data.data(), data.size(), 0);
+        const std::uint64_t d1 = xxhash64(data.data(), data.size(), 1);
+        std::printf("len %zu: {0x%016llxULL, 0x%016llxULL}\n", pin.len,
+                    static_cast<unsigned long long>(d0),
+                    static_cast<unsigned long long>(d1));
+        EXPECT_EQ(d0, pin.seed0) << "length " << pin.len;
+        EXPECT_EQ(d1, pin.seed1) << "length " << pin.len;
+    }
+}
+
+TEST(XxHash64, StreamChunkingsMatchOneShot)
+{
+    for (const std::size_t len : kPinLengths) {
+        const std::vector<std::uint8_t> data = pinBytes(len);
+        for (const std::uint64_t seed : {0ULL, 1ULL}) {
+            const std::uint64_t want = xxhash64(data.data(), len, seed);
+            for (const std::size_t chunk :
+                 {std::size_t(1), std::size_t(7), std::size_t(31),
+                  std::size_t(32), std::size_t(33), std::size_t(4096)}) {
+                Xxh64Stream stream(seed);
+                for (std::size_t off = 0; off < len; off += chunk)
+                    stream.update(data.data() + off,
+                                  std::min(chunk, len - off));
+                EXPECT_EQ(stream.digest(), want)
+                    << "length " << len << " seed " << seed << " chunk "
+                    << chunk;
+                EXPECT_EQ(stream.totalBytes(), len);
+            }
+        }
+    }
+}
+
 TEST(XxHash64, SensitiveToEveryByte)
 {
     std::vector<std::uint8_t> data(300);

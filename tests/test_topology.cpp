@@ -398,6 +398,74 @@ TEST(TopologyPin, Hier16TpcwTrafficRatios)
 }
 
 // ---------------------------------------------------------------------
+// Golden `--stats` text (tests/golden.hpp): System::dumpStats of the pin
+// cells, every component's counters under their registered names and
+// descriptions, beyond what a RunResult carries.
+
+/**
+ * Run @p config on the pin's tpc-w stream as simulateOnce does, put the
+ * RunResult in @p result and @return the FNV-1a-64 of the dumpStats
+ * text.
+ */
+std::uint64_t
+dumpStatsDigest(const SystemConfig &config, RunResult &result)
+{
+    RunOptions opts;
+    opts.opsPerCpu = kPinOps;
+    opts.warmupOps = kPinOps / 5;
+    opts.seed = 20050609;
+    SyntheticWorkload workload(benchmarkByName("tpc-w"),
+                               config.topology.numCpus, opts.opsPerCpu,
+                               opts.seed);
+    System sys(config, workload);
+    Tick measure_start = 0;
+    const unsigned blocked = runPhase(sys, false, opts.maxEvents, [&] {
+        scheduleWarmupCheck(
+            sys, [&workload] { return workload.minOpsDrawn(); },
+            opts.warmupOps, &measure_start);
+    });
+    EXPECT_EQ(blocked, 0u);
+    result = collectRunResult(sys, "tpc-w", opts.seed, measure_start);
+
+    std::ostringstream os;
+    sys.dumpStats(os);
+    const std::string text = os.str();
+    const std::uint64_t digest = fnv1a(
+        reinterpret_cast<const std::uint8_t *>(text.data()), text.size());
+    std::printf("%s %u-node dumpStats digest: %016llx\n",
+                topologyKindName(config.interconnect.topology),
+                config.topology.numCpus,
+                static_cast<unsigned long long>(digest));
+    return digest;
+}
+
+TEST(StatsTextPin, Hier16Tpcw)
+{
+    RunResult r;
+    EXPECT_EQ(dumpStatsDigest(pinConfig(TopologyKind::Hier), r),
+              golden::kHier16TpcwDumpStatsFnv);
+    EXPECT_EQ(statsDigest(r), golden::kHier16TpcwStatsFnv)
+        << "not the TopologyPin cell";
+}
+
+TEST(StatsTextPin, Dir16Tpcw)
+{
+    RunResult r;
+    EXPECT_EQ(dumpStatsDigest(pinConfig(TopologyKind::Dir), r),
+              golden::kDir16TpcwDumpStatsFnv);
+    EXPECT_EQ(r.localResolves, 36169u) << "not the TopologyPin cell";
+    EXPECT_EQ(r.interChipBroadcasts, 31689u);
+}
+
+TEST(StatsTextPin, Bus4Tpcw512)
+{
+    SystemConfig c = makeDefaultConfig().withCgct(512);
+    c.validate();
+    RunResult r;
+    EXPECT_EQ(dumpStatsDigest(c, r), golden::kBus4Tpcw512DumpStatsFnv);
+}
+
+// ---------------------------------------------------------------------
 // Invariants F/G: presence / sharer coverage, and injected corruption.
 
 class TopologyInvariants : public ::testing::Test

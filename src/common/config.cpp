@@ -140,7 +140,7 @@ SystemConfig::print(std::ostream &os) const
        << "\n"
        << "  Processor chips per data switch    " << topology.chipsPerSwitch
        << "\n"
-       << "  DMA buffer size                    " << dmaBufferBytes
+       << "  DMA buffer size                    " << dma.bufferBytes
        << " B\n"
        << "Processor\n"
        << "  Clock                              1.5 GHz\n"

@@ -222,8 +222,6 @@ struct SystemConfig {
     DmaParams dma;
     /** Tracing / invariant checking (disabled by default). */
     ObservabilityParams obs;
-    /** DMA buffer size (Table 3). */
-    std::uint64_t dmaBufferBytes = 512;
 
     /** Validate invariants (power-of-two sizes, region >= line, ...). */
     void validate() const;

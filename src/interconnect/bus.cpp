@@ -78,23 +78,7 @@ Bus::addStats(StatGroup &group) const
     group.addScalar("bus.queue_cycles",
                     "total cycles requests waited for arbitration",
                     &stats_.queueCycles);
-    group.addScalar("bus.cache_to_cache",
-                    "reads whose data came from another cache",
-                    &stats_.cacheToCache);
-    group.addScalar("bus.memory_supplied",
-                    "reads whose data came from DRAM",
-                    &stats_.memorySupplied);
-    group.addDerived("bus.avg_per_100k",
-                     "average broadcasts per 100K cycles",
-                     [this] {
-                         return traffic_.averagePerWindow(eq_.now());
-                     });
-    group.addDerived("bus.peak_per_100k",
-                     "peak broadcasts in any 100K-cycle window",
-                     [this] {
-                         return static_cast<double>(
-                             traffic_.peakWindowCount());
-                     });
+    addCommonStats(group, "bus", "broadcasts");
 }
 
 } // namespace cgct

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/log.hpp"
 #include "common/trace_sink.hpp"
 #include "snapshot/serializer.hpp"
 
@@ -12,13 +11,10 @@ DirectoryInterconnect::DirectoryInterconnect(
     EventQueue &eq, const InterconnectParams &params, const AddressMap &map,
     DataNetwork &data_net, std::vector<MemoryController *> mem_ctrls,
     const TopologyParams &topo, std::uint64_t region_bytes)
-    : Interconnect(eq, params, map, data_net, std::move(mem_ctrls)),
-      topo_(topo), regionBytes_(region_bytes),
+    : FilteredInterconnect(eq, params, map, data_net, std::move(mem_ctrls),
+                           topo, region_bytes),
       bankNextFree_(topo.numMemCtrls(), 0)
 {
-    if (topo_.numCpus > 64)
-        panic("DirectoryInterconnect: sharer vectors are 64-bit; numCpus "
-              "must be <= 64 (config.validate should have rejected this)");
 }
 
 void
@@ -57,7 +53,7 @@ DirectoryInterconnect::lookup(const SystemRequest &req, ResponseFn fn)
     // saw. DMA requests have no directory entry discipline of their own
     // and snoop everyone, as on the flat bus.
     std::uint64_t mask;
-    if (static_cast<unsigned>(req.cpu) >= topo_.numCpus)
+    if (!fromCpu(req))
         mask = kSnoopAll;
     else if (req.type == RequestType::Writeback)
         // A write-back only deposits data at its home controller; it
@@ -71,7 +67,7 @@ DirectoryInterconnect::lookup(const SystemRequest &req, ResponseFn fn)
     // A lookup that only snoops the requester's own chip (or nobody)
     // kept the request off the remote-snoop paths.
     std::uint64_t beyond = mask;
-    if (static_cast<unsigned>(req.cpu) < topo_.numCpus) {
+    if (fromCpu(req)) {
         beyond &= ~chipMask(topo_.chipOfCpu(req.cpu));
         beyond &= ~(1ULL << static_cast<unsigned>(req.cpu));
     }
@@ -80,28 +76,14 @@ DirectoryInterconnect::lookup(const SystemRequest &req, ResponseFn fn)
     else
         ++stats_.localResolves;
 
-    // Pre-seed the requester's bits: the post-resolve hook (invariant
-    // checker) fires inside resolveRequest, after the response installed
-    // the line but before updateDirectory could run. The mask above is
-    // already computed, so the early bits change no snoop decision; an
-    // exclusive grant overwrites the vector right after anyway.
-    if (static_cast<unsigned>(req.cpu) < topo_.numCpus &&
-        req.type != RequestType::Writeback) {
-        sharers_.findOrInsert(req.lineAddr) |=
-            1ULL << static_cast<unsigned>(req.cpu);
-        presence_.findOrInsert(regionOf(req.lineAddr)) |=
-            chipMask(topo_.chipOfCpu(req.cpu));
-    }
-
-    const ResolveOutcome out = resolveRequest(req, fn, mask);
-    updateDirectory(req, out.getsExclusive);
+    resolveRequest(req, fn, mask);
 }
 
 void
-DirectoryInterconnect::updateDirectory(const SystemRequest &req,
-                                       bool gets_exclusive)
+DirectoryInterconnect::noteResolution(const SystemRequest &req,
+                                      bool gets_exclusive)
 {
-    if (static_cast<unsigned>(req.cpu) >= topo_.numCpus) {
+    if (!fromCpu(req)) {
         // DMA write: every cached copy was invalidated by the snoop.
         // DMA read: copies survive (at most downgraded), keep the entry.
         if (gets_exclusive)
@@ -119,18 +101,7 @@ DirectoryInterconnect::updateDirectory(const SystemRequest &req,
     }
     std::uint64_t &bits = sharers_.findOrInsert(req.lineAddr);
     bits = gets_exclusive ? bit : bits | bit;
-    // Chip-granular, like the hierarchy's map: a sibling core sharing
-    // the requester's chip RCA can direct-fill lines of this region
-    // without a directory lookup of its own.
-    presence_.findOrInsert(regionOf(req.lineAddr)) |=
-        chipMask(topo_.chipOfCpu(req.cpu));
-}
-
-void
-DirectoryInterconnect::warmNote(const SystemRequest &req,
-                                bool gets_exclusive)
-{
-    updateDirectory(req, gets_exclusive);
+    FilteredInterconnect::noteResolution(req, gets_exclusive);
 }
 
 void
@@ -149,23 +120,7 @@ DirectoryInterconnect::addStats(StatGroup &group) const
     group.addScalar("dir.interchip",
                     "lookups that had to snoop remote processors",
                     &stats_.interChip);
-    group.addScalar("dir.cache_to_cache",
-                    "reads whose data came from another cache",
-                    &stats_.cacheToCache);
-    group.addScalar("dir.memory_supplied",
-                    "reads whose data came from DRAM",
-                    &stats_.memorySupplied);
-    group.addDerived("dir.avg_per_100k",
-                     "average lookups per 100K cycles",
-                     [this] {
-                         return traffic_.averagePerWindow(eq_.now());
-                     });
-    group.addDerived("dir.peak_per_100k",
-                     "peak lookups in any 100K-cycle window",
-                     [this] {
-                         return static_cast<double>(
-                             traffic_.peakWindowCount());
-                     });
+    addCommonStats(group, "dir", "lookups");
     group.addDerived("dir.entries",
                      "live full-map directory entries",
                      [this] {

@@ -9,18 +9,23 @@
  * cache-to-cache or from DRAM overlapped with the snoop.
  *
  * The topologies differ only in *which* processors are snooped and *when*
- * the combined resolution fires — the shared resolveRequest() helper takes
- * a processor mask so that a per-chip snoop domain or a directory sharer
- * vector can restrict the snoop set without duplicating the combining
- * logic. Snooping a superset of the true holders is always protocol-safe
- * (a snoop is a no-op on a processor with no copy), so mask computation
- * only affects timing and traffic, never MOESI/CGCT correctness.
+ * the combined resolution fires — the shared fan-out takes a processor
+ * mask so that a per-chip snoop domain or a directory sharer vector can
+ * restrict the snoop set without duplicating the combining logic.
+ * Snooping a superset of the true holders is always protocol-safe (a
+ * snoop is a no-op on a processor with no copy), so mask computation only
+ * affects timing and traffic, never MOESI/CGCT correctness.
+ *
+ * The fan-out is the one place a request is resolved: a timed request
+ * adds the timing tail to it (resolveRequest), and functional warming
+ * (docs/SAMPLING.md) runs it alone over every processor (resolveNow).
  */
 
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "common/addr_table.hpp"
@@ -124,16 +129,23 @@ class Interconnect
     virtual void broadcast(const SystemRequest &req, ResponseFn fn) = 0;
 
     /**
-     * Functional warming's stand-in for broadcast (docs/SAMPLING.md): the
-     * node applied the snoop fan-out itself with no timing events, and
-     * reports the request here so topology-private tracking state
-     * (presence / sharer maps) stays in sync with the caches it
-     * summarizes.
+     * Functional mode (docs/SAMPLING.md), one switch for the machine:
+     * while on, every node resolves its requests at once through
+     * resolveNow() and a snooped node occupies no tag port. The snooped
+     * peers read it too, so it lives here rather than in each node.
      */
-    virtual void warmNote(const SystemRequest &req, bool gets_exclusive)
+    void setFunctional(bool on) { functional_ = on; }
+    bool functional() const { return functional_; }
+
+    /**
+     * Functional resolution of @p req at @p now: the fan-out over every
+     * other processor, tracking note included, with no timing tail — no
+     * oracle, DRAM, data transfer, counters, trace or post-resolve hook.
+     * @return the combined snoop response.
+     */
+    SnoopResponse resolveNow(const SystemRequest &req, Tick now)
     {
-        (void)req;
-        (void)gets_exclusive;
+        return fanOut(req, kSnoopAll, now);
     }
 
     struct Stats {
@@ -162,10 +174,7 @@ class Interconnect
     }
 
     /** Requests resolved without leaving the requester's chip. */
-    virtual std::uint64_t localDomainResolves() const
-    {
-        return stats_.localResolves;
-    }
+    std::uint64_t localDomainResolves() const { return stats_.localResolves; }
 
     virtual void addStats(StatGroup &group) const = 0;
 
@@ -204,21 +213,45 @@ class Interconnect
     }
 
   protected:
-    struct ResolveOutcome {
-        bool getsExclusive;
-        Tick dataReady;
-    };
+    /**
+     * The topology's tracking update (presence / sharer maps), the one
+     * hook timed and functional resolution share. The fan-out calls it
+     * between the line and region snoop phases: after the snoop mask was
+     * computed and before the response installs any state.
+     */
+    virtual void noteResolution(const SystemRequest &req,
+                                bool gets_exclusive)
+    {
+        (void)req;
+        (void)gets_exclusive;
+    }
 
     /**
      * The shared ordering point: snoop every registered client selected
-     * by @p snoop_mask (bit per CPU; CPUs >= 64 are always snooped),
-     * combine the line and region responses, start the overlapped DRAM
-     * access or the cache-to-cache transfer, deliver the response and run
-     * the post-resolve hook. Identical to the original Bus resolution for
-     * snoop_mask == kSnoopAll.
+     * by @p snoop_mask (bit per CPU; CPUs >= 64 are always snooped) —
+     * line phase, noteResolution(), region phase — and name the owning
+     * memory controller. @return the combined response.
      */
-    ResolveOutcome resolveRequest(const SystemRequest &req, ResponseFn &fn,
-                                  std::uint64_t snoop_mask);
+    SnoopResponse fanOut(const SystemRequest &req, std::uint64_t snoop_mask,
+                         Tick now);
+
+    /**
+     * A timed resolution at the current tick: the fan-out, then the
+     * timing tail — the oracle, the overlapped DRAM access or the
+     * cache-to-cache transfer, the counters and trace, the response and
+     * the post-resolve hook. Identical to the original Bus resolution
+     * for snoop_mask == kSnoopAll.
+     */
+    void resolveRequest(const SystemRequest &req, ResponseFn &fn,
+                        std::uint64_t snoop_mask);
+
+    /**
+     * Register the counters every topology keeps under @p prefix:
+     * cache_to_cache, memory_supplied and the two traffic windows, which
+     * count @p noun.
+     */
+    void addCommonStats(StatGroup &group, const std::string &prefix,
+                        const std::string &noun) const;
 
     /**
      * Checkpoint layout of the counters and traffic windows every
@@ -226,14 +259,6 @@ class Interconnect
      * neither localResolves nor interChip (@p domain_counters false).
      */
     void transferStats(Archive &ar, bool domain_counters);
-
-    /**
-     * Checkpoint layout of a presence / sharer map: entries in ascending
-     * address order, so the bytes do not depend on the table's slot
-     * layout. A load replaces the table.
-     */
-    static void transferMaskTable(Archive &ar,
-                                  AddrTable<std::uint64_t> &table);
 
     static constexpr std::uint64_t kSnoopAll = ~0ULL;
 
@@ -249,6 +274,86 @@ class Interconnect
 
     Stats stats_;
     IntervalTracker traffic_{100000};
+
+  private:
+    bool functional_ = false;
+};
+
+/**
+ * The presence filter the hierarchy and the directory share: a sticky,
+ * region-granular map of the processors that may hold lines (or an RCA
+ * entry) in each region — the RegionScout-style filter a bridge keeps by
+ * observing every traversal. Bits are never cleared by evictions, so the
+ * map is always a superset of the true holders; snooping a superset is
+ * protocol-safe, and the map can only widen a snoop set, never miss a
+ * holder.
+ */
+class FilteredInterconnect : public Interconnect
+{
+  public:
+    bool tracksPresence() const override { return true; }
+    std::uint64_t presenceMask(Addr line) const override
+    {
+        return presenceOf(line);
+    }
+
+    /** Corrupt the presence map (invariant-checker injection test). */
+    void corruptPresenceForTest(Addr line, std::uint64_t mask)
+    {
+        presence_.findOrInsert(regionOf(line)) = mask;
+    }
+
+  protected:
+    FilteredInterconnect(EventQueue &eq, const InterconnectParams &params,
+                         const AddressMap &map, DataNetwork &data_net,
+                         std::vector<MemoryController *> mem_ctrls,
+                         const TopologyParams &topo,
+                         std::uint64_t region_bytes);
+
+    /**
+     * The presence note: a CPU request's *chip* may now hold lines (or an
+     * RCA entry) in the request's region. Chip-granular, not CPU-granular:
+     * with a chip-shared RCA (Section 3.2) a sibling core can direct-fill
+     * lines through an entry this resolution created without ever
+     * traversing the interconnect itself, so the whole chip must become
+     * snoopable at once. Write-backs and DMA note nothing.
+     */
+    void noteResolution(const SystemRequest &req,
+                        bool gets_exclusive) override;
+
+    Addr regionOf(Addr line) const { return line & ~(regionBytes_ - 1); }
+
+    std::uint64_t
+    presenceOf(Addr line) const
+    {
+        const std::uint64_t *bits = presence_.find(regionOf(line));
+        return bits ? *bits : 0;
+    }
+
+    /** Mask of the processors on chip @p chip. */
+    std::uint64_t chipMask(unsigned chip) const;
+
+    /** True for a request from a processor (not the DMA bridge). */
+    bool
+    fromCpu(const SystemRequest &req) const
+    {
+        return static_cast<unsigned>(req.cpu) < topo_.numCpus;
+    }
+
+    /**
+     * Checkpoint layout of a presence / sharer map: entries in ascending
+     * address order, so the bytes do not depend on the table's slot
+     * layout. A load replaces the table.
+     */
+    static void transferMaskTable(Archive &ar,
+                                  AddrTable<std::uint64_t> &table);
+
+    TopologyParams topo_;
+    std::uint64_t regionBytes_;
+
+    /** Region address -> mask of processors that may hold it. Open
+     *  addressing: new regions allocate only when the table doubles. */
+    AddrTable<std::uint64_t> presence_;
 };
 
 } // namespace cgct

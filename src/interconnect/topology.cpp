@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/log.hpp"
 #include "common/trace_sink.hpp"
 #include "snapshot/serializer.hpp"
 
@@ -13,13 +12,10 @@ HierRouter::HierRouter(EventQueue &eq, const InterconnectParams &params,
                        std::vector<MemoryController *> mem_ctrls,
                        const TopologyParams &topo,
                        std::uint64_t region_bytes)
-    : Interconnect(eq, params, map, data_net, std::move(mem_ctrls)),
-      topo_(topo), regionBytes_(region_bytes),
+    : FilteredInterconnect(eq, params, map, data_net, std::move(mem_ctrls),
+                           topo, region_bytes),
       domainNextFree_(topo.numChips(), 0)
 {
-    if (topo_.numCpus > 64)
-        panic("HierRouter: presence masks are 64-bit; numCpus must be "
-              "<= 64 (config.validate should have rejected this)");
 }
 
 void
@@ -29,7 +25,7 @@ HierRouter::broadcast(const SystemRequest &req, ResponseFn fn)
 
     // I/O-bridge DMA has no snoop domain of its own: it enters at the
     // inter-chip level and snoops every processor, like on the flat bus.
-    if (static_cast<unsigned>(req.cpu) >= topo_.numCpus) {
+    if (!fromCpu(req)) {
         const Tick g = std::max(globalNextFree_, enq);
         globalNextFree_ = g + params_.busSlot;
         stats_.queueCycles += g - enq;
@@ -78,7 +74,6 @@ HierRouter::localStage(const SystemRequest &req, ResponseFn fn)
     // (it holds nothing to snoop).
     if (req.type == RequestType::Writeback || remote == 0) {
         ++stats_.localResolves;
-        notePresence(req);
         resolveRequest(req, fn, local);
         return;
     }
@@ -95,19 +90,10 @@ HierRouter::localStage(const SystemRequest &req, ResponseFn fn)
                  [this, req, local, fn = std::move(fn)]() mutable {
                      // Recompute presence at resolution: it can only have
                      // grown, and snooping more processors is safe.
-                     const std::uint64_t mask =
-                         local | presenceOf(req.lineAddr);
-                     notePresence(req);
-                     resolveRequest(req, fn, mask);
+                     resolveRequest(req, fn,
+                                    local | presenceOf(req.lineAddr));
                  },
                  EventPriority::Snoop);
-}
-
-void
-HierRouter::warmNote(const SystemRequest &req, bool gets_exclusive)
-{
-    (void)gets_exclusive;
-    notePresence(req);
 }
 
 void
@@ -126,23 +112,7 @@ HierRouter::addStats(StatGroup &group) const
     group.addScalar("hier.interchip",
                     "requests escaping onto the inter-chip level",
                     &stats_.interChip);
-    group.addScalar("hier.cache_to_cache",
-                    "reads whose data came from another cache",
-                    &stats_.cacheToCache);
-    group.addScalar("hier.memory_supplied",
-                    "reads whose data came from DRAM",
-                    &stats_.memorySupplied);
-    group.addDerived("hier.avg_per_100k",
-                     "average requests per 100K cycles",
-                     [this] {
-                         return traffic_.averagePerWindow(eq_.now());
-                     });
-    group.addDerived("hier.peak_per_100k",
-                     "peak requests in any 100K-cycle window",
-                     [this] {
-                         return static_cast<double>(
-                             traffic_.peakWindowCount());
-                     });
+    addCommonStats(group, "hier", "requests");
     group.addDerived("hier.bypass_fraction",
                      "fraction of requests resolved without the "
                      "inter-chip level",

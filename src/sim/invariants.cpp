@@ -197,6 +197,22 @@ InvariantChecker::checkRegion(Addr addr) const
 std::string
 InvariantChecker::checkAll() const
 {
+    // L1 inclusion: every valid L1 line is also in its node's L2.
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+        const Node &node = *nodes_[i];
+        for (const Cache *l1 : {&node.l1i(), &node.l1d()}) {
+            std::string err;
+            l1->array().forEachValidLine([&](const CacheLine &line) {
+                if (err.empty() && !node.l2().peek(line.lineAddr))
+                    err = "cpu" + std::to_string(i) + " " + l1->name() +
+                          " holds line " + hexAddr(line.lineAddr) +
+                          " not in its L2";
+            });
+            if (!err.empty())
+                return err;
+        }
+    }
+
     const bool tracked =
         interconnect_ && interconnect_->tracksPresence();
     if (groups_.empty() && !tracked)

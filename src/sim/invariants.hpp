@@ -21,6 +21,9 @@
  *     tracker's nodes;
  *  E. a cached line implies a valid RCA entry for its region (inclusion).
  *
+ * checkAll() also checks, on every node with or without CGCT, that each
+ * valid L1 line is present in the node's L2 (L1 inclusion).
+ *
  * With a filtered interconnect topology (hier / dir, docs/TOPOLOGY.md)
  * the checker additionally proves the filter state conservative against
  * the same L2 ground truth — these hold per snoop domain, without
@@ -72,7 +75,9 @@ class InvariantChecker
     std::string checkRegion(Addr addr) const;
 
     /**
-     * Check every region present in any RCA or any L2.
+     * Check L1 inclusion under each node's L2, then every region present
+     * in any RCA or any L2. Needs no System: tests build a checker from
+     * (config, nodes) and call this on a drained machine.
      * @return a description of the first violation, or empty.
      */
     std::string checkAll() const;

@@ -1,8 +1,5 @@
 #include "sim/node.hpp"
 
-#include <string>
-#include <unordered_map>
-
 #include "common/log.hpp"
 #include "sim/invariants.hpp"
 #include "snapshot/serializer.hpp"
@@ -195,7 +192,7 @@ Node::issueSystemRequest(RequestType type, Addr line_addr, Tick now,
     // The single switch between the two drivers: during functional
     // warming the request resolves synchronously through the same core
     // steps, with no MSHR, no events and data ready at once.
-    if (warmPeers_) {
+    if (bus_.functional()) {
         warmRequest(type, line_addr, now, is_prefetch);
         runCompletion(c, now);
         return;
@@ -661,7 +658,7 @@ Node::flushRegion(Addr region_addr, std::uint64_t region_bytes,
             // skips the controller timing, as for any other write-back.
             ++stats_.writebacksIssued;
             countRoute(RequestType::Writeback, RouteKind::Direct);
-            if (!warmPeers_)
+            if (!bus_.functional())
                 issueDirect(RequestType::Writeback, addr, mc, now,
                             /*is_prefetch=*/false);
         }
@@ -738,8 +735,15 @@ Node::dropLine(Addr line_addr)
 }
 
 LineSnoopOutcome
-Node::lineSnoop(const SystemRequest &req)
+Node::snoopLine(const SystemRequest &req)
 {
+    // The external lookup occupies this node's L2 tag port; functional
+    // warming has no time to occupy.
+    if (!bus_.functional()) {
+        ++stats_.snoopsReceived;
+        l2TagBusy_ = std::max(l2TagBusy_, eq_.now()) +
+                     config_.interconnect.snoopTagOccupancy;
+    }
     CacheLine *line = l2_.peekMutable(req.lineAddr);
     const LineSnoopOutcome out =
         applyLineSnoop(line ? line->state : LineState::Invalid,
@@ -755,16 +759,6 @@ Node::lineSnoop(const SystemRequest &req)
         }
     }
     return out;
-}
-
-LineSnoopOutcome
-Node::snoopLine(const SystemRequest &req)
-{
-    // The external lookup occupies this node's L2 tag port.
-    ++stats_.snoopsReceived;
-    l2TagBusy_ = std::max(l2TagBusy_, eq_.now()) +
-                 config_.interconnect.snoopTagOccupancy;
-    return lineSnoop(req);
 }
 
 RegionSnoopBits
@@ -789,14 +783,14 @@ Node::snoopRegion(const SystemRequest &req, bool requester_gets_exclusive,
 // Functional warming (docs/SAMPLING.md): the second driver of the protocol
 // core above. Each op resolves synchronously at the warm tick through the
 // same core steps as a timed request, with data ready at once: no events,
-// no bus arbitration, no MSHR occupancy and no latency. Peers are snooped
-// directly instead of through the interconnect.
+// no bus arbitration, no MSHR occupancy and no latency. A broadcast
+// resolves through the interconnect's fan-out without its timing tail.
 
 void
 Node::warmAccess(CpuOpKind kind, Addr addr, Tick now)
 {
-    if (!warmPeers_)
-        panic("cpu%d: warmAccess without setWarmPeers", cpu_);
+    if (!bus_.functional())
+        panic("cpu%d: warmAccess outside functional mode", cpu_);
     if (!l1Hit(kind, addr, now))
         warmL2Access(kind, addr, now);
 }
@@ -834,7 +828,8 @@ Node::warmRequest(RequestType type, Addr line_addr, Tick now,
     switch (route.kind) {
       case RouteKind::Broadcast: {
         const SystemRequest req{cpu_, type, line_addr, is_prefetch};
-        resolveBroadcast(type, line_addr, warmFanOut(req, now), now, now);
+        resolveBroadcast(type, line_addr, bus_.resolveNow(req, now), now,
+                         now);
         if (checker_)
             checker_->onTransition(line_addr, "warm_broadcast");
         break;
@@ -856,109 +851,11 @@ Node::warmRequest(RequestType type, Addr line_addr, Tick now,
     }
 }
 
-SnoopResponse
-Node::warmFanOut(const SystemRequest &req, Tick now)
-{
-    // Interconnect::resolveRequest without the oracle (measurement only,
-    // reset at every window start), timing and data movement.
-    SnoopResponse resp;
-    for (Node *peer : *warmPeers_) {
-        if (peer != this)
-            resp.line.fold(peer->cpuId(), peer->lineSnoop(req));
-    }
-
-    const bool gets_exclusive =
-        requesterGetsExclusive(req.type, resp.line.anyCopy);
-
-    // Topology-private tracking state (presence / sharer maps) follows
-    // the warmed caches just as it would follow a timed resolution.
-    bus_.warmNote(req, gets_exclusive);
-
-    if (req.type != RequestType::Writeback) {
-        for (Node *peer : *warmPeers_) {
-            if (peer != this)
-                resp.region.merge(
-                    peer->snoopRegion(req, gets_exclusive, now));
-        }
-    }
-    resp.memCtrl = map_.controllerOf(req.lineAddr);
-    return resp;
-}
-
 LineState
 Node::peekLine(Addr addr) const
 {
     const CacheLine *line = l2_.peek(addr);
     return line ? line->state : LineState::Invalid;
-}
-
-std::string
-Node::checkInvariants() const
-{
-    std::string err;
-    // L1 inclusion: every valid L1 line must be present in the L2.
-    for (const Cache *l1 : {&l1i_, &l1d_}) {
-        l1->array().forEachValidLine([&](const CacheLine &line) {
-            if (!err.empty())
-                return;
-            if (!l2_.peek(line.lineAddr)) {
-                err = l1->name() + " holds line not in L2 at 0x" +
-                      std::to_string(line.lineAddr);
-            }
-        });
-    }
-    if (!err.empty())
-        return err;
-
-    const auto *cgct_ctrl =
-        dynamic_cast<const CgctController *>(tracker_.get());
-    if (!cgct_ctrl)
-        return err;
-    const RegionCoherenceArray &rca = cgct_ctrl->rca();
-
-    // RCA inclusion: every cached line's region must have a valid entry.
-    std::unordered_map<Addr, std::uint32_t> lines_per_region;
-    l2_.array().forEachValidLine([&](const CacheLine &line) {
-        ++lines_per_region[alignDown(line.lineAddr, rca.regionBytes())];
-    });
-    // With a per-chip RCA the entry counts aggregate the sibling core's
-    // lines too, so only the per-node exactness checks are skipped.
-    const bool shared = config_.cgct.sharedPerChip;
-    for (const auto &[region, count] : lines_per_region) {
-        const RegionEntry *entry = rca.find(region);
-        if (!entry) {
-            err = "L2 line cached without RCA entry for region 0x" +
-                  std::to_string(region);
-            return err;
-        }
-        if (!shared && entry->lineCount != count) {
-            err = "RCA line count mismatch for region 0x" +
-                  std::to_string(region) + ": entry says " +
-                  std::to_string(entry->lineCount) + ", L2 holds " +
-                  std::to_string(count);
-            return err;
-        }
-        if (shared && entry->lineCount < count) {
-            err = "shared RCA line count below this core's lines for "
-                  "region 0x" + std::to_string(region);
-            return err;
-        }
-    }
-
-    // Line counts for regions with no cached lines must be zero.
-    if (!shared) {
-        rca.forEachValidEntry([&](const RegionEntry &entry) {
-            if (!err.empty())
-                return;
-            if (entry.lineCount != 0 &&
-                lines_per_region.find(entry.regionAddr) ==
-                    lines_per_region.end()) {
-                err = "RCA entry has nonzero count but no cached lines: "
-                      "0x" + std::to_string(entry.regionAddr);
-            }
-        });
-    }
-    return err;
 }
 
 void

@@ -19,7 +19,12 @@
  * in MSHRs, bus events and latencies; functional warming
  * (docs/SAMPLING.md) calls them directly with data ready at once. Every
  * request leaves the node through issueSystemRequest, the one place the
- * two drivers part.
+ * two drivers part: a timed broadcast enters Interconnect::broadcast,
+ * a functional one resolves at once through Interconnect::resolveNow,
+ * the same fan-out over every peer with no timing tail. Which driver
+ * runs is the interconnect's functional-mode switch, one for the whole
+ * machine, because a snooped peer reads it too (snoopLine charges no tag
+ * port in functional mode).
  *
  * Request-path storage: a miss's completion context — the callback plus
  * what fillL1 needs — lives in a per-MSHR-slot Completion struct
@@ -34,7 +39,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -108,17 +112,10 @@ class Node : public SnoopClient
      * request resolves synchronously at warm tick @p now through the
      * same protocol core as a timed request; peer caches take the same
      * line and region snoop transitions without occupying tag ports.
-     * Requires setWarmPeers() first and a node with nothing in flight.
+     * Requires functional mode (System::setFunctional) and a node with
+     * nothing in flight.
      */
     void warmAccess(CpuOpKind kind, Addr addr, Tick now);
-
-    /** All nodes of the warm system (including this one), in CPU order.
-     *  Borrowed for the lifetime of the warming phase; while set, every
-     *  request resolves functionally. */
-    void setWarmPeers(const std::vector<Node *> *peers)
-    {
-        warmPeers_ = peers;
-    }
 
     /** Region tracker (nullptr in the baseline configuration). */
     RegionTracker *tracker() { return tracker_.get(); }
@@ -181,13 +178,6 @@ class Node : public SnoopClient
     /** Miss-latency histogram geometry: 40 linear 50-cycle buckets. */
     static constexpr std::uint64_t kMissLatencyBucketWidth = 50;
     static constexpr std::size_t kMissLatencyBuckets = 40;
-
-    /**
-     * Verify structural invariants (tests): L1s inclusive under L2, and —
-     * with CGCT — RCA inclusion over the L2 plus exact per-region line
-     * counts. @return a description of the first violation, or empty.
-     */
-    std::string checkInvariants() const;
 
     /**
      * Checkpoint layout: the three caches, the MSHR free list, the
@@ -308,9 +298,6 @@ class Node : public SnoopClient
     void maybePrefetch(Addr line_addr, bool is_store, bool was_miss,
                        Tick now);
 
-    /** Peer-side line snoop transition (snoopLine adds the timing). */
-    LineSnoopOutcome lineSnoop(const SystemRequest &req);
-
     // Timed driver.
 
     /** Handle an access that reached the L2. */
@@ -318,8 +305,8 @@ class Node : public SnoopClient
                   CompletionFn &&done);
 
     /**
-     * Issue (or queue) a request to the system; while warm peers are
-     * set, resolve it functionally instead and run @p c at once.
+     * Issue (or queue) a request to the system; in functional mode,
+     * resolve it at once instead and run @p c.
      */
     void issueSystemRequest(RequestType type, Addr line_addr, Tick now,
                             Completion &&c, bool is_prefetch);
@@ -380,10 +367,6 @@ class Node : public SnoopClient
     void warmRequest(RequestType type, Addr line_addr, Tick now,
                      bool is_prefetch);
 
-    /** Snoop every peer directly, as Interconnect::resolveRequest would,
-     *  and @return the combined response. */
-    SnoopResponse warmFanOut(const SystemRequest &req, Tick now);
-
     CpuId cpu_;
     const SystemConfig &config_;
     EventQueue &eq_;
@@ -430,8 +413,6 @@ class Node : public SnoopClient
                                kMissLatencyBuckets};
     TraceSink *trace_ = nullptr;
     InvariantChecker *checker_ = nullptr;
-    /** Warm-phase peer nodes (null outside functional warming). */
-    const std::vector<Node *> *warmPeers_ = nullptr;
 };
 
 } // namespace cgct

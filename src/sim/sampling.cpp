@@ -95,13 +95,7 @@ warmFunctional(const SystemConfig &config, const WorkloadProfile &profile,
     const unsigned n_cpus = config.topology.numCpus;
     SyntheticWorkload workload(profile, n_cpus, opts.opsPerCpu, opts.seed);
     System sys(config, workload);
-
-    std::vector<Node *> peers;
-    peers.reserve(n_cpus);
-    for (unsigned i = 0; i < n_cpus; ++i)
-        peers.push_back(&sys.node(i));
-    for (Node *n : peers)
-        n->setWarmPeers(&peers);
+    sys.setFunctional(true);
 
     Tick warm_tick = 0;
     std::vector<std::uint64_t> instr_delta(n_cpus, 0);
@@ -134,9 +128,6 @@ warmFunctional(const SystemConfig &config, const WorkloadProfile &profile,
         }
         emit(i, makeWarmSnapshot(sys, workload, fingerprint, image_bytes));
     }
-
-    for (Node *n : peers)
-        n->setWarmPeers(nullptr);
 }
 
 /**

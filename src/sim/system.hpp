@@ -102,6 +102,14 @@ class System
     /** Cores blocked on a trace synchronization event (replay only). */
     unsigned coresWaitingOnSync() const;
 
+    /**
+     * Switch the whole machine into (or out of) functional mode for
+     * warming (docs/SAMPLING.md): every request then resolves at once
+     * through Interconnect::resolveNow, with no events, MSHRs or timing.
+     * Only Node::warmAccess drives a functional system.
+     */
+    void setFunctional(bool on) { bus_->setFunctional(on); }
+
     /** Reset all statistics at @p now (end of warmup). */
     void resetStats(Tick now);
 

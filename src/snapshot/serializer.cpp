@@ -65,62 +65,6 @@ xxh64MergeRound(std::uint64_t acc, std::uint64_t val)
 
 } // namespace
 
-std::uint64_t
-xxhash64(const void *data, std::size_t len, std::uint64_t seed)
-{
-    const std::uint8_t *p = static_cast<const std::uint8_t *>(data);
-    const std::uint8_t *end = p + len;
-    std::uint64_t h;
-
-    if (len >= 32) {
-        std::uint64_t v1 = seed + kPrime1 + kPrime2;
-        std::uint64_t v2 = seed + kPrime2;
-        std::uint64_t v3 = seed;
-        std::uint64_t v4 = seed - kPrime1;
-        const std::uint8_t *limit = end - 32;
-        do {
-            v1 = xxh64Round(v1, readLE64(p));
-            v2 = xxh64Round(v2, readLE64(p + 8));
-            v3 = xxh64Round(v3, readLE64(p + 16));
-            v4 = xxh64Round(v4, readLE64(p + 24));
-            p += 32;
-        } while (p <= limit);
-        h = rotl64(v1, 1) + rotl64(v2, 7) + rotl64(v3, 12) +
-            rotl64(v4, 18);
-        h = xxh64MergeRound(h, v1);
-        h = xxh64MergeRound(h, v2);
-        h = xxh64MergeRound(h, v3);
-        h = xxh64MergeRound(h, v4);
-    } else {
-        h = seed + kPrime5;
-    }
-
-    h += static_cast<std::uint64_t>(len);
-
-    while (p + 8 <= end) {
-        h ^= xxh64Round(0, readLE64(p));
-        h = rotl64(h, 27) * kPrime1 + kPrime4;
-        p += 8;
-    }
-    if (p + 4 <= end) {
-        h ^= static_cast<std::uint64_t>(readLE32(p)) * kPrime1;
-        h = rotl64(h, 23) * kPrime2 + kPrime3;
-        p += 4;
-    }
-    while (p < end) {
-        h ^= static_cast<std::uint64_t>(*p) * kPrime5;
-        h = rotl64(h, 11) * kPrime1;
-        ++p;
-    }
-
-    h ^= h >> 33;
-    h *= kPrime2;
-    h ^= h >> 29;
-    h *= kPrime3;
-    h ^= h >> 32;
-    return h;
-}
-
 // ---------------------------------------------------------------------------
 // Xxh64Stream
 
@@ -213,6 +157,14 @@ Xxh64Stream::digest() const
     h *= kPrime3;
     h ^= h >> 32;
     return h;
+}
+
+std::uint64_t
+xxhash64(const void *data, std::size_t len, std::uint64_t seed)
+{
+    Xxh64Stream stream(seed);
+    stream.update(data, len);
+    return stream.digest();
 }
 
 // ---------------------------------------------------------------------------

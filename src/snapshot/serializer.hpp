@@ -39,8 +39,9 @@ namespace cgct {
 
 /**
  * XXH64 — the canonical xxHash 64-bit digest (public-domain algorithm,
- * reimplemented here so the repo stays dependency-free). Matches the
- * reference vectors, e.g. xxhash64("", 0) == 0xEF46DB3751D8E999.
+ * reimplemented here so the repo stays dependency-free), one
+ * Xxh64Stream update over the buffer. Matches the reference vectors,
+ * e.g. xxhash64("", 0) == 0xEF46DB3751D8E999.
  */
 std::uint64_t xxhash64(const void *data, std::size_t len,
                        std::uint64_t seed = 0);

@@ -83,7 +83,10 @@ canonicalizeConfig(Serializer &s, const SystemConfig &c)
     s.u64(c.dma.targetBase);
     s.u64(c.dma.targetBytes);
 
-    s.u64(c.dmaBufferBytes);
+    // The slot of a retired top-level copy of the DMA buffer size, which
+    // always equalled dma.bufferBytes: kept so that every fingerprint,
+    // and so every stored snapshot, stays valid.
+    s.u64(c.dma.bufferBytes);
     // c.obs deliberately omitted: tracing and invariant checking never
     // perturb simulated behavior, so a snapshot from a plain run may be
     // replayed under full instrumentation (docs/SNAPSHOT.md).

@@ -34,7 +34,7 @@ TEST(Config, Table3Defaults)
     EXPECT_EQ(c.l2.latency, 12u);
     EXPECT_EQ(c.prefetch.streams, 8u);
     EXPECT_EQ(c.prefetch.runahead, 5u);
-    EXPECT_EQ(c.dmaBufferBytes, 512u);
+    EXPECT_EQ(c.dma.bufferBytes, 512u);
 }
 
 TEST(Config, Table3Latencies)

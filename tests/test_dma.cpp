@@ -9,6 +9,7 @@
 
 #include <memory>
 
+#include "check_all.hpp"
 #include "interconnect/bus.hpp"
 #include "sim/dma.hpp"
 #include "sim/node.hpp"
@@ -143,8 +144,7 @@ TEST(DmaSystem, FullSystemRunsAndDrainsWithDma)
     sys.eq().run();
     EXPECT_TRUE(sys.allCoresFinished());
     EXPECT_GT(sys.dma()->stats().transfers, 0u);
-    for (unsigned i = 0; i < 4; ++i)
-        EXPECT_EQ(sys.node(i).checkInvariants(), "");
+    EXPECT_EQ(checkAll(sys), "");
 }
 
 TEST(DmaSystem, DmaRequesterIdDistinctFromCpus)

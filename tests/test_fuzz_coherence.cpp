@@ -9,7 +9,8 @@
  * Invariants checked after every batch of operations:
  *  1. single-writer: at most one M/E/O copy of any line system-wide, and
  *     an M/E copy coexists with no other valid copy;
- *  2. L1 inclusion and RCA inclusion with exact line counts (per node);
+ *  2. L1 inclusion and the region invariants, RCA inclusion with exact
+ *     line counts among them (InvariantChecker::checkAll);
  *  3. every issued operation eventually completes;
  *  4. request-routing accounting is conserved.
  */
@@ -21,6 +22,7 @@
 #include <tuple>
 #include <vector>
 
+#include "check_all.hpp"
 #include "interconnect/bus.hpp"
 #include "common/random.hpp"
 #include "sim/node.hpp"
@@ -105,8 +107,7 @@ class CoherenceFuzz
     void
     checkGlobalInvariants()
     {
-        for (auto &n : nodes_)
-            ASSERT_EQ(n->checkInvariants(), "");
+        ASSERT_EQ(checkAll(config_, nodes_), "");
 
         std::map<Addr, int> owners;
         std::map<Addr, int> valid;

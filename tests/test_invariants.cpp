@@ -153,6 +153,29 @@ TEST_F(InvariantFixture, DetectsStaleExclusiveState)
     EXPECT_NE(err, "");
 }
 
+TEST_F(InvariantFixture, DetectsL1LineMissingFromL2)
+{
+    run();
+    // Drop one of cpu0's L1 data lines from its L2 only: L1 inclusion is
+    // now broken, which checkAll reports before any region invariant.
+    Node &node = sys_->node(0);
+    Addr line = 0;
+    bool found = false;
+    node.l1d().array().forEachValidLine([&](const CacheLine &l) {
+        if (!found) {
+            line = l.lineAddr;
+            found = true;
+        }
+    });
+    ASSERT_TRUE(found) << "cpu0's L1 data cache ended up empty";
+    ASSERT_EQ(checker_->checkAll(), "");
+    node.l2().invalidateLine(line);
+
+    const std::string err = checker_->checkAll();
+    EXPECT_NE(err.find("cpu0 l1d holds line"), std::string::npos) << err;
+    EXPECT_NE(err.find("not in its L2"), std::string::npos) << err;
+}
+
 TEST_F(InvariantFixture, TransitionHookDiesOnCorruption)
 {
     run();

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <vector>
 
+#include "check_all.hpp"
 #include "interconnect/bus.hpp"
 #include "sim/node.hpp"
 
@@ -82,8 +83,7 @@ class NodeTest : public ::testing::TestWithParam<bool>
     void
     expectInvariantsHold()
     {
-        for (auto &n : nodes)
-            EXPECT_EQ(n->checkInvariants(), "");
+        EXPECT_EQ(checkAll(config, nodes), "");
     }
 
     RegionState
@@ -454,7 +454,7 @@ TEST_P(NodeTest, PrefetcherIssuesAndLinesArrive)
     EXPECT_GT(node.stats().prefetchesIssued, 0u);
     // The runahead reaches beyond the last demand line.
     EXPECT_NE(node.peekLine(0xB0000 + 7 * 64), LineState::Invalid);
-    EXPECT_EQ(node.checkInvariants(), "");
+    EXPECT_EQ(InvariantChecker(pf_config, {&node}).checkAll(), "");
 }
 
 TEST_P(NodeTest, StatsRegistration)

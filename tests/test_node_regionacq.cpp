@@ -11,6 +11,7 @@
 #include <memory>
 #include <vector>
 
+#include "check_all.hpp"
 #include "interconnect/bus.hpp"
 #include "sim/node.hpp"
 
@@ -87,7 +88,7 @@ TEST_F(RegionAcqTest, BurstToOneRegionBroadcastsOnce)
     for (int i = 0; i < 8; ++i)
         EXPECT_NE(nodes[0]->peekLine(0x10000 + static_cast<Addr>(i) * 64),
                   LineState::Invalid);
-    EXPECT_EQ(nodes[0]->checkInvariants(), "");
+    EXPECT_EQ(checkAll(config, nodes), "");
 }
 
 TEST_F(RegionAcqTest, FollowersOfSharedRegionStillBroadcast)
@@ -112,7 +113,7 @@ TEST_F(RegionAcqTest, FollowersOfSharedRegionStillBroadcast)
     // Region is externally dirty at node 0: no direct reads.
     EXPECT_EQ(nodes[0]->stats().directs, 0u);
     EXPECT_EQ(nodes[0]->stats().broadcasts, 4u);
-    EXPECT_EQ(nodes[0]->checkInvariants(), "");
+    EXPECT_EQ(checkAll(config, nodes), "");
 }
 
 TEST_F(RegionAcqTest, AcquisitionMergingPreservesOrderingSafety)
@@ -132,7 +133,7 @@ TEST_F(RegionAcqTest, AcquisitionMergingPreservesOrderingSafety)
         EXPECT_EQ(nodes[2]->peekLine(0x30000 + static_cast<Addr>(i) * 64),
                   LineState::Modified);
     EXPECT_EQ(nodes[2]->stats().broadcasts, 1u);
-    EXPECT_EQ(nodes[2]->checkInvariants(), "");
+    EXPECT_EQ(checkAll(config, nodes), "");
 }
 
 TEST_F(RegionAcqTest, DistinctRegionsAcquireIndependently)

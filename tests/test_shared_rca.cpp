@@ -12,6 +12,7 @@
 #include <memory>
 #include <vector>
 
+#include "check_all.hpp"
 #include "interconnect/bus.hpp"
 #include "sim/node.hpp"
 #include "sim/simulator.hpp"
@@ -143,8 +144,7 @@ TEST_F(SharedRcaTest, ChipCountsAggregateBothCores)
     const RegionEntry *entry = cgct_ctrl->rca().find(0x10000);
     ASSERT_NE(entry, nullptr);
     EXPECT_EQ(entry->lineCount, 2u); // One line in each core's L2.
-    EXPECT_EQ(nodes[0]->checkInvariants(), "");
-    EXPECT_EQ(nodes[1]->checkInvariants(), "");
+    EXPECT_EQ(checkAll(config, nodes), "");
 }
 
 TEST_F(SharedRcaTest, RegionEvictionFlushesBothCores)
@@ -164,8 +164,7 @@ TEST_F(SharedRcaTest, RegionEvictionFlushesBothCores)
     const bool flushed_second =
         nodes[0]->peekLine(0x12000) == LineState::Invalid;
     EXPECT_TRUE(flushed_first || flushed_second);
-    EXPECT_EQ(nodes[0]->checkInvariants(), "");
-    EXPECT_EQ(nodes[1]->checkInvariants(), "");
+    EXPECT_EQ(checkAll(config, nodes), "");
 }
 
 TEST(SharedRcaSystem, FullRunStaysInvariantClean)
@@ -178,8 +177,7 @@ TEST(SharedRcaSystem, FullRunStaysInvariantClean)
     sys.start();
     sys.eq().run();
     EXPECT_TRUE(sys.allCoresFinished());
-    for (unsigned i = 0; i < 4; ++i)
-        EXPECT_EQ(sys.node(i).checkInvariants(), "") << "cpu" << i;
+    EXPECT_EQ(checkAll(sys), "");
     // Siblings really do share in the assembled system.
     EXPECT_EQ(sys.node(0).tracker(), sys.node(1).tracker());
     EXPECT_NE(sys.node(1).tracker(), sys.node(2).tracker());

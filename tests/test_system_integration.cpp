@@ -13,6 +13,7 @@
 #include <string>
 #include <tuple>
 
+#include "check_all.hpp"
 #include "sim/system.hpp"
 #include "workload/benchmarks.hpp"
 #include "workload/generator.hpp"
@@ -57,9 +58,8 @@ TEST_P(SystemSweep, InvariantsHoldAfterRealWorkload)
     sys.eq().run();
     ASSERT_TRUE(sys.allCoresFinished());
 
-    // 1. Per-node structural invariants (inclusion, line counts).
-    for (unsigned i = 0; i < sys.numCpus(); ++i)
-        EXPECT_EQ(sys.node(i).checkInvariants(), "") << "cpu" << i;
+    // 1. L1 inclusion and the region invariants A-E (checkAll).
+    EXPECT_EQ(checkAll(sys), "");
 
     // 2. Global single-writer: for every line cached anywhere, at most
     //    one node holds it in a writable or dirty-owner state, and a
@@ -143,8 +143,7 @@ TEST(SystemIntegration, EightCpuTopologyRuns)
     sys.start();
     sys.eq().run();
     EXPECT_TRUE(sys.allCoresFinished());
-    for (unsigned i = 0; i < 8; ++i)
-        EXPECT_EQ(sys.node(i).checkInvariants(), "");
+    EXPECT_EQ(checkAll(sys), "");
 }
 
 TEST(SystemIntegration, ThreeStateProtocolRuns)
@@ -157,8 +156,8 @@ TEST(SystemIntegration, ThreeStateProtocolRuns)
     sys.start();
     sys.eq().run();
     EXPECT_TRUE(sys.allCoresFinished());
+    EXPECT_EQ(checkAll(sys), "");
     for (unsigned i = 0; i < 4; ++i) {
-        EXPECT_EQ(sys.node(i).checkInvariants(), "");
         // Only the three permitted states may appear.
         if (auto *cgct_ctrl = dynamic_cast<CgctController *>(
                 sys.node(i).tracker())) {
@@ -182,8 +181,7 @@ TEST(SystemIntegration, SelfInvalidationOffStillCorrect)
     sys.start();
     sys.eq().run();
     EXPECT_TRUE(sys.allCoresFinished());
-    for (unsigned i = 0; i < 4; ++i)
-        EXPECT_EQ(sys.node(i).checkInvariants(), "");
+    EXPECT_EQ(checkAll(sys), "");
 }
 
 TEST(SystemIntegration, StatsDumpProducesOutput)

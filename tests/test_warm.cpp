@@ -52,7 +52,7 @@ roundRobinOps(const std::string &benchmark, unsigned n_cpus,
     return ops;
 }
 
-/** A System whose nodes are all peers of one functional-warming pass. */
+/** A System in functional mode, driven one op at a time. */
 class WarmSystem
 {
   public:
@@ -60,16 +60,7 @@ class WarmSystem
         : workload_(benchmarkByName("tpc-w"), config.topology.numCpus, 1, 1),
           sys_(config, workload_)
     {
-        for (unsigned i = 0; i < sys_.numCpus(); ++i)
-            peers_.push_back(&sys_.node(i));
-        for (Node *n : peers_)
-            n->setWarmPeers(&peers_);
-    }
-
-    ~WarmSystem()
-    {
-        for (Node *n : peers_)
-            n->setWarmPeers(nullptr);
+        sys_.setFunctional(true);
     }
 
     void
@@ -84,7 +75,6 @@ class WarmSystem
   private:
     SyntheticWorkload workload_;
     System sys_;
-    std::vector<Node *> peers_;
     Tick tick_ = 0;
 };
 
@@ -226,6 +216,51 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------
+
+TEST(WarmPath, FunctionalResolutionRunsNoTiming)
+{
+    // Functional resolution is the interconnect's fan-out without its
+    // timing tail: a warm stream must leave every timing counter at zero
+    // — tag ports, controllers, the data network, the interconnect's own
+    // grants and the oracle — while the broadcasts really did resolve.
+    for (const TopologyKind topology :
+         {TopologyKind::Bus, TopologyKind::Hier, TopologyKind::Dir}) {
+        SCOPED_TRACE(topologyKindName(topology));
+        SystemConfig c = makeDefaultConfig();
+        c.interconnect.topology = topology;
+        c.l2 = CacheParams{64 * 1024, 2, 64, 12};
+        c = c.withCgct(512, /*rca_sets=*/64, 2);
+        c.validate();
+        WarmSystem warm(c);
+        for (const Op &op : roundRobinOps("tpc-w", c.topology.numCpus, 5000))
+            warm.access(op.cpu, op.kind, op.addr);
+
+        System &sys = warm.sys();
+        std::uint64_t broadcasts = 0, writebacks = 0;
+        for (unsigned i = 0; i < sys.numCpus(); ++i) {
+            const Node::Stats &s = sys.node(i).stats();
+            EXPECT_EQ(s.snoopsReceived, 0u) << "cpu" << i;
+            EXPECT_EQ(s.tagWaitCycles, 0u) << "cpu" << i;
+            broadcasts += s.broadcasts;
+            writebacks += s.writebacksIssued;
+        }
+        EXPECT_GT(broadcasts, 0u);
+        EXPECT_GT(writebacks, 0u);
+        for (unsigned i = 0; i < sys.numMemCtrls(); ++i) {
+            const MemoryController::Stats &m = sys.memCtrl(i).stats();
+            EXPECT_EQ(m.overlappedReads + m.directReads + m.writebacks +
+                          m.queuedCycles,
+                      0u)
+                << "memctrl " << i;
+        }
+        EXPECT_EQ(sys.dataNetwork().stats().transfers, 0u);
+        EXPECT_EQ(sys.bus().stats().broadcasts, 0u);
+        EXPECT_EQ(sys.bus().stats().cacheToCache +
+                      sys.bus().stats().memorySupplied,
+                  0u);
+        EXPECT_EQ(sys.oracle().total(), 0u);
+    }
+}
 
 TEST(WarmPath, RegionFlushWritebacksSkipControllers)
 {

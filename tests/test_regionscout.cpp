@@ -2,17 +2,22 @@
  * @file
  * Tests for the RegionScout comparison tracker: NSRT fills/invalidations,
  * CRH counting and snoop filtering, its imprecision relative to CGCT, and
- * a whole run with RegionScout trackers built through System, and that
- * run's snapshot round trip.
+ * a whole run with RegionScout trackers built through System, that run's
+ * snapshot round trip, and the golden digests of a longer such run.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
+#include <sstream>
+#include <string>
 
 #include "core/regionscout.hpp"
+#include "golden.hpp"
 #include "sim/simulator.hpp"
 #include "sim/system.hpp"
+#include "snapshot/journal.hpp"
 #include "snapshot/serializer.hpp"
 #include "workload/benchmarks.hpp"
 #include "workload/generator.hpp"
@@ -203,6 +208,46 @@ TEST(RegionScoutSystem, SnapshotRoundTripIsByteIdentical)
 
     EXPECT_GT(saved.size(), 0u);
     EXPECT_EQ(again.buffer(), saved.buffer());
+}
+
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t h = 1469598103934665603ULL;
+    for (unsigned char c : bytes) {
+        h ^= c;
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+TEST(RegionScoutPin, Tpcw4)
+{
+    // cgct_paper's A4 cell shape: a whole 4-node tpc-w run (no warmup)
+    // with RegionScout trackers on the baseline configuration.
+    const SystemConfig config = makeDefaultConfig();
+    SyntheticWorkload workload(benchmarkByName("tpc-w"),
+                               config.topology.numCpus, 40000, 20050609);
+    System sys(config, workload, [&config](CpuId cpu) {
+        return std::make_shared<RegionScout>(cpu, RegionScoutParams{},
+                                             config.l2.lineBytes);
+    });
+    ASSERT_EQ(runPhase(sys, /*resume=*/false, RunOptions{}.maxEvents), 0u);
+
+    Serializer s;
+    encodeRunResult(s, collectRunResult(sys, "tpc-w", 20050609, 0));
+    const std::uint64_t result = fnv1a(
+        std::string(s.buffer().begin(), s.buffer().end()));
+    std::ostringstream stats;
+    sys.dumpStats(stats);
+    const std::uint64_t text = fnv1a(stats.str());
+    std::printf("regionscout tpc-w digests: result %016llx, dumpStats "
+                "%016llx\n",
+                static_cast<unsigned long long>(result),
+                static_cast<unsigned long long>(text));
+    EXPECT_NE(stats.str().find("regionscout.nsrt_hits"), std::string::npos);
+    EXPECT_EQ(result, golden::kRegionScoutTpcw4StatsFnv);
+    EXPECT_EQ(text, golden::kRegionScoutTpcw4DumpStatsFnv);
 }
 
 TEST(RegionScoutDeath, CrhUnderflowPanics)

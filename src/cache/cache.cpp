@@ -6,7 +6,8 @@ namespace cgct {
 
 Cache::Cache(std::string name, const CacheParams &params)
     : name_(std::move(name)), params_(params),
-      array_(params.numSets(), params.associativity, params.lineBytes)
+      array_("cache", params.numSets(), params.associativity,
+             params.lineBytes)
 {
 }
 
@@ -27,13 +28,16 @@ CacheLine *
 Cache::fill(Addr addr, LineState state, Tick now, Tick ready,
             Eviction &evicted)
 {
-    CacheLine *line = array_.allocate(addr, evicted);
+    std::optional<CacheLine> victim;
+    CacheLine *line = array_.allocate(addr, victim);
     line->state = state;
     line->readyTick = ready;
     line->lastUse = now;
     ++stats_.fills;
-    if (evicted.valid) {
-        if (isDirty(evicted.state))
+    evicted = Eviction{};
+    if (victim) {
+        evicted = Eviction{true, victim->lineAddr, victim->state};
+        if (isDirty(victim->state))
             ++stats_.evictionsDirty;
         else
             ++stats_.evictionsClean;
@@ -44,10 +48,11 @@ Cache::fill(Addr addr, LineState state, Tick now, Tick ready,
 LineState
 Cache::invalidateLine(Addr addr)
 {
-    const LineState prior = array_.invalidate(addr);
-    if (isValid(prior))
-        ++stats_.invalidations;
-    return prior;
+    const std::optional<CacheLine> prior = array_.invalidate(addr);
+    if (!prior)
+        return LineState::Invalid;
+    ++stats_.invalidations;
+    return prior->state;
 }
 
 double
@@ -62,7 +67,15 @@ Cache::missRatio() const
 void
 Cache::transfer(Archive &ar)
 {
-    array_.transfer(ar);
+    ar.expect("cache sets", array_.numSets());
+    ar.expect("cache ways", array_.ways());
+    ar.expect("cache line bytes", params_.lineBytes);
+    array_.transfer(ar, [&ar](CacheLine &line) {
+        ar.u64(line.lineAddr);
+        ar.enumerant("cache line state", line.state, LineState::Modified);
+        ar.u64(line.readyTick);
+        ar.u64(line.lastUse);
+    });
     ar.u64(stats_.hits);
     ar.u64(stats_.misses);
     ar.u64(stats_.fills);

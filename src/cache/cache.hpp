@@ -1,10 +1,12 @@
 /**
  * @file
- * A coherent write-back cache structure: a CacheArray plus hit/miss/
+ * A coherent write-back cache structure: a line array plus hit/miss/
  * eviction statistics. The Cache is deliberately mechanism-only — which
  * requests go to the system, and in what state lines are granted, is
  * decided by the per-processor node controller (src/sim/node.*), keeping
- * this class reusable for L1I, L1D, and L2.
+ * this class reusable for L1I, L1D, and L2. The array stores line
+ * metadata only (coherence state and fill timing); the simulator does
+ * not model data values.
  */
 
 #pragma once
@@ -12,11 +14,34 @@
 #include <cstdint>
 #include <string>
 
-#include "cache/cache_array.hpp"
+#include "coherence/protocol.hpp"
 #include "common/config.hpp"
+#include "common/set_assoc_array.hpp"
 #include "common/stats.hpp"
 
 namespace cgct {
+
+class Archive;
+
+/** Metadata for one cache line frame. */
+struct CacheLine {
+    Addr lineAddr = 0;                     ///< Line-aligned address.
+    LineState state = LineState::Invalid;
+    Tick readyTick = 0;   ///< When the fill data arrives (MSHR merging).
+    Tick lastUse = 0;     ///< LRU timestamp.
+
+    bool valid() const { return isValid(state); }
+};
+
+/** A victim chosen by a fill, reported to the caller for write-back. */
+struct Eviction {
+    bool valid = false;
+    Addr lineAddr = 0;
+    LineState state = LineState::Invalid;
+};
+
+/** The line array of one cache level, with plain LRU replacement. */
+using CacheArray = SetAssocArray<CacheLine, &CacheLine::lineAddr>;
 
 /** One cache level. */
 class Cache
@@ -27,7 +52,7 @@ class Cache
     const std::string &name() const { return name_; }
     Tick latency() const { return params_.latency; }
     unsigned lineBytes() const { return params_.lineBytes; }
-    Addr lineAlign(Addr addr) const { return array_.lineAlign(addr); }
+    Addr lineAlign(Addr addr) const { return array_.align(addr); }
 
     CacheArray &array() { return array_; }
     const CacheArray &array() const { return array_; }
@@ -38,9 +63,12 @@ class Cache
      */
     CacheLine *probe(Addr addr, Tick now);
 
-    /** Probe without statistics or LRU side effects (snoops, oracle). */
-    const CacheLine *peek(Addr addr) const { return array_.find(addr); }
-    CacheLine *peekMutable(Addr addr) { return array_.find(addr); }
+    /** Look up without statistics or LRU (the node's own snoops, fills
+     *  and the oracle); a hit still becomes its set's MRU way. */
+    CacheLine *lookup(Addr addr) { return array_.find(addr); }
+
+    /** Look up with no side effect at all (invariant checker, tests). */
+    const CacheLine *peek(Addr addr) const { return array_.peek(addr); }
 
     /**
      * Install a line in @p state with fill data arriving at @p ready.
@@ -72,7 +100,11 @@ class Cache
     void addStats(StatGroup &group) const;
     void resetStats() { stats_ = Stats{}; }
 
-    /** Checkpoint layout: the line array plus the statistics block. */
+    /**
+     * Checkpoint layout: the geometry (verified on restore; a mismatch
+     * fatal()s with the section name), the line array, then the
+     * statistics block.
+     */
     void transfer(Archive &ar);
 
   private:

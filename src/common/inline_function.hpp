@@ -9,12 +9,6 @@
  * simulated run; with std::function nearly every schedule() call paid a
  * malloc/free pair for the capture block. InlineFunction keeps the capture
  * inside the event item itself.
- *
- * `FunctionRef<Sig>` is a non-owning view of a callable, for visitor-style
- * APIs (forEachLineInRegion and friends) where the callee only invokes the
- * callable during the call and never stores it. Constructing one from a
- * temporary lambda at a call site is safe; storing one beyond the call is
- * not (it does not extend the callable's lifetime).
  */
 
 #pragma once
@@ -133,39 +127,6 @@ class InlineFunction<R(Args...), Capacity>
 
     alignas(std::max_align_t) unsigned char storage_[Capacity];
     const Ops *ops_ = nullptr;
-};
-
-template <typename Sig>
-class FunctionRef; // undefined; see the partial specialization
-
-/** Non-owning callable view for visitor parameters. */
-template <typename R, typename... Args>
-class FunctionRef<R(Args...)>
-{
-  public:
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, FunctionRef> &&
-                  std::is_invocable_r_v<R, std::decay_t<F> &, Args...>>>
-    FunctionRef(F &&f) noexcept
-        : obj_(const_cast<void *>(
-              static_cast<const void *>(std::addressof(f)))),
-          call_([](void *obj, Args &&...args) -> R {
-              return (*static_cast<std::remove_reference_t<F> *>(obj))(
-                  std::forward<Args>(args)...);
-          })
-    {
-    }
-
-    R
-    operator()(Args... args) const
-    {
-        return call_(obj_, std::forward<Args>(args)...);
-    }
-
-  private:
-    void *obj_;
-    R (*call_)(void *, Args &&...);
 };
 
 } // namespace cgct

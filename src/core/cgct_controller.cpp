@@ -71,7 +71,7 @@ CgctController::onBroadcastResponse(RequestType type, Addr line_addr,
             // sharing core's hierarchy; dirty ones go straight to the
             // region's memory controller.
             for (const auto &flush : flush_)
-                flush(evicted.regionAddr, rca_.regionBytes(),
+                flush(evicted.regionAddr, params_.regionBytes,
                       evicted.memCtrl);
         }
     }
@@ -179,7 +179,7 @@ CgctController::externalSnoop(Addr line_addr, bool external_gets_exclusive,
 }
 
 RegionState
-CgctController::peekState(Addr line_addr) const
+CgctController::peekState(Addr line_addr)
 {
     const RegionEntry *entry = rca_.find(line_addr);
     return entry ? entry->state : RegionState::Invalid;

@@ -91,16 +91,23 @@ class RegionTracker
                                           bool external_gets_exclusive,
                                           Tick now) = 0;
 
-    /** Current state for an address (tests / oracle), Invalid if absent. */
-    virtual RegionState peekState(Addr line_addr) const = 0;
+    /**
+     * Current state for an address, Invalid if absent. Not const: the
+     * CGCT controller counts it as an RCA lookup, like any other.
+     */
+    virtual RegionState peekState(Addr line_addr) = 0;
 
     virtual void addStats(StatGroup &group) const = 0;
 
     /** Emit region-protocol trace events to @p sink (default: none). */
     virtual void setTraceSink(TraceSink *sink) { (void)sink; }
 
-    /** Checkpoint layout of the tracking structures. */
-    virtual void transfer(Archive &ar) = 0;
+    /**
+     * Checkpoint layout of the tracking structures. @p mem_ctrls is the
+     * system's memory-controller count, which bounds any controller id
+     * a loaded entry holds.
+     */
+    virtual void transfer(Archive &ar, unsigned mem_ctrls) = 0;
 };
 
 /** The paper's CGCT mechanism: region protocol over an RCA. */
@@ -130,7 +137,7 @@ class CgctController : public RegionTracker
     RegionSnoopBits externalSnoop(Addr line_addr,
                                   bool external_gets_exclusive,
                                   Tick now) override;
-    RegionState peekState(Addr line_addr) const override;
+    RegionState peekState(Addr line_addr) override;
     void addStats(StatGroup &group) const override;
     void setTraceSink(TraceSink *sink) override;
 
@@ -140,7 +147,11 @@ class CgctController : public RegionTracker
     const CgctParams &params() const { return params_; }
 
     /** Checkpoint layout: the controller's only state is the RCA. */
-    void transfer(Archive &ar) override { rca_.transfer(ar); }
+    void
+    transfer(Archive &ar, unsigned mem_ctrls) override
+    {
+        rca_.transfer(ar, mem_ctrls);
+    }
 
   private:
     /** Emit a region_transition event if the state actually changed. */

@@ -11,22 +11,19 @@
  * preserve inclusion. The paper reports 65.1% of evicted regions empty
  * with this policy at 512 B regions.
  *
- * Storage is split structure-of-arrays exactly like CacheArray (see
- * cache/cache_array.hpp): packed per-set tags, a per-set occupancy
- * bitmask scanned branch-free, a per-set MRU way hint, and a parallel
- * RegionEntry metadata array touched only on hit. Entry pointers are
- * stable until invalidation/reallocation. Lookups confirm
- * `state != Invalid` on a tag match so the allocate()-to-state-set
- * window (during which the controller runs inclusion flushes) reads as
- * a miss, matching the previous array-of-structs behavior.
+ * The storage is the one SetAssocArray (common/set_assoc_array.hpp);
+ * this class adds the victim preference, the lookup and eviction
+ * statistics, the eviction histograms and the rca_evict trace event.
+ * Lookups confirm `state != Invalid` on a tag match, so the
+ * allocate()-to-state-set window (during which the controller runs
+ * inclusion flushes) reads as a miss.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
-#include "common/inline_function.hpp"
+#include "common/set_assoc_array.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "core/region_protocol.hpp"
@@ -57,8 +54,13 @@ struct RegionEviction {
     MemCtrlId memCtrl = kInvalidMemCtrl;
 };
 
-/** The per-processor Region Coherence Array. */
+/**
+ * The per-processor Region Coherence Array. peek(), invalidate(),
+ * touch(), forEachValid(), countValid() and reset() are the array's
+ * own; find() and allocate() add the statistics.
+ */
 class RegionCoherenceArray
+    : public SetAssocArray<RegionEntry, &RegionEntry::regionAddr>
 {
   public:
     /**
@@ -70,41 +72,17 @@ class RegionCoherenceArray
     RegionCoherenceArray(std::uint64_t sets, unsigned ways,
                          std::uint64_t region_bytes, bool favor_empty);
 
-    std::uint64_t regionBytes() const { return regionBytes_; }
-    std::uint64_t numSets() const { return sets_; }
-    unsigned ways() const { return ways_; }
-
-    /** Align an address to a region boundary. */
-    Addr regionAlign(Addr addr) const
-    {
-        return alignDown(addr, regionBytes_);
-    }
-
-    /** Find the entry covering @p addr, or nullptr. */
+    /** Find the entry covering @p addr, or nullptr; counts a hit or a
+     *  miss. */
     RegionEntry *find(Addr addr);
-    const RegionEntry *find(Addr addr) const;
-
-    /**
-     * Side-effect-free lookup: like find() but touches neither the
-     * hit/miss counters nor LRU. For the invariant checker and tests,
-     * which must be able to observe the array without perturbing the
-     * statistics the experiments record.
-     */
-    const RegionEntry *peekEntry(Addr addr) const;
 
     /**
      * Allocate an entry for @p addr's region, evicting per the policy if
      * the set is full. The new entry is Invalid-initialized except for its
-     * regionAddr; the caller sets state/memCtrl.
+     * regionAddr and timestamps; the caller sets state/memCtrl.
      * @param[out] evicted the displaced region (caller must flush lines).
      */
     RegionEntry *allocate(Addr addr, Tick now, RegionEviction &evicted);
-
-    /** Invalidate the entry covering @p addr if present. */
-    void invalidate(Addr addr);
-
-    /** LRU touch. */
-    void touch(RegionEntry &entry, Tick now) { entry.lastUse = now; }
 
     struct Stats {
         std::uint64_t hits = 0;
@@ -141,41 +119,16 @@ class RegionCoherenceArray
         traceCpu_ = cpu;
     }
 
-    /** Visit every valid entry (non-owning visitor; see FunctionRef). */
-    void forEachValidEntry(FunctionRef<void(const RegionEntry &)> fn) const;
-
-    /** Count valid entries (O(1): maintained incrementally). */
-    std::uint64_t countValid() const;
-
-    void reset();
-
     /**
-     * Checkpoint layout: tags, occupancy, MRU hints, entry metadata,
-     * statistics and the eviction histograms. Geometry is verified on
-     * restore; mismatches fatal() with the section name.
+     * Checkpoint layout: geometry, the array, statistics and the
+     * eviction histograms. Geometry is verified on restore; mismatches
+     * fatal() with the section name, as does an entry whose memory
+     * controller is neither kInvalidMemCtrl nor below @p mem_ctrls.
      */
-    void transfer(Archive &ar);
+    void transfer(Archive &ar, unsigned mem_ctrls);
 
   private:
-    std::uint64_t setIndex(Addr addr) const;
-    /** Tag-match scan of one set; returns the way or ways_ on miss. */
-    unsigned scanSet(std::size_t set, Addr tag) const;
-
-    std::uint64_t sets_;
-    unsigned ways_;
-    std::uint64_t regionBytes_;
-    unsigned regionShift_;
     bool favorEmpty_;
-    /** Packed tags (`regionAddr >> regionShift_`), set-major. */
-    std::vector<Addr> tags_;
-    /** Per-set tag-occupancy bitmask (bit w = way w holds a tag). */
-    std::vector<std::uint64_t> occupied_;
-    /** Per-set most-recently-hit way hint. */
-    std::vector<std::uint8_t> mruWay_;
-    /** Entry metadata, parallel to tags_; touched only on hit. */
-    std::vector<RegionEntry> entries_;
-    /** Occupied-entry count, maintained incrementally. */
-    std::uint64_t numValid_ = 0;
     Stats stats_;
     /** Lines cached at eviction: one bucket per count, 0..7, overflow. */
     Histogram evictedLines_{1, 8};

@@ -7,13 +7,12 @@ namespace cgct {
 
 RegionScout::RegionScout(CpuId cpu, const RegionScoutParams &params,
                          unsigned line_bytes)
-    : cpu_(cpu), regionBytes_(params.regionBytes),
-      nsrtSets_(params.nsrtSets), nsrtWays_(params.nsrtWays),
-      nsrt_(params.nsrtSets * params.nsrtWays),
+    : cpu_(cpu),
+      nsrt_("NSRT", params.nsrtSets, params.nsrtWays, params.regionBytes),
       crh_(params.crhEntries, 0)
 {
-    if (!isPowerOfTwo(params.crhEntries) || !isPowerOfTwo(params.nsrtSets))
-        fatal("RegionScout: table sizes must be powers of two");
+    if (!isPowerOfTwo(params.crhEntries))
+        fatal("RegionScout: the CRH size must be a power of two");
     if (params.regionBytes < line_bytes)
         fatal("RegionScout: region smaller than a line");
 }
@@ -22,53 +21,8 @@ std::uint64_t
 RegionScout::crhIndex(Addr region_addr) const
 {
     // Simple multiplicative hash of the region number.
-    const std::uint64_t region = region_addr / regionBytes_;
+    const std::uint64_t region = region_addr / nsrt_.blockBytes();
     return (region * 0x9e3779b97f4a7c15ULL) >> (64 - log2i(crh_.size()));
-}
-
-RegionScout::NsrtEntry *
-RegionScout::nsrtFind(Addr region_addr)
-{
-    const std::uint64_t set =
-        (region_addr / regionBytes_) & (nsrtSets_ - 1);
-    NsrtEntry *base = &nsrt_[set * nsrtWays_];
-    for (unsigned w = 0; w < nsrtWays_; ++w) {
-        if (base[w].valid && base[w].regionAddr == region_addr)
-            return &base[w];
-    }
-    return nullptr;
-}
-
-void
-RegionScout::nsrtInsert(Addr region_addr, Tick now)
-{
-    if (nsrtFind(region_addr))
-        return;
-    const std::uint64_t set =
-        (region_addr / regionBytes_) & (nsrtSets_ - 1);
-    NsrtEntry *base = &nsrt_[set * nsrtWays_];
-    NsrtEntry *victim = &base[0];
-    for (unsigned w = 0; w < nsrtWays_; ++w) {
-        if (!base[w].valid) {
-            victim = &base[w];
-            break;
-        }
-        if (base[w].lastUse < victim->lastUse)
-            victim = &base[w];
-    }
-    victim->valid = true;
-    victim->regionAddr = region_addr;
-    victim->lastUse = now;
-    ++stats_.nsrtFills;
-}
-
-void
-RegionScout::nsrtInvalidate(Addr region_addr)
-{
-    if (NsrtEntry *e = nsrtFind(region_addr)) {
-        e->valid = false;
-        ++stats_.nsrtInvalidations;
-    }
 }
 
 RouteDecision
@@ -76,10 +30,10 @@ RegionScout::route(RequestType type, Addr line_addr, Tick now)
 {
     RouteDecision d;
     const Addr region = regionAlign(line_addr);
-    NsrtEntry *e = nsrtFind(region);
+    NsrtEntry *e = nsrt_.find(region);
     if (!e)
         return d; // Broadcast: nothing is known about the region.
-    e->lastUse = now;
+    nsrt_.touch(*e, now);
     ++stats_.nsrtHits;
     // An NSRT hit proves "no other processor caches the region"; report
     // the equivalent exclusive region state (matches peekState()).
@@ -116,10 +70,15 @@ RegionScout::onBroadcastResponse(RequestType type, Addr line_addr,
     if (type == RequestType::Writeback)
         return;
     const Addr region = regionAlign(line_addr);
-    if (resp.region.none())
-        nsrtInsert(region, now); // Globally not shared.
-    else
-        nsrtInvalidate(region);
+    if (!resp.region.none()) {
+        if (nsrt_.invalidate(region))
+            ++stats_.nsrtInvalidations;
+    } else if (!nsrt_.find(region)) {
+        // Globally not shared: remember it.
+        std::optional<NsrtEntry> displaced;
+        nsrt_.allocate(region, displaced)->lastUse = now;
+        ++stats_.nsrtFills;
+    }
 }
 
 void
@@ -154,7 +113,8 @@ RegionScout::externalSnoop(Addr line_addr, bool /*external_gets_excl*/,
 {
     const Addr region = regionAlign(line_addr);
     // Any external activity in the region disproves "not shared".
-    nsrtInvalidate(region);
+    if (nsrt_.invalidate(region))
+        ++stats_.nsrtInvalidations;
 
     RegionSnoopBits bits;
     if (crh_[crhIndex(region)] == 0) {
@@ -169,26 +129,23 @@ RegionScout::externalSnoop(Addr line_addr, bool /*external_gets_excl*/,
 }
 
 RegionState
-RegionScout::peekState(Addr line_addr) const
+RegionScout::peekState(Addr line_addr)
 {
-    return const_cast<RegionScout *>(this)->nsrtFind(
-               regionAlign(line_addr))
-               ? RegionState::DirtyInvalid
-               : RegionState::Invalid;
+    return nsrt_.peek(regionAlign(line_addr)) ? RegionState::DirtyInvalid
+                                              : RegionState::Invalid;
 }
 
 void
-RegionScout::transfer(Archive &ar)
+RegionScout::transfer(Archive &ar, unsigned /*mem_ctrls*/)
 {
-    ar.expect("RegionScout region bytes", regionBytes_);
-    ar.expect("RegionScout NSRT sets", nsrtSets_);
-    ar.expect("RegionScout NSRT ways", nsrtWays_);
+    ar.expect("RegionScout region bytes", nsrt_.blockBytes());
+    ar.expect("RegionScout NSRT sets", nsrt_.numSets());
+    ar.expect("RegionScout NSRT ways", nsrt_.ways());
     ar.expect("RegionScout CRH entries", crh_.size());
-    for (NsrtEntry &e : nsrt_) {
-        ar.b(e.valid);
+    nsrt_.transfer(ar, [&ar](NsrtEntry &e) {
         ar.u64(e.regionAddr);
         ar.u64(e.lastUse);
-    }
+    });
     for (std::uint32_t &c : crh_)
         ar.u32(c);
     ar.u64(stats_.nsrtHits);

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/set_assoc_array.hpp"
 #include "core/cgct_controller.hpp"
 
 namespace cgct {
@@ -65,7 +66,7 @@ class RegionScout : public RegionTracker
     RegionSnoopBits externalSnoop(Addr line_addr,
                                   bool external_gets_exclusive,
                                   Tick now) override;
-    RegionState peekState(Addr line_addr) const override;
+    RegionState peekState(Addr line_addr) override;
     void addStats(StatGroup &group) const override;
 
     struct Stats {
@@ -78,26 +79,22 @@ class RegionScout : public RegionTracker
     const Stats &stats() const { return stats_; }
 
     /** Checkpoint layout: NSRT entries, CRH counters and statistics. */
-    void transfer(Archive &ar) override;
+    void transfer(Archive &ar, unsigned mem_ctrls) override;
 
   private:
+    /** A region known to be cached by no other processor; valid while
+     *  resident. */
     struct NsrtEntry {
-        bool valid = false;
         Addr regionAddr = 0;
         Tick lastUse = 0;
     };
 
-    Addr regionAlign(Addr a) const { return alignDown(a, regionBytes_); }
+    Addr regionAlign(Addr a) const { return nsrt_.align(a); }
     std::uint64_t crhIndex(Addr region_addr) const;
-    NsrtEntry *nsrtFind(Addr region_addr);
-    void nsrtInsert(Addr region_addr, Tick now);
-    void nsrtInvalidate(Addr region_addr);
 
     CpuId cpu_;
-    std::uint64_t regionBytes_;
-    std::uint64_t nsrtSets_;
-    unsigned nsrtWays_;
-    std::vector<NsrtEntry> nsrt_;
+    /** The NSRT: the shared tag array, plain LRU. */
+    SetAssocArray<NsrtEntry, &NsrtEntry::regionAddr> nsrt_;
     std::vector<std::uint32_t> crh_;
     std::vector<FlushFn> flush_;
     Stats stats_;

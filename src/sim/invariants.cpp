@@ -63,7 +63,7 @@ InvariantChecker::checkCoverage(Addr addr) const
     // is enforced by config.validate() for tracked topologies.
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
         std::string err;
-        nodes_[i]->l2().array().forEachLineInRegion(
+        nodes_[i]->l2().array().forEachInRange(
             region, rbytes, [&](const CacheLine &line) {
                 if (!err.empty())
                     return;
@@ -92,7 +92,7 @@ InvariantChecker::checkCoverage(Addr addr) const
     // region without a traversal, so presence must already cover every
     // core of that chip.
     for (const Group &g : groups_) {
-        if (!g.ctrl->rca().peekEntry(region))
+        if (!g.ctrl->rca().peek(region))
             continue;
         const std::uint64_t pres = interconnect_->presenceMask(region);
         for (std::size_t i : g.nodeIdx) {
@@ -127,7 +127,7 @@ InvariantChecker::checkRegion(Addr addr) const
     };
     std::vector<View> views(nodes_.size());
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        nodes_[i]->l2().array().forEachLineInRegion(
+        nodes_[i]->l2().array().forEachInRange(
             region, rbytes, [&views, i](const CacheLine &line) {
                 ++views[i].lines;
                 if (line.state != LineState::Shared)
@@ -154,7 +154,7 @@ InvariantChecker::checkRegion(Addr addr) const
             ext_modifiable = ext_modifiable || views[i].modifiable;
         }
 
-        const RegionEntry *entry = g.ctrl->rca().peekEntry(region);
+        const RegionEntry *entry = g.ctrl->rca().peek(region);
         const RegionState state =
             entry ? entry->state : RegionState::Invalid;
         const std::string who =
@@ -202,7 +202,7 @@ InvariantChecker::checkAll() const
         const Node &node = *nodes_[i];
         for (const Cache *l1 : {&node.l1i(), &node.l1d()}) {
             std::string err;
-            l1->array().forEachValidLine([&](const CacheLine &line) {
+            l1->array().forEachValid([&](const CacheLine &line) {
                 if (err.empty() && !node.l2().peek(line.lineAddr))
                     err = "cpu" + std::to_string(i) + " " + l1->name() +
                           " holds line " + hexAddr(line.lineAddr) +
@@ -221,13 +221,13 @@ InvariantChecker::checkAll() const
     const std::uint64_t rbytes = config_.cgct.regionBytes;
     std::unordered_set<Addr> regions;
     for (const Group &g : groups_) {
-        g.ctrl->rca().forEachValidEntry(
+        g.ctrl->rca().forEachValid(
             [&regions](const RegionEntry &entry) {
                 regions.insert(entry.regionAddr);
             });
     }
     for (const Node *node : nodes_) {
-        node->l2().array().forEachValidLine(
+        node->l2().array().forEachValid(
             [&regions, rbytes](const CacheLine &line) {
                 regions.insert(alignDown(line.lineAddr, rbytes));
             });

@@ -63,7 +63,7 @@ Node::l1Hit(CpuOpKind kind, Addr addr, Tick now)
             return line;
         // L1 hit on a shared copy: the L2 (inclusion) decides whether
         // the store may proceed silently.
-        CacheLine *l2line = l2_.peekMutable(addr);
+        CacheLine *l2line = l2_.lookup(addr);
         if (!l2line || !isWritable(l2line->state))
             return nullptr;
         l2line->state = LineState::Modified;
@@ -109,7 +109,7 @@ Node::l2Hit(CpuOpKind kind, Addr addr, CacheLine *line, RequestType &type)
       case CpuOpKind::Dcbz:
         if (line && isWritable(line->state)) {
             line->state = LineState::Modified;
-            if (CacheLine *l1line = l1d_.peekMutable(addr))
+            if (CacheLine *l1line = l1d_.lookup(addr))
                 l1line->state = LineState::Modified;
             return true;
         }
@@ -423,9 +423,9 @@ Node::applyResponse(RequestType type, Addr line_addr, LineState granted,
     switch (type) {
       case RequestType::Upgrade:
       case RequestType::Dcbz:
-        if (CacheLine *line = l2_.peekMutable(line_addr)) {
+        if (CacheLine *line = l2_.lookup(line_addr)) {
             line->state = LineState::Modified;
-            if (CacheLine *l1line = l1d_.peekMutable(line_addr))
+            if (CacheLine *l1line = l1d_.lookup(line_addr))
                 l1line->state = LineState::Modified;
             break;
         }
@@ -446,7 +446,7 @@ Node::applyResponse(RequestType type, Addr line_addr, LineState granted,
 
       case RequestType::Dcbf:
       case RequestType::Dcbi:
-        if (const CacheLine *line = l2_.peek(line_addr)) {
+        if (const CacheLine *line = l2_.lookup(line_addr)) {
             const bool dirty = isDirty(line->state) &&
                                type == RequestType::Dcbf;
             dropLine(line_addr);
@@ -586,7 +586,7 @@ Node::fillL1(CpuOpKind kind, Addr addr, Tick now, Tick ready)
 {
     // The L2 line may already have been displaced (or invalidated) between
     // the fill and this completion; skip the L1 install to keep inclusion.
-    const CacheLine *l2line = l2_.peek(addr);
+    const CacheLine *l2line = l2_.lookup(addr);
     if (!l2line)
         return;
     Cache &l1 = (kind == CpuOpKind::Ifetch) ? l1i_ : l1d_;
@@ -598,7 +598,7 @@ Node::fillL1(CpuOpKind kind, Addr addr, Tick now, Tick ready)
                              l2line->state == LineState::Modified)
                                 ? LineState::Modified
                                 : LineState::Shared;
-    if (CacheLine *line = l1.peekMutable(addr)) {
+    if (CacheLine *line = l1.lookup(addr)) {
         if (state == LineState::Modified)
             line->state = LineState::Modified;
         if (ready > line->readyTick)
@@ -610,7 +610,7 @@ Node::fillL1(CpuOpKind kind, Addr addr, Tick now, Tick ready)
     l1.fill(addr, state, now, ready, evicted);
     if (evicted.valid && isDirty(evicted.state)) {
         // Fold the dirty L1 line back into the (inclusive) L2.
-        if (CacheLine *l2line = l2_.peekMutable(evicted.lineAddr))
+        if (CacheLine *l2line = l2_.lookup(evicted.lineAddr))
             l2line->state = LineState::Modified;
     }
 }
@@ -642,11 +642,11 @@ Node::flushRegion(Addr region_addr, std::uint64_t region_bytes,
 {
     // Collect the region's lines first: invalidation mutates the array.
     flushScratch_.clear();
-    l2_.array().forEachLineInRegion(region_addr, region_bytes,
-                                    [this](CacheLine &line) {
-                                        flushScratch_.emplace_back(
-                                            line.lineAddr, line.state);
-                                    });
+    l2_.array().forEachInRange(region_addr, region_bytes,
+                               [this](const CacheLine &line) {
+                                   flushScratch_.emplace_back(line.lineAddr,
+                                                              line.state);
+                               });
     for (const auto &[addr, state] : flushScratch_) {
         l1d_.invalidateLine(addr);
         l1i_.invalidateLine(addr);
@@ -663,8 +663,6 @@ Node::flushRegion(Addr region_addr, std::uint64_t region_bytes,
                             /*is_prefetch=*/false);
         }
     }
-    if (checker_)
-        checker_->onTransition(region_addr, "region_flush");
 }
 
 void
@@ -673,7 +671,7 @@ Node::maybePrefetch(Addr line_addr, bool is_store, bool was_miss, Tick now)
     prefetchScratch_.clear();
     prefetcher_.observe(line_addr, is_store, was_miss, prefetchScratch_);
     for (const PrefetchCandidate &c : prefetchScratch_) {
-        if (l2_.peek(c.lineAddr) || mshr_.contains(c.lineAddr))
+        if (l2_.lookup(c.lineAddr) || mshr_.contains(c.lineAddr))
             continue;
         // Keep headroom for demand misses.
         if (mshr_.inFlight() + 2 >= mshr_.capacity())
@@ -701,7 +699,7 @@ Node::releaseMshr(Addr line_addr)
     while (!mshr_.full() && pendingPool_.pop(pendingMisses_, p)) {
         const Tick now = eq_.now();
         // The world may have changed while the miss was queued.
-        if (CacheLine *line = l2_.peekMutable(p.lineAddr)) {
+        if (CacheLine *line = l2_.lookup(p.lineAddr)) {
             const bool store_like = wantsExclusive(p.type);
             if (!store_like || isWritable(line->state)) {
                 if (store_like)
@@ -744,7 +742,7 @@ Node::snoopLine(const SystemRequest &req)
         l2TagBusy_ = std::max(l2TagBusy_, eq_.now()) +
                      config_.interconnect.snoopTagOccupancy;
     }
-    CacheLine *line = l2_.peekMutable(req.lineAddr);
+    CacheLine *line = l2_.lookup(req.lineAddr);
     const LineSnoopOutcome out =
         applyLineSnoop(line ? line->state : LineState::Invalid,
                        snoopKindOf(req.type));
@@ -754,7 +752,7 @@ Node::snoopLine(const SystemRequest &req)
         } else {
             line->state = out.next;
             // The L1 keeps at most a shared copy after any snoop hit.
-            if (CacheLine *l1line = l1d_.peekMutable(req.lineAddr))
+            if (CacheLine *l1line = l1d_.lookup(req.lineAddr))
                 l1line->state = LineState::Shared;
         }
     }
@@ -852,9 +850,9 @@ Node::warmRequest(RequestType type, Addr line_addr, Tick now,
 }
 
 LineState
-Node::peekLine(Addr addr) const
+Node::peekLine(Addr addr)
 {
-    const CacheLine *line = l2_.peek(addr);
+    const CacheLine *line = l2_.lookup(addr);
     return line ? line->state : LineState::Invalid;
 }
 

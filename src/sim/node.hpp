@@ -101,8 +101,9 @@ class Node : public SnoopClient
                                 bool requester_gets_exclusive,
                                 Tick now) override;
 
-    /** Side-effect-free L2 state probe (oracle, tests). */
-    LineState peekLine(Addr addr) const;
+    /** L2 state probe without statistics or LRU (oracle, tests); a hit
+     *  still becomes its set's MRU way. */
+    LineState peekLine(Addr addr);
 
     /**
      * Functional warming (docs/SAMPLING.md): perform one processor

@@ -117,6 +117,18 @@ System::System(const SystemConfig &config, OpSource &source,
         });
         for (auto &node : nodes_)
             node->setInvariantChecker(checker_.get());
+        // A region eviction flushes every core sharing the tracker, one
+        // flush handler each; the region is consistent only after the
+        // last of them, so the check is one more handler after those.
+        std::unordered_set<RegionTracker *> trackers;
+        for (auto &node : nodes_) {
+            RegionTracker *tracker = node->tracker();
+            if (tracker && trackers.insert(tracker).second)
+                tracker->setFlushHandler(
+                    [this](Addr region, std::uint64_t, MemCtrlId) {
+                        checker_->onTransition(region, "region_flush");
+                    });
+        }
     }
 }
 
@@ -195,7 +207,10 @@ System::transfer(Archive &ar)
         ar.section("node" + id, [&] { nodes_[i]->transfer(ar); });
         RegionTracker *tracker = nodes_[i]->tracker();
         if (tracker && seen.insert(tracker).second)
-            ar.section("tracker" + id, [&] { tracker->transfer(ar); });
+            ar.section("tracker" + id, [&] {
+                tracker->transfer(ar,
+                                  static_cast<unsigned>(memCtrls_.size()));
+            });
     }
 }
 

@@ -383,10 +383,10 @@ drainLoop(const SystemConfig &config, Run &run, const RunOptions &opts,
 RunResult
 simulateCheckpointed(const SystemConfig &config,
                      const WorkloadProfile &profile, const RunOptions &opts,
-                     const CheckpointOptions &ckpt)
+                     const CheckpointOptions &ckpt, std::ostream *stats_out)
 {
     GeneratedRun run(config, profile, opts);
-    return drainLoop(config, run, opts, ckpt, nullptr);
+    return drainLoop(config, run, opts, ckpt, stats_out);
 }
 
 RunResult

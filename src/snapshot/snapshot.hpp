@@ -91,13 +91,14 @@ std::uint64_t snapshotFingerprint(const SystemConfig &config,
  * barrier arrival) that another lane is blocked on, the event queue
  * runs dry with cores still waiting. The drain loop fatal()s with the
  * pause point and guidance instead of producing a corrupt snapshot.
- * For a replay, @p stats_out, when non-null, receives the full
- * component statistics (the CLI's --stats).
+ * @p stats_out, when non-null, receives the full component statistics
+ * (the CLI's --stats).
  */
 RunResult simulateCheckpointed(const SystemConfig &config,
                                const WorkloadProfile &profile,
                                const RunOptions &opts,
-                               const CheckpointOptions &ckpt);
+                               const CheckpointOptions &ckpt,
+                               std::ostream *stats_out = nullptr);
 RunResult simulateCheckpointed(const SystemConfig &config,
                                const std::string &trace_path,
                                const RunOptions &opts,

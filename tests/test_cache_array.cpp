@@ -1,31 +1,35 @@
 /**
  * @file
- * Tests for the set-associative cache array: lookup, allocation, LRU
- * victim selection, invalidation, and region iteration.
+ * Tests for the set-associative array (common/set_assoc_array.hpp) as
+ * the cache line array: lookup, allocation, LRU victim selection,
+ * invalidation, region iteration, and a side-effect-free peek; plus an
+ * entry type with no state of its own, as RegionScout's NSRT uses.
  */
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
-#include "cache/cache_array.hpp"
+#include "cache/cache.hpp"
+#include "snapshot/serializer.hpp"
 
 namespace cgct {
 namespace {
 
 TEST(CacheArray, FindMissesWhenEmpty)
 {
-    CacheArray arr(16, 2, 64);
+    CacheArray arr("cache", 16, 2, 64);
     EXPECT_EQ(arr.find(0x1000), nullptr);
 }
 
 TEST(CacheArray, AllocateThenFind)
 {
-    CacheArray arr(16, 2, 64);
-    Eviction ev;
+    CacheArray arr("cache", 16, 2, 64);
+    std::optional<CacheLine> ev;
     CacheLine *line = arr.allocate(0x1234, ev);
     line->state = LineState::Shared;
-    EXPECT_FALSE(ev.valid);
+    EXPECT_FALSE(ev);
     EXPECT_EQ(line->lineAddr, 0x1200u);
     // Any address within the line finds it.
     EXPECT_EQ(arr.find(0x1200), line);
@@ -35,8 +39,8 @@ TEST(CacheArray, AllocateThenFind)
 
 TEST(CacheArray, LruEviction)
 {
-    CacheArray arr(1, 2, 64); // One set, two ways.
-    Eviction ev;
+    CacheArray arr("cache", 1, 2, 64); // One set, two ways.
+    std::optional<CacheLine> ev;
     CacheLine *a = arr.allocate(0x0000, ev);
     a->state = LineState::Shared;
     a->lastUse = 10;
@@ -46,9 +50,9 @@ TEST(CacheArray, LruEviction)
     // Set is full; the LRU (a) is evicted.
     CacheLine *c = arr.allocate(0x2000, ev);
     c->state = LineState::Exclusive;
-    EXPECT_TRUE(ev.valid);
-    EXPECT_EQ(ev.lineAddr, 0x0000u);
-    EXPECT_EQ(ev.state, LineState::Shared);
+    ASSERT_TRUE(ev);
+    EXPECT_EQ(ev->lineAddr, 0x0000u);
+    EXPECT_EQ(ev->state, LineState::Shared);
     EXPECT_EQ(arr.find(0x0000), nullptr);
     EXPECT_NE(arr.find(0x1000), nullptr);
     EXPECT_NE(arr.find(0x2000), nullptr);
@@ -56,34 +60,34 @@ TEST(CacheArray, LruEviction)
 
 TEST(CacheArray, PrefersInvalidFrames)
 {
-    CacheArray arr(1, 4, 64);
-    Eviction ev;
+    CacheArray arr("cache", 1, 4, 64);
+    std::optional<CacheLine> ev;
     arr.allocate(0x0000, ev)->state = LineState::Shared;
     arr.allocate(0x1000, ev)->state = LineState::Shared;
     // Two frames remain invalid; no eviction happens.
     arr.allocate(0x2000, ev)->state = LineState::Shared;
-    EXPECT_FALSE(ev.valid);
+    EXPECT_FALSE(ev);
 }
 
 TEST(CacheArray, InvalidateReturnsPriorState)
 {
-    CacheArray arr(16, 2, 64);
-    Eviction ev;
+    CacheArray arr("cache", 16, 2, 64);
+    std::optional<CacheLine> ev;
     arr.allocate(0x40, ev)->state = LineState::Owned;
-    EXPECT_EQ(arr.invalidate(0x40), LineState::Owned);
+    EXPECT_EQ(arr.invalidate(0x40)->state, LineState::Owned);
     EXPECT_EQ(arr.find(0x40), nullptr);
-    EXPECT_EQ(arr.invalidate(0x40), LineState::Invalid);
+    EXPECT_FALSE(arr.invalidate(0x40));
 }
 
 TEST(CacheArray, RegionIteration)
 {
-    CacheArray arr(64, 4, 64);
-    Eviction ev;
+    CacheArray arr("cache", 64, 4, 64);
+    std::optional<CacheLine> ev;
     // Three lines inside the 512-byte region at 0x1000, one outside.
     for (Addr a : {0x1000ULL, 0x1040ULL, 0x11C0ULL, 0x1200ULL})
         arr.allocate(a, ev)->state = LineState::Shared;
     std::vector<Addr> found;
-    arr.forEachLineInRegion(0x1000, 512, [&found](CacheLine &line) {
+    arr.forEachInRange(0x1000, 512, [&found](const CacheLine &line) {
         found.push_back(line.lineAddr);
     });
     EXPECT_EQ(found, (std::vector<Addr>{0x1000, 0x1040, 0x11C0}));
@@ -91,8 +95,8 @@ TEST(CacheArray, RegionIteration)
 
 TEST(CacheArray, CountValidAndReset)
 {
-    CacheArray arr(16, 2, 64);
-    Eviction ev;
+    CacheArray arr("cache", 16, 2, 64);
+    std::optional<CacheLine> ev;
     arr.allocate(0x0000, ev)->state = LineState::Shared;
     arr.allocate(0x4000, ev)->state = LineState::Modified;
     EXPECT_EQ(arr.countValid(), 2u);
@@ -102,31 +106,79 @@ TEST(CacheArray, CountValidAndReset)
 
 TEST(CacheArray, SetIndexingSeparatesSets)
 {
-    CacheArray arr(16, 1, 64); // Direct-mapped, 16 sets.
-    Eviction ev;
+    CacheArray arr("cache", 16, 1, 64); // Direct-mapped, 16 sets.
+    std::optional<CacheLine> ev;
     // These two addresses map to different sets: no conflict.
     arr.allocate(0x0000, ev)->state = LineState::Shared;
     arr.allocate(0x0040, ev)->state = LineState::Shared;
-    EXPECT_FALSE(ev.valid);
+    EXPECT_FALSE(ev);
     // Same set (16 sets * 64 B = 1 KB stride): conflict.
     arr.allocate(0x0400, ev)->state = LineState::Shared;
-    EXPECT_TRUE(ev.valid);
-    EXPECT_EQ(ev.lineAddr, 0x0000u);
+    ASSERT_TRUE(ev);
+    EXPECT_EQ(ev->lineAddr, 0x0000u);
+}
+
+/** The array's checkpoint bytes without the entries: tags, occupancy,
+ *  MRU way hints and the valid count. */
+std::vector<std::uint8_t>
+indexBytes(CacheArray &arr)
+{
+    Serializer s;
+    Archive ar(s);
+    arr.transfer(ar, [](CacheLine &) {});
+    return s.buffer();
+}
+
+TEST(CacheArray, PeekLeavesTheMruHintAlone)
+{
+    CacheArray arr("cache", 1, 2, 64);
+    std::optional<CacheLine> ev;
+    arr.allocate(0x0000, ev)->state = LineState::Shared;
+    arr.allocate(0x1000, ev)->state = LineState::Shared; // The MRU way.
+    const std::vector<std::uint8_t> before = indexBytes(arr);
+    ASSERT_NE(arr.peek(0x0000), nullptr);
+    EXPECT_EQ(indexBytes(arr), before);
+    ASSERT_NE(arr.find(0x0000), nullptr);
+    EXPECT_NE(indexBytes(arr), before) << "a find hit becomes the MRU way";
+}
+
+/** An entry with no state: valid exactly while its tag is resident. */
+struct Tagged {
+    Addr addr = 0;
+    Tick lastUse = 0;
+};
+
+TEST(SetAssocArray, StatelessEntryIsValidWhileResident)
+{
+    SetAssocArray<Tagged, &Tagged::addr> arr("table", 1, 2, 512);
+    std::optional<Tagged> ev;
+    arr.allocate(0x1234, ev)->lastUse = 5;
+    EXPECT_FALSE(ev);
+    ASSERT_NE(arr.peek(0x1200), nullptr);
+    EXPECT_EQ(arr.peek(0x1200)->addr, 0x1200u);
+    arr.allocate(0x2000, ev)->lastUse = 3;
+    // The set is full: the LRU entry goes.
+    arr.allocate(0x4000, ev);
+    ASSERT_TRUE(ev);
+    EXPECT_EQ(ev->addr, 0x2000u);
+    EXPECT_TRUE(arr.invalidate(0x1200));
+    EXPECT_FALSE(arr.invalidate(0x1200));
+    EXPECT_EQ(arr.countValid(), 1u);
 }
 
 TEST(CacheArrayDeath, DoubleAllocatePanics)
 {
-    CacheArray arr(16, 2, 64);
-    Eviction ev;
+    CacheArray arr("cache", 16, 2, 64);
+    std::optional<CacheLine> ev;
     arr.allocate(0x80, ev)->state = LineState::Shared;
     EXPECT_DEATH(arr.allocate(0x80, ev), "already present");
 }
 
 TEST(CacheArrayDeath, BadGeometryPanics)
 {
-    EXPECT_DEATH(CacheArray(15, 2, 64), "power of two");
-    EXPECT_DEATH(CacheArray(16, 2, 48), "power of two");
-    EXPECT_DEATH(CacheArray(16, 0, 64), "associativity");
+    EXPECT_DEATH(CacheArray("cache", 15, 2, 64), "power of two");
+    EXPECT_DEATH(CacheArray("cache", 16, 2, 48), "power of two");
+    EXPECT_DEATH(CacheArray("cache", 16, 0, 64), "associativity");
 }
 
 /** Property sweep: fill an array well past capacity; structure holds. */
@@ -138,8 +190,8 @@ class CacheArrayFillSweep
 TEST_P(CacheArrayFillSweep, NeverExceedsCapacityAndFindsResidents)
 {
     const auto [sets, ways] = GetParam();
-    CacheArray arr(sets, ways, 64);
-    Eviction ev;
+    CacheArray arr("cache", sets, ways, 64);
+    std::optional<CacheLine> ev;
     const std::uint64_t capacity =
         static_cast<std::uint64_t>(sets) * static_cast<std::uint64_t>(ways);
     for (Addr a = 0; a < capacity * 4 * 64; a += 64) {

@@ -113,7 +113,7 @@ class CoherenceFuzz
         std::map<Addr, int> valid;
         std::map<Addr, bool> has_exclusive;
         for (auto &n : nodes_) {
-            n->l2().array().forEachValidLine([&](const CacheLine &line) {
+            n->l2().array().forEachValid([&](const CacheLine &line) {
                 ++valid[line.lineAddr];
                 if (isDirty(line.state) ||
                     line.state == LineState::Exclusive)

@@ -28,11 +28,12 @@
 #include <filesystem>
 #include <malloc.h>
 #include <new>
+#include <optional>
 #include <string>
 #include <vector>
 #include <unistd.h>
 
-#include "cache/cache_array.hpp"
+#include "cache/cache.hpp"
 #include "cache/mshr.hpp"
 #include "common/addr_table.hpp"
 #include "common/inline_function.hpp"
@@ -323,9 +324,9 @@ TEST(HotpathAllocsTest, CacheHitLoopIsAllocationFree)
 {
     // L2-like geometry, fully resident: every probe hits, alternating the
     // MRU fast path with a full tag scan.
-    CacheArray array(1024, 8, 64);
+    CacheArray array("cache", 1024, 8, 64);
     constexpr std::uint64_t kLines = 1024 * 8;
-    Eviction ev;
+    std::optional<CacheLine> ev;
     for (std::uint64_t i = 0; i < kLines; ++i)
         array.allocate(i * 64, ev)->state = LineState::Shared;
 
@@ -346,7 +347,7 @@ TEST(HotpathAllocsTest, CacheMixLoopIsAllocationFree)
 {
     // Lookups, allocations and invalidations over a working set 4x the
     // array: the LRU victim scan and the eviction report.
-    CacheArray array(512, 8, 64);
+    CacheArray array("cache", 512, 8, 64);
     constexpr std::uint64_t kWorkingSet = 512 * 8 * 4;
     Rng rng{0xFEEDFACE1234ull};
     std::uint64_t evictions = 0;
@@ -356,12 +357,12 @@ TEST(HotpathAllocsTest, CacheMixLoopIsAllocationFree)
                       if (CacheLine *line = array.find(addr)) {
                           array.touch(*line, i);
                       } else if ((i & 3) == 0) {
-                          Eviction ev;
+                          std::optional<CacheLine> ev;
                           CacheLine *fill = array.allocate(addr, ev);
                           fill->state = (i & 8) ? LineState::Modified
                                                 : LineState::Shared;
                           fill->lastUse = i;
-                          evictions += ev.valid;
+                          evictions += ev.has_value();
                       } else if ((i & 63) == 1) {
                           array.invalidate(addr - 64);
                       }

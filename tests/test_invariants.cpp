@@ -68,7 +68,7 @@ class InvariantFixture : public ::testing::Test
     {
         Addr best = 0;
         bool found = false;
-        ctrl.rca().forEachValidEntry([&](const RegionEntry &e) {
+        ctrl.rca().forEachValid([&](const RegionEntry &e) {
             if (!found || e.lineCount > 0) {
                 best = e.regionAddr;
                 found = found || e.lineCount > 0;
@@ -113,7 +113,7 @@ TEST_F(InvariantFixture, DetectsDroppedEntry)
     // Find a region whose lines are actually cached, then drop its RCA
     // entry: RCA/L2 inclusion (invariant E) is now broken.
     Addr region = 0;
-    ctrl.rca().forEachValidEntry([&](const RegionEntry &e) {
+    ctrl.rca().forEachValid([&](const RegionEntry &e) {
         if (region == 0 && e.lineCount > 0)
             region = e.regionAddr;
     });
@@ -135,9 +135,9 @@ TEST_F(InvariantFixture, DetectsStaleExclusiveState)
     for (unsigned other = 1; other < sys_->numCpus() && region == 0;
          ++other) {
         CgctController &co = controller(other);
-        co.rca().forEachValidEntry([&](const RegionEntry &e) {
+        co.rca().forEachValid([&](const RegionEntry &e) {
             if (region == 0 && e.lineCount > 0 &&
-                c0.rca().peekEntry(e.regionAddr) != nullptr)
+                c0.rca().peek(e.regionAddr) != nullptr)
                 region = e.regionAddr;
         });
     }
@@ -161,7 +161,7 @@ TEST_F(InvariantFixture, DetectsL1LineMissingFromL2)
     Node &node = sys_->node(0);
     Addr line = 0;
     bool found = false;
-    node.l1d().array().forEachValidLine([&](const CacheLine &l) {
+    node.l1d().array().forEachValid([&](const CacheLine &l) {
         if (!found) {
             line = l.lineAddr;
             found = true;

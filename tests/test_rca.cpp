@@ -29,7 +29,7 @@ TEST(Rca, FindAndAllocate)
 TEST(Rca, RegionAlign)
 {
     RegionCoherenceArray rca(16, 2, 256, true);
-    EXPECT_EQ(rca.regionAlign(0x12345), 0x12300u);
+    EXPECT_EQ(rca.align(0x12345), 0x12300u);
 }
 
 TEST(Rca, ReplacementFavorsEmptyRegions)

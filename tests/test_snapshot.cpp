@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "cache/cache_array.hpp"
+#include "cache/cache.hpp"
 #include "cache/mshr.hpp"
 #include "common/config.hpp"
 #include "common/random.hpp"
@@ -538,19 +538,20 @@ TEST(SnapshotDecoderDeath, CraftedJournalCountExitsCleanly)
     std::remove(path.c_str());
 }
 
-/** Save @p from raw, let @p patch edit the bytes, load them into @p to. */
-template <class T, class Patch>
+/** Save @p from raw, let @p patch edit the bytes, load them into @p to;
+ *  @p args follow the archive in each transfer() call. */
+template <class T, class Patch, class... Args>
 void
-reload(T &from, T &to, Patch patch)
+reload(T &from, T &to, Patch patch, Args... args)
 {
     Serializer s;
     Archive save(s);
-    from.transfer(save);
+    from.transfer(save, args...);
     std::vector<std::uint8_t> bytes = s.buffer();
     patch(bytes);
     SectionReader r(bytes.data(), bytes.data() + bytes.size(), "patched");
     Archive load(r);
-    to.transfer(load);
+    to.transfer(load, args...);
 }
 
 TEST(SnapshotDecoderDeath, MshrSlotsMustBeDistinctAndInRange)
@@ -568,10 +569,16 @@ TEST(SnapshotDecoderDeath, MshrSlotsMustBeDistinctAndInRange)
                 "patched: MSHR free slot 3 listed twice");
 }
 
+/** A 4-set, 2-way cache of 64 B lines. */
+const CacheParams kFourSetCache{4 * 2 * 64, 2, 64, 1};
+
+/** The memory-controller count the RCA cases load against. */
+constexpr unsigned kMemCtrls = 4;
+
 TEST(SnapshotDecoderDeath, CacheMruHintAndOccupancyStayInsideTheSet)
 {
-    CacheArray saved(4, 2, 64);
-    CacheArray loaded(4, 2, 64);
+    Cache saved("l2", kFourSetCache);
+    Cache loaded("l2", kFourSetCache);
     // Layout: sets u64, ways u32, line bytes u32, 8 tags, 4 occupancy
     // masks, then 4 one-byte MRU hints.
     const std::size_t occupancy = 16 + 8 * 8;
@@ -600,15 +607,16 @@ TEST(SnapshotDecoderDeath, RcaMruHintStaysInsideTheSet)
     EXPECT_EXIT(reload(saved, loaded,
                        [&](std::vector<std::uint8_t> &b) {
                            b[hints + 3] = 64;
-                       }),
+                       },
+                       kMemCtrls),
                 ::testing::ExitedWithCode(1),
                 "patched: MRU way hint 64 out of range \\(bound 2\\)");
 }
 
 TEST(SnapshotDecoderDeath, CacheLineStateIsALineState)
 {
-    CacheArray saved(4, 2, 64);
-    CacheArray loaded(4, 2, 64);
+    Cache saved("l2", kFourSetCache);
+    Cache loaded("l2", kFourSetCache);
     // Layout: 16 geometry bytes, 8 tags, 4 masks, 4 hints, then frame 0:
     // line address u64 and the state byte.
     const std::size_t state = 16 + 8 * 8 + 4 * 8 + 4 + 8;
@@ -630,9 +638,36 @@ TEST(SnapshotDecoderDeath, RegionStateIsARegionState)
     EXPECT_EXIT(reload(saved, loaded,
                        [&](std::vector<std::uint8_t> &b) {
                            b[state] = 0xFF;
-                       }),
+                       },
+                       kMemCtrls),
                 ::testing::ExitedWithCode(1),
                 "patched: region state 255 out of range \\(bound 7\\)");
+}
+
+TEST(SnapshotDecoderDeath, RcaMemCtrlIsAController)
+{
+    RegionCoherenceArray saved(4, 2, 512, true);
+    RegionCoherenceArray loaded(4, 2, 512, true);
+    // Layout: 20 geometry bytes, 8 tags, 4 masks, 4 hints, then entry 0:
+    // region address u64, state byte, line count u32 and the memory
+    // controller u64 (all ones for none).
+    const std::size_t mc = 20 + 8 * 8 + 4 * 8 + 4 + 8 + 1 + 4;
+    const auto store = [mc](std::uint64_t v) {
+        return [mc, v](std::vector<std::uint8_t> &b) {
+            std::memcpy(&b[mc], &v, sizeof v);
+        };
+    };
+    EXPECT_EXIT(reload(saved, loaded, store(kMemCtrls), kMemCtrls),
+                ::testing::ExitedWithCode(1),
+                "patched: RCA memory controller 4 out of range "
+                "\\(bound 4\\)");
+    EXPECT_EXIT(reload(saved, loaded, store(~std::uint64_t{1}), kMemCtrls),
+                ::testing::ExitedWithCode(1),
+                "patched: RCA memory controller 18446744073709551614 out of "
+                "range");
+    // The last controller, and none at all, both load.
+    reload(saved, loaded, store(kMemCtrls - 1), kMemCtrls);
+    reload(saved, loaded, store(~std::uint64_t{0}), kMemCtrls);
 }
 
 TEST(SweepFingerprintTest, TracksSpecDefinition)

@@ -67,7 +67,7 @@ TEST_P(SystemSweep, InvariantsHoldAfterRealWorkload)
     std::map<Addr, int> writable_holders;
     std::map<Addr, int> valid_holders;
     for (unsigned i = 0; i < sys.numCpus(); ++i) {
-        sys.node(i).l2().array().forEachValidLine(
+        sys.node(i).l2().array().forEachValid(
             [&](const CacheLine &line) {
                 ++valid_holders[line.lineAddr];
                 if (isWritable(line.state) ||
@@ -161,7 +161,7 @@ TEST(SystemIntegration, ThreeStateProtocolRuns)
         // Only the three permitted states may appear.
         if (auto *cgct_ctrl = dynamic_cast<CgctController *>(
                 sys.node(i).tracker())) {
-            cgct_ctrl->rca().forEachValidEntry(
+            cgct_ctrl->rca().forEachValid(
                 [](const RegionEntry &e) {
                     EXPECT_TRUE(e.state == RegionState::DirtyInvalid ||
                                 e.state == RegionState::DirtyDirty)

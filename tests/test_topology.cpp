@@ -403,9 +403,9 @@ TEST(TopologyPin, Hier16TpcwTrafficRatios)
 // descriptions, beyond what a RunResult carries.
 
 /**
- * Run @p config on the pin's tpc-w stream as simulateOnce does, put the
- * RunResult in @p result and @return the FNV-1a-64 of the dumpStats
- * text.
+ * Run @p config on the pin's tpc-w stream through the harness `cgct_sim
+ * --stats` uses, put the RunResult in @p result and @return the
+ * FNV-1a-64 of the dumpStats text.
  */
 std::uint64_t
 dumpStatsDigest(const SystemConfig &config, RunResult &result)
@@ -414,21 +414,9 @@ dumpStatsDigest(const SystemConfig &config, RunResult &result)
     opts.opsPerCpu = kPinOps;
     opts.warmupOps = kPinOps / 5;
     opts.seed = 20050609;
-    SyntheticWorkload workload(benchmarkByName("tpc-w"),
-                               config.topology.numCpus, opts.opsPerCpu,
-                               opts.seed);
-    System sys(config, workload);
-    Tick measure_start = 0;
-    const unsigned blocked = runPhase(sys, false, opts.maxEvents, [&] {
-        scheduleWarmupCheck(
-            sys, [&workload] { return workload.minOpsDrawn(); },
-            opts.warmupOps, &measure_start);
-    });
-    EXPECT_EQ(blocked, 0u);
-    result = collectRunResult(sys, "tpc-w", opts.seed, measure_start);
-
     std::ostringstream os;
-    sys.dumpStats(os);
+    result = simulateCheckpointed(config, benchmarkByName("tpc-w"), opts,
+                                  {}, &os);
     const std::string text = os.str();
     const std::uint64_t digest = fnv1a(
         reinterpret_cast<const std::uint8_t *>(text.data()), text.size());
@@ -502,7 +490,7 @@ class TopologyInvariants : public ::testing::Test
             if (!ctrl)
                 continue;
             Addr region = 0;
-            ctrl->rca().forEachValidEntry([&](const RegionEntry &e) {
+            ctrl->rca().forEachValid([&](const RegionEntry &e) {
                 if (region == 0 && e.lineCount > 0)
                     region = e.regionAddr;
             });

@@ -84,7 +84,7 @@ LineSet
 linesOf(const Cache &cache)
 {
     LineSet out;
-    cache.array().forEachValidLine([&out](const CacheLine &line) {
+    cache.array().forEachValid([&out](const CacheLine &line) {
         out.emplace_back(line.lineAddr, static_cast<int>(line.state));
     });
     std::sort(out.begin(), out.end());
@@ -100,7 +100,7 @@ regionsOf(const Node &node)
     const auto *ctrl = dynamic_cast<const CgctController *>(node.tracker());
     if (!ctrl)
         return out;
-    ctrl->rca().forEachValidEntry([&out](const RegionEntry &e) {
+    ctrl->rca().forEachValid([&out](const RegionEntry &e) {
         out.emplace_back(e.regionAddr, static_cast<int>(e.state),
                          e.lineCount);
     });

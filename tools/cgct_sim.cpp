@@ -316,6 +316,12 @@ main(int argc, char **argv)
     const bool checkpointing =
         checkpoint_every || !checkpoint_path.empty() ||
         !restore_path.empty();
+    if (stats && replay_path.empty() && (seeds != 1 || sample)) {
+        std::fprintf(stderr, "cgct_sim: --stats dumps the statistics of "
+                             "one full-detail run, so it requires --seeds "
+                             "1 and no --sample\n");
+        return 1;
+    }
     if (sample) {
         if (!replay_path.empty() || checkpointing ||
             !capture_path.empty() || !trace_out.empty() || dma) {
@@ -355,13 +361,15 @@ main(int argc, char **argv)
 
     // Replays and generated single runs share one harness; the seed of a
     // generated run is the first link of the --seeds chain, so it is the
-    // same experiment as `--seeds 1`. A replay's stream is the trace's.
+    // same experiment as the first run of `--seeds N`. A replay's stream
+    // is the trace's.
     const CheckpointOptions ckpt{checkpoint_every, checkpoint_path,
                                  restore_path};
+    std::ostream *stats_out = stats ? &std::cout : nullptr;
     std::vector<RunResult> results;
     if (!replay_path.empty()) {
-        results.push_back(simulateCheckpointed(
-            config, replay_path, opts, ckpt, stats ? &std::cout : nullptr));
+        results.push_back(
+            simulateCheckpointed(config, replay_path, opts, ckpt, stats_out));
     } else if (sample) {
         opts.seed = nextSweepSeed(opts.seed);
         SamplingOptions sopts;
@@ -373,10 +381,10 @@ main(int argc, char **argv)
         sopts.maxWindows = max_windows;
         results.push_back(simulateSampled(
             config, benchmarkByName(benchmark), opts, sopts));
-    } else if (checkpointing) {
+    } else if (seeds == 1) {
         opts.seed = nextSweepSeed(opts.seed);
         results.push_back(simulateCheckpointed(
-            config, benchmarkByName(benchmark), opts, ckpt));
+            config, benchmarkByName(benchmark), opts, ckpt, stats_out));
     } else {
         results = simulateSeeds(config, benchmarkByName(benchmark), opts,
                                 static_cast<unsigned>(seeds),

@@ -32,6 +32,8 @@ struct CacheLine {
 
     bool valid() const { return isValid(state); }
 };
+static_assert(sizeof(CacheLine) == 32,
+              "a new CacheLine field grows every cache frame");
 
 /** A victim chosen by a fill, reported to the caller for write-back. */
 struct Eviction {

@@ -1,5 +1,7 @@
 #include "common/config.hpp"
 
+#include <cstdint>
+#include <limits>
 #include <ostream>
 
 #include "common/log.hpp"
@@ -102,6 +104,13 @@ SystemConfig::validate() const
         topology.numCpus > 64)
         fatal("config: hier/dir topologies track presence in 64-bit "
               "processor masks; numCpus must be <= 64");
+    // An RCA entry holds its memory-controller id in a std::int16_t
+    // (core/rca.hpp); Table 2's storage model gives the id only 6 bits.
+    if (topology.numMemCtrls() >
+        static_cast<unsigned>(std::numeric_limits<std::int16_t>::max()))
+        fatal("config: %u memory controllers (one per chip) exceed the "
+              "RCA's 16-bit controller id",
+              topology.numMemCtrls());
 }
 
 SystemConfig

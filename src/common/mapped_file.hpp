@@ -1,9 +1,10 @@
 /**
  * @file
  * Read-only memory-mapped file. The trace frontend decodes multi-GB
- * captures through this: the kernel pages record bytes in on demand and
- * evicts them freely, so replay memory stays bounded no matter the
- * trace size (see docs/TRACE_FORMAT.md).
+ * captures through this: the kernel pages record bytes in on demand.
+ * Every page a replay touches stays mapped and counts toward its
+ * resident set; the pages are clean and file-backed, so the kernel can
+ * reclaim them under memory pressure (see docs/TRACE_FORMAT.md).
  */
 
 #pragma once

@@ -6,23 +6,28 @@
  * supplies only its entry type and, when it allocates, its victim
  * preference; the array holds everything else.
  *
- * Storage is split structure-of-arrays for lookup speed (the hot path of
- * every simulated memory access):
- *  - a packed per-set tag array (`addr >> blockShift`), scanned with a
- *    branch-free compare loop;
+ * Each frame's address is stored once, in its entry's `kAddr` member;
+ * lookups (the hot path of every simulated memory access) compare those
+ * addresses directly, so a hit touches one set's entries and nothing
+ * else. Beside the entries the array keeps:
  *  - a per-set occupancy bitmask (one bit per way), so empty sets cost
- *    one load and the compare loop needs no per-way valid branch;
+ *    one load and the branch-free compare loop needs no per-way valid
+ *    branch;
  *  - a per-set MRU way hint, so repeated hits to the same block skip the
- *    scan entirely;
- *  - a parallel entry array touched only on hit. Entry pointers stay
- *    valid until the frame is invalidated or reallocated.
+ *    scan entirely.
+ * Entry pointers stay valid until the frame is invalidated or
+ * reallocated.
  *
- * The occupancy bit tracks tag residency and is set by allocate(). An
+ * A cleared frame (invalidate(), reset()) keeps its last address: the
+ * checkpoint layout records every frame's last tag, occupied or not, and
+ * the occupancy bit alone says whether the frame holds its block.
+ *
+ * The occupancy bit tracks block residency and is set by allocate(). An
  * entry type with a `valid()` member (a coherence state) also has a
  * validity of its own, which the caller assigns right after allocate();
- * lookups confirm it on a tag match, so a frame inside that window reads
- * as a miss. An entry without `valid()` is valid while its tag is
- * resident. Every entry has a `Tick lastUse`, the LRU timestamp.
+ * lookups confirm it on an address match, so a frame inside that window
+ * reads as a miss. An entry without `valid()` is valid while its block
+ * is resident. Every entry has a `Tick lastUse`, the LRU timestamp.
  */
 
 #pragma once
@@ -66,7 +71,7 @@ class SetAssocArray
     SetAssocArray(const char *what, std::uint64_t sets, unsigned ways,
                   std::uint64_t block_bytes)
         : what_(what), sets_(sets), ways_(ways), shift_(log2i(block_bytes)),
-          tags_(sets * ways, 0), occupied_(sets, 0), mruWay_(sets, 0),
+          occupied_(sets, 0), mruWay_(sets, 0),
           entries_(sets * ways)
     {
         if (!isPowerOfTwo(sets))
@@ -94,18 +99,17 @@ class SetAssocArray
     Entry *
     find(Addr addr)
     {
-        const Addr tag = addr >> shift_;
-        const std::size_t set = setOf(tag);
+        const Addr block = align(addr);
+        const std::size_t set = setOf(block);
         const std::size_t base = set * ways_;
 
         // MRU fast path: a repeated hit to the same block skips the scan.
         const unsigned hint = mruWay_[set];
-        if (((occupied_[set] >> hint) & 1) && tags_[base + hint] == tag) {
-            Entry &e = entries_[base + hint];
+        Entry &e = entries_[base + hint];
+        if (((occupied_[set] >> hint) & 1) && e.*kAddr == block)
             return valid(e) ? &e : nullptr;
-        }
 
-        const unsigned w = scan(set, tag);
+        const unsigned w = scan(set, block);
         if (w == ways_)
             return nullptr;
         mruWay_[set] = static_cast<std::uint8_t>(w);
@@ -116,9 +120,9 @@ class SetAssocArray
     const Entry *
     peek(Addr addr) const
     {
-        const Addr tag = addr >> shift_;
-        const std::size_t set = setOf(tag);
-        const unsigned w = scan(set, tag);
+        const Addr block = align(addr);
+        const std::size_t set = setOf(block);
+        const unsigned w = scan(set, block);
         return w == ways_ ? nullptr : &entries_[set * ways_ + w];
     }
 
@@ -134,8 +138,8 @@ class SetAssocArray
     allocate(Addr addr, std::optional<Entry> &evicted, Prefer prefer = {})
     {
         evicted.reset();
-        const Addr tag = addr >> shift_;
-        const std::size_t set = setOf(tag);
+        const Addr block = align(addr);
+        const std::size_t set = setOf(block);
         const std::size_t base = set * ways_;
         const std::uint64_t occ = occupied_[set];
 
@@ -146,7 +150,7 @@ class SetAssocArray
                 break;
             }
             const Entry &e = entries_[base + w];
-            if (tags_[base + w] == tag && valid(e))
+            if (e.*kAddr == block && valid(e))
                 panic("%s: allocating an entry that is already present",
                       what_);
             if (victim == ways_ || prefer(e, entries_[base + victim]))
@@ -161,10 +165,9 @@ class SetAssocArray
             occupied_[set] |= std::uint64_t{1} << victim;
             ++numValid_;
         }
-        tags_[base + victim] = tag;
         mruWay_[set] = static_cast<std::uint8_t>(victim);
-        frame = Entry{};
-        frame.*kAddr = tag << shift_;
+        clear(frame);
+        frame.*kAddr = block;
         return &frame;
     }
 
@@ -173,14 +176,14 @@ class SetAssocArray
     std::optional<Entry>
     invalidate(Addr addr)
     {
-        const Addr tag = addr >> shift_;
-        const std::size_t set = setOf(tag);
-        const unsigned w = scan(set, tag);
+        const Addr block = align(addr);
+        const std::size_t set = setOf(block);
+        const unsigned w = scan(set, block);
         if (w == ways_)
             return std::nullopt;
         Entry &frame = entries_[set * ways_ + w];
         const Entry prior = frame;
-        frame = Entry{};
+        clear(frame);
         occupied_[set] &= ~(std::uint64_t{1} << w);
         --numValid_;
         return prior;
@@ -215,11 +218,12 @@ class SetAssocArray
     void
     forEachInRange(Addr base, std::uint64_t bytes, Fn &&fn) const
     {
-        const Addr first = base >> shift_;
-        const Addr end = first + ((bytes + blockBytes() - 1) >> shift_);
-        for (Addr tag = first; tag < end; ++tag) {
-            const std::size_t set = setOf(tag);
-            const unsigned w = scan(set, tag);
+        const Addr first = align(base);
+        const Addr blocks = (bytes + blockBytes() - 1) >> shift_;
+        for (Addr i = 0; i < blocks; ++i) {
+            const Addr block = first + (i << shift_);
+            const std::size_t set = setOf(block);
+            const unsigned w = scan(set, block);
             if (w != ways_)
                 fn(entries_[set * ways_ + w]);
         }
@@ -240,30 +244,41 @@ class SetAssocArray
         return numValid_;
     }
 
-    /** Invalidate everything (between simulation phases). */
+    /** Invalidate everything (between simulation phases). Each frame
+     *  keeps its last address. */
     void
     reset()
     {
-        std::fill(entries_.begin(), entries_.end(), Entry{});
+        for (Entry &e : entries_)
+            clear(e);
         std::fill(occupied_.begin(), occupied_.end(), 0);
         std::fill(mruWay_.begin(), mruWay_.end(), 0);
         numValid_ = 0;
     }
 
     /**
-     * Checkpoint layout: packed tags, occupancy masks, MRU way hints,
-     * every entry through @p entry(e), then the valid count. The owner
-     * states the geometry first. On load, no mask may name a way at or
-     * above ways() and every hint must be below it (lookups shift the
-     * mask by the hint and index the set with it). @p ar is the
-     * checkpoint Archive (snapshot/serializer.hpp).
+     * Checkpoint layout: every frame's last tag (`address >> shift`; a
+     * cleared frame keeps its own), occupancy masks, MRU way hints, every
+     * entry through @p entry(e), which sees an empty frame's address as
+     * 0, then the valid count. The owner states the geometry first. On load, a tag must survive `<< shift`,
+     * no mask may name a way at or above ways(), every hint must be below
+     * it (lookups shift the mask by the hint and index the set with it),
+     * and an entry's stored address must be 0 for an empty frame and its
+     * tag's address for an occupied one. @p ar is the checkpoint Archive
+     * (snapshot/serializer.hpp).
      */
     template <typename Ar, typename Fn>
     void
     transfer(Ar &ar, Fn &&entry)
     {
-        for (Addr &t : tags_)
-            ar.u64(t);
+        for (Entry &e : entries_) {
+            Addr tag = e.*kAddr >> shift_;
+            ar.u64(tag);
+            if (tag > ~Addr{0} >> shift_)
+                ar.fail("tag %016llx does not fit a %u-bit block number",
+                        static_cast<unsigned long long>(tag), 64 - shift_);
+            e.*kAddr = tag << shift_;
+        }
         const std::uint64_t beyond =
             ways_ < 64 ? ~std::uint64_t{0} << ways_ : 0;
         for (std::uint64_t &occ : occupied_) {
@@ -274,8 +289,22 @@ class SetAssocArray
         }
         for (std::uint8_t &hint : mruWay_)
             ar.index("MRU way hint", hint, ways_);
-        for (Entry &e : entries_)
-            entry(e);
+        for (std::size_t set = 0; set < sets_; ++set) {
+            for (unsigned w = 0; w < ways_; ++w) {
+                Entry &e = entries_[set * ways_ + w];
+                const Addr last = e.*kAddr;
+                const Addr stored = (occupied_[set] >> w) & 1 ? last : 0;
+                e.*kAddr = stored;
+                entry(e);
+                if (e.*kAddr != stored)
+                    ar.fail("way %u of set %zu stores address %016llx, "
+                            "not %016llx",
+                            w, set,
+                            static_cast<unsigned long long>(e.*kAddr),
+                            static_cast<unsigned long long>(stored));
+                e.*kAddr = last;
+            }
+        }
         ar.u64(numValid_);
     }
 
@@ -289,16 +318,26 @@ class SetAssocArray
             return true;
     }
 
-    std::size_t
-    setOf(Addr tag) const
+    /** Reset @p e to Entry{}, keeping its address. */
+    static void
+    clear(Entry &e)
     {
-        return static_cast<std::size_t>(tag & (sets_ - 1));
+        const Addr last = e.*kAddr;
+        e = Entry{};
+        e.*kAddr = last;
     }
 
-    /** The first occupied way of @p set tagged @p tag if its entry is
+    /** The set of the block at aligned address @p block. */
+    std::size_t
+    setOf(Addr block) const
+    {
+        return static_cast<std::size_t>((block >> shift_) & (sets_ - 1));
+    }
+
+    /** The first occupied way of @p set holding @p block if its entry is
      *  valid, else ways_. */
     unsigned
-    scan(std::size_t set, Addr tag) const
+    scan(std::size_t set, Addr block) const
     {
         const std::uint64_t occ = occupied_[set];
         if (!occ)
@@ -306,7 +345,9 @@ class SetAssocArray
         const std::size_t base = set * ways_;
         std::uint64_t match = 0;
         for (unsigned w = 0; w < ways_; ++w)
-            match |= static_cast<std::uint64_t>(tags_[base + w] == tag) << w;
+            match |= static_cast<std::uint64_t>(
+                         entries_[base + w].*kAddr == block)
+                     << w;
         match &= occ;
         if (!match)
             return ways_;
@@ -318,13 +359,11 @@ class SetAssocArray
     std::uint64_t sets_;
     unsigned ways_;
     unsigned shift_;
-    /** Packed tags (`addr >> shift_`), set-major, way-minor. */
-    std::vector<Addr> tags_;
-    /** Per-set tag-occupancy bitmask (bit w = way w holds a tag). */
+    /** Per-set occupancy bitmask (bit w = way w holds its block). */
     std::vector<std::uint64_t> occupied_;
     /** Per-set most-recently-hit way hint. */
     std::vector<std::uint8_t> mruWay_;
-    /** Entry metadata, parallel to tags_; touched only on hit. */
+    /** The frames, set-major, way-minor; each holds its own address. */
     std::vector<Entry> entries_;
     /** Occupied-frame count, maintained incrementally. */
     std::uint64_t numValid_ = 0;

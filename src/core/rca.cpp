@@ -75,7 +75,7 @@ RegionCoherenceArray::transfer(Archive &ar, unsigned mem_ctrls)
             mc >= mem_ctrls)
             ar.fail("RCA memory controller %llu out of range (bound %u)",
                     static_cast<unsigned long long>(mc), mem_ctrls);
-        e.memCtrl = static_cast<MemCtrlId>(mc);
+        e.memCtrl = static_cast<std::int16_t>(mc);
         ar.u64(e.lastUse);
         ar.u64(e.allocTick);
     });

@@ -33,17 +33,24 @@ namespace cgct {
 class TraceSink;
 class Archive;
 
-/** One RCA entry. */
+/**
+ * One RCA entry, packed into 32 bytes: the frame cost of every RCA way
+ * (8192 sets x 2 ways per processor in Table 3). The memory-controller id
+ * is 16 bits wide; the storage model gives it 6 (Table 2), and config
+ * validation rejects a controller count that does not fit.
+ */
 struct RegionEntry {
     Addr regionAddr = 0;                    ///< Region-aligned address.
-    RegionState state = RegionState::Invalid;
-    std::uint32_t lineCount = 0;            ///< Lines cached locally.
-    MemCtrlId memCtrl = kInvalidMemCtrl;    ///< Owning memory controller.
     Tick lastUse = 0;
     Tick allocTick = 0;                     ///< When the entry was filled.
+    std::uint32_t lineCount = 0;            ///< Lines cached locally.
+    std::int16_t memCtrl = kInvalidMemCtrl; ///< Owning memory controller.
+    RegionState state = RegionState::Invalid;
 
     bool valid() const { return state != RegionState::Invalid; }
 };
+static_assert(sizeof(RegionEntry) == 32,
+              "a new RegionEntry field grows every RCA frame");
 
 /** A region displaced by allocation; its lines must be flushed. */
 struct RegionEviction {

@@ -194,13 +194,6 @@ Serializer::str(const std::string &v)
 }
 
 void
-Serializer::bytes(const void *data, std::size_t len)
-{
-    const std::uint8_t *p = static_cast<const std::uint8_t *>(data);
-    buf_.insert(buf_.end(), p, p + len);
-}
-
-void
 Serializer::beginSection(const std::string &name)
 {
     if (inSection_)

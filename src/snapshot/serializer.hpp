@@ -90,7 +90,15 @@ class Serializer {
     void f64(double v);
     /** u64 length followed by the bytes. */
     void str(const std::string &v);
-    void bytes(const void *data, std::size_t len);
+    /** Append @p len raw bytes. Inline: every Archive field of a save
+     *  lands here, and inlined with a constant @p len the append is a
+     *  capacity check and a fixed-size copy. */
+    void
+    bytes(const void *data, std::size_t len)
+    {
+        const auto *p = static_cast<const std::uint8_t *>(data);
+        buf_.insert(buf_.end(), p, p + len);
+    }
 
     void beginSection(const std::string &name);
     void endSection();

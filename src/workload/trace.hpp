@@ -11,9 +11,9 @@
  * payloads behind a checksummed lane directory, explicit
  * synchronization records (barrier / lock / signal / wait), written
  * atomically (temp file + fsync + rename) and decoded by mmap-backed
- * streaming (workload/trace_replay.hpp), so multi-GB traces replay in
- * bounded memory. A file of the retired version 1 is rejected wherever
- * a trace is opened.
+ * streaming (workload/trace_replay.hpp), so a replay makes no per-op
+ * allocation and never materializes the op stream. A file of the
+ * retired version 1 is rejected wherever a trace is opened.
  *
  * This header holds the writer, the capture tee, and the inspection
  * helpers; the streaming replayer lives in workload/trace_replay.hpp and

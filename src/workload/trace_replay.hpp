@@ -1,9 +1,10 @@
 /**
  * @file
  * Streaming trace replayer. Maps the trace read-only (mmap) and
- * decodes each lane's records at a byte cursor, so replay memory stays
- * bounded no matter the trace size — a multi-GB capture replays without
- * ever being resident at once.
+ * decodes each lane's records at a byte cursor: no per-op allocation
+ * and no materialized op stream. The mapped pages a replay touches count
+ * toward its resident set, but they are clean and file-backed, so the
+ * kernel can reclaim them.
  *
  * Synchronization records (docs/TRACE_FORMAT.md) are consumed inside
  * fetch(), re-creating the recorded cross-thread ordering in simulated

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <optional>
 #include <vector>
 
@@ -118,15 +119,41 @@ TEST(CacheArray, SetIndexingSeparatesSets)
     EXPECT_EQ(ev->lineAddr, 0x0000u);
 }
 
-/** The array's checkpoint bytes without the entries: tags, occupancy,
- *  MRU way hints and the valid count. */
+/** A CacheArray's checkpoint layout, each entry as its address and
+ *  state. */
+void
+transferLines(CacheArray &arr, Archive &ar)
+{
+    arr.transfer(ar, [&ar](CacheLine &line) {
+        ar.u64(line.lineAddr);
+        ar.enumerant("cache line state", line.state, LineState::Modified);
+    });
+}
+
 std::vector<std::uint8_t>
-indexBytes(CacheArray &arr)
+saveBytes(CacheArray &arr)
 {
     Serializer s;
     Archive ar(s);
-    arr.transfer(ar, [](CacheLine &) {});
+    transferLines(arr, ar);
     return s.buffer();
+}
+
+void
+loadBytes(CacheArray &arr, const std::vector<std::uint8_t> &bytes)
+{
+    SectionReader r(bytes.data(), bytes.data() + bytes.size(), "bytes");
+    Archive ar(r);
+    transferLines(arr, ar);
+    ASSERT_TRUE(r.atEnd());
+}
+
+std::uint64_t
+u64At(const std::vector<std::uint8_t> &bytes, std::size_t at)
+{
+    std::uint64_t v;
+    std::memcpy(&v, &bytes[at], sizeof v);
+    return v;
 }
 
 TEST(CacheArray, PeekLeavesTheMruHintAlone)
@@ -135,11 +162,60 @@ TEST(CacheArray, PeekLeavesTheMruHintAlone)
     std::optional<CacheLine> ev;
     arr.allocate(0x0000, ev)->state = LineState::Shared;
     arr.allocate(0x1000, ev)->state = LineState::Shared; // The MRU way.
-    const std::vector<std::uint8_t> before = indexBytes(arr);
+    const std::vector<std::uint8_t> before = saveBytes(arr);
     ASSERT_NE(arr.peek(0x0000), nullptr);
-    EXPECT_EQ(indexBytes(arr), before);
+    EXPECT_EQ(saveBytes(arr), before);
     ASSERT_NE(arr.find(0x0000), nullptr);
-    EXPECT_NE(indexBytes(arr), before) << "a find hit becomes the MRU way";
+    EXPECT_NE(saveBytes(arr), before) << "a find hit becomes the MRU way";
+}
+
+TEST(SetAssocArray, InvalidatedFrameKeepsItsTagInTheCheckpoint)
+{
+    // One set, two ways of 64 B. Layout: 2 tags, 1 occupancy mask, 1 MRU
+    // hint, then per frame its address u64 and state byte, then the
+    // valid count.
+    constexpr std::size_t kMask = 16;
+    constexpr std::size_t kFrame0 = kMask + 8 + 1;
+    CacheArray arr("cache", 1, 2, 64);
+    std::optional<CacheLine> ev;
+    arr.allocate(0x1040, ev)->state = LineState::Shared;
+    arr.allocate(0x2000, ev)->state = LineState::Modified;
+    ASSERT_TRUE(arr.invalidate(0x1040));
+
+    const auto round_trip = [](CacheArray &from) {
+        const std::vector<std::uint8_t> bytes = saveBytes(from);
+        CacheArray to("cache", 1, 2, 64);
+        loadBytes(to, bytes);
+        EXPECT_EQ(saveBytes(to), bytes);
+        for (Addr a : {0x1040ULL, 0x2000ULL, 0x3000ULL}) {
+            const CacheLine *x = from.peek(a);
+            const CacheLine *y = to.peek(a);
+            EXPECT_EQ(x == nullptr, y == nullptr) << std::hex << a;
+            if (x && y) {
+                EXPECT_EQ(x->state, y->state);
+            }
+        }
+        EXPECT_EQ(to.countValid(), from.countValid());
+        return bytes;
+    };
+
+    // The invalidated frame keeps its tag; its entry stores address 0.
+    std::vector<std::uint8_t> bytes = round_trip(arr);
+    EXPECT_EQ(u64At(bytes, 0), 0x1040u >> 6);
+    EXPECT_EQ(u64At(bytes, 8), 0x2000u >> 6);
+    EXPECT_EQ(u64At(bytes, kMask), 0b10u);
+    EXPECT_EQ(u64At(bytes, kFrame0), 0u);
+    EXPECT_EQ(u64At(bytes, kFrame0 + 9), 0x2000u);
+
+    // reset() clears both frames; each still records its last tag.
+    arr.reset();
+    bytes = round_trip(arr);
+    EXPECT_EQ(u64At(bytes, 0), 0x1040u >> 6);
+    EXPECT_EQ(u64At(bytes, 8), 0x2000u >> 6);
+    EXPECT_EQ(u64At(bytes, kMask), 0u);
+    EXPECT_EQ(u64At(bytes, kFrame0), 0u);
+    EXPECT_EQ(u64At(bytes, kFrame0 + 9), 0u);
+    EXPECT_EQ(arr.find(0x2000), nullptr);
 }
 
 /** An entry with no state: valid exactly while its tag is resident. */

@@ -163,6 +163,16 @@ TEST(ConfigDeath, RejectsZeroCpus)
     EXPECT_DEATH(c.validate(), "numCpus");
 }
 
+TEST(ConfigDeath, RejectsMoreControllersThanTheRcaIdHolds)
+{
+    SystemConfig c = makeDefaultConfig();
+    c.topology.cpusPerChip = 1;
+    c.topology.numCpus = 32767; // one controller per chip: the last fit
+    c.validate();
+    c.topology.numCpus = 32768;
+    EXPECT_DEATH(c.validate(), "32768 memory controllers");
+}
+
 TEST(ConfigDeath, RejectsMismatchedLineSizes)
 {
     SystemConfig c = makeDefaultConfig();

@@ -613,6 +613,51 @@ TEST(SnapshotDecoderDeath, RcaMruHintStaysInsideTheSet)
                 "patched: MRU way hint 64 out of range \\(bound 2\\)");
 }
 
+TEST(SnapshotDecoderDeath, CacheEntryAddressIsItsFramesTag)
+{
+    Cache saved("l2", kFourSetCache);
+    Cache loaded("l2", kFourSetCache);
+    Eviction ev;
+    saved.fill(0x1040, LineState::Shared, 0, 0, ev); // set 1, way 0
+    // Layout: 16 geometry bytes, 8 tags, 4 masks, 4 hints, then 25-byte
+    // frames that open with their line address u64.
+    const std::size_t frames = 16 + 8 * 8 + 4 * 8 + 4;
+    const std::size_t set1_way0 = frames + 2 * 25;
+    EXPECT_EXIT(reload(saved, loaded,
+                       [&](std::vector<std::uint8_t> &b) {
+                           b[frames] = 0x40; // an empty frame
+                       }),
+                ::testing::ExitedWithCode(1),
+                "patched: way 0 of set 0 stores address "
+                "0000000000000040, not 0000000000000000");
+    EXPECT_EXIT(reload(saved, loaded,
+                       [&](std::vector<std::uint8_t> &b) {
+                           b[set1_way0] = 0x80;
+                       }),
+                ::testing::ExitedWithCode(1),
+                "patched: way 0 of set 1 stores address "
+                "0000000000001080, not 0000000000001040");
+}
+
+TEST(SnapshotDecoderDeath, CacheTagSurvivesTheBlockShift)
+{
+    Cache saved("l2", kFourSetCache);
+    Cache loaded("l2", kFourSetCache);
+    // Layout: 16 geometry bytes, then frame 0's tag u64. A 64 B block
+    // leaves a tag 58 bits.
+    const auto tag = [](std::uint64_t v) {
+        return [v](std::vector<std::uint8_t> &b) {
+            std::memcpy(&b[16], &v, sizeof v);
+        };
+    };
+    EXPECT_EXIT(reload(saved, loaded, tag(std::uint64_t{1} << 58)),
+                ::testing::ExitedWithCode(1),
+                "patched: tag 0400000000000000 does not fit a 58-bit "
+                "block number");
+    // The largest 58-bit tag loads: an empty frame keeps it.
+    reload(saved, loaded, tag((std::uint64_t{1} << 58) - 1));
+}
+
 TEST(SnapshotDecoderDeath, CacheLineStateIsALineState)
 {
     Cache saved("l2", kFourSetCache);

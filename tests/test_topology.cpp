@@ -311,13 +311,19 @@ pinConfig(TopologyKind kind)
 }
 
 RunResult
-pinRun(TopologyKind kind)
+pinRun(const SystemConfig &config, const char *bench = "tpc-w")
 {
     RunOptions opts;
     opts.opsPerCpu = kPinOps;
     opts.warmupOps = kPinOps / 5;
     opts.seed = 20050609;
-    return simulateOnce(pinConfig(kind), benchmarkByName("tpc-w"), opts);
+    return simulateOnce(config, benchmarkByName(bench), opts);
+}
+
+RunResult
+pinRun(TopologyKind kind)
+{
+    return pinRun(pinConfig(kind));
 }
 
 std::uint64_t
@@ -335,6 +341,37 @@ TEST(TopologyPin, Hier16TpcwStatsDigest)
     EXPECT_EQ(digest, golden::kHier16TpcwStatsFnv);
     EXPECT_EQ(statsDigest(pinRun(TopologyKind::Hier)), digest)
         << "a repeated run must reproduce the digest";
+}
+
+// tpc-h's migratory merge phase makes the most broadcasts per op, so it
+// is the cell that leans hardest on the oracle and on the snoop fan-out.
+TEST(TopologyPin, Hier16TpchStatsDigest)
+{
+    const std::uint64_t digest =
+        statsDigest(pinRun(pinConfig(TopologyKind::Hier), "tpc-h"));
+    std::printf("hier16 tpc-h stats digest: %016llx\n",
+                static_cast<unsigned long long>(digest));
+    EXPECT_EQ(digest, golden::kHier16TpchStatsFnv);
+}
+
+TEST(TopologyPin, Dir16TpchStatsDigest)
+{
+    const std::uint64_t digest =
+        statsDigest(pinRun(pinConfig(TopologyKind::Dir), "tpc-h"));
+    std::printf("dir16 tpc-h stats digest: %016llx\n",
+                static_cast<unsigned long long>(digest));
+    EXPECT_EQ(digest, golden::kDir16TpchStatsFnv);
+}
+
+TEST(TopologyPin, Hier16SharedRcaTpcwStatsDigest)
+{
+    SystemConfig c = pinConfig(TopologyKind::Hier);
+    c.cgct.sharedPerChip = true;
+    c.validate();
+    const std::uint64_t digest = statsDigest(pinRun(c));
+    std::printf("hier16 shared-RCA tpc-w stats digest: %016llx\n",
+                static_cast<unsigned long long>(digest));
+    EXPECT_EQ(digest, golden::kHier16SharedRcaTpcwStatsFnv);
 }
 
 TEST(TopologyPin, Hier16TpcwSweepCsvDigest)

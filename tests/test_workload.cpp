@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <set>
 
+#include "golden.hpp"
+#include "snapshot/serializer.hpp"
 #include "workload/benchmarks.hpp"
 #include "workload/generator.hpp"
 
@@ -291,6 +294,40 @@ TEST(Generator, AddressesStayInMappedMemory)
             }
         }
     }
+}
+
+TEST(Workload, StreamPin)
+{
+    // Every generated op of every standard profile, drawn round-robin
+    // (the shared-object owners make the CPUs' streams interdependent)
+    // and serialized field by field, little-endian.
+    constexpr unsigned kCpus = 4;
+    constexpr std::uint64_t kOps = 100000;
+    Xxh64Stream all;
+    for (const auto &p : standardBenchmarks()) {
+        SyntheticWorkload wl(p, kCpus, kOps, 20050609);
+        Xxh64Stream one;
+        CpuOp op;
+        for (std::uint64_t i = 0; i < kOps; ++i) {
+            for (CpuId cpu = 0; cpu < static_cast<CpuId>(kCpus); ++cpu) {
+                ASSERT_TRUE(wl.next(cpu, op));
+                std::uint8_t rec[14];
+                rec[0] = static_cast<std::uint8_t>(op.kind);
+                for (unsigned b = 0; b < 8; ++b)
+                    rec[1 + b] = static_cast<std::uint8_t>(op.addr >> (8 * b));
+                for (unsigned b = 0; b < 4; ++b)
+                    rec[9 + b] = static_cast<std::uint8_t>(op.gap >> (8 * b));
+                rec[13] = op.dependent;
+                one.update(rec, sizeof rec);
+                all.update(rec, sizeof rec);
+            }
+        }
+        std::printf("%-16s %016llx\n", p.name.c_str(),
+                    static_cast<unsigned long long>(one.digest()));
+    }
+    std::printf("%-16s %016llx\n", "all",
+                static_cast<unsigned long long>(all.digest()));
+    EXPECT_EQ(all.digest(), golden::kStandardStreamsXxh64);
 }
 
 } // namespace

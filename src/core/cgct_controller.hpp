@@ -97,6 +97,19 @@ class RegionTracker
      */
     virtual RegionState peekState(Addr line_addr) = 0;
 
+    /**
+     * May the processors this tracker serves cache lines of @p line_addr's
+     * region? false is a proof that they cache none, which lets a snoop
+     * skip its tag lookup; true promises nothing. Touches no state and
+     * counts nothing. The default cannot tell.
+     */
+    virtual bool
+    mayHoldLines(Addr line_addr) const
+    {
+        (void)line_addr;
+        return true;
+    }
+
     virtual void addStats(StatGroup &group) const = 0;
 
     /** Emit region-protocol trace events to @p sink (default: none). */
@@ -138,6 +151,17 @@ class CgctController : public RegionTracker
                                   bool external_gets_exclusive,
                                   Tick now) override;
     RegionState peekState(Addr line_addr) override;
+
+    /** false when the RCA holds no entry for the region, or one with no
+     *  cached lines (invariants D/E: the line count is exact and every
+     *  cached line has an entry). Peeks: no MRU hint, no hit or miss. */
+    bool
+    mayHoldLines(Addr line_addr) const override
+    {
+        const RegionEntry *entry = rca_.peek(line_addr);
+        return entry && entry->lineCount > 0;
+    }
+
     void addStats(StatGroup &group) const override;
     void setTraceSink(TraceSink *sink) override;
 

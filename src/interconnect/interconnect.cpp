@@ -58,11 +58,11 @@ Interconnect::resolveRequest(const SystemRequest &req, ResponseFn &fn,
     const Tick now = eq_.now();
     const SnoopResponse resp = fanOut(req, snoop_mask, now);
 
-    // The oracle classifies against pre-snoop state: the summary holds it
-    // for the snooped CPUs, and no snoop touched the others' lines (region
-    // snoops change region state only).
+    // The oracle classifies against pre-snoop state, which the summary
+    // holds for every CPU caching the line: the snoop mask covers them
+    // all (invariants F/G), and no CPU outside it has a copy to report.
     if (oracle_)
-        oracle_->observe(req, resp.line, snoop_mask);
+        oracle_->observe(req, resp.line);
 
     MemoryController *mc = memCtrls_[static_cast<unsigned>(resp.memCtrl)];
     Tick data_ready = now;

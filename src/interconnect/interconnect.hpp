@@ -112,8 +112,9 @@ class Interconnect
 
     /**
      * Register the unnecessary-broadcast oracle. Each resolution hands it
-     * the line-snoop summary (pre-snoop states of the snooped CPUs) and
-     * the snoop mask; it peeks only the CPUs outside the mask.
+     * the line-snoop summary (pre-snoop states of the snooped CPUs), which
+     * covers every holder of the line: the snoop mask is a superset of
+     * the presence map.
      */
     void setOracle(Oracle *oracle) { oracle_ = oracle; }
 

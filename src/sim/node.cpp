@@ -742,7 +742,12 @@ Node::snoopLine(const SystemRequest &req)
         l2TagBusy_ = std::max(l2TagBusy_, eq_.now()) +
                      config_.interconnect.snoopTagOccupancy;
     }
-    CacheLine *line = l2_.lookup(req.lineAddr);
+    // A region this node's tracker proves empty here holds no line to
+    // find (invariants D/E), and a missed lookup touches nothing, so the
+    // lookup is skipped; the port is charged all the same.
+    CacheLine *line = !tracker_ || tracker_->mayHoldLines(req.lineAddr)
+                          ? l2_.lookup(req.lineAddr)
+                          : nullptr;
     const LineSnoopOutcome out =
         applyLineSnoop(line ? line->state : LineState::Invalid,
                        snoopKindOf(req.type));
@@ -847,13 +852,6 @@ Node::warmRequest(RequestType type, Addr line_addr, Tick now,
         resolveLocal(type, line_addr, now, now);
         break;
     }
-}
-
-LineState
-Node::peekLine(Addr addr)
-{
-    const CacheLine *line = l2_.lookup(addr);
-    return line ? line->state : LineState::Invalid;
 }
 
 void

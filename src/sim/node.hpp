@@ -101,10 +101,6 @@ class Node : public SnoopClient
                                 bool requester_gets_exclusive,
                                 Tick now) override;
 
-    /** L2 state probe without statistics or LRU (oracle, tests); a hit
-     *  still becomes its set's MRU way. */
-    LineState peekLine(Addr addr);
-
     /**
      * Functional warming (docs/SAMPLING.md): perform one processor
      * memory operation with full architectural effect — cache contents,

@@ -1,27 +1,12 @@
 #include "sim/oracle.hpp"
 
-#include "sim/node.hpp"
 #include "snapshot/serializer.hpp"
 
 namespace cgct {
 
 void
-Oracle::observe(const SystemRequest &req, const LineSnoopSummary &snooped,
-                std::uint64_t snoop_mask)
+Oracle::observe(const SystemRequest &req, const LineSnoopSummary &snooped)
 {
-    bool any_copy = snooped.anyCopy;
-    bool any_dirty = snooped.anyDirty;
-    for (Node *node : nodes_) {
-        if (node->cpuId() == req.cpu ||
-            snoopMaskHas(snoop_mask, node->cpuId()))
-            continue;
-        const LineState s = node->peekLine(req.lineAddr);
-        if (isValid(s))
-            any_copy = true;
-        if (isDirty(s))
-            any_dirty = true;
-    }
-
     bool needed;
     switch (req.type) {
       case RequestType::Writeback:
@@ -29,10 +14,10 @@ Oracle::observe(const SystemRequest &req, const LineSnoopSummary &snooped,
         break;
       case RequestType::Ifetch:
       case RequestType::Prefetch:
-        needed = any_dirty;
+        needed = snooped.anyDirty;
         break;
       default:
-        needed = any_copy;
+        needed = snooped.anyCopy;
         break;
     }
 

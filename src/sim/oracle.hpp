@@ -1,8 +1,8 @@
 /**
  * @file
  * The unnecessary-broadcast oracle of Figure 2: at every broadcast, before
- * any snoop-induced state change, it inspects every other processor's cache
- * and decides whether the broadcast was actually needed:
+ * any snoop-induced state change, it decides from every other processor's
+ * cache contents whether the broadcast was actually needed:
  *
  *  - write-backs never need a broadcast (only the controller must see them);
  *  - instruction fetches (and shared prefetches) need one only if some
@@ -10,15 +10,17 @@
  *  - everything else (data reads/writes, upgrades, DCB operations) needs
  *    one only if some other cache holds *any* copy of the line.
  *
- * The interconnect calls it right after the line-snoop phase: the snooped
- * CPUs' pre-snoop states are already folded into the line summary, so the
- * oracle peeks only the CPUs outside the snoop mask (none on the flat bus).
+ * The interconnect calls it right after the line-snoop phase with the
+ * summary of the snooped CPUs' pre-snoop states, and that summary is the
+ * whole answer: the snoop mask covers every holder of the line. The flat
+ * bus snoops everyone; the hierarchy and the directory snoop a superset
+ * of the presence (and sharer) map, which covers every processor caching
+ * a line of the region (invariants F and G, sim/invariants.hpp).
  */
 
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/stats.hpp"
 #include "common/types.hpp"
@@ -26,22 +28,15 @@
 
 namespace cgct {
 
-class Node;
-
 /** Classifies every broadcast as necessary or unnecessary. */
 class Oracle
 {
   public:
-    explicit Oracle(std::vector<Node *> nodes) : nodes_(std::move(nodes)) {}
-
     /**
-     * Classify @p req. @p snooped summarizes the pre-snoop line states of
-     * the CPUs selected by @p snoop_mask; every other CPU except the
-     * requester is peeked. The defaults (nothing snooped) peek everyone.
+     * Classify @p req from @p snooped, the pre-snoop line states of the
+     * snooped CPUs, which include every CPU holding the line.
      */
-    void observe(const SystemRequest &req,
-                 const LineSnoopSummary &snooped = {},
-                 std::uint64_t snoop_mask = 0);
+    void observe(const SystemRequest &req, const LineSnoopSummary &snooped);
 
     /** Per-category tallies. */
     struct Counts {
@@ -73,7 +68,6 @@ class Oracle
     void transfer(Archive &ar);
 
   private:
-    std::vector<Node *> nodes_;
     Counts byCat_[static_cast<std::size_t>(RequestCategory::NumCategories)];
     std::uint64_t total_ = 0;
     std::uint64_t unnecessary_ = 0;

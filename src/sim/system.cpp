@@ -76,8 +76,7 @@ System::System(const SystemConfig &config, OpSource &source,
         node_ptrs.push_back(nodes_.back().get());
     }
 
-    oracle_ = std::make_unique<Oracle>(node_ptrs);
-    bus_->setOracle(oracle_.get());
+    bus_->setOracle(&oracle_);
 
     for (unsigned i = 0; i < config_.topology.numCpus; ++i) {
         cores_.push_back(std::make_unique<CoreModel>(
@@ -180,7 +179,7 @@ System::resetStats(Tick now)
         mc->resetStats();
     bus_->resetStats(now);
     dataNet_->resetStats();
-    oracle_->reset();
+    oracle_.reset();
 }
 
 void
@@ -192,7 +191,7 @@ System::transfer(Archive &ar)
     ar.section("eq", [&] { eq_.transfer(ar); });
     ar.section("bus", [&] { bus_->transfer(ar); });
     ar.section("datanet", [&] { dataNet_->transfer(ar); });
-    ar.section("oracle", [&] { oracle_->transfer(ar); });
+    ar.section("oracle", [&] { oracle_.transfer(ar); });
     if (dma_)
         ar.section("dma", [&] { dma_->transfer(ar); });
     for (std::size_t i = 0; i < memCtrls_.size(); ++i)
@@ -243,7 +242,7 @@ System::dumpStats(std::ostream &os) const
 {
     {
         StatGroup g("system");
-        oracle_->addStats(g);
+        oracle_.addStats(g);
         bus_->addStats(g);
         dataNet_->addStats(g);
         if (dma_)

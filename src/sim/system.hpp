@@ -72,7 +72,7 @@ class System
     const AddressMap &addressMap() const { return map_; }
     Interconnect &bus() { return *bus_; }
     DataNetwork &dataNetwork() { return *dataNet_; }
-    Oracle &oracle() { return *oracle_; }
+    Oracle &oracle() { return oracle_; }
     unsigned numCpus() const { return config_.topology.numCpus; }
     Node &node(unsigned i) { return *nodes_[i]; }
     CoreModel &core(unsigned i) { return *cores_[i]; }
@@ -150,7 +150,7 @@ class System
     std::unique_ptr<Interconnect> bus_;
     std::vector<std::unique_ptr<Node>> nodes_;
     std::vector<std::unique_ptr<CoreModel>> cores_;
-    std::unique_ptr<Oracle> oracle_;
+    Oracle oracle_;
     std::unique_ptr<DmaEngine> dma_;
     TraceSink trace_;
     std::unique_ptr<InvariantChecker> checker_;

@@ -10,7 +10,16 @@ SyntheticWorkload::SyntheticWorkload(const WorkloadProfile &profile,
                                      std::uint64_t seed)
     : profile_(profile), numCpus_(num_cpus), opsPerCpu_(ops_per_cpu),
       pauseAt_(ops_per_cpu), cpus_(num_cpus),
-      rwOwner_(profile.rwObjects, kInvalidCpu)
+      rwOwner_(profile.rwObjects, kInvalidCpu),
+      codeDraws_(segDraws(profile.codeBytes, profile.codeZipf,
+                          profile.codeRefsPerLine)),
+      roDraws_(segDraws(profile.sharedROBytes, profile.zipf,
+                        profile.refsPerLine)),
+      privDraws_(segDraws(profile.privateBytes, profile.zipf,
+                          profile.refsPerLine)),
+      seqRun_(1.0 / profile.seqRunLines),
+      gap_(1.0 / (profile.avgGap + 1.0)),
+      rwObject_(profile.rwObjects, profile.zipf)
 {
     profile_.validate();
     Rng master(seed);
@@ -78,10 +87,17 @@ SyntheticWorkload::phaseFor(const CpuState &cs) const
     return profile_.phases.back();
 }
 
+SyntheticWorkload::SegDraws
+SyntheticWorkload::segDraws(std::uint64_t size, double zipf,
+                            double refs_per_line)
+{
+    return {ZipfDist(std::max<std::uint64_t>(1, size / kChunkBytes), zipf),
+            GeometricDist(1.0 / refs_per_line)};
+}
+
 Addr
 SyntheticWorkload::pickStreaming(CpuState &cs, SegCursor &cur, Addr base,
-                                 std::uint64_t size, double zipf,
-                                 double refs_per_line)
+                                 std::uint64_t size, const SegDraws &draws)
 {
     // Temporal locality: revisit the current line several times (varying
     // the word offset) before moving on.
@@ -89,8 +105,7 @@ SyntheticWorkload::pickStreaming(CpuState &cs, SegCursor &cur, Addr base,
         --cur.repeatLeft;
         return cur.addr + cs.rng.nextBelow(kLine / 8) * 8;
     }
-    cur.repeatLeft = static_cast<std::uint32_t>(
-        cs.rng.nextGeometric(1.0 / refs_per_line) - 1);
+    cur.repeatLeft = static_cast<std::uint32_t>(draws.repeat(cs.rng) - 1);
 
     if (cur.runLeft > 0 && cur.addr + kLine < base + size) {
         cur.addr += kLine;
@@ -98,22 +113,12 @@ SyntheticWorkload::pickStreaming(CpuState &cs, SegCursor &cur, Addr base,
         return cur.addr;
     }
     // Jump: a Zipf-hot chunk, then a fresh sequential run inside it.
-    const std::uint64_t chunks = std::max<std::uint64_t>(1,
-                                                         size / kChunkBytes);
-    const std::uint64_t chunk = cs.rng.nextZipf(chunks, zipf);
+    const std::uint64_t chunk = draws.chunk(cs.rng);
     const std::uint64_t line_in_chunk =
         cs.rng.nextBelow(kChunkBytes / kLine);
     cur.addr = base + chunk * kChunkBytes + line_in_chunk * kLine;
-    cur.runLeft = static_cast<std::uint32_t>(
-        cs.rng.nextGeometric(1.0 / profile_.seqRunLines));
+    cur.runLeft = static_cast<std::uint32_t>(seqRun_(cs.rng));
     return cur.addr;
-}
-
-std::uint32_t
-SyntheticWorkload::gapFor(CpuState &cs)
-{
-    return static_cast<std::uint32_t>(
-        cs.rng.nextGeometric(1.0 / (profile_.avgGap + 1.0)) - 1);
 }
 
 bool
@@ -126,7 +131,7 @@ SyntheticWorkload::next(CpuId cpu, CpuOp &op)
     ++cs.ops;
 
     op = CpuOp{};
-    op.gap = gapFor(cs);
+    op.gap = static_cast<std::uint32_t>(gap_(cs.rng) - 1);
 
     // Finish an in-progress DCBZ page-zeroing burst first.
     if (cs.dcbzLeft > 0) {
@@ -152,8 +157,7 @@ SyntheticWorkload::next(CpuId cpu, CpuOp &op)
     if (rng.chance(ph.pIfetch)) {
         op.kind = CpuOpKind::Ifetch;
         op.addr = pickStreaming(cs, cs.code, kCodeBase,
-                                profile_.codeBytes, profile_.codeZipf,
-                                profile_.codeRefsPerLine);
+                                profile_.codeBytes, codeDraws_);
         return true;
     }
 
@@ -188,8 +192,7 @@ SyntheticWorkload::next(CpuId cpu, CpuOp &op)
     const double seg = rng.nextDouble();
     if (seg < ph.pSharedRW && !rwOwner_.empty()) {
         // Migratory read-write object access.
-        const std::uint64_t obj =
-            rng.nextZipf(rwOwner_.size(), profile_.zipf);
+        const std::uint64_t obj = rwObject_(rng);
         if (rng.chance(ph.pMigrate))
             rwOwner_[obj] = cpu;
         const bool owned = rwOwner_[obj] == cpu;
@@ -213,8 +216,7 @@ SyntheticWorkload::next(CpuId cpu, CpuOp &op)
 
     if (seg < ph.pSharedRW + ph.pSharedRO) {
         op.addr = pickStreaming(cs, cs.ro, kSharedROBase,
-                                profile_.sharedROBytes, profile_.zipf,
-                                profile_.refsPerLine);
+                                profile_.sharedROBytes, roDraws_);
         op.kind = rng.chance(ph.pStoreSharedRO) ? CpuOpKind::Store
                                                 : CpuOpKind::Load;
         op.dependent = op.kind == CpuOpKind::Load &&
@@ -226,8 +228,7 @@ SyntheticWorkload::next(CpuId cpu, CpuOp &op)
     op.addr = pickStreaming(cs, cs.priv,
                             kPrivateBase +
                                 static_cast<Addr>(cpu) * kPerCpuStride,
-                            profile_.privateBytes, profile_.zipf,
-                            profile_.refsPerLine);
+                            profile_.privateBytes, privDraws_);
     op.kind = rng.chance(ph.pStorePrivate) ? CpuOpKind::Store
                                            : CpuOpKind::Load;
     op.dependent = op.kind == CpuOpKind::Load && rng.chance(ph.pDependent);

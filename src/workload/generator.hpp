@@ -107,11 +107,17 @@ class SyntheticWorkload : public OpSource
         Addr rmwAddr = 0;
     };
 
+    /** The draws one segment's streaming cursor makes. */
+    struct SegDraws {
+        ZipfDist chunk;          ///< Which chunk a jump lands in.
+        GeometricDist repeat;    ///< References to a line before moving on.
+    };
+
     const PhaseSpec &phaseFor(const CpuState &cs) const;
     Addr pickStreaming(CpuState &cs, SegCursor &cur, Addr base,
-                       std::uint64_t size, double zipf,
-                       double refs_per_line);
-    std::uint32_t gapFor(CpuState &cs);
+                       std::uint64_t size, const SegDraws &draws);
+    static SegDraws segDraws(std::uint64_t size, double zipf,
+                             double refs_per_line);
 
     WorkloadProfile profile_;
     unsigned numCpus_;
@@ -120,6 +126,14 @@ class SyntheticWorkload : public OpSource
     std::vector<CpuState> cpus_;
     std::vector<CpuId> rwOwner_;        ///< Shared: per-object owner.
     std::vector<std::uint64_t> phaseEnd_; ///< Op index ending each phase.
+
+    // The profile's distributions, each built once (common/random.hpp).
+    SegDraws codeDraws_;
+    SegDraws roDraws_;
+    SegDraws privDraws_;
+    GeometricDist seqRun_;      ///< Lines in a sequential run.
+    GeometricDist gap_;         ///< Non-memory instructions + 1.
+    ZipfDist rwObject_;         ///< Which shared read-write object.
 };
 
 } // namespace cgct

@@ -3,7 +3,8 @@
  * The invariant checker's whole-machine sweep (InvariantChecker::checkAll:
  * L1 inclusion, then invariants A-E on every live region) for tests that
  * hold their nodes directly or through a System. The checker needs only
- * the configuration and the nodes, so no System is required.
+ * the configuration and the nodes, so no System is required. Also the
+ * side-effect-free L2 state probe those tests assert on.
  */
 
 #pragma once
@@ -17,6 +18,15 @@
 #include "sim/system.hpp"
 
 namespace cgct {
+
+/** @p node's L2 state for @p addr, touching nothing (not even the MRU
+ *  way hint). */
+inline LineState
+l2State(const Node &node, Addr addr)
+{
+    const CacheLine *line = node.l2().peek(addr);
+    return line ? line->state : LineState::Invalid;
+}
 
 /** checkAll over @p nodes, which must be in CPU order. */
 inline std::string

@@ -3,7 +3,8 @@
  * Tests for the CGCT controller: route decisions against live RCA state,
  * region allocation from broadcast responses, inclusion flushes on region
  * eviction, line-count maintenance, self-invalidation, the silent CI->DI
- * edge, and the three-state mode.
+ * edge, the three-state mode, and the side-effect-free mayHoldLines query
+ * the snoop path filters on.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "core/cgct_controller.hpp"
+#include "snapshot/serializer.hpp"
 
 namespace cgct {
 namespace {
@@ -128,6 +130,60 @@ TEST_F(CgctControllerTest, LineEvictAfterRegionGoneIsTolerated)
     // The flush path evicts lines whose region entry was just replaced.
     ctrl.onLineEvict(0x5000);
     SUCCEED();
+}
+
+/** The controller's checkpoint bytes: the RCA's frames, MRU way hints,
+ *  hit and miss counts and histograms. */
+std::vector<std::uint8_t>
+checkpointBytes(CgctController &ctrl)
+{
+    Serializer s;
+    Archive ar(s);
+    ctrl.transfer(ar, /*mem_ctrls=*/4);
+    return s.buffer();
+}
+
+TEST_F(CgctControllerTest, MayHoldLinesFollowsEntryAndLineCount)
+{
+    // Every answer leaves the RCA as it found it: no hit or miss counted,
+    // no MRU way hint moved, not one checkpoint byte changed.
+    const auto ask = [this](Addr addr) {
+        const std::vector<std::uint8_t> before = checkpointBytes(ctrl);
+        const std::uint64_t hits = ctrl.rca().stats().hits;
+        const std::uint64_t misses = ctrl.rca().stats().misses;
+        const bool may = ctrl.mayHoldLines(addr);
+        EXPECT_EQ(ctrl.rca().stats().hits, hits);
+        EXPECT_EQ(ctrl.rca().stats().misses, misses);
+        EXPECT_EQ(checkpointBytes(ctrl), before) << std::hex << addr;
+        return may;
+    };
+
+    // No entry.
+    EXPECT_FALSE(ask(0x1000));
+    // An entry with no cached line yet.
+    ctrl.onBroadcastResponse(RequestType::Read, 0x1000, true,
+                             response(false, false), 10);
+    EXPECT_FALSE(ask(0x1000));
+    // One cached line covers the whole region, and only that region.
+    ctrl.onLineFill(0x1040);
+    EXPECT_TRUE(ask(0x1000));
+    EXPECT_TRUE(ask(0x11C0));
+    EXPECT_FALSE(ask(0x1200));
+    // A second region in the same set takes the MRU way hint; asking
+    // about the first must not move it back (find() would).
+    ctrl.onBroadcastResponse(RequestType::Read, 0x1800, true,
+                             response(false, false), 11);
+    ctrl.onLineFill(0x1800);
+    EXPECT_TRUE(ask(0x1000));
+    EXPECT_TRUE(ask(0x1800));
+    // Evicted back to zero lines: the entry stays, the answer is no.
+    ctrl.onLineEvict(0x1040);
+    EXPECT_FALSE(ask(0x1000));
+    // Self-invalidated by an external request: no entry again.
+    EXPECT_TRUE(ctrl.externalSnoop(0x1000, false, 12).none());
+    EXPECT_FALSE(ask(0x1000));
+    EXPECT_EQ(ctrl.rca().stats().selfInvalidations, 1u);
+    EXPECT_TRUE(ask(0x1800));
 }
 
 TEST_F(CgctControllerTest, ExternalSnoopReportsAndDowngrades)

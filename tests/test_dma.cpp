@@ -92,7 +92,7 @@ TEST_F(DmaTest, WritesInvalidateCachedCopies)
     eq.run();
     EXPECT_EQ(dma.stats().writeLines, 8u);
     // The cached copy was invalidated before memory was overwritten.
-    EXPECT_EQ(nodes[1]->peekLine(0x100000), LineState::Invalid);
+    EXPECT_EQ(l2State(*nodes[1], 0x100000), LineState::Invalid);
 }
 
 TEST_F(DmaTest, ReadsFindDirtyData)
@@ -107,7 +107,7 @@ TEST_F(DmaTest, ReadsFindDirtyData)
     eq.run();
     EXPECT_EQ(dma.stats().dirtyHits, 1u);
     // MOESI: the dirty owner supplied data and keeps it Owned.
-    EXPECT_EQ(nodes[2]->peekLine(0x100040), LineState::Owned);
+    EXPECT_EQ(l2State(*nodes[2], 0x100040), LineState::Owned);
 }
 
 TEST_F(DmaTest, DisabledEngineDoesNothing)

@@ -109,7 +109,7 @@ TEST_P(NodeTest, LoadMissFillsExclusive)
     const Tick ready = doAccess(0, CpuOpKind::Load, 0x10000);
     EXPECT_GT(ready, 0u);
     // No other cached copies: the line arrives Exclusive.
-    EXPECT_EQ(nodes[0]->peekLine(0x10000), LineState::Exclusive);
+    EXPECT_EQ(l2State(*nodes[0], 0x10000), LineState::Exclusive);
     EXPECT_EQ(nodes[0]->stats().broadcasts, 1u);
     if (cgctOn())
         EXPECT_EQ(regionStateOf(0, 0x10000), RegionState::DirtyInvalid);
@@ -131,7 +131,7 @@ TEST_P(NodeTest, StoreAfterExclusiveLoadIsSilent)
     doAccess(0, CpuOpKind::Load, 0x10000);
     const std::uint64_t before = nodes[0]->stats().requestsTotal;
     doAccess(0, CpuOpKind::Store, 0x10000);
-    EXPECT_EQ(nodes[0]->peekLine(0x10000), LineState::Modified);
+    EXPECT_EQ(l2State(*nodes[0], 0x10000), LineState::Modified);
     // The silent E->M upgrade needs no system request.
     EXPECT_EQ(nodes[0]->stats().requestsTotal, before);
     if (cgctOn())
@@ -142,7 +142,7 @@ TEST_P(NodeTest, StoreAfterExclusiveLoadIsSilent)
 TEST_P(NodeTest, StoreMissFetchesModified)
 {
     doAccess(0, CpuOpKind::Store, 0x20000);
-    EXPECT_EQ(nodes[0]->peekLine(0x20000), LineState::Modified);
+    EXPECT_EQ(l2State(*nodes[0], 0x20000), LineState::Modified);
     expectInvariantsHold();
 }
 
@@ -156,7 +156,7 @@ TEST_P(NodeTest, SecondLineInRegionRoutesDirectUnderCgct)
     } else {
         EXPECT_EQ(nodes[0]->stats().broadcasts, 2u);
     }
-    EXPECT_EQ(nodes[0]->peekLine(0x10040), LineState::Exclusive);
+    EXPECT_EQ(l2State(*nodes[0], 0x10040), LineState::Exclusive);
     expectInvariantsHold();
 }
 
@@ -184,8 +184,8 @@ TEST_P(NodeTest, ReadSharingProducesSharedCopies)
     doAccess(0, CpuOpKind::Load, 0x30000);
     doAccess(1, CpuOpKind::Load, 0x30000);
     // Node 0's Exclusive copy was downgraded; both end shared.
-    EXPECT_EQ(nodes[0]->peekLine(0x30000), LineState::Shared);
-    EXPECT_EQ(nodes[1]->peekLine(0x30000), LineState::Shared);
+    EXPECT_EQ(l2State(*nodes[0], 0x30000), LineState::Shared);
+    EXPECT_EQ(l2State(*nodes[1], 0x30000), LineState::Shared);
     if (cgctOn()) {
         // Node 0 reported region-dirty (DI) pre-downgrade, so node 1 sees
         // an externally dirty region; node 0 drops to DC.
@@ -198,11 +198,11 @@ TEST_P(NodeTest, ReadSharingProducesSharedCopies)
 TEST_P(NodeTest, DirtySharingSuppliesCacheToCache)
 {
     doAccess(0, CpuOpKind::Store, 0x30000);
-    ASSERT_EQ(nodes[0]->peekLine(0x30000), LineState::Modified);
+    ASSERT_EQ(l2State(*nodes[0], 0x30000), LineState::Modified);
     doAccess(1, CpuOpKind::Load, 0x30000);
     // MOESI: the dirty owner keeps the line in Owned.
-    EXPECT_EQ(nodes[0]->peekLine(0x30000), LineState::Owned);
-    EXPECT_EQ(nodes[1]->peekLine(0x30000), LineState::Shared);
+    EXPECT_EQ(l2State(*nodes[0], 0x30000), LineState::Owned);
+    EXPECT_EQ(l2State(*nodes[1], 0x30000), LineState::Shared);
     EXPECT_EQ(bus->stats().cacheToCache, 1u);
     expectInvariantsHold();
 }
@@ -211,8 +211,8 @@ TEST_P(NodeTest, RfoInvalidatesRemoteCopies)
 {
     doAccess(0, CpuOpKind::Load, 0x30000);
     doAccess(1, CpuOpKind::Store, 0x30000);
-    EXPECT_EQ(nodes[0]->peekLine(0x30000), LineState::Invalid);
-    EXPECT_EQ(nodes[1]->peekLine(0x30000), LineState::Modified);
+    EXPECT_EQ(l2State(*nodes[0], 0x30000), LineState::Invalid);
+    EXPECT_EQ(l2State(*nodes[1], 0x30000), LineState::Modified);
     expectInvariantsHold();
 }
 
@@ -220,11 +220,11 @@ TEST_P(NodeTest, UpgradeFromSharedBroadcastsAndInvalidates)
 {
     doAccess(0, CpuOpKind::Load, 0x30000);
     doAccess(1, CpuOpKind::Load, 0x30000);
-    ASSERT_EQ(nodes[0]->peekLine(0x30000), LineState::Shared);
+    ASSERT_EQ(l2State(*nodes[0], 0x30000), LineState::Shared);
     const std::uint64_t broadcasts = nodes[0]->stats().broadcasts;
     doAccess(0, CpuOpKind::Store, 0x30000);
-    EXPECT_EQ(nodes[0]->peekLine(0x30000), LineState::Modified);
-    EXPECT_EQ(nodes[1]->peekLine(0x30000), LineState::Invalid);
+    EXPECT_EQ(l2State(*nodes[0], 0x30000), LineState::Modified);
+    EXPECT_EQ(l2State(*nodes[1], 0x30000), LineState::Invalid);
     EXPECT_EQ(nodes[0]->stats().broadcasts, broadcasts + 1);
     expectInvariantsHold();
 }
@@ -239,7 +239,7 @@ TEST_P(NodeTest, EvictionWritesBackDirtyLines)
     doAccess(0, CpuOpKind::Store, 0x11000); // Evicts dirty 0x10000.
     EXPECT_EQ(nodes[0]->stats().writebacksIssued, wb_before + 1);
     eq.run(); // Drain the write-back.
-    EXPECT_EQ(nodes[0]->peekLine(0x10000), LineState::Invalid);
+    EXPECT_EQ(l2State(*nodes[0], 0x10000), LineState::Invalid);
     expectInvariantsHold();
 }
 
@@ -262,7 +262,7 @@ TEST_P(NodeTest, WritebackRoutesDirectUnderCgct)
 TEST_P(NodeTest, DcbzTakesModifiedLine)
 {
     doAccess(0, CpuOpKind::Dcbz, 0x40000);
-    EXPECT_EQ(nodes[0]->peekLine(0x40000), LineState::Modified);
+    EXPECT_EQ(l2State(*nodes[0], 0x40000), LineState::Modified);
     expectInvariantsHold();
 }
 
@@ -275,7 +275,7 @@ TEST_P(NodeTest, DcbzInExclusiveRegionCompletesLocally)
     const std::uint64_t locals = nodes[0]->stats().localCompletes;
     doAccess(0, CpuOpKind::Dcbz, 0x40040);
     EXPECT_EQ(nodes[0]->stats().localCompletes, locals + 1);
-    EXPECT_EQ(nodes[0]->peekLine(0x40040), LineState::Modified);
+    EXPECT_EQ(l2State(*nodes[0], 0x40040), LineState::Modified);
     expectInvariantsHold();
 }
 
@@ -285,8 +285,8 @@ TEST_P(NodeTest, DcbfFlushesEverywhere)
     doAccess(1, CpuOpKind::Load, 0x50000);
     doAccess(1, CpuOpKind::Dcbf, 0x50000);
     eq.run();
-    EXPECT_EQ(nodes[0]->peekLine(0x50000), LineState::Invalid);
-    EXPECT_EQ(nodes[1]->peekLine(0x50000), LineState::Invalid);
+    EXPECT_EQ(l2State(*nodes[0], 0x50000), LineState::Invalid);
+    EXPECT_EQ(l2State(*nodes[1], 0x50000), LineState::Invalid);
     expectInvariantsHold();
 }
 
@@ -295,8 +295,8 @@ TEST_P(NodeTest, DcbiInvalidatesEverywhere)
     doAccess(0, CpuOpKind::Load, 0x50000);
     doAccess(1, CpuOpKind::Load, 0x50000);
     doAccess(1, CpuOpKind::Dcbi, 0x50000);
-    EXPECT_EQ(nodes[0]->peekLine(0x50000), LineState::Invalid);
-    EXPECT_EQ(nodes[1]->peekLine(0x50000), LineState::Invalid);
+    EXPECT_EQ(l2State(*nodes[0], 0x50000), LineState::Invalid);
+    EXPECT_EQ(l2State(*nodes[1], 0x50000), LineState::Invalid);
     expectInvariantsHold();
 }
 
@@ -304,8 +304,8 @@ TEST_P(NodeTest, IfetchSharesCleanly)
 {
     doAccess(0, CpuOpKind::Ifetch, 0x60000);
     doAccess(1, CpuOpKind::Ifetch, 0x60000);
-    EXPECT_EQ(nodes[0]->peekLine(0x60000), LineState::Shared);
-    EXPECT_EQ(nodes[1]->peekLine(0x60000), LineState::Shared);
+    EXPECT_EQ(l2State(*nodes[0], 0x60000), LineState::Shared);
+    EXPECT_EQ(l2State(*nodes[1], 0x60000), LineState::Shared);
     if (cgctOn()) {
         // Both sides end with clean region knowledge.
         EXPECT_EQ(regionStateOf(1, 0x60000), RegionState::CleanClean);
@@ -324,7 +324,7 @@ TEST_P(NodeTest, IfetchInCleanRegionGoesDirect)
     const std::uint64_t directs = nodes[1]->stats().directs;
     doAccess(1, CpuOpKind::Ifetch, 0x60040);
     EXPECT_EQ(nodes[1]->stats().directs, directs + 1);
-    EXPECT_EQ(nodes[1]->peekLine(0x60040), LineState::Shared);
+    EXPECT_EQ(l2State(*nodes[1], 0x60040), LineState::Shared);
     expectInvariantsHold();
 }
 
@@ -339,7 +339,7 @@ TEST_P(NodeTest, SelfInvalidationGrantsExclusiveRegion)
     doAccess(0, CpuOpKind::Load, 0x70800);
     doAccess(0, CpuOpKind::Load, 0x71000);
     eq.run();
-    ASSERT_EQ(nodes[0]->peekLine(0x70000), LineState::Invalid);
+    ASSERT_EQ(l2State(*nodes[0], 0x70000), LineState::Invalid);
     // The region entry survives with a zero line count. Node 1's request
     // self-invalidates it and earns an exclusive region.
     doAccess(1, CpuOpKind::Load, 0x70000);
@@ -362,11 +362,11 @@ TEST_P(NodeTest, RegionEvictionFlushesLines)
     eq.run();
     EXPECT_GT(nodes[0]->stats().inclusionWritebacks, flushed_before);
     // One of the three lines was flushed to preserve inclusion.
-    const int resident = (nodes[0]->peekLine(0x10000) !=
+    const int resident = (l2State(*nodes[0], 0x10000) !=
                           LineState::Invalid) +
-                         (nodes[0]->peekLine(0x12000) !=
+                         (l2State(*nodes[0], 0x12000) !=
                           LineState::Invalid) +
-                         (nodes[0]->peekLine(0x14000) !=
+                         (l2State(*nodes[0], 0x14000) !=
                           LineState::Invalid);
     EXPECT_EQ(resident, 2);
     expectInvariantsHold();
@@ -389,7 +389,7 @@ TEST_P(NodeTest, MshrLimitQueuesMisses)
     eq.run();
     EXPECT_EQ(completed, 3);
     for (Addr a : addrs)
-        EXPECT_NE(nodes[0]->peekLine(a), LineState::Invalid);
+        EXPECT_NE(l2State(*nodes[0], a), LineState::Invalid);
     expectInvariantsHold();
 }
 
@@ -418,7 +418,7 @@ TEST_P(NodeTest, StoreMergesWithInflightLoad)
                      [&](Tick) { ++completed; });
     eq.run();
     EXPECT_EQ(completed, 2);
-    EXPECT_EQ(nodes[0]->peekLine(0x80000), LineState::Modified);
+    EXPECT_EQ(l2State(*nodes[0], 0x80000), LineState::Modified);
     expectInvariantsHold();
 }
 
@@ -453,7 +453,7 @@ TEST_P(NodeTest, PrefetcherIssuesAndLinesArrive)
     pf_eq.run();
     EXPECT_GT(node.stats().prefetchesIssued, 0u);
     // The runahead reaches beyond the last demand line.
-    EXPECT_NE(node.peekLine(0xB0000 + 7 * 64), LineState::Invalid);
+    EXPECT_NE(l2State(node, 0xB0000 + 7 * 64), LineState::Invalid);
     EXPECT_EQ(InvariantChecker(pf_config, {&node}).checkAll(), "");
 }
 

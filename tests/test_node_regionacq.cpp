@@ -2,8 +2,9 @@
  * @file
  * Tests for the node's region-acquisition merging (requests to a region
  * whose first broadcast is still in flight wait for the region snoop
- * response instead of broadcasting line by line) and for snoop-induced
- * tag-port contention.
+ * response instead of broadcasting line by line), for snoop-induced
+ * tag-port contention, and for the snoop filter: a region the snooped
+ * node's RCA proves empty skips the L2 lookup but not the port.
  */
 
 #include <gtest/gtest.h>
@@ -86,7 +87,7 @@ TEST_F(RegionAcqTest, BurstToOneRegionBroadcastsOnce)
     EXPECT_EQ(nodes[0]->stats().broadcasts, 1u);
     EXPECT_EQ(nodes[0]->stats().directs, 7u);
     for (int i = 0; i < 8; ++i)
-        EXPECT_NE(nodes[0]->peekLine(0x10000 + static_cast<Addr>(i) * 64),
+        EXPECT_NE(l2State(*nodes[0], 0x10000 + static_cast<Addr>(i) * 64),
                   LineState::Invalid);
     EXPECT_EQ(checkAll(config, nodes), "");
 }
@@ -100,7 +101,7 @@ TEST_F(RegionAcqTest, FollowersOfSharedRegionStillBroadcast)
     nodes[1]->access(CpuOpKind::Store, 0x20040, eq.now(), ready,
                      [&](Tick) { done1 = true; });
     eq.run();
-    ASSERT_EQ(nodes[1]->peekLine(0x20040), LineState::Modified);
+    ASSERT_EQ(l2State(*nodes[1], 0x20040), LineState::Modified);
 
     int completed = 0;
     for (int i = 0; i < 4; ++i) {
@@ -130,7 +131,7 @@ TEST_F(RegionAcqTest, AcquisitionMergingPreservesOrderingSafety)
     eq.run();
     EXPECT_EQ(completed, 8);
     for (int i = 0; i < 8; ++i)
-        EXPECT_EQ(nodes[2]->peekLine(0x30000 + static_cast<Addr>(i) * 64),
+        EXPECT_EQ(l2State(*nodes[2], 0x30000 + static_cast<Addr>(i) * 64),
                   LineState::Modified);
     EXPECT_EQ(nodes[2]->stats().broadcasts, 1u);
     EXPECT_EQ(checkAll(config, nodes), "");
@@ -178,6 +179,34 @@ TEST_F(RegionAcqTest, TagContentionAccumulatesUnderSnoops)
     eq.run();
     EXPECT_GE(nodes[1]->stats().tagWaitCycles, waited_before);
     EXPECT_EQ(completed, 8);
+}
+
+TEST_F(RegionAcqTest, SnoopFilterSkipsOnlyProvablyEmptyRegions)
+{
+    SystemRequest req;
+    req.cpu = 0;
+    req.type = RequestType::ReadExclusive;
+    req.lineAddr = 0x80040;
+
+    // Node 1 has no RCA entry for the region: the lookup is skipped, the
+    // snoop still counts and still occupies the tag port.
+    ASSERT_FALSE(nodes[1]->tracker()->mayHoldLines(req.lineAddr));
+    LineSnoopOutcome out = nodes[1]->snoopLine(req);
+    EXPECT_FALSE(out.hadCopy);
+    EXPECT_EQ(nodes[1]->stats().snoopsReceived, 1u);
+
+    // Once node 1 caches a line of the region the snoop must find it.
+    Tick ready = 0;
+    nodes[1]->access(CpuOpKind::Load, req.lineAddr, eq.now(), ready,
+                     [](Tick) {});
+    eq.run();
+    ASSERT_TRUE(nodes[1]->tracker()->mayHoldLines(req.lineAddr));
+    ASSERT_EQ(l2State(*nodes[1], req.lineAddr), LineState::Exclusive);
+    const std::uint64_t snoops = nodes[1]->stats().snoopsReceived;
+    out = nodes[1]->snoopLine(req);
+    EXPECT_TRUE(out.hadCopy);
+    EXPECT_EQ(l2State(*nodes[1], req.lineAddr), LineState::Invalid);
+    EXPECT_EQ(nodes[1]->stats().snoopsReceived, snoops + 1);
 }
 
 TEST_F(RegionAcqTest, BaselineUnaffectedByMerging)

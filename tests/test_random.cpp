@@ -1,14 +1,22 @@
 /**
  * @file
- * Tests for the deterministic RNG: reproducibility, range correctness, and
- * rough distribution shape for the geometric and Zipf helpers.
+ * Tests for the deterministic RNG: reproducibility, range correctness,
+ * rough distribution shape for the geometric and Zipf helpers, and the
+ * prebuilt GeometricDist / ZipfDist draws against the per-call formulas
+ * they replaced, bit for bit.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include "common/config.hpp"
 #include "common/random.hpp"
+#include "workload/benchmarks.hpp"
 
 namespace cgct {
 namespace {
@@ -150,6 +158,98 @@ TEST(Rng, ForkDecorrelates)
     for (int i = 0; i < 100; ++i)
         same += child_a.next() == child_b.next();
     EXPECT_LT(same, 3);
+}
+
+// The per-call formulas GeometricDist and ZipfDist hoisted their
+// constants out of, kept verbatim as the reference.
+
+std::uint64_t
+referenceGeometric(Rng &rng, double p)
+{
+    if (p >= 1.0)
+        return 1;
+    if (p <= 0.0)
+        p = 1e-9;
+    const double u = 1.0 - rng.nextDouble();
+    const double k = std::ceil(std::log(u) / std::log1p(-p));
+    return k < 1.0 ? 1 : static_cast<std::uint64_t>(k);
+}
+
+std::uint64_t
+referenceZipf(Rng &rng, std::uint64_t n, double s)
+{
+    if (n <= 1)
+        return 0;
+    const double u = rng.nextDouble();
+    double x;
+    if (std::abs(s - 1.0) < 1e-9) {
+        x = std::exp(u * std::log(static_cast<double>(n)));
+    } else {
+        const double one_minus_s = 1.0 - s;
+        const double hn = (std::pow(static_cast<double>(n), one_minus_s) -
+                           1.0) / one_minus_s;
+        x = std::pow(u * hn * one_minus_s + 1.0, 1.0 / one_minus_s);
+    }
+    auto idx = static_cast<std::uint64_t>(x);
+    if (idx >= n)
+        idx = n - 1;
+    return idx;
+}
+
+/** Draws per family (geometric, Zipf), split evenly over its parameters. */
+constexpr std::size_t kEquivalenceDraws = 1000000;
+
+TEST(Rng, PrebuiltDrawsMatchReferenceFormulas)
+{
+    // Every parameter the workload generator and the DMA engine draw
+    // with, plus the edge cases of each formula.
+    std::set<double> ps = {1.0, 1.5, 0.0, -0.5, 1e-12,
+                           1.0 / static_cast<double>(
+                                     DmaParams{}.meanInterval)};
+    std::set<std::pair<std::uint64_t, double>> zipfs = {
+        {0, 0.6}, {1, 0.6}, {2, 0.6}, {1000, 1.0}, {1000, 1.0 + 1e-12},
+        {1000, 0.0}, {1000, 2.5}};
+    for (const WorkloadProfile &p : standardBenchmarks()) {
+        ps.insert(1.0 / p.refsPerLine);
+        ps.insert(1.0 / p.codeRefsPerLine);
+        ps.insert(1.0 / p.seqRunLines);
+        ps.insert(1.0 / (p.avgGap + 1.0));
+        const auto chunks = [](std::uint64_t bytes) {
+            return std::max<std::uint64_t>(1, bytes / 4096);
+        };
+        zipfs.insert({chunks(p.codeBytes), p.codeZipf});
+        zipfs.insert({chunks(p.sharedROBytes), p.zipf});
+        zipfs.insert({chunks(p.privateBytes), p.zipf});
+        zipfs.insert({p.rwObjects, p.zipf});
+    }
+
+    const std::size_t geo_draws = kEquivalenceDraws / ps.size() + 1;
+    for (const double p : ps) {
+        const GeometricDist dist(p);
+        Rng ref(7), pre(7), call(7);
+        for (std::size_t i = 0; i < geo_draws; ++i) {
+            const std::uint64_t want = referenceGeometric(ref, p);
+            ASSERT_EQ(dist(pre), want) << "p " << p << " draw " << i;
+            ASSERT_EQ(call.nextGeometric(p), want) << "p " << p;
+        }
+        // Each consumed exactly as many raw draws.
+        const std::uint64_t after = ref.next();
+        EXPECT_EQ(pre.next(), after) << "p " << p;
+        EXPECT_EQ(call.next(), after) << "p " << p;
+    }
+    const std::size_t zipf_draws = kEquivalenceDraws / zipfs.size() + 1;
+    for (const auto &[n, s] : zipfs) {
+        const ZipfDist dist(n, s);
+        Rng ref(11), pre(11), call(11);
+        for (std::size_t i = 0; i < zipf_draws; ++i) {
+            const std::uint64_t want = referenceZipf(ref, n, s);
+            ASSERT_EQ(dist(pre), want) << "n " << n << " s " << s;
+            ASSERT_EQ(call.nextZipf(n, s), want) << "n " << n << " s " << s;
+        }
+        const std::uint64_t after = ref.next();
+        EXPECT_EQ(pre.next(), after) << "n " << n << " s " << s;
+        EXPECT_EQ(call.next(), after) << "n " << n << " s " << s;
+    }
 }
 
 } // namespace

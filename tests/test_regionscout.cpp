@@ -70,6 +70,21 @@ TEST_F(RegionScoutTest, NotSharedResponseFillsNsrt)
     EXPECT_EQ(d.memCtrl, kInvalidMemCtrl);
 }
 
+TEST_F(RegionScoutTest, MayHoldLinesAlwaysAnswersYes)
+{
+    // RegionScout keeps no exact per-region line count to prove a region
+    // empty, so a snoop never skips its tag lookup.
+    EXPECT_TRUE(rs.mayHoldLines(0x1000));
+    rs.onBroadcastResponse(RequestType::Read, 0x1000, true,
+                           response(false, false), 1);
+    EXPECT_TRUE(rs.mayHoldLines(0x1000));
+    rs.onLineFill(0x1040);
+    EXPECT_TRUE(rs.mayHoldLines(0x1000));
+    rs.onLineEvict(0x1040);
+    EXPECT_TRUE(rs.mayHoldLines(0x1000));
+    EXPECT_TRUE(rs.mayHoldLines(0x9000));
+}
+
 TEST_F(RegionScoutTest, SharedResponseDoesNotFill)
 {
     rs.onBroadcastResponse(RequestType::Read, 0x1000, false,

@@ -159,10 +159,10 @@ TEST_F(SharedRcaTest, RegionEvictionFlushesBothCores)
     doAccess(1, CpuOpKind::Store, 0x14000);
     eq.run();
     const bool flushed_first =
-        nodes[0]->peekLine(0x10000) == LineState::Invalid &&
-        nodes[1]->peekLine(0x10040) == LineState::Invalid;
+        l2State(*nodes[0], 0x10000) == LineState::Invalid &&
+        l2State(*nodes[1], 0x10040) == LineState::Invalid;
     const bool flushed_second =
-        nodes[0]->peekLine(0x12000) == LineState::Invalid;
+        l2State(*nodes[0], 0x12000) == LineState::Invalid;
     EXPECT_TRUE(flushed_first || flushed_second);
     EXPECT_EQ(checkAll(config, nodes), "");
 }

@@ -65,8 +65,8 @@ class Cache
      */
     CacheLine *probe(Addr addr, Tick now);
 
-    /** Look up without statistics or LRU (the node's own snoops, fills
-     *  and the oracle); a hit still becomes its set's MRU way. */
+    /** Look up without statistics or LRU (the node's own snoops and
+     *  fills); a hit still becomes its set's MRU way. */
     CacheLine *lookup(Addr addr) { return array_.find(addr); }
 
     /** Look up with no side effect at all (invariant checker, tests). */

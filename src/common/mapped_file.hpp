@@ -1,14 +1,23 @@
 /**
  * @file
  * Read-only memory-mapped file. The trace frontend decodes multi-GB
- * captures through this: the kernel pages record bytes in on demand.
- * Every page a replay touches stays mapped and counts toward its
- * resident set; the pages are clean and file-backed, so the kernel can
- * reclaim them under memory pressure (see docs/TRACE_FORMAT.md).
+ * captures through this: the kernel pages record bytes in on demand,
+ * and a reader hands back what it has passed with release(). The trace
+ * readers keep 1 MiB per lane behind their cursor (kTraceResidentWindow,
+ * workload/trace.hpp), so their resident set is bounded by the lane
+ * count, not the file size (docs/PERF.md, "Bounded trace input").
+ *
+ * release() cannot change what a later read sees. The mapping is
+ * PROT_READ + MAP_PRIVATE, so it never holds a copy-on-write page:
+ * every resident page is the page cache's copy of the file, and
+ * MADV_DONTNEED only unmaps it. The next read faults the same bytes
+ * back from the file. Trace files are published by temp file + rename,
+ * so the inode under a live mapping is never rewritten.
  */
 
 #pragma once
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
@@ -70,6 +79,28 @@ class MappedFile
             data_ = nullptr;
             size_ = 0;
         }
+    }
+
+    /**
+     * Drop the whole pages inside [@p from, @p to) (byte offsets) from
+     * the resident set, rounding both ends inward, so a page that also
+     * holds bytes outside the range stays mapped. Returns where the
+     * next release should start: @p to rounded down to a page, but never
+     * below @p from. A failed madvise only leaves the pages resident,
+     * which changes no later read, so its result is not checked.
+     */
+    std::uint64_t
+    release(std::uint64_t from, std::uint64_t to)
+    {
+        static const std::uint64_t page =
+            static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+        const std::uint64_t begin = (from + page - 1) & ~(page - 1);
+        const std::uint64_t end = std::min(to, size_) & ~(page - 1);
+        if (begin >= end)
+            return std::max(from, end);
+        ::madvise(const_cast<std::uint8_t *>(data_) + begin, end - begin,
+                  MADV_DONTNEED);
+        return end;
     }
 
     const std::uint8_t *data() const { return data_; }

@@ -328,21 +328,21 @@ readTraceInfo(const std::string &path)
     return info;
 }
 
-std::string
+bool
 decodeTraceRecord(const std::uint8_t *p, std::size_t avail,
                   DecodedRecord &out)
 {
     if (avail == 0)
-        return "record runs past the lane payload";
+        return false;
     const std::uint8_t opcode = p[0];
     if (opcode == static_cast<std::uint8_t>(TraceRecOp::end)) {
         out.op = TraceRecOp::end;
         out.bytes = 1;
-        return "";
+        return true;
     }
     if (opcode >= kTraceRecFirstMem && opcode <= kTraceRecLastMem) {
         if (avail < kTraceV2MemRecordBytes)
-            return "truncated memory record";
+            return false;
         out.op = static_cast<TraceRecOp>(opcode);
         out.mem.kind =
             static_cast<CpuOpKind>(opcode - kTraceRecFirstMem);
@@ -350,36 +350,57 @@ decodeTraceRecord(const std::uint8_t *p, std::size_t avail,
         out.mem.gap = get32(p + 2);
         out.mem.addr = get64(p + 6);
         out.bytes = kTraceV2MemRecordBytes;
-        return "";
+        return true;
     }
     switch (static_cast<TraceRecOp>(opcode)) {
       case TraceRecOp::barrier:
         if (avail < kTraceV2BarrierRecordBytes)
-            return "truncated barrier record";
+            return false;
         out.op = TraceRecOp::barrier;
         out.sync.op = TraceRecOp::barrier;
         out.sync.id = get32(p + 1);
         out.sync.participants = get32(p + 5);
         out.bytes = kTraceV2BarrierRecordBytes;
-        return "";
+        return true;
       case TraceRecOp::lock_acquire:
       case TraceRecOp::lock_release:
       case TraceRecOp::signal:
       case TraceRecOp::wait:
         if (avail < kTraceV2IdRecordBytes)
-            return "truncated synchronization record";
+            return false;
         out.op = static_cast<TraceRecOp>(opcode);
         out.sync.op = out.op;
         out.sync.id = get64(p + 1);
         out.sync.participants = 0;
         out.bytes = kTraceV2IdRecordBytes;
-        return "";
+        return true;
       default:
-        return "unknown record opcode 0x" + [opcode] {
-            char buf[3];
-            std::snprintf(buf, sizeof(buf), "%02x", opcode);
-            return std::string(buf);
-        }();
+        return false;
+    }
+}
+
+std::string
+traceRecordError(const std::uint8_t *p, std::size_t avail)
+{
+    if (avail == 0)
+        return "record runs past the lane payload";
+    const std::uint8_t opcode = p[0];
+    if (opcode >= kTraceRecFirstMem && opcode <= kTraceRecLastMem)
+        return "truncated memory record";
+    switch (static_cast<TraceRecOp>(opcode)) {
+      case TraceRecOp::barrier:
+        return "truncated barrier record";
+      case TraceRecOp::lock_acquire:
+      case TraceRecOp::lock_release:
+      case TraceRecOp::signal:
+      case TraceRecOp::wait:
+        return "truncated synchronization record";
+      default: {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "unknown record opcode 0x%02x",
+                      opcode);
+        return buf;
+      }
     }
 }
 
@@ -400,36 +421,57 @@ syncIndex(TraceRecOp op)
 }
 
 /**
- * Walk one lane payload, recomputing its hash and validating every
- * record; accumulates into @p scan. Returns an error message or "".
+ * Walk one lane payload in a single pass, validating every record and
+ * accumulating into @p scan. The pass hashes (when @p check_hash) and
+ * releases the payload a window at a time behind the cursor, so it
+ * touches each page once and keeps at most kTraceResidentWindow of the
+ * lane resident. The hash is checked before any record error, so a
+ * corrupt payload still reads as a checksum mismatch. Returns an error
+ * message or "".
  */
 std::string
-walkLane(const std::uint8_t *payload, std::uint64_t bytes,
-         const TraceInfo::Lane &meta, std::uint32_t lane_index,
-         std::uint32_t num_lanes, TraceScan &scan, bool check_hash)
+walkLane(MappedFile &map, const TraceInfo::Lane &meta,
+         std::uint32_t lane_index, std::uint32_t num_lanes,
+         TraceScan &scan, bool check_hash)
 {
-    const std::string lane = "lane " + std::to_string(lane_index);
-    if (check_hash && xxhash64(payload, bytes) != meta.payloadHash)
-        return lane + " payload checksum mismatch";
+    const std::uint8_t *payload = map.data() + meta.payloadOffset;
+    const std::uint64_t bytes = meta.payloadBytes;
+    Xxh64Stream hash;
+    std::uint64_t passed = 0; // Hashed up to here.
+    std::uint64_t mark = 0;   // Released up to here.
+    const auto pass = [&](std::uint64_t to) {
+        if (check_hash)
+            hash.update(payload + passed, to - passed);
+        passed = to;
+        mark = map.release(meta.payloadOffset + mark,
+                           meta.payloadOffset + to) -
+               meta.payloadOffset;
+    };
+
+    std::string err;
     std::uint64_t off = 0, mem = 0, sync = 0;
     bool ended = false;
     while (off < bytes) {
         DecodedRecord rec;
-        const std::string err =
-            decodeTraceRecord(payload + off, bytes - off, rec);
-        if (!err.empty())
-            return lane + ": " + err;
+        if (!decodeTraceRecord(payload + off, bytes - off, rec)) {
+            err = traceRecordError(payload + off, bytes - off);
+            break;
+        }
         off += rec.bytes;
+        if (off - passed >= kTraceResidentWindow)
+            pass(off);
         if (rec.op == TraceRecOp::end) {
             ended = true;
             break;
         }
         if (rec.op >= TraceRecOp::barrier) {
             if (rec.op == TraceRecOp::barrier &&
-                rec.sync.participants > num_lanes)
-                return lane + ": barrier participants " +
-                       std::to_string(rec.sync.participants) +
-                       " exceed the lane count";
+                rec.sync.participants > num_lanes) {
+                err = "barrier participants " +
+                      std::to_string(rec.sync.participants) +
+                      " exceed the lane count";
+                break;
+            }
             ++sync;
             ++scan.syncOps;
             ++scan.syncCount[syncIndex(rec.op)];
@@ -442,6 +484,13 @@ walkLane(const std::uint8_t *payload, std::uint64_t bytes,
             scan.maxAddr = std::max(scan.maxAddr, rec.mem.addr);
         }
     }
+    pass(bytes);
+
+    const std::string lane = "lane " + std::to_string(lane_index);
+    if (check_hash && hash.digest() != meta.payloadHash)
+        return lane + " payload checksum mismatch";
+    if (!err.empty())
+        return lane + ": " + err;
     if (!ended)
         return lane + " payload is missing its end record";
     if (off != bytes)
@@ -463,9 +512,7 @@ walkTrace(const std::string &path, TraceScan &scan, bool check_hash)
     if (!err.empty())
         return err;
     for (std::uint32_t i = 0; i < info.numLanes; ++i) {
-        const auto &lane = info.lanes[i];
-        err = walkLane(map.data() + lane.payloadOffset,
-                       lane.payloadBytes, lane, i, info.numLanes, scan,
+        err = walkLane(map, info.lanes[i], i, info.numLanes, scan,
                        check_hash);
         if (!err.empty())
             return err;

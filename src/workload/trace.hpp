@@ -15,6 +15,14 @@
  * allocation and never materializes the op stream. A file of the
  * retired version 1 is rejected wherever a trace is opened.
  *
+ * Memory is bounded by the lane count, not the trace size. Every reader
+ * (the replayer, scanTrace, verifyTrace) releases the pages behind its
+ * cursor once it is kTraceResidentWindow past the last release, so it
+ * holds at most that window plus the kernel's fault-around (64 KiB) of
+ * each lane's payload. Replaying the 28 MB benchmark trace peaks at
+ * about 20 MB RSS instead of 39.5 MB; verifying a 224 MB trace grows the
+ * resident set by about 2 MiB (docs/PERF.md, "Bounded trace input").
+ *
  * This header holds the writer, the capture tee, and the inspection
  * helpers; the streaming replayer lives in workload/trace_replay.hpp and
  * the text-format converter in workload/trace_text.hpp.
@@ -33,6 +41,10 @@
 #include "workload/trace_format.hpp"
 
 namespace cgct {
+
+/** Payload bytes a trace reader keeps mapped behind its cursor, per
+ *  lane, before it releases them (MappedFile::release). */
+inline constexpr std::uint64_t kTraceResidentWindow = 1u << 20;
 
 /**
  * Writes a v2 trace file. Records append per lane; each lane spools to
@@ -200,8 +212,9 @@ struct TraceScan {
 TraceScan scanTrace(const std::string &path);
 
 /**
- * Recompute every lane's payload hash and re-walk all records of a
- * trace. Returns an error message, or "" when the file checks out.
+ * Walk every record of a trace once, hashing each lane's payload as it
+ * goes, and check the hashes and record counts against the directory.
+ * Returns an error message, or "" when the file checks out.
  */
 std::string verifyTrace(const std::string &path);
 
@@ -215,11 +228,15 @@ struct DecodedRecord {
 
 /**
  * Decode the record at @p p (with @p avail bytes left in the lane
- * payload). Returns an error message for an unknown opcode or a record
- * truncated by the payload boundary; "" on success.
+ * payload). Returns false for an unknown opcode or a record truncated
+ * by the payload boundary; traceRecordError() then says which. Builds
+ * no string, so the decode loops pay for a message only on failure.
  */
-std::string decodeTraceRecord(const std::uint8_t *p, std::size_t avail,
-                              DecodedRecord &out);
+bool decodeTraceRecord(const std::uint8_t *p, std::size_t avail,
+                       DecodedRecord &out);
+
+/** Why decodeTraceRecord() rejected the record at @p p. */
+std::string traceRecordError(const std::uint8_t *p, std::size_t avail);
 
 /**
  * Offline capture: drain @p ops_per_cpu ops per processor round-robin

@@ -20,7 +20,8 @@ TraceReplay::TraceReplay(const std::string &path) : path_(path)
     lanes_.resize(info_.numLanes);
     waiters_.resize(info_.numLanes);
     for (std::uint32_t i = 0; i < info_.numLanes; ++i) {
-        lanes_[i].base = map_.data() + info_.lanes[i].payloadOffset;
+        lanes_[i].offset = info_.lanes[i].payloadOffset;
+        lanes_[i].base = map_.data() + lanes_[i].offset;
         lanes_[i].bytes = info_.lanes[i].payloadBytes;
     }
 }
@@ -220,20 +221,24 @@ TraceReplay::advance(std::uint32_t li, Tick *now, CpuOp &op)
     while (true) {
         if (lane.memConsumed >= pauseAt_)
             return OpFetch::End; // Paused for a checkpoint drain.
+        const std::uint8_t *at = lane.base + lane.cursor;
+        const std::uint64_t avail = lane.bytes - lane.cursor;
         DecodedRecord rec;
-        const std::string err = decodeTraceRecord(
-            lane.base + lane.cursor, lane.bytes - lane.cursor, rec);
-        if (!err.empty())
+        if (!decodeTraceRecord(at, avail, rec))
             fatal("trace replay: '%s' lane %u at payload offset %llu: "
                   "%s",
                   path_.c_str(), li,
                   static_cast<unsigned long long>(lane.cursor),
-                  err.c_str());
+                  traceRecordError(at, avail).c_str());
         if (rec.op == TraceRecOp::end) {
             markEnded(li);
             return OpFetch::End;
         }
         lane.cursor += rec.bytes;
+        if (lane.cursor - lane.mark >= kTraceResidentWindow)
+            lane.mark = map_.release(lane.offset + lane.mark,
+                                     lane.offset + lane.cursor) -
+                        lane.offset;
         if (rec.op >= TraceRecOp::barrier) {
             ++lane.syncConsumed;
             // Timing-free iteration (no clock) skips the record.
@@ -284,6 +289,10 @@ TraceReplay::transfer(Archive &ar)
             continue;
         if (lane.cursor > lane.bytes)
             ar.fail("lane cursor past the payload");
+        // Drop what the old position left resident; the window restarts
+        // at the loaded cursor, and released pages fault back on demand.
+        map_.release(lane.offset, lane.offset + lane.bytes);
+        lane.mark = lane.cursor;
         lane.state = ended ? LaneState::Ended : LaneState::Runnable;
         endedLanes_ += ended ? 1 : 0;
     }

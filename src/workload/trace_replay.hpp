@@ -2,9 +2,13 @@
  * @file
  * Streaming trace replayer. Maps the trace read-only (mmap) and
  * decodes each lane's records at a byte cursor: no per-op allocation
- * and no materialized op stream. The mapped pages a replay touches count
- * toward its resident set, but they are clean and file-backed, so the
- * kernel can reclaim them.
+ * and no materialized op stream. Each lane releases the pages behind its
+ * cursor every kTraceResidentWindow (1 MiB) of progress, so a replay
+ * keeps at most lanes x (1 MiB + 64 KiB fault-around) of the trace
+ * resident, whatever its size: the 28 MB benchmark trace replays at the
+ * generator's 20 MB peak RSS, not 39.5 MB (docs/PERF.md, "Bounded trace
+ * input"). A released page faults back with the same bytes, so the
+ * window never changes a decoded op.
  *
  * Synchronization records (docs/TRACE_FORMAT.md) are consumed inside
  * fetch(), re-creating the recorded cross-thread ordering in simulated
@@ -108,8 +112,10 @@ class TraceReplay : public OpSource
 
     struct Lane {
         const std::uint8_t *base = nullptr;
+        std::uint64_t offset = 0; ///< Payload's offset in the file.
         std::uint64_t bytes = 0;
         std::uint64_t cursor = 0; ///< Byte offset into the payload.
+        std::uint64_t mark = 0;   ///< Released up to here (payload).
         std::uint64_t memConsumed = 0;
         std::uint64_t syncConsumed = 0;
         LaneState state = LaneState::Runnable;

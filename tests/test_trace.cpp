@@ -15,6 +15,7 @@
 #include <unistd.h>
 #include <vector>
 
+#include "common/random.hpp"
 #include "snapshot/serializer.hpp"
 #include "workload/benchmarks.hpp"
 #include "workload/generator.hpp"
@@ -442,7 +443,8 @@ TEST(TraceMalformed, DecodeRejectsUnknownOpcode)
 {
     const std::uint8_t bad[14] = {0x7F};
     DecodedRecord rec;
-    EXPECT_EQ(decodeTraceRecord(bad, sizeof(bad), rec),
+    EXPECT_FALSE(decodeTraceRecord(bad, sizeof(bad), rec));
+    EXPECT_EQ(traceRecordError(bad, sizeof(bad)),
               "unknown record opcode 0x7f");
 }
 
@@ -450,11 +452,18 @@ TEST(TraceMalformed, DecodeRejectsTruncatedRecord)
 {
     const std::uint8_t load[14] = {0x02};
     DecodedRecord rec;
-    EXPECT_EQ(decodeTraceRecord(load, 5, rec),
-              "truncated memory record");
+    EXPECT_FALSE(decodeTraceRecord(load, 5, rec));
+    EXPECT_EQ(traceRecordError(load, 5), "truncated memory record");
     const std::uint8_t barrier[9] = {0x10};
-    EXPECT_EQ(decodeTraceRecord(barrier, 3, rec),
-              "truncated barrier record");
+    EXPECT_FALSE(decodeTraceRecord(barrier, 3, rec));
+    EXPECT_EQ(traceRecordError(barrier, 3), "truncated barrier record");
+    const std::uint8_t lock[9] = {0x11};
+    EXPECT_FALSE(decodeTraceRecord(lock, 8, rec));
+    EXPECT_EQ(traceRecordError(lock, 8),
+              "truncated synchronization record");
+    EXPECT_FALSE(decodeTraceRecord(load, 0, rec));
+    EXPECT_EQ(traceRecordError(load, 0),
+              "record runs past the lane payload");
 }
 
 TEST(TraceMalformed, VerifyCatchesPayloadCorruption)
@@ -480,6 +489,180 @@ TEST(TraceMalformed, VerifyCatchesPayloadCorruption)
     std::fclose(f);
     EXPECT_EQ(verifyTrace(path), "lane 0 payload checksum mismatch");
     std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutation loop: bit flips, truncations and lane-directory edits of
+// a small valid trace. parseTraceV2Header and verifyTrace must return a
+// message for each mutant, never crash, and a mutant verifyTrace accepts
+// must replay to the directory's op counts.
+
+constexpr std::uint32_t kMutationLanes = 3;
+
+/** A valid trace of kMutationLanes lanes with every record kind. */
+std::vector<std::uint8_t>
+makeMutationSeed()
+{
+    const std::string path = tempPath("mutation_seed");
+    {
+        TraceWriter writer(path, kMutationLanes, 8);
+        SyncRecord sync;
+        CpuOp op;
+        for (unsigned lane = 0; lane < kMutationLanes; ++lane) {
+            sync.op = TraceRecOp::lock_acquire;
+            sync.id = 7;
+            writer.appendSync(lane, sync);
+            for (unsigned i = 0; i < 8; ++i) {
+                op.kind = static_cast<CpuOpKind>((lane + i) % 6);
+                op.dependent = (i & 1) != 0;
+                op.gap = i * 3;
+                op.addr = 0x10000 * (lane + 1) + i * 64;
+                writer.append(lane, op);
+            }
+            sync.op = TraceRecOp::lock_release;
+            writer.appendSync(lane, sync);
+            sync.op = lane == 0 ? TraceRecOp::signal : TraceRecOp::wait;
+            sync.id = lane;
+            writer.appendSync(lane, sync);
+            sync.op = TraceRecOp::barrier;
+            sync.id = 1;
+            sync.participants = kMutationLanes;
+            writer.appendSync(lane, sync);
+        }
+        writer.close();
+    }
+    std::vector<std::uint8_t> bytes = readFile(path);
+    std::remove(path.c_str());
+    return bytes;
+}
+
+std::uint64_t
+get64At(const std::vector<std::uint8_t> &b, std::size_t off)
+{
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i)
+        v |= static_cast<std::uint64_t>(b[off + i]) << (8 * i);
+    return v;
+}
+
+/** Recompute every in-range lane hash, then the directory checksum and
+ *  trace id, so a mutant gets past the checksums to the checks behind
+ *  them. Leaves a mutant whose directory does not fit alone. */
+void
+resealAll(std::vector<std::uint8_t> &b)
+{
+    if (b.size() < kTraceV2HeaderBytes)
+        return;
+    const std::uint32_t n =
+        static_cast<std::uint32_t>(get64At(b, 12)); // Low half: lanes.
+    const std::uint64_t dir_end =
+        kTraceV2HeaderBytes + std::uint64_t{n} * kTraceV2LaneDirBytes;
+    if (n > kTraceMaxLanes || dir_end > b.size())
+        return;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        const std::size_t e = kTraceV2HeaderBytes + i * kTraceV2LaneDirBytes;
+        const std::uint64_t off = get64At(b, e);
+        const std::uint64_t len = get64At(b, e + 8);
+        if (off <= b.size() && len <= b.size() - off)
+            put64At(b, e + 32, xxhash64(b.data() + off, len));
+    }
+    resealHeader(b);
+}
+
+/** Apply one seeded mutation to @p b. */
+void
+mutate(std::vector<std::uint8_t> &b, Rng &rng)
+{
+    const std::size_t entry = kTraceV2HeaderBytes +
+                              rng.nextBelow(kMutationLanes) *
+                                  kTraceV2LaneDirBytes;
+    const std::size_t payload =
+        kTraceV2HeaderBytes + kMutationLanes * kTraceV2LaneDirBytes;
+    const std::uint64_t edits[] = {0, 1, b.size() - 1, b.size(),
+                                   b.size() + 1, UINT64_MAX,
+                                   UINT64_MAX - 8, rng.next()};
+    const std::uint64_t edit = edits[rng.nextBelow(std::size(edits))];
+    switch (rng.nextBelow(6)) {
+      case 0: // Bit flips anywhere.
+        for (std::uint64_t k = 1 + rng.nextBelow(3); k > 0; --k)
+            b[rng.nextBelow(b.size())] ^=
+                static_cast<std::uint8_t>(1u << rng.nextBelow(8));
+        break;
+      case 1: // Truncation, possibly to nothing.
+        b.resize(rng.nextBelow(b.size()));
+        break;
+      case 2: { // Lane count.
+        const std::uint32_t counts[] = {0, 1, 2, 4, kTraceMaxLanes,
+                                        kTraceMaxLanes + 1, UINT32_MAX};
+        put32At(b, 12, counts[rng.nextBelow(std::size(counts))]);
+        break;
+      }
+      case 3: // A lane's payload offset, absolute or nudged.
+        put64At(b, entry, rng.chance(0.5)
+                              ? edit
+                              : get64At(b, entry) + rng.nextRange(-9, 9));
+        break;
+      case 4: // A lane's payload length, absolute or nudged.
+        put64At(b, entry + 8,
+                rng.chance(0.5) ? edit
+                                : get64At(b, entry + 8) +
+                                      rng.nextRange(-9, 9));
+        break;
+      default: // A payload byte: opcodes, flags, barrier participants.
+        b[payload + rng.nextBelow(b.size() - payload)] =
+            static_cast<std::uint8_t>(rng.next());
+        break;
+    }
+}
+
+TEST(TraceMutation, SeededV2MutantsReturnErrorsNotCrashes)
+{
+    const std::vector<std::uint8_t> seed = makeMutationSeed();
+    ASSERT_EQ(parseBytes(seed), "");
+    const std::string path = tempPath("mutant");
+    Rng rng(0x7eace2);
+    unsigned parsed = 0, walked = 0, accepted = 0;
+    for (int m = 0; m < 2000; ++m) {
+        std::vector<std::uint8_t> b = seed;
+        mutate(b, rng);
+        if (rng.chance(0.5))
+            resealAll(b);
+        std::FILE *f = std::fopen(path.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        std::fwrite(b.data(), 1, b.size(), f);
+        std::fclose(f);
+
+        TraceInfo info;
+        const std::string parse_err =
+            parseTraceV2Header(b.data(), b.size(), info);
+        const std::string verify_err = verifyTrace(path);
+        if (!parse_err.empty()) {
+            if (!b.empty()) {
+                EXPECT_EQ(verify_err, parse_err) << "mutant " << m;
+            }
+            continue;
+        }
+        ++parsed;
+        if (!verify_err.empty()) {
+            ++walked;
+            continue;
+        }
+        ++accepted;
+        TraceReplay replay(path);
+        for (std::uint32_t lane = 0; lane < info.numLanes; ++lane) {
+            CpuOp op;
+            std::uint64_t ops = 0;
+            while (replay.next(static_cast<CpuId>(lane), op))
+                ++ops;
+            EXPECT_EQ(ops, info.lanes[lane].memOps) << "mutant " << m;
+        }
+    }
+    std::remove(path.c_str());
+    // The loop reaches every layer: header rejections, walker
+    // rejections, and mutants that still verify.
+    EXPECT_GT(parsed, 400u);
+    EXPECT_GT(walked, 200u);
+    EXPECT_GT(accepted, 100u);
 }
 
 // ---------------------------------------------------------------------------

@@ -171,4 +171,20 @@ inline constexpr const char *kHier16SharedRcaCheckpointSha256 =
 inline constexpr const char *kDir16DmaCheckpointSha256 =
     "80e1fa1dc871461db50ef4c53d667b41ecefe36c924816e1f8abafa77d6da092";
 
+/**
+ * xxhash64 of the v2 trace file TraceWriter writes for the TraceMutation
+ * seed: 3 lanes, every memory and synchronization record kind, end
+ * records. Asserted by TracePin.FileBytes. Regenerate (prints it):
+ *   build/tests/test_trace --gtest_filter='TracePin.*'
+ */
+inline constexpr std::uint64_t kTraceFileXxh64 = 0x8eba23f47aa84331ULL;
+
+/**
+ * xxhash64 of a two-record CGCTJRNL file as SweepJournal writes it:
+ * fingerprint 0x5eedf00d, cells 0 and 3. Asserted by JournalPin.FileBytes.
+ * Regenerate (prints it):
+ *   build/tests/test_snapshot --gtest_filter='JournalPin.*'
+ */
+inline constexpr std::uint64_t kJournalFileXxh64 = 0xe5d257e70fb3312cULL;
+
 } // namespace cgct::golden

@@ -2,8 +2,9 @@
  * @file
  * Tests for the trace frontend: v2 round-trip fidelity, header and lane
  * directory validation (docs/TRACE_FORMAT.md), capture from the
- * synthetic generator, atomic publication, the malformed-file rejection
- * matrix, and the rejection of legacy v1 files.
+ * synthetic generator, atomic publication, the frozen bytes of a small
+ * trace file, the malformed-file rejection matrix, and the rejection of
+ * legacy v1 files.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "common/random.hpp"
+#include "golden.hpp"
 #include "snapshot/serializer.hpp"
 #include "workload/benchmarks.hpp"
 #include "workload/generator.hpp"
@@ -613,6 +615,17 @@ mutate(std::vector<std::uint8_t> &b, Rng &rng)
             static_cast<std::uint8_t>(rng.next());
         break;
     }
+}
+
+TEST(TracePin, FileBytes)
+{
+    // Frozen: the whole file (header, lane directory, every record kind,
+    // end records) as TraceWriter lays it out. Prints the digest.
+    const std::vector<std::uint8_t> bytes = makeMutationSeed();
+    const std::uint64_t digest = xxhash64(bytes.data(), bytes.size());
+    std::printf("trace file xxhash64 0x%016llx (%zu bytes)\n",
+                static_cast<unsigned long long>(digest), bytes.size());
+    EXPECT_EQ(digest, golden::kTraceFileXxh64);
 }
 
 TEST(TraceMutation, SeededV2MutantsReturnErrorsNotCrashes)

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/little_endian.hpp"
 #include "common/log.hpp"
 #include "sim/sweep.hpp"
 #include "snapshot/serializer.hpp"
@@ -19,24 +20,6 @@ constexpr std::uint32_t kJournalVersion = 1;
 constexpr std::size_t kHeaderBytes = 8 + 4 + 8;
 /** Sanity bound on one record (a RunResult encodes to a few KB). */
 constexpr std::uint64_t kMaxRecordBytes = 64ULL << 20;
-
-std::uint64_t
-readLe64(const std::uint8_t *p)
-{
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i)
-        v = (v << 8) | p[i];
-    return v;
-}
-
-std::uint32_t
-readLe32(const std::uint8_t *p)
-{
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i)
-        v = (v << 8) | p[i];
-    return v;
-}
 
 /** The journal record layout of one RunResult. */
 void
@@ -243,11 +226,11 @@ SweepJournal::open(const std::string &path, std::uint64_t fingerprint)
         std::fclose(f);
         return path + " is not a cgct_sweep resume journal";
     }
-    if (readLe32(data.data() + 8) != kJournalVersion) {
+    if (loadLe<std::uint32_t>(data.data() + 8) != kJournalVersion) {
         std::fclose(f);
         return path + ": unsupported journal version";
     }
-    if (readLe64(data.data() + 12) != fingerprint) {
+    if (loadLe<std::uint64_t>(data.data() + 12) != fingerprint) {
         std::fclose(f);
         return path +
                " was written by a different sweep (benchmarks, regions, "
@@ -259,12 +242,12 @@ SweepJournal::open(const std::string &path, std::uint64_t fingerprint)
     while (pos < data.size()) {
         if (data.size() - pos < 8)
             break; // Torn length field.
-        const std::uint64_t len = readLe64(data.data() + pos);
+        const std::uint64_t len = loadLe<std::uint64_t>(data.data() + pos);
         if (len < 8 || len > kMaxRecordBytes ||
             data.size() - pos - 8 < len + 8)
             break; // Torn or nonsensical record.
         const std::uint8_t *payload = data.data() + pos + 8;
-        if (xxhash64(payload, len) != readLe64(payload + len))
+        if (xxhash64(payload, len) != loadLe<std::uint64_t>(payload + len))
             break; // Torn payload (crash mid-append).
         SectionReader rec(payload, payload + len,
                           path + ": record at byte " + std::to_string(pos));

@@ -1,12 +1,14 @@
 #include "snapshot/serializer.hpp"
 
 #include <algorithm>
+#include <cstdarg>
 #include <cstdio>
 #include <cstring>
 
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "common/little_endian.hpp"
 #include "common/log.hpp"
 
 namespace cgct {
@@ -28,22 +30,6 @@ std::uint64_t
 rotl64(std::uint64_t v, int r)
 {
     return (v << r) | (v >> (64 - r));
-}
-
-std::uint64_t
-readLE64(const std::uint8_t *p)
-{
-    std::uint64_t v;
-    std::memcpy(&v, p, 8);
-    return v; // the simulator targets little-endian hosts throughout
-}
-
-std::uint32_t
-readLE32(const std::uint8_t *p)
-{
-    std::uint32_t v;
-    std::memcpy(&v, p, 4);
-    return v;
 }
 
 std::uint64_t
@@ -94,18 +80,18 @@ Xxh64Stream::update(const void *data, std::size_t len)
         len -= take;
         if (buffered_ < 32)
             return;
-        v1_ = xxh64Round(v1_, readLE64(buf_));
-        v2_ = xxh64Round(v2_, readLE64(buf_ + 8));
-        v3_ = xxh64Round(v3_, readLE64(buf_ + 16));
-        v4_ = xxh64Round(v4_, readLE64(buf_ + 24));
+        v1_ = xxh64Round(v1_, loadLe<std::uint64_t>(buf_));
+        v2_ = xxh64Round(v2_, loadLe<std::uint64_t>(buf_ + 8));
+        v3_ = xxh64Round(v3_, loadLe<std::uint64_t>(buf_ + 16));
+        v4_ = xxh64Round(v4_, loadLe<std::uint64_t>(buf_ + 24));
         buffered_ = 0;
     }
 
     while (len >= 32) {
-        v1_ = xxh64Round(v1_, readLE64(p));
-        v2_ = xxh64Round(v2_, readLE64(p + 8));
-        v3_ = xxh64Round(v3_, readLE64(p + 16));
-        v4_ = xxh64Round(v4_, readLE64(p + 24));
+        v1_ = xxh64Round(v1_, loadLe<std::uint64_t>(p));
+        v2_ = xxh64Round(v2_, loadLe<std::uint64_t>(p + 8));
+        v3_ = xxh64Round(v3_, loadLe<std::uint64_t>(p + 16));
+        v4_ = xxh64Round(v4_, loadLe<std::uint64_t>(p + 24));
         p += 32;
         len -= 32;
     }
@@ -136,12 +122,12 @@ Xxh64Stream::digest() const
     const std::uint8_t *p = buf_;
     const std::uint8_t *end = buf_ + buffered_;
     while (p + 8 <= end) {
-        h ^= xxh64Round(0, readLE64(p));
+        h ^= xxh64Round(0, loadLe<std::uint64_t>(p));
         h = rotl64(h, 27) * kPrime1 + kPrime4;
         p += 8;
     }
     if (p + 4 <= end) {
-        h ^= static_cast<std::uint64_t>(readLE32(p)) * kPrime1;
+        h ^= static_cast<std::uint64_t>(loadLe<std::uint32_t>(p)) * kPrime1;
         h = rotl64(h, 23) * kPrime2 + kPrime3;
         p += 4;
     }
@@ -171,22 +157,6 @@ xxhash64(const void *data, std::size_t len, std::uint64_t seed)
 // Serializer
 
 void
-Serializer::le(std::uint64_t v, int n)
-{
-    for (int i = 0; i < n; ++i)
-        buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-Serializer::f64(double v)
-{
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, 8);
-    u64(bits);
-}
-
-void
 Serializer::str(const std::string &v)
 {
     u64(v.size());
@@ -213,10 +183,8 @@ Serializer::endSection()
     if (!inSection_)
         panic("Serializer: endSection() without beginSection()");
     inSection_ = false;
-    std::uint64_t payload_len = buf_.size() - payloadStart_;
-    for (int i = 0; i < 8; ++i)
-        buf_[lenFieldAt_ + i] =
-            static_cast<std::uint8_t>(payload_len >> (8 * i));
+    const std::uint64_t payload_len = buf_.size() - payloadStart_;
+    storeLe(buf_.data() + lenFieldAt_, payload_len);
     std::uint64_t hash = xxhash64(buf_.data() + payloadStart_,
                                   static_cast<std::size_t>(payload_len));
     u64(hash);
@@ -297,28 +265,20 @@ Deserializer::parse(const std::string &path)
         return path + ": not a CGCT snapshot (bad magic)";
 
     std::size_t off = sizeof(kSnapshotMagic);
-    version_ = 0;
-    for (int i = 0; i < 4; ++i)
-        version_ |= static_cast<std::uint32_t>(data_[off + i]) << (8 * i);
+    version_ = loadLe<std::uint32_t>(data_.data() + off);
     off += 4;
     if (version_ != kSnapshotVersion)
         return path + ": unsupported snapshot format version " +
                std::to_string(version_) + " (this build reads version " +
                std::to_string(kSnapshotVersion) + ")";
-    fingerprint_ = 0;
-    for (int i = 0; i < 8; ++i)
-        fingerprint_ |= static_cast<std::uint64_t>(data_[off + i])
-                        << (8 * i);
+    fingerprint_ = loadLe<std::uint64_t>(data_.data() + off);
     off += 8;
 
     sections_.clear();
     while (off < data_.size()) {
         if (data_.size() - off < 4)
             return path + ": torn section header";
-        std::uint32_t name_len = 0;
-        for (int i = 0; i < 4; ++i)
-            name_len |= static_cast<std::uint32_t>(data_[off + i])
-                        << (8 * i);
+        const auto name_len = loadLe<std::uint32_t>(data_.data() + off);
         off += 4;
         // Size arithmetic on untrusted lengths: compute in size_t so a
         // crafted name_len near UINT32_MAX cannot wrap the sum.
@@ -327,25 +287,18 @@ Deserializer::parse(const std::string &path)
         std::string name(reinterpret_cast<const char *>(data_.data() + off),
                          name_len);
         off += name_len;
-        std::uint64_t payload_len = 0;
-        for (int i = 0; i < 8; ++i)
-            payload_len |= static_cast<std::uint64_t>(data_[off + i])
-                           << (8 * i);
+        const auto payload_len = loadLe<std::uint64_t>(data_.data() + off);
         off += 8;
         // No addition on the untrusted payload_len — it can be anything
         // up to UINT64_MAX, so `payload_len + 8` could wrap and pass.
         if (payload_len > data_.size() - off ||
             data_.size() - off - static_cast<std::size_t>(payload_len) < 8)
             return path + ": torn section '" + name + "'";
-        std::uint64_t stored_hash = 0;
-        std::size_t hash_at = off + static_cast<std::size_t>(payload_len);
-        for (int i = 0; i < 8; ++i)
-            stored_hash |= static_cast<std::uint64_t>(data_[hash_at + i])
-                           << (8 * i);
-        std::uint64_t computed =
-            xxhash64(data_.data() + off,
-                     static_cast<std::size_t>(payload_len));
-        if (computed != stored_hash)
+        const std::size_t hash_at =
+            off + static_cast<std::size_t>(payload_len);
+        if (xxhash64(data_.data() + off,
+                     static_cast<std::size_t>(payload_len)) !=
+            loadLe<std::uint64_t>(data_.data() + hash_at))
             return path + ": checksum mismatch in section '" + name +
                    "' (snapshot file is corrupt)";
         Range r;

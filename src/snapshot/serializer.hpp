@@ -28,11 +28,10 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstring>
 #include <string>
-#include <type_traits>
 #include <vector>
 
+#include "common/little_endian.hpp"
 #include "common/log.hpp"
 
 namespace cgct {
@@ -81,13 +80,13 @@ class Xxh64Stream {
 class Serializer {
   public:
     void u8(std::uint8_t v) { buf_.push_back(v); }
-    void u16(std::uint16_t v) { le(v, 2); }
-    void u32(std::uint32_t v) { le(v, 4); }
-    void u64(std::uint64_t v) { le(v, 8); }
-    void i64(std::int64_t v) { le(static_cast<std::uint64_t>(v), 8); }
+    void u16(std::uint16_t v) { put(v); }
+    void u32(std::uint32_t v) { put(v); }
+    void u64(std::uint64_t v) { put(v); }
+    void i64(std::int64_t v) { put(static_cast<std::uint64_t>(v)); }
     void b(bool v) { u8(v ? 1 : 0); }
     /** Raw IEEE-754 bit pattern — bit-exact round trip, incl. ±0/inf. */
-    void f64(double v);
+    void f64(double v) { put(std::bit_cast<std::uint64_t>(v)); }
     /** u64 length followed by the bytes. */
     void str(const std::string &v);
     /** Append @p len raw bytes. Inline: every Archive field of a save
@@ -98,6 +97,15 @@ class Serializer {
     {
         const auto *p = static_cast<const std::uint8_t *>(data);
         buf_.insert(buf_.end(), p, p + len);
+    }
+    /** Append one little-endian unsigned integer of its own width. */
+    template <class W>
+    void
+    put(W v)
+    {
+        std::uint8_t le[sizeof v];
+        storeLe(le, v);
+        bytes(le, sizeof le);
     }
 
     void beginSection(const std::string &name);
@@ -110,8 +118,6 @@ class Serializer {
     std::vector<std::uint8_t> take() && { return std::move(buf_); }
 
   private:
-    void le(std::uint64_t v, int n);
-
     std::vector<std::uint8_t> buf_;
     std::size_t payloadStart_ = 0;
     std::size_t lenFieldAt_ = 0;
@@ -144,14 +150,13 @@ class SectionReader {
     std::string str();
     void bytes(void *out, std::size_t len);
 
-    /** One little-endian integer (the host order, as everywhere here). */
+    /** One little-endian unsigned integer of width @p W. */
     template <class W>
     W
     get()
     {
         need(sizeof(W));
-        W v;
-        std::memcpy(&v, p_, sizeof v);
+        const W v = loadLe<W>(p_);
         p_ += sizeof v;
         return v;
     }
@@ -357,15 +362,13 @@ class Archive
             v = static_cast<T>(w);
     }
 
-    /** The stored bytes of @p v: its width, little-endian (the host
-     *  order; the simulator targets little-endian hosts throughout). */
+    /** The stored bytes of @p v: its width, little-endian. */
     template <class W>
     void
     raw(W &v)
     {
-        static_assert(std::is_unsigned_v<W>, "store an unsigned width");
         if (saving())
-            out_->bytes(&v, sizeof v);
+            out_->put(v);
         else
             v = reader().get<W>();
     }

@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include "common/little_endian.hpp"
 #include "common/log.hpp"
 #include "common/mapped_file.hpp"
 #include "snapshot/serializer.hpp"
@@ -20,38 +21,6 @@ fatalIo(const char *what, const std::string &path)
 {
     fatal("trace: %s '%s': %s", what, path.c_str(),
           std::strerror(errno));
-}
-
-void
-put32(std::uint8_t *p, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-void
-put64(std::uint8_t *p, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-std::uint32_t
-get32(const std::uint8_t *p)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return v;
-}
-
-std::uint64_t
-get64(const std::uint8_t *p)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
 }
 
 /** Spill a lane buffer to its (unlinked) spool file once it holds this
@@ -109,8 +78,8 @@ TraceWriter::append(CpuId lane, const CpuOp &op)
     std::uint8_t rec[kTraceV2MemRecordBytes];
     rec[0] = static_cast<std::uint8_t>(op.kind) + kTraceRecFirstMem;
     rec[1] = op.dependent ? 1 : 0;
-    put32(rec + 2, op.gap);
-    put64(rec + 6, op.addr);
+    storeLe<std::uint32_t>(rec + 2, op.gap);
+    storeLe<std::uint64_t>(rec + 6, op.addr);
     emit(lanes_[l], rec, sizeof(rec));
     ++lanes_[l].memOps;
     ++records_;
@@ -128,14 +97,14 @@ TraceWriter::appendSync(CpuId lane, const SyncRecord &sync)
     rec[0] = static_cast<std::uint8_t>(sync.op);
     std::size_t n = 0;
     if (sync.op == TraceRecOp::barrier) {
-        put32(rec + 1, static_cast<std::uint32_t>(sync.id));
-        put32(rec + 5, sync.participants);
+        storeLe(rec + 1, static_cast<std::uint32_t>(sync.id));
+        storeLe<std::uint32_t>(rec + 5, sync.participants);
         n = kTraceV2BarrierRecordBytes;
     } else if (sync.op == TraceRecOp::lock_acquire ||
                sync.op == TraceRecOp::lock_release ||
                sync.op == TraceRecOp::signal ||
                sync.op == TraceRecOp::wait) {
-        put64(rec + 1, sync.id);
+        storeLe<std::uint64_t>(rec + 1, sync.id);
         n = kTraceV2IdRecordBytes;
     } else {
         panic("trace: appendSync with non-sync opcode 0x%02x",
@@ -169,26 +138,26 @@ TraceWriter::close()
         kTraceV2HeaderBytes + n * kTraceV2LaneDirBytes;
     for (std::uint32_t i = 0; i < n; ++i) {
         std::uint8_t *e = dir.data() + i * kTraceV2LaneDirBytes;
-        put64(e + 0, offset);
-        put64(e + 8, lanes_[i].bytes);
-        put64(e + 16, lanes_[i].memOps);
-        put64(e + 24, lanes_[i].syncOps);
-        put64(e + 32, lanes_[i].hash.digest());
+        storeLe<std::uint64_t>(e + 0, offset);
+        storeLe<std::uint64_t>(e + 8, lanes_[i].bytes);
+        storeLe<std::uint64_t>(e + 16, lanes_[i].memOps);
+        storeLe<std::uint64_t>(e + 24, lanes_[i].syncOps);
+        storeLe<std::uint64_t>(e + 32, lanes_[i].hash.digest());
         offset += lanes_[i].bytes;
     }
 
     std::uint8_t header[kTraceV2HeaderBytes];
     std::memcpy(header, kTraceMagic, 4);
-    put32(header + 4, kTraceVersion2);
-    put32(header + 8, 0); // flags
-    put32(header + 12, n);
-    put64(header + 16, opsDeclared_);
-    put64(header + 24, kTraceV2HeaderBytes);
-    put64(header + 32, xxhash64(dir.data(), dir.size()));
+    storeLe<std::uint32_t>(header + 4, kTraceVersion2);
+    storeLe<std::uint32_t>(header + 8, 0); // flags
+    storeLe<std::uint32_t>(header + 12, n);
+    storeLe<std::uint64_t>(header + 16, opsDeclared_);
+    storeLe<std::uint64_t>(header + 24, kTraceV2HeaderBytes);
+    storeLe<std::uint64_t>(header + 32, xxhash64(dir.data(), dir.size()));
     Xxh64Stream id;
     id.update(header, 40);
     id.update(dir.data(), dir.size());
-    put64(header + 40, id.digest());
+    storeLe<std::uint64_t>(header + 40, id.digest());
 
     // Assemble "<path>.tmp", fsync, then atomically rename into place.
     const std::string tmp = path_ + ".tmp";
@@ -252,50 +221,50 @@ parseTraceV2Header(const std::uint8_t *data, std::uint64_t file_bytes,
     if (file_bytes < 4 || std::memcmp(data, kTraceMagic, 4) != 0)
         return "not a CGCT trace";
     // Version 1 was the flat interleaved format; nothing writes it.
-    if (file_bytes >= 8 && get32(data + 4) == 1)
+    if (file_bytes >= 8 && loadLe<std::uint32_t>(data + 4) == 1)
         return "legacy v1 trace is no longer supported";
     if (file_bytes < kTraceV2HeaderBytes)
         return "truncated header";
-    const std::uint32_t version = get32(data + 4);
+    const std::uint32_t version = loadLe<std::uint32_t>(data + 4);
     if (version != kTraceVersion2)
         return "unsupported version " + std::to_string(version);
-    if (get32(data + 8) != 0)
+    if (loadLe<std::uint32_t>(data + 8) != 0)
         return "nonzero reserved flags";
-    const std::uint32_t n = get32(data + 12);
+    const std::uint32_t n = loadLe<std::uint32_t>(data + 12);
     if (n == 0 || n > kTraceMaxLanes)
         return "implausible lane count " + std::to_string(n);
-    if (get64(data + 24) != kTraceV2HeaderBytes)
+    if (loadLe<std::uint64_t>(data + 24) != kTraceV2HeaderBytes)
         return "bad directory offset";
     const std::uint64_t dir_bytes =
         static_cast<std::uint64_t>(n) * kTraceV2LaneDirBytes;
     if (file_bytes < kTraceV2HeaderBytes + dir_bytes)
         return "truncated lane directory";
     const std::uint8_t *dir = data + kTraceV2HeaderBytes;
-    if (get64(data + 32) != xxhash64(dir, dir_bytes))
+    if (loadLe<std::uint64_t>(data + 32) != xxhash64(dir, dir_bytes))
         return "lane directory checksum mismatch";
     {
         Xxh64Stream id;
         id.update(data, 40);
         id.update(dir, dir_bytes);
-        if (get64(data + 40) != id.digest())
+        if (loadLe<std::uint64_t>(data + 40) != id.digest())
             return "trace id mismatch";
     }
 
     out.version = version;
     out.numLanes = n;
-    out.opsDeclared = get64(data + 16);
-    out.traceId = get64(data + 40);
+    out.opsDeclared = loadLe<std::uint64_t>(data + 16);
+    out.traceId = loadLe<std::uint64_t>(data + 40);
     out.fileBytes = file_bytes;
     out.lanes.clear();
     std::uint64_t expect = kTraceV2HeaderBytes + dir_bytes;
     for (std::uint32_t i = 0; i < n; ++i) {
         const std::uint8_t *e = dir + i * kTraceV2LaneDirBytes;
         TraceInfo::Lane lane;
-        lane.payloadOffset = get64(e + 0);
-        lane.payloadBytes = get64(e + 8);
-        lane.memOps = get64(e + 16);
-        lane.syncOps = get64(e + 24);
-        lane.payloadHash = get64(e + 32);
+        lane.payloadOffset = loadLe<std::uint64_t>(e + 0);
+        lane.payloadBytes = loadLe<std::uint64_t>(e + 8);
+        lane.memOps = loadLe<std::uint64_t>(e + 16);
+        lane.syncOps = loadLe<std::uint64_t>(e + 24);
+        lane.payloadHash = loadLe<std::uint64_t>(e + 32);
         if (lane.payloadOffset != expect)
             return "lane " + std::to_string(i) +
                    " payload offset out of order";
@@ -347,8 +316,8 @@ decodeTraceRecord(const std::uint8_t *p, std::size_t avail,
         out.mem.kind =
             static_cast<CpuOpKind>(opcode - kTraceRecFirstMem);
         out.mem.dependent = (p[1] & 1) != 0;
-        out.mem.gap = get32(p + 2);
-        out.mem.addr = get64(p + 6);
+        out.mem.gap = loadLe<std::uint32_t>(p + 2);
+        out.mem.addr = loadLe<std::uint64_t>(p + 6);
         out.bytes = kTraceV2MemRecordBytes;
         return true;
     }
@@ -358,8 +327,8 @@ decodeTraceRecord(const std::uint8_t *p, std::size_t avail,
             return false;
         out.op = TraceRecOp::barrier;
         out.sync.op = TraceRecOp::barrier;
-        out.sync.id = get32(p + 1);
-        out.sync.participants = get32(p + 5);
+        out.sync.id = loadLe<std::uint32_t>(p + 1);
+        out.sync.participants = loadLe<std::uint32_t>(p + 5);
         out.bytes = kTraceV2BarrierRecordBytes;
         return true;
       case TraceRecOp::lock_acquire:
@@ -370,7 +339,7 @@ decodeTraceRecord(const std::uint8_t *p, std::size_t avail,
             return false;
         out.op = static_cast<TraceRecOp>(opcode);
         out.sync.op = out.op;
-        out.sync.id = get64(p + 1);
+        out.sync.id = loadLe<std::uint64_t>(p + 1);
         out.sync.participants = 0;
         out.bytes = kTraceV2IdRecordBytes;
         return true;

@@ -101,18 +101,4 @@ struct SnoopResponse {
     MemCtrlId memCtrl = kInvalidMemCtrl;
 };
 
-class TraceSink;
-enum class RouteKind : std::uint8_t;
-enum class RegionState : std::uint8_t;
-
-/**
- * Trace the broadcast-vs-direct-vs-local decision for a system request,
- * together with the region state that justified it (snoop.cpp). The
- * node calls this at dispatch; it is a no-op unless tracing is compiled
- * in and @p sink is runtime-enabled (see common/trace_sink.hpp).
- */
-void traceRouteDecision(TraceSink *sink, Tick now, CpuId cpu,
-                        RequestType type, Addr line_addr, RouteKind route,
-                        RegionState state);
-
 } // namespace cgct

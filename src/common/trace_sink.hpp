@@ -5,12 +5,10 @@
  * activity, and memory accesses, and serializes them as JSONL or Chrome
  * trace_event JSON (loadable in Perfetto / about://tracing).
  *
- * Cost model (see docs/TRACING.md):
- *  - compile time: building with -DCGCT_TRACE_ENABLED=0 (CMake option
- *    CGCT_TRACING=OFF) compiles every CGCT_TRACE() site away entirely —
- *    arguments are not even evaluated;
- *  - run time: with instrumentation compiled in but the sink disabled
- *    (the default), each site costs one pointer + one bool test.
+ * Off is a null pointer (see docs/TRACING.md): System hands each
+ * component its sink only when config.obs.trace is set, and every
+ * emission site is `if (trace_) trace_->call(...)`, so an untraced run
+ * pays one pointer test per site and evaluates no arguments.
  *
  * Events are buffered in memory and written after the run, so tracing
  * never interleaves with the simulation and multi-threaded sweeps stay
@@ -110,26 +108,21 @@ struct TraceEvent {
     static constexpr std::uint8_t kFlagRegionDirty = 1u << 1;
     static constexpr std::uint8_t kFlagExclusive = 1u << 2;
     static constexpr std::uint8_t kFlagCacheSupplied = 1u << 3;
-    static constexpr std::uint8_t kFlagPrefetch = 1u << 4;
 };
 
 /**
- * The per-system event sink. One instance per System; components hold a
- * pointer and emit through the CGCT_TRACE() macro so disabled builds pay
- * nothing. Not thread-safe by design: a System (and thus its sink) is
- * owned by exactly one worker thread (docs/SWEEP.md determinism model).
+ * The per-system event sink. One instance per System; a component holds
+ * a pointer to it that stays null unless the run is traced. Not
+ * thread-safe by design: a System (and thus its sink) is owned by
+ * exactly one worker thread (docs/SWEEP.md determinism model).
  */
 class TraceSink
 {
   public:
-    bool enabled() const { return enabled_; }
-    void setEnabled(bool on) { enabled_ = on; }
-
     const std::vector<TraceEvent> &events() const { return events_; }
     std::vector<TraceEvent> takeEvents() { return std::move(events_); }
-    void clear() { events_.clear(); }
 
-    /** Routing decision for a system request (emitted via snoop.cpp). */
+    /** Routing decision for a system request (Node::routeRequest). */
     void route(Tick now, CpuId cpu, RequestType req, Addr line_addr,
                RouteKind kind, RegionState state);
 
@@ -182,38 +175,9 @@ class TraceSink
                                  std::ostream &os);
 
   private:
-    void push(const TraceEvent &e)
-    {
-        if (enabled_)
-            events_.push_back(e);
-    }
+    void push(const TraceEvent &e) { events_.push_back(e); }
 
-    bool enabled_ = false;
     std::vector<TraceEvent> events_;
 };
-
-/**
- * Compile-time gate. Building with -DCGCT_TRACE_ENABLED=0 removes every
- * instrumentation site (arguments are not evaluated). With it compiled
- * in (the default), a site is one pointer + one bool test until the
- * sink is runtime-enabled.
- *
- *   CGCT_TRACE(sink_, busGrant(now, cpu, type, addr, waited));
- */
-#ifndef CGCT_TRACE_ENABLED
-#define CGCT_TRACE_ENABLED 1
-#endif
-
-#if CGCT_TRACE_ENABLED
-#define CGCT_TRACE(sinkptr, call)                                           \
-    do {                                                                    \
-        if ((sinkptr) && (sinkptr)->enabled())                              \
-            (sinkptr)->call;                                                \
-    } while (0)
-#else
-#define CGCT_TRACE(sinkptr, call)                                           \
-    do {                                                                    \
-    } while (0)
-#endif
 
 } // namespace cgct

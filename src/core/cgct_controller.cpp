@@ -32,8 +32,9 @@ CgctController::traceTransition(Tick now, Addr region_addr,
 {
     if (before == after)
         return;
-    CGCT_TRACE(trace_, regionTransition(now, cpu_, region_addr, before,
-                                        after, cause, bits, line_count));
+    if (trace_)
+        trace_->regionTransition(now, cpu_, region_addr, before, after,
+                                 cause, bits, line_count);
 }
 
 RouteDecision

@@ -53,8 +53,8 @@ RegionCoherenceArray::allocate(Addr addr, Tick now, RegionEviction &evicted)
     }
     evictedLines_.record(v.lineCount);
     lifetime_.record(static_cast<double>(now - v.allocTick));
-    CGCT_TRACE(trace_, rcaEvict(now, traceCpu_, v.regionAddr, v.state,
-                                v.lineCount));
+    if (trace_)
+        trace_->rcaEvict(now, traceCpu_, v.regionAddr, v.state, v.lineCount);
     return entry;
 }
 

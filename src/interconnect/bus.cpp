@@ -32,8 +32,8 @@ Bus::broadcast(const SystemRequest &req, ResponseFn fn)
     }
     charges_[(chargeHead_ + chargeCount_++) & (charges_.size() - 1)] =
         GrantCharge{g, g - enq};
-    CGCT_TRACE(trace_, busGrant(g, req.cpu, req.type, req.lineAddr,
-                                g - enq));
+    if (trace_)
+        trace_->busGrant(g, req.cpu, req.type, req.lineAddr, g - enq);
 
     // The snoop resolves a fixed latency after the broadcast slot.
     eq_.schedule(g + params_.snoopLatency,

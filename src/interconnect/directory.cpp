@@ -35,8 +35,8 @@ DirectoryInterconnect::broadcast(const SystemRequest &req, ResponseFn fn)
     stats_.queueCycles += g - arrive;
     ++stats_.broadcasts;
     traffic_.note(g);
-    CGCT_TRACE(trace_, busGrant(g, req.cpu, req.type, req.lineAddr,
-                                g - arrive));
+    if (trace_)
+        trace_->busGrant(g, req.cpu, req.type, req.lineAddr, g - arrive);
 
     eq_.schedule(g + params_.dirLookupLatency,
                  [this, req, fn = std::move(fn)]() mutable {
@@ -61,8 +61,8 @@ DirectoryInterconnect::lookup(const SystemRequest &req, ResponseFn fn)
         mask = 0;
     else
         mask = sharerMask(req.lineAddr) | presenceOf(req.lineAddr);
-    CGCT_TRACE(trace_, dirLookup(eq_.now(), req.cpu, req.type,
-                                 req.lineAddr, mask));
+    if (trace_)
+        trace_->dirLookup(eq_.now(), req.cpu, req.type, req.lineAddr, mask);
 
     // A lookup that only snoops the requester's own chip (or nobody)
     // kept the request off the remote-snoop paths.

@@ -88,11 +88,11 @@ Interconnect::resolveRequest(const SystemRequest &req, ResponseFn &fn,
         }
     }
 
-    CGCT_TRACE(trace_,
-               busResolve(now, req.cpu, req.type, req.lineAddr, resp,
-                          requesterGetsExclusive(req.type,
-                                                 resp.line.anyCopy),
-                          data_ready));
+    if (trace_)
+        trace_->busResolve(now, req.cpu, req.type, req.lineAddr, resp,
+                           requesterGetsExclusive(req.type,
+                                                  resp.line.anyCopy),
+                           data_ready);
 
     fn(resp, data_ready);
 

@@ -32,8 +32,8 @@ HierRouter::broadcast(const SystemRequest &req, ResponseFn fn)
         ++stats_.broadcasts;
         ++stats_.interChip;
         traffic_.note(g);
-        CGCT_TRACE(trace_, busGrant(g, req.cpu, req.type, req.lineAddr,
-                                    g - enq));
+        if (trace_)
+            trace_->busGrant(g, req.cpu, req.type, req.lineAddr, g - enq);
         eq_.schedule(g + params_.snoopLatency,
                      [this, req, fn = std::move(fn)]() mutable {
                          resolveRequest(req, fn, kSnoopAll);
@@ -49,8 +49,8 @@ HierRouter::broadcast(const SystemRequest &req, ResponseFn fn)
     stats_.queueCycles += g - enq;
     ++stats_.broadcasts;
     traffic_.note(g);
-    CGCT_TRACE(trace_, busGrant(g, req.cpu, req.type, req.lineAddr,
-                                g - enq));
+    if (trace_)
+        trace_->busGrant(g, req.cpu, req.type, req.lineAddr, g - enq);
     eq_.schedule(g + params_.localSnoopLatency,
                  [this, req, fn = std::move(fn)]() mutable {
                      localStage(req, std::move(fn));
@@ -80,8 +80,8 @@ HierRouter::localStage(const SystemRequest &req, ResponseFn fn)
 
     // Escape: bridge onto the inter-chip level, FCFS like the flat bus.
     ++stats_.interChip;
-    CGCT_TRACE(trace_, hierEscape(eq_.now(), req.cpu, req.type,
-                                  req.lineAddr, remote));
+    if (trace_)
+        trace_->hierEscape(eq_.now(), req.cpu, req.type, req.lineAddr, remote);
     const Tick now = eq_.now();
     const Tick g = std::max(globalNextFree_, now);
     globalNextFree_ = g + params_.busSlot;

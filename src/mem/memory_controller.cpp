@@ -30,8 +30,8 @@ MemoryController::accessOverlapped(Tick snoop_done)
     // time the snoop resolves only the tail of the DRAM access remains.
     const Tick start = claimSlot(snoop_done);
     const Tick ready = start + params_.dramOverlappedExtra;
-    CGCT_TRACE(trace_, memAccess(snoop_done, id_, MemAccessKind::Overlapped,
-                                 ready));
+    if (trace_)
+        trace_->memAccess(snoop_done, id_, MemAccessKind::Overlapped, ready);
     return ready;
 }
 
@@ -41,8 +41,8 @@ MemoryController::accessDirect(Tick arrival)
     ++stats_.directReads;
     const Tick start = claimSlot(arrival);
     const Tick ready = start + params_.dramLatency;
-    CGCT_TRACE(trace_, memAccess(arrival, id_, MemAccessKind::Direct,
-                                 ready));
+    if (trace_)
+        trace_->memAccess(arrival, id_, MemAccessKind::Direct, ready);
     return ready;
 }
 
@@ -51,8 +51,8 @@ MemoryController::acceptWriteback(Tick arrival)
 {
     ++stats_.writebacks;
     const Tick start = claimSlot(arrival);
-    CGCT_TRACE(trace_, memAccess(arrival, id_, MemAccessKind::Writeback,
-                                 start));
+    if (trace_)
+        trace_->memAccess(arrival, id_, MemAccessKind::Writeback, start);
 }
 
 void

@@ -1,6 +1,7 @@
 #include "sim/node.hpp"
 
 #include "common/log.hpp"
+#include "common/trace_sink.hpp"
 #include "sim/invariants.hpp"
 #include "snapshot/serializer.hpp"
 
@@ -227,8 +228,8 @@ Node::routeRequest(RequestType type, Addr line_addr, Tick now)
     RouteDecision route;
     if (tracker_)
         route = tracker_->route(type, line_addr, now);
-    traceRouteDecision(trace_, now, cpu_, type, line_addr, route.kind,
-                       route.state);
+    if (trace_)
+        trace_->route(now, cpu_, type, line_addr, route.kind, route.state);
     countRoute(type, route.kind);
     return route;
 }

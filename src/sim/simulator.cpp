@@ -219,7 +219,7 @@ collectRunResult(System &sys, const std::string &workload_name,
                   err.c_str());
     }
 
-    if (sys.traceSink().enabled()) {
+    if (sys.config().obs.trace) {
         r.trace = std::make_shared<const std::vector<TraceEvent>>(
             sys.traceSink().takeEvents());
     }

@@ -90,19 +90,20 @@ System::System(const SystemConfig &config, OpSource &source,
                                            /*seed=*/0x10b71d9e);
     }
 
-    // Observability: the trace sink is always present (one pointer + bool
-    // test per site when disabled); the checker only when requested, or
+    // Observability: components see the trace sink only when the run is
+    // traced (a null sink is off); the checker only when requested, or
     // in debug builds whenever CGCT runs.
     bool check = config_.obs.checkInvariants;
 #ifndef NDEBUG
     check = check || config_.cgct.enabled;
 #endif
-    trace_.setEnabled(config_.obs.trace);
-    bus_->setTraceSink(&trace_);
-    for (auto &mc : memCtrls_)
-        mc->setTraceSink(&trace_);
-    for (auto &node : nodes_)
-        node->setTraceSink(&trace_);
+    if (config_.obs.trace) {
+        bus_->setTraceSink(&trace_);
+        for (auto &mc : memCtrls_)
+            mc->setTraceSink(&trace_);
+        for (auto &node : nodes_)
+            node->setTraceSink(&trace_);
+    }
 
     if (check) {
         std::vector<const Node *> const_nodes(node_ptrs.begin(),

@@ -69,7 +69,6 @@ class System
 
     EventQueue &eq() { return eq_; }
     const SystemConfig &config() const { return config_; }
-    const AddressMap &addressMap() const { return map_; }
     Interconnect &bus() { return *bus_; }
     DataNetwork &dataNetwork() { return *dataNet_; }
     Oracle &oracle() { return oracle_; }
@@ -85,7 +84,8 @@ class System
     /** The DMA engine, or nullptr when config.dma.enabled is false. */
     DmaEngine *dma() { return dma_.get(); }
 
-    /** The trace sink (enabled when config.obs.trace is set). */
+    /** The trace sink; components emit to it only when
+     *  config.obs.trace is set. */
     TraceSink &traceSink() { return trace_; }
     const TraceSink &traceSink() const { return trace_; }
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the structured trace sink: the disabled sink is a no-op,
- * enabled runs produce schema-valid JSONL and Chrome trace output, and
+ * Tests for the structured trace sink: an untraced system wires no
+ * sink, traced runs produce schema-valid JSONL and Chrome trace output, and
  * the captured trace is identical whether seeds run serially or on the
  * thread pool (docs/SWEEP.md determinism model extended to traces).
  */
@@ -14,10 +14,11 @@
 #include <string>
 
 #include "common/trace_sink.hpp"
-#include "core/region_protocol.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
+#include "sim/system.hpp"
 #include "workload/benchmarks.hpp"
+#include "workload/generator.hpp"
 
 namespace cgct {
 namespace {
@@ -47,20 +48,20 @@ shortRun()
     return opts;
 }
 
-TEST(TraceSink, DisabledSinkIsNoOp)
+TEST(TraceSink, UntracedSystemLeavesTheSinkEmpty)
 {
-    TraceSink sink;
-    EXPECT_FALSE(sink.enabled());
-    TraceSink *p = &sink;
-    CGCT_TRACE(p, route(10, 0, RequestType::Read, 0x1000,
-                        RouteKind::Broadcast, RegionState::Invalid));
-    EXPECT_TRUE(sink.events().empty());
-
-    // Null sink pointer is fine too: the macro tests the pointer first.
-    TraceSink *null_sink = nullptr;
-    CGCT_TRACE(null_sink, route(10, 0, RequestType::Read, 0x1000,
-                                RouteKind::Broadcast,
-                                RegionState::Invalid));
+    // Off is a null sink: System hands the sink to no component, so a
+    // full untraced run records nothing, and the traced run records some.
+    for (const bool traced : {false, true}) {
+        SystemConfig c = tracedConfig();
+        c.obs.trace = traced;
+        SyntheticWorkload w(benchmarkByName("tpc-w"), c.topology.numCpus,
+                            2000, 99);
+        System sys(c, w);
+        sys.start();
+        sys.run(UINT64_MAX);
+        EXPECT_EQ(sys.traceSink().events().empty(), !traced);
+    }
 }
 
 TEST(TraceSink, UntracedRunCapturesNothing)

@@ -94,7 +94,6 @@ class Cache
     };
 
     const Stats &stats() const { return stats_; }
-    Stats &mutableStats() { return stats_; }
 
     /** Miss ratio over all probes so far. */
     double missRatio() const;

@@ -49,7 +49,6 @@ class AddrTable
 
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
-    std::size_t slotCount() const { return slots_.size(); }
 
     /** The value stored under @p key, or nullptr. */
     V *

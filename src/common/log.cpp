@@ -1,6 +1,6 @@
 #include "common/log.hpp"
 
-#include <atomic>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -10,66 +10,24 @@ namespace cgct {
 
 namespace {
 
-// Atomic so concurrent sweep jobs can log while another thread adjusts
-// the threshold without a data race (the only global mutable state in
-// the library — everything a simulation touches is owned by its System).
-std::atomic<LogLevel> g_threshold{LogLevel::Warn};
-
-const char *
-levelName(LogLevel level)
-{
-    switch (level) {
-      case LogLevel::Trace: return "trace";
-      case LogLevel::Debug: return "debug";
-      case LogLevel::Info:  return "info";
-      case LogLevel::Warn:  return "warn";
-      case LogLevel::Error: return "error";
-      default:              return "none";
-    }
-}
-
-void
-vlogMessage(LogLevel level, const char *component, const char *fmt,
-            va_list args)
-{
-    if (level < g_threshold)
-        return;
-    std::fprintf(stderr, "[%s] %s: ", levelName(level),
-                 component ? component : "cgct");
-    std::vfprintf(stderr, fmt, args);
-    std::fputc('\n', stderr);
-}
-
-} // namespace
-
-LogLevel
-logThreshold()
-{
-    return g_threshold;
-}
-
-void
-setLogThreshold(LogLevel level)
-{
-    g_threshold = level;
-}
-
-void
-logMessage(LogLevel level, const char *component, const char *fmt, ...)
-{
-    va_list args;
-    va_start(args, fmt);
-    vlogMessage(level, component, fmt, args);
-    va_end(args);
-}
-
-namespace {
-
 // Dedup state for warnOnce(). Guarded by a mutex: parallel sweep
 // workers can race to report the same gate, and exactly one must win.
 std::mutex g_warnOnceMutex;
 std::unordered_set<std::string> g_warnOnceKeys;
 unsigned g_warnOnceCount = 0;
+
+/** "[<tag>] <component>: <message>\n" on stderr; no component part
+ *  when @p component is null. */
+void
+emit(const char *tag, const char *component, const char *fmt,
+     va_list args)
+{
+    std::fprintf(stderr, "[%s] ", tag);
+    if (component)
+        std::fprintf(stderr, "%s: ", component);
+    std::vfprintf(stderr, fmt, args);
+    std::fputc('\n', stderr);
+}
 
 } // namespace
 
@@ -85,7 +43,7 @@ warnOnce(const std::string &key, const char *component, const char *fmt,
     }
     va_list args;
     va_start(args, fmt);
-    vlogMessage(LogLevel::Warn, component, fmt, args);
+    emit("warn", component ? component : "cgct", fmt, args);
     va_end(args);
     return true;
 }
@@ -110,9 +68,7 @@ panic(const char *fmt, ...)
 {
     va_list args;
     va_start(args, fmt);
-    std::fprintf(stderr, "[panic] ");
-    std::vfprintf(stderr, fmt, args);
-    std::fputc('\n', stderr);
+    emit("panic", nullptr, fmt, args);
     va_end(args);
     std::abort();
 }
@@ -122,30 +78,9 @@ fatal(const char *fmt, ...)
 {
     va_list args;
     va_start(args, fmt);
-    std::fprintf(stderr, "[fatal] ");
-    std::vfprintf(stderr, fmt, args);
-    std::fputc('\n', stderr);
+    emit("fatal", nullptr, fmt, args);
     va_end(args);
     std::exit(1);
 }
-
-#define CGCT_LOG_FWD(method, level)                                         \
-    void                                                                    \
-    LogContext::method(const char *fmt, ...) const                          \
-    {                                                                       \
-        if (LogLevel::level < g_threshold)                                  \
-            return;                                                         \
-        va_list args;                                                       \
-        va_start(args, fmt);                                                \
-        vlogMessage(LogLevel::level, name_.c_str(), fmt, args);             \
-        va_end(args);                                                       \
-    }
-
-CGCT_LOG_FWD(trace, Trace)
-CGCT_LOG_FWD(debug, Debug)
-CGCT_LOG_FWD(info, Info)
-CGCT_LOG_FWD(warn, Warn)
-
-#undef CGCT_LOG_FWD
 
 } // namespace cgct

@@ -1,37 +1,16 @@
 /**
  * @file
- * Minimal leveled logging for the simulator. Modeled on gem5's
- * inform()/warn()/panic() trio: informational messages, recoverable
- * warnings, and fatal internal errors. Debug tracing can be enabled per
- * component via LogContext.
+ * The simulator's diagnostics, modeled on gem5's warn()/panic()/fatal():
+ * a deduplicated warning for recoverable surprises, panic() for a
+ * simulator bug, fatal() for a user or configuration error. All three
+ * write one line to stderr.
  */
 
 #pragma once
 
-#include <cstdarg>
 #include <string>
 
 namespace cgct {
-
-/** Severity levels, lowest to highest. */
-enum class LogLevel : int {
-    Trace = 0,
-    Debug = 1,
-    Info = 2,
-    Warn = 3,
-    Error = 4,
-    None = 5,
-};
-
-/** Global log threshold; messages below it are suppressed. */
-LogLevel logThreshold();
-
-/** Set the global log threshold. */
-void setLogThreshold(LogLevel level);
-
-/** printf-style message at a given level, tagged with a component name. */
-void logMessage(LogLevel level, const char *component, const char *fmt, ...)
-    __attribute__((format(printf, 3, 4)));
 
 /**
  * Emit a warning at most once per process for @p key (deduplicated
@@ -62,29 +41,5 @@ void resetWarnOnceForTest();
  */
 [[noreturn]] void fatal(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
-
-/**
- * A named logging context, one per component instance, so traces can be
- * attributed ("cpu0.l2", "bus", ...).
- */
-class LogContext
-{
-  public:
-    explicit LogContext(std::string name) : name_(std::move(name)) {}
-
-    const std::string &name() const { return name_; }
-
-    void
-    trace(const char *fmt, ...) const __attribute__((format(printf, 2, 3)));
-    void
-    debug(const char *fmt, ...) const __attribute__((format(printf, 2, 3)));
-    void
-    info(const char *fmt, ...) const __attribute__((format(printf, 2, 3)));
-    void
-    warn(const char *fmt, ...) const __attribute__((format(printf, 2, 3)));
-
-  private:
-    std::string name_;
-};
 
 } // namespace cgct

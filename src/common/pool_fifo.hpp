@@ -70,18 +70,6 @@ class PoolFifo
         return true;
     }
 
-    /** Nodes currently checked out (for tests / stats). */
-    std::size_t
-    inUse() const
-    {
-        std::size_t free_count = 0;
-        for (std::uint32_t n = freeHead_; n != kNil; n = nodes_[n].next)
-            ++free_count;
-        return nodes_.size() - free_count;
-    }
-
-    std::size_t poolSize() const { return nodes_.size(); }
-
   private:
     struct Node {
         T value{};

@@ -93,22 +93,6 @@ Histogram::mean() const
                     : 0.0;
 }
 
-std::uint64_t
-Histogram::percentile(double q) const
-{
-    if (samples_ == 0)
-        return 0;
-    const auto target = static_cast<std::uint64_t>(
-        q * static_cast<double>(samples_));
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        seen += buckets_[i];
-        if (seen > target || seen == samples_)
-            return (i + 1) * bucketWidth_ - 1;
-    }
-    return buckets_.size() * bucketWidth_;
-}
-
 void
 Histogram::merge(const Histogram &other)
 {

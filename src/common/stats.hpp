@@ -94,9 +94,6 @@ class Histogram
     std::size_t numBuckets() const { return buckets_.size(); }
     std::uint64_t bucketWidth() const { return bucketWidth_; }
 
-    /** Smallest value v such that at least fraction @p q of samples <= v. */
-    std::uint64_t percentile(double q) const;
-
     /** Fold @p other in (bucket-wise). Geometries must match exactly. */
     void merge(const Histogram &other);
 

@@ -1,8 +1,5 @@
 #include "sim/energy.hpp"
 
-#include <iomanip>
-#include <ostream>
-
 #include "core/cgct_controller.hpp"
 #include "sim/system.hpp"
 
@@ -60,25 +57,6 @@ computeEnergy(System &system, const EnergyParams &p)
     e.dataTransfer = p.dataPerByteNj *
                      static_cast<double>(system.dataNetwork().stats().bytes);
     return e;
-}
-
-void
-printEnergy(std::ostream &os, const EnergyBreakdown &e)
-{
-    const auto uj = [](double nj) { return nj / 1000.0; };
-    os << std::fixed << std::setprecision(1);
-    os << "  snoop tag lookups " << std::setw(12) << uj(e.tagLookups)
-       << " uJ\n"
-       << "  cache activity    " << std::setw(12) << uj(e.cacheAccess)
-       << " uJ\n"
-       << "  request network   " << std::setw(12) << uj(e.network)
-       << " uJ\n"
-       << "  DRAM              " << std::setw(12) << uj(e.dram) << " uJ\n"
-       << "  data transfer     " << std::setw(12) << uj(e.dataTransfer)
-       << " uJ\n"
-       << "  RCA logic         " << std::setw(12) << uj(e.rca) << " uJ\n"
-       << "  total             " << std::setw(12) << uj(e.total())
-       << " uJ\n";
 }
 
 } // namespace cgct

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 
 namespace cgct {
 
@@ -63,8 +62,5 @@ struct EnergyBreakdown {
 /** Charge @p params against the event counts of a finished system. */
 EnergyBreakdown computeEnergy(System &system,
                               const EnergyParams &params = {});
-
-/** Pretty-print a breakdown (values in microjoules). */
-void printEnergy(std::ostream &os, const EnergyBreakdown &e);
 
 } // namespace cgct

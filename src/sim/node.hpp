@@ -91,9 +91,6 @@ class Node : public SnoopClient
     bool access(CpuOpKind kind, Addr addr, Tick now, Tick &ready_out,
                 CompletionFn &&done);
 
-    /** True while another outstanding miss can be accepted. */
-    bool canAcceptMiss() const { return !mshr_.full(); }
-
     // SnoopClient interface (external requests arriving from the bus).
     CpuId cpuId() const override { return cpu_; }
     LineSnoopOutcome snoopLine(const SystemRequest &req) override;
@@ -124,7 +121,6 @@ class Node : public SnoopClient
     const Cache &l1i() const { return l1i_; }
     const Cache &l1d() const { return l1d_; }
     const Cache &l2() const { return l2_; }
-    StreamPrefetcher &prefetcher() { return prefetcher_; }
 
     /**
      * Emit route-decision trace events to @p sink and forward it to the

@@ -1,7 +1,7 @@
 /**
  * @file
  * Parallel experiment sweep: expands the benchmark x region-size x seed
- * matrix into independent jobs, runs them on a work-stealing thread pool,
+ * matrix into independent jobs, runs them on a thread pool,
  * and hands results back in matrix order so the emitted CSV/JSON is
  * byte-identical to a serial pass regardless of thread count or job
  * completion order.

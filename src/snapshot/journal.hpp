@@ -2,7 +2,7 @@
  * @file
  * Crash-safe sweep resume journal (docs/SNAPSHOT.md).
  *
- * A sweep's cells are independent jobs on a work-stealing pool, so on an
+ * A sweep's cells are independent jobs on a thread pool, so on an
  * interrupt or crash the completed cells are an arbitrary *subset* of
  * the matrix, not a prefix. The journal records each finished cell as it
  * completes — keyed by cell index, fsync'd per record — and a restarted

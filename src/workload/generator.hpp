@@ -65,7 +65,6 @@ class SyntheticWorkload : public OpSource
      * they stopped.
      */
     void setPauseAt(std::uint64_t ops);
-    std::uint64_t pauseAt() const { return pauseAt_; }
 
     /**
      * Checkpoint layout of the generator state: per-CPU RNG streams,

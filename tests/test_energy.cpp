@@ -8,8 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "sim/energy.hpp"
 #include "sim/system.hpp"
 #include "workload/benchmarks.hpp"
@@ -81,18 +79,6 @@ TEST(Energy, ScalesLinearlyWithWeights)
     const EnergyBreakdown two = computeEnergy(*sys, p);
     EXPECT_DOUBLE_EQ(two.dram, 2.0 * one.dram);
     EXPECT_DOUBLE_EQ(two.network, one.network);
-}
-
-TEST(Energy, PrintBreakdownMentionsEveryBucket)
-{
-    const EnergyBreakdown e = runEnergy(true, 3000);
-    std::ostringstream os;
-    printEnergy(os, e);
-    const std::string out = os.str();
-    EXPECT_NE(out.find("snoop tag lookups"), std::string::npos);
-    EXPECT_NE(out.find("RCA logic"), std::string::npos);
-    EXPECT_NE(out.find("total"), std::string::npos);
-    EXPECT_NE(out.find("DRAM"), std::string::npos);
 }
 
 } // namespace

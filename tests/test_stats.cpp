@@ -58,17 +58,6 @@ TEST(Histogram, MeanAndSum)
     EXPECT_DOUBLE_EQ(h.mean(), 4.5);
 }
 
-TEST(Histogram, Percentile)
-{
-    Histogram h(10, 10);
-    for (int i = 0; i < 90; ++i)
-        h.record(5);
-    for (int i = 0; i < 10; ++i)
-        h.record(95);
-    EXPECT_LT(h.percentile(0.5), 10u);
-    EXPECT_GE(h.percentile(0.95), 90u);
-}
-
 TEST(Histogram, Reset)
 {
     Histogram h(10, 10);

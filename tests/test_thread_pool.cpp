@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the work-stealing thread pool: submit/wait semantics,
- * exception propagation through futures, destruction with pending work,
- * and result ordering via futures.
+ * Tests for the FIFO thread pool: submit semantics, exception
+ * propagation through futures, submission order, destruction with
+ * pending work, and result ordering via futures.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -26,9 +25,11 @@ TEST(ThreadPool, RunsSubmittedTasks)
     EXPECT_EQ(pool.size(), 4u);
 
     std::atomic<int> count{0};
+    std::vector<std::future<void>> done;
     for (int i = 0; i < 64; ++i)
-        pool.post([&count] { count.fetch_add(1); });
-    pool.wait();
+        done.push_back(pool.submit([&count] { count.fetch_add(1); }));
+    for (auto &f : done)
+        f.get();
     EXPECT_EQ(count.load(), 64);
 }
 
@@ -61,62 +62,33 @@ TEST(ThreadPool, DestructionDrainsPendingWork)
     {
         ThreadPool pool(2);
         for (int i = 0; i < 24; ++i)
-            pool.post([count] {
+            pool.submit([count] {
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(1));
                 count->fetch_add(1);
             });
-        // Destroyed while most tasks are still queued.
+        // Destroyed while most tasks are still queued; the futures were
+        // dropped, which must not cancel anything.
     }
     EXPECT_EQ(count->load(), 24);
 }
 
-TEST(ThreadPool, WaitIsReusable)
-{
-    ThreadPool pool(2);
-    std::atomic<int> count{0};
-    pool.post([&count] { count.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(count.load(), 1);
-    pool.post([&count] { count.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(count.load(), 2);
-}
-
-TEST(ThreadPool, PostAndSubmitInterleave)
-{
-    // wait() covers fire-and-forget posts and future-returning submits
-    // alike, and the pool stays usable after it.
-    ThreadPool pool(2);
-    std::atomic<int> n{0};
-    std::vector<std::future<int>> futures;
-    for (int i = 0; i < 50; ++i) {
-        pool.post([&n] { n.fetch_add(1); });
-        futures.push_back(pool.submit([&n, i] {
-            n.fetch_add(1);
-            return i;
-        }));
-    }
-    pool.wait();
-    EXPECT_EQ(n.load(), 100);
-    for (int i = 0; i < 50; ++i)
-        EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i);
-
-    pool.post([&n] { n.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(n.load(), 101);
-}
-
 TEST(ThreadPool, SingleThreadPoolStillWorks)
 {
+    // One worker takes the queue front to back: submission order.
     ThreadPool pool(1);
+    std::vector<int> order;
     std::vector<std::future<int>> futures;
     for (int i = 0; i < 8; ++i)
-        futures.push_back(pool.submit([i] { return i; }));
+        futures.push_back(pool.submit([i, &order] {
+            order.push_back(i);
+            return i;
+        }));
     int sum = 0;
     for (auto &f : futures)
         sum += f.get();
     EXPECT_EQ(sum, 28);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
 TEST(ThreadPool, DefaultThreadsNonZero)
@@ -128,11 +100,12 @@ TEST(ThreadPool, DefaultThreadsNonZero)
 
 TEST(ThreadPool, ManyMoreTasksThanThreads)
 {
-    ThreadPool pool(4);
     std::atomic<std::uint64_t> sum{0};
-    for (std::uint64_t i = 1; i <= 1000; ++i)
-        pool.post([&sum, i] { sum.fetch_add(i); });
-    pool.wait();
+    {
+        ThreadPool pool(4);
+        for (std::uint64_t i = 1; i <= 1000; ++i)
+            pool.submit([&sum, i] { sum.fetch_add(i); });
+    }
     EXPECT_EQ(sum.load(), 500500u);
 }
 

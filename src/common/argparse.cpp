@@ -1,5 +1,7 @@
 #include "common/argparse.hpp"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <ostream>
 #include <sstream>
@@ -36,12 +38,10 @@ ArgParser::addU64(const std::string &name, std::uint64_t *value,
     opt.help = help;
     opt.metavar = "N";
     opt.set = [value](const std::string &s) {
-        char *end = nullptr;
-        const std::uint64_t v = std::strtoull(s.c_str(), &end, 0);
-        if (end == s.c_str() || *end != '\0')
-            return false;
-        *value = v;
-        return true;
+        const std::optional<std::uint64_t> v = parseU64(s);
+        if (v)
+            *value = *v;
+        return v.has_value();
     };
     opt.show = [value] { return std::to_string(*value); };
     options_.push_back(std::move(opt));
@@ -181,6 +181,20 @@ ArgParser::printHelp(std::ostream &os) const
            << opt.show() << ")\n";
     }
     os << "  --help\n      show this message\n";
+}
+
+std::optional<std::uint64_t>
+parseU64(const std::string &s)
+{
+    // strtoull alone would skip leading space and negate a leading '-'.
+    if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0])))
+        return std::nullopt;
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long v = std::strtoull(s.c_str(), &end, 0);
+    if (*end != '\0' || errno == ERANGE)
+        return std::nullopt;
+    return v;
 }
 
 std::vector<std::string>

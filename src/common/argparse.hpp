@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -74,6 +75,14 @@ class ArgParser
     std::vector<Positional> positionals_;
     bool helpRequested_ = false;
 };
+
+/**
+ * Parse an unsigned integer the way every tool flag takes one: decimal,
+ * or hex/octal with a 0x/0 prefix. Empty text, a sign, leading space,
+ * trailing junk and values above UINT64_MAX are rejected (nullopt), so
+ * "-5" cannot wrap to 2^64-5.
+ */
+std::optional<std::uint64_t> parseU64(const std::string &s);
 
 /** Split a comma-separated option value, dropping empty items. */
 std::vector<std::string> splitList(const std::string &s);

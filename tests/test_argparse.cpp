@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the command-line parser used by the tools, and for the
- * warnOnce() diagnostic they emit when a flag is ignored.
+ * Tests for the command-line parser used by the tools (strict unsigned
+ * values included), and for the exact text of the diagnostics they
+ * emit: warnOnce() when a flag is ignored, fatal() and panic().
  */
 
 #include <gtest/gtest.h>
@@ -145,6 +146,41 @@ TEST(ArgParse, HexValuesAccepted)
     EXPECT_EQ(n, 0x1000u);
 }
 
+TEST(ArgParse, ParseU64IsStrict)
+{
+    EXPECT_EQ(parseU64("0"), 0u);
+    EXPECT_EQ(parseU64("512"), 512u);
+    EXPECT_EQ(parseU64("0x200"), 512u);
+    EXPECT_EQ(parseU64("18446744073709551615"), UINT64_MAX);
+    // A sign: strtoull alone turns "-5" into 2^64 - 5.
+    EXPECT_EQ(parseU64("-5"), std::nullopt);
+    EXPECT_EQ(parseU64("+5"), std::nullopt);
+    // Junk before, after or instead of the digits.
+    EXPECT_EQ(parseU64(""), std::nullopt);
+    EXPECT_EQ(parseU64(" 5"), std::nullopt);
+    EXPECT_EQ(parseU64("5 "), std::nullopt);
+    EXPECT_EQ(parseU64("12k"), std::nullopt);
+    EXPECT_EQ(parseU64("abc"), std::nullopt);
+    EXPECT_EQ(parseU64("0x"), std::nullopt);
+    // Out of range.
+    EXPECT_EQ(parseU64("18446744073709551616"), std::nullopt);
+    EXPECT_EQ(parseU64("0x10000000000000000"), std::nullopt);
+}
+
+TEST(ArgParse, U64OptionRejectsASignAndKeepsItsValue)
+{
+    std::uint64_t n = 7;
+    ArgParser p("prog");
+    p.addU64("ops", &n, "");
+    std::string err;
+    for (const char *bad : {"-5", "+5", "5x", "99999999999999999999"}) {
+        const char *argv[] = {"prog", "--ops", bad};
+        EXPECT_FALSE(p.parse(3, argv, &err)) << bad;
+        EXPECT_EQ(err, std::string("bad value '") + bad + "' for --ops");
+        EXPECT_EQ(n, 7u);
+    }
+}
+
 class WarnOnceReset : public ::testing::Test
 {
   protected:
@@ -162,8 +198,18 @@ TEST_F(WarnOnceReset, WarnOnceDeduplicatesByKey)
     EXPECT_TRUE(warnOnce("key-b", "test", "other"));
     EXPECT_EQ(warnOnceFired(), 2u);
     const std::string err = ::testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("first 1"), std::string::npos);
-    EXPECT_EQ(err.find("suppressed"), std::string::npos);
+    EXPECT_EQ(err, "[warn] test: first 1\n[warn] test: other\n");
+}
+
+TEST_F(WarnOnceReset, DiagnosticsKeepTheirExactText)
+{
+    ::testing::internal::CaptureStderr();
+    EXPECT_TRUE(warnOnce("key-c", nullptr, "no component"));
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+              "[warn] cgct: no component\n");
+    EXPECT_EXIT(fatal("bad %s", "config"), ::testing::ExitedWithCode(1),
+                "^\\[fatal\\] bad config\n$");
+    EXPECT_DEATH(panic("broken %d", 7), "^\\[panic\\] broken 7\n$");
 }
 
 } // namespace

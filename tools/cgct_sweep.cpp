@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -135,9 +136,17 @@ main(int argc, char **argv)
         for (const auto &name : splitList(benchmarks))
             spec.profiles.push_back(&benchmarkByName(name));
     }
-    for (const auto &r : splitList(regions))
-        spec.regionSizes.push_back(
-            std::strtoull(r.c_str(), nullptr, 10));
+    for (const auto &r : splitList(regions)) {
+        const std::optional<std::uint64_t> bytes = parseU64(r);
+        if (!bytes) {
+            std::fprintf(stderr,
+                         "cgct_sweep: bad region size '%s' in --regions "
+                         "(try --help)\n",
+                         r.c_str());
+            return 1;
+        }
+        spec.regionSizes.push_back(*bytes);
+    }
     spec.seedsPerCell = static_cast<unsigned>(seeds);
     spec.baseSeed = seed;
     spec.opts.opsPerCpu = ops;
@@ -152,6 +161,10 @@ main(int argc, char **argv)
     spec.baseConfig.topology.numCpus = static_cast<unsigned>(nodes);
     spec.baseConfig.interconnect.topology = topo_kind;
     spec.baseConfig.validate();
+    // Every cell's configuration, before the CSV header goes out.
+    for (std::uint64_t bytes : spec.regionSizes)
+        if (bytes)
+            spec.baseConfig.withCgct(bytes).validate();
     if (sample) {
         WarmMode wmode = WarmMode::Functional;
         if (!parseWarmMode(warm_mode, &wmode)) {

@@ -3,7 +3,9 @@
 # warning (docs/SAMPLING.md): a CLI request the run cannot honor must
 # say so on stderr, name the reason, and say it exactly once, exercised
 # through the real binaries rather than the unit harness. A run that
-# honors every flag, on a non-default topology, must stay silent.
+# honors every flag, on a non-default topology, must stay silent. A
+# --regions value that is not a number or not a valid region size must
+# fail before the CSV header.
 #
 #   tools/topology_warn_test.sh <cgct_sim-binary> <cgct_sweep-binary>
 #
@@ -60,5 +62,23 @@ if grep -q 'ignored' "$tmp/clean.err"; then
     exit 1
 fi
 
+# Leg 3: a --regions value the sweep cannot run fails before the CSV
+# header: "abc" is not a number (it once ran as region 0), and 300 is not
+# a power of two (it once printed the header, then died).
+for leg in "abc:bad region size 'abc'" "300:power of two"; do
+    regions="${leg%%:*}"
+    reason="${leg#*:}"
+    "$sweep" --benchmarks tpc-w --regions "$regions" --seeds 1 \
+        --ops 4000 --no-progress > "$tmp/bad.csv" 2> "$tmp/bad.err"
+    status=$?
+    if [ "$status" -eq 0 ] || [ -s "$tmp/bad.csv" ] ||
+       ! grep -q -F -e "$reason" "$tmp/bad.err"; then
+        echo "topology_warn_test: --regions $regions exited $status;" \
+             "expected a failure naming \"$reason\" and no stdout:" >&2
+        cat "$tmp/bad.csv" "$tmp/bad.err" >&2
+        exit 1
+    fi
+done
+
 echo "topology_warn_test: the fallback warning fires exactly once and" \
-     "names its reason"
+     "names its reason; bad --regions fail before the header"

@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <unordered_map>
 #include <vector>
 
+#include "common/argparse.hpp"
 #include "common/log.hpp"
 #include "workload/trace.hpp"
 
@@ -25,17 +26,15 @@ parseError(const std::string &path, std::uint64_t line_no,
 }
 
 std::uint64_t
-parseU64(const std::string &tok, const std::string &path,
-         std::uint64_t line_no)
+parseField(const std::string &tok, const std::string &path,
+           std::uint64_t line_no)
 {
     if (tok.empty())
         parseError(path, line_no, "empty numeric field");
-    char *end = nullptr;
-    errno = 0;
-    const std::uint64_t v = std::strtoull(tok.c_str(), &end, 0);
-    if (errno != 0 || end == tok.c_str() || *end != '\0')
+    const std::optional<std::uint64_t> v = parseU64(tok);
+    if (!v)
         parseError(path, line_no, "bad number '" + tok + "'");
-    return v;
+    return *v;
 }
 
 std::vector<std::string>
@@ -78,7 +77,7 @@ threadIdOf(const std::string &line, const std::string &path,
     if (fields.size() < 2)
         parseError(path, line_no,
                    "event needs at least 'eid,tid' fields");
-    return parseU64(fields[1], path, line_no);
+    return parseField(fields[1], path, line_no);
 }
 
 /** pthread type -> v2 sync record, per the header-comment table. */
@@ -189,7 +188,7 @@ convertTextTrace(const std::string &in_path, const std::string &out_path)
 
         const std::vector<std::string> toks = splitWhitespace(line);
         const std::vector<std::string> fields = splitComma(toks[0]);
-        const std::uint64_t tid = parseU64(fields[1], in_path, line_no);
+        const std::uint64_t tid = parseField(fields[1], in_path, line_no);
         const std::uint32_t lane = lane_of.at(tid);
         LaneEmit &le = emit[lane];
 
@@ -205,9 +204,9 @@ convertTextTrace(const std::string &in_path, const std::string &out_path)
                     parseError(in_path, line_no,
                                "pthread field '" + f +
                                    "' needs TYPE^ADDR");
-                const std::uint64_t type = parseU64(
+                const std::uint64_t type = parseField(
                     f.substr(0, caret), in_path, line_no);
-                const std::uint64_t addr = parseU64(
+                const std::uint64_t addr = parseField(
                     f.substr(caret + 1), in_path, line_no);
                 writer.appendSync(
                     static_cast<CpuId>(lane),
@@ -231,7 +230,7 @@ convertTextTrace(const std::string &in_path, const std::string &out_path)
                                "communication group needs "
                                "'prod_tid prod_eid start end'");
                 const std::uint64_t start =
-                    parseU64(toks[i + 3], in_path, line_no);
+                    parseField(toks[i + 3], in_path, line_no);
                 CpuOp op;
                 op.kind = CpuOpKind::Load;
                 op.addr = start;
@@ -257,9 +256,9 @@ convertTextTrace(const std::string &in_path, const std::string &out_path)
             parseError(in_path, line_no,
                        "computation event needs "
                        "'eid,tid,iops,flops,reads,writes'");
-        const std::uint64_t iops = parseU64(fields[2], in_path, line_no);
+        const std::uint64_t iops = parseField(fields[2], in_path, line_no);
         const std::uint64_t flops =
-            parseU64(fields[3], in_path, line_no);
+            parseField(fields[3], in_path, line_no);
 
         std::vector<std::uint64_t> reads, writes;
         for (std::size_t i = 1; i < toks.size();) {
@@ -273,7 +272,7 @@ convertTextTrace(const std::string &in_path, const std::string &out_path)
                 parseError(in_path, line_no,
                            "address range needs 'start end'");
             const std::uint64_t start =
-                parseU64(toks[i + 1], in_path, line_no);
+                parseField(toks[i + 1], in_path, line_no);
             (is_read ? reads : writes).push_back(start);
             i += 3;
         }

@@ -395,6 +395,13 @@ TEST(TraceTextDeath, ParseErrorsNameTheLine)
         os << "not an event\n";
     }
     EXPECT_DEATH(convertTextTrace(in, tempPath("bad_out")), ":2:");
+    {
+        // A signed thread id is a bad number, not 2^64 - 1.
+        std::ofstream os(in);
+        os << "1,-1,10,2,1,1 $ 4096 4159\n";
+    }
+    EXPECT_DEATH(convertTextTrace(in, tempPath("bad_out")),
+                 ":1: bad number '-1'");
     std::remove(in.c_str());
 }
 

@@ -63,8 +63,8 @@ if grep -q 'ignored' "$tmp/clean.err"; then
 fi
 
 # Leg 3: a --regions value the sweep cannot run fails before the CSV
-# header: "abc" is not a number (it once ran as region 0), and 300 is not
-# a power of two (it once printed the header, then died).
+# header, leaving stdout empty: "abc" is not a number, and 300 is not a
+# power of two.
 for leg in "abc:bad region size 'abc'" "300:power of two"; do
     regions="${leg%%:*}"
     reason="${leg#*:}"

@@ -451,9 +451,8 @@ TEST(Sampling, RecordedCellAgainstFullDetail)
 /**
  * Sampled-output pins: the SHA-256 of encodeRunResult for small
  * functionally-warmed runs across the warm path's variants — both
- * tracker states, the dcbz-heavy profiles, region prefetch hints, the
- * per-chip RCA, the three-state protocol, and the 16-node hierarchy and
- * directory. Any change to a functional-warming transition shows here.
+ * tracker states, the dcbz-heavy profiles, specweb99, the per-chip RCA,
+ * the three-state protocol, and the 16-node hierarchy and directory. Any change to a functional-warming transition shows here.
  */
 struct PinCase {
     const char *name;
@@ -522,9 +521,9 @@ INSTANTIATE_TEST_SUITE_P(
         PinCase{"bus_specjbb_cgct512", "specjbb2000", kBus, 4, 512, false,
                 false, false,
                 "26a167e7e2c16cf4f54c0577f054f87006c948e33a9decc37ef17929c34969a6"},
-        PinCase{"bus_specweb_hints", "specweb99", kBus, 4, 512, true,
+        PinCase{"bus_specweb_cgct512", "specweb99", kBus, 4, 512, false,
                 false, false,
-                "9731a1cff5cae3e9bdfba34d04958a86f8bd2b34ea115c1ad09ce7198a4ab3f4"},
+                "083f11643fc73e1812ccb92ee854657ef98968709aa449fa80e5b65f03499445"},
         PinCase{"bus_tpch_shared_rca", "tpc-h", kBus, 4, 512, false, true,
                 false,
                 "2891f41650ebf66575faafcc480e68727b8e83bdc032e6e1644885f41fc0c4a9"},

@@ -151,21 +151,20 @@ SystemConfig::print(std::ostream &os) const
        << "\n"
        << "  DMA buffer size                    " << dma.bufferBytes
        << " B\n"
+       // The clock, pipeline, fetch, decode, issue and memory-port rows
+       // are the paper's values: the interval core does not model them.
        << "Processor\n"
        << "  Clock                              1.5 GHz\n"
-       << "  Pipeline                           " << core.pipelineStages
-       << " stages\n"
-       << "  Fetch queue                        " << core.fetchQueue
-       << " instructions\n"
-       << "  Decode/Issue/Commit width          " << core.decodeWidth << "/"
-       << core.issueWidth << "/" << core.commitWidth << "\n"
-       << "  Issue window                       " << core.issueWindow
-       << " entries\n"
+       << "  Pipeline                           15 stages\n"
+       << "  Fetch queue                        16 instructions\n"
+       << "  Decode/Issue/Commit width          4/4/" << core.commitWidth
+       << "\n"
+       << "  Issue window                       32 entries\n"
        << "  ROB                                " << core.robEntries
        << " entries\n"
        << "  Load/Store queue                   " << core.lsqEntries
        << " entries\n"
-       << "  Memory ports                       " << core.memPorts << "\n"
+       << "  Memory ports                       1\n"
        << "Caches\n"
        << "  L1 I: " << l1i.sizeBytes / 1024 << "KB " << l1i.associativity
        << "-way, " << l1i.lineBytes << "B lines, " << l1i.latency

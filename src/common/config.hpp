@@ -1,7 +1,7 @@
 /**
  * @file
- * System configuration: every parameter of Table 3 of the paper, the CGCT
- * (Region Coherence Array) knobs, and derived topology helpers. Defaults
+ * System configuration: the Table 3 parameters of the paper that the model
+ * reads, the CGCT (Region Coherence Array) knobs, and derived topology helpers. Defaults
  * reproduce the paper's four-processor Fireplane-like system with 1.5 GHz
  * UltraSparc-IV-class out-of-order processors.
  *
@@ -30,17 +30,15 @@ struct CacheParams {
     std::uint64_t numSets() const { return numLines() / associativity; }
 };
 
-/** Out-of-order core parameters (Table 3, "Processor"). */
+/**
+ * Out-of-order core parameters (Table 3, "Processor"): the ones the
+ * interval core (cpu/core_model.hpp) and the L2 MSHRs model. The rest of
+ * Table 3's processor rows are constants of SystemConfig::print.
+ */
 struct CoreParams {
-    unsigned pipelineStages = 15;
-    unsigned fetchQueue = 16;
-    unsigned decodeWidth = 4;
-    unsigned issueWidth = 4;
     unsigned commitWidth = 4;
-    unsigned issueWindow = 32;
     unsigned robEntries = 64;
     unsigned lsqEntries = 32;
-    unsigned memPorts = 1;
     unsigned maxOutstandingMisses = 8;   ///< L2 MSHRs per processor.
 };
 
@@ -127,12 +125,6 @@ struct CgctParams {
      */
     bool threeStateProtocol = false;
     /**
-     * Future-work extension (Section 6): suppress stream prefetches into
-     * externally-dirty regions and let prefetches to exclusive regions go
-     * directly to memory.
-     */
-    bool regionPrefetchHints = false;
-    /**
      * One RCA per processor chip, shared by its cores (Section 3.2: "In
      * systems with multiple processing cores per chip, only one RCA is
      * needed for the chip"). Halves the RCA storage of the default
@@ -141,10 +133,6 @@ struct CgctParams {
     bool sharedPerChip = false;
 
     unsigned rcaEntries() const { return rcaSets * rcaWays; }
-    unsigned linesPerRegion(unsigned line_bytes) const
-    {
-        return static_cast<unsigned>(regionBytes / line_bytes);
-    }
 };
 
 /**
@@ -184,8 +172,6 @@ struct TopologyParams {
     unsigned switchesPerBoard = 2;
     /** Memory interleave granularity across controllers (one per chip). */
     std::uint64_t interleaveBytes = 4096;
-    /** Total physical memory modeled. */
-    std::uint64_t memoryBytes = 1ULL << 32;
 
     unsigned numChips() const
     {
@@ -208,7 +194,7 @@ struct TopologyParams {
     Distance distanceCpuToChip(CpuId cpu, unsigned chip) const;
 };
 
-/** Top-level system configuration (all of Table 3). */
+/** Top-level system configuration (the modelled part of Table 3). */
 struct SystemConfig {
     TopologyParams topology;
     CoreParams core;

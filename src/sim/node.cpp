@@ -677,12 +677,6 @@ Node::maybePrefetch(Addr line_addr, bool is_store, bool was_miss, Tick now)
         // Keep headroom for demand misses.
         if (mshr_.inFlight() + 2 >= mshr_.capacity())
             break;
-        if (tracker_ && config_.cgct.regionPrefetchHints) {
-            // Section 6 extension: externally-dirty regions are poor
-            // prefetch targets (the data would likely be stale or stolen).
-            if (isExternallyDirty(tracker_->peekState(c.lineAddr)))
-                continue;
-        }
         ++stats_.prefetchesIssued;
         issueSystemRequest(c.exclusive ? RequestType::PrefetchExclusive
                                        : RequestType::Prefetch,

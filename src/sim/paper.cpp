@@ -532,7 +532,7 @@ renderSec32(const Data &d)
 using Trio = std::array<const RunResult *, 3>;
 
 /**
- * Two variants against one baseline (A1, A3, A4, A6): a statistic of
+ * Two variants against one baseline (A1, A3, A4): a statistic of
  * each variant's run (@p value, headed "@p stat VARIANT@p unit"), each
  * one's run-time reduction, and the average run-time row.
  */
@@ -628,20 +628,6 @@ renderA5(const Data &d)
             cells.push_back(avoidedCell(c->at(i, 512)));
         return cells;
     });
-}
-
-std::string
-dataRequests(const RunResult &r)
-{
-    // Data reads and writes, prefetches included, that left the node.
-    return std::to_string(r.broadcastsByCat[0] + r.directsByCat[0]);
-}
-
-std::string
-renderA6(const Data &d)
-{
-    return renderVariants("data requests", "", "plain", "hinted", dataRequests,
-                          againstPair(d));
 }
 
 std::string
@@ -777,9 +763,6 @@ declareTables()
          {pair, geometry(1024, 2), geometry(2048, 2), geometry(4096, 2),
           geometry(4096, 4)},
          renderA5, nullptr},
-        {"a6",
-         {pair, variant([](CgctParams &p) { p.regionPrefetchHints = true; })},
-         renderA6, nullptr},
         {"a7", {dma}, renderA7, nullptr},
         {"a8", {whole}, renderA8, nullptr},
     };

@@ -22,17 +22,21 @@ canonicalizeConfig(Serializer &s, const SystemConfig &c)
     s.u32(c.topology.chipsPerSwitch);
     s.u32(c.topology.switchesPerBoard);
     s.u64(c.topology.interleaveBytes);
-    s.u64(c.topology.memoryBytes);
+    // Each retired field keeps its slot and its last default, at its old
+    // width, so that every fingerprint, and so every stored snapshot and
+    // sweep journal, stays valid: the modelled memory size, ...
+    s.u64(1ULL << 32);
 
-    s.u32(c.core.pipelineStages);
-    s.u32(c.core.fetchQueue);
-    s.u32(c.core.decodeWidth);
-    s.u32(c.core.issueWidth);
+    // ... the pipeline depth, fetch queue, decode and issue widths, ...
+    s.u32(15);
+    s.u32(16);
+    s.u32(4);
+    s.u32(4);
     s.u32(c.core.commitWidth);
-    s.u32(c.core.issueWindow);
+    s.u32(32); // ... the issue window, ...
     s.u32(c.core.robEntries);
     s.u32(c.core.lsqEntries);
-    s.u32(c.core.memPorts);
+    s.u32(1); // ... the memory ports, ...
     s.u32(c.core.maxOutstandingMisses);
 
     for (const CacheParams *cp : {&c.l1i, &c.l1d, &c.l2}) {
@@ -73,7 +77,7 @@ canonicalizeConfig(Serializer &s, const SystemConfig &c)
     s.b(c.cgct.selfInvalidation);
     s.b(c.cgct.favorEmptyRegions);
     s.b(c.cgct.threeStateProtocol);
-    s.b(c.cgct.regionPrefetchHints);
+    s.b(false); // ... the region prefetch hints, ...
     s.b(c.cgct.sharedPerChip);
 
     s.b(c.dma.enabled);
@@ -83,9 +87,8 @@ canonicalizeConfig(Serializer &s, const SystemConfig &c)
     s.u64(c.dma.targetBase);
     s.u64(c.dma.targetBytes);
 
-    // The slot of a retired top-level copy of the DMA buffer size, which
-    // always equalled dma.bufferBytes: kept so that every fingerprint,
-    // and so every stored snapshot, stays valid.
+    // ... and a top-level copy of the DMA buffer size, which always
+    // equalled dma.bufferBytes.
     s.u64(c.dma.bufferBytes);
     // c.obs deliberately omitted: tracing and invariant checking never
     // perturb simulated behavior, so a snapshot from a plain run may be

@@ -19,12 +19,10 @@ TEST(Config, Table3Defaults)
     EXPECT_EQ(c.topology.numCpus, 4u);
     EXPECT_EQ(c.topology.cpusPerChip, 2u);
     EXPECT_EQ(c.topology.chipsPerSwitch, 2u);
-    EXPECT_EQ(c.core.pipelineStages, 15u);
-    EXPECT_EQ(c.core.decodeWidth, 4u);
-    EXPECT_EQ(c.core.issueWindow, 32u);
+    EXPECT_EQ(c.core.commitWidth, 4u);
     EXPECT_EQ(c.core.robEntries, 64u);
     EXPECT_EQ(c.core.lsqEntries, 32u);
-    EXPECT_EQ(c.core.memPorts, 1u);
+    EXPECT_EQ(c.core.maxOutstandingMisses, 8u);
     EXPECT_EQ(c.l1i.sizeBytes, 32u * 1024);
     EXPECT_EQ(c.l1i.associativity, 4u);
     EXPECT_EQ(c.l1d.sizeBytes, 64u * 1024);
@@ -124,7 +122,6 @@ TEST(Config, BaselineAndWithCgct)
     EXPECT_TRUE(on.cgct.enabled);
     EXPECT_EQ(on.cgct.regionBytes, 1024u);
     EXPECT_EQ(on.cgct.rcaSets, 4096u);
-    EXPECT_EQ(on.cgct.linesPerRegion(64), 16u);
 }
 
 TEST(Config, ValidatePassesDefaults)

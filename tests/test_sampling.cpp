@@ -460,7 +460,6 @@ struct PinCase {
     TopologyKind topology;
     unsigned nodes;
     std::uint64_t regionBytes; ///< 0 = baseline (CGCT off).
-    bool prefetchHints;
     bool sharedRca;
     bool threeState;
     const char *sha256;
@@ -484,7 +483,6 @@ TEST_P(SamplingPin, DigestMatches)
     config.interconnect.topology = c.topology;
     if (c.regionBytes) {
         config = config.withCgct(c.regionBytes);
-        config.cgct.regionPrefetchHints = c.prefetchHints;
         config.cgct.sharedPerChip = c.sharedRca;
         config.cgct.threeStateProtocol = c.threeState;
     }
@@ -510,33 +508,25 @@ INSTANTIATE_TEST_SUITE_P(
     Warm, SamplingPin,
     ::testing::Values(
         PinCase{"bus_tpcw_baseline", "tpc-w", kBus, 4, 0, false, false,
-                false,
                 "ab04e031e4693c1f08ecb2e20dbd5e76f91d1de18628453a8daf3f2bd5d68bfa"},
         PinCase{"bus_tpcw_cgct512", "tpc-w", kBus, 4, 512, false, false,
-                false,
                 "808a59bdc50dc8bfd9699e108332a0b33546a67486754e7df16db594c48a80c2"},
         PinCase{"bus_tpcb_cgct512", "tpc-b", kBus, 4, 512, false, false,
-                false,
                 "9bbf3f9412ea744942643767ddcffb984f1e17c6b8e3eb1321d432c048823ac8"},
-        PinCase{"bus_specjbb_cgct512", "specjbb2000", kBus, 4, 512, false,
+        PinCase{"bus_specjbb_cgct512", "specjbb2000", kBus, 4, 512,
                 false, false,
                 "26a167e7e2c16cf4f54c0577f054f87006c948e33a9decc37ef17929c34969a6"},
-        PinCase{"bus_specweb_cgct512", "specweb99", kBus, 4, 512, false,
-                false, false,
+        PinCase{"bus_specweb_cgct512", "specweb99", kBus, 4, 512, false, false,
                 "083f11643fc73e1812ccb92ee854657ef98968709aa449fa80e5b65f03499445"},
-        PinCase{"bus_tpch_shared_rca", "tpc-h", kBus, 4, 512, false, true,
-                false,
+        PinCase{"bus_tpch_shared_rca", "tpc-h", kBus, 4, 512, true, false,
                 "2891f41650ebf66575faafcc480e68727b8e83bdc032e6e1644885f41fc0c4a9"},
-        PinCase{"bus_barnes_three_state", "barnes", kBus, 4, 256, false,
-                false, true,
+        PinCase{"bus_barnes_three_state", "barnes", kBus, 4, 256, false, true,
                 "7555e6a1da044ea0ce382dcc9b21ad7d35360dfc1764b6b794d9415a7f264dc2"},
-        PinCase{"hier16_tpcw_cgct512", "tpc-w", kHier, 16, 512, false,
-                false, false,
+        PinCase{"hier16_tpcw_cgct512", "tpc-w", kHier, 16, 512, false, false,
                 "cf1e564a8a62eb2f8cc3f3a8ed759cba102b04939c0e6802aef521722bb36ff5"},
         PinCase{"dir16_tpcw_cgct512", "tpc-w", kDir, 16, 512, false, false,
-                false,
                 "7725a9c11fd7dc14f12e54916d2cd39626d2641fb0794f5a849a5ed3f61860b4"},
-        PinCase{"hier16_ocean_shared_rca", "ocean", kHier, 16, 512, false,
+        PinCase{"hier16_ocean_shared_rca", "ocean", kHier, 16, 512,
                 true, false,
                 "9c56ed761ea38d50f4aa9faa204fab42f2e66584f8d18dd547214caf207d756f"}),
     [](const ::testing::TestParamInfo<PinCase> &info) {

@@ -128,7 +128,6 @@ main(int argc, char **argv)
     bool three_state = false;
     bool no_self_inval = false;
     bool no_favor_empty = false;
-    bool prefetch_hints = false;
     bool shared_rca = false;
     bool dma = false;
     std::uint64_t ops = 120000;
@@ -173,8 +172,6 @@ main(int argc, char **argv)
                    "disable line-count self-invalidation");
     parser.addFlag("no-favor-empty", &no_favor_empty,
                    "plain-LRU RCA replacement");
-    parser.addFlag("prefetch-hints", &prefetch_hints,
-                   "region-aware prefetch hints (paper 6)");
     parser.addFlag("shared-rca", &shared_rca,
                    "one RCA per chip shared by its cores (paper 3.2)");
     parser.addFlag("dma", &dma, "enable I/O-bridge DMA traffic");
@@ -269,7 +266,6 @@ main(int argc, char **argv)
         config.cgct.threeStateProtocol = three_state;
         config.cgct.selfInvalidation = !no_self_inval;
         config.cgct.favorEmptyRegions = !no_favor_empty;
-        config.cgct.regionPrefetchHints = prefetch_hints;
         config.cgct.sharedPerChip = shared_rca;
     }
     config.dma.enabled = dma;

@@ -1,9 +1,9 @@
 /**
  * @file
  * System configuration: the Table 3 parameters of the paper that the model
- * reads, the CGCT (Region Coherence Array) knobs, and derived topology helpers. Defaults
- * reproduce the paper's four-processor Fireplane-like system with 1.5 GHz
- * UltraSparc-IV-class out-of-order processors.
+ * reads, the CGCT (Region Coherence Array) knobs, and derived topology
+ * helpers. Defaults reproduce the paper's four-processor Fireplane-like
+ * system with 1.5 GHz UltraSparc-IV-class out-of-order processors.
  *
  * All latencies are stored in CPU cycles (1.5 GHz); Table 3 values given in
  * 150 MHz system cycles are converted via systemCycles().

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstring>
 #include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -318,6 +319,101 @@ TEST(Fingerprint, CoversConfigAndRunIdentity)
     RunOptions capped = opts;
     capped.maxEvents = 123456;
     EXPECT_EQ(snapshotFingerprint(base, "tpc-w", capped, 0), fp);
+}
+
+TEST(Fingerprint, CoversEveryConfigField)
+{
+    // One change to each behaviour-affecting SystemConfig field. A field
+    // added to SystemConfig belongs here and in canonicalizeConfig.
+    using Change = void (*)(SystemConfig &);
+#define CGCT_SET(field, value) \
+    std::pair<const char *, Change> { \
+        #field, [](SystemConfig &c) { c.field = value; } \
+    }
+    const std::pair<const char *, Change> changes[] = {
+        CGCT_SET(topology.numCpus, 8),
+        CGCT_SET(topology.cpusPerChip, 1),
+        CGCT_SET(topology.chipsPerSwitch, 1),
+        CGCT_SET(topology.switchesPerBoard, 1),
+        CGCT_SET(topology.interleaveBytes, 8192),
+        CGCT_SET(core.commitWidth, 8),
+        CGCT_SET(core.robEntries, 128),
+        CGCT_SET(core.lsqEntries, 64),
+        CGCT_SET(core.maxOutstandingMisses, 16),
+        CGCT_SET(l1i.sizeBytes, 128 * 1024),
+        CGCT_SET(l1i.associativity, 8),
+        CGCT_SET(l1i.lineBytes, 128),
+        CGCT_SET(l1i.latency, 2),
+        CGCT_SET(l1d.sizeBytes, 128 * 1024),
+        CGCT_SET(l1d.associativity, 8),
+        CGCT_SET(l1d.lineBytes, 128),
+        CGCT_SET(l1d.latency, 2),
+        CGCT_SET(l2.sizeBytes, 2048 * 1024),
+        CGCT_SET(l2.associativity, 4),
+        CGCT_SET(l2.lineBytes, 128),
+        CGCT_SET(l2.latency, 13),
+        CGCT_SET(prefetch.enabled, false),
+        CGCT_SET(prefetch.streams, 4),
+        CGCT_SET(prefetch.runahead, 6),
+        CGCT_SET(prefetch.exclusivePrefetch, false),
+        CGCT_SET(interconnect.topology, TopologyKind::Hier),
+        // No default latency is 7 cycles.
+        CGCT_SET(interconnect.localSnoopLatency, 7),
+        CGCT_SET(interconnect.dirLookupLatency, 7),
+        CGCT_SET(interconnect.snoopLatency, 7),
+        CGCT_SET(interconnect.dramLatency, 7),
+        CGCT_SET(interconnect.dramOverlappedExtra, 7),
+        CGCT_SET(interconnect.xferOwnChip, 7),
+        CGCT_SET(interconnect.xferSameSwitch, 7),
+        CGCT_SET(interconnect.xferSameBoard, 7),
+        CGCT_SET(interconnect.xferRemote, 7),
+        CGCT_SET(interconnect.directOwnChip, 7),
+        CGCT_SET(interconnect.directSameSwitch, 7),
+        CGCT_SET(interconnect.directSameBoard, 7),
+        CGCT_SET(interconnect.directRemote, 7),
+        CGCT_SET(interconnect.busSlot, 7),
+        CGCT_SET(interconnect.snoopTagOccupancy, 7),
+        CGCT_SET(interconnect.memCtrlSlot, 7),
+        CGCT_SET(interconnect.dataBytesPerSystemCycle, 32),
+        CGCT_SET(cgct.enabled, false),
+        CGCT_SET(cgct.regionBytes, 256),
+        CGCT_SET(cgct.rcaSets, 4096),
+        CGCT_SET(cgct.rcaWays, 4),
+        CGCT_SET(cgct.selfInvalidation, false),
+        CGCT_SET(cgct.favorEmptyRegions, false),
+        CGCT_SET(cgct.threeStateProtocol, true),
+        CGCT_SET(cgct.sharedPerChip, true),
+        CGCT_SET(dma.enabled, true),
+        CGCT_SET(dma.meanInterval, 4000),
+        CGCT_SET(dma.bufferBytes, 1024),
+        CGCT_SET(dma.readFraction, 0.25),
+        CGCT_SET(dma.targetBase, 0x10000000),
+        CGCT_SET(dma.targetBytes, 32ULL << 20),
+    };
+    const std::pair<const char *, Change> unchanged[] = {
+        CGCT_SET(obs.trace, true),
+        CGCT_SET(obs.checkInvariants, true),
+    };
+#undef CGCT_SET
+
+    const SystemConfig base = makeDefaultConfig().withCgct(512);
+    const RunOptions opts;
+    const auto fingerprint = [&opts](const SystemConfig &c) {
+        return snapshotFingerprint(c, "tpc-w", opts, 0);
+    };
+    std::map<std::uint64_t, const char *> seen{{fingerprint(base), "base"}};
+    for (const auto &[field, change] : changes) {
+        SystemConfig c = base;
+        change(c);
+        const auto [it, fresh] = seen.emplace(fingerprint(c), field);
+        EXPECT_TRUE(fresh) << field << " gives the fingerprint of "
+                           << it->second;
+    }
+    for (const auto &[field, change] : unchanged) {
+        SystemConfig c = base;
+        change(c);
+        EXPECT_EQ(fingerprint(c), fingerprint(base)) << field;
+    }
 }
 
 TEST(Fingerprint, MismatchRefusesRestore)

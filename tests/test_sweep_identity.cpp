@@ -10,7 +10,8 @@
  * The jobs-1 run also renders the Figure 2/7/8/10 tables from its rows
  * (sim/paper.hpp), checks them against EXPERIMENTS.md byte for byte and
  * asserts their paper claims; a separate case would cost a third full
- * matrix, since each case runs in its own process.
+ * matrix, since each case runs in its own process. The analytic Table
+ * 1/2/3 and Figure 6 blocks need no sweep and are compared on their own.
  *
  * Under sanitizers the full matrix is too slow, so those builds run a
  * reduced matrix and assert jobs-count identity only (the full digest
@@ -20,8 +21,10 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "golden.hpp"
 #include "sha256.hpp"
@@ -65,16 +68,24 @@ runToCsv(const SweepSpec &spec, unsigned jobs,
     return os.str();
 }
 
+std::string
+experimentsText()
+{
+    std::ifstream in(CGCT_SOURCE_DIR "/EXPERIMENTS.md");
+    std::stringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+constexpr std::string_view kBlockOpen = "<!-- cgct_paper ";
+
 /** EXPERIMENTS.md's block between `<!-- cgct_paper NAME -->` and the
  *  end marker. */
 std::string
 experimentsBlock(const std::string &name)
 {
-    std::ifstream in(CGCT_SOURCE_DIR "/EXPERIMENTS.md");
-    std::stringstream text;
-    text << in.rdbuf();
-    const std::string doc = text.str();
-    const std::string open = "<!-- cgct_paper " + name + " -->\n";
+    const std::string doc = experimentsText();
+    const std::string open = std::string(kBlockOpen) + name + " -->\n";
     const std::size_t begin = doc.find(open);
     if (begin == std::string::npos)
         return "(no " + open + " block in EXPERIMENTS.md)";
@@ -132,6 +143,36 @@ TEST(SweepIdentity, DefaultSweepDigestAtJobs0)
     EXPECT_EQ(sha256Hex(runToCsv(defaultSweepSpec(), 0)),
               golden::kDefaultSweepSha256)
         << "default sweep output differs at hardware-concurrency jobs";
+}
+
+TEST(PaperBlocks, AnalyticTablesMatchExperiments)
+{
+    for (const char *name : {"table1", "table2", "table3", "fig6"}) {
+        const paper::Table *table = paper::findTable(name);
+        ASSERT_NE(table, nullptr) << name;
+        ASSERT_TRUE(table->sweeps.empty()) << name << " runs a sweep";
+        EXPECT_EQ(paper::renderBlock(*table, {}), experimentsBlock(name))
+            << "EXPERIMENTS.md differs from `cgct_paper " << name << "`";
+    }
+}
+
+TEST(PaperBlocks, TableNamesMatchExperimentsMarkers)
+{
+    // A table without a block, or a block no table renders any more,
+    // leaves EXPERIMENTS.md out of step with `cgct_paper`.
+    std::set<std::string> tables;
+    for (const paper::Table &t : paper::tables())
+        tables.insert(t.name);
+    // A marker starts its line; the prose quotes the marker syntax.
+    const std::string doc = "\n" + experimentsText();
+    const std::string open = "\n" + std::string(kBlockOpen);
+    std::set<std::string> markers;
+    for (std::size_t at = doc.find(open); at != std::string::npos;
+         at = doc.find(open, at + 1)) {
+        const std::size_t name = at + open.size();
+        markers.insert(doc.substr(name, doc.find(' ', name) - name));
+    }
+    EXPECT_EQ(markers, tables);
 }
 
 TEST(SweepIdentity, ReducedMatrixIdenticalAcrossJobs)

@@ -5,6 +5,8 @@
 #   1. Every option registered through ArgParser::addFlag/addU64/
 #      addDouble/addString must appear in docs/SWEEP.md as `--name`, and
 #      every positional registered through addPositional as `<name>`.
+#      Conversely, every `--name` that starts a row of an option table
+#      in docs/SWEEP.md must be registered by some tools/*.cpp.
 #   2. docs/PERF.md must cover the perf tooling and build knobs, and its
 #      "Golden results" section must list every constant in
 #      tests/golden.hpp and every SamplingPin case, each with its value.
@@ -77,6 +79,19 @@ for src in "$root"/tools/*.cpp; do
             fail=1
         fi
     done
+done
+
+registered=$(cat "$root"/tools/*.cpp |
+    grep -oE 'add(Flag|U64|Double|String)\("[A-Za-z0-9-]+"' |
+    sed -E 's/.*\("([A-Za-z0-9-]+)"/\1/' | sort -u)
+documented=$(grep -oE '^\| `--[A-Za-z0-9-]+' "$doc" |
+    sed -E 's/^\| `--//' | sort -u)
+for flag in $documented; do
+    if ! grep -qx -- "$flag" <<< "$registered"; then
+        echo "check_docs: docs/SWEEP.md documents --$flag, which no" \
+             "tools/*.cpp registers" >&2
+        fail=1
+    fi
 done
 
 # Performance documentation: docs/PERF.md must exist and cover the perf

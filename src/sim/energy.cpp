@@ -31,9 +31,12 @@ computeEnergy(System &system, const EnergyParams &p)
                                                l1d.hits + l1d.misses) +
             p.l2TagLookupNj * static_cast<double>(l2.hits + l2.misses) +
             p.l2DataAccessNj * static_cast<double>(l2.hits + l2.fills);
+    }
 
-        if (auto *cgct_ctrl = dynamic_cast<CgctController *>(
-                system.node(i).tracker())) {
+    // A chip-shared RCA is one array: count its accesses once.
+    for (const System::OwnedTracker &t : system.trackers()) {
+        if (const auto *cgct_ctrl =
+                dynamic_cast<const CgctController *>(t.tracker)) {
             const auto &rs = cgct_ctrl->rca().stats();
             e.rca += p.rcaLookupNj *
                          static_cast<double>(rs.hits + rs.misses) +

@@ -92,23 +92,29 @@ collectRunResult(System &sys, const std::string &workload_name,
         }
         r.inclusionWritebacks += ns.inclusionWritebacks;
         r.instructions += sys.core(i).instructions();
+    }
 
-        if (auto *tracker = sys.node(i).tracker()) {
-            if (auto *cgct = dynamic_cast<CgctController *>(tracker)) {
-                const auto &rs = cgct->rca().stats();
-                r.rcaEvictedEmpty += rs.evictedEmpty;
-                r.rcaEvictedOne += rs.evictedOneLine;
-                r.rcaEvictedTwo += rs.evictedTwoLines;
-                r.rcaEvictedMore += rs.evictedMoreLines;
-                r.rcaSelfInvalidations += rs.selfInvalidations;
-                if (rs.lineCountSamples > 0) {
-                    r.avgLinesPerEvictedRegion +=
-                        static_cast<double>(rs.lineCountSum) /
-                        static_cast<double>(rs.lineCountSamples);
-                }
-            }
+    // Each CGCT controller once: with sharedPerChip the chip's cores
+    // share one.
+    std::vector<const CgctController *> ctrls;
+    for (const System::OwnedTracker &t : sys.trackers())
+        if (const auto *c = dynamic_cast<const CgctController *>(t.tracker))
+            ctrls.push_back(c);
+    for (const CgctController *c : ctrls) {
+        const auto &rs = c->rca().stats();
+        r.rcaEvictedEmpty += rs.evictedEmpty;
+        r.rcaEvictedOne += rs.evictedOneLine;
+        r.rcaEvictedTwo += rs.evictedTwoLines;
+        r.rcaEvictedMore += rs.evictedMoreLines;
+        r.rcaSelfInvalidations += rs.selfInvalidations;
+        if (rs.lineCountSamples > 0) {
+            r.avgLinesPerEvictedRegion +=
+                static_cast<double>(rs.lineCountSum) /
+                static_cast<double>(rs.lineCountSamples);
         }
     }
+    if (!ctrls.empty())
+        r.avgLinesPerEvictedRegion /= static_cast<double>(ctrls.size());
 
     // Convert the accumulators into proper averages.
     {
@@ -127,7 +133,6 @@ collectRunResult(System &sys, const std::string &workload_name,
         r.avgMissLatency = lat_count
                                ? lat_sum / static_cast<double>(lat_count)
                                : 0.0;
-        r.avgLinesPerEvictedRegion /= sys.numCpus();
     }
 
     const Oracle &oracle = sys.oracle();
@@ -175,20 +180,6 @@ collectRunResult(System &sys, const std::string &workload_name,
             "node.miss_latency",
             "demand miss latency distribution (cycles)", miss));
 
-        // Dedupe trackers: with sharedPerChip the chip's cores share one
-        // controller, whose histograms must be counted once.
-        std::vector<const CgctController *> ctrls;
-        for (unsigned i = 0; i < sys.numCpus(); ++i) {
-            const auto *c = dynamic_cast<const CgctController *>(
-                sys.node(i).tracker());
-            if (!c)
-                continue;
-            bool seen = false;
-            for (const auto *s : ctrls)
-                seen = seen || s == c;
-            if (!seen)
-                ctrls.push_back(c);
-        }
         if (!ctrls.empty()) {
             Histogram lines = ctrls.front()->rca().evictedLinesHistogram();
             Distribution life = ctrls.front()->rca().regionLifetime();

@@ -1,8 +1,8 @@
 #include "sim/system.hpp"
 
+#include <algorithm>
 #include <ostream>
 #include <string>
-#include <unordered_set>
 
 #include "common/log.hpp"
 #include "snapshot/serializer.hpp"
@@ -75,6 +75,14 @@ System::System(const SystemConfig &config, OpSource &source,
         bus_->addClient(nodes_.back().get());
         node_ptrs.push_back(nodes_.back().get());
     }
+    for (unsigned i = 0; i < nodes_.size(); ++i) {
+        RegionTracker *tracker = nodes_[i]->tracker();
+        if (tracker && std::none_of(trackers_.begin(), trackers_.end(),
+                                    [tracker](const OwnedTracker &t) {
+                                        return t.tracker == tracker;
+                                    }))
+            trackers_.push_back({i, tracker});
+    }
 
     bus_->setOracle(&oracle_);
 
@@ -120,15 +128,11 @@ System::System(const SystemConfig &config, OpSource &source,
         // A region eviction flushes every core sharing the tracker, one
         // flush handler each; the region is consistent only after the
         // last of them, so the check is one more handler after those.
-        std::unordered_set<RegionTracker *> trackers;
-        for (auto &node : nodes_) {
-            RegionTracker *tracker = node->tracker();
-            if (tracker && trackers.insert(tracker).second)
-                tracker->setFlushHandler(
-                    [this](Addr region, std::uint64_t, MemCtrlId) {
-                        checker_->onTransition(region, "region_flush");
-                    });
-        }
+        for (const OwnedTracker &t : trackers_)
+            t.tracker->setFlushHandler(
+                [this](Addr region, std::uint64_t, MemCtrlId) {
+                    checker_->onTransition(region, "region_flush");
+                });
     }
 }
 
@@ -200,17 +204,18 @@ System::transfer(Archive &ar)
                    [&] { memCtrls_[i]->transfer(ar); });
 
     // Chip-shared trackers appear once, under their first owner's index.
-    std::unordered_set<const RegionTracker *> seen;
+    auto owned = trackers_.begin();
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
         const std::string id = std::to_string(i);
         ar.section("core" + id, [&] { cores_[i]->transfer(ar); });
         ar.section("node" + id, [&] { nodes_[i]->transfer(ar); });
-        RegionTracker *tracker = nodes_[i]->tracker();
-        if (tracker && seen.insert(tracker).second)
+        if (owned != trackers_.end() && owned->firstOwner == i) {
             ar.section("tracker" + id, [&] {
-                tracker->transfer(ar,
-                                  static_cast<unsigned>(memCtrls_.size()));
+                owned->tracker->transfer(
+                    ar, static_cast<unsigned>(memCtrls_.size()));
             });
+            ++owned;
+        }
     }
 }
 

@@ -81,6 +81,19 @@ class System
         return static_cast<unsigned>(memCtrls_.size());
     }
 
+    /** A region tracker and the first core that owns it. */
+    struct OwnedTracker {
+        unsigned firstOwner;
+        RegionTracker *tracker;
+    };
+
+    /**
+     * Every distinct region tracker, in core order: a chip-shared
+     * tracker appears once, under its first owner. Empty when no core
+     * tracks regions.
+     */
+    const std::vector<OwnedTracker> &trackers() const { return trackers_; }
+
     /** The DMA engine, or nullptr when config.dma.enabled is false. */
     DmaEngine *dma() { return dma_.get(); }
 
@@ -150,6 +163,7 @@ class System
     std::unique_ptr<Interconnect> bus_;
     std::vector<std::unique_ptr<Node>> nodes_;
     std::vector<std::unique_ptr<CoreModel>> cores_;
+    std::vector<OwnedTracker> trackers_;
     Oracle oracle_;
     std::unique_ptr<DmaEngine> dma_;
     TraceSink trace_;

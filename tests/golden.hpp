@@ -67,7 +67,7 @@ inline constexpr std::uint64_t kDir16TpchStatsFnv = 0x17c06ffee19fdfd8ULL;
  * Asserted by TopologyPin.Hier16SharedRcaTpcwStatsDigest; regenerated by
  * the same command.
  */
-inline constexpr std::uint64_t kHier16SharedRcaTpcwStatsFnv = 0xe80c764b1ba0160fULL;
+inline constexpr std::uint64_t kHier16SharedRcaTpcwStatsFnv = 0xb4485f05df7e0e66ULL;
 
 /**
  * FNV-1a-64 of the topology-column CSV of a 16-node `--topology hier`

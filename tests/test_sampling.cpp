@@ -519,7 +519,7 @@ INSTANTIATE_TEST_SUITE_P(
         PinCase{"bus_specweb_cgct512", "specweb99", kBus, 4, 512, false, false,
                 "083f11643fc73e1812ccb92ee854657ef98968709aa449fa80e5b65f03499445"},
         PinCase{"bus_tpch_shared_rca", "tpc-h", kBus, 4, 512, true, false,
-                "2891f41650ebf66575faafcc480e68727b8e83bdc032e6e1644885f41fc0c4a9"},
+                "70e35435cd02a4ff891c010282cf971fc75412326bc65756478d818a0d1d9850"},
         PinCase{"bus_barnes_three_state", "barnes", kBus, 4, 256, false, true,
                 "7555e6a1da044ea0ce382dcc9b21ad7d35360dfc1764b6b794d9415a7f264dc2"},
         PinCase{"hier16_tpcw_cgct512", "tpc-w", kHier, 16, 512, false, false,
@@ -528,7 +528,7 @@ INSTANTIATE_TEST_SUITE_P(
                 "7725a9c11fd7dc14f12e54916d2cd39626d2641fb0794f5a849a5ed3f61860b4"},
         PinCase{"hier16_ocean_shared_rca", "ocean", kHier, 16, 512,
                 true, false,
-                "9c56ed761ea38d50f4aa9faa204fab42f2e66584f8d18dd547214caf207d756f"}),
+                "fef61a39ef49a3e13658b5486dcfbb61f648ad3033b12f2d301196e8b511a553"}),
     [](const ::testing::TestParamInfo<PinCase> &info) {
         return std::string(info.param.name);
     });

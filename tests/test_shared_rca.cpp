@@ -4,7 +4,8 @@
  * multiple processing cores per chip, only one RCA is needed for the
  * chip"): sibling cores share region knowledge, sibling requests do not
  * downgrade their own chip's region state, remote requests do, inclusion
- * flushes cover both cores, and whole-system runs stay invariant-clean.
+ * flushes cover both cores, whole-system runs stay invariant-clean, and
+ * a shared RCA's statistics are counted once.
  */
 
 #include <gtest/gtest.h>
@@ -181,6 +182,29 @@ TEST(SharedRcaSystem, FullRunStaysInvariantClean)
     // Siblings really do share in the assembled system.
     EXPECT_EQ(sys.node(0).tracker(), sys.node(1).tracker());
     EXPECT_NE(sys.node(1).tracker(), sys.node(2).tracker());
+}
+
+TEST(SharedRcaSystem, EvictionCountersMatchTheHistogram)
+{
+    // The scalar eviction counters and the lines-at-eviction histogram
+    // count the same evictions, a chip-shared RCA's once.
+    for (const bool shared : {false, true}) {
+        SystemConfig config = makeDefaultConfig().withCgct(512, 256, 2);
+        config.cgct.sharedPerChip = shared;
+        RunOptions opts;
+        opts.opsPerCpu = 20000;
+        opts.warmupOps = 4000;
+        const RunResult r =
+            simulateOnce(config, benchmarkByName("tpc-w"), opts);
+        const std::uint64_t evicted = r.rcaEvictedEmpty + r.rcaEvictedOne +
+                                      r.rcaEvictedTwo + r.rcaEvictedMore;
+        EXPECT_GT(evicted, 0u) << "shared=" << shared;
+        std::uint64_t samples = 0;
+        for (const HistogramSnapshot &h : r.histograms)
+            if (h.name == "rca.lines_at_eviction")
+                samples = h.samples;
+        EXPECT_EQ(evicted, samples) << "shared=" << shared;
+    }
 }
 
 TEST(SharedRcaSystem, SharingImprovesAvoidanceOverSplitRcaOfSameSize)

@@ -173,11 +173,11 @@ inline constexpr const char *kDir16DmaCheckpointSha256 =
 
 /**
  * xxhash64 of the v2 trace file TraceWriter writes for the TraceMutation
- * seed: 3 lanes, every memory and synchronization record kind, end
+ * seed: 3 lanes of 8 memory records, every memory record kind, end
  * records. Asserted by TracePin.FileBytes. Regenerate (prints it):
  *   build/tests/test_trace --gtest_filter='TracePin.*'
  */
-inline constexpr std::uint64_t kTraceFileXxh64 = 0x8eba23f47aa84331ULL;
+inline constexpr std::uint64_t kTraceFileXxh64 = 0x6345d360d1f3cc86ULL;
 
 /**
  * xxhash64 of a two-record CGCTJRNL file as SweepJournal writes it:

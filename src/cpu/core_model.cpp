@@ -302,9 +302,6 @@ CoreModel::addStats(StatGroup &group) const
     group.addScalar("store_stall_cycles",
                     "cycles stalled on a full store queue",
                     &stats_.storeStallCycles);
-    group.addScalar("sync_stall_cycles",
-                    "cycles blocked on replayed synchronization events",
-                    &stats_.syncStallCycles);
 }
 
 } // namespace cgct

@@ -85,20 +85,20 @@ inline constexpr std::uint64_t kHier16TpcwSweepCsvFnv = 0x90ab876a4cb843c5ULL;
  * Regenerate (prints it):
  *   build/tests/test_topology --gtest_filter='StatsTextPin.*'
  */
-inline constexpr std::uint64_t kHier16TpcwDumpStatsFnv = 0xc36255a840c99569ULL;
+inline constexpr std::uint64_t kHier16TpcwDumpStatsFnv = 0x36fcd68d2eead17fULL;
 
 /**
  * The same dumpStats digest for that cell on the full-map directory.
  * Asserted by StatsTextPin.Dir16Tpcw; regenerated by the same command.
  */
-inline constexpr std::uint64_t kDir16TpcwDumpStatsFnv = 0xb4b10fc89a09d324ULL;
+inline constexpr std::uint64_t kDir16TpcwDumpStatsFnv = 0x5a168c9137588f78ULL;
 
 /**
  * The same dumpStats digest on the default 4-node bus with 512 B CGCT
  * (tpc-w, 40000 ops per CPU, seed 20050609). Asserted by
  * StatsTextPin.Bus4Tpcw512; regenerated by the same command.
  */
-inline constexpr std::uint64_t kBus4Tpcw512DumpStatsFnv = 0x534205e6fcee3d09ULL;
+inline constexpr std::uint64_t kBus4Tpcw512DumpStatsFnv = 0xee31a0ea68cdc079ULL;
 
 /**
  * FNV-1a-64 of encodeRunResult for cgct_paper's A4 cell shape: a whole
@@ -114,7 +114,7 @@ inline constexpr std::uint64_t kRegionScoutTpcw4StatsFnv = 0x24b568305837ba84ULL
  * regionscout.nsrt_* and crh counters. Asserted by RegionScoutPin.Tpcw4;
  * regenerated by the same command.
  */
-inline constexpr std::uint64_t kRegionScoutTpcw4DumpStatsFnv = 0xd205520cf1b2af6bULL;
+inline constexpr std::uint64_t kRegionScoutTpcw4DumpStatsFnv = 0xc8eb104ef679511bULL;
 
 /**
  * xxhash64 of the op streams of all nine standard profiles: the first

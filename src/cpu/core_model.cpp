@@ -12,9 +12,6 @@ CoreModel::CoreModel(CpuId cpu, const CoreParams &params, EventQueue &eq,
     : cpu_(cpu), params_(params), eq_(eq), node_(node), source_(source),
       loads_(std::bit_ceil(std::size_t{params.robEntries} + 2))
 {
-    // Trace replay: a fetch that returns Blocked (sync event) resumes
-    // the core through this callback, from event-queue context.
-    source_.bindWaiter(cpu_, [this](Tick release) { syncWake(release); });
 }
 
 void
@@ -86,20 +83,6 @@ CoreModel::enforceWindow()
     return true;
 }
 
-void
-CoreModel::syncWake(Tick release)
-{
-    if (state_ != State::WaitSync)
-        panic("CoreModel: sync wake on cpu %d in state %d", cpu_,
-              static_cast<int>(state_));
-    if (release > clock_) {
-        stats_.syncStallCycles += release - clock_;
-        clock_ = release;
-    }
-    state_ = State::Running;
-    run();
-}
-
 bool
 CoreModel::step()
 {
@@ -107,16 +90,9 @@ CoreModel::step()
         return false;
 
     CpuOp op;
-    const Tick before_fetch = clock_;
-    const OpFetch fetched = source_.fetch(cpu_, clock_, op);
-    stats_.syncStallCycles += clock_ - before_fetch;
-    if (fetched == OpFetch::End) {
+    if (!source_.next(cpu_, op)) {
         state_ = State::Draining;
         checkDrained();
-        return false;
-    }
-    if (fetched == OpFetch::Blocked) {
-        state_ = State::WaitSync;
         return false;
     }
 
@@ -252,7 +228,7 @@ CoreModel::transfer(Archive &ar)
     ar.u64(stats_.loadStallCycles);
     ar.u64(stats_.robStallCycles);
     ar.u64(stats_.storeStallCycles);
-    ar.u64(stats_.syncStallCycles);
+    ar.expect("sync_stall_cycles", std::uint64_t{0}); // Retired.
     if (!ar.saving()) {
         state_ = State::Finished;
         loadHead_ = loadTail_;

@@ -25,21 +25,16 @@ namespace cgct {
 
 class Archive;
 
-/** Outcome of one timing-aware OpSource fetch. */
+/** Outcome of OpSource::fetch. */
 enum class OpFetch : std::uint8_t {
-    Op,      ///< @p op holds the next operation.
-    Blocked, ///< Lane is waiting on a synchronization event; the source
-             ///< will invoke the CPU's bound waiter when it unblocks.
-    End,     ///< Stream exhausted (or paused, see setPauseAt users).
+    Op,  ///< @p op holds the next operation.
+    End, ///< Stream exhausted (or paused, see setPauseAt users).
 };
 
 /**
  * Produces per-processor operation streams: the synthetic generator, a
- * trace replayer, or a capture tee around either. Simple sources only
- * implement next(); sources that replay explicit synchronization events
- * (trace lanes with barrier/lock/signal records) override fetch() and
- * the wiring hooks below, so cross-lane waits are re-created in
- * simulated time at the core interface.
+ * trace replayer, or a capture tee around either. Every consumer, the
+ * core model and the warm path alike, fetches through next().
  */
 class OpSource
 {
@@ -49,28 +44,14 @@ class OpSource
     /** Next op for @p cpu; false when the stream is exhausted. */
     virtual bool next(CpuId cpu, CpuOp &op) = 0;
 
-    /**
-     * Timing-aware fetch. @p now is the core's local clock; the source
-     * may raise it (a synchronization event resolved inline, e.g. the
-     * last lane arriving at a barrier). Returns Blocked when the lane
-     * must wait for another lane; the source later invokes the waiter
-     * bound for @p cpu (from event-queue context) with the release
-     * time. The default forwards to next() and never blocks.
-     */
+    /** Unused; kept while benchmark/'s TimedSource overrides them. */
     virtual OpFetch
     fetch(CpuId cpu, Tick &now, CpuOp &op)
     {
         (void)now;
         return next(cpu, op) ? OpFetch::Op : OpFetch::End;
     }
-
-    /** Event-queue hookup for sources that schedule wakeups. Called by
-     *  System's constructor before any core is built. */
     virtual void attach(EventQueue &eq) { (void)eq; }
-
-    /** Bind the callback a Blocked fetch for @p cpu is resumed
-     *  through. Invoked from event-queue context with the release
-     *  time. Called once per core, at core construction. */
     virtual void
     bindWaiter(CpuId cpu, std::function<void(Tick)> wake)
     {
@@ -103,7 +84,6 @@ class CoreModel
         std::uint64_t loadStallCycles = 0;
         std::uint64_t robStallCycles = 0;
         std::uint64_t storeStallCycles = 0;
-        std::uint64_t syncStallCycles = 0; ///< Trace sync-event waits.
     };
 
     const Stats &stats() const { return stats_; }
@@ -113,8 +93,9 @@ class CoreModel
      * Checkpoint layout. Snapshots are taken at quiescence, so the core
      * must be Finished with no outstanding loads or stores when saved
      * (panics otherwise). Stores the local clock, retire counts, the
-     * gap carry and the stall-cycle statistics; a load leaves the core
-     * Finished and drained.
+     * gap carry and the stall-cycle statistics (and, expected as 0, the
+     * retired sync-stall slot); a load leaves the core Finished and
+     * drained.
      */
     void transfer(Archive &ar);
 
@@ -136,10 +117,6 @@ class CoreModel
     void warmAdvance(Tick clock, std::uint64_t instructions,
                      std::uint64_t mem_ops);
 
-    /** True while the op source has this core blocked on a trace
-     *  synchronization event (barrier / contended lock / wait). */
-    bool waitingOnSync() const { return state_ == State::WaitSync; }
-
   private:
     enum class State : std::uint8_t {
         Running,
@@ -147,7 +124,6 @@ class CoreModel
         WaitLoadDep,   ///< Pipeline serialized on a dependent load.
         WaitRobHead,   ///< Oldest outstanding load pins the ROB.
         WaitStore,     ///< Store queue full.
-        WaitSync,      ///< Blocked on a trace synchronization event.
         Draining,      ///< Stream done; waiting for outstanding ops.
         Finished,
     };
@@ -173,9 +149,6 @@ class CoreModel
 
     /** A memory completion arrived; wake the core if it was waiting. */
     void wake(Tick ready);
-
-    /** The op source released this core's sync wait (event context). */
-    void syncWake(Tick release);
 
     void scheduleRun(Tick when);
     void checkDrained();

@@ -678,8 +678,7 @@ runWhole(const SweepCell &cell, const SystemConfig &config,
     SyntheticWorkload workload(*cell.profile, config.topology.numCpus,
                                opts.opsPerCpu, opts.seed);
     System sys(config, workload, trackers);
-    // A generated workload never blocks on synchronization.
-    (void)runPhase(sys, /*resume=*/false, opts.maxEvents);
+    runPhase(sys, /*resume=*/false, opts.maxEvents);
     if (energy)
         *energy = computeEnergy(sys);
     return collectRunResult(sys, cell.profile->name, opts.seed, 0);

@@ -32,7 +32,7 @@ scheduleWarmupCheck(System &sys, std::function<std::uint64_t()> min_ops,
     });
 }
 
-unsigned
+void
 runPhase(System &sys, bool resume, std::uint64_t max_events,
          const std::function<void()> &after_start)
 {
@@ -46,11 +46,9 @@ runPhase(System &sys, bool resume, std::uint64_t max_events,
     if (sys.run(max_events) >= max_events)
         fatal("run: event cap hit (%llu) — runaway simulation?",
               static_cast<unsigned long long>(max_events));
-    if (sys.allCoresFinished())
-        return 0;
-    if (const unsigned blocked = sys.coresWaitingOnSync())
-        return blocked;
-    panic("run: event queue drained before cores reached the pause point");
+    if (!sys.allCoresFinished())
+        panic("run: event queue drained before cores reached the pause "
+              "point");
 }
 
 RunResult

@@ -192,11 +192,11 @@ class System;
 /**
  * Replay a recorded v2 trace to completion on @p config and return the
  * full RunResult, exactly as simulateOnce() would for a generated
- * workload. The trace streams through the mmap replayer with its
- * synchronization events re-created. opts.opsPerCpu is ignored (the
- * trace defines the stream). A version-1 trace is rejected. When
- * @p stats_out is non-null the full component statistics are dumped to
- * it before the system is torn down (the CLI's --stats).
+ * workload. The trace streams through the mmap replayer.
+ * opts.opsPerCpu is ignored (the trace defines the stream). A version-1
+ * trace, or one holding a retired synchronization record, is rejected.
+ * When @p stats_out is non-null the full component statistics are
+ * dumped to it before the system is torn down (the CLI's --stats).
  */
 RunResult simulateReplay(const SystemConfig &config,
                          const std::string &trace_path,
@@ -232,15 +232,11 @@ void scheduleWarmupCheck(System &sys,
  * start() a fresh system, or resumePhase() one that drained or was
  * restored (@p resume), call @p after_start (events that must be
  * scheduled after the cores, such as the warmup check), and run the
- * event queue dry. Returns the number of cores the drain left blocked
- * on trace synchronization (a pause point that splits a lock or
- * barrier), 0 when every core finished; the caller knows where it
- * paused and reports it. fatal()s when @p max_events is hit; panic()s on
- * any other drain that left a core unfinished.
+ * event queue dry. fatal()s when @p max_events is hit; panic()s on a
+ * drain that left a core unfinished.
  */
-[[nodiscard]] unsigned runPhase(
-    System &sys, bool resume, std::uint64_t max_events,
-    const std::function<void()> &after_start = nullptr);
+void runPhase(System &sys, bool resume, std::uint64_t max_events,
+              const std::function<void()> &after_start = nullptr);
 
 /**
  * The multi-seed chain step: seed k of a batch is link k+1 from the

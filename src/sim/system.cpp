@@ -15,10 +15,6 @@ System::System(const SystemConfig &config, OpSource &source,
 {
     config_.validate();
 
-    // Sources that schedule their own wakeups (trace replay sync
-    // events) need the event queue before any core binds its waiter.
-    source.attach(eq_);
-
     const unsigned n_ctrl = config_.topology.numMemCtrls();
     std::vector<MemoryController *> ctrl_ptrs;
     for (unsigned i = 0; i < n_ctrl; ++i) {
@@ -155,15 +151,6 @@ System::allCoresFinished() const
         if (!core->finished())
             return false;
     return true;
-}
-
-unsigned
-System::coresWaitingOnSync() const
-{
-    unsigned n = 0;
-    for (const auto &core : cores_)
-        n += core->waitingOnSync() ? 1 : 0;
-    return n;
 }
 
 Tick

@@ -112,9 +112,6 @@ class System
     bool allCoresFinished() const;
     Tick maxCoreClock() const;
 
-    /** Cores blocked on a trace synchronization event (replay only). */
-    unsigned coresWaitingOnSync() const;
-
     /**
      * Switch the whole machine into (or out of) functional mode for
      * warming (docs/SAMPLING.md): every request then resolves at once

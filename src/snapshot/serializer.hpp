@@ -399,8 +399,10 @@ class Archive
 /** The 8-byte magic at offset 0 of every snapshot file. */
 extern const char kSnapshotMagic[8];
 /** Current snapshot format version (header field). v2: core sections
- *  gained sync_stall_cycles, and trace-replay runs store a "replay"
- *  workload section (lane cursors, lock owners, semaphore counts). */
+ *  gained a sync_stall_cycles slot, and trace-replay runs store a
+ *  "replay" workload section (lane cursors). The synchronization slots
+ *  are retired but kept, written as 0 and expected as 0, so every v2
+ *  checkpoint keeps its bytes. */
 constexpr std::uint32_t kSnapshotVersion = 2;
 
 /**

@@ -338,31 +338,17 @@ drainLoop(const SystemConfig &config, Run &run, const RunOptions &opts,
         const std::uint64_t next_pause =
             std::min(h.opsDone + h.everyOps, h.opsPerCpu);
         const bool last = next_pause >= h.opsPerCpu;
-        // The last phase runs every lane to its end record, trailing
-        // synchronization records included.
+        // The last phase runs every lane to its end record.
         run.setPauseAt(last ? UINT64_MAX : next_pause);
         // The warmup-check event dies at each drain (it stops
         // rescheduling once every core is Finished) and is re-armed
         // each phase, after the cores start.
-        const unsigned blocked = runPhase(sys, resume, opts.maxEvents, [&] {
+        runPhase(sys, resume, opts.maxEvents, [&] {
             if (!warmup_done)
                 scheduleWarmupCheck(
                     sys, [&run] { return run.progress(); }, h.warmupOps,
                     &measure_start, &warmup_done);
         });
-        if (blocked && last)
-            fatal("run wedged: %u core(s) are blocked on trace "
-                  "synchronization events at the end of the trace — a "
-                  "lane ended holding a lock or owing a barrier arrival",
-                  blocked);
-        if (blocked)
-            fatal("checkpoint drain wedged: %u core(s) are blocked on "
-                  "trace synchronization events at the %llu-op pause "
-                  "point — a paused lane holds a lock or owes a barrier "
-                  "arrival that a blocked lane needs. Choose a "
-                  "--checkpoint-every interval aligned with the trace's "
-                  "synchronization structure (or checkpoint less often)",
-                  blocked, static_cast<unsigned long long>(next_pause));
         if (last)
             break;
 

@@ -86,11 +86,6 @@ std::uint64_t snapshotFingerprint(const SystemConfig &config,
  * different (or re-captured) trace. fatal()s on a fingerprint mismatch,
  * an unreadable or corrupt snapshot, or run parameters that differ from
  * the snapshot's (ops, warmup and, for a generated run, seed).
- *
- * A replay drain can wedge: if a paused lane holds a lock (or owes a
- * barrier arrival) that another lane is blocked on, the event queue
- * runs dry with cores still waiting. The drain loop fatal()s with the
- * pause point and guidance instead of producing a corrupt snapshot.
  * @p stats_out, when non-null, receives the full component statistics
  * (the CLI's --stats).
  */

@@ -86,36 +86,6 @@ TraceWriter::append(CpuId lane, const CpuOp &op)
 }
 
 void
-TraceWriter::appendSync(CpuId lane, const SyncRecord &sync)
-{
-    if (!open_)
-        panic("trace: append after close");
-    const auto l = static_cast<unsigned>(lane);
-    if (l >= lanes_.size())
-        fatal("trace: append to lane %u of %zu", l, lanes_.size());
-    std::uint8_t rec[kTraceV2MemRecordBytes];
-    rec[0] = static_cast<std::uint8_t>(sync.op);
-    std::size_t n = 0;
-    if (sync.op == TraceRecOp::barrier) {
-        storeLe(rec + 1, static_cast<std::uint32_t>(sync.id));
-        storeLe<std::uint32_t>(rec + 5, sync.participants);
-        n = kTraceV2BarrierRecordBytes;
-    } else if (sync.op == TraceRecOp::lock_acquire ||
-               sync.op == TraceRecOp::lock_release ||
-               sync.op == TraceRecOp::signal ||
-               sync.op == TraceRecOp::wait) {
-        storeLe<std::uint64_t>(rec + 1, sync.id);
-        n = kTraceV2IdRecordBytes;
-    } else {
-        panic("trace: appendSync with non-sync opcode 0x%02x",
-              static_cast<unsigned>(sync.op));
-    }
-    emit(lanes_[l], rec, n);
-    ++lanes_[l].syncOps;
-    ++records_;
-}
-
-void
 TraceWriter::close()
 {
     if (!open_)
@@ -141,7 +111,7 @@ TraceWriter::close()
         storeLe<std::uint64_t>(e + 0, offset);
         storeLe<std::uint64_t>(e + 8, lanes_[i].bytes);
         storeLe<std::uint64_t>(e + 16, lanes_[i].memOps);
-        storeLe<std::uint64_t>(e + 24, lanes_[i].syncOps);
+        storeLe<std::uint64_t>(e + 24, 0); // sync_ops, retired
         storeLe<std::uint64_t>(e + 32, lanes_[i].hash.digest());
         offset += lanes_[i].bytes;
     }
@@ -263,8 +233,11 @@ parseTraceV2Header(const std::uint8_t *data, std::uint64_t file_bytes,
         lane.payloadOffset = loadLe<std::uint64_t>(e + 0);
         lane.payloadBytes = loadLe<std::uint64_t>(e + 8);
         lane.memOps = loadLe<std::uint64_t>(e + 16);
-        lane.syncOps = loadLe<std::uint64_t>(e + 24);
         lane.payloadHash = loadLe<std::uint64_t>(e + 32);
+        if (const std::uint64_t sync_ops = loadLe<std::uint64_t>(e + 24))
+            return "lane " + std::to_string(i) + " sync_ops " +
+                   std::to_string(sync_ops) +
+                   " is not 0: synchronization records are retired";
         if (lane.payloadOffset != expect)
             return "lane " + std::to_string(i) +
                    " payload offset out of order";
@@ -321,31 +294,7 @@ decodeTraceRecord(const std::uint8_t *p, std::size_t avail,
         out.bytes = kTraceV2MemRecordBytes;
         return true;
     }
-    switch (static_cast<TraceRecOp>(opcode)) {
-      case TraceRecOp::barrier:
-        if (avail < kTraceV2BarrierRecordBytes)
-            return false;
-        out.op = TraceRecOp::barrier;
-        out.sync.op = TraceRecOp::barrier;
-        out.sync.id = loadLe<std::uint32_t>(p + 1);
-        out.sync.participants = loadLe<std::uint32_t>(p + 5);
-        out.bytes = kTraceV2BarrierRecordBytes;
-        return true;
-      case TraceRecOp::lock_acquire:
-      case TraceRecOp::lock_release:
-      case TraceRecOp::signal:
-      case TraceRecOp::wait:
-        if (avail < kTraceV2IdRecordBytes)
-            return false;
-        out.op = static_cast<TraceRecOp>(opcode);
-        out.sync.op = out.op;
-        out.sync.id = loadLe<std::uint64_t>(p + 1);
-        out.sync.participants = 0;
-        out.bytes = kTraceV2IdRecordBytes;
-        return true;
-      default:
-        return false;
-    }
+    return false;
 }
 
 std::string
@@ -356,38 +305,17 @@ traceRecordError(const std::uint8_t *p, std::size_t avail)
     const std::uint8_t opcode = p[0];
     if (opcode >= kTraceRecFirstMem && opcode <= kTraceRecLastMem)
         return "truncated memory record";
-    switch (static_cast<TraceRecOp>(opcode)) {
-      case TraceRecOp::barrier:
-        return "truncated barrier record";
-      case TraceRecOp::lock_acquire:
-      case TraceRecOp::lock_release:
-      case TraceRecOp::signal:
-      case TraceRecOp::wait:
-        return "truncated synchronization record";
-      default: {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "unknown record opcode 0x%02x",
-                      opcode);
-        return buf;
-      }
-    }
+    const bool retired = opcode >= kTraceRecFirstRetired &&
+                         opcode <= kTraceRecLastRetired;
+    char buf[48];
+    std::snprintf(buf, sizeof(buf),
+                  retired ? "retired synchronization record 0x%02x"
+                          : "unknown record opcode 0x%02x",
+                  opcode);
+    return buf;
 }
 
 namespace {
-
-/** Index into TraceScan::syncCount for a sync opcode. */
-int
-syncIndex(TraceRecOp op)
-{
-    switch (op) {
-      case TraceRecOp::barrier: return 0;
-      case TraceRecOp::lock_acquire: return 1;
-      case TraceRecOp::lock_release: return 2;
-      case TraceRecOp::signal: return 3;
-      case TraceRecOp::wait: return 4;
-      default: return -1;
-    }
-}
 
 /**
  * Walk one lane payload in a single pass, validating every record and
@@ -400,8 +328,7 @@ syncIndex(TraceRecOp op)
  */
 std::string
 walkLane(MappedFile &map, const TraceInfo::Lane &meta,
-         std::uint32_t lane_index, std::uint32_t num_lanes,
-         TraceScan &scan, bool check_hash)
+         std::uint32_t lane_index, TraceScan &scan, bool check_hash)
 {
     const std::uint8_t *payload = map.data() + meta.payloadOffset;
     const std::uint64_t bytes = meta.payloadBytes;
@@ -418,7 +345,7 @@ walkLane(MappedFile &map, const TraceInfo::Lane &meta,
     };
 
     std::string err;
-    std::uint64_t off = 0, mem = 0, sync = 0;
+    std::uint64_t off = 0, mem = 0;
     bool ended = false;
     while (off < bytes) {
         DecodedRecord rec;
@@ -433,25 +360,12 @@ walkLane(MappedFile &map, const TraceInfo::Lane &meta,
             ended = true;
             break;
         }
-        if (rec.op >= TraceRecOp::barrier) {
-            if (rec.op == TraceRecOp::barrier &&
-                rec.sync.participants > num_lanes) {
-                err = "barrier participants " +
-                      std::to_string(rec.sync.participants) +
-                      " exceed the lane count";
-                break;
-            }
-            ++sync;
-            ++scan.syncOps;
-            ++scan.syncCount[syncIndex(rec.op)];
-        } else {
-            ++mem;
-            ++scan.memOps;
-            ++scan.kindCount[static_cast<unsigned>(rec.mem.kind)];
-            scan.gapSum += rec.mem.gap;
-            scan.minAddr = std::min(scan.minAddr, rec.mem.addr);
-            scan.maxAddr = std::max(scan.maxAddr, rec.mem.addr);
-        }
+        ++mem;
+        ++scan.memOps;
+        ++scan.kindCount[static_cast<unsigned>(rec.mem.kind)];
+        scan.gapSum += rec.mem.gap;
+        scan.minAddr = std::min(scan.minAddr, rec.mem.addr);
+        scan.maxAddr = std::max(scan.maxAddr, rec.mem.addr);
     }
     pass(bytes);
 
@@ -464,7 +378,7 @@ walkLane(MappedFile &map, const TraceInfo::Lane &meta,
         return lane + " payload is missing its end record";
     if (off != bytes)
         return lane + " has trailing bytes after the end record";
-    if (mem != meta.memOps || sync != meta.syncOps)
+    if (mem != meta.memOps)
         return lane + " record counts do not match the directory";
     return "";
 }
@@ -481,8 +395,7 @@ walkTrace(const std::string &path, TraceScan &scan, bool check_hash)
     if (!err.empty())
         return err;
     for (std::uint32_t i = 0; i < info.numLanes; ++i) {
-        err = walkLane(map, info.lanes[i], i, info.numLanes, scan,
-                       check_hash);
+        err = walkLane(map, info.lanes[i], i, scan, check_hash);
         if (!err.empty())
             return err;
     }

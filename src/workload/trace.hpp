@@ -8,12 +8,12 @@
  *
  * The on-disk format is v2 (constants in workload/trace_format.hpp,
  * byte-level contract in docs/TRACE_FORMAT.md): per-lane contiguous
- * payloads behind a checksummed lane directory, explicit
- * synchronization records (barrier / lock / signal / wait), written
- * atomically (temp file + fsync + rename) and decoded by mmap-backed
- * streaming (workload/trace_replay.hpp), so a replay makes no per-op
- * allocation and never materializes the op stream. A file of the
- * retired version 1 is rejected wherever a trace is opened.
+ * payloads of memory records behind a checksummed lane directory,
+ * written atomically (temp file + fsync + rename) and decoded by
+ * mmap-backed streaming (workload/trace_replay.hpp), so a replay makes
+ * no per-op allocation and never materializes the op stream. A file of
+ * the retired version 1, or one holding a retired synchronization
+ * record, is rejected wherever a trace is opened.
  *
  * Memory is bounded by the lane count, not the trace size. Every reader
  * (the replayer, scanTrace, verifyTrace) releases the pages behind its
@@ -24,8 +24,7 @@
  * resident set by about 2 MiB (docs/PERF.md, "Bounded trace input").
  *
  * This header holds the writer, the capture tee, and the inspection
- * helpers; the streaming replayer lives in workload/trace_replay.hpp and
- * the text-format converter in workload/trace_text.hpp.
+ * helpers; the streaming replayer lives in workload/trace_replay.hpp.
  */
 
 #pragma once
@@ -74,9 +73,6 @@ class TraceWriter
     /** Append one memory operation to @p lane. */
     void append(CpuId lane, const CpuOp &op);
 
-    /** Append one synchronization record to @p lane. */
-    void appendSync(CpuId lane, const SyncRecord &rec);
-
     /** Override the header's ops_declared field (capture metadata). */
     void setOpsDeclared(std::uint64_t ops) { opsDeclared_ = ops; }
 
@@ -86,7 +82,7 @@ class TraceWriter
     /** Drop the capture without publishing anything. */
     void discard();
 
-    /** Memory + sync records appended so far, all lanes. */
+    /** Memory records appended so far, all lanes. */
     std::uint64_t recordsWritten() const { return records_; }
 
   private:
@@ -96,7 +92,6 @@ class TraceWriter
         Xxh64Stream hash;              ///< Over the full lane payload.
         std::uint64_t bytes = 0;
         std::uint64_t memOps = 0;
-        std::uint64_t syncOps = 0;
     };
 
     void emit(Lane &lane, const std::uint8_t *bytes, std::size_t n);
@@ -134,23 +129,6 @@ class TraceCapture : public OpSource
         return true;
     }
 
-    OpFetch
-    fetch(CpuId cpu, Tick &now, CpuOp &op) override
-    {
-        const OpFetch f = inner_.fetch(cpu, now, op);
-        if (f == OpFetch::Op)
-            writer_.append(cpu, op);
-        return f;
-    }
-
-    void attach(EventQueue &eq) override { inner_.attach(eq); }
-
-    void
-    bindWaiter(CpuId cpu, std::function<void(Tick)> wake) override
-    {
-        inner_.bindWaiter(cpu, std::move(wake));
-    }
-
     /** Finalize and publish the trace file. */
     void finish() { writer_.close(); }
 
@@ -176,7 +154,6 @@ struct TraceInfo {
         std::uint64_t payloadOffset = 0;
         std::uint64_t payloadBytes = 0;
         std::uint64_t memOps = 0;
-        std::uint64_t syncOps = 0;
         std::uint64_t payloadHash = 0;
     };
     std::vector<Lane> lanes;
@@ -191,7 +168,8 @@ TraceInfo readTraceInfo(const std::string &path);
  * file image. Returns an error message ("" on success); on success
  * fills @p out with the directory. @p file_bytes is the full file size
  * (payload extents are bounds-checked against it). A version-1 file is
- * rejected as a legacy trace.
+ * rejected as a legacy trace, and a lane whose retired sync_ops field is
+ * not 0 by name.
  */
 std::string parseTraceV2Header(const std::uint8_t *data,
                                std::uint64_t file_bytes, TraceInfo &out);
@@ -202,9 +180,7 @@ std::string parseTraceV2Header(const std::uint8_t *data,
  */
 struct TraceScan {
     std::uint64_t memOps = 0;
-    std::uint64_t syncOps = 0;
     std::uint64_t kindCount[6] = {}; ///< Indexed by CpuOpKind.
-    std::uint64_t syncCount[5] = {}; ///< barrier, acq, rel, signal, wait.
     std::uint64_t gapSum = 0;
     Addr minAddr = ~0ULL;
     Addr maxAddr = 0;
@@ -218,18 +194,17 @@ TraceScan scanTrace(const std::string &path);
  */
 std::string verifyTrace(const std::string &path);
 
-/** One decoded v2 record (mem or sync or end). */
+/** One decoded v2 record (mem or end). */
 struct DecodedRecord {
     TraceRecOp op = TraceRecOp::end;
-    CpuOp mem;        ///< Valid for memory opcodes.
-    SyncRecord sync;  ///< Valid for synchronization opcodes.
+    CpuOp mem;             ///< Valid for memory opcodes.
     std::size_t bytes = 0; ///< Encoded length.
 };
 
 /**
  * Decode the record at @p p (with @p avail bytes left in the lane
- * payload). Returns false for an unknown opcode or a record truncated
- * by the payload boundary; traceRecordError() then says which. Builds
+ * payload). Returns false for an unknown or retired opcode or a record
+ * truncated by the payload boundary; traceRecordError() then says which. Builds
  * no string, so the decode loops pay for a message only on failure.
  */
 bool decodeTraceRecord(const std::uint8_t *p, std::size_t avail,

@@ -5,10 +5,10 @@
  * code states the same numbers, and tools/check_docs.sh cross-checks the
  * two (every record type in the X-macro below must appear in the spec).
  *
- * Version 2: per-lane contiguous payloads behind a lane directory,
- * explicit synchronization records, mmap-friendly streaming decode.
- * Everything is little-endian. Version 1 (a flat interleaved stream) is
- * retired and rejected on open.
+ * Version 2: per-lane contiguous payloads of memory records behind a
+ * lane directory, mmap-friendly streaming decode. Everything is
+ * little-endian. Version 1 (a flat interleaved stream) is retired and
+ * rejected on open, and so are v2's synchronization records.
  */
 
 #pragma once
@@ -46,7 +46,7 @@ inline constexpr std::size_t kTraceV2HeaderBytes = 48;
  *   0    8     payload_offset (absolute, ascending, non-overlapping)
  *   8    8     payload_bytes
  *   16   8     mem_ops   (memory records in the lane)
- *   24   8     sync_ops  (synchronization records in the lane)
+ *   24   8     sync_ops  (retired; must be 0)
  *   32   8     payload_hash (xxhash64; verified by `cgct_trace verify`)
  */
 inline constexpr std::size_t kTraceV2LaneDirBytes = 40;
@@ -59,14 +59,10 @@ inline constexpr std::uint32_t kTraceMaxLanes = 1024;
  * Memory records:   opcode u8, flags u8 (bit0 = dependent load),
  *                   gap u32, addr u64                       -> 14 bytes
  * end:              opcode only                             -> 1 byte
- * barrier:          opcode u8, barrier_id u32,
- *                   participants u32 (0 = all lanes)        -> 9 bytes
- * lock_acquire/
- * lock_release:     opcode u8, lock_id u64                  -> 9 bytes
- * signal/wait:      opcode u8, cond_id u64                  -> 9 bytes
  *
  * The X-macro is the canonical list; check_docs.sh extracts it and
- * fails CI unless docs/TRACE_FORMAT.md documents every name.
+ * fails CI unless docs/TRACE_FORMAT.md's record table lists exactly
+ * these opcodes.
  */
 #define CGCT_TRACE_V2_RECORD_TYPES \
     X(end, 0x00)                   \
@@ -75,12 +71,7 @@ inline constexpr std::uint32_t kTraceMaxLanes = 1024;
     X(store, 0x03)                 \
     X(dcbz, 0x04)                  \
     X(dcbf, 0x05)                  \
-    X(dcbi, 0x06)                  \
-    X(barrier, 0x10)               \
-    X(lock_acquire, 0x11)          \
-    X(lock_release, 0x12)          \
-    X(signal, 0x13)                \
-    X(wait, 0x14)
+    X(dcbi, 0x06)
 
 enum class TraceRecOp : std::uint8_t {
 #define X(name, value) name = value,
@@ -94,16 +85,11 @@ inline constexpr std::uint8_t kTraceRecFirstMem = 0x01;
 inline constexpr std::uint8_t kTraceRecLastMem = 0x06;
 
 inline constexpr std::size_t kTraceV2MemRecordBytes = 14;
-inline constexpr std::size_t kTraceV2BarrierRecordBytes = 9;
-inline constexpr std::size_t kTraceV2IdRecordBytes = 9;
 
-/** One synchronization event, decoded form. */
-struct SyncRecord {
-    TraceRecOp op = TraceRecOp::barrier;
-    /** lock_id / cond_id, or the barrier_id for barrier records. */
-    std::uint64_t id = 0;
-    /** Barrier only: lanes in the rendezvous (0 = every lane). */
-    std::uint32_t participants = 0;
-};
+/** Opcodes 0x10-0x14 were the barrier, lock_acquire, lock_release,
+ *  signal and wait records. They are reserved: a decoder rejects them by
+ *  name. */
+inline constexpr std::uint8_t kTraceRecFirstRetired = 0x10;
+inline constexpr std::uint8_t kTraceRecLastRetired = 0x14;
 
 } // namespace cgct

@@ -186,7 +186,7 @@ TEST(RegionScoutSystem, TrackersBuiltThroughSystemRouteRequests)
                                              config.l2.lineBytes);
     });
     ASSERT_NE(dynamic_cast<RegionScout *>(sys.node(0).tracker()), nullptr);
-    EXPECT_EQ(runPhase(sys, /*resume=*/false, RunOptions{}.maxEvents), 0u);
+    runPhase(sys, /*resume=*/false, RunOptions{}.maxEvents);
     EXPECT_TRUE(sys.allCoresFinished());
 
     const RunResult r = collectRunResult(sys, "tpc-w", 20050609, 0);
@@ -209,7 +209,7 @@ TEST(RegionScoutSystem, SnapshotRoundTripIsByteIdentical)
 
     SyntheticWorkload ran(profile, 4, 5000, 20050609);
     System first(config, ran, scout);
-    ASSERT_EQ(runPhase(first, /*resume=*/false, RunOptions{}.maxEvents), 0u);
+    runPhase(first, /*resume=*/false, RunOptions{}.maxEvents);
     Serializer saved;
     first.serializeState(saved);
 
@@ -247,7 +247,7 @@ TEST(RegionScoutPin, Tpcw4)
         return std::make_shared<RegionScout>(cpu, RegionScoutParams{},
                                              config.l2.lineBytes);
     });
-    ASSERT_EQ(runPhase(sys, /*resume=*/false, RunOptions{}.maxEvents), 0u);
+    runPhase(sys, /*resume=*/false, RunOptions{}.maxEvents);
 
     Serializer s;
     encodeRunResult(s, collectRunResult(sys, "tpc-w", 20050609, 0));

@@ -29,7 +29,6 @@
 #include "snapshot/serializer.hpp"
 #include "snapshot/snapshot.hpp"
 #include "workload/benchmarks.hpp"
-#include "workload/trace.hpp"
 
 using namespace cgct;
 
@@ -156,80 +155,6 @@ TEST(SnapshotRestore, NoPauseReplayMatchesSimulateReplay)
         encode(simulateCheckpointed(config, trace, opts, {}));
     ASSERT_EQ(replay.size(), harness.size());
     EXPECT_EQ(std::memcmp(replay.data(), harness.data(), replay.size()), 0);
-    std::remove(trace.c_str());
-}
-
-TEST(SnapshotRestore, LastPhaseRunsTrailingSyncRecords)
-{
-    // Lane 0's barrier comes after its last memory op. The last phase
-    // must not pause lane 0 before it, or lane 1 waits forever.
-    const std::string trace =
-        std::string(::testing::TempDir()) + "trailing_sync.trace";
-    {
-        TraceWriter writer(trace, 2, 2);
-        CpuOp load;
-        load.kind = CpuOpKind::Load;
-        SyncRecord barrier;
-        barrier.op = TraceRecOp::barrier;
-        barrier.id = 1;
-        load.addr = 0x1000;
-        writer.append(0, load);
-        load.addr = 0x2000;
-        writer.append(0, load);
-        writer.appendSync(0, barrier);
-        load.addr = 0x3000;
-        writer.append(1, load);
-        writer.appendSync(1, barrier);
-        load.addr = 0x4000;
-        writer.append(1, load);
-        writer.close();
-    }
-    SystemConfig config = configFor(512);
-    config.topology.numCpus = 2;
-    RunOptions opts;
-    opts.warmupOps = 0;
-    CheckpointOptions ckpt;
-    ckpt.everyOps = 100; // Past the stream: one (last) phase.
-    const std::vector<std::uint8_t> replay =
-        encode(simulateReplay(config, trace, opts));
-    const std::vector<std::uint8_t> harness =
-        encode(simulateCheckpointed(config, trace, opts, ckpt));
-    EXPECT_EQ(replay, harness);
-    std::remove(trace.c_str());
-}
-
-TEST(SnapshotRestoreDeath, WedgedDrainNamesPausePoint)
-{
-    // Both lanes open with the same lock. The winner pauses after one op
-    // still holding it, so the loser cannot reach the 1-op pause point.
-    const std::string trace =
-        std::string(::testing::TempDir()) + "wedged_drain.trace";
-    {
-        TraceWriter writer(trace, 2, 2);
-        CpuOp load;
-        load.kind = CpuOpKind::Load;
-        SyncRecord lock;
-        lock.id = 1;
-        for (CpuId lane = 0; lane < 2; ++lane) {
-            lock.op = TraceRecOp::lock_acquire;
-            writer.appendSync(lane, lock);
-            load.addr = 0x1000 + 0x1000 * lane;
-            writer.append(lane, load);
-            writer.append(lane, load);
-            lock.op = TraceRecOp::lock_release;
-            writer.appendSync(lane, lock);
-        }
-        writer.close();
-    }
-    SystemConfig config = configFor(512);
-    config.topology.numCpus = 2;
-    RunOptions opts;
-    opts.warmupOps = 0;
-    CheckpointOptions ckpt;
-    ckpt.everyOps = 1;
-    EXPECT_DEATH(simulateCheckpointed(config, trace, opts, ckpt),
-                 "1 core\\(s\\) are blocked on trace synchronization "
-                 "events at the 1-op pause point");
     std::remove(trace.c_str());
 }
 

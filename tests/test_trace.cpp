@@ -4,7 +4,7 @@
  * directory validation (docs/TRACE_FORMAT.md), capture from the
  * synthetic generator, atomic publication, the frozen bytes of a small
  * trace file, the malformed-file rejection matrix, and the rejection of
- * legacy v1 files.
+ * legacy v1 files and of retired synchronization records.
  */
 
 #include <gtest/gtest.h>
@@ -89,6 +89,39 @@ resealHeader(std::vector<std::uint8_t> &b)
     put64At(b, 40, id.digest());
 }
 
+std::uint64_t
+get64At(const std::vector<std::uint8_t> &b, std::size_t off)
+{
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i)
+        v |= static_cast<std::uint64_t>(b[off + i]) << (8 * i);
+    return v;
+}
+
+/** Recompute every in-range lane hash, then the directory checksum and
+ *  trace id, so a mutant gets past the checksums to the checks behind
+ *  them. Leaves a mutant whose directory does not fit alone. */
+void
+resealAll(std::vector<std::uint8_t> &b)
+{
+    if (b.size() < kTraceV2HeaderBytes)
+        return;
+    const std::uint32_t n =
+        static_cast<std::uint32_t>(get64At(b, 12)); // Low half: lanes.
+    const std::uint64_t dir_end =
+        kTraceV2HeaderBytes + std::uint64_t{n} * kTraceV2LaneDirBytes;
+    if (n > kTraceMaxLanes || dir_end > b.size())
+        return;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        const std::size_t e = kTraceV2HeaderBytes + i * kTraceV2LaneDirBytes;
+        const std::uint64_t off = get64At(b, e);
+        const std::uint64_t len = get64At(b, e + 8);
+        if (off <= b.size() && len <= b.size() - off)
+            put64At(b, e + 32, xxhash64(b.data() + off, len));
+    }
+    resealHeader(b);
+}
+
 std::string
 parseBytes(const std::vector<std::uint8_t> &b)
 {
@@ -110,10 +143,6 @@ makeValidV2()
         op.kind = CpuOpKind::Store;
         op.addr = 0x2000;
         writer.append(1, op);
-        SyncRecord sync;
-        sync.op = TraceRecOp::barrier;
-        sync.id = 1;
-        writer.appendSync(0, sync);
         writer.close();
     }
     std::vector<std::uint8_t> bytes = readFile(path);
@@ -181,49 +210,6 @@ TEST(Trace, RoundTripPreservesOps)
     std::remove(path.c_str());
 }
 
-TEST(Trace, SyncRecordsRoundTrip)
-{
-    const std::string path = tempPath("sync");
-    {
-        TraceWriter writer(path, 2, 1);
-        SyncRecord sync;
-        sync.op = TraceRecOp::barrier;
-        sync.id = 42;
-        sync.participants = 2;
-        writer.appendSync(0, sync);
-        sync.op = TraceRecOp::lock_acquire;
-        sync.id = 0xDEADBEEFCAFEULL;
-        writer.appendSync(0, sync);
-        sync.op = TraceRecOp::lock_release;
-        writer.appendSync(0, sync);
-        sync.op = TraceRecOp::signal;
-        sync.id = 9;
-        writer.appendSync(1, sync);
-        sync.op = TraceRecOp::wait;
-        writer.appendSync(0, sync);
-        CpuOp op;
-        op.kind = CpuOpKind::Load;
-        op.addr = 0x100;
-        writer.append(1, op);
-        writer.close();
-    }
-
-    EXPECT_EQ(verifyTrace(path), "");
-    const TraceScan scan = scanTrace(path);
-    EXPECT_EQ(scan.memOps, 1u);
-    EXPECT_EQ(scan.syncOps, 5u);
-    EXPECT_EQ(scan.syncCount[0], 1u); // barrier
-    EXPECT_EQ(scan.syncCount[1], 1u); // acquire
-    EXPECT_EQ(scan.syncCount[2], 1u); // release
-    EXPECT_EQ(scan.syncCount[3], 1u); // signal
-    EXPECT_EQ(scan.syncCount[4], 1u); // wait
-
-    const TraceInfo info = readTraceInfo(path);
-    EXPECT_EQ(info.lanes[0].syncOps, 4u);
-    EXPECT_EQ(info.lanes[1].syncOps, 1u);
-    std::remove(path.c_str());
-}
-
 TEST(Trace, CaptureFromGenerator)
 {
     const std::string path = tempPath("capture");
@@ -237,7 +223,6 @@ TEST(Trace, CaptureFromGenerator)
     EXPECT_EQ(info.opsDeclared, 500u);
     for (const auto &lane : info.lanes) {
         EXPECT_EQ(lane.memOps, 500u);
-        EXPECT_EQ(lane.syncOps, 0u);
     }
     EXPECT_EQ(verifyTrace(path), "");
     std::remove(path.c_str());
@@ -456,16 +441,84 @@ TEST(TraceMalformed, DecodeRejectsTruncatedRecord)
     DecodedRecord rec;
     EXPECT_FALSE(decodeTraceRecord(load, 5, rec));
     EXPECT_EQ(traceRecordError(load, 5), "truncated memory record");
-    const std::uint8_t barrier[9] = {0x10};
-    EXPECT_FALSE(decodeTraceRecord(barrier, 3, rec));
-    EXPECT_EQ(traceRecordError(barrier, 3), "truncated barrier record");
-    const std::uint8_t lock[9] = {0x11};
-    EXPECT_FALSE(decodeTraceRecord(lock, 8, rec));
-    EXPECT_EQ(traceRecordError(lock, 8),
-              "truncated synchronization record");
     EXPECT_FALSE(decodeTraceRecord(load, 0, rec));
     EXPECT_EQ(traceRecordError(load, 0),
               "record runs past the lane payload");
+}
+
+TEST(TraceMalformed, DecodeRejectsRetiredSyncOpcodesByName)
+{
+    // 0x10-0x14 were barrier, lock_acquire, lock_release, signal, wait.
+    DecodedRecord rec;
+    for (std::uint8_t opcode = 0x10; opcode <= 0x14; ++opcode) {
+        const std::uint8_t bytes[14] = {opcode};
+        EXPECT_FALSE(decodeTraceRecord(bytes, sizeof(bytes), rec));
+        char want[40];
+        std::snprintf(want, sizeof(want),
+                      "retired synchronization record 0x%02x", opcode);
+        EXPECT_EQ(traceRecordError(bytes, sizeof(bytes)), want);
+    }
+    const std::uint8_t next[14] = {0x15};
+    EXPECT_EQ(traceRecordError(next, sizeof(next)),
+              "unknown record opcode 0x15");
+}
+
+/** Write @p b to a temporary trace file and return its path. */
+std::string
+writeTrace(const char *tag, const std::vector<std::uint8_t> &b)
+{
+    const std::string path = tempPath(tag);
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    EXPECT_NE(f, nullptr);
+    std::fwrite(b.data(), 1, b.size(), f);
+    std::fclose(f);
+    return path;
+}
+
+TEST(TraceMalformed, RetiredOpcodeRefusedEverywhere)
+{
+    // Lane 0's load becomes a lock_acquire opcode; the resealed lane
+    // hash and header get the file past every checksum to the record.
+    std::vector<std::uint8_t> b = makeValidV2();
+    const std::size_t payload =
+        kTraceV2HeaderBytes + 2 * kTraceV2LaneDirBytes;
+    b[payload] = 0x11;
+    resealAll(b);
+    ASSERT_EQ(parseBytes(b), "");
+    const std::string path = writeTrace("retired_record", b);
+    // What cgct_trace verify, cgct_trace info and cgct_sim --replay
+    // call, in that order.
+    const char *msg = "lane 0: retired synchronization record 0x11";
+    EXPECT_EQ(verifyTrace(path), msg);
+    EXPECT_EXIT(scanTrace(path), ::testing::ExitedWithCode(1), msg);
+    EXPECT_EXIT(
+        {
+            TraceReplay replay(path);
+            CpuOp op;
+            replay.next(0, op);
+        },
+        ::testing::ExitedWithCode(1),
+        "lane 0 at payload offset 0: retired synchronization record 0x11");
+    std::remove(path.c_str());
+}
+
+TEST(TraceMalformed, NonzeroSyncOpsRefusedAtOpen)
+{
+    std::vector<std::uint8_t> b = makeValidV2();
+    const std::size_t lane1 =
+        kTraceV2HeaderBytes + kTraceV2LaneDirBytes;
+    put64At(b, lane1 + 24, 3); // sync_ops
+    resealHeader(b);
+    const char *msg =
+        "lane 1 sync_ops 3 is not 0: synchronization records are retired";
+    EXPECT_EQ(parseBytes(b), msg);
+    // verify, info and --replay all stop at the header.
+    const std::string path = writeTrace("sync_ops", b);
+    EXPECT_EQ(verifyTrace(path), msg);
+    EXPECT_EXIT(readTraceInfo(path), ::testing::ExitedWithCode(1), msg);
+    EXPECT_EXIT(TraceReplay replay(path), ::testing::ExitedWithCode(1),
+                msg);
+    std::remove(path.c_str());
 }
 
 TEST(TraceMalformed, VerifyCatchesPayloadCorruption)
@@ -523,39 +576,6 @@ makeMutationSeed()
     std::vector<std::uint8_t> bytes = readFile(path);
     std::remove(path.c_str());
     return bytes;
-}
-
-std::uint64_t
-get64At(const std::vector<std::uint8_t> &b, std::size_t off)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(b[off + i]) << (8 * i);
-    return v;
-}
-
-/** Recompute every in-range lane hash, then the directory checksum and
- *  trace id, so a mutant gets past the checksums to the checks behind
- *  them. Leaves a mutant whose directory does not fit alone. */
-void
-resealAll(std::vector<std::uint8_t> &b)
-{
-    if (b.size() < kTraceV2HeaderBytes)
-        return;
-    const std::uint32_t n =
-        static_cast<std::uint32_t>(get64At(b, 12)); // Low half: lanes.
-    const std::uint64_t dir_end =
-        kTraceV2HeaderBytes + std::uint64_t{n} * kTraceV2LaneDirBytes;
-    if (n > kTraceMaxLanes || dir_end > b.size())
-        return;
-    for (std::uint32_t i = 0; i < n; ++i) {
-        const std::size_t e = kTraceV2HeaderBytes + i * kTraceV2LaneDirBytes;
-        const std::uint64_t off = get64At(b, e);
-        const std::uint64_t len = get64At(b, e + 8);
-        if (off <= b.size() && len <= b.size() - off)
-            put64At(b, e + 32, xxhash64(b.data() + off, len));
-    }
-    resealHeader(b);
 }
 
 /** Apply one seeded mutation to @p b. */

@@ -1,10 +1,9 @@
 /**
  * @file
- * cgct_trace — record, convert, inspect, and verify workload traces
+ * cgct_trace — record, inspect, and verify workload traces
  * (docs/TRACE_FORMAT.md).
  *
  *   cgct_trace record tpc-w out.trace --ops 100000 --seed 7
- *   cgct_trace convert events.txt out.trace
  *   cgct_trace info out.trace
  *   cgct_trace verify out.trace
  */
@@ -18,7 +17,6 @@
 #include "workload/benchmarks.hpp"
 #include "workload/generator.hpp"
 #include "workload/trace.hpp"
-#include "workload/trace_text.hpp"
 
 using namespace cgct;
 
@@ -43,23 +41,6 @@ cmdRecord(const std::string &benchmark, const std::string &path,
 }
 
 int
-cmdConvert(const std::string &in_path, const std::string &out_path)
-{
-    const TraceTextStats stats = convertTextTrace(in_path, out_path);
-    std::printf("converted %llu events (%llu comp, %llu comm, %llu "
-                "sync) across %u threads\n",
-                static_cast<unsigned long long>(stats.lines),
-                static_cast<unsigned long long>(stats.compEvents),
-                static_cast<unsigned long long>(stats.commEvents),
-                static_cast<unsigned long long>(stats.syncEvents),
-                stats.lanes);
-    std::printf("wrote %llu memory ops to %s\n",
-                static_cast<unsigned long long>(stats.memOps),
-                out_path.c_str());
-    return 0;
-}
-
-int
 cmdInfo(const std::string &path)
 {
     const TraceInfo info = readTraceInfo(path);
@@ -73,30 +54,19 @@ cmdInfo(const std::string &path)
     std::printf("trace id            %016llx\n",
                 static_cast<unsigned long long>(info.traceId));
     std::printf("lane directory:\n");
-    std::printf("  %-5s %12s %12s %10s  %s\n", "lane", "bytes", "mem ops",
-                "sync ops", "payload hash");
+    std::printf("  %-5s %12s %12s  %s\n", "lane", "bytes", "mem ops",
+                "payload hash");
     for (std::uint32_t i = 0; i < info.numLanes; ++i) {
         const auto &l = info.lanes[i];
-        std::printf("  %-5u %12llu %12llu %10llu  %016llx\n", i,
+        std::printf("  %-5u %12llu %12llu  %016llx\n", i,
                     static_cast<unsigned long long>(l.payloadBytes),
                     static_cast<unsigned long long>(l.memOps),
-                    static_cast<unsigned long long>(l.syncOps),
                     static_cast<unsigned long long>(l.payloadHash));
     }
 
     const TraceScan scan = scanTrace(path);
     std::printf("memory records      %llu\n",
                 static_cast<unsigned long long>(scan.memOps));
-    if (scan.syncOps) {
-        std::printf("sync records        %llu (%llu barrier, %llu "
-                    "acquire, %llu release, %llu signal, %llu wait)\n",
-                    static_cast<unsigned long long>(scan.syncOps),
-                    static_cast<unsigned long long>(scan.syncCount[0]),
-                    static_cast<unsigned long long>(scan.syncCount[1]),
-                    static_cast<unsigned long long>(scan.syncCount[2]),
-                    static_cast<unsigned long long>(scan.syncCount[3]),
-                    static_cast<unsigned long long>(scan.syncCount[4]));
-    }
     if (scan.memOps) {
         std::printf("address range       [0x%llx, 0x%llx]\n",
                     static_cast<unsigned long long>(scan.minAddr),
@@ -148,13 +118,12 @@ main(int argc, char **argv)
 
     ArgParser parser(
         "cgct_trace",
-        "Record benchmark op streams to a v2 trace file, convert a "
-        "SynchroTrace-style text log, or inspect/verify an existing "
-        "trace (docs/TRACE_FORMAT.md).\n"
-        "commands: record <benchmark> <file>, convert <text> <file>, "
-        "info <file>, verify <file>");
-    parser.addPositional("command", &command,
-                         "record | convert | info | verify", true);
+        "Record benchmark op streams to a v2 trace file, or "
+        "inspect/verify an existing trace (docs/TRACE_FORMAT.md).\n"
+        "commands: record <benchmark> <file>, info <file>, "
+        "verify <file>");
+    parser.addPositional("command", &command, "record | info | verify",
+                         true);
     parser.addPositional("arg1", &arg1,
                          "benchmark (record) or input file");
     parser.addPositional("arg2", &arg2, "output file");
@@ -180,14 +149,6 @@ main(int argc, char **argv)
             return 1;
         }
         return cmdRecord(arg1, arg2, cpus, ops, seed);
-    }
-    if (command == "convert") {
-        if (arg1.empty() || arg2.empty()) {
-            std::fprintf(stderr,
-                         "cgct_trace: convert needs <text> <file>\n");
-            return 1;
-        }
-        return cmdConvert(arg1, arg2);
     }
     if (command == "info") {
         if (arg1.empty()) {

@@ -4,9 +4,9 @@
 # with --capture, replay the resulting v2 trace, and require the two
 # JSON result blobs to hash identically after normalizing the fields
 # that legitimately differ (the workload label and, for replays, the
-# seed the trace file does not carry). Also covers the cgct_trace
-# convert/verify/info pipeline, checkpoint-mid-replay restore, and the
-# rejection of legacy v1 files.
+# seed the trace file does not carry). Also covers cgct_trace
+# record/verify/info, checkpoint-mid-replay restore, and the rejection of
+# legacy v1 files.
 #
 #   tools/trace_replay_test.sh <cgct_sim-binary> <cgct_trace-binary>
 #
@@ -111,32 +111,6 @@ echo "$info" | grep -q 'memory records      20000' || {
     exit 1
 }
 
-# Text conversion round trip: a SynchroTrace-style log with a barrier
-# converts, verifies, and replays to completion.
-cat > "$tmp/events.txt" <<'EOF'
-# comp: eid,tid,iops,flops,reads,writes [$ start end]... [* start end]...
-1,1,20,0,1,1 $ 4096 4159 * 8192 8255
-1,2,15,0,1,0 $ 4096 4159
-2,1,pth_ty:5^1
-2,2,pth_ty:5^1
-4,1,pth_ty:3^9,pth_ty:4^9
-3,1,5,0,0,1 * 12288 12351
-3,2 # 1 1 8192 8255
-EOF
-conv="$tmp/converted.trace"
-"$trace" convert "$tmp/events.txt" "$conv" > /dev/null || {
-    echo "trace_replay_test: cgct_trace convert failed" >&2
-    exit 1
-}
-"$trace" verify "$conv" > /dev/null || {
-    echo "trace_replay_test: converted trace failed verification" >&2
-    exit 1
-}
-"$sim" --replay "$conv" --cpus 2 --warmup 1 --json > /dev/null 2>&1 || {
-    echo "trace_replay_test: converted trace failed to replay" >&2
-    exit 1
-}
-
 # Checkpoint mid-replay: a restored replay must finish byte-identical
 # to the uninterrupted checkpointed run (same drain schedule).
 ck="$tmp/ck"
@@ -203,4 +177,4 @@ for cmd in "$sim --replay $v1 --cpus 1" "$trace info $v1"; do
 done
 
 echo "trace_replay_test: capture→replay byte-identity holds for all 9" \
-     "profiles; convert/verify/checkpoint paths OK; v1 rejected"
+     "profiles; record/verify/checkpoint paths OK; v1 rejected"

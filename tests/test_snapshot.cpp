@@ -5,12 +5,14 @@
  * fingerprint, RunResult journal encoding, the sweep resume journal's
  * crash semantics (torn-tail truncation, fingerprint refusal, a seeded
  * loop of torn and bit-flipped journals), the frozen bytes of a journal
- * file, and the load-side checks that turn crafted counts and indices
- * into clean exits. Label: snapshot.
+ * file, the load-side checks that turn crafted counts and indices into
+ * clean exits, and a seeded loop of mutated checkpoint files that must
+ * load or exit cleanly. Label: snapshot.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -19,6 +21,7 @@
 #include <cstring>
 #include <iterator>
 #include <map>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -30,12 +33,42 @@
 #include "core/rca.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
+#include "sim/system.hpp"
 #include "snapshot/journal.hpp"
 #include "snapshot/serializer.hpp"
 #include "snapshot/snapshot.hpp"
 #include "workload/benchmarks.hpp"
+#include "workload/generator.hpp"
+#include "workload/trace_replay.hpp"
 
 using namespace cgct;
+
+// A load must size nothing from a count it has not checked against the
+// bytes left. While g_allocBound is nonzero (only ever in a forked
+// SnapshotMutation child), a larger request ends the process with exit
+// code 3 instead of allocating.
+namespace {
+std::size_t g_allocBound = 0;
+
+void *
+boundedAlloc(std::size_t n)
+{
+    if (g_allocBound && n > g_allocBound) {
+        std::fprintf(stderr, "unchecked allocation of %zu bytes\n", n);
+        std::_Exit(3);
+    }
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+} // namespace
+
+void *operator new(std::size_t n) { return boundedAlloc(n); }
+void *operator new[](std::size_t n) { return boundedAlloc(n); }
+void operator delete(void *p) noexcept { std::free(p); }
+void operator delete[](void *p) noexcept { std::free(p); }
+void operator delete(void *p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -757,6 +790,307 @@ TEST(JournalMutation, SeededMutantsKeepTheIntactPrefix)
     EXPECT_GT(header_errors, 20u);
     for (unsigned n : kept_count)
         EXPECT_GT(n, 20u);
+}
+
+// ---------------------------------------------------------------------------
+// Seeded CGCTSNAP mutation loop: bit flips, truncations, section-length
+// and count-field edits of two small checkpoints, a generated run's on
+// the two-level hierarchy (whose mask tables are stored behind a count)
+// and a trace replay's on the bus (whose "replay" section carries the
+// retired slots that must load as 0). Half the mutants are resealed, so
+// they pass the section checksums and reach Archive's count / index /
+// expect checks. Each mutant that passes the framing is loaded in a
+// forked child: it must load, or exit 1 with one [fatal] line, never
+// crash, trip a sanitizer or allocate from an unchecked count.
+
+/** A small 4-CPU machine, so a checkpoint is tens of KB. */
+SystemConfig
+mutationConfig(TopologyKind topology)
+{
+    SystemConfig c = makeDefaultConfig().withCgct(512, 64, 2);
+    c.l1i = CacheParams{2 * 1024, 2, 64, 1};
+    c.l1d = CacheParams{2 * 1024, 2, 64, 1};
+    c.l2 = CacheParams{16 * 1024, 4, 64, 12};
+    c.interconnect.topology = topology;
+    return c;
+}
+
+RunOptions
+mutationRun()
+{
+    RunOptions opts;
+    opts.opsPerCpu = 1200;
+    opts.warmupOps = 0;
+    opts.seed = 5;
+    return opts;
+}
+
+/** One section's framing: nameLen u32, name, payloadLen u64, payload,
+ *  xxhash64 u64. */
+struct SectionAt {
+    std::size_t lenAt = 0; ///< payloadLen field.
+    std::size_t payloadAt = 0;
+    std::uint64_t payloadLen = 0;
+};
+
+/** The sections of @p b up to the first torn one. */
+std::vector<SectionAt>
+sectionsOf(const std::vector<std::uint8_t> &b)
+{
+    std::vector<SectionAt> out;
+    std::size_t off = 8 + 4 + 8;
+    while (off <= b.size() && b.size() - off >= 4) {
+        const std::uint64_t name_len = loadLe<std::uint32_t>(&b[off]);
+        if (name_len > b.size() - off - 4 ||
+            b.size() - off - 4 - name_len < 8)
+            break;
+        SectionAt sec;
+        sec.lenAt = off + 4 + name_len;
+        sec.payloadAt = sec.lenAt + 8;
+        sec.payloadLen = loadLe<std::uint64_t>(&b[sec.lenAt]);
+        if (sec.payloadLen > b.size() - sec.payloadAt ||
+            b.size() - sec.payloadAt - sec.payloadLen < 8)
+            break;
+        out.push_back(sec);
+        off = sec.payloadAt + sec.payloadLen + 8;
+    }
+    return out;
+}
+
+/** Recompute the checksum of every intact section of @p b. */
+void
+resealSections(std::vector<std::uint8_t> &b)
+{
+    for (const SectionAt &sec : sectionsOf(b))
+        storeLe<std::uint64_t>(&b[sec.payloadAt + sec.payloadLen],
+                               xxhash64(&b[sec.payloadAt], sec.payloadLen));
+}
+
+/** A stored count: its offset and width in bytes. */
+struct CountAt {
+    std::size_t at = 0;
+    unsigned width = 0;
+};
+
+/**
+ * The counts of trailing arrays in @p b: each u32 or u64 whose value
+ * times an item size (8, 12 or 16 bytes) is exactly the bytes after it
+ * in its section. That finds the hierarchy's mask-table count and the
+ * replay section's retired held-lock and banked-signal counts.
+ */
+std::vector<CountAt>
+countsOf(const std::vector<std::uint8_t> &b,
+         const std::vector<SectionAt> &secs)
+{
+    std::vector<CountAt> out;
+    for (const SectionAt &sec : secs) {
+        const std::size_t end = sec.payloadAt + sec.payloadLen;
+        for (unsigned width : {4u, 8u}) {
+            for (std::size_t at = sec.payloadAt; at + width <= end; ++at) {
+                const std::uint64_t v =
+                    width == 4 ? loadLe<std::uint32_t>(&b[at])
+                               : loadLe<std::uint64_t>(&b[at]);
+                const std::size_t after = end - at - width;
+                for (std::uint64_t item : {8u, 12u, 16u})
+                    if (v <= after && v * item == after) {
+                        out.push_back({at, width});
+                        break;
+                    }
+            }
+        }
+    }
+    return out;
+}
+
+/** Apply one seeded mutation to @p b, whose unmutated sections are
+ *  @p secs and trailing-array counts @p counts. */
+void
+mutateSnapshot(std::vector<std::uint8_t> &b,
+               const std::vector<SectionAt> &secs,
+               const std::vector<CountAt> &counts, Rng &rng)
+{
+    const SectionAt &sec = secs[rng.nextBelow(secs.size())];
+    switch (rng.nextBelow(4)) {
+      case 0: // Bit flips anywhere.
+        for (std::uint64_t k = 1 + rng.nextBelow(3); k > 0; --k)
+            b[rng.nextBelow(b.size())] ^=
+                static_cast<std::uint8_t>(1u << rng.nextBelow(8));
+        break;
+      case 1: // Truncation, possibly to nothing.
+        b.resize(rng.nextBelow(b.size()));
+        break;
+      case 2: { // A section's length field, absolute or nudged.
+        const std::uint64_t edits[] = {0, 1, b.size(), UINT64_MAX,
+                                       UINT64_MAX - 7, rng.next()};
+        storeLe<std::uint64_t>(
+            &b[sec.lenAt],
+            rng.chance(0.5) ? edits[rng.nextBelow(std::size(edits))]
+                            : sec.payloadLen + rng.nextRange(-9, 9));
+        break;
+      }
+      default: { // A trailing-array count, or any u32 of a payload.
+        CountAt field{sec.payloadAt + rng.nextBelow(sec.payloadLen - 3), 4};
+        if (rng.chance(0.5))
+            field = counts[rng.nextBelow(counts.size())];
+        const std::uint64_t v = field.width == 4
+                                    ? loadLe<std::uint32_t>(&b[field.at])
+                                    : loadLe<std::uint64_t>(&b[field.at]);
+        const std::uint64_t edits[] = {0, v + 1, v - 1, v << 16,
+                                       0x7FFFFFFF, UINT32_MAX, UINT64_MAX,
+                                       rng.next()};
+        const std::uint64_t edit = edits[rng.nextBelow(std::size(edits))];
+        if (field.width == 4)
+            storeLe<std::uint32_t>(&b[field.at],
+                                   static_cast<std::uint32_t>(edit));
+        else
+            storeLe<std::uint64_t>(&b[field.at], edit);
+        break;
+      }
+    }
+}
+
+/** A mutation seed: a checkpoint and what it loads against. */
+struct SnapshotSeed {
+    SystemConfig config;
+    std::string trace; ///< The replayed trace, or "" for a generated run.
+    std::vector<std::uint8_t> bytes;
+};
+
+/**
+ * Load @p bytes the way a restore does, minus the run-identity checks:
+ * the harness fields (HarnessState's layout in snapshot.cpp), the
+ * workload section, then every System section.
+ */
+void
+loadCheckpoint(const SnapshotSeed &seed, std::vector<std::uint8_t> bytes)
+{
+    const RunOptions opts = mutationRun();
+    Deserializer d;
+    if (!d.openBytes(std::move(bytes), "mutant").empty())
+        std::_Exit(2);
+    Archive ar(d);
+    ar.section("harness", [&] {
+        std::string profile;
+        std::uint64_t u = 0;
+        bool warmup_done = false;
+        ar.str(profile);
+        for (int i = 0; i < 6; ++i)
+            ar.u64(u);
+        ar.b(warmup_done);
+    });
+    if (seed.trace.empty()) {
+        SyntheticWorkload workload(benchmarkByName("tpc-w"),
+                                   seed.config.topology.numCpus,
+                                   opts.opsPerCpu, opts.seed);
+        System sys(seed.config, workload);
+        ar.section("workload", [&] { workload.transfer(ar); });
+        sys.transfer(ar);
+    } else {
+        TraceReplay replay(seed.trace);
+        System sys(seed.config, replay);
+        ar.section("replay", [&] { replay.transfer(ar); });
+        sys.transfer(ar);
+    }
+}
+
+/** How one forked load ended: its exit code (-1 on a signal) and what
+ *  it wrote to stderr. */
+struct LoadOutcome {
+    int code = -1;
+    std::string err;
+};
+
+LoadOutcome
+loadInChild(const SnapshotSeed &seed, const std::vector<std::uint8_t> &bytes)
+{
+    int pipe_fd[2];
+    EXPECT_EQ(::pipe(pipe_fd), 0);
+    std::fflush(nullptr);
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        ::dup2(pipe_fd[1], STDERR_FILENO);
+        ::close(pipe_fd[0]);
+        g_allocBound = std::size_t{64} << 20;
+        loadCheckpoint(seed, bytes);
+        std::_Exit(0);
+    }
+    ::close(pipe_fd[1]);
+    LoadOutcome out;
+    char buf[512];
+    ssize_t got;
+    while ((got = ::read(pipe_fd[0], buf, sizeof buf)) > 0)
+        out.err.append(buf, static_cast<std::size_t>(got));
+    ::close(pipe_fd[0]);
+    int status = 0;
+    ::waitpid(pid, &status, 0);
+    if (WIFEXITED(status))
+        out.code = WEXITSTATUS(status);
+    return out;
+}
+
+TEST(SnapshotMutation, SeededMutantsLoadOrExitCleanly)
+{
+    SnapshotSeed generated{mutationConfig(TopologyKind::Hier), "", {}};
+    SnapshotSeed replayed{mutationConfig(TopologyKind::Bus),
+                          tempPath("mutation_seed.trace"), {}};
+    CheckpointOptions ckpt;
+    ckpt.everyOps = 400;
+    ckpt.writePrefix = tempPath("mutation_gen");
+    simulateCheckpointed(generated.config, benchmarkByName("tpc-w"),
+                         mutationRun(), ckpt);
+    generated.bytes = readBytes(ckpt.writePrefix + ".400");
+    RunOptions live = mutationRun();
+    live.capturePath = replayed.trace;
+    simulateOnce(replayed.config, benchmarkByName("tpc-w"), live);
+    ckpt.writePrefix = tempPath("mutation_rep");
+    simulateCheckpointed(replayed.config, replayed.trace, mutationRun(),
+                         ckpt);
+    replayed.bytes = readBytes(ckpt.writePrefix + ".400");
+    for (const char *stem : {"mutation_gen", "mutation_rep"})
+        for (const char *at : {".400", ".800"})
+            std::remove((tempPath(stem) + at).c_str());
+
+    Rng rng(0x5eed5a7);
+    unsigned framing = 0, rejected = 0, loaded = 0;
+    for (const SnapshotSeed *seed : {&generated, &replayed}) {
+        const std::vector<SectionAt> secs = sectionsOf(seed->bytes);
+        ASSERT_GT(secs.size(), 10u);
+        const std::vector<CountAt> counts = countsOf(seed->bytes, secs);
+        ASSERT_FALSE(counts.empty());
+        const LoadOutcome intact = loadInChild(*seed, seed->bytes);
+        ASSERT_EQ(intact.code, 0) << intact.err;
+
+        for (int m = 0; m < 1000; ++m) {
+            std::vector<std::uint8_t> b = seed->bytes;
+            mutateSnapshot(b, secs, counts, rng);
+            if (rng.chance(0.5))
+                resealSections(b);
+            Deserializer d;
+            if (!d.openBytes(b, "mutant").empty()) {
+                ++framing;
+                continue;
+            }
+            const LoadOutcome out = loadInChild(*seed, b);
+            const bool clean_fatal =
+                out.code == 1 && out.err.rfind("[fatal] ", 0) == 0 &&
+                out.err.find('\n') + 1 == out.err.size();
+            EXPECT_TRUE(out.code == 0 || clean_fatal)
+                << "mutant " << m << " exited " << out.code << ":\n"
+                << out.err;
+            if (out.code == 0)
+                ++loaded;
+            else
+                ++rejected;
+        }
+    }
+    std::remove(replayed.trace.c_str());
+    std::printf("framing errors %u, load errors %u, loaded %u of 2000\n",
+                framing, rejected, loaded);
+    // The loop reaches every layer: the framing and checksums, the
+    // load-side checks behind them, and mutants that still load.
+    EXPECT_GT(framing, 1000u);
+    EXPECT_GT(rejected, 100u);
+    EXPECT_GT(loaded, 100u);
 }
 
 // Decoders fed checksum-valid but crafted bytes must exit with a message

@@ -21,11 +21,15 @@
 #      CGCTSNAP and CGCTJRNL versions the source defines
 #      (kSnapshotVersion, kJournalVersion), and be cross-linked from
 #      README.md, docs/SWEEP.md, and docs/ARCHITECTURE.md.
-#   7. docs/TRACE_FORMAT.md must document every v2 record type in the
-#      CGCT_TRACE_V2_RECORD_TYPES X-macro (src/workload/trace_format.hpp),
-#      every cgct_trace CLI flag and subcommand, and the format
-#      invariants, and be cross-linked from README.md, docs/SWEEP.md,
-#      and docs/ARCHITECTURE.md.
+#   7. docs/TRACE_FORMAT.md's record table must list exactly the v2
+#      record types of the CGCT_TRACE_V2_RECORD_TYPES X-macro
+#      (src/workload/trace_format.hpp), opcode and name. The cgct_trace
+#      subcommands are read from tools/cgct_trace.cpp: each must appear
+#      in docs/TRACE_FORMAT.md and in docs/SWEEP.md's cgct_trace table,
+#      and neither may name one the code lacks. TRACE_FORMAT.md must also
+#      document every cgct_trace flag and the format invariants, and be
+#      cross-linked from README.md, docs/SWEEP.md, and
+#      docs/ARCHITECTURE.md.
 #   8. docs/SAMPLING.md must cover the sampling flags (including the
 #      adaptive --ci-target / --max-windows loop), both warming modes,
 #      the CI math and its stat names, the validation tests and golden
@@ -244,33 +248,45 @@ else
 fi
 
 # Trace on-disk format documentation: docs/TRACE_FORMAT.md is the
-# byte-level contract for the record/replay files. Every record type in
-# the CGCT_TRACE_V2_RECORD_TYPES X-macro and every cgct_trace CLI flag
-# must appear there, so the spec cannot drift from the codec.
+# byte-level contract for the record/replay files. Its record table and
+# the CGCT_TRACE_V2_RECORD_TYPES X-macro must list the same opcodes, and
+# the cgct_trace subcommands and flags it (and docs/SWEEP.md) documents
+# must be the ones tools/cgct_trace.cpp has, so the spec cannot drift
+# from the codec or the tool in either direction.
 fmt_doc="$root/docs/TRACE_FORMAT.md"
 fmt_hdr="$root/src/workload/trace_format.hpp"
+trace_cpp="$root/tools/cgct_trace.cpp"
 if [ ! -f "$fmt_doc" ]; then
     echo "check_docs: $fmt_doc is missing" >&2
     fail=1
 else
-    rec_types=$(grep -oE '^[[:space:]]*X\([a-z_]+, 0x[0-9A-Fa-f]+\)' \
-        "$fmt_hdr" | sed -E 's/.*X\(([a-z_]+),.*/\1/' | sort -u)
-    if [ -z "$rec_types" ]; then
+    # "0x01 ifetch" pairs, from the X-macro and from the doc's table rows.
+    code_recs=$(grep -oE '^[[:space:]]*X\([a-z_]+, 0x[0-9A-Fa-f]+\)' \
+        "$fmt_hdr" | sed -E 's/.*X\(([a-z_]+), (0x[0-9A-Fa-f]+)\).*/\2 \1/' |
+        tr 'A-F' 'a-f' | sort -u)
+    doc_recs=$(grep -oE '^\| `0x[0-9A-Fa-f]{2}` \| `[a-z_]+` \|' "$fmt_doc" |
+        sed -E 's/^\| `(0x[0-9A-Fa-f]{2})` \| `([a-z_]+)`.*/\1 \2/' |
+        tr 'A-F' 'a-f' | sort -u)
+    if [ -z "$code_recs" ]; then
         echo "check_docs: found no v2 record types in" \
              "src/workload/trace_format.hpp (X-macro moved?)" >&2
         fail=1
     fi
-    for rec in $rec_types; do
-        if ! grep -q -- "\`$rec\`" "$fmt_doc"; then
-            echo "check_docs: v2 record type $rec is not documented" \
-                 "in docs/TRACE_FORMAT.md" >&2
-            fail=1
-        fi
-    done
+    while read -r rec; do
+        [ -n "$rec" ] || continue
+        echo "check_docs: v2 record type '$rec' has no row in the" \
+             "docs/TRACE_FORMAT.md record table" >&2
+        fail=1
+    done <<< "$(comm -23 <(echo "$code_recs") <(echo "$doc_recs"))"
+    while read -r rec; do
+        [ -n "$rec" ] || continue
+        echo "check_docs: docs/TRACE_FORMAT.md's record table lists" \
+             "'$rec', which is not in CGCT_TRACE_V2_RECORD_TYPES" >&2
+        fail=1
+    done <<< "$(comm -13 <(echo "$code_recs") <(echo "$doc_recs"))"
 
     trace_flags=$(grep -oE \
-        'add(Flag|U64|Double|String)\("[A-Za-z0-9-]+"' \
-        "$root/tools/cgct_trace.cpp" |
+        'add(Flag|U64|Double|String)\("[A-Za-z0-9-]+"' "$trace_cpp" |
         sed -E 's/.*\("([A-Za-z0-9-]+)"/\1/' | sort -u)
     for flag in $trace_flags; do
         if ! grep -q -- "--$flag" "$fmt_doc"; then
@@ -280,9 +296,42 @@ else
         fi
     done
 
-    for token in record convert info verify xxhash64 trace_id \
-                 payload_hash directory_offset little-endian \
-                 text-format ops_declared num_lanes TraceWriter; do
+    # Subcommands: the code's `command == "name"` branches, against
+    # `cgct_trace name` in TRACE_FORMAT.md and the subcommand rows of
+    # SWEEP.md's cgct_trace section.
+    code_cmds=$(grep -oE 'command == "[a-z]+"' "$trace_cpp" |
+        sed -E 's/.*"([a-z]+)"/\1/' | sort -u)
+    fmt_cmds=$(grep -oE 'cgct_trace [a-z]+' "$fmt_doc" |
+        sed 's/cgct_trace //' | sort -u)
+    sweep_cmds=$(sed -n '/^## `cgct_trace`/,/^## /p' "$doc" |
+        grep -oE '^\| `[a-z]+` \|' | sed -E 's/^\| `([a-z]+)`.*/\1/' |
+        sort -u)
+    if [ -z "$code_cmds" ]; then
+        echo "check_docs: found no subcommands in tools/cgct_trace.cpp" \
+             "(dispatch moved?)" >&2
+        fail=1
+    fi
+    for where in "docs/TRACE_FORMAT.md:$fmt_cmds" \
+                 "docs/SWEEP.md's cgct_trace table:$sweep_cmds"; do
+        name="${where%%:*}"
+        cmds="${where#*:}"
+        while read -r cmd; do
+            [ -n "$cmd" ] || continue
+            echo "check_docs: cgct_trace subcommand '$cmd' is not" \
+                 "documented in $name" >&2
+            fail=1
+        done <<< "$(comm -23 <(echo "$code_cmds") <(echo "$cmds"))"
+        while read -r cmd; do
+            [ -n "$cmd" ] || continue
+            echo "check_docs: $name documents cgct_trace '$cmd'," \
+                 "which tools/cgct_trace.cpp does not have" >&2
+            fail=1
+        done <<< "$(comm -13 <(echo "$code_cmds") <(echo "$cmds"))"
+    done
+
+    for token in xxhash64 trace_id payload_hash directory_offset \
+                 little-endian ops_declared num_lanes sync_ops \
+                 TraceWriter; do
         if ! grep -q -- "$token" "$fmt_doc"; then
             echo "check_docs: docs/TRACE_FORMAT.md does not mention" \
                  "$token" >&2

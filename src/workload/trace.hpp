@@ -169,7 +169,7 @@ TraceInfo readTraceInfo(const std::string &path);
  * fills @p out with the directory. @p file_bytes is the full file size
  * (payload extents are bounds-checked against it). A version-1 file is
  * rejected as a legacy trace, and a lane whose retired sync_ops field is
- * not 0 by name.
+ * not 0 is rejected by name.
  */
 std::string parseTraceV2Header(const std::uint8_t *data,
                                std::uint64_t file_bytes, TraceInfo &out);
@@ -204,8 +204,9 @@ struct DecodedRecord {
 /**
  * Decode the record at @p p (with @p avail bytes left in the lane
  * payload). Returns false for an unknown or retired opcode or a record
- * truncated by the payload boundary; traceRecordError() then says which. Builds
- * no string, so the decode loops pay for a message only on failure.
+ * truncated by the payload boundary; traceRecordError() then says
+ * which. Builds no string, so the decode loops pay for a message only
+ * on failure.
  */
 bool decodeTraceRecord(const std::uint8_t *p, std::size_t avail,
                        DecodedRecord &out);

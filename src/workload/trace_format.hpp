@@ -3,7 +3,7 @@
  * On-disk constants for the CGCT trace format. The byte-level contract
  * lives in docs/TRACE_FORMAT.md; this header is the single place the
  * code states the same numbers, and tools/check_docs.sh cross-checks the
- * two (every record type in the X-macro below must appear in the spec).
+ * two (the spec's record table lists exactly the X-macro's opcodes).
  *
  * Version 2: per-lane contiguous payloads of memory records behind a
  * lane directory, mmap-friendly streaming decode. Everything is

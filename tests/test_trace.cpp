@@ -221,9 +221,8 @@ TEST(Trace, CaptureFromGenerator)
     EXPECT_EQ(info.version, kTraceVersion2);
     EXPECT_EQ(info.numLanes, 4u);
     EXPECT_EQ(info.opsDeclared, 500u);
-    for (const auto &lane : info.lanes) {
+    for (const auto &lane : info.lanes)
         EXPECT_EQ(lane.memOps, 500u);
-    }
     EXPECT_EQ(verifyTrace(path), "");
     std::remove(path.c_str());
 }

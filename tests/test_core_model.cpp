@@ -5,7 +5,9 @@
  * streams, front-end pacing, miss overlap under the ROB window, dependent
  * load serialization, and ifetch stalls. A small-window suite pins the
  * exact stall counters of the outstanding-load ring: out-of-order
- * completions, dependent-load and ROB-head waits, and draining.
+ * completions, dependent-load and ROB-head waits, and draining. The
+ * checkpoint cases round-trip a drained core and refuse a nonzero
+ * retired sync-stall slot.
  */
 
 #include <gtest/gtest.h>
@@ -360,6 +362,63 @@ TEST_F(CoreModelRingTest, SerializePanicsWithLoadsOutstanding)
     EXPECT_DEATH(sys.core->transfer(ar), "before it drained");
     sys.eq.run();
     EXPECT_TRUE(sys.core->finished());
+}
+
+/** Save @p from's checkpoint, let @p patch edit the bytes, then load
+ *  them into @p to. */
+template <class Patch>
+void
+reloadCore(CoreModel &from, CoreModel &to, Patch patch)
+{
+    Serializer s;
+    Archive save(s);
+    from.transfer(save);
+    std::vector<std::uint8_t> bytes = s.buffer();
+    patch(bytes);
+    SectionReader r(bytes.data(), bytes.data() + bytes.size(), "core");
+    Archive load(r);
+    to.transfer(load);
+}
+
+TEST(CoreModelCheckpoint, RoundTripsClockCountsAndStalls)
+{
+    MiniSystem saved;
+    saved.runScript({op(CpuOpKind::Ifetch, 0x900000, 2),
+                     op(CpuOpKind::Load, 0x1000, 3),
+                     op(CpuOpKind::Store, 0x2000, 1),
+                     op(CpuOpKind::Load, 0x1040, 0, true)});
+    ASSERT_GT(saved.core->stats().loadStallCycles, 0u);
+    MiniSystem loaded;
+    loaded.runScript({});
+    reloadCore(*saved.core, *loaded.core, [](std::vector<std::uint8_t> &) {});
+    EXPECT_TRUE(loaded.core->finished());
+    EXPECT_EQ(loaded.core->clock(), saved.core->clock());
+    EXPECT_EQ(loaded.core->instructions(), saved.core->instructions());
+    EXPECT_EQ(loaded.core->memOps(), saved.core->memOps());
+    const CoreModel::Stats &a = saved.core->stats();
+    const CoreModel::Stats &b = loaded.core->stats();
+    EXPECT_EQ(b.ifetchStallCycles, a.ifetchStallCycles);
+    EXPECT_EQ(b.loadStallCycles, a.loadStallCycles);
+    EXPECT_EQ(b.robStallCycles, a.robStallCycles);
+    EXPECT_EQ(b.storeStallCycles, a.storeStallCycles);
+}
+
+TEST(CoreModelCheckpointDeath, RetiredSyncStallSlotMustBeZero)
+{
+    MiniSystem saved;
+    saved.runScript({op(CpuOpKind::Load, 0x1000, 0)});
+    MiniSystem loaded;
+    loaded.runScript({});
+    // Layout: clock, instructions and mem ops (u64), the gap carry
+    // (u32), four stall counters (u64), then the retired sync-stall u64.
+    const std::size_t sync_stall = 3 * 8 + 4 + 4 * 8;
+    EXPECT_EXIT(reloadCore(*saved.core, *loaded.core,
+                           [&](std::vector<std::uint8_t> &b) {
+                               ASSERT_EQ(b.size(), sync_stall + 8);
+                               b[sync_stall] = 1;
+                           }),
+                ::testing::ExitedWithCode(1),
+                "core: sync_stall_cycles mismatch \\(1 stored, 0 here\\)");
 }
 
 } // namespace

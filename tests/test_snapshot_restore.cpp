@@ -29,6 +29,7 @@
 #include "snapshot/serializer.hpp"
 #include "snapshot/snapshot.hpp"
 #include "workload/benchmarks.hpp"
+#include "workload/trace.hpp"
 
 using namespace cgct;
 
@@ -155,6 +156,76 @@ TEST(SnapshotRestore, NoPauseReplayMatchesSimulateReplay)
         encode(simulateCheckpointed(config, trace, opts, {}));
     ASSERT_EQ(replay.size(), harness.size());
     EXPECT_EQ(std::memcmp(replay.data(), harness.data(), replay.size()), 0);
+    std::remove(trace.c_str());
+}
+
+/** A two-lane trace at @p path whose lanes end at different op counts:
+ *  lane 0 takes three loads, lane 1 one. */
+void
+writeUnevenTrace(const std::string &path)
+{
+    TraceWriter writer(path, 2, 3);
+    CpuOp load;
+    load.kind = CpuOpKind::Load;
+    for (Addr addr : {0x1000, 0x2000, 0x3000}) {
+        load.addr = addr;
+        writer.append(0, load);
+    }
+    load.addr = 0x4000;
+    writer.append(1, load);
+    writer.close();
+}
+
+TEST(SnapshotRestore, LastPhaseDrainsUnevenLanes)
+{
+    // One phase past the stream is the last phase: it runs lane 0 past
+    // the op where lane 1 ended, to its own end record.
+    const std::string trace =
+        std::string(::testing::TempDir()) + "uneven_last.trace";
+    writeUnevenTrace(trace);
+    SystemConfig config = configFor(512);
+    config.topology.numCpus = 2;
+    RunOptions opts;
+    opts.warmupOps = 0;
+    CheckpointOptions ckpt;
+    ckpt.everyOps = 100;
+    const std::vector<std::uint8_t> replay =
+        encode(simulateReplay(config, trace, opts));
+    const std::vector<std::uint8_t> harness =
+        encode(simulateCheckpointed(config, trace, opts, ckpt));
+    EXPECT_EQ(replay, harness);
+    std::remove(trace.c_str());
+}
+
+TEST(SnapshotRestore, OneOpPausesRestoreUnevenLanes)
+{
+    // A pause after every op: lane 1 ends in the first phase, so lane 0
+    // alone reaches the 2-op pause point. Restoring either checkpoint
+    // reproduces the run that wrote it.
+    const std::string trace =
+        std::string(::testing::TempDir()) + "uneven_pauses.trace";
+    writeUnevenTrace(trace);
+    SystemConfig config = configFor(512);
+    config.topology.numCpus = 2;
+    RunOptions opts;
+    opts.warmupOps = 0;
+    const std::string prefix =
+        std::string(::testing::TempDir()) + "uneven_pauses.ckpt";
+    CheckpointOptions writing;
+    writing.everyOps = 1;
+    writing.writePrefix = prefix;
+    const std::vector<std::uint8_t> reference =
+        encode(simulateCheckpointed(config, trace, opts, writing));
+    for (const char *at : {"1", "2"}) {
+        const std::string path = prefix + "." + at;
+        SCOPED_TRACE("restoring " + path);
+        CheckpointOptions restoring;
+        restoring.restorePath = path;
+        EXPECT_EQ(encode(simulateCheckpointed(config, trace, opts,
+                                              restoring)),
+                  reference);
+        std::remove(path.c_str());
+    }
     std::remove(trace.c_str());
 }
 

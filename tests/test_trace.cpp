@@ -309,6 +309,38 @@ TEST(Trace, DiscardPublishesNothing)
     EXPECT_FALSE(fileExists(path + ".tmp"));
 }
 
+TEST(Trace, WriterZeroesRetiredSyncOpsField)
+{
+    // Every lane directory entry carries sync_ops at byte 24 as 0, the
+    // only value the parser accepts, whatever the lane holds.
+    const std::string path = tempPath("sync_ops_zero");
+    {
+        TraceWriter writer(path, 3, 4);
+        CpuOp op;
+        op.kind = CpuOpKind::Store;
+        for (CpuId lane = 0; lane < 3; ++lane) {
+            for (CpuId i = 0; i <= lane; ++i) {
+                op.addr = 0x1000 * (lane + 1) + 64 * i;
+                writer.append(lane, op);
+            }
+        }
+        writer.close();
+    }
+    const std::vector<std::uint8_t> b = readFile(path);
+    ASSERT_GE(b.size(), kTraceV2HeaderBytes + 3 * kTraceV2LaneDirBytes);
+    for (std::size_t lane = 0; lane < 3; ++lane) {
+        EXPECT_EQ(get64At(b, kTraceV2HeaderBytes +
+                                 lane * kTraceV2LaneDirBytes + 24),
+                  0u)
+            << "lane " << lane;
+    }
+    EXPECT_EQ(verifyTrace(path), "");
+    const TraceInfo info = readTraceInfo(path);
+    for (std::size_t lane = 0; lane < 3; ++lane)
+        EXPECT_EQ(info.lanes[lane].memOps, lane + 1);
+    std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Malformed-file rejection matrix (parseTraceV2Header error strings).
 

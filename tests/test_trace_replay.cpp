@@ -116,26 +116,59 @@ TEST(TraceReplay, ProgressSerializesAndRestores)
     std::remove(path.c_str());
 }
 
-TEST(TraceReplayDeath, HeldLockSlotMustBeZero)
+/** Store 1 in the byte @p back bytes before the xxhash64 that ends
+ *  @p file's "replay" section, then reseal the section so a load gets
+ *  past the checksum to the slot. */
+void
+storeOneBeforeHash(std::vector<std::uint8_t> &file, std::size_t back)
 {
-    const std::string path = writeTwoLaneTrace("held_lock");
-    TraceReplay replay(path);
-    std::vector<std::uint8_t> file = saveProgress(replay);
-    // The section ends with the retired held-lock and banked-signal
-    // counts (u32 each) and then its xxhash64. Store a held lock and
-    // reseal the section so the load reaches the slot.
     const std::size_t hash_at = file.size() - 8;
-    const std::size_t locks_at = hash_at - 8;
-    file[locks_at] = 1;
+    file[hash_at - back] = 1;
     const std::size_t payload_bytes = loadLe<std::uint64_t>(
         file.data() + 20 + 4 + 6); // Header, name length, "replay".
     const std::size_t payload_at = hash_at - payload_bytes;
     storeLe<std::uint64_t>(file.data() + hash_at,
                            xxhash64(file.data() + payload_at,
                                     payload_bytes));
+}
+
+// The section ends with lane 1's retired sync-record count (u64) and
+// its ended flag (u8), then the retired held-lock and banked-signal
+// counts (u32 each). Each slot must load as zero.
+
+TEST(TraceReplayDeath, HeldLockSlotMustBeZero)
+{
+    const std::string path = writeTwoLaneTrace("held_lock");
+    TraceReplay replay(path);
+    std::vector<std::uint8_t> file = saveProgress(replay);
+    storeOneBeforeHash(file, 8);
     TraceReplay fresh(path);
     EXPECT_EXIT(loadProgress(file, fresh), ::testing::ExitedWithCode(1),
                 "held locks mismatch \\(1 stored, 0 here\\)");
+    std::remove(path.c_str());
+}
+
+TEST(TraceReplayDeath, BankedSignalSlotMustBeZero)
+{
+    const std::string path = writeTwoLaneTrace("banked_signal");
+    TraceReplay replay(path);
+    std::vector<std::uint8_t> file = saveProgress(replay);
+    storeOneBeforeHash(file, 4);
+    TraceReplay fresh(path);
+    EXPECT_EXIT(loadProgress(file, fresh), ::testing::ExitedWithCode(1),
+                "banked signals mismatch \\(1 stored, 0 here\\)");
+    std::remove(path.c_str());
+}
+
+TEST(TraceReplayDeath, LaneSyncRecordsSlotMustBeZero)
+{
+    const std::string path = writeTwoLaneTrace("lane_sync");
+    TraceReplay replay(path);
+    std::vector<std::uint8_t> file = saveProgress(replay);
+    storeOneBeforeHash(file, 8 + 1 + 8);
+    TraceReplay fresh(path);
+    EXPECT_EXIT(loadProgress(file, fresh), ::testing::ExitedWithCode(1),
+                "lane sync records mismatch \\(1 stored, 0 here\\)");
     std::remove(path.c_str());
 }
 

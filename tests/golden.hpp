@@ -33,9 +33,9 @@ namespace cgct::golden {
 /**
  * SHA-256 of the default `cgct_sweep` CSV (every standard benchmark x
  * regions {0,256,512,1024} x 3 seeds at 120000 ops), at any --jobs.
- * Asserted by SweepIdentity.DefaultSweepDigestAndPaperClaimsAtJobs1,
- * SweepIdentity.DefaultSweepDigestAtJobs0 and by the
- * snapshot_resume ctest. Regenerate:
+ * Asserted by SweepIdentity.DefaultSweepDigestAndPaperClaimsAtJobs1
+ * (--jobs 1) and by the snapshot_resume ctest (--jobs 0): contract rows
+ * 4 and 6 of docs/CONTRACTS.md. Regenerate:
  *   build/tools/cgct_sweep --jobs 1 --no-progress | sha256sum
  */
 inline constexpr const char *kDefaultSweepSha256 =

@@ -6,7 +6,8 @@
  * (tick, priority, seq) contract directly, and the execution orders must
  * match exactly. Plans mix same-tick priority classes, zero-delay
  * self-scheduling, wheel-wraparound delays, and far-future events that
- * overflow to the heap and migrate back into the wheel.
+ * overflow to the heap and migrate back into the wheel. Contract row 1
+ * (docs/CONTRACTS.md). Label: contract.
  */
 
 #include <gtest/gtest.h>

@@ -1,11 +1,10 @@
 /**
  * @file
  * Tests for the statistical-sampling engine (docs/SAMPLING.md):
- * determinism across job counts, agreement with full-detail runs,
- * geometry validation, warm-state invariants, journal persistence of
- * the sampling tail, the sampled sweep CSV columns, the recorded
- * full-vs-sampled cell, and digest pins of the functionally-warmed
- * output.
+ * agreement with full-detail runs, geometry validation, warm-state
+ * invariants, journal persistence of the sampling tail, the sampled
+ * sweep CSV columns, the recorded full-vs-sampled cell, and digest pins
+ * of the functionally-warmed output.
  */
 
 #include <gtest/gtest.h>
@@ -82,46 +81,6 @@ TEST(Sampling, InfoGeometry)
     EXPECT_EQ(r.sampling->cycles.count, 4u);
     EXPECT_GT(r.cycles, 0u);
     EXPECT_GT(r.requestsTotal, 0u);
-}
-
-TEST(Sampling, ByteIdenticalAcrossJobs)
-{
-    // The windows stream through the workers as the warm pass emits
-    // them; K below the job count and K not a multiple of it must land
-    // every window in its slot all the same.
-    const SystemConfig config = makeDefaultConfig().withCgct(512);
-    const WorkloadProfile &profile = benchmarkByName("tpc-w");
-
-    for (WarmMode mode : {WarmMode::Functional, WarmMode::Detailed}) {
-        for (std::uint64_t k : {1u, 3u, 4u}) {
-            SamplingOptions sopts = smallSampling();
-            sopts.warmMode = mode;
-            sopts.windows = k;
-            sopts.jobs = 1;
-            const std::vector<std::uint8_t> serial =
-                encoded(simulateSampled(config, profile, smallRun(), sopts));
-            for (unsigned jobs : {2u, 3u}) {
-                sopts.jobs = jobs;
-                EXPECT_EQ(encoded(simulateSampled(config, profile,
-                                                  smallRun(), sopts)),
-                          serial)
-                    << warmModeName(mode) << " K=" << k << " jobs=" << jobs;
-            }
-        }
-    }
-
-    // An adaptive run streams each of its rounds the same way.
-    SamplingOptions adaptive = smallSampling();
-    adaptive.windows = 2;
-    adaptive.ciTarget = 1e-9;
-    adaptive.maxWindows = 8;
-    adaptive.jobs = 1;
-    const RunResult a =
-        simulateSampled(config, profile, smallRun(), adaptive);
-    adaptive.jobs = 2;
-    const RunResult b =
-        simulateSampled(config, profile, smallRun(), adaptive);
-    EXPECT_EQ(encoded(a), encoded(b));
 }
 
 TEST(Sampling, ZeroWindowsFallsBackToFullDetail)
@@ -378,29 +337,6 @@ TEST(Sampling, SweepEmitsCiColumns)
         EXPECT_EQ(columns(line), header_cols);
         EXPECT_NE(line.find(",functional,"), std::string::npos);
     }
-}
-
-TEST(Sampling, SweepCsvIdenticalAcrossJobs)
-{
-    SweepSpec spec;
-    spec.profiles.push_back(&benchmarkByName("tpc-w"));
-    spec.regionSizes = {0, 512};
-    spec.seedsPerCell = 1;
-    spec.opts = smallRun();
-    spec.baseConfig = makeDefaultConfig();
-    spec.sampled = true;
-    spec.sampling = smallSampling();
-
-    const auto sweepCsv = [&spec](unsigned jobs) {
-        std::ostringstream os;
-        writeSweepCsvHeader(os, true);
-        SweepRunner runner(spec, jobs);
-        runner.run([&os](const SweepCell &, const RunResult &r) {
-            writeSweepCsvRow(os, r, true);
-        });
-        return os.str();
-    };
-    EXPECT_EQ(sweepCsv(1), sweepCsv(4));
 }
 
 TEST(Sampling, RecordedCellAgainstFullDetail)

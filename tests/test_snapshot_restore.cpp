@@ -1,23 +1,16 @@
 /**
  * @file
- * Restore-equivalence differential suite (docs/SNAPSHOT.md): a run that
- * writes drain checkpoints and keeps going must be reproduced *exactly*
- * — every RunResult field, histograms included — by restoring any of
- * its checkpoints and running to the end. The comparison is on the
- * journal byte encoding, so "equal" means byte-identical, not
- * approximately equal. The SnapshotPin cases pin the checkpoint files
- * themselves (tests/golden.hpp): one from a generated run, one from a v2
- * trace replay.
- *
- * Under sanitizers the benchmark x region x drain-point matrix is cut
- * down to one cell (the full matrix is asserted by the normal-build CI
- * leg). Label: snapshot.
+ * Directed restore cases (docs/SNAPSHOT.md) whose bodies differ from
+ * contract row 5's matrix (docs/CONTRACTS.md, test_contracts): a warmup
+ * that completes after the restored drain point, and trace lanes that
+ * end at different op counts. The SnapshotPin cases pin the checkpoint
+ * files themselves (tests/golden.hpp): generated, replayed, and 16-node
+ * hier and dir. Label: snapshot.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -71,92 +64,6 @@ configFor(std::uint64_t region_bytes)
 {
     const SystemConfig base = makeDefaultConfig();
     return region_bytes ? base.withCgct(region_bytes) : base;
-}
-
-/** Checkpoint-run-straight-through vs restore-from-each-drain-point. */
-void
-expectRestoreEquivalence(const std::string &benchmark,
-                         std::uint64_t region_bytes, std::uint64_t seed,
-                         std::uint64_t ops, std::uint64_t warmup,
-                         std::uint64_t interval)
-{
-    SCOPED_TRACE(benchmark + " region=" + std::to_string(region_bytes) +
-                 " seed=" + std::to_string(seed) +
-                 " warmup=" + std::to_string(warmup));
-    const SystemConfig config = configFor(region_bytes);
-    const WorkloadProfile &profile = benchmarkByName(benchmark);
-    RunOptions opts;
-    opts.opsPerCpu = ops;
-    opts.warmupOps = warmup;
-    opts.seed = seed;
-
-    const std::string prefix = std::string(::testing::TempDir()) +
-                               "restore_eq_" + benchmark + "_" +
-                               std::to_string(region_bytes) + "_" +
-                               std::to_string(seed);
-    CheckpointOptions writing;
-    writing.everyOps = interval;
-    writing.writePrefix = prefix;
-    const std::vector<std::uint8_t> reference =
-        encode(simulateCheckpointed(config, profile, opts, writing));
-
-    std::vector<std::string> written;
-    for (std::uint64_t at = interval; at < ops; at += interval)
-        written.push_back(prefix + "." + std::to_string(at));
-    ASSERT_FALSE(written.empty());
-
-    for (const std::string &path : written) {
-        SCOPED_TRACE("restoring " + path);
-        CheckpointOptions restoring;
-        restoring.restorePath = path;
-        const std::vector<std::uint8_t> resumed =
-            encode(simulateCheckpointed(config, profile, opts, restoring));
-        ASSERT_EQ(resumed.size(), reference.size());
-        EXPECT_EQ(std::memcmp(resumed.data(), reference.data(),
-                              reference.size()),
-                  0)
-            << "restored run diverged from the uninterrupted run";
-    }
-    for (const std::string &path : written)
-        std::remove(path.c_str());
-}
-
-TEST(SnapshotRestore, NoPauseMatchesSimulateOnce)
-{
-    const SystemConfig config = configFor(512);
-    const WorkloadProfile &profile = benchmarkByName("tpc-w");
-    RunOptions opts;
-    opts.opsPerCpu = 8000;
-    opts.warmupOps = 1600;
-    opts.seed = 7;
-    const std::vector<std::uint8_t> once =
-        encode(simulateOnce(config, profile, opts));
-    const std::vector<std::uint8_t> harness =
-        encode(simulateCheckpointed(config, profile, opts, {}));
-    ASSERT_EQ(once.size(), harness.size());
-    EXPECT_EQ(std::memcmp(once.data(), harness.data(), once.size()), 0);
-}
-
-TEST(SnapshotRestore, NoPauseReplayMatchesSimulateReplay)
-{
-    const SystemConfig config = configFor(512);
-    const std::string trace =
-        std::string(::testing::TempDir()) + "nopause_replay.trace";
-    RunOptions opts;
-    opts.opsPerCpu = 8000;
-    opts.warmupOps = 1600;
-    opts.seed = 7;
-    opts.capturePath = trace;
-    simulateOnce(config, benchmarkByName("tpc-w"), opts);
-    opts.capturePath.clear();
-
-    const std::vector<std::uint8_t> replay =
-        encode(simulateReplay(config, trace, opts));
-    const std::vector<std::uint8_t> harness =
-        encode(simulateCheckpointed(config, trace, opts, {}));
-    ASSERT_EQ(replay.size(), harness.size());
-    EXPECT_EQ(std::memcmp(replay.data(), harness.data(), replay.size()), 0);
-    std::remove(trace.c_str());
 }
 
 /** A two-lane trace at @p path whose lanes end at different op counts:
@@ -233,60 +140,25 @@ TEST(SnapshotRestore, WarmupCrossesAfterRestore)
 {
     // Warmup (4000 ops) completes in the *second* phase, so restoring
     // the first checkpoint must re-arm the warmup check and reset the
-    // statistics at exactly the same tick the straight run did.
-    expectRestoreEquivalence("tpc-w", 512, 11, 9000, 4000, 3000);
-}
-
-TEST(SnapshotRestore, DifferentialMatrix)
-{
-    const std::vector<std::string> benchmarks =
-        CGCT_SANITIZED ? std::vector<std::string>{"tpc-w"}
-                       : std::vector<std::string>{"tpc-w", "barnes",
-                                                  "ocean"};
-    const std::vector<std::uint64_t> regions =
-        CGCT_SANITIZED ? std::vector<std::uint64_t>{512}
-                       : std::vector<std::uint64_t>{0, 512};
-    const std::vector<std::uint64_t> seeds =
-        CGCT_SANITIZED ? std::vector<std::uint64_t>{1}
-                       : std::vector<std::uint64_t>{1, 2};
-    const std::uint64_t ops = CGCT_SANITIZED ? 6000 : 9000;
-    for (const std::string &b : benchmarks)
-        for (std::uint64_t region : regions)
-            for (std::uint64_t seed : seeds)
-                expectRestoreEquivalence(b, region, seed, ops,
-                                         /*warmup=*/ops / 5,
-                                         /*interval=*/3000);
-}
-
-TEST(SnapshotRestore, CheckpointFilesAreReproducedByRestoredRuns)
-{
-    // A restored run that keeps checkpointing must write byte-identical
-    // snapshot files for the later drain points — the whole chain is
-    // deterministic, not just the final statistics.
-    const SystemConfig config = configFor(512);
-    const WorkloadProfile &profile = benchmarkByName("ocean");
+    // statistics at exactly the same tick the straight run did. The
+    // restores name no interval: they take it from the file.
     RunOptions opts;
     opts.opsPerCpu = 9000;
-    opts.warmupOps = 0;
-    opts.seed = 3;
-
-    const std::string a = std::string(::testing::TempDir()) + "chain_a";
-    const std::string b = std::string(::testing::TempDir()) + "chain_b";
-    CheckpointOptions first;
-    first.everyOps = 3000;
-    first.writePrefix = a;
-    simulateCheckpointed(config, profile, opts, first);
-
-    CheckpointOptions second;
-    second.everyOps = 3000;
-    second.writePrefix = b;
-    second.restorePath = a + ".3000";
-    simulateCheckpointed(config, profile, opts, second);
-
-    EXPECT_EQ(slurp(a + ".6000"), slurp(b + ".6000"));
-    for (const char *suffix : {".3000", ".6000"}) {
-        std::remove((a + suffix).c_str());
-        std::remove((b + suffix).c_str());
+    opts.warmupOps = 4000;
+    opts.seed = 11;
+    CheckpointOptions ckpt;
+    ckpt.everyOps = 3000;
+    ckpt.writePrefix = std::string(::testing::TempDir()) + "warmup_crosses";
+    const auto run = [&opts](const CheckpointOptions &c) {
+        return encode(simulateCheckpointed(configFor(512),
+                                           benchmarkByName("tpc-w"), opts, c));
+    };
+    const std::vector<std::uint8_t> reference = run(ckpt);
+    for (const char *at : {".3000", ".6000"}) {
+        CheckpointOptions restoring;
+        restoring.restorePath = ckpt.writePrefix + at;
+        EXPECT_EQ(run(restoring), reference) << "restoring " << at;
+        std::remove(restoring.restorePath.c_str());
     }
 }
 

@@ -1,21 +1,17 @@
 /**
  * @file
- * Byte-identity regression for the default sweep: the hot-path storage
- * rewrite (SoA tag arrays, open-addressed MSHR, allocation-free request
- * chain) must not change simulated behavior by even one bit. The full
+ * Contract row 4 (docs/CONTRACTS.md): the frozen default sweep. The full
  * default matrix — every standard benchmark x regions {0,256,512,1024}
- * x 3 seeds at 120000 ops — is run in process and its CSV hashed with a
- * self-contained SHA-256; the digest must equal golden::kDefaultSweepSha256
- * (tests/golden.hpp), at --jobs 1 and at --jobs 0 (hardware concurrency).
- * The jobs-1 run also renders the Figure 2/7/8/10 tables from its rows
- * (sim/paper.hpp), checks them against EXPERIMENTS.md byte for byte and
- * asserts their paper claims; a separate case would cost a third full
- * matrix, since each case runs in its own process. The analytic Table
- * 1/2/3 and Figure 6 blocks need no sweep and are compared on their own.
- *
- * Under sanitizers the full matrix is too slow, so those builds run a
- * reduced matrix and assert jobs-count identity only (the full digest
- * is asserted by the normal-build CI leg). Label: sanitize_hotpath.
+ * x 3 seeds at 120000 ops — is run in process at --jobs 1 and its CSV
+ * hashed with a self-contained SHA-256; the digest must equal
+ * golden::kDefaultSweepSha256 (tests/golden.hpp). snapshot_resume checks
+ * the same digest through cgct_sweep at --jobs 0, so tier-1 runs the
+ * matrix twice. The run also renders the Figure 2/7/8/10 tables from its
+ * rows (sim/paper.hpp), checks them against EXPERIMENTS.md byte for byte
+ * and asserts their paper claims, so no other case runs the matrix. The
+ * analytic Table 1/2/3 and Figure 6 blocks are compared on their own.
+ * Sanitizer builds skip the full matrix. Labels: sanitize_hotpath, and
+ * contract on the digest case.
  */
 
 #include <gtest/gtest.h>
@@ -134,17 +130,6 @@ TEST(SweepIdentity, DefaultSweepDigestAndPaperClaimsAtJobs1)
     }
 }
 
-TEST(SweepIdentity, DefaultSweepDigestAtJobs0)
-{
-    if (CGCT_SANITIZED)
-        GTEST_SKIP() << "full default sweep is too slow under "
-                        "sanitizers; the normal-build leg asserts the "
-                        "digest";
-    EXPECT_EQ(sha256Hex(runToCsv(defaultSweepSpec(), 0)),
-              golden::kDefaultSweepSha256)
-        << "default sweep output differs at hardware-concurrency jobs";
-}
-
 TEST(PaperBlocks, AnalyticTablesMatchExperiments)
 {
     for (const char *name : {"table1", "table2", "table3", "fig6"}) {
@@ -173,25 +158,6 @@ TEST(PaperBlocks, TableNamesMatchExperimentsMarkers)
         markers.insert(doc.substr(name, doc.find(' ', name) - name));
     }
     EXPECT_EQ(markers, tables);
-}
-
-TEST(SweepIdentity, ReducedMatrixIdenticalAcrossJobs)
-{
-    // Cheap enough for sanitizer builds: identity across job counts on
-    // a 2-benchmark x 2-region x 2-seed matrix.
-    SweepSpec spec;
-    spec.profiles = {&benchmarkByName("ocean"),
-                     &benchmarkByName("tpc-w")};
-    spec.regionSizes = {0, 512};
-    spec.seedsPerCell = 2;
-    spec.baseSeed = 20050609;
-    spec.opts.opsPerCpu = 6000;
-    spec.opts.warmupOps = 1200;
-    spec.baseConfig = makeDefaultConfig();
-
-    const std::string serial = runToCsv(spec, 1);
-    EXPECT_EQ(serial, runToCsv(spec, 0));
-    EXPECT_EQ(serial, runToCsv(spec, 3));
 }
 
 } // namespace

@@ -4,10 +4,9 @@
  * address-map distance classes under the 16- and 64-node maps, the
  * TopologyKind parser, the two-level snoop hierarchy's escape filter,
  * the full-map directory baseline, the topology CSV columns, the golden
- * 16-node traffic pins, the invariant checker's presence/sharer
+ * 16-node traffic pins, and the invariant checker's presence/sharer
  * cross-validation (including injected corruption — a validator that
- * passes on every input validates nothing), and checkpoint/restore of
- * topology state.
+ * passes on every input validates nothing).
  */
 
 #include <gtest/gtest.h>
@@ -224,18 +223,6 @@ TEST(Topology, DirSnoopsOnlyTrackedSharers)
     const RunResult rs =
         simulateOnce(snoop, benchmarkByName("tpc-w"), smallRun());
     EXPECT_LT(r.interChipBroadcasts, rs.interChipBroadcasts);
-}
-
-TEST(Topology, DeterministicAcrossRepeatedRuns)
-{
-    for (TopologyKind k : {TopologyKind::Hier, TopologyKind::Dir}) {
-        const SystemConfig c = topoConfig(16, k);
-        const RunResult a =
-            simulateOnce(c, benchmarkByName("barnes"), smallRun());
-        const RunResult b =
-            simulateOnce(c, benchmarkByName("barnes"), smallRun());
-        EXPECT_EQ(encoded(a), encoded(b)) << topologyKindName(k);
-    }
 }
 
 TEST(Topology, SixtyFourNodesRunToCompletion)
@@ -588,46 +575,6 @@ TEST_F(TopologyInvariants, DetectsCorruptedSharerVector)
     EXPECT_NE(err, "");
     EXPECT_NE(err.find("directory"), std::string::npos) << err;
 }
-
-// ---------------------------------------------------------------------
-// Checkpoint/restore round-trips topology state at 16 nodes.
-
-class TopologySnapshot : public ::testing::TestWithParam<TopologyKind>
-{
-};
-
-TEST_P(TopologySnapshot, RestoreThenRunIsByteIdentical)
-{
-    const SystemConfig c = topoConfig(16, GetParam());
-    const WorkloadProfile &profile = benchmarkByName("tpc-w");
-    RunOptions opts = smallRun();
-
-    const std::string prefix =
-        ::testing::TempDir() + "topo_ckpt_" +
-        topologyKindName(GetParam());
-    CheckpointOptions write;
-    write.everyOps = 3000;
-    write.writePrefix = prefix;
-    const RunResult full =
-        simulateCheckpointed(c, profile, opts, write);
-
-    CheckpointOptions restore;
-    restore.everyOps = 3000;
-    restore.restorePath = prefix + ".3000";
-    const RunResult resumed =
-        simulateCheckpointed(c, profile, opts, restore);
-
-    EXPECT_EQ(encoded(full), encoded(resumed));
-}
-
-INSTANTIATE_TEST_SUITE_P(AllKinds, TopologySnapshot,
-                         ::testing::Values(TopologyKind::Bus,
-                                           TopologyKind::Hier,
-                                           TopologyKind::Dir),
-                         [](const auto &info) {
-                             return std::string(
-                                 topologyKindName(info.param));
-                         });
 
 } // namespace
 } // namespace cgct

@@ -1,8 +1,7 @@
 /**
  * @file
- * Tests for the streaming v2 trace replayer: live-lane progress,
- * progress serialization and its retired zero slots, and capture→replay
- * statistics equivalence on the full simulator.
+ * Tests for the streaming v2 trace replayer: live-lane progress, and
+ * progress serialization and its retired zero slots.
  */
 
 #include <gtest/gtest.h>
@@ -12,9 +11,7 @@
 #include <unistd.h>
 #include <vector>
 
-#include "sim/simulator.hpp"
 #include "snapshot/serializer.hpp"
-#include "workload/benchmarks.hpp"
 #include "workload/trace.hpp"
 #include "workload/trace_replay.hpp"
 
@@ -170,50 +167,6 @@ TEST(TraceReplayDeath, LaneSyncRecordsSlotMustBeZero)
     EXPECT_EXIT(loadProgress(file, fresh), ::testing::ExitedWithCode(1),
                 "lane sync records mismatch \\(1 stored, 0 here\\)");
     std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// End-to-end: capture during a live run, replay to identical stats.
-
-TEST(TraceReplayE2E, CaptureThenReplayReproducesRunStatistics)
-{
-    for (const char *bench : {"tpc-w", "barnes"}) {
-        const std::string path =
-            tempPath(("e2e_" + std::string(bench)).c_str());
-        SystemConfig config = makeDefaultConfig();
-        config = config.withCgct(512, 8192, 2);
-        RunOptions opts;
-        opts.opsPerCpu = 8000;
-        opts.warmupOps = 1600;
-        opts.seed = 77;
-        opts.capturePath = path;
-        const RunResult live =
-            simulateOnce(config, benchmarkByName(bench), opts);
-
-        RunOptions replay_opts = opts;
-        replay_opts.capturePath.clear();
-        const RunResult replayed =
-            simulateReplay(config, path, replay_opts);
-
-        EXPECT_EQ(replayed.cycles, live.cycles) << bench;
-        EXPECT_EQ(replayed.instructions, live.instructions) << bench;
-        EXPECT_EQ(replayed.requestsTotal, live.requestsTotal) << bench;
-        EXPECT_EQ(replayed.broadcasts, live.broadcasts) << bench;
-        EXPECT_EQ(replayed.directs, live.directs) << bench;
-        EXPECT_EQ(replayed.locals, live.locals) << bench;
-        EXPECT_EQ(replayed.writebacks, live.writebacks) << bench;
-        EXPECT_EQ(replayed.oracleTotal, live.oracleTotal) << bench;
-        EXPECT_EQ(replayed.oracleUnnecessary, live.oracleUnnecessary)
-            << bench;
-        EXPECT_EQ(replayed.cacheToCache, live.cacheToCache) << bench;
-        EXPECT_EQ(replayed.memorySupplied, live.memorySupplied)
-            << bench;
-        EXPECT_DOUBLE_EQ(replayed.l2MissRatio, live.l2MissRatio)
-            << bench;
-        EXPECT_DOUBLE_EQ(replayed.avgMissLatency, live.avgMissLatency)
-            << bench;
-        std::remove(path.c_str());
-    }
 }
 
 } // namespace

@@ -42,6 +42,16 @@
 #      smoke, and the golden traffic pins, and be cross-linked from
 #      README.md, docs/SWEEP.md, docs/ARCHITECTURE.md, and
 #      docs/TRACING.md.
+#  10. docs/CONTRACTS.md's rows and the tests labelled `contract` in
+#      tests/CMakeLists.txt must be the same set: a row may not name a
+#      test that carries no such label, and a labelled test (a TEST or
+#      TEST_P of a source built by `cgct_test(<name> contract)`, or a
+#      test whose set_tests_properties LABELS include contract) must
+#      have a row. The
+#      contracts' former homes — docs/PERF.md, docs/SWEEP.md's
+#      "Determinism contract", docs/SNAPSHOT.md's headline,
+#      docs/SAMPLING.md and docs/ARCHITECTURE.md — must link to a row
+#      and must not restate a contract.
 #
 # Run from anywhere:
 #
@@ -410,12 +420,97 @@ else
     done
 fi
 
+# Determinism contracts: docs/CONTRACTS.md states each contract once and
+# names the one test that checks it. Its rows and the tests labelled
+# `contract` must be the same set, and the documents that used to state
+# the contracts must link to a row instead.
+contracts_doc="$root/docs/CONTRACTS.md"
+tests_cmake="$root/tests/CMakeLists.txt"
+if [ ! -f "$contracts_doc" ]; then
+    echo "check_docs: $contracts_doc is missing" >&2
+    fail=1
+else
+    # "Suite.Name" for each TEST/TEST_P of a contract-labelled gtest
+    # source, and each test set_tests_properties labels contract (an
+    # add_test, or one case of a gtest executable).
+    labelled=$( (
+        for src in $(sed -nE 's/^cgct_test\((test_[a-z0-9_]+) contract\)$/\1/p' \
+                         "$tests_cmake"); do
+            tr '\n' ' ' < "$root/tests/$src.cpp" |
+                grep -oE 'TEST(_P|_F)?\([[:space:]]*[A-Za-z0-9_]+,[[:space:]]*[A-Za-z0-9_]+\)' |
+                sed -E 's/TEST(_P|_F)?\([[:space:]]*([A-Za-z0-9_]+),[[:space:]]*([A-Za-z0-9_]+)\)/\2.\3/'
+        done
+        tr '\n' ' ' < "$tests_cmake" |
+            grep -oE 'set_tests_properties\([A-Za-z0-9_.]+ PROPERTIES[^)]*LABELS[[:space:]]+\\?"?[a-z_;]*contract' |
+            sed -E 's/set_tests_properties\(([A-Za-z0-9_.]+) .*/\1/'
+    ) | sort -u)
+    # The backquoted names in each row's test column (the fourth cell).
+    rows=$(grep -E '^\| <a id="row-[0-9]+"></a>' "$contracts_doc" |
+        awk -F'|' '{ print $5 }' | grep -oE '`[^`]+`' | tr -d '`' |
+        sort -u)
+    if [ -z "$labelled" ] || [ -z "$rows" ]; then
+        echo "check_docs: found no contract-labelled tests in" \
+             "tests/CMakeLists.txt or no rows in docs/CONTRACTS.md" >&2
+        fail=1
+    fi
+    # As an anchored regex a row `Suite.*` matches every test of Suite.
+    row_res=$(sed -e 's/\./\\./g' -e 's/\*/.*/g' <<< "$rows")
+    for row in $rows; do
+        re=$(sed -e 's/\./\\./g' -e 's/\*/.*/g' <<< "$row")
+        if ! grep -qxE -- "$re" <<< "$labelled"; then
+            echo "check_docs: docs/CONTRACTS.md names test $row, which" \
+                 "no test labelled contract in tests/CMakeLists.txt" \
+                 "matches" >&2
+            fail=1
+        fi
+    done
+    while read -r t; do
+        [ -n "$t" ] || continue
+        echo "check_docs: test $t is labelled contract but has no row" \
+             "in docs/CONTRACTS.md" >&2
+        fail=1
+    done <<< "$(grep -vxEf <(echo "$row_res") <<< "$labelled")"
+
+    # The former homes: each must link to a row and restate none.
+    restated='byte-identical(ly)?( output)? at any|at any `--jobs` value|byte-identically|Same seeds ⇒|restore-then-run is byte-identical|changes no (statistic|result)'
+    for home in docs/PERF.md docs/SAMPLING.md docs/ARCHITECTURE.md \
+                "docs/SWEEP.md:## Determinism contract" \
+                "docs/SNAPSHOT.md:# SNAPSHOT"; do
+        file="${home%%:*}"
+        if [ "$file" = "$home" ]; then
+            text=$(cat "$root/$file")
+        else
+            # From the heading that starts with the given text to the
+            # next heading.
+            text=$(awk -v h="${home#*:}" 'index($0, h) == 1 { on = 1; next }
+                                            on && /^#/ { exit }
+                                            on' "$root/$file")
+        fi
+        where="$home"
+        [ "$file" = "$home" ] || where="$file (\"${home#*:}\")"
+        if ! grep -q 'CONTRACTS.md#row-[0-9]' <<< "$text"; then
+            echo "check_docs: $where does not link to a row of" \
+                 "docs/CONTRACTS.md" >&2
+            fail=1
+        fi
+        while read -r line; do
+            [ -n "$line" ] || continue
+            echo "check_docs: $where restates a determinism contract" \
+                 "instead of linking to its docs/CONTRACTS.md row:" \
+                 "$line" >&2
+            fail=1
+        done <<< "$(grep -iE -- "$restated" <<< "$text")"
+    done
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "check_docs: FAILED — update docs/SWEEP.md / docs/PERF.md /" \
          "docs/TRACING.md / docs/ARCHITECTURE.md / docs/SNAPSHOT.md /" \
-         "docs/TRACE_FORMAT.md / docs/SAMPLING.md / docs/TOPOLOGY.md" >&2
+         "docs/TRACE_FORMAT.md / docs/SAMPLING.md / docs/TOPOLOGY.md /" \
+         "docs/CONTRACTS.md" >&2
     exit 1
 fi
 echo "check_docs: flags, perf tooling, golden pins, trace event and" \
      "record types, stat names, sampling methodology, topology contract," \
-     "and architecture cross-links are all documented"
+     "determinism contracts, and architecture cross-links are all" \
+     "documented"

@@ -2,9 +2,9 @@
 # trace_replay_test.sh — end-to-end capture→replay byte-identity
 # (docs/TRACE_FORMAT.md). For each benchmark profile: run the simulator
 # with --capture, replay the resulting v2 trace, and require the two
-# JSON result blobs to hash identically after normalizing the fields
-# that legitimately differ (the workload label and, for replays, the
-# seed the trace file does not carry). Also covers cgct_trace
+# JSON results and --stats dumps to hash identically after normalizing
+# the fields that legitimately differ (the workload label and, for
+# replays, the seed the trace file does not carry). Also covers cgct_trace
 # record/verify/info, checkpoint-mid-replay restore, and the rejection of
 # legacy v1 files.
 #
@@ -24,17 +24,19 @@ sha() { sha256sum "$1" | cut -d' ' -f1; }
 
 # The workload label ("tpc-w" vs "trace:/path/to/file") and the seed
 # are the only fields allowed to differ between a live run and its
-# replay; everything else must be byte-identical.
+# replay; everything else — the JSON result and the --stats dump of
+# every component counter — must be byte-identical.
 normalize() {
     sed -e 's/"workload": "[^"]*"/"workload": "X"/' \
         -e 's/"seed": [0-9]*/"seed": 0/' "$1"
 }
 
-for bench in ocean raytrace barnes specint2000rate specweb99 \
-             specjbb2000 tpc-w tpc-b tpc-h; do
-    cap="$tmp/$bench.trace"
-    "$sim" "$bench" --ops 10000 --seed 7 --capture "$cap" \
-        --json > "$tmp/$bench.live.json" 2> /dev/null
+# Contract row 7 (docs/CONTRACTS.md): every profile at 10000 ops, and
+# tpc-w and barnes at 8000 ops under a second seed.
+while read -r bench ops seed; do
+    cap="$tmp/$bench.$ops.trace"
+    "$sim" "$bench" --ops "$ops" --seed "$seed" --capture "$cap" \
+        --json --stats > "$tmp/$bench.live.json" 2> /dev/null
     if [ $? -ne 0 ] || [ ! -s "$cap" ]; then
         echo "trace_replay_test: capture run failed for $bench" >&2
         exit 1
@@ -47,8 +49,8 @@ for bench in ocean raytrace barnes specint2000rate specweb99 \
         exit 1
     fi
 
-    "$sim" --replay "$cap" --ops 10000 --seed 7 \
-        --json > "$tmp/$bench.replay.json" 2> /dev/null
+    "$sim" --replay "$cap" --ops "$ops" --seed "$seed" \
+        --json --stats > "$tmp/$bench.replay.json" 2> /dev/null
     if [ $? -ne 0 ]; then
         echo "trace_replay_test: replay run failed for $bench" >&2
         exit 1
@@ -63,7 +65,19 @@ for bench in ocean raytrace barnes specint2000rate specweb99 \
         diff "$tmp/$bench.live.norm" "$tmp/$bench.replay.norm" >&2
         exit 1
     fi
-done
+done <<'RUNS'
+ocean 10000 7
+raytrace 10000 7
+barnes 10000 7
+specint2000rate 10000 7
+specweb99 10000 7
+specjbb2000 10000 7
+tpc-w 10000 7
+tpc-b 10000 7
+tpc-h 10000 7
+tpc-w 8000 77
+barnes 8000 77
+RUNS
 
 # The default warmup of a replay comes from the trace header's declared
 # op count, not from --ops: a capture at a non-default --ops replays with
@@ -87,7 +101,7 @@ fi
 # Replays are configuration-portable: the same trace replayed under a
 # different region size must run to completion (different stats, same
 # op stream).
-"$sim" --replay "$tmp/tpc-w.trace" --region 1024 --ops 10000 \
+"$sim" --replay "$tmp/tpc-w.10000.trace" --region 1024 --ops 10000 \
     --json > /dev/null 2>&1 || {
     echo "trace_replay_test: replay under a different config failed" >&2
     exit 1
@@ -114,7 +128,7 @@ echo "$info" | grep -q 'memory records      20000' || {
 # Checkpoint mid-replay: a restored replay must finish byte-identical
 # to the uninterrupted checkpointed run (same drain schedule).
 ck="$tmp/ck"
-"$sim" --replay "$tmp/barnes.trace" --checkpoint-every 4000 \
+"$sim" --replay "$tmp/barnes.10000.trace" --checkpoint-every 4000 \
     --checkpoint "$ck" --json > "$tmp/ck.full.json" 2> /dev/null || {
     echo "trace_replay_test: checkpointed replay failed" >&2
     exit 1
@@ -124,7 +138,7 @@ if [ -z "$snap" ]; then
     echo "trace_replay_test: checkpointed replay wrote no snapshot" >&2
     exit 1
 fi
-"$sim" --replay "$tmp/barnes.trace" --checkpoint-every 4000 \
+"$sim" --replay "$tmp/barnes.10000.trace" --checkpoint-every 4000 \
     --restore "$snap" --json > "$tmp/ck.resumed.json" 2> /dev/null || {
     echo "trace_replay_test: restore-from-snapshot replay failed" >&2
     exit 1
@@ -150,7 +164,7 @@ fi
 
 # A corrupted trace must be rejected, not replayed.
 bad="$tmp/corrupt.trace"
-cp "$tmp/tpc-w.trace" "$bad"
+cp "$tmp/tpc-w.10000.trace" "$bad"
 printf '\xff' | dd of="$bad" bs=1 seek=100 conv=notrunc 2> /dev/null
 if "$trace" verify "$bad" > /dev/null 2>&1; then
     echo "trace_replay_test: verify accepted a corrupted trace" >&2
@@ -177,4 +191,5 @@ for cmd in "$sim --replay $v1 --cpus 1" "$trace info $v1"; do
 done
 
 echo "trace_replay_test: capture→replay byte-identity holds for all 9" \
-     "profiles; record/verify/checkpoint paths OK; v1 rejected"
+     "profiles and a second seed; record/verify/checkpoint paths OK;" \
+     "v1 rejected"

@@ -4,19 +4,6 @@
 
 namespace cgct {
 
-std::string_view
-lineStateName(LineState s)
-{
-    switch (s) {
-      case LineState::Invalid:   return "I";
-      case LineState::Shared:    return "S";
-      case LineState::Exclusive: return "E";
-      case LineState::Owned:     return "O";
-      case LineState::Modified:  return "M";
-    }
-    return "?";
-}
-
 LineSnoopOutcome
 applyLineSnoop(LineState current, SnoopKind kind)
 {

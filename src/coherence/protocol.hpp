@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 #include "common/types.hpp"
 
@@ -25,9 +24,6 @@ enum class LineState : std::uint8_t {
     Owned,       ///< Dirty, other shared copies may exist; responsible.
     Modified,    ///< Dirty, only copy.
 };
-
-/** Human-readable state name. */
-std::string_view lineStateName(LineState s);
 
 /** True if the line holds valid data. */
 constexpr bool

@@ -105,7 +105,6 @@ class MappedFile
 
     const std::uint8_t *data() const { return data_; }
     std::uint64_t size() const { return size_; }
-    bool mapped() const { return data_ != nullptr; }
 
   private:
     const std::uint8_t *data_ = nullptr;

@@ -57,12 +57,6 @@ Rng::nextGeometric(double p)
     return GeometricDist(p)(*this);
 }
 
-std::uint64_t
-Rng::nextZipf(std::uint64_t n, double s)
-{
-    return ZipfDist(n, s)(*this);
-}
-
 Rng
 Rng::fork(std::uint64_t salt)
 {

@@ -70,12 +70,6 @@ class Rng
      */
     std::uint64_t nextGeometric(double p);
 
-    /**
-     * Approximately Zipf-distributed index in [0, n) with exponent @p s:
-     * one draw of ZipfDist(n, s), which see.
-     */
-    std::uint64_t nextZipf(std::uint64_t n, double s);
-
     /** Fork a child RNG with a decorrelated stream (for per-CPU streams). */
     Rng fork(std::uint64_t salt);
 
@@ -124,12 +118,12 @@ class GeometricDist
 };
 
 /**
- * The distribution Rng::nextZipf(n, s) draws from, with its normalizer
- * computed once: an approximately Zipf-distributed index in [0, n) with
- * exponent s, by inverse CDF over the generalized harmonic number
- * approximated by its integral, H(x) ≈ (x^(1-s) - 1) / (1-s) for s != 1
- * and ln(x) for s == 1. n <= 1 always yields 0 and consumes no draw.
- * Used for hot-set skew in the workload profiles.
+ * An approximately Zipf-distributed index in [0, n) with exponent s,
+ * with its normalizer computed once: inverse CDF over the generalized
+ * harmonic number approximated by its integral,
+ * H(x) ≈ (x^(1-s) - 1) / (1-s) for s != 1 and ln(x) for s == 1.
+ * n <= 1 always yields 0 and consumes no draw. Used for hot-set skew in
+ * the workload profiles.
  */
 class ZipfDist
 {

@@ -21,18 +21,6 @@ requestTypeName(RequestType type)
 }
 
 std::string_view
-categoryName(RequestCategory cat)
-{
-    switch (cat) {
-      case RequestCategory::DataReadWrite: return "Data Read/Write";
-      case RequestCategory::Writeback:     return "Write-back";
-      case RequestCategory::Ifetch:        return "Instruction Fetch";
-      case RequestCategory::DcbOp:         return "DCB Operation";
-      default:                             return "Unknown";
-    }
-}
-
-std::string_view
 cpuOpKindName(CpuOpKind kind)
 {
     switch (kind) {
@@ -44,18 +32,6 @@ cpuOpKindName(CpuOpKind kind)
       case CpuOpKind::Dcbi:   return "Dcbi";
     }
     return "Unknown";
-}
-
-std::string_view
-distanceName(Distance d)
-{
-    switch (d) {
-      case Distance::OwnChip:    return "own-chip";
-      case Distance::SameSwitch: return "same-data-switch";
-      case Distance::SameBoard:  return "same-board";
-      case Distance::Remote:     return "remote";
-    }
-    return "unknown";
 }
 
 } // namespace cgct

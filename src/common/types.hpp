@@ -132,9 +132,6 @@ categoryOf(RequestType type)
     }
 }
 
-/** Human-readable category name. */
-std::string_view categoryName(RequestCategory cat);
-
 /**
  * Processor-side memory operations, as produced by the workload generator
  * and consumed by the cache hierarchy.
@@ -173,9 +170,6 @@ enum class Distance : std::uint8_t {
     SameBoard,
     Remote,
 };
-
-/** Human-readable distance-class name. */
-std::string_view distanceName(Distance d);
 
 /** Align @p addr down to a power-of-two @p size boundary. */
 constexpr Addr

@@ -310,15 +310,6 @@ Deserializer::parse(const std::string &path)
     return "";
 }
 
-bool
-Deserializer::hasSection(const std::string &name) const
-{
-    for (const auto &s : sections_)
-        if (s.first == name)
-            return true;
-    return false;
-}
-
 SectionReader
 Deserializer::section(const std::string &name) const
 {

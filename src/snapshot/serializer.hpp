@@ -80,10 +80,8 @@ class Xxh64Stream {
 class Serializer {
   public:
     void u8(std::uint8_t v) { buf_.push_back(v); }
-    void u16(std::uint16_t v) { put(v); }
     void u32(std::uint32_t v) { put(v); }
     void u64(std::uint64_t v) { put(v); }
-    void i64(std::int64_t v) { put(static_cast<std::uint64_t>(v)); }
     void b(bool v) { u8(v ? 1 : 0); }
     /** Raw IEEE-754 bit pattern — bit-exact round trip, incl. ±0/inf. */
     void f64(double v) { put(std::bit_cast<std::uint64_t>(v)); }
@@ -148,10 +146,8 @@ class SectionReader {
         : p_(begin), end_(end), name_(std::move(label)) {}
 
     std::uint8_t u8() { return get<std::uint8_t>(); }
-    std::uint16_t u16() { return get<std::uint16_t>(); }
     std::uint32_t u32() { return get<std::uint32_t>(); }
     std::uint64_t u64() { return get<std::uint64_t>(); }
-    std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
     bool b() { return u8() != 0; }
     double f64() { return std::bit_cast<double>(u64()); }
     std::string str();
@@ -213,7 +209,6 @@ class Deserializer {
     std::uint32_t version() const { return version_; }
     std::uint64_t fingerprint() const { return fingerprint_; }
 
-    bool hasSection(const std::string &name) const;
     /** fatal() if the section is absent (format bug, not corruption). */
     SectionReader section(const std::string &name) const;
 

@@ -82,7 +82,6 @@ TraceWriter::append(CpuId lane, const CpuOp &op)
     storeLe<std::uint64_t>(rec + 6, op.addr);
     emit(lanes_[l], rec, sizeof(rec));
     ++lanes_[l].memOps;
-    ++records_;
 }
 
 void
@@ -166,19 +165,6 @@ TraceWriter::close()
     if (std::rename(tmp.c_str(), path_.c_str()) != 0)
         fatalIo("cannot publish (rename) trace to", path_);
     fsyncDirOf(path_);
-}
-
-void
-TraceWriter::discard()
-{
-    open_ = false;
-    for (auto &lane : lanes_) {
-        if (lane.spool) {
-            std::fclose(lane.spool);
-            lane.spool = nullptr;
-        }
-        lane.buf.clear();
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -419,37 +405,6 @@ verifyTrace(const std::string &path)
 {
     TraceScan scan;
     return walkTrace(path, scan, /*check_hash=*/true);
-}
-
-// ---------------------------------------------------------------------------
-// Offline capture
-
-std::uint64_t
-captureTrace(OpSource &source, unsigned num_cpus,
-             std::uint64_t ops_per_cpu, const std::string &path)
-{
-    TraceWriter writer(path, num_cpus, ops_per_cpu);
-    // Round-robin drain preserves a plausible interleave and keeps any
-    // generator-global state (object owners) evolving as in a live run.
-    std::vector<bool> alive(num_cpus, true);
-    bool any = true;
-    while (any) {
-        any = false;
-        for (unsigned cpu = 0; cpu < num_cpus; ++cpu) {
-            if (!alive[cpu])
-                continue;
-            CpuOp op;
-            if (source.next(static_cast<CpuId>(cpu), op)) {
-                writer.append(static_cast<CpuId>(cpu), op);
-                any = true;
-            } else {
-                alive[cpu] = false;
-            }
-        }
-    }
-    const std::uint64_t written = writer.recordsWritten();
-    writer.close();
-    return written;
 }
 
 } // namespace cgct

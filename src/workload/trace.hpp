@@ -61,7 +61,7 @@ class TraceWriter
      * Start a capture to @p path.
      * @param num_lanes    per-thread event lanes in the trace
      * @param ops_declared intended memory ops per lane (header
-     *                     metadata; adjustable until close())
+     *                     metadata)
      */
     TraceWriter(const std::string &path, unsigned num_lanes,
                 std::uint64_t ops_declared);
@@ -73,17 +73,8 @@ class TraceWriter
     /** Append one memory operation to @p lane. */
     void append(CpuId lane, const CpuOp &op);
 
-    /** Override the header's ops_declared field (capture metadata). */
-    void setOpsDeclared(std::uint64_t ops) { opsDeclared_ = ops; }
-
     /** Finalize and atomically publish the file. Idempotent. */
     void close();
-
-    /** Drop the capture without publishing anything. */
-    void discard();
-
-    /** Memory records appended so far, all lanes. */
-    std::uint64_t recordsWritten() const { return records_; }
 
   private:
     struct Lane {
@@ -98,7 +89,6 @@ class TraceWriter
 
     std::string path_;
     std::uint64_t opsDeclared_ = 0;
-    std::uint64_t records_ = 0;
     std::vector<Lane> lanes_;
     bool open_ = true;
 };
@@ -108,8 +98,8 @@ class TraceWriter
  * each op handed out into a v2 trace file. Because the ops are recorded
  * in the exact order the simulation consumed them, generator-global
  * state (shared-object ownership migration) evolves identically — so a
- * capture taken during a run replays to byte-identical statistics,
- * which an offline round-robin drain (captureTrace) cannot guarantee.
+ * capture taken during a run replays to byte-identical statistics.
+ * This tee (cgct_sim --capture) is the only recorder.
  */
 class TraceCapture : public OpSource
 {
@@ -131,11 +121,6 @@ class TraceCapture : public OpSource
 
     /** Finalize and publish the trace file. */
     void finish() { writer_.close(); }
-
-    std::uint64_t recordsWritten() const
-    {
-        return writer_.recordsWritten();
-    }
 
   private:
     OpSource &inner_;
@@ -213,15 +198,5 @@ bool decodeTraceRecord(const std::uint8_t *p, std::size_t avail,
 
 /** Why decodeTraceRecord() rejected the record at @p p. */
 std::string traceRecordError(const std::uint8_t *p, std::size_t avail);
-
-/**
- * Offline capture: drain @p ops_per_cpu ops per processor round-robin
- * into a v2 trace at @p path. Returns records written. Note the
- * interleave caveat on TraceCapture: for byte-identical replay of a
- * live run, capture with the tee (cgct_sim --capture) instead.
- */
-std::uint64_t captureTrace(OpSource &source, unsigned num_cpus,
-                           std::uint64_t ops_per_cpu,
-                           const std::string &path);
 
 } // namespace cgct

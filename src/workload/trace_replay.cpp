@@ -25,15 +25,6 @@ TraceReplay::TraceReplay(const std::string &path) : path_(path)
 }
 
 std::uint64_t
-TraceReplay::memOpsTotal() const
-{
-    std::uint64_t total = 0;
-    for (const auto &lane : info_.lanes)
-        total += lane.memOps;
-    return total;
-}
-
-std::uint64_t
 TraceReplay::maxLaneMemOps() const
 {
     std::uint64_t max_ops = 0;

@@ -46,8 +46,8 @@ class TraceReplay : public OpSource
     std::uint64_t opsDeclared() const { return info_.opsDeclared; }
     std::uint64_t traceId() const { return info_.traceId; }
 
-    /** Directory totals (not affected by replay progress). */
-    std::uint64_t memOpsTotal() const;
+    /** The longest lane's memory-op count, from the directory (not
+     *  affected by replay progress). */
     std::uint64_t maxLaneMemOps() const;
 
     /**

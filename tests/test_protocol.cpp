@@ -182,14 +182,5 @@ INSTANTIATE_TEST_SUITE_P(
                           SnoopKind::Invalidate, SnoopKind::Flush,
                           SnoopKind::None)));
 
-TEST(LineProtocol, Names)
-{
-    EXPECT_EQ(lineStateName(LineState::Invalid), "I");
-    EXPECT_EQ(lineStateName(LineState::Shared), "S");
-    EXPECT_EQ(lineStateName(LineState::Exclusive), "E");
-    EXPECT_EQ(lineStateName(LineState::Owned), "O");
-    EXPECT_EQ(lineStateName(LineState::Modified), "M");
-}
-
 } // namespace
 } // namespace cgct

@@ -175,10 +175,8 @@ TEST(Serializer, PrimitiveRoundTrip)
 {
     Serializer s;
     s.u8(0xAB);
-    s.u16(0xBEEF);
     s.u32(0xDEADBEEFu);
     s.u64(0x0123456789ABCDEFULL);
-    s.i64(-42);
     s.b(true);
     s.b(false);
     s.f64(3.141592653589793);
@@ -189,10 +187,8 @@ TEST(Serializer, PrimitiveRoundTrip)
     SectionReader r(s.buffer().data(), s.buffer().data() + s.size(),
                     "test");
     EXPECT_EQ(r.u8(), 0xAB);
-    EXPECT_EQ(r.u16(), 0xBEEF);
     EXPECT_EQ(r.u32(), 0xDEADBEEFu);
     EXPECT_EQ(r.u64(), 0x0123456789ABCDEFULL);
-    EXPECT_EQ(r.i64(), -42);
     EXPECT_TRUE(r.b());
     EXPECT_FALSE(r.b());
     EXPECT_EQ(r.f64(), 3.141592653589793);
@@ -231,9 +227,6 @@ TEST(SnapshotFile, SectionRoundTripThroughDisk)
     ASSERT_EQ(d.open(path), "");
     EXPECT_EQ(d.version(), kSnapshotVersion);
     EXPECT_EQ(d.fingerprint(), 0xF00DULL);
-    EXPECT_TRUE(d.hasSection("alpha"));
-    EXPECT_TRUE(d.hasSection("beta"));
-    EXPECT_FALSE(d.hasSection("gamma"));
 
     SectionReader a = d.section("alpha");
     EXPECT_EQ(a.u64(), 7u);

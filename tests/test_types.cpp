@@ -107,8 +107,6 @@ TEST(Types, Names)
 {
     EXPECT_EQ(requestTypeName(RequestType::Read), "Read");
     EXPECT_EQ(requestTypeName(RequestType::Dcbz), "Dcbz");
-    EXPECT_EQ(categoryName(RequestCategory::Writeback), "Write-back");
-    EXPECT_EQ(distanceName(Distance::OwnChip), "own-chip");
     EXPECT_EQ(cpuOpKindName(CpuOpKind::Store), "Store");
 }
 
@@ -123,7 +121,6 @@ TEST_P(TypesCategorySweep, CategoryIsValid)
     const auto cat = categoryOf(GetParam());
     EXPECT_LT(static_cast<int>(cat),
               static_cast<int>(RequestCategory::NumCategories));
-    EXPECT_FALSE(categoryName(cat).empty());
     EXPECT_FALSE(requestTypeName(GetParam()).empty());
 }
 

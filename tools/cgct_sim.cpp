@@ -135,7 +135,7 @@ main(int argc, char **argv)
     std::uint64_t seeds = 1;
     std::uint64_t seed = 20050609;
     std::uint64_t jobs = 0;
-    std::uint64_t cpus = 4;
+    std::uint64_t nodes = 4;
     std::string topology = "bus";
     std::uint64_t rca_sets = 8192;
     bool json = false;
@@ -175,10 +175,8 @@ main(int argc, char **argv)
     parser.addFlag("shared-rca", &shared_rca,
                    "one RCA per chip shared by its cores (paper 3.2)");
     parser.addFlag("dma", &dma, "enable I/O-bridge DMA traffic");
-    parser.addU64("cpus", &cpus, "number of processors");
-    parser.addU64("nodes", &cpus,
-                  "alias for --cpus (the sweep's spelling; "
-                  "docs/TOPOLOGY.md)");
+    parser.addU64("nodes", &nodes,
+                  "number of processors (docs/TOPOLOGY.md)");
     parser.addString("topology", &topology,
                      "interconnect organization: bus (flat broadcast), "
                      "hier (two-level snoop hierarchy) or dir (full-map "
@@ -252,9 +250,16 @@ main(int argc, char **argv)
                         p.description.c_str());
         return 0;
     }
+    // A run that measures nothing is refused; a replay's length is the
+    // trace's, so --ops does not apply to it.
+    if (seeds == 0 || (ops == 0 && replay_path.empty())) {
+        std::fprintf(stderr, "cgct_sim: %s 0 runs nothing\n",
+                     seeds == 0 ? "--seeds" : "--ops");
+        return 1;
+    }
 
     SystemConfig config = makeDefaultConfig();
-    config.topology.numCpus = static_cast<unsigned>(cpus);
+    config.topology.numCpus = static_cast<unsigned>(nodes);
     if (!parseTopologyKind(topology, &config.interconnect.topology)) {
         std::fprintf(stderr,
                      "cgct_sim: --topology must be bus, hier or dir\n");

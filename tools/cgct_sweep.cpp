@@ -19,6 +19,7 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/argparse.hpp"
@@ -146,6 +147,18 @@ main(int argc, char **argv)
             return 1;
         }
         spec.regionSizes.push_back(*bytes);
+    }
+    // Refuse a sweep that would print only its header or all-zero rows.
+    for (const auto &[refused, why] :
+         {std::pair{seeds == 0, "--seeds 0 runs nothing"},
+          std::pair{ops == 0, "--ops 0 runs nothing"},
+          std::pair{spec.profiles.empty(), "--benchmarks names no benchmark"},
+          std::pair{spec.regionSizes.empty(),
+                    "--regions names no region size"}}) {
+        if (refused) {
+            std::fprintf(stderr, "cgct_sweep: %s\n", why);
+            return 1;
+        }
     }
     spec.seedsPerCell = static_cast<unsigned>(seeds);
     spec.baseSeed = seed;

@@ -1,11 +1,10 @@
 /**
  * @file
- * cgct_trace — record, inspect, and verify workload traces
- * (docs/TRACE_FORMAT.md).
+ * cgct_trace — inspect and verify workload traces
+ * (docs/TRACE_FORMAT.md). `cgct_sim --capture` records them.
  *
- *   cgct_trace record tpc-w out.trace --ops 100000 --seed 7
- *   cgct_trace info out.trace
- *   cgct_trace verify out.trace
+ *   cgct_trace info run.trace
+ *   cgct_trace verify run.trace
  */
 
 #include <cstdio>
@@ -13,32 +12,11 @@
 #include <string>
 
 #include "common/argparse.hpp"
-#include "common/config.hpp"
-#include "workload/benchmarks.hpp"
-#include "workload/generator.hpp"
 #include "workload/trace.hpp"
 
 using namespace cgct;
 
 namespace {
-
-int
-cmdRecord(const std::string &benchmark, const std::string &path,
-          std::uint64_t cpus, std::uint64_t ops, std::uint64_t seed)
-{
-    const WorkloadProfile &profile = benchmarkByName(benchmark);
-    SyntheticWorkload workload(profile, static_cast<unsigned>(cpus), ops,
-                               seed);
-    const std::uint64_t written =
-        captureTrace(workload, static_cast<unsigned>(cpus), ops, path);
-    std::printf("recorded %llu ops (%llu per CPU x %llu CPUs) of '%s' "
-                "to %s\n",
-                static_cast<unsigned long long>(written),
-                static_cast<unsigned long long>(ops),
-                static_cast<unsigned long long>(cpus),
-                profile.name.c_str(), path.c_str());
-    return 0;
-}
 
 int
 cmdInfo(const std::string &path)
@@ -111,60 +89,37 @@ int
 main(int argc, char **argv)
 {
     std::string command;
-    std::string arg1, arg2;
-    std::uint64_t cpus = 4;
-    std::uint64_t ops = 100000;
-    std::uint64_t seed = 20050609;
+    std::string path;
 
     ArgParser parser(
         "cgct_trace",
-        "Record benchmark op streams to a v2 trace file, or "
-        "inspect/verify an existing trace (docs/TRACE_FORMAT.md).\n"
-        "commands: record <benchmark> <file>, info <file>, "
-        "verify <file>");
-    parser.addPositional("command", &command, "record | info | verify",
-                         true);
-    parser.addPositional("arg1", &arg1,
-                         "benchmark (record) or input file");
-    parser.addPositional("arg2", &arg2, "output file");
-    parser.addU64("cpus", &cpus, "processors to record");
-    parser.addU64("ops", &ops, "ops per processor");
-    parser.addU64("seed", &seed, "generator seed");
+        "Inspect or verify a v2 trace file (docs/TRACE_FORMAT.md); "
+        "cgct_sim --capture records one.\n"
+        "commands: info <file>, verify <file>");
+    parser.addPositional("command", &command, "info | verify", true);
+    parser.addPositional("file", &path, "trace file", true);
 
     std::string error;
-    if (!parser.parse(argc, argv, &error)) {
+    const bool parsed = parser.parse(argc, argv, &error);
+    if (parsed && parser.helpRequested()) {
+        parser.printHelp(std::cout);
+        return 0;
+    }
+    // Name an unknown command before any complaint about its operands.
+    int (*run)(const std::string &) = nullptr;
+    if (command == "info") {
+        run = cmdInfo;
+    } else if (command == "verify") {
+        run = cmdVerify;
+    } else if (!command.empty()) {
+        std::fprintf(stderr, "cgct_trace: unknown command '%s'\n",
+                     command.c_str());
+        return 1;
+    }
+    if (!parsed) {
         std::fprintf(stderr, "cgct_trace: %s (try --help)\n",
                      error.c_str());
         return 1;
     }
-    if (parser.helpRequested()) {
-        parser.printHelp(std::cout);
-        return 0;
-    }
-
-    if (command == "record") {
-        if (arg1.empty() || arg2.empty()) {
-            std::fprintf(stderr,
-                         "cgct_trace: record needs <benchmark> <file>\n");
-            return 1;
-        }
-        return cmdRecord(arg1, arg2, cpus, ops, seed);
-    }
-    if (command == "info") {
-        if (arg1.empty()) {
-            std::fprintf(stderr, "cgct_trace: info needs <file>\n");
-            return 1;
-        }
-        return cmdInfo(arg1);
-    }
-    if (command == "verify") {
-        if (arg1.empty()) {
-            std::fprintf(stderr, "cgct_trace: verify needs <file>\n");
-            return 1;
-        }
-        return cmdVerify(arg1);
-    }
-    std::fprintf(stderr, "cgct_trace: unknown command '%s'\n",
-                 command.c_str());
-    return 1;
+    return run(path);
 }

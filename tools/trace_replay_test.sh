@@ -5,8 +5,8 @@
 # JSON results and --stats dumps to hash identically after normalizing
 # the fields that legitimately differ (the workload label and, for
 # replays, the seed the trace file does not carry). Also covers cgct_trace
-# record/verify/info, checkpoint-mid-replay restore, and the rejection of
-# legacy v1 files.
+# verify/info and its refusal of the retired record subcommand,
+# checkpoint-mid-replay restore, and the rejection of legacy v1 files.
 #
 #   tools/trace_replay_test.sh <cgct_sim-binary> <cgct_trace-binary>
 #
@@ -107,16 +107,16 @@ fi
     exit 1
 }
 
-# Offline record → info: the directory totals must match what was asked
-# for.
+# Capture → info: the directory totals must match what was asked for.
 rec="$tmp/recorded.trace"
-"$trace" record ocean "$rec" --cpus 4 --ops 5000 --seed 3 > /dev/null || {
-    echo "trace_replay_test: cgct_trace record failed" >&2
+"$sim" ocean --nodes 4 --ops 5000 --seed 3 --capture "$rec" \
+    > /dev/null || {
+    echo "trace_replay_test: 5000-op ocean capture failed" >&2
     exit 1
 }
 info="$("$trace" info "$rec")"
 echo "$info" | grep -q 'format version      2' || {
-    echo "trace_replay_test: recorded trace is not v2" >&2
+    echo "trace_replay_test: captured trace is not v2" >&2
     exit 1
 }
 echo "$info" | grep -q 'memory records      20000' || {
@@ -124,6 +124,18 @@ echo "$info" | grep -q 'memory records      20000' || {
     echo "$info" >&2
     exit 1
 }
+
+# The offline recorder is retired: cgct_sim --capture is the only one.
+"$trace" record ocean "$tmp/retired.trace" --cpus 4 --ops 5000 \
+    > /dev/null 2> "$tmp/retired.err"
+status=$?
+if [ "$status" -ne 1 ] ||
+   ! grep -q "unknown command 'record'" "$tmp/retired.err"; then
+    echo "trace_replay_test: cgct_trace record exited $status without" \
+         "naming the unknown command" >&2
+    cat "$tmp/retired.err" >&2
+    exit 1
+fi
 
 # Checkpoint mid-replay: a restored replay must finish byte-identical
 # to the uninterrupted checkpointed run (same drain schedule).
@@ -178,7 +190,7 @@ v1="$tmp/legacy-v1.trace"
 printf 'CGCT\001\000\000\000\001\000\000\000\000\000\000\000' > "$v1"
 printf '\001\000\000\000\000\000\000\000' >> "$v1"
 printf '\000\002\000\000\000\000\000\000\020\000\000\000\000\000\000' >> "$v1"
-for cmd in "$sim --replay $v1 --cpus 1" "$trace info $v1"; do
+for cmd in "$sim --replay $v1 --nodes 1" "$trace info $v1"; do
     $cmd > /dev/null 2> "$tmp/v1.err"
     status=$?
     if [ "$status" -ne 1 ] ||
@@ -191,5 +203,5 @@ for cmd in "$sim --replay $v1 --cpus 1" "$trace info $v1"; do
 done
 
 echo "trace_replay_test: capture→replay byte-identity holds for all 9" \
-     "profiles and a second seed; record/verify/checkpoint paths OK;" \
-     "v1 rejected"
+     "profiles and a second seed; capture/info/verify/checkpoint paths" \
+     "OK; record refused; v1 rejected"

@@ -208,58 +208,109 @@ TEST(Trace, RoundTripPreservesOps)
     std::remove(path.c_str());
 }
 
+/**
+ * Drain a capture tee over @p source round-robin, @p ops per lane, and
+ * publish its trace at @p path. Each lane must then be exhausted.
+ */
+void
+captureRoundRobin(OpSource &source, const std::string &path, CpuId cpus,
+                  std::uint64_t ops)
+{
+    TraceCapture capture(source, path, cpus, ops);
+    CpuOp op;
+    for (std::uint64_t i = 0; i < ops; ++i)
+        for (CpuId cpu = 0; cpu < cpus; ++cpu)
+            ASSERT_TRUE(capture.next(cpu, op));
+    for (CpuId cpu = 0; cpu < cpus; ++cpu)
+        EXPECT_FALSE(capture.next(cpu, op));
+    capture.finish();
+}
+
 TEST(Trace, CaptureFromGenerator)
 {
-    // A capture tee drained round-robin records exactly the ops handed
-    // out, so its trace replays each lane as the generator emits it
-    // under the same seed and the same drain order.
-    struct Case {
-        const char *bench;
-        CpuId cpus;
-        std::uint64_t ops;
-        std::uint64_t seed;
-    };
-    for (const Case &c : {Case{"ocean", 4, 500, 11},
-                          Case{"barnes", 2, 300, 99}}) {
-        SCOPED_TRACE(c.bench);
-        const std::string path = tempPath("capture");
-        {
-            SyntheticWorkload workload(benchmarkByName(c.bench), c.cpus,
-                                       c.ops, c.seed);
-            TraceCapture capture(workload, path, c.cpus, c.ops);
-            CpuOp op;
-            for (std::uint64_t i = 0; i < c.ops; ++i)
-                for (CpuId cpu = 0; cpu < c.cpus; ++cpu)
-                    ASSERT_TRUE(capture.next(cpu, op));
-            for (CpuId cpu = 0; cpu < c.cpus; ++cpu)
-                EXPECT_FALSE(capture.next(cpu, op));
-            capture.finish();
-        }
-
-        const TraceInfo info = readTraceInfo(path);
-        EXPECT_EQ(info.version, kTraceVersion2);
-        EXPECT_EQ(info.numLanes, static_cast<unsigned>(c.cpus));
-        EXPECT_EQ(info.opsDeclared, c.ops);
-        for (const auto &lane : info.lanes)
-            EXPECT_EQ(lane.memOps, c.ops);
-        EXPECT_EQ(verifyTrace(path), "");
-
-        SyntheticWorkload fresh(benchmarkByName(c.bench), c.cpus, c.ops,
-                                c.seed);
-        TraceReplay replay(path);
-        CpuOp a, b;
-        for (std::uint64_t i = 0; i < c.ops; ++i) {
-            for (CpuId cpu = 0; cpu < c.cpus; ++cpu) {
-                ASSERT_TRUE(fresh.next(cpu, a));
-                ASSERT_TRUE(replay.next(cpu, b));
-                ASSERT_EQ(a.addr, b.addr);
-                ASSERT_EQ(a.kind, b.kind);
-                ASSERT_EQ(a.gap, b.gap);
-                ASSERT_EQ(a.dependent, b.dependent);
-            }
-        }
-        std::remove(path.c_str());
+    const std::string path = tempPath("capture");
+    {
+        SyntheticWorkload workload(benchmarkByName("ocean"), 4, 500, 11);
+        captureRoundRobin(workload, path, 4, 500);
     }
+
+    const TraceInfo info = readTraceInfo(path);
+    EXPECT_EQ(info.version, kTraceVersion2);
+    EXPECT_EQ(info.numLanes, 4u);
+    EXPECT_EQ(info.opsDeclared, 500u);
+    for (const auto &lane : info.lanes)
+        EXPECT_EQ(lane.memOps, 500u);
+    EXPECT_EQ(verifyTrace(path), "");
+    std::remove(path.c_str());
+}
+
+TEST(Trace, ReplayMatchesGeneratorStreams)
+{
+    // A capture of a generator equals the generator replayed with the
+    // same seed and the same (round-robin) consumption order.
+    const std::string path = tempPath("replay");
+    {
+        SyntheticWorkload workload(benchmarkByName("barnes"), 2, 300, 99);
+        captureRoundRobin(workload, path, 2, 300);
+    }
+    SyntheticWorkload fresh(benchmarkByName("barnes"), 2, 300, 99);
+    TraceReplay replay(path);
+    CpuOp a, b;
+    for (int i = 0; i < 300; ++i) {
+        for (CpuId cpu = 0; cpu < 2; ++cpu) {
+            ASSERT_TRUE(fresh.next(cpu, a));
+            ASSERT_TRUE(replay.next(cpu, b));
+            ASSERT_EQ(a.addr, b.addr);
+            ASSERT_EQ(a.kind, b.kind);
+            ASSERT_EQ(a.gap, b.gap);
+            ASSERT_EQ(a.dependent, b.dependent);
+        }
+    }
+    std::remove(path.c_str());
+}
+
+TEST(Trace, CaptureRecordsOnlyConsumedOps)
+{
+    // The tee records what was handed out, not what the generator could
+    // emit: lanes drained unevenly and stopped early keep exactly the
+    // consumed prefix, in order, while the header keeps the declared
+    // length.
+    const std::string path = tempPath("consumed");
+    std::vector<CpuOp> handed[2];
+    {
+        SyntheticWorkload workload(benchmarkByName("tpc-w"), 2, 100, 5);
+        TraceCapture capture(workload, path, 2, 100);
+        CpuOp op;
+        for (int i = 0; i < 7; ++i) {
+            const CpuId cpu = i % 3 == 2 ? 1 : 0;
+            ASSERT_TRUE(capture.next(cpu, op));
+            handed[cpu].push_back(op);
+        }
+        capture.finish();
+    }
+    ASSERT_EQ(handed[0].size(), 5u);
+    ASSERT_EQ(handed[1].size(), 2u);
+
+    const TraceInfo info = readTraceInfo(path);
+    EXPECT_EQ(info.opsDeclared, 100u);
+    ASSERT_EQ(info.lanes.size(), 2u);
+    EXPECT_EQ(info.lanes[0].memOps, 5u);
+    EXPECT_EQ(info.lanes[1].memOps, 2u);
+    EXPECT_EQ(verifyTrace(path), "");
+
+    TraceReplay replay(path);
+    for (CpuId cpu = 0; cpu < 2; ++cpu) {
+        CpuOp b;
+        for (const CpuOp &a : handed[cpu]) {
+            ASSERT_TRUE(replay.next(cpu, b));
+            EXPECT_EQ(a.addr, b.addr);
+            EXPECT_EQ(a.kind, b.kind);
+            EXPECT_EQ(a.gap, b.gap);
+            EXPECT_EQ(a.dependent, b.dependent);
+        }
+        EXPECT_FALSE(replay.next(cpu, b));
+    }
+    std::remove(path.c_str());
 }
 
 TEST(Trace, WriterSpoolsLargeLanesToDisk)
@@ -301,6 +352,27 @@ TEST(Trace, CloseIsAtomicAndLeavesNoTempFile)
     }
     EXPECT_TRUE(fileExists(path));
     EXPECT_FALSE(fileExists(path + ".tmp"));
+    std::remove(path.c_str());
+}
+
+TEST(Trace, DestructorPublishesUnclosedWriter)
+{
+    // A writer has no way to drop its capture: leaving scope without
+    // close() publishes a complete, verifiable trace.
+    const std::string path = tempPath("dtor");
+    {
+        TraceWriter writer(path, 2, 1);
+        CpuOp op;
+        op.kind = CpuOpKind::Store;
+        op.addr = 0x80;
+        writer.append(1, op);
+    }
+    EXPECT_FALSE(fileExists(path + ".tmp"));
+    EXPECT_EQ(verifyTrace(path), "");
+    const TraceInfo info = readTraceInfo(path);
+    ASSERT_EQ(info.lanes.size(), 2u);
+    EXPECT_EQ(info.lanes[0].memOps, 0u);
+    EXPECT_EQ(info.lanes[1].memOps, 1u);
     std::remove(path.c_str());
 }
 

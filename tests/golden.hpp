@@ -187,4 +187,27 @@ inline constexpr std::uint64_t kTraceFileXxh64 = 0x6345d360d1f3cc86ULL;
  */
 inline constexpr std::uint64_t kJournalFileXxh64 = 0xe5d257e70fb3312cULL;
 
+/**
+ * xxhash64 of toJson for test_result_format.cpp's distinctResult(): one
+ * RunResult with every member set to a distinct value, sampled, on the
+ * topology tail, with two histograms and a distribution. Asserted by
+ * ResultFormatPin.Json. Regenerate (prints all three):
+ *   build/tests/test_result_format
+ */
+inline constexpr std::uint64_t kResultJsonXxh64 = 0xf0b07a7aa389aebbULL;
+
+/**
+ * xxhash64 of the sweep CSV header and row of that result with the
+ * sampled and topology columns on. Asserted by
+ * ResultFormatPin.SampledTopologyCsv; regenerated by the same command.
+ */
+inline constexpr std::uint64_t kResultCsvXxh64 = 0x93d531b5aeb59d63ULL;
+
+/**
+ * xxhash64 of that result's encodeRunResult bytes (the journal record
+ * payload after the cell index). Asserted by
+ * ResultFormatPin.JournalRecord; regenerated by the same command.
+ */
+inline constexpr std::uint64_t kResultJournalXxh64 = 0x790f08676f83b31dULL;
+
 } // namespace cgct::golden

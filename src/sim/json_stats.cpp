@@ -1,6 +1,10 @@
 #include "sim/json_stats.hpp"
 
+#include <iterator>
 #include <sstream>
+#include <type_traits>
+
+#include "sim/result_fields.hpp"
 
 namespace cgct {
 
@@ -21,13 +25,10 @@ class Writer
     }
 
     void
-    open(const char *name = nullptr)
+    open(const char *name)
     {
         sep();
-        os_ << indent_;
-        if (name)
-            os_ << '"' << name << "\": ";
-        os_ << "{";
+        os_ << indent_ << '"' << name << "\": {";
         indent_ += "  ";
         fresh_ = true;
     }
@@ -40,25 +41,17 @@ class Writer
         fresh_ = false;
     }
 
+    /** A number, or a string in quotes. */
+    template <typename T>
     void
-    field(const char *name, double v)
+    field(const char *name, const T &v)
     {
         sep();
-        os_ << indent_ << '"' << name << "\": " << v;
-    }
-
-    void
-    field(const char *name, std::uint64_t v)
-    {
-        sep();
-        os_ << indent_ << '"' << name << "\": " << v;
-    }
-
-    void
-    field(const char *name, const std::string &v)
-    {
-        sep();
-        os_ << indent_ << '"' << name << "\": \"" << v << '"';
+        os_ << indent_ << '"' << name << "\": ";
+        if constexpr (std::is_same_v<T, std::string>)
+            os_ << '"' << v << '"';
+        else
+            os_ << v;
     }
 
     template <typename Seq>
@@ -87,103 +80,19 @@ class Writer
     bool fresh_ = true;
 };
 
-} // namespace
-
-std::string
-toJson(const RunResult &r, const std::string &indent)
+/** One list entry's value under its key. The histograms, distributions
+ *  and sampling entries are each a whole group, so they have no key. */
+template <typename T>
+void
+write(Writer &w, const char *name, const T &v)
 {
-    constexpr std::size_t kCat = RunResult::kNumCat;
-    std::ostringstream os;
-    os << indent << "{";
-    Writer w(os, indent + "  ");
+    w.field(name, v);
+}
 
-    w.field("workload", r.workload);
-    w.field("region_bytes", r.regionBytes);
-    w.field("seed", r.seed);
-    w.field("cycles", static_cast<std::uint64_t>(r.cycles));
-    w.field("instructions", r.instructions);
-
-    w.open("requests");
-    w.field("total", r.requestsTotal);
-    w.field("broadcasts", r.broadcasts);
-    w.field("directs", r.directs);
-    w.field("locals", r.locals);
-    w.field("writebacks", r.writebacks);
-    w.array("broadcasts_by_category", r.broadcastsByCat, kCat);
-    w.array("directs_by_category", r.directsByCat, kCat);
-    w.array("locals_by_category", r.localsByCat, kCat);
-    w.field("avoided_fraction", r.avoidedFraction());
-    w.close();
-
-    w.open("oracle");
-    w.field("total", r.oracleTotal);
-    w.field("unnecessary", r.oracleUnnecessary);
-    w.array("total_by_category", r.oracleTotalByCat, kCat);
-    w.array("unnecessary_by_category", r.oracleUnnecessaryByCat, kCat);
-    w.field("unnecessary_fraction", r.oracleUnnecessaryFraction());
-    w.close();
-
-    w.open("traffic");
-    w.field("avg_broadcasts_per_100k", r.avgBroadcastsPer100k);
-    w.field("peak_broadcasts_per_100k", r.peakBroadcastsPer100k);
-    w.field("cache_to_cache", r.cacheToCache);
-    w.field("memory_supplied", r.memorySupplied);
-    w.close();
-
-    w.open("interconnect");
-    w.field("topology", r.topology);
-    w.field("nodes", static_cast<std::uint64_t>(r.nodes));
-    w.field("local_resolves", r.localResolves);
-    w.field("interchip_broadcasts", r.interChipBroadcasts);
-    w.close();
-
-    w.open("memory");
-    w.field("l2_miss_ratio", r.l2MissRatio);
-    w.field("avg_miss_latency", r.avgMissLatency);
-    w.close();
-
-    if (r.sampling) {
-        const SamplingInfo &s = *r.sampling;
-        w.open("sampling");
-        w.field("windows", s.windows);
-        w.field("window_ops", s.windowOps);
-        w.field("warm_mode", s.warmMode);
-        w.field("span_ops", s.spanOps);
-        w.field("sampled_ops", s.sampledOps);
-        w.field("scale", s.scale);
-        const struct {
-            const char *name;
-            const RunSummary *sum;
-        } sums[] = {
-            {"window_cycles", &s.cycles},
-            {"avg_miss_latency", &s.avgMissLatency},
-            {"l2_miss_ratio", &s.l2MissRatio},
-            {"avoided_fraction", &s.avoidedFraction},
-            {"avg_broadcasts_per_100k", &s.avgBroadcastsPer100k},
-        };
-        for (const auto &entry : sums) {
-            w.open(entry.name);
-            w.field("mean", entry.sum->mean);
-            w.field("stddev", entry.sum->stddev);
-            w.field("ci95_half", entry.sum->ci95Half);
-            w.field("count", entry.sum->count);
-            w.close();
-        }
-        w.close();
-    }
-
-    w.open("rca");
-    w.field("evicted_empty", r.rcaEvictedEmpty);
-    w.field("evicted_one", r.rcaEvictedOne);
-    w.field("evicted_two", r.rcaEvictedTwo);
-    w.field("evicted_more", r.rcaEvictedMore);
-    w.field("self_invalidations", r.rcaSelfInvalidations);
-    w.field("inclusion_writebacks", r.inclusionWritebacks);
-    w.field("avg_lines_per_evicted_region", r.avgLinesPerEvictedRegion);
-    w.close();
-
-    w.open("histograms");
-    for (const HistogramSnapshot &h : r.histograms) {
+void
+write(Writer &w, const char *, const std::vector<HistogramSnapshot> &hs)
+{
+    for (const HistogramSnapshot &h : hs) {
         w.open(h.name.c_str());
         w.field("bucket_width", h.bucketWidth);
         w.field("samples", h.samples);
@@ -191,10 +100,12 @@ toJson(const RunResult &r, const std::string &indent)
         w.array("buckets", h.buckets, h.buckets.size());
         w.close();
     }
-    w.close();
+}
 
-    w.open("distributions");
-    for (const DistributionSnapshot &d : r.distributions) {
+void
+write(Writer &w, const char *, const std::vector<DistributionSnapshot> &ds)
+{
+    for (const DistributionSnapshot &d : ds) {
         w.open(d.name.c_str());
         w.field("samples", d.samples);
         w.field("min", d.min);
@@ -203,8 +114,70 @@ toJson(const RunResult &r, const std::string &indent)
         w.field("stddev", d.stddev);
         w.close();
     }
-    w.close();
+}
 
+void
+write(Writer &w, const char *, const std::shared_ptr<const SamplingInfo> &p)
+{
+    const SamplingInfo &s = *p;
+    w.field("windows", s.windows);
+    w.field("window_ops", s.windowOps);
+    w.field("warm_mode", s.warmMode);
+    w.field("span_ops", s.spanOps);
+    w.field("sampled_ops", s.sampledOps);
+    w.field("scale", s.scale);
+    const struct {
+        const char *name;
+        const RunSummary *sum;
+    } sums[] = {
+        {"window_cycles", &s.cycles},
+        {"avg_miss_latency", &s.avgMissLatency},
+        {"l2_miss_ratio", &s.l2MissRatio},
+        {"avoided_fraction", &s.avoidedFraction},
+        {"avg_broadcasts_per_100k", &s.avgBroadcastsPer100k},
+    };
+    for (const auto &entry : sums) {
+        w.open(entry.name);
+        w.field("mean", entry.sum->mean);
+        w.field("stddev", entry.sum->stddev);
+        w.field("ci95_half", entry.sum->ci95Half);
+        w.field("count", entry.sum->count);
+        w.close();
+    }
+}
+
+} // namespace
+
+std::string
+toJson(const RunResult &r, const std::string &indent)
+{
+    std::ostringstream os;
+    os << indent << "{";
+    Writer w(os, indent + "  ");
+    // Each group in turn, its fields in list order.
+    for (std::size_t g = 0; g < std::size(kGroupNames); ++g) {
+        const Group group = static_cast<Group>(g);
+        if (group == Group::Sampling && !r.sampling)
+            continue; // Only sampled runs carry one.
+        if (kGroupNames[g])
+            w.open(kGroupNames[g]);
+        visitFields(Overloaded{
+            [&](const Field &f, auto RunResult::*m) {
+                if (f.group == group)
+                    write(w, f.json, r.*m);
+            },
+            [&](const Field &f, DerivedField m) {
+                if (f.group == group)
+                    w.field(f.json, (r.*m)());
+            },
+            [&](std::initializer_list<CategoryField> arrays) {
+                for (const CategoryField &a : arrays)
+                    if (a.field.group == group)
+                        w.array(a.field.json, r.*a.member, RunResult::kNumCat);
+            }});
+        if (kGroupNames[g])
+            w.close();
+    }
     os << "\n" << indent << "}";
     return os.str();
 }

@@ -2,7 +2,7 @@
  * @file
  * Machine-readable results: serialize a RunResult (and batches of them)
  * to JSON for plotting scripts and regression tracking. No external JSON
- * dependency — the schema is flat and the writer is ~100 lines.
+ * dependency; the keys come from the field list (sim/result_fields.hpp).
  */
 
 #pragma once

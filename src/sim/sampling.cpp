@@ -7,10 +7,12 @@
 #include <memory>
 #include <optional>
 #include <semaphore>
+#include <type_traits>
 #include <vector>
 
 #include "common/log.hpp"
 #include "common/thread_pool.hpp"
+#include "sim/result_fields.hpp"
 #include "sim/system.hpp"
 #include "snapshot/serializer.hpp"
 #include "snapshot/snapshot.hpp"
@@ -207,11 +209,27 @@ runWindow(const SystemConfig &config, const WorkloadProfile &profile,
     return r;
 }
 
-std::uint64_t
-scaleCount(std::uint64_t sum, double scale)
+/** The miss-latency histogram covers each window, so it sums across
+ *  them; the rca.* ones are cumulative, so the last window's stand. */
+std::vector<HistogramSnapshot>
+mergeHistograms(const std::vector<RunResult> &windows)
 {
-    return static_cast<std::uint64_t>(
-        std::llround(static_cast<double>(sum) * scale));
+    std::vector<HistogramSnapshot> out = windows.back().histograms;
+    for (HistogramSnapshot &merged : out) {
+        if (merged.name != "node.miss_latency")
+            continue;
+        for (std::size_t i = 0; i + 1 < windows.size(); ++i) {
+            for (const HistogramSnapshot &h : windows[i].histograms) {
+                if (h.name != merged.name)
+                    continue;
+                merged.samples += h.samples;
+                merged.sum += h.sum;
+                for (std::size_t b = 0; b < merged.buckets.size(); ++b)
+                    merged.buckets[b] += h.buckets[b];
+            }
+        }
+    }
+    return out;
 }
 
 } // namespace
@@ -280,127 +298,62 @@ sampledAtK(const SystemConfig &config, const WorkloadProfile &profile,
     for (std::future<void> &f : measured)
         f.get(); // rethrows a window's exception
 
-    // Aggregate: counts scale up by span / (K * w); ratio and latency
-    // metrics average over windows; the CI samples are per-window.
+    // Aggregate each field by the rule of its window (docs/SAMPLING.md):
+    // a label from the first window, a post-warmup count summed and
+    // scaled by span / (K * w), a post-warmup ratio averaged, a peak
+    // maxed, a whole-run field from the last window. The CI samples are
+    // per-window.
     const double scale = static_cast<double>(span) /
                          static_cast<double>(k * w);
-
+    const auto scaled_sum = [&](auto value_of) {
+        std::uint64_t sum = 0;
+        for (const RunResult &r : windows)
+            sum += value_of(r);
+        return static_cast<std::uint64_t>(
+            std::llround(static_cast<double>(sum) * scale));
+    };
     RunResult agg;
-    agg.workload = windows.front().workload;
-    agg.regionBytes = windows.front().regionBytes;
-    agg.seed = windows.front().seed;
-    agg.topology = windows.front().topology;
-    agg.nodes = windows.front().nodes;
+    visitFields(Overloaded{
+        [&](const Field &f, auto RunResult::*m) {
+            auto &out = agg.*m;
+            using T = std::remove_reference_t<decltype(out)>;
+            if (f.window == Window::Label) {
+                out = windows.front().*m;
+            } else if (f.window == Window::WholeRun) {
+                out = windows.back().*m;
+            } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+                out = scaled_sum([m](const RunResult &r) { return r.*m; });
+            } else if constexpr (std::is_same_v<T, double>) {
+                for (const RunResult &r : windows)
+                    out = f.window == Window::Peak ? std::max(out, r.*m)
+                                                   : out + r.*m;
+                if (f.window != Window::Peak)
+                    out /= static_cast<double>(windows.size());
+            } else if constexpr (std::is_same_v<
+                                     T, std::vector<HistogramSnapshot>>) {
+                out = mergeHistograms(windows);
+            }
+        },
+        [](const Field &, DerivedField) {},
+        [&](std::initializer_list<CategoryField> arrays) {
+            for (const CategoryField &a : arrays)
+                for (std::size_t c = 0; c < RunResult::kNumCat; ++c)
+                    (agg.*a.member)[c] = scaled_sum(
+                        [&](const RunResult &r) { return (r.*a.member)[c]; });
+        }});
+    // The one exception: instructions is tagged whole-run, but runWindow
+    // counts each window's own, so it sums and scales. Retagging it
+    // moves the default-sweep digest (ROADMAP.md, the counter window).
+    agg.instructions =
+        scaled_sum([](const RunResult &r) { return r.instructions; });
 
     std::vector<double> s_cycles, s_lat, s_miss, s_avoid, s_bcast;
-    std::uint64_t cycles_sum = 0;
-    double l2_sum = 0.0, lat_sum = 0.0, bcast_sum = 0.0;
     for (const RunResult &r : windows) {
-        agg.requestsTotal += r.requestsTotal;
-        agg.broadcasts += r.broadcasts;
-        agg.directs += r.directs;
-        agg.locals += r.locals;
-        agg.writebacks += r.writebacks;
-        for (std::size_t c = 0; c < RunResult::kNumCat; ++c) {
-            agg.broadcastsByCat[c] += r.broadcastsByCat[c];
-            agg.directsByCat[c] += r.directsByCat[c];
-            agg.localsByCat[c] += r.localsByCat[c];
-        }
-        agg.oracleTotal += r.oracleTotal;
-        agg.oracleUnnecessary += r.oracleUnnecessary;
-        for (std::size_t c = 0; c < RunResult::kNumCat; ++c) {
-            agg.oracleTotalByCat[c] += r.oracleTotalByCat[c];
-            agg.oracleUnnecessaryByCat[c] += r.oracleUnnecessaryByCat[c];
-        }
-        agg.cacheToCache += r.cacheToCache;
-        agg.memorySupplied += r.memorySupplied;
-        agg.localResolves += r.localResolves;
-        agg.interChipBroadcasts += r.interChipBroadcasts;
-        agg.inclusionWritebacks += r.inclusionWritebacks;
-        agg.instructions += r.instructions;
-        cycles_sum += r.cycles;
-
-        l2_sum += r.l2MissRatio;
-        lat_sum += r.avgMissLatency;
-        bcast_sum += r.avgBroadcastsPer100k;
-        agg.peakBroadcastsPer100k = std::max(agg.peakBroadcastsPer100k,
-                                             r.peakBroadcastsPer100k);
-
         s_cycles.push_back(static_cast<double>(r.cycles));
         s_lat.push_back(r.avgMissLatency);
         s_miss.push_back(r.l2MissRatio);
         s_avoid.push_back(r.avoidedFraction());
         s_bcast.push_back(r.avgBroadcastsPer100k);
-    }
-
-    const double n = static_cast<double>(windows.size());
-    agg.cycles = scaleCount(cycles_sum, scale);
-    agg.instructions = scaleCount(agg.instructions, scale);
-    agg.requestsTotal = scaleCount(agg.requestsTotal, scale);
-    agg.broadcasts = scaleCount(agg.broadcasts, scale);
-    agg.directs = scaleCount(agg.directs, scale);
-    agg.locals = scaleCount(agg.locals, scale);
-    agg.writebacks = scaleCount(agg.writebacks, scale);
-    for (std::size_t c = 0; c < RunResult::kNumCat; ++c) {
-        agg.broadcastsByCat[c] = scaleCount(agg.broadcastsByCat[c], scale);
-        agg.directsByCat[c] = scaleCount(agg.directsByCat[c], scale);
-        agg.localsByCat[c] = scaleCount(agg.localsByCat[c], scale);
-        agg.oracleTotalByCat[c] =
-            scaleCount(agg.oracleTotalByCat[c], scale);
-        agg.oracleUnnecessaryByCat[c] =
-            scaleCount(agg.oracleUnnecessaryByCat[c], scale);
-    }
-    agg.oracleTotal = scaleCount(agg.oracleTotal, scale);
-    agg.oracleUnnecessary = scaleCount(agg.oracleUnnecessary, scale);
-    agg.cacheToCache = scaleCount(agg.cacheToCache, scale);
-    agg.memorySupplied = scaleCount(agg.memorySupplied, scale);
-    agg.localResolves = scaleCount(agg.localResolves, scale);
-    agg.interChipBroadcasts = scaleCount(agg.interChipBroadcasts, scale);
-    agg.inclusionWritebacks = scaleCount(agg.inclusionWritebacks, scale);
-
-    agg.l2MissRatio = l2_sum / n;
-    agg.avgMissLatency = lat_sum / n;
-    agg.avgBroadcastsPer100k = bcast_sum / n;
-
-    // RCA scalars, histograms and distributions come from the last
-    // window: the RCA stats are cumulative over warm history, so the
-    // final window has seen the most (see docs/SAMPLING.md). The
-    // miss-latency histogram, by contrast, is window-measured and
-    // merges across all windows.
-    const RunResult &last = windows.back();
-    agg.rcaEvictedEmpty = last.rcaEvictedEmpty;
-    agg.rcaEvictedOne = last.rcaEvictedOne;
-    agg.rcaEvictedTwo = last.rcaEvictedTwo;
-    agg.rcaEvictedMore = last.rcaEvictedMore;
-    agg.rcaSelfInvalidations = last.rcaSelfInvalidations;
-    agg.avgLinesPerEvictedRegion = last.avgLinesPerEvictedRegion;
-    for (const HistogramSnapshot &h : last.histograms) {
-        if (h.name == "node.miss_latency")
-            continue;
-        agg.histograms.push_back(h);
-    }
-    agg.distributions = last.distributions;
-    {
-        HistogramSnapshot merged;
-        bool have = false;
-        for (const RunResult &r : windows) {
-            for (const HistogramSnapshot &h : r.histograms) {
-                if (h.name != "node.miss_latency")
-                    continue;
-                if (!have) {
-                    merged = h;
-                    have = true;
-                } else {
-                    merged.samples += h.samples;
-                    merged.sum += h.sum;
-                    for (std::size_t b = 0; b < merged.buckets.size(); ++b)
-                        merged.buckets[b] += h.buckets[b];
-                }
-            }
-        }
-        if (have)
-            agg.histograms.insert(agg.histograms.begin(),
-                                  std::move(merged));
     }
 
     auto info = std::make_shared<SamplingInfo>();

@@ -88,7 +88,10 @@ struct SamplingInfo {
     RunSummary avgBroadcastsPer100k;
 };
 
-/** Everything measured in one run. */
+/**
+ * Everything measured in one run. visitFields (sim/result_fields.hpp)
+ * lists each member once with its output names and counting window.
+ */
 struct RunResult {
     static constexpr std::size_t kNumCat =
         static_cast<std::size_t>(RequestCategory::NumCategories);
@@ -98,9 +101,8 @@ struct RunResult {
     std::uint64_t seed = 0;          ///< Seed that produced this run.
 
     Tick cycles = 0;                 ///< Measured runtime.
-    std::uint64_t instructions = 0;  ///< Total retired, all CPUs.
+    std::uint64_t instructions = 0;  ///< Retired, all CPUs, with warmup.
 
-    // Request routing, summed over processors (measured window).
     std::uint64_t requestsTotal = 0;
     std::uint64_t broadcasts = 0;
     std::uint64_t directs = 0;
@@ -110,34 +112,24 @@ struct RunResult {
     std::uint64_t directsByCat[kNumCat] = {};
     std::uint64_t localsByCat[kNumCat] = {};
 
-    // Oracle (Figure 2), from the same run.
     std::uint64_t oracleTotal = 0;
     std::uint64_t oracleUnnecessary = 0;
     std::uint64_t oracleTotalByCat[kNumCat] = {};
     std::uint64_t oracleUnnecessaryByCat[kNumCat] = {};
 
-    // Traffic (Figure 10).
     double avgBroadcastsPer100k = 0.0;
     double peakBroadcastsPer100k = 0.0;
 
-    // Interconnect topology (docs/TOPOLOGY.md). `topology` names the
-    // organization ("bus" / "hier" / "dir"), `nodes` the processor
-    // count; the two counters split the topology's requests into those
-    // resolved inside the requester's snoop domain and those that
-    // occupied the inter-chip level (on the flat bus every broadcast
-    // does — the scaling figure's headline metric).
     std::string topology = "bus";
     unsigned nodes = 4;
     std::uint64_t localResolves = 0;
     std::uint64_t interChipBroadcasts = 0;
 
-    // Memory behavior.
     double l2MissRatio = 0.0;
     double avgMissLatency = 0.0;
     std::uint64_t cacheToCache = 0;
     std::uint64_t memorySupplied = 0;
 
-    // RCA behavior (Section 3.2), cumulative over the whole run.
     std::uint64_t rcaEvictedEmpty = 0;
     std::uint64_t rcaEvictedOne = 0;
     std::uint64_t rcaEvictedTwo = 0;
@@ -146,9 +138,6 @@ struct RunResult {
     std::uint64_t inclusionWritebacks = 0;
     double avgLinesPerEvictedRegion = 0.0;
 
-    // Observability: histograms/distributions aggregated over the system
-    // (node.miss_latency is window-reset at warmup; the rca.* entries are
-    // cumulative over the whole run, like the RCA scalars above).
     std::vector<HistogramSnapshot> histograms;
     std::vector<DistributionSnapshot> distributions;
 

@@ -4,8 +4,10 @@
 #include <cstdio>
 #include <future>
 #include <ostream>
+#include <type_traits>
 
 #include "common/thread_pool.hpp"
+#include "sim/result_fields.hpp"
 
 namespace cgct {
 
@@ -154,73 +156,83 @@ simulateSeeds(const SystemConfig &config, const WorkloadProfile &profile,
     return SweepRunner(std::move(spec), jobs).run();
 }
 
+namespace {
+
+/** One CSV cell: a double with the field's digits, the sampling columns
+ *  from their own block; histograms and distributions have none. */
+template <typename T>
+void
+cell(std::ostream &os, const Field &f, const T &v)
+{
+    char buf[256];
+    if constexpr (std::is_same_v<T, double>) {
+        std::snprintf(buf, sizeof(buf), "%.*f", f.csvDigits, v);
+        os << buf;
+    } else if constexpr (std::is_same_v<T,
+                                        std::shared_ptr<const SamplingInfo>>) {
+        // A full-detail result in a sampled sweep (shouldn't happen, but
+        // a resumed journal could mix) pads with empty CI fields.
+        if (!v) {
+            os << ",,,,,,,,";
+            return;
+        }
+        const SamplingInfo &s = *v;
+        std::snprintf(buf, sizeof(buf),
+                      "%llu,%llu,%s,%.2f,%.2f,%.6f,%.6f,%.2f,%.2f",
+                      static_cast<unsigned long long>(s.windows),
+                      static_cast<unsigned long long>(s.windowOps),
+                      s.warmMode.c_str(), s.cycles.mean, s.cycles.ci95Half,
+                      s.avoidedFraction.ci95Half, s.l2MissRatio.ci95Half,
+                      s.avgMissLatency.ci95Half,
+                      s.avgBroadcastsPer100k.ci95Half);
+        os << buf;
+    } else if constexpr (std::is_arithmetic_v<T> ||
+                         std::is_same_v<T, std::string>) {
+        os << v;
+    }
+}
+
+/** The CSV header (@p r null) or @p r's row: every field with a column,
+ *  in list order, the sampling and interconnect ones only on request. */
+void
+writeCsv(std::ostream &os, const RunResult *r, bool sampled, bool topo)
+{
+    bool first = true;
+    // Starts f's column; true when a row value goes in it.
+    const auto column = [&](const Field &f) {
+        if (!f.csv || (f.group == Group::Sampling && !sampled) ||
+            (f.group == Group::Interconnect && !topo))
+            return false;
+        os << (first ? "" : ",") << (r ? "" : f.csv);
+        first = false;
+        return r != nullptr;
+    };
+    visitFields(Overloaded{
+        [&](const Field &f, auto RunResult::*m) {
+            if (column(f))
+                cell(os, f, r->*m);
+        },
+        [&](const Field &f, DerivedField m) {
+            if (column(f))
+                cell(os, f, (r->*m)());
+        },
+        [](std::initializer_list<CategoryField>) {}});
+    os << "\n";
+}
+
+} // namespace
+
 void
 writeSweepCsvHeader(std::ostream &os, bool sampled, bool topo)
 {
-    os << "workload,region_bytes,seed,cycles,instructions,"
-          "requests,broadcasts,directs,locals,writebacks,"
-          "avoided_fraction,oracle_unnecessary_fraction,"
-          "avg_bcast_per_100k,peak_bcast_per_100k,l2_miss_ratio,"
-          "avg_miss_latency";
-    if (sampled)
-        os << ",windows,window_ops,warm_mode,window_cycles_mean,"
-              "window_cycles_ci95,avoided_fraction_ci95,"
-              "l2_miss_ratio_ci95,avg_miss_latency_ci95,"
-              "avg_bcast_per_100k_ci95";
-    if (topo)
-        os << ",topology,nodes,local_resolves,interchip_broadcasts";
-    os << "\n";
+    writeCsv(os, nullptr, sampled, topo);
 }
 
 void
 writeSweepCsvRow(std::ostream &os, const RunResult &r, bool sampled,
                  bool topo)
 {
-    char buf[512];
-    std::snprintf(buf, sizeof(buf),
-                  "%s,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%.6f,"
-                  "%.6f,%.2f,%.2f,%.6f,%.2f",
-                  r.workload.c_str(),
-                  static_cast<unsigned long long>(r.regionBytes),
-                  static_cast<unsigned long long>(r.seed),
-                  static_cast<unsigned long long>(r.cycles),
-                  static_cast<unsigned long long>(r.instructions),
-                  static_cast<unsigned long long>(r.requestsTotal),
-                  static_cast<unsigned long long>(r.broadcasts),
-                  static_cast<unsigned long long>(r.directs),
-                  static_cast<unsigned long long>(r.locals),
-                  static_cast<unsigned long long>(r.writebacks),
-                  r.avoidedFraction(), r.oracleUnnecessaryFraction(),
-                  r.avgBroadcastsPer100k, r.peakBroadcastsPer100k,
-                  r.l2MissRatio, r.avgMissLatency);
-    os << buf;
-    if (sampled) {
-        // A full-detail result in a sampled sweep (shouldn't happen, but
-        // a resumed journal could mix) pads with empty CI fields.
-        if (r.sampling) {
-            const SamplingInfo &s = *r.sampling;
-            std::snprintf(buf, sizeof(buf),
-                          ",%llu,%llu,%s,%.2f,%.2f,%.6f,%.6f,%.2f,%.2f",
-                          static_cast<unsigned long long>(s.windows),
-                          static_cast<unsigned long long>(s.windowOps),
-                          s.warmMode.c_str(), s.cycles.mean,
-                          s.cycles.ci95Half, s.avoidedFraction.ci95Half,
-                          s.l2MissRatio.ci95Half,
-                          s.avgMissLatency.ci95Half,
-                          s.avgBroadcastsPer100k.ci95Half);
-            os << buf;
-        } else {
-            os << ",,,,,,,,,";
-        }
-    }
-    if (topo) {
-        std::snprintf(buf, sizeof(buf), ",%s,%u,%llu,%llu",
-                      r.topology.c_str(), r.nodes,
-                      static_cast<unsigned long long>(r.localResolves),
-                      static_cast<unsigned long long>(r.interChipBroadcasts));
-        os << buf;
-    }
-    os << "\n";
+    writeCsv(os, &r, sampled, topo);
 }
 
 } // namespace cgct

@@ -154,12 +154,11 @@ std::vector<RunResult> simulateSeeds(const SystemConfig &config,
                                      unsigned n_seeds, unsigned jobs = 1);
 
 /**
- * CSV header matching writeSweepCsvRow's column order. The default is
- * the historical 16-column format, byte-identical to every earlier
- * release; @p sampled appends the per-window CI columns a sampled sweep
- * fills in (docs/SAMPLING.md), and @p topo appends the interconnect
- * topology columns a non-default `--nodes`/`--topology` sweep reports
- * (docs/TOPOLOGY.md).
+ * CSV header matching writeSweepCsvRow's column order, which is the
+ * field list's (sim/result_fields.hpp). The default is the historical
+ * 16-column format; @p sampled appends the per-window CI columns a
+ * sampled sweep fills in (docs/SAMPLING.md), and @p topo the
+ * interconnect columns of a non-default `--nodes`/`--topology` sweep.
  */
 void writeSweepCsvHeader(std::ostream &os, bool sampled = false,
                          bool topo = false);

@@ -7,6 +7,7 @@
 
 #include "common/little_endian.hpp"
 #include "common/log.hpp"
+#include "sim/result_fields.hpp"
 #include "sim/sweep.hpp"
 #include "snapshot/serializer.hpp"
 #include "snapshot/snapshot.hpp"
@@ -21,50 +22,18 @@ constexpr std::size_t kHeaderBytes = 8 + 4 + 8;
 /** Sanity bound on one record (a RunResult encodes to a few KB). */
 constexpr std::uint64_t kMaxRecordBytes = 64ULL << 20;
 
-/** The journal record layout of one RunResult. */
-void
-transfer(Archive &ar, RunResult &r)
-{
-    ar.str(r.workload);
-    ar.u64(r.regionBytes);
-    ar.u64(r.seed);
-    ar.u64(r.cycles);
-    ar.u64(r.instructions);
-    ar.u64(r.requestsTotal);
-    ar.u64(r.broadcasts);
-    ar.u64(r.directs);
-    ar.u64(r.locals);
-    ar.u64(r.writebacks);
-    for (std::size_t c = 0; c < RunResult::kNumCat; ++c) {
-        ar.u64(r.broadcastsByCat[c]);
-        ar.u64(r.directsByCat[c]);
-        ar.u64(r.localsByCat[c]);
-    }
-    ar.u64(r.oracleTotal);
-    ar.u64(r.oracleUnnecessary);
-    for (std::size_t c = 0; c < RunResult::kNumCat; ++c) {
-        ar.u64(r.oracleTotalByCat[c]);
-        ar.u64(r.oracleUnnecessaryByCat[c]);
-    }
-    ar.f64(r.avgBroadcastsPer100k);
-    ar.f64(r.peakBroadcastsPer100k);
-    ar.f64(r.l2MissRatio);
-    ar.f64(r.avgMissLatency);
-    ar.u64(r.cacheToCache);
-    ar.u64(r.memorySupplied);
-    ar.u64(r.rcaEvictedEmpty);
-    ar.u64(r.rcaEvictedOne);
-    ar.u64(r.rcaEvictedTwo);
-    ar.u64(r.rcaEvictedMore);
-    ar.u64(r.rcaSelfInvalidations);
-    ar.u64(r.inclusionWritebacks);
-    ar.f64(r.avgLinesPerEvictedRegion);
+void io(Archive &ar, std::string &v) { ar.str(v); }
+void io(Archive &ar, std::uint64_t &v) { ar.u64(v); }
+void io(Archive &ar, unsigned &v) { ar.u32(v); }
+void io(Archive &ar, double &v) { ar.f64(v); }
 
-    // Smallest encodings: two empty strings and four u64s; two empty
-    // strings, a u64 and four doubles.
-    r.histograms.resize(ar.count(
-        "histograms", static_cast<std::uint32_t>(r.histograms.size()), 48));
-    for (HistogramSnapshot &h : r.histograms) {
+void
+io(Archive &ar, std::vector<HistogramSnapshot> &hs)
+{
+    // Smallest encoding: two empty strings and four u64s.
+    hs.resize(ar.count("histograms", static_cast<std::uint32_t>(hs.size()),
+                       48));
+    for (HistogramSnapshot &h : hs) {
         ar.str(h.name);
         ar.str(h.desc);
         ar.u64(h.bucketWidth);
@@ -76,10 +45,15 @@ transfer(Archive &ar, RunResult &r)
         for (std::uint64_t &b : h.buckets)
             ar.u64(b);
     }
-    r.distributions.resize(ar.count(
-        "distributions", static_cast<std::uint32_t>(r.distributions.size()),
-        56));
-    for (DistributionSnapshot &d : r.distributions) {
+}
+
+void
+io(Archive &ar, std::vector<DistributionSnapshot> &ds)
+{
+    // Smallest encoding: two empty strings, a u64 and four doubles.
+    ds.resize(ar.count("distributions",
+                       static_cast<std::uint32_t>(ds.size()), 56));
+    for (DistributionSnapshot &d : ds) {
         ar.str(d.name);
         ar.str(d.desc);
         ar.u64(d.samples);
@@ -88,43 +62,56 @@ transfer(Archive &ar, RunResult &r)
         ar.f64(d.mean);
         ar.f64(d.stddev);
     }
+}
 
-    // Sampling tail (sampled sweeps): optional so records from a
-    // full-detail sweep stay byte-identical to version-1 journals.
-    // Records written before it existed end here.
-    if (ar.atEnd())
-        return;
-    bool sampled = r.sampling != nullptr;
+void
+io(Archive &ar, std::shared_ptr<const SamplingInfo> &sampling)
+{
+    bool sampled = sampling != nullptr;
     ar.b(sampled);
-    if (sampled) {
-        SamplingInfo si = r.sampling ? *r.sampling : SamplingInfo{};
-        ar.u64(si.windows);
-        ar.u64(si.windowOps);
-        ar.str(si.warmMode);
-        ar.u64(si.spanOps);
-        ar.u64(si.sampledOps);
-        ar.f64(si.scale);
-        for (RunSummary *sum : {&si.cycles, &si.avgMissLatency,
-                                &si.l2MissRatio, &si.avoidedFraction,
-                                &si.avgBroadcastsPer100k}) {
-            ar.f64(sum->mean);
-            ar.f64(sum->stddev);
-            ar.f64(sum->ci95Half);
-            ar.u64(sum->count);
-        }
-        if (!ar.saving())
-            r.sampling = std::make_shared<const SamplingInfo>(si);
-    }
-
-    // Topology tail (appended after the sampling tail so older decoders
-    // that stop at their last known field still read their prefix).
-    // Records written before it keep its defaults.
-    if (ar.atEnd())
+    if (!sampled)
         return;
-    ar.str(r.topology);
-    ar.u32(r.nodes);
-    ar.u64(r.localResolves);
-    ar.u64(r.interChipBroadcasts);
+    SamplingInfo si = sampling ? *sampling : SamplingInfo{};
+    ar.u64(si.windows);
+    ar.u64(si.windowOps);
+    ar.str(si.warmMode);
+    ar.u64(si.spanOps);
+    ar.u64(si.sampledOps);
+    ar.f64(si.scale);
+    for (RunSummary *sum : {&si.cycles, &si.avgMissLatency, &si.l2MissRatio,
+                            &si.avoidedFraction, &si.avgBroadcastsPer100k}) {
+        ar.f64(sum->mean);
+        ar.f64(sum->stddev);
+        ar.f64(sum->ci95Half);
+        ar.u64(sum->count);
+    }
+    if (!ar.saving())
+        sampling = std::make_shared<const SamplingInfo>(si);
+}
+
+/**
+ * The journal record layout of one RunResult: its fields in list order
+ * (sim/result_fields.hpp). A record written before a tail existed ends
+ * there and loads with the tail's defaults, so a full-detail record
+ * stays byte-identical to a version-1 journal's.
+ */
+void
+transfer(Archive &ar, RunResult &r)
+{
+    bool ended = false;
+    visitFields(Overloaded{
+        [&](const Field &f, auto RunResult::*m) {
+            if (f.tail && !ended)
+                ended = ar.atEnd();
+            if (!ended)
+                io(ar, r.*m);
+        },
+        [](const Field &, DerivedField) {},
+        [&](std::initializer_list<CategoryField> arrays) {
+            for (std::size_t c = 0; c < RunResult::kNumCat; ++c)
+                for (const CategoryField &a : arrays)
+                    ar.u64((r.*a.member)[c]);
+        }});
 }
 
 } // namespace

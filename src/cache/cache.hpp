@@ -66,11 +66,9 @@ class Cache
     CacheLine *probe(Addr addr, Tick now);
 
     /** Look up without statistics or LRU (the node's own snoops and
-     *  fills); a hit still becomes its set's MRU way. */
+     *  fills, the invariant checker). */
     CacheLine *lookup(Addr addr) { return array_.find(addr); }
-
-    /** Look up with no side effect at all (invariant checker, tests). */
-    const CacheLine *peek(Addr addr) const { return array_.peek(addr); }
+    const CacheLine *lookup(Addr addr) const { return array_.find(addr); }
 
     /**
      * Install a line in @p state with fill data arriving at @p ready.

@@ -14,13 +14,10 @@
  *    one load and the branch-free compare loop needs no per-way valid
  *    branch;
  *  - a per-set MRU way hint, so repeated hits to the same block skip the
- *    scan entirely.
+ *    scan entirely. The hint is host-side only: no checkpoint saves it,
+ *    and no lookup result depends on it.
  * Entry pointers stay valid until the frame is invalidated or
- * reallocated.
- *
- * A cleared frame (invalidate(), reset()) keeps its last address: the
- * checkpoint layout records every frame's last tag, occupied or not, and
- * the occupancy bit alone says whether the frame holds its block.
+ * reallocated. A cleared frame (invalidate(), reset()) is Entry{}.
  *
  * The occupancy bit tracks block residency and is set by allocate(). An
  * entry type with a `valid()` member (a coherence state) also has a
@@ -94,8 +91,8 @@ class SetAssocArray
     /** Align an address down to its block. */
     Addr align(Addr addr) const { return alignDown(addr, blockBytes()); }
 
-    /** The valid entry covering @p addr, or nullptr. A hit becomes its
-     *  set's MRU way. */
+    /** The valid entry covering @p addr, or nullptr. On a non-const
+     *  array a hit becomes its set's MRU way. */
     Entry *
     find(Addr addr)
     {
@@ -116,9 +113,8 @@ class SetAssocArray
         return &entries_[base + w];
     }
 
-    /** Like find(), but touches nothing: not even the MRU way hint. */
     const Entry *
-    peek(Addr addr) const
+    find(Addr addr) const
     {
         const Addr block = align(addr);
         const std::size_t set = setOf(block);
@@ -166,7 +162,7 @@ class SetAssocArray
             ++numValid_;
         }
         mruWay_[set] = static_cast<std::uint8_t>(victim);
-        clear(frame);
+        frame = Entry{};
         frame.*kAddr = block;
         return &frame;
     }
@@ -183,7 +179,7 @@ class SetAssocArray
             return std::nullopt;
         Entry &frame = entries_[set * ways_ + w];
         const Entry prior = frame;
-        clear(frame);
+        frame = Entry{};
         occupied_[set] &= ~(std::uint64_t{1} << w);
         --numValid_;
         return prior;
@@ -244,41 +240,31 @@ class SetAssocArray
         return numValid_;
     }
 
-    /** Invalidate everything (between simulation phases). Each frame
-     *  keeps its last address. */
+    /** Invalidate everything (between simulation phases). */
     void
     reset()
     {
-        for (Entry &e : entries_)
-            clear(e);
+        std::fill(entries_.begin(), entries_.end(), Entry{});
         std::fill(occupied_.begin(), occupied_.end(), 0);
         std::fill(mruWay_.begin(), mruWay_.end(), 0);
         numValid_ = 0;
     }
 
     /**
-     * Checkpoint layout: every frame's last tag (`address >> shift`; a
-     * cleared frame keeps its own), occupancy masks, MRU way hints, every
-     * entry through @p entry(e), which sees an empty frame's address as
-     * 0, then the valid count. The owner states the geometry first. On load, a tag must survive `<< shift`,
-     * no mask may name a way at or above ways(), every hint must be below
-     * it (lookups shift the mask by the hint and index the set with it),
-     * and an entry's stored address must be 0 for an empty frame and its
-     * tag's address for an occupied one. @p ar is the checkpoint Archive
+     * Checkpoint layout: the occupancy masks, then every frame's entry
+     * through @p entry(e); an empty frame is Entry{}. The owner states
+     * the geometry first. Only simulated state is saved: a load recounts
+     * the valid entries from the masks and restarts every MRU hint at
+     * way 0. On load, no mask may name a way at or above ways(); an
+     * occupied frame must hold a valid entry whose address is
+     * block-aligned and maps to the frame's set; an empty frame must
+     * store address 0. @p ar is the checkpoint Archive
      * (snapshot/serializer.hpp).
      */
     template <typename Ar, typename Fn>
     void
     transfer(Ar &ar, Fn &&entry)
     {
-        for (Entry &e : entries_) {
-            Addr tag = e.*kAddr >> shift_;
-            ar.u64(tag);
-            if (tag > ~Addr{0} >> shift_)
-                ar.fail("tag %016llx does not fit a %u-bit block number",
-                        static_cast<unsigned long long>(tag), 64 - shift_);
-            e.*kAddr = tag << shift_;
-        }
         const std::uint64_t beyond =
             ways_ < 64 ? ~std::uint64_t{0} << ways_ : 0;
         for (std::uint64_t &occ : occupied_) {
@@ -287,25 +273,38 @@ class SetAssocArray
                 ar.fail("occupancy mask %016llx names a way at or above %u",
                         static_cast<unsigned long long>(occ), ways_);
         }
-        for (std::uint8_t &hint : mruWay_)
-            ar.index("MRU way hint", hint, ways_);
+        numValid_ = 0;
         for (std::size_t set = 0; set < sets_; ++set) {
             for (unsigned w = 0; w < ways_; ++w) {
                 Entry &e = entries_[set * ways_ + w];
-                const Addr last = e.*kAddr;
-                const Addr stored = (occupied_[set] >> w) & 1 ? last : 0;
-                e.*kAddr = stored;
                 entry(e);
-                if (e.*kAddr != stored)
-                    ar.fail("way %u of set %zu stores address %016llx, "
-                            "not %016llx",
-                            w, set,
-                            static_cast<unsigned long long>(e.*kAddr),
-                            static_cast<unsigned long long>(stored));
-                e.*kAddr = last;
+                const auto stored =
+                    static_cast<unsigned long long>(e.*kAddr);
+                if (!((occupied_[set] >> w) & 1)) {
+                    if (stored != 0)
+                        ar.fail("empty way %u of set %zu stores address "
+                                "%016llx",
+                                w, set, stored);
+                    e = Entry{};
+                } else if (e.*kAddr != align(e.*kAddr)) {
+                    ar.fail("way %u of set %zu holds misaligned address "
+                            "%016llx",
+                            w, set, stored);
+                } else if (setOf(e.*kAddr) != set) {
+                    ar.fail("way %u of set %zu holds address %016llx of "
+                            "set %zu",
+                            w, set, stored, setOf(e.*kAddr));
+                } else if (!valid(e)) {
+                    ar.fail("occupied way %u of set %zu holds an invalid "
+                            "entry",
+                            w, set);
+                }
             }
+            numValid_ += static_cast<std::uint64_t>(
+                std::popcount(occupied_[set]));
         }
-        ar.u64(numValid_);
+        if (!ar.saving())
+            std::fill(mruWay_.begin(), mruWay_.end(), 0);
     }
 
   private:
@@ -316,15 +315,6 @@ class SetAssocArray
             return e.valid();
         else
             return true;
-    }
-
-    /** Reset @p e to Entry{}, keeping its address. */
-    static void
-    clear(Entry &e)
-    {
-        const Addr last = e.*kAddr;
-        e = Entry{};
-        e.*kAddr = last;
     }
 
     /** The set of the block at aligned address @p block. */

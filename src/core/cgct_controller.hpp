@@ -154,11 +154,11 @@ class CgctController : public RegionTracker
 
     /** false when the RCA holds no entry for the region, or one with no
      *  cached lines (invariants D/E: the line count is exact and every
-     *  cached line has an entry). Peeks: no MRU hint, no hit or miss. */
+     *  cached line has an entry). Counts no hit or miss. */
     bool
     mayHoldLines(Addr line_addr) const override
     {
-        const RegionEntry *entry = rca_.peek(line_addr);
+        const RegionEntry *entry = rca_.find(line_addr);
         return entry && entry->lineCount > 0;
     }
 

@@ -62,14 +62,17 @@ struct RegionEviction {
 };
 
 /**
- * The per-processor Region Coherence Array. peek(), invalidate(),
- * touch(), forEachValid(), countValid() and reset() are the array's
- * own; find() and allocate() add the statistics.
+ * The per-processor Region Coherence Array. invalidate(), touch(),
+ * forEachValid(), countValid() and reset() are the array's own, as is
+ * find() on a const RCA, the statistics-free query; the non-const
+ * find() and allocate() add the statistics.
  */
 class RegionCoherenceArray
     : public SetAssocArray<RegionEntry, &RegionEntry::regionAddr>
 {
   public:
+    using SetAssocArray::find;
+
     /**
      * @param sets        number of sets (power of two)
      * @param ways        associativity

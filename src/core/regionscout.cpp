@@ -131,7 +131,7 @@ RegionScout::externalSnoop(Addr line_addr, bool /*external_gets_excl*/,
 RegionState
 RegionScout::peekState(Addr line_addr)
 {
-    return nsrt_.peek(regionAlign(line_addr)) ? RegionState::DirtyInvalid
+    return nsrt_.find(regionAlign(line_addr)) ? RegionState::DirtyInvalid
                                               : RegionState::Invalid;
 }
 

@@ -92,7 +92,7 @@ InvariantChecker::checkCoverage(Addr addr) const
     // region without a traversal, so presence must already cover every
     // core of that chip.
     for (const Group &g : groups_) {
-        if (!g.ctrl->rca().peek(region))
+        if (!g.ctrl->rca().find(region))
             continue;
         const std::uint64_t pres = interconnect_->presenceMask(region);
         for (std::size_t i : g.nodeIdx) {
@@ -154,7 +154,7 @@ InvariantChecker::checkRegion(Addr addr) const
             ext_modifiable = ext_modifiable || views[i].modifiable;
         }
 
-        const RegionEntry *entry = g.ctrl->rca().peek(region);
+        const RegionEntry *entry = g.ctrl->rca().find(region);
         const RegionState state =
             entry ? entry->state : RegionState::Invalid;
         const std::string who =
@@ -203,7 +203,7 @@ InvariantChecker::checkAll() const
         for (const Cache *l1 : {&node.l1i(), &node.l1d()}) {
             std::string err;
             l1->array().forEachValid([&](const CacheLine &line) {
-                if (err.empty() && !node.l2().peek(line.lineAddr))
+                if (err.empty() && !node.l2().lookup(line.lineAddr))
                     err = "cpu" + std::to_string(i) + " " + l1->name() +
                           " holds line " + hexAddr(line.lineAddr) +
                           " not in its L2";

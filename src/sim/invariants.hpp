@@ -36,9 +36,9 @@
  *     line's sharer vector or the region's presence mask.
  *
  * Activation: `cgct_sim --check-invariants`, or automatically in debug
- * (NDEBUG-undefined) builds when CGCT is enabled. All lookups use the
- * side-effect-free peek paths, so enabling the checker never perturbs
- * the statistics an experiment records.
+ * (NDEBUG-undefined) builds when CGCT is enabled. All lookups go
+ * through const arrays, which count nothing, so enabling the checker
+ * never perturbs the statistics an experiment records.
  */
 
 #pragma once

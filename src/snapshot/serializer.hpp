@@ -395,10 +395,11 @@ class Archive
 extern const char kSnapshotMagic[8];
 /** Current snapshot format version (header field). v2: core sections
  *  gained a sync_stall_cycles slot, and trace-replay runs store a
- *  "replay" workload section (lane cursors). The synchronization slots
- *  are retired but kept, written as 0 and expected as 0, so every v2
- *  checkpoint keeps its bytes. */
-constexpr std::uint32_t kSnapshotVersion = 2;
+ *  "replay" workload section (lane cursors); the synchronization slots
+ *  are retired but kept, written as 0 and expected as 0. v3: each tag
+ *  array stores its occupancy masks and entries only, with no tags, MRU
+ *  way hints or valid count. */
+constexpr std::uint32_t kSnapshotVersion = 3;
 
 /**
  * Start a snapshot byte stream in the empty @p s by writing the file

@@ -19,12 +19,11 @@
 
 namespace cgct {
 
-/** @p node's L2 state for @p addr, touching nothing (not even the MRU
- *  way hint). */
+/** @p node's L2 state for @p addr, touching nothing. */
 inline LineState
 l2State(const Node &node, Addr addr)
 {
-    const CacheLine *line = node.l2().peek(addr);
+    const CacheLine *line = node.l2().lookup(addr);
     return line ? line->state : LineState::Invalid;
 }
 

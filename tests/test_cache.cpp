@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <utility>
 
 #include "cache/cache.hpp"
 
@@ -36,13 +37,13 @@ TEST(Cache, ProbeCountsHitsAndMisses)
     EXPECT_DOUBLE_EQ(c.missRatio(), 0.5);
 }
 
-TEST(Cache, PeekHasNoStatSideEffects)
+TEST(Cache, LookupHasNoStatSideEffects)
 {
     Cache c("l2", tinyCache());
     Eviction ev;
     c.fill(0x1000, LineState::Shared, 1, 1, ev);
-    c.peek(0x1000);
-    c.peek(0x2000);
+    c.lookup(0x1000);
+    std::as_const(c).lookup(0x2000);
     EXPECT_EQ(c.stats().hits, 0u);
     EXPECT_EQ(c.stats().misses, 0u);
 }

@@ -2,17 +2,20 @@
  * @file
  * Tests for the set-associative array (common/set_assoc_array.hpp) as
  * the cache line array: lookup, allocation, LRU victim selection,
- * invalidation, region iteration, and a side-effect-free peek; plus an
- * entry type with no state of its own, as RegionScout's NSRT uses.
+ * invalidation, region iteration, and lookups that leave the checkpoint
+ * bytes alone; plus an entry type with no state of its own, as
+ * RegionScout's NSRT uses.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <algorithm>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "cache/cache.hpp"
+#include "core/rca.hpp"
 #include "snapshot/serializer.hpp"
 
 namespace cgct {
@@ -139,6 +142,20 @@ saveBytes(CacheArray &arr)
     return s.buffer();
 }
 
+/** The RCA's tag array alone, each entry as its address and state: the
+ *  RCA's own statistics stay out of these bytes. */
+std::vector<std::uint8_t>
+saveBytes(SetAssocArray<RegionEntry, &RegionEntry::regionAddr> &arr)
+{
+    Serializer s;
+    Archive ar(s);
+    arr.transfer(ar, [&ar](RegionEntry &e) {
+        ar.u64(e.regionAddr);
+        ar.enumerant("region state", e.state, RegionState::DirtyDirty);
+    });
+    return s.buffer();
+}
+
 void
 loadBytes(CacheArray &arr, const std::vector<std::uint8_t> &bytes)
 {
@@ -148,74 +165,50 @@ loadBytes(CacheArray &arr, const std::vector<std::uint8_t> &bytes)
     ASSERT_TRUE(r.atEnd());
 }
 
-std::uint64_t
-u64At(const std::vector<std::uint8_t> &bytes, std::size_t at)
+TEST(SetAssocArray, LookupsLeaveTheCheckpointAlone)
 {
-    std::uint64_t v;
-    std::memcpy(&v, &bytes[at], sizeof v);
-    return v;
-}
-
-TEST(CacheArray, PeekLeavesTheMruHintAlone)
-{
+    // One set, two ways; the second allocation is the MRU way, so a
+    // non-const hit on the first moves the hint.
     CacheArray arr("cache", 1, 2, 64);
     std::optional<CacheLine> ev;
     arr.allocate(0x0000, ev)->state = LineState::Shared;
-    arr.allocate(0x1000, ev)->state = LineState::Shared; // The MRU way.
-    const std::vector<std::uint8_t> before = saveBytes(arr);
-    ASSERT_NE(arr.peek(0x0000), nullptr);
-    EXPECT_EQ(saveBytes(arr), before);
-    ASSERT_NE(arr.find(0x0000), nullptr);
-    EXPECT_NE(saveBytes(arr), before) << "a find hit becomes the MRU way";
-}
+    arr.allocate(0x1000, ev)->state = LineState::Modified;
+    RegionCoherenceArray rca(1, 2, 512, true);
+    RegionEviction rev;
+    rca.allocate(0x0000, 1, rev)->state = RegionState::CleanInvalid;
+    rca.allocate(0x2000, 2, rev)->state = RegionState::DirtyDirty;
 
-TEST(SetAssocArray, InvalidatedFrameKeepsItsTagInTheCheckpoint)
-{
-    // One set, two ways of 64 B. Layout: 2 tags, 1 occupancy mask, 1 MRU
-    // hint, then per frame its address u64 and state byte, then the
-    // valid count.
-    constexpr std::size_t kMask = 16;
-    constexpr std::size_t kFrame0 = kMask + 8 + 1;
-    CacheArray arr("cache", 1, 2, 64);
-    std::optional<CacheLine> ev;
-    arr.allocate(0x1040, ev)->state = LineState::Shared;
-    arr.allocate(0x2000, ev)->state = LineState::Modified;
-    ASSERT_TRUE(arr.invalidate(0x1040));
+    const std::vector<std::uint8_t> lines = saveBytes(arr);
+    const std::vector<std::uint8_t> regions = saveBytes(rca);
+    for (Addr a : {0x0000ULL, 0x1000ULL, 0x2000ULL, 0x4000ULL}) {
+        arr.find(a);
+        std::as_const(arr).find(a);
+        rca.find(a);
+        std::as_const(rca).find(a);
+        EXPECT_EQ(saveBytes(arr), lines) << std::hex << a;
+        EXPECT_EQ(saveBytes(rca), regions) << std::hex << a;
+    }
+    // Only the non-const RCA lookups count: two hits, two misses.
+    EXPECT_EQ(rca.stats().hits, 2u);
+    EXPECT_EQ(rca.stats().misses, 2u);
 
-    const auto round_trip = [](CacheArray &from) {
-        const std::vector<std::uint8_t> bytes = saveBytes(from);
-        CacheArray to("cache", 1, 2, 64);
-        loadBytes(to, bytes);
-        EXPECT_EQ(saveBytes(to), bytes);
-        for (Addr a : {0x1040ULL, 0x2000ULL, 0x3000ULL}) {
-            const CacheLine *x = from.peek(a);
-            const CacheLine *y = to.peek(a);
-            EXPECT_EQ(x == nullptr, y == nullptr) << std::hex << a;
-            if (x && y) {
-                EXPECT_EQ(x->state, y->state);
-            }
-        }
-        EXPECT_EQ(to.countValid(), from.countValid());
-        return bytes;
-    };
+    // Layout: the occupancy mask u64, then per frame its address u64 and
+    // state byte. An invalidated frame saves as Entry{}: nine zero bytes.
+    CacheArray fresh("cache", 1, 2, 64);
+    const std::vector<std::uint8_t> empty = saveBytes(fresh);
+    ASSERT_TRUE(arr.invalidate(0x0000));
+    std::vector<std::uint8_t> bytes = saveBytes(arr);
+    EXPECT_EQ(bytes[0], 0b10u);
+    EXPECT_TRUE(std::equal(bytes.begin() + 8, bytes.begin() + 17,
+                           empty.begin() + 8));
+    CacheArray loaded("cache", 1, 2, 64);
+    loadBytes(loaded, bytes);
+    EXPECT_EQ(saveBytes(loaded), bytes);
+    EXPECT_EQ(loaded.countValid(), 1u);
 
-    // The invalidated frame keeps its tag; its entry stores address 0.
-    std::vector<std::uint8_t> bytes = round_trip(arr);
-    EXPECT_EQ(u64At(bytes, 0), 0x1040u >> 6);
-    EXPECT_EQ(u64At(bytes, 8), 0x2000u >> 6);
-    EXPECT_EQ(u64At(bytes, kMask), 0b10u);
-    EXPECT_EQ(u64At(bytes, kFrame0), 0u);
-    EXPECT_EQ(u64At(bytes, kFrame0 + 9), 0x2000u);
-
-    // reset() clears both frames; each still records its last tag.
+    // reset() clears every frame to Entry{}.
     arr.reset();
-    bytes = round_trip(arr);
-    EXPECT_EQ(u64At(bytes, 0), 0x1040u >> 6);
-    EXPECT_EQ(u64At(bytes, 8), 0x2000u >> 6);
-    EXPECT_EQ(u64At(bytes, kMask), 0u);
-    EXPECT_EQ(u64At(bytes, kFrame0), 0u);
-    EXPECT_EQ(u64At(bytes, kFrame0 + 9), 0u);
-    EXPECT_EQ(arr.find(0x2000), nullptr);
+    EXPECT_EQ(saveBytes(arr), empty);
 }
 
 /** An entry with no state: valid exactly while its tag is resident. */
@@ -230,8 +223,8 @@ TEST(SetAssocArray, StatelessEntryIsValidWhileResident)
     std::optional<Tagged> ev;
     arr.allocate(0x1234, ev)->lastUse = 5;
     EXPECT_FALSE(ev);
-    ASSERT_NE(arr.peek(0x1200), nullptr);
-    EXPECT_EQ(arr.peek(0x1200)->addr, 0x1200u);
+    ASSERT_NE(arr.find(0x1200), nullptr);
+    EXPECT_EQ(arr.find(0x1200)->addr, 0x1200u);
     arr.allocate(0x2000, ev)->lastUse = 3;
     // The set is full: the LRU entry goes.
     arr.allocate(0x4000, ev);

@@ -132,8 +132,8 @@ TEST_F(CgctControllerTest, LineEvictAfterRegionGoneIsTolerated)
     SUCCEED();
 }
 
-/** The controller's checkpoint bytes: the RCA's frames, MRU way hints,
- *  hit and miss counts and histograms. */
+/** The controller's checkpoint bytes: the RCA's frames, hit and miss
+ *  counts and histograms. */
 std::vector<std::uint8_t>
 checkpointBytes(CgctController &ctrl)
 {
@@ -146,7 +146,7 @@ checkpointBytes(CgctController &ctrl)
 TEST_F(CgctControllerTest, MayHoldLinesFollowsEntryAndLineCount)
 {
     // Every answer leaves the RCA as it found it: no hit or miss counted,
-    // no MRU way hint moved, not one checkpoint byte changed.
+    // not one checkpoint byte changed.
     const auto ask = [this](Addr addr) {
         const std::vector<std::uint8_t> before = checkpointBytes(ctrl);
         const std::uint64_t hits = ctrl.rca().stats().hits;
@@ -170,7 +170,7 @@ TEST_F(CgctControllerTest, MayHoldLinesFollowsEntryAndLineCount)
     EXPECT_TRUE(ask(0x11C0));
     EXPECT_FALSE(ask(0x1200));
     // A second region in the same set takes the MRU way hint; asking
-    // about the first must not move it back (find() would).
+    // about the first counts no hit.
     ctrl.onBroadcastResponse(RequestType::Read, 0x1800, true,
                              response(false, false), 11);
     ctrl.onLineFill(0x1800);

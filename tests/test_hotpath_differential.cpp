@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -461,7 +462,7 @@ runRcaDifferential(std::uint64_t seed, std::uint64_t ops, bool favor_empty)
             dut.invalidate(addr);
             ref.invalidate(addr);
         } else {
-            const RegionEntry *a = dut.peek(addr);
+            const RegionEntry *a = std::as_const(dut).find(addr);
             const RegionEntry *b = ref.peekEntry(addr);
             ASSERT_EQ(a != nullptr, b != nullptr)
                 << "peek presence diverged at op " << i;

@@ -11,6 +11,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "core/cgct_controller.hpp"
 #include "sim/invariants.hpp"
@@ -137,7 +138,7 @@ TEST_F(InvariantFixture, DetectsStaleExclusiveState)
         CgctController &co = controller(other);
         co.rca().forEachValid([&](const RegionEntry &e) {
             if (region == 0 && e.lineCount > 0 &&
-                c0.rca().peek(e.regionAddr) != nullptr)
+                std::as_const(c0.rca()).find(e.regionAddr) != nullptr)
                 region = e.regionAddr;
         });
     }

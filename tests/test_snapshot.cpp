@@ -23,6 +23,7 @@
 #include <map>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -273,6 +274,22 @@ TEST(SnapshotFile, DetectsCorruptionAndTruncation)
     Deserializer d4;
     EXPECT_EQ(d4.open(path), "");
     std::remove(path.c_str());
+}
+
+TEST(SnapshotFile, RefusesAVersion2File)
+{
+    // v2 stored tag-array tags, MRU way hints and valid counts; v3 reads
+    // none of them, so a v2 header is refused before any section.
+    Serializer s;
+    s.beginSection("data");
+    s.u64(1);
+    s.endSection();
+    std::vector<std::uint8_t> bytes = makeSnapshotFile(1, s);
+    storeLe<std::uint32_t>(&bytes[sizeof(kSnapshotMagic)], 2);
+    Deserializer d;
+    EXPECT_EQ(d.openBytes(std::move(bytes), "old.ckpt"),
+              "old.ckpt: unsupported snapshot format version 2 (this "
+              "build reads version 3)");
 }
 
 TEST(SnapshotFile, CraftedLengthsCannotWrapBoundsChecks)
@@ -1165,96 +1182,123 @@ const CacheParams kFourSetCache{4 * 2 * 64, 2, 64, 1};
 /** The memory-controller count the RCA cases load against. */
 constexpr unsigned kMemCtrls = 4;
 
-TEST(SnapshotDecoderDeath, CacheMruHintAndOccupancyStayInsideTheSet)
+// A tag array's layout (SetAssocArray::transfer) follows its owner's
+// geometry: one u64 occupancy mask per set, then every frame's entry in
+// set-major, way-minor order. A cache frame is its line address u64,
+// state byte, ready tick u64 and LRU tick u64: 25 bytes.
+constexpr std::size_t kCacheMasks = 16;
+constexpr std::size_t kCacheFrames = kCacheMasks + 4 * 8;
+constexpr std::size_t kCacheFrameBytes = 25;
+
+TEST(SnapshotDecoderDeath, CacheOccupancyStaysInsideTheSet)
 {
     Cache saved("l2", kFourSetCache);
     Cache loaded("l2", kFourSetCache);
-    // Layout: sets u64, ways u32, line bytes u32, 8 tags, 4 occupancy
-    // masks, then 4 one-byte MRU hints.
-    const std::size_t occupancy = 16 + 8 * 8;
-    const std::size_t hints = occupancy + 4 * 8;
     EXPECT_EXIT(reload(saved, loaded,
                        [&](std::vector<std::uint8_t> &b) {
-                           b[hints] = 200;
-                       }),
-                ::testing::ExitedWithCode(1),
-                "patched: MRU way hint 200 out of range \\(bound 2\\)");
-    EXPECT_EXIT(reload(saved, loaded,
-                       [&](std::vector<std::uint8_t> &b) {
-                           b[occupancy] = 0x04;
+                           b[kCacheMasks] = 0x04;
                        }),
                 ::testing::ExitedWithCode(1),
                 "patched: occupancy mask 0000000000000004 names a way at "
                 "or above 2");
 }
 
-TEST(SnapshotDecoderDeath, RcaMruHintStaysInsideTheSet)
-{
-    RegionCoherenceArray saved(4, 2, 512, true);
-    RegionCoherenceArray loaded(4, 2, 512, true);
-    // Layout: sets u64, ways u32, region bytes u64, 8 tags, 4 masks.
-    const std::size_t hints = 20 + 8 * 8 + 4 * 8;
-    EXPECT_EXIT(reload(saved, loaded,
-                       [&](std::vector<std::uint8_t> &b) {
-                           b[hints + 3] = 64;
-                       },
-                       kMemCtrls),
-                ::testing::ExitedWithCode(1),
-                "patched: MRU way hint 64 out of range \\(bound 2\\)");
-}
-
-TEST(SnapshotDecoderDeath, CacheEntryAddressIsItsFramesTag)
+TEST(SnapshotDecoderDeath, OccupiedFrameHoldsAValidBlockOfItsSet)
 {
     Cache saved("l2", kFourSetCache);
     Cache loaded("l2", kFourSetCache);
     Eviction ev;
     saved.fill(0x1040, LineState::Shared, 0, 0, ev); // set 1, way 0
-    // Layout: 16 geometry bytes, 8 tags, 4 masks, 4 hints, then 25-byte
-    // frames that open with their line address u64.
-    const std::size_t frames = 16 + 8 * 8 + 4 * 8 + 4;
-    const std::size_t set1_way0 = frames + 2 * 25;
+    const std::size_t frame = kCacheFrames + 2 * kCacheFrameBytes;
+    const auto store = [frame](std::uint64_t addr) {
+        return [frame, addr](std::vector<std::uint8_t> &b) {
+            std::memcpy(&b[frame], &addr, sizeof addr);
+        };
+    };
+    EXPECT_EXIT(reload(saved, loaded, store(0x1041)),
+                ::testing::ExitedWithCode(1),
+                "patched: way 0 of set 1 holds misaligned address "
+                "0000000000001041");
+    // Line 0x1080 is block 0x42, which maps to set 2.
+    EXPECT_EXIT(reload(saved, loaded, store(0x1080)),
+                ::testing::ExitedWithCode(1),
+                "patched: way 0 of set 1 holds address 0000000000001080 "
+                "of set 2");
     EXPECT_EXIT(reload(saved, loaded,
-                       [&](std::vector<std::uint8_t> &b) {
-                           b[frames] = 0x40; // an empty frame
+                       [frame](std::vector<std::uint8_t> &b) {
+                           b[frame + 8] = 0; // LineState::Invalid
                        }),
                 ::testing::ExitedWithCode(1),
-                "patched: way 0 of set 0 stores address "
-                "0000000000000040, not 0000000000000000");
-    EXPECT_EXIT(reload(saved, loaded,
-                       [&](std::vector<std::uint8_t> &b) {
-                           b[set1_way0] = 0x80;
-                       }),
-                ::testing::ExitedWithCode(1),
-                "patched: way 0 of set 1 stores address "
-                "0000000000001080, not 0000000000001040");
+                "patched: occupied way 0 of set 1 holds an invalid entry");
+    // Another block of set 1 loads in its place.
+    reload(saved, loaded, store(0x1140));
+    EXPECT_NE(std::as_const(loaded).lookup(0x1140), nullptr);
+    EXPECT_EQ(std::as_const(loaded).lookup(0x1040), nullptr);
 }
 
-TEST(SnapshotDecoderDeath, CacheTagSurvivesTheBlockShift)
+TEST(SnapshotDecoderDeath, EmptyFrameStoresAddressZero)
 {
     Cache saved("l2", kFourSetCache);
     Cache loaded("l2", kFourSetCache);
-    // Layout: 16 geometry bytes, then frame 0's tag u64. A 64 B block
-    // leaves a tag 58 bits.
-    const auto tag = [](std::uint64_t v) {
-        return [v](std::vector<std::uint8_t> &b) {
-            std::memcpy(&b[16], &v, sizeof v);
-        };
-    };
-    EXPECT_EXIT(reload(saved, loaded, tag(std::uint64_t{1} << 58)),
+    EXPECT_EXIT(reload(saved, loaded,
+                       [](std::vector<std::uint8_t> &b) {
+                           b[kCacheFrames + kCacheFrameBytes] = 0x40;
+                       }),
                 ::testing::ExitedWithCode(1),
-                "patched: tag 0400000000000000 does not fit a 58-bit "
-                "block number");
-    // The largest 58-bit tag loads: an empty frame keeps it.
-    reload(saved, loaded, tag((std::uint64_t{1} << 58) - 1));
+                "patched: empty way 1 of set 0 stores address "
+                "0000000000000040");
+}
+
+TEST(SnapshotDecoder, RestoredValidCountIsTheOccupiedFrames)
+{
+    // A cache section written field by field: geometry, the four masks,
+    // the eight frames, then the six statistics. Sets 0 and 1 hold
+    // three lines between them; no count is stored.
+    const std::uint64_t masks[4] = {0b01, 0b11, 0, 0};
+    const Addr lines[8] = {0x1000, 0, 0x1040, 0x2040, 0, 0, 0, 0};
+    Serializer s;
+    s.u64(4);
+    s.u32(2);
+    s.u32(64);
+    for (std::uint64_t m : masks)
+        s.u64(m);
+    for (Addr line : lines) {
+        s.u64(line);
+        s.u8(line ? static_cast<std::uint8_t>(LineState::Shared) : 0);
+        s.u64(0);
+        s.u64(line ? 7 : 0);
+    }
+    for (int stat = 0; stat < 6; ++stat)
+        s.u64(0);
+    const std::vector<std::uint8_t> bytes = s.buffer();
+
+    // The loading cache held five other lines, and its MRU hints point
+    // past way 0.
+    Cache loaded("l2", kFourSetCache);
+    Eviction ev;
+    for (Addr a : {0x3000, 0x3100, 0x3040, 0x3140, 0x3080})
+        loaded.fill(a, LineState::Modified, 0, 0, ev);
+    SectionReader r(bytes.data(), bytes.data() + bytes.size(), "crafted");
+    Archive load(r);
+    loaded.transfer(load);
+    EXPECT_TRUE(r.atEnd());
+
+    EXPECT_EQ(loaded.array().countValid(), 3u);
+    for (Addr a : {0x1000, 0x1040, 0x2040})
+        EXPECT_NE(loaded.lookup(a), nullptr) << std::hex << a;
+    EXPECT_EQ(loaded.lookup(0x3000), nullptr);
+    Serializer again;
+    Archive save(again);
+    loaded.transfer(save);
+    EXPECT_EQ(again.buffer(), bytes);
 }
 
 TEST(SnapshotDecoderDeath, CacheLineStateIsALineState)
 {
     Cache saved("l2", kFourSetCache);
     Cache loaded("l2", kFourSetCache);
-    // Layout: 16 geometry bytes, 8 tags, 4 masks, 4 hints, then frame 0:
-    // line address u64 and the state byte.
-    const std::size_t state = 16 + 8 * 8 + 4 * 8 + 4 + 8;
+    // Layout: frame 0's line address u64, then its state byte.
+    const std::size_t state = kCacheFrames + 8;
     EXPECT_EXIT(reload(saved, loaded,
                        [&](std::vector<std::uint8_t> &b) {
                            b[state] = 5; // one past Modified
@@ -1267,9 +1311,9 @@ TEST(SnapshotDecoderDeath, RegionStateIsARegionState)
 {
     RegionCoherenceArray saved(4, 2, 512, true);
     RegionCoherenceArray loaded(4, 2, 512, true);
-    // Layout: 20 geometry bytes, 8 tags, 4 masks, 4 hints, then entry 0:
-    // region address u64 and the state byte.
-    const std::size_t state = 20 + 8 * 8 + 4 * 8 + 4 + 8;
+    // Layout: 20 geometry bytes, 4 masks, then entry 0: region address
+    // u64 and the state byte.
+    const std::size_t state = 20 + 4 * 8 + 8;
     EXPECT_EXIT(reload(saved, loaded,
                        [&](std::vector<std::uint8_t> &b) {
                            b[state] = 0xFF;
@@ -1283,10 +1327,10 @@ TEST(SnapshotDecoderDeath, RcaMemCtrlIsAController)
 {
     RegionCoherenceArray saved(4, 2, 512, true);
     RegionCoherenceArray loaded(4, 2, 512, true);
-    // Layout: 20 geometry bytes, 8 tags, 4 masks, 4 hints, then entry 0:
-    // region address u64, state byte, line count u32 and the memory
-    // controller u64 (all ones for none).
-    const std::size_t mc = 20 + 8 * 8 + 4 * 8 + 4 + 8 + 1 + 4;
+    // Layout: 20 geometry bytes, 4 masks, then entry 0: region address
+    // u64, state byte, line count u32 and the memory controller u64 (all
+    // ones for none).
+    const std::size_t mc = 20 + 4 * 8 + 8 + 1 + 4;
     const auto store = [mc](std::uint64_t v) {
         return [mc, v](std::vector<std::uint8_t> &b) {
             std::memcpy(&b[mc], &v, sizeof v);

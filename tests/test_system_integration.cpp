@@ -83,7 +83,7 @@ TEST_P(SystemSweep, InvariantsHoldAfterRealWorkload)
             // An M/E/O copy coexists only with Shared copies, and an
             // M/E copy coexists with none at all.
             for (unsigned i = 0; i < sys.numCpus(); ++i) {
-                const CacheLine *line = sys.node(i).l2().peek(addr);
+                const CacheLine *line = sys.node(i).l2().lookup(addr);
                 if (!line)
                     continue;
                 if (isWritable(line->state))

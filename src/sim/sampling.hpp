@@ -18,9 +18,12 @@
  *
  *  - functional: caches, MOESI states, region trackers and prefetchers
  *    are updated on every access, but no timing events run — no bus
- *    arbitration, no MSHR occupancy, no latency. An order of magnitude
- *    faster than detailed simulation; the detailed window warms the
- *    timing state (it is tiny: bank cursors, tag-port busy ticks).
+ *    arbitration, no MSHR occupancy, no latency. The detailed window
+ *    warms the timing state (it is tiny: bank cursors, tag-port busy
+ *    ticks). The whole sampled run is about 1.5x faster than one
+ *    full-detail run of the same ops: tpc-w, 512 B regions, 1.5 M ops
+ *    per CPU, 16 windows of 2000 ops, --jobs 1 took 1.82 s against
+ *    2.80 s (Release, median of 5 alternating pairs, 2-vCPU host).
  *  - detailed: the full timing model fast-forwards between windows
  *    (no speedup; the reference mode for validating functional warming).
  *

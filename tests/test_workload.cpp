@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "golden.hpp"
 #include "snapshot/serializer.hpp"
@@ -294,6 +297,50 @@ TEST(Generator, AddressesStayInMappedMemory)
             }
         }
     }
+}
+
+TEST(Generator, StreamsDependOnDrawOrder)
+{
+    // tpc-w's shared read-write objects have one generator-global owner,
+    // so a CPU's ops depend on what the other CPUs drew before them. The
+    // simulator draws in timing order; drawing each stream once, apart
+    // from the timing, would not reproduce it.
+    constexpr unsigned kCpus = 4;
+    constexpr std::uint64_t kOps = 5000;
+    using Stream = std::vector<std::pair<Addr, CpuOpKind>>;
+    const auto draw = [&](CpuId ahead) {
+        SyntheticWorkload wl(benchmarkByName("tpc-w"), kCpus, kOps,
+                             20050609);
+        std::vector<Stream> streams(kCpus);
+        CpuOp op;
+        const auto take = [&](CpuId cpu) {
+            EXPECT_TRUE(wl.next(cpu, op));
+            streams[static_cast<unsigned>(cpu)].emplace_back(op.addr,
+                                                             op.kind);
+        };
+        if (ahead != kInvalidCpu)
+            for (std::uint64_t i = 0; i < kOps; ++i)
+                take(ahead);
+        for (std::uint64_t i = 0; i < kOps; ++i)
+            for (CpuId cpu = 0; cpu < static_cast<CpuId>(kCpus); ++cpu)
+                if (cpu != ahead)
+                    take(cpu);
+        return streams;
+    };
+    const std::vector<Stream> round_robin = draw(kInvalidCpu);
+    const std::vector<Stream> cpu0_first = draw(0);
+    unsigned differ = 0;
+    for (unsigned cpu = 0; cpu < kCpus; ++cpu) {
+        const Stream &a = round_robin[cpu];
+        const Stream &b = cpu0_first[cpu];
+        const auto at = std::mismatch(a.begin(), a.end(), b.begin());
+        if (at.first == a.end())
+            continue;
+        ++differ;
+        std::printf("cpu%u diverges at op %td\n", cpu, at.first - a.begin());
+    }
+    // Every CPU's stream moves, the one that ran ahead included.
+    EXPECT_EQ(differ, kCpus);
 }
 
 TEST(Workload, StreamPin)

@@ -125,6 +125,34 @@ inline constexpr std::uint64_t kRegionScoutTpcw4DumpStatsFnv = 0xc8eb104ef679511
  */
 inline constexpr std::uint64_t kStandardStreamsXxh64 = 0x814c09a2a029e15aULL;
 
+/**
+ * xxhash64 of canonicalizeConfig's bytes (the configuration part of every
+ * snapshot and journal fingerprint) for makeDefaultConfig(). Asserted by
+ * ConfigPin.CanonicalBytes. Regenerate (prints all four):
+ *   build/tests/test_config --gtest_filter='ConfigPin.*'
+ */
+inline constexpr std::uint64_t kDefaultConfigXxh64 = 0xe714f4c871d3db7cULL;
+
+/**
+ * The same digest for makeDefaultConfig().withCgct(512). Asserted by
+ * ConfigPin.CanonicalBytes; regenerated by the same command.
+ */
+inline constexpr std::uint64_t kCgct512ConfigXxh64 = 0x11bc66cc021cbaf9ULL;
+
+/**
+ * The same digest for that configuration on 16 processors and the
+ * two-level hierarchy. Asserted by ConfigPin.CanonicalBytes; regenerated
+ * by the same command.
+ */
+inline constexpr std::uint64_t kHier16ConfigXxh64 = 0x461ee57b8601cd6eULL;
+
+/**
+ * The same digest on 16 processors and the full-map directory with DMA
+ * on. Asserted by ConfigPin.CanonicalBytes; regenerated by the same
+ * command.
+ */
+inline constexpr std::uint64_t kDir16DmaConfigXxh64 = 0x80a1fbccccc560c0ULL;
+
 /*
  * The four CGCTSNAP digests below are of format v3, whose tag arrays
  * store occupancy masks and entries only. They were re-pinned when v3

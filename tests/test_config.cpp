@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 
 #include "common/config.hpp"
+#include "golden.hpp"
+#include "snapshot/serializer.hpp"
+#include "snapshot/snapshot.hpp"
 
 namespace cgct {
 namespace {
@@ -186,6 +190,50 @@ TEST(Config, PrintMentionsKeyParameters)
     EXPECT_NE(out.find("MOESI"), std::string::npos);
     EXPECT_NE(out.find("512"), std::string::npos);
     EXPECT_NE(out.find("8192"), std::string::npos);
+}
+
+/** xxhash64 of canonicalizeConfig's bytes for @p c. */
+std::uint64_t
+canonicalDigest(const SystemConfig &c)
+{
+    Serializer s;
+    canonicalizeConfig(s, c);
+    return xxhash64(s.buffer().data(), s.size());
+}
+
+/** @p c on @p nodes processors and topology @p kind. */
+SystemConfig
+onTopology(SystemConfig c, unsigned nodes, TopologyKind kind)
+{
+    c.topology.numCpus = nodes;
+    c.interconnect.topology = kind;
+    return c;
+}
+
+TEST(ConfigPin, CanonicalBytes)
+{
+    // The fingerprint of every snapshot and sweep journal hashes these
+    // bytes: a change to any slot invalidates every stored file.
+    SystemConfig dir16_dma =
+        onTopology(makeDefaultConfig().withCgct(512), 16, TopologyKind::Dir);
+    dir16_dma.dma.enabled = true;
+    const std::pair<const char *, std::pair<SystemConfig, std::uint64_t>>
+        pins[] = {
+            {"default", {makeDefaultConfig(), golden::kDefaultConfigXxh64}},
+            {"cgct512",
+             {makeDefaultConfig().withCgct(512), golden::kCgct512ConfigXxh64}},
+            {"hier16",
+             {onTopology(makeDefaultConfig().withCgct(512), 16,
+                         TopologyKind::Hier),
+              golden::kHier16ConfigXxh64}},
+            {"dir16-dma", {dir16_dma, golden::kDir16DmaConfigXxh64}},
+        };
+    for (const auto &[name, pin] : pins) {
+        const std::uint64_t got = canonicalDigest(pin.first);
+        std::printf("%-10s %016llx\n", name,
+                    static_cast<unsigned long long>(got));
+        EXPECT_EQ(got, pin.second) << name;
+    }
 }
 
 } // namespace

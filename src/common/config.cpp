@@ -34,7 +34,7 @@ parseTopologyKind(const std::string &s, TopologyKind *out)
 }
 
 Tick
-InterconnectParams::xferLatency(Distance d) const
+InterconnectParams::xferLatency(Distance d)
 {
     switch (d) {
       case Distance::OwnChip:    return xferOwnChip;
@@ -46,7 +46,7 @@ InterconnectParams::xferLatency(Distance d) const
 }
 
 Tick
-InterconnectParams::directLatency(Distance d) const
+InterconnectParams::directLatency(Distance d)
 {
     switch (d) {
       case Distance::OwnChip:    return directOwnChip;
@@ -98,8 +98,6 @@ SystemConfig::validate() const
             fatal("config: region size must not exceed memory interleave "
                   "granularity (a region must map to one controller)");
     }
-    if (!isPowerOfTwo(topology.interleaveBytes))
-        fatal("config: interleave granularity must be a power of two");
     if (interconnect.topology != TopologyKind::Bus &&
         topology.numCpus > 64)
         fatal("config: hier/dir topologies track presence in 64-bit "
@@ -177,8 +175,7 @@ SystemConfig::print(std::ostream &os) const
        << "-cycle (writeback)\n"
        << "  Prefetch: " << (prefetch.enabled ? "Power4-style" : "off")
        << ", " << prefetch.streams << " streams, " << prefetch.runahead
-       << "-line runahead, exclusive-prefetch "
-       << (prefetch.exclusivePrefetch ? "on" : "off") << "\n"
+       << "-line runahead, exclusive-prefetch on\n"
        << "  Coherence: write-invalidate MOESI (L2), MSI (L1)\n"
        << "Interconnect (CPU cycles, 10 per system cycle)\n"
        << "  Snoop latency                      "

@@ -36,18 +36,20 @@ struct CacheParams {
  * Table 3's processor rows are constants of SystemConfig::print.
  */
 struct CoreParams {
-    unsigned commitWidth = 4;
+    static constexpr unsigned commitWidth = 4;
     unsigned robEntries = 64;
     unsigned lsqEntries = 32;
     unsigned maxOutstandingMisses = 8;   ///< L2 MSHRs per processor.
 };
 
-/** Prefetch parameters (Power4-style streams + exclusive prefetching). */
+/**
+ * Prefetch parameters (Power4-style streams; store-trained streams
+ * always prefetch exclusive, R10000-style).
+ */
 struct PrefetchParams {
     bool enabled = true;
-    unsigned streams = 8;
-    unsigned runahead = 5;               ///< Lines of runahead per stream.
-    bool exclusivePrefetch = true;       ///< R10000-style for stores.
+    static constexpr unsigned streams = 8;
+    static constexpr unsigned runahead = 5; ///< Lines ahead per stream.
 };
 
 /**
@@ -66,7 +68,11 @@ enum class TopologyKind : std::uint8_t {
 const char *topologyKindName(TopologyKind k);
 bool parseTopologyKind(const std::string &s, TopologyKind *out);
 
-/** Interconnect and memory latencies (Table 3, "Interconnect"). */
+/**
+ * Interconnect organization and memory latencies (Table 3,
+ * "Interconnect"). Only the organization is settable; every latency and
+ * the data bandwidth is a constant of the modelled machine.
+ */
 struct InterconnectParams {
     /** Interconnect organization (bus / hier / dir, docs/TOPOLOGY.md). */
     TopologyKind topology = TopologyKind::Bus;
@@ -75,38 +81,38 @@ struct InterconnectParams {
      * the intra-chip ring is short, so a local resolution costs a
      * fraction of the full Fireplane snoop.
      */
-    Tick localSnoopLatency = systemCycles(6);
+    static constexpr Tick localSnoopLatency = systemCycles(6);
     /** Directory-bank tag lookup latency at the home controller. */
-    Tick dirLookupLatency = systemCycles(4);
-    Tick snoopLatency = systemCycles(16);          ///< 106 ns.
-    Tick dramLatency = systemCycles(16);           ///< 106 ns.
+    static constexpr Tick dirLookupLatency = systemCycles(4);
+    static constexpr Tick snoopLatency = systemCycles(16);  ///< 106 ns.
+    static constexpr Tick dramLatency = systemCycles(16);   ///< 106 ns.
     /** Extra DRAM time beyond the snoop when overlapped (47 ns). */
-    Tick dramOverlappedExtra = systemCycles(7);
+    static constexpr Tick dramOverlappedExtra = systemCycles(7);
     /** Critical-word transfer latency per distance class. */
-    Tick xferOwnChip = systemCycles(2);
-    Tick xferSameSwitch = systemCycles(3);         ///< 20 ns.
-    Tick xferSameBoard = systemCycles(7);          ///< 47 ns.
-    Tick xferRemote = systemCycles(12);            ///< 80 ns.
+    static constexpr Tick xferOwnChip = systemCycles(2);
+    static constexpr Tick xferSameSwitch = systemCycles(3); ///< 20 ns.
+    static constexpr Tick xferSameBoard = systemCycles(7);  ///< 47 ns.
+    static constexpr Tick xferRemote = systemCycles(12);    ///< 80 ns.
     /** Direct (non-broadcast) request delivery latency per distance. */
-    Tick directOwnChip = 1;                        ///< 0.7 ns, 1 CPU cycle.
-    Tick directSameSwitch = systemCycles(2);       ///< 13 ns.
-    Tick directSameBoard = systemCycles(4);        ///< 27 ns.
-    Tick directRemote = systemCycles(6);           ///< 40 ns.
+    static constexpr Tick directOwnChip = 1;   ///< 0.7 ns, 1 CPU cycle.
+    static constexpr Tick directSameSwitch = systemCycles(2); ///< 13 ns.
+    static constexpr Tick directSameBoard = systemCycles(4);  ///< 27 ns.
+    static constexpr Tick directRemote = systemCycles(6);     ///< 40 ns.
     /** Address-bus occupancy per broadcast (one per system cycle). */
-    Tick busSlot = systemCycles(1);
+    static constexpr Tick busSlot = systemCycles(1);
     /**
      * L2 tag-port occupancy charged to a processor for each incoming
      * snoop: external lookups contend with the processor's own accesses
      * (one of the overheads CGCT removes, Section 1.2).
      */
-    Tick snoopTagOccupancy = systemCycles(1);
+    static constexpr Tick snoopTagOccupancy = systemCycles(1);
     /** Per-memory-controller service initiation interval. */
-    Tick memCtrlSlot = systemCycles(1);
+    static constexpr Tick memCtrlSlot = systemCycles(1);
     /** Data network bandwidth per processor: 16 B per system cycle. */
-    std::uint64_t dataBytesPerSystemCycle = 16;
+    static constexpr std::uint64_t dataBytesPerSystemCycle = 16;
 
-    Tick xferLatency(Distance d) const;
-    Tick directLatency(Distance d) const;
+    static Tick xferLatency(Distance d);
+    static Tick directLatency(Distance d);
 };
 
 /** Coarse-Grain Coherence Tracking configuration. */
@@ -171,7 +177,9 @@ struct TopologyParams {
     unsigned chipsPerSwitch = 2;         ///< Processor chips per data switch.
     unsigned switchesPerBoard = 2;
     /** Memory interleave granularity across controllers (one per chip). */
-    std::uint64_t interleaveBytes = 4096;
+    static constexpr std::uint64_t interleaveBytes = 4096;
+    static_assert(isPowerOfTwo(interleaveBytes),
+                  "the interleave granularity must be a power of two");
 
     unsigned numChips() const
     {

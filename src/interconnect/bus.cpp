@@ -6,10 +6,9 @@
 
 namespace cgct {
 
-Bus::Bus(EventQueue &eq, const InterconnectParams &params,
-         const AddressMap &map, DataNetwork &data_net,
+Bus::Bus(EventQueue &eq, const AddressMap &map, DataNetwork &data_net,
          std::vector<MemoryController *> mem_ctrls)
-    : Interconnect(eq, params, map, data_net, std::move(mem_ctrls)),
+    : Interconnect(eq, map, data_net, std::move(mem_ctrls)),
       charges_(64)
 {
 }
@@ -21,7 +20,7 @@ Bus::broadcast(const SystemRequest &req, ResponseFn fn)
     // of arrival order, so no grant event is needed.
     const Tick enq = eq_.now();
     const Tick g = nextFreeSlot_ > enq ? nextFreeSlot_ : enq;
-    nextFreeSlot_ = g + params_.busSlot;
+    nextFreeSlot_ = g + InterconnectParams::busSlot;
     if (chargeCount_ == charges_.size()) {
         // Full: double the ring, unrolling the FIFO to start at 0.
         std::vector<GrantCharge> grown(2 * charges_.size());
@@ -36,7 +35,7 @@ Bus::broadcast(const SystemRequest &req, ResponseFn fn)
         trace_->busGrant(g, req.cpu, req.type, req.lineAddr, g - enq);
 
     // The snoop resolves a fixed latency after the broadcast slot.
-    eq_.schedule(g + params_.snoopLatency,
+    eq_.schedule(g + InterconnectParams::snoopLatency,
                  [this, req, fn = std::move(fn)]() mutable {
                      settleGrants(eq_.now());
                      resolveRequest(req, fn, kSnoopAll);

@@ -25,8 +25,7 @@ namespace cgct {
 class Bus : public Interconnect
 {
   public:
-    Bus(EventQueue &eq, const InterconnectParams &params,
-        const AddressMap &map, DataNetwork &data_net,
+    Bus(EventQueue &eq, const AddressMap &map, DataNetwork &data_net,
         std::vector<MemoryController *> mem_ctrls);
 
     /**

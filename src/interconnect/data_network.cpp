@@ -5,8 +5,7 @@
 
 namespace cgct {
 
-DataNetwork::DataNetwork(unsigned num_cpus, const InterconnectParams &params)
-    : params_(params), linkFree_(num_cpus, 0)
+DataNetwork::DataNetwork(unsigned num_cpus) : linkFree_(num_cpus, 0)
 {
 }
 
@@ -17,13 +16,13 @@ DataNetwork::deliver(CpuId dst, Tick start, Distance d, unsigned bytes)
     const Tick begin = start > link ? start : link;
     stats_.linkWaitCycles += begin - start;
     // Link occupancy: bytes at dataBytesPerSystemCycle.
-    const Tick occupancy =
-        (bytes + params_.dataBytesPerSystemCycle - 1) /
-        params_.dataBytesPerSystemCycle * kCpuCyclesPerSystemCycle;
+    constexpr Tick kBytesPerSlot = InterconnectParams::dataBytesPerSystemCycle;
+    const Tick occupancy = (bytes + kBytesPerSlot - 1) / kBytesPerSlot *
+                           kCpuCyclesPerSystemCycle;
     link = begin + occupancy;
     ++stats_.transfers;
     stats_.bytes += bytes;
-    return begin + params_.xferLatency(d);
+    return begin + InterconnectParams::xferLatency(d);
 }
 
 void

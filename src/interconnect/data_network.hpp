@@ -23,7 +23,7 @@ namespace cgct {
 class DataNetwork
 {
   public:
-    DataNetwork(unsigned num_cpus, const InterconnectParams &params);
+    explicit DataNetwork(unsigned num_cpus);
 
     /**
      * Deliver @p bytes to processor @p dst starting no earlier than
@@ -49,7 +49,6 @@ class DataNetwork
     void transfer(Archive &ar);
 
   private:
-    InterconnectParams params_;
     std::vector<Tick> linkFree_;   ///< Next free tick per destination link.
     Stats stats_;
 };

@@ -8,10 +8,10 @@
 namespace cgct {
 
 DirectoryInterconnect::DirectoryInterconnect(
-    EventQueue &eq, const InterconnectParams &params, const AddressMap &map,
-    DataNetwork &data_net, std::vector<MemoryController *> mem_ctrls,
-    const TopologyParams &topo, std::uint64_t region_bytes)
-    : FilteredInterconnect(eq, params, map, data_net, std::move(mem_ctrls),
+    EventQueue &eq, const AddressMap &map, DataNetwork &data_net,
+    std::vector<MemoryController *> mem_ctrls, const TopologyParams &topo,
+    std::uint64_t region_bytes)
+    : FilteredInterconnect(eq, map, data_net, std::move(mem_ctrls),
                            topo, region_bytes),
       bankNextFree_(topo.numMemCtrls(), 0)
 {
@@ -25,20 +25,20 @@ DirectoryInterconnect::broadcast(const SystemRequest &req, ResponseFn fn)
     // Point-to-point delivery to the line's home controller, at the
     // direct-request latency of the requester->home distance class.
     const MemCtrlId mc = map_.controllerOf(req.lineAddr);
-    const Tick arrive =
-        now + params_.directLatency(map_.distanceToCtrl(req.cpu, mc));
+    const Tick arrive = now + InterconnectParams::directLatency(
+                                  map_.distanceToCtrl(req.cpu, mc));
 
     // FCFS at the home directory bank.
     const unsigned bank = static_cast<unsigned>(mc);
     const Tick g = std::max(bankNextFree_[bank], arrive);
-    bankNextFree_[bank] = g + params_.busSlot;
+    bankNextFree_[bank] = g + InterconnectParams::busSlot;
     stats_.queueCycles += g - arrive;
     ++stats_.broadcasts;
     traffic_.note(g);
     if (trace_)
         trace_->busGrant(g, req.cpu, req.type, req.lineAddr, g - arrive);
 
-    eq_.schedule(g + params_.dirLookupLatency,
+    eq_.schedule(g + InterconnectParams::dirLookupLatency,
                  [this, req, fn = std::move(fn)]() mutable {
                      lookup(req, std::move(fn));
                  },

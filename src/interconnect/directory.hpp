@@ -32,8 +32,8 @@ namespace cgct {
 class DirectoryInterconnect : public FilteredInterconnect
 {
   public:
-    DirectoryInterconnect(EventQueue &eq, const InterconnectParams &params,
-                          const AddressMap &map, DataNetwork &data_net,
+    DirectoryInterconnect(EventQueue &eq, const AddressMap &map,
+                          DataNetwork &data_net,
                           std::vector<MemoryController *> mem_ctrls,
                           const TopologyParams &topo,
                           std::uint64_t region_bytes);

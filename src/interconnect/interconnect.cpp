@@ -9,10 +9,10 @@
 
 namespace cgct {
 
-Interconnect::Interconnect(EventQueue &eq, const InterconnectParams &params,
-                           const AddressMap &map, DataNetwork &data_net,
+Interconnect::Interconnect(EventQueue &eq, const AddressMap &map,
+                           DataNetwork &data_net,
                            std::vector<MemoryController *> mem_ctrls)
-    : eq_(eq), params_(params), map_(map), dataNet_(data_net),
+    : eq_(eq), map_(map), dataNet_(data_net),
       memCtrls_(std::move(mem_ctrls))
 {
 }
@@ -138,16 +138,15 @@ Interconnect::transferStats(Archive &ar, bool domain_counters)
 }
 
 FilteredInterconnect::FilteredInterconnect(
-    EventQueue &eq, const InterconnectParams &params, const AddressMap &map,
-    DataNetwork &data_net, std::vector<MemoryController *> mem_ctrls,
-    const TopologyParams &topo, std::uint64_t region_bytes)
-    : Interconnect(eq, params, map, data_net, std::move(mem_ctrls)),
+    EventQueue &eq, const AddressMap &map, DataNetwork &data_net,
+    std::vector<MemoryController *> mem_ctrls, const TopologyParams &topo,
+    std::uint64_t region_bytes)
+    : Interconnect(eq, map, data_net, std::move(mem_ctrls)),
       topo_(topo), regionBytes_(region_bytes)
 {
     if (topo_.numCpus > 64)
-        panic("%s: presence masks are 64-bit; numCpus must be <= 64 "
-              "(config.validate should have rejected this)",
-              topologyKindName(params.topology));
+        panic("hier/dir: presence masks are 64-bit; numCpus must be <= 64 "
+              "(config.validate should have rejected this)");
 }
 
 void

@@ -102,8 +102,8 @@ class Interconnect
      */
     using PostResolveFn = std::function<void(const SystemRequest &)>;
 
-    Interconnect(EventQueue &eq, const InterconnectParams &params,
-                 const AddressMap &map, DataNetwork &data_net,
+    Interconnect(EventQueue &eq, const AddressMap &map,
+                 DataNetwork &data_net,
                  std::vector<MemoryController *> mem_ctrls);
     virtual ~Interconnect() = default;
 
@@ -264,7 +264,6 @@ class Interconnect
     static constexpr std::uint64_t kSnoopAll = ~0ULL;
 
     EventQueue &eq_;
-    InterconnectParams params_;
     const AddressMap &map_;
     DataNetwork &dataNet_;
     std::vector<MemoryController *> memCtrls_;
@@ -305,8 +304,8 @@ class FilteredInterconnect : public Interconnect
     }
 
   protected:
-    FilteredInterconnect(EventQueue &eq, const InterconnectParams &params,
-                         const AddressMap &map, DataNetwork &data_net,
+    FilteredInterconnect(EventQueue &eq, const AddressMap &map,
+                         DataNetwork &data_net,
                          std::vector<MemoryController *> mem_ctrls,
                          const TopologyParams &topo,
                          std::uint64_t region_bytes);

@@ -7,12 +7,12 @@
 
 namespace cgct {
 
-HierRouter::HierRouter(EventQueue &eq, const InterconnectParams &params,
-                       const AddressMap &map, DataNetwork &data_net,
+HierRouter::HierRouter(EventQueue &eq, const AddressMap &map,
+                       DataNetwork &data_net,
                        std::vector<MemoryController *> mem_ctrls,
                        const TopologyParams &topo,
                        std::uint64_t region_bytes)
-    : FilteredInterconnect(eq, params, map, data_net, std::move(mem_ctrls),
+    : FilteredInterconnect(eq, map, data_net, std::move(mem_ctrls),
                            topo, region_bytes),
       domainNextFree_(topo.numChips(), 0)
 {
@@ -27,14 +27,14 @@ HierRouter::broadcast(const SystemRequest &req, ResponseFn fn)
     // inter-chip level and snoops every processor, like on the flat bus.
     if (!fromCpu(req)) {
         const Tick g = std::max(globalNextFree_, enq);
-        globalNextFree_ = g + params_.busSlot;
+        globalNextFree_ = g + InterconnectParams::busSlot;
         stats_.queueCycles += g - enq;
         ++stats_.broadcasts;
         ++stats_.interChip;
         traffic_.note(g);
         if (trace_)
             trace_->busGrant(g, req.cpu, req.type, req.lineAddr, g - enq);
-        eq_.schedule(g + params_.snoopLatency,
+        eq_.schedule(g + InterconnectParams::snoopLatency,
                      [this, req, fn = std::move(fn)]() mutable {
                          resolveRequest(req, fn, kSnoopAll);
                      },
@@ -45,13 +45,13 @@ HierRouter::broadcast(const SystemRequest &req, ResponseFn fn)
     // Local-domain FCFS arbitration, then the short on-chip snoop.
     const unsigned d = topo_.chipOfCpu(req.cpu);
     const Tick g = std::max(domainNextFree_[d], enq);
-    domainNextFree_[d] = g + params_.busSlot;
+    domainNextFree_[d] = g + InterconnectParams::busSlot;
     stats_.queueCycles += g - enq;
     ++stats_.broadcasts;
     traffic_.note(g);
     if (trace_)
         trace_->busGrant(g, req.cpu, req.type, req.lineAddr, g - enq);
-    eq_.schedule(g + params_.localSnoopLatency,
+    eq_.schedule(g + InterconnectParams::localSnoopLatency,
                  [this, req, fn = std::move(fn)]() mutable {
                      localStage(req, std::move(fn));
                  },
@@ -84,9 +84,9 @@ HierRouter::localStage(const SystemRequest &req, ResponseFn fn)
         trace_->hierEscape(eq_.now(), req.cpu, req.type, req.lineAddr, remote);
     const Tick now = eq_.now();
     const Tick g = std::max(globalNextFree_, now);
-    globalNextFree_ = g + params_.busSlot;
+    globalNextFree_ = g + InterconnectParams::busSlot;
     stats_.queueCycles += g - now;
-    eq_.schedule(g + params_.snoopLatency,
+    eq_.schedule(g + InterconnectParams::snoopLatency,
                  [this, req, local, fn = std::move(fn)]() mutable {
                      // Recompute presence at resolution: it can only have
                      // grown, and snooping more processors is safe.

@@ -7,9 +7,8 @@
 
 namespace cgct {
 
-MemoryController::MemoryController(MemCtrlId id, EventQueue &eq,
-                                   const InterconnectParams &params)
-    : id_(id), eq_(eq), params_(params)
+MemoryController::MemoryController(MemCtrlId id, EventQueue &eq)
+    : id_(id), eq_(eq)
 {
 }
 
@@ -18,7 +17,7 @@ MemoryController::claimSlot(Tick at)
 {
     const Tick start = at > nextFreeSlot_ ? at : nextFreeSlot_;
     stats_.queuedCycles += start - at;
-    nextFreeSlot_ = start + params_.memCtrlSlot;
+    nextFreeSlot_ = start + InterconnectParams::memCtrlSlot;
     return start;
 }
 
@@ -29,7 +28,7 @@ MemoryController::accessOverlapped(Tick snoop_done)
     // The row access was started when the request was broadcast; by the
     // time the snoop resolves only the tail of the DRAM access remains.
     const Tick start = claimSlot(snoop_done);
-    const Tick ready = start + params_.dramOverlappedExtra;
+    const Tick ready = start + InterconnectParams::dramOverlappedExtra;
     if (trace_)
         trace_->memAccess(snoop_done, id_, MemAccessKind::Overlapped, ready);
     return ready;
@@ -40,7 +39,7 @@ MemoryController::accessDirect(Tick arrival)
 {
     ++stats_.directReads;
     const Tick start = claimSlot(arrival);
-    const Tick ready = start + params_.dramLatency;
+    const Tick ready = start + InterconnectParams::dramLatency;
     if (trace_)
         trace_->memAccess(arrival, id_, MemAccessKind::Direct, ready);
     return ready;

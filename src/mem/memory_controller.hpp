@@ -32,8 +32,7 @@ class TraceSink;
 class MemoryController
 {
   public:
-    MemoryController(MemCtrlId id, EventQueue &eq,
-                     const InterconnectParams &params);
+    MemoryController(MemCtrlId id, EventQueue &eq);
 
     /**
      * Service a request whose DRAM access was started in parallel with the
@@ -84,7 +83,6 @@ class MemoryController
 
     MemCtrlId id_;
     EventQueue &eq_;
-    InterconnectParams params_;
     Tick nextFreeSlot_ = 0;
     Stats stats_;
     TraceSink *trace_ = nullptr;

@@ -10,7 +10,8 @@ namespace cgct {
 
 StreamPrefetcher::StreamPrefetcher(const PrefetchParams &params,
                                    unsigned line_bytes)
-    : params_(params), lineBytes_(line_bytes), streams_(params.streams)
+    : params_(params), lineBytes_(line_bytes),
+      streams_(PrefetchParams::streams)
 {
 }
 
@@ -83,13 +84,13 @@ StreamPrefetcher::observe(Addr line_addr, bool is_store, bool was_miss,
         }
         s->lastLine = line_addr;
 
-        // Keep the stream params_.runahead lines ahead of the demand,
-        // emitting at most a runahead's worth per observation.
+        // Keep the stream PrefetchParams::runahead lines ahead of the
+        // demand, emitting at most a runahead's worth per observation.
         const Addr target =
             line_addr + static_cast<Addr>(step *
                                           static_cast<std::int64_t>(
-                                              params_.runahead));
-        for (unsigned i = 0; i <= params_.runahead; ++i) {
+                                              PrefetchParams::runahead));
+        for (unsigned i = 0; i <= PrefetchParams::runahead; ++i) {
             const bool behind =
                 (direction > 0 && s->nextPrefetch <= target &&
                  s->nextPrefetch > line_addr) ||
@@ -99,7 +100,7 @@ StreamPrefetcher::observe(Addr line_addr, bool is_store, bool was_miss,
                 break;
             PrefetchCandidate c;
             c.lineAddr = s->nextPrefetch;
-            c.exclusive = params_.exclusivePrefetch && s->storeStream;
+            c.exclusive = s->storeStream;
             out.push_back(c);
             ++stats_.prefetchesRequested;
             s->nextPrefetch += static_cast<Addr>(step);

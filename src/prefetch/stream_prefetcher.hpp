@@ -3,8 +3,7 @@
  * IBM Power4-style hardware stream prefetcher (Table 3): eight concurrent
  * streams, five lines of runahead, ascending or descending, trained by
  * demand accesses at the L2. Streams trained by stores issue exclusive
- * prefetches (MIPS R10000-style) when enabled, so the store's upgrade is
- * avoided.
+ * prefetches (MIPS R10000-style), so the store's upgrade is avoided.
  */
 
 #pragma once

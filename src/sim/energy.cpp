@@ -5,8 +5,33 @@
 
 namespace cgct {
 
+namespace {
+
+// Per-event energy costs in nanojoules.
+/** One L2 tag-array lookup (local access or incoming snoop). */
+constexpr double kL2TagLookupNj = 0.20;
+/** One L1 access. */
+constexpr double kL1AccessNj = 0.05;
+/** One L2 data-array access (hit or fill). */
+constexpr double kL2DataAccessNj = 0.60;
+/** Driving one request across the broadcast address network, per
+ *  receiving agent. */
+constexpr double kBusBroadcastPerAgentNj = 0.80;
+/** A point-to-point direct request to one memory controller. */
+constexpr double kDirectRequestNj = 0.90;
+/** One DRAM line access (read or write-back sink). */
+constexpr double kDramAccessNj = 12.0;
+/** Moving one byte over the data network. */
+constexpr double kDataPerByteNj = 0.01;
+/** One RCA lookup (the CGCT "additional logic"). */
+constexpr double kRcaLookupNj = 0.12;
+/** One RCA allocation/update. */
+constexpr double kRcaUpdateNj = 0.15;
+
+} // namespace
+
 EnergyBreakdown
-computeEnergy(System &system, const EnergyParams &p)
+computeEnergy(System &system)
 {
     EnergyBreakdown e;
 
@@ -20,17 +45,17 @@ computeEnergy(System &system, const EnergyParams &p)
         const Node::Stats &ns = system.node(i).stats();
         directs += ns.directs;
 
-        e.tagLookups += p.l2TagLookupNj *
+        e.tagLookups += kL2TagLookupNj *
                         static_cast<double>(ns.snoopsReceived);
 
         const Cache::Stats &l1i = system.node(i).l1i().stats();
         const Cache::Stats &l1d = system.node(i).l1d().stats();
         const Cache::Stats &l2 = system.node(i).l2().stats();
         e.cacheAccess +=
-            p.l1AccessNj * static_cast<double>(l1i.hits + l1i.misses +
-                                               l1d.hits + l1d.misses) +
-            p.l2TagLookupNj * static_cast<double>(l2.hits + l2.misses) +
-            p.l2DataAccessNj * static_cast<double>(l2.hits + l2.fills);
+            kL1AccessNj * static_cast<double>(l1i.hits + l1i.misses +
+                                              l1d.hits + l1d.misses) +
+            kL2TagLookupNj * static_cast<double>(l2.hits + l2.misses) +
+            kL2DataAccessNj * static_cast<double>(l2.hits + l2.fills);
     }
 
     // A chip-shared RCA is one array: count its accesses once.
@@ -38,16 +63,16 @@ computeEnergy(System &system, const EnergyParams &p)
         if (const auto *cgct_ctrl =
                 dynamic_cast<const CgctController *>(t.tracker)) {
             const auto &rs = cgct_ctrl->rca().stats();
-            e.rca += p.rcaLookupNj *
+            e.rca += kRcaLookupNj *
                          static_cast<double>(rs.hits + rs.misses) +
-                     p.rcaUpdateNj * static_cast<double>(rs.allocations);
+                     kRcaUpdateNj * static_cast<double>(rs.allocations);
         }
     }
 
-    e.network = p.busBroadcastPerAgentNj *
+    e.network = kBusBroadcastPerAgentNj *
                     static_cast<double>(bus.broadcasts) *
                     static_cast<double>(cpus) +
-                p.directRequestNj * static_cast<double>(directs);
+                kDirectRequestNj * static_cast<double>(directs);
 
     double dram_accesses = 0.0;
     for (unsigned i = 0; i < system.numMemCtrls(); ++i) {
@@ -55,9 +80,9 @@ computeEnergy(System &system, const EnergyParams &p)
         dram_accesses += static_cast<double>(
             mc.overlappedReads + mc.directReads + mc.writebacks);
     }
-    e.dram = p.dramAccessNj * dram_accesses;
+    e.dram = kDramAccessNj * dram_accesses;
 
-    e.dataTransfer = p.dataPerByteNj *
+    e.dataTransfer = kDataPerByteNj *
                      static_cast<double>(system.dataNetwork().stats().bytes);
     return e;
 }

@@ -6,9 +6,10 @@
  * cancel out some of that savings."
  *
  * The model charges per-event energies (derived from CACTI-class numbers
- * for 130 nm-era structures; every weight is configurable) to the event
- * counts the simulator already collects, including the RCA's own lookup
- * and update energy so the "additional logic" cost appears explicitly.
+ * for 130 nm-era structures; the nine weights are constants in
+ * sim/energy.cpp) to the event counts the simulator already collects,
+ * including the RCA's own lookup and update energy so the "additional
+ * logic" cost appears explicitly.
  */
 
 #pragma once
@@ -18,29 +19,6 @@
 namespace cgct {
 
 class System;
-
-/** Per-event energy costs in nanojoules. */
-struct EnergyParams {
-    /** One L2 tag-array lookup (local access or incoming snoop). */
-    double l2TagLookupNj = 0.20;
-    /** One L1 access. */
-    double l1AccessNj = 0.05;
-    /** One L2 data-array access (hit or fill). */
-    double l2DataAccessNj = 0.60;
-    /** Driving one request across the broadcast address network,
-     *  per receiving agent. */
-    double busBroadcastPerAgentNj = 0.80;
-    /** A point-to-point direct request to one memory controller. */
-    double directRequestNj = 0.90;
-    /** One DRAM line access (read or write-back sink). */
-    double dramAccessNj = 12.0;
-    /** Moving one byte over the data network. */
-    double dataPerByteNj = 0.01;
-    /** One RCA lookup (the CGCT "additional logic"). */
-    double rcaLookupNj = 0.12;
-    /** One RCA allocation/update. */
-    double rcaUpdateNj = 0.15;
-};
 
 /** Where the energy went. */
 struct EnergyBreakdown {
@@ -59,8 +37,7 @@ struct EnergyBreakdown {
     }
 };
 
-/** Charge @p params against the event counts of a finished system. */
-EnergyBreakdown computeEnergy(System &system,
-                              const EnergyParams &params = {});
+/** Charge the per-event energies against a finished system's counts. */
+EnergyBreakdown computeEnergy(System &system);
 
 } // namespace cgct

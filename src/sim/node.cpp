@@ -342,7 +342,7 @@ Node::issueDirect(RequestType type, Addr line_addr, MemCtrlId mc, Tick now,
 {
     const Distance dist = map_.distanceToCtrl(cpu_, mc);
     MemoryController *ctrl = memCtrls_[static_cast<unsigned>(mc)];
-    const Tick arrival = now + config_.interconnect.directLatency(dist);
+    const Tick arrival = now + InterconnectParams::directLatency(dist);
 
     if (type == RequestType::Writeback) {
         ctrl->acceptWriteback(arrival);
@@ -735,7 +735,7 @@ Node::snoopLine(const SystemRequest &req)
     if (!bus_.functional()) {
         ++stats_.snoopsReceived;
         l2TagBusy_ = std::max(l2TagBusy_, eq_.now()) +
-                     config_.interconnect.snoopTagOccupancy;
+                     InterconnectParams::snoopTagOccupancy;
     }
     // A region this node's tracker proves empty here holds no line to
     // find (invariants D/E), and a missed lookup touches nothing, so the

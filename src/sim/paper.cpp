@@ -191,7 +191,7 @@ renderTable3(const Data &)
 std::string
 renderFig6(const Data &)
 {
-    const InterconnectParams p;
+    using Ic = InterconnectParams;
     const std::pair<const char *, Distance> rows[] = {
         {"own memory (memory controller on chip)", Distance::OwnChip},
         {"same-data-switch memory", Distance::SameSwitch},
@@ -208,10 +208,10 @@ renderFig6(const Data &)
     for (const auto &[name, dist] : rows) {
         // Baseline: arbitration -> snoop (DRAM overlapped) -> transfer.
         const Tick snooped =
-            p.snoopLatency + p.dramOverlappedExtra + p.xferLatency(dist);
+            Ic::snoopLatency + Ic::dramOverlappedExtra + Ic::xferLatency(dist);
         // Direct: request delivery -> full DRAM -> transfer.
         const Tick direct =
-            p.directLatency(dist) + p.dramLatency + p.xferLatency(dist);
+            Ic::directLatency(dist) + Ic::dramLatency + Ic::xferLatency(dist);
         out += row({name, cpuAndSystem(snooped), cpuAndSystem(direct),
                     f1(reduction(static_cast<double>(snooped),
                                  static_cast<double>(direct)))});

@@ -19,27 +19,25 @@ System::System(const SystemConfig &config, OpSource &source,
     std::vector<MemoryController *> ctrl_ptrs;
     for (unsigned i = 0; i < n_ctrl; ++i) {
         memCtrls_.push_back(std::make_unique<MemoryController>(
-            static_cast<MemCtrlId>(i), eq_, config_.interconnect));
+            static_cast<MemCtrlId>(i), eq_));
         ctrl_ptrs.push_back(memCtrls_.back().get());
     }
 
     // One extra data-network link for the I/O bridge (DMA).
-    dataNet_ = std::make_unique<DataNetwork>(config_.topology.numCpus + 1,
-                                             config_.interconnect);
+    dataNet_ = std::make_unique<DataNetwork>(config_.topology.numCpus + 1);
     switch (config_.interconnect.topology) {
       case TopologyKind::Bus:
-        bus_ = std::make_unique<Bus>(eq_, config_.interconnect, map_,
-                                     *dataNet_, ctrl_ptrs);
+        bus_ = std::make_unique<Bus>(eq_, map_, *dataNet_, ctrl_ptrs);
         break;
       case TopologyKind::Hier:
-        bus_ = std::make_unique<HierRouter>(
-            eq_, config_.interconnect, map_, *dataNet_, ctrl_ptrs,
-            config_.topology, config_.cgct.regionBytes);
+        bus_ = std::make_unique<HierRouter>(eq_, map_, *dataNet_, ctrl_ptrs,
+                                            config_.topology,
+                                            config_.cgct.regionBytes);
         break;
       case TopologyKind::Dir:
         bus_ = std::make_unique<DirectoryInterconnect>(
-            eq_, config_.interconnect, map_, *dataNet_, ctrl_ptrs,
-            config_.topology, config_.cgct.regionBytes);
+            eq_, map_, *dataNet_, ctrl_ptrs, config_.topology,
+            config_.cgct.regionBytes);
         break;
     }
 

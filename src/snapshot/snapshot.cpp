@@ -21,7 +21,10 @@ canonicalizeConfig(Serializer &s, const SystemConfig &c)
     s.u32(c.topology.cpusPerChip);
     s.u32(c.topology.chipsPerSwitch);
     s.u32(c.topology.switchesPerBoard);
-    s.u64(c.topology.interleaveBytes);
+    // A constant that was once a field (the interleave, the commit width,
+    // the prefetch streams, runahead and exclusive prefetching, every
+    // interconnect latency) keeps its slot and writes its value.
+    s.u64(TopologyParams::interleaveBytes);
     // Each retired field keeps its slot and its last default, at its old
     // width, so that every fingerprint, and so every stored snapshot and
     // sweep journal, stays valid: the modelled memory size, ...
@@ -32,7 +35,7 @@ canonicalizeConfig(Serializer &s, const SystemConfig &c)
     s.u32(16);
     s.u32(4);
     s.u32(4);
-    s.u32(c.core.commitWidth);
+    s.u32(CoreParams::commitWidth);
     s.u32(32); // ... the issue window, ...
     s.u32(c.core.robEntries);
     s.u32(c.core.lsqEntries);
@@ -47,28 +50,22 @@ canonicalizeConfig(Serializer &s, const SystemConfig &c)
     }
 
     s.b(c.prefetch.enabled);
-    s.u32(c.prefetch.streams);
-    s.u32(c.prefetch.runahead);
-    s.b(c.prefetch.exclusivePrefetch);
+    s.u32(PrefetchParams::streams);
+    s.u32(PrefetchParams::runahead);
+    s.b(true); // ... exclusive prefetching of store streams, ...
 
-    s.u64(c.interconnect.snoopLatency);
-    s.u64(c.interconnect.dramLatency);
-    s.u64(c.interconnect.dramOverlappedExtra);
-    s.u64(c.interconnect.xferOwnChip);
-    s.u64(c.interconnect.xferSameSwitch);
-    s.u64(c.interconnect.xferSameBoard);
-    s.u64(c.interconnect.xferRemote);
-    s.u64(c.interconnect.directOwnChip);
-    s.u64(c.interconnect.directSameSwitch);
-    s.u64(c.interconnect.directSameBoard);
-    s.u64(c.interconnect.directRemote);
-    s.u64(c.interconnect.busSlot);
-    s.u64(c.interconnect.snoopTagOccupancy);
-    s.u64(c.interconnect.memCtrlSlot);
-    s.u64(c.interconnect.dataBytesPerSystemCycle);
+    using Ic = InterconnectParams;
+    for (const Tick t :
+         {Ic::snoopLatency, Ic::dramLatency, Ic::dramOverlappedExtra,
+          Ic::xferOwnChip, Ic::xferSameSwitch, Ic::xferSameBoard,
+          Ic::xferRemote, Ic::directOwnChip, Ic::directSameSwitch,
+          Ic::directSameBoard, Ic::directRemote, Ic::busSlot,
+          Ic::snoopTagOccupancy, Ic::memCtrlSlot,
+          Ic::dataBytesPerSystemCycle})
+        s.u64(t);
     s.u32(static_cast<std::uint32_t>(c.interconnect.topology));
-    s.u64(c.interconnect.localSnoopLatency);
-    s.u64(c.interconnect.dirLookupLatency);
+    s.u64(Ic::localSnoopLatency);
+    s.u64(Ic::dirLookupLatency);
 
     s.b(c.cgct.enabled);
     s.u64(c.cgct.regionBytes);

@@ -18,7 +18,6 @@ fourCpuTopo()
     t.numCpus = 4;
     t.cpusPerChip = 2;
     t.chipsPerSwitch = 2;
-    t.interleaveBytes = 4096;
     return t;
 }
 

@@ -18,6 +18,8 @@
 namespace cgct {
 namespace {
 
+using Ic = InterconnectParams;
+
 /** A scripted snoop client. */
 class FakeClient : public SnoopClient
 {
@@ -64,9 +66,8 @@ class BusTest : public ::testing::Test
 {
   protected:
     BusTest()
-        : map(topo()), net(4, params),
-          mc0(0, eq, params), mc1(1, eq, params),
-          bus(eq, params, map, net, {&mc0, &mc1})
+        : map(topo()), net(4), mc0(0, eq), mc1(1, eq),
+          bus(eq, map, net, {&mc0, &mc1})
     {
         for (CpuId i = 0; i < 4; ++i) {
             clients.push_back(std::make_unique<FakeClient>(i));
@@ -95,7 +96,6 @@ class BusTest : public ::testing::Test
     }
 
     EventQueue eq;
-    InterconnectParams params;
     AddressMap map;
     DataNetwork net;
     MemoryController mc0, mc1;
@@ -115,11 +115,11 @@ TEST_F(BusTest, SnoopLatencyAndMemoryPath)
                   });
     eq.run();
     // Grant at 0, snoop resolves 16 system cycles later.
-    EXPECT_EQ(resolved, params.snoopLatency);
+    EXPECT_EQ(resolved, Ic::snoopLatency);
     // No remote copies: memory supplies with overlapped DRAM + transfer
     // from the requester's own chip controller (address 0 -> mc0).
-    EXPECT_EQ(ready, params.snoopLatency + params.dramOverlappedExtra +
-                         params.xferOwnChip);
+    EXPECT_EQ(ready, Ic::snoopLatency + Ic::dramOverlappedExtra +
+                         Ic::xferOwnChip);
     EXPECT_FALSE(got.line.anyCopy);
     EXPECT_EQ(got.memCtrl, 0);
     EXPECT_EQ(bus.stats().memorySupplied, 1u);
@@ -152,7 +152,7 @@ TEST_F(BusTest, CacheToCacheSupply)
     EXPECT_TRUE(got.line.cacheSupplied);
     EXPECT_EQ(got.line.supplier, 1);
     // CPUs 0 and 1 share a chip: own-chip transfer latency.
-    EXPECT_EQ(ready, params.snoopLatency + params.xferOwnChip);
+    EXPECT_EQ(ready, Ic::snoopLatency + Ic::xferOwnChip);
     EXPECT_EQ(bus.stats().cacheToCache, 1u);
     EXPECT_EQ(bus.stats().memorySupplied, 0u);
 }
@@ -209,7 +209,7 @@ TEST_F(BusTest, WritebackSkipsRegionPhaseAndSinksToMemory)
                   [&](const SnoopResponse &, Tick r) { ready = r; });
     eq.run();
     // Write-backs carry no data for the requester.
-    EXPECT_EQ(ready, params.snoopLatency);
+    EXPECT_EQ(ready, Ic::snoopLatency);
     EXPECT_EQ(mc0.stats().writebacks, 1u);
     for (const auto &c : clients)
         EXPECT_EQ(c->regionSnoops, 0);
@@ -222,7 +222,7 @@ TEST_F(BusTest, UpgradeResolvesWithoutData)
     bus.broadcast(makeReq(0, RequestType::Upgrade, 0x0000),
                   [&](const SnoopResponse &, Tick r) { ready = r; });
     eq.run();
-    EXPECT_EQ(ready, params.snoopLatency);
+    EXPECT_EQ(ready, Ic::snoopLatency);
     // The remote shared copy was invalidated.
     EXPECT_EQ(clients[1]->lineSnoops, 1);
 }
@@ -239,12 +239,12 @@ TEST_F(BusTest, FcfsArbitrationQueues)
     eq.run();
     ASSERT_EQ(resolutions.size(), 3u);
     // One grant per bus slot: resolutions are one slot apart.
-    EXPECT_EQ(resolutions[0], params.snoopLatency);
-    EXPECT_EQ(resolutions[1], params.snoopLatency + params.busSlot);
-    EXPECT_EQ(resolutions[2], params.snoopLatency + 2 * params.busSlot);
+    EXPECT_EQ(resolutions[0], Ic::snoopLatency);
+    EXPECT_EQ(resolutions[1], Ic::snoopLatency + Ic::busSlot);
+    EXPECT_EQ(resolutions[2], Ic::snoopLatency + 2 * Ic::busSlot);
     EXPECT_EQ(bus.stats().broadcasts, 3u);
     EXPECT_EQ(bus.stats().queueCycles,
-              params.busSlot + 2 * params.busSlot);
+              Ic::busSlot + 2 * Ic::busSlot);
 }
 
 TEST_F(BusTest, MemCtrlIdFollowsAddressMap)
@@ -285,16 +285,16 @@ TEST_F(BusTest, ResetBetweenEnqueueAndGrantCountsAfterReset)
     // Three requests at tick 0 are granted at 0, busSlot and 2 * busSlot.
     // A reset strictly between the second and third grant zeroes the
     // first two; the third counts after it, with its full queue wait.
-    ASSERT_GE(params.busSlot, 2u);
+    ASSERT_GE(Ic::busSlot, 2u);
     for (int i = 0; i < 3; ++i)
         bus.broadcast(makeReq(0, RequestType::Upgrade, 0x1000 * i),
                       [](auto &, Tick) {});
-    eq.runUntil(params.busSlot + 1);
+    eq.runUntil(Ic::busSlot + 1);
     bus.resetStats(eq.now());
     EXPECT_EQ(bus.stats().broadcasts, 0u);
     eq.run();
     EXPECT_EQ(bus.stats().broadcasts, 1u);
-    EXPECT_EQ(bus.stats().queueCycles, 2 * params.busSlot);
+    EXPECT_EQ(bus.stats().queueCycles, 2 * Ic::busSlot);
     EXPECT_EQ(bus.traffic().total(), 1u);
 }
 

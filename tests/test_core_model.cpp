@@ -65,13 +65,11 @@ struct MiniSystem {
         map = std::make_unique<AddressMap>(config.topology);
         for (unsigned i = 0; i < config.topology.numMemCtrls(); ++i) {
             mcs.push_back(std::make_unique<MemoryController>(
-                static_cast<MemCtrlId>(i), eq, config.interconnect));
+                static_cast<MemCtrlId>(i), eq));
             mcPtrs.push_back(mcs.back().get());
         }
-        net = std::make_unique<DataNetwork>(config.topology.numCpus,
-                                            config.interconnect);
-        bus = std::make_unique<Bus>(eq, config.interconnect, *map, *net,
-                                    mcPtrs);
+        net = std::make_unique<DataNetwork>(config.topology.numCpus);
+        bus = std::make_unique<Bus>(eq, *map, *net, mcPtrs);
         node = std::make_unique<Node>(0, config, eq, *bus, *net, *map,
                                       mcPtrs, nullptr);
         bus->addClient(node.get());

@@ -11,24 +11,24 @@
 namespace cgct {
 namespace {
 
+using Ic = InterconnectParams;
+
 TEST(DataNetwork, CriticalWordLatencyByDistance)
 {
-    InterconnectParams p;
-    DataNetwork net(4, p);
+    DataNetwork net(4);
     EXPECT_EQ(net.deliver(0, 1000, Distance::OwnChip, 64),
-              1000 + p.xferOwnChip);
+              1000 + Ic::xferOwnChip);
     EXPECT_EQ(net.deliver(1, 1000, Distance::SameSwitch, 64),
-              1000 + p.xferSameSwitch);
+              1000 + Ic::xferSameSwitch);
     EXPECT_EQ(net.deliver(2, 1000, Distance::SameBoard, 64),
-              1000 + p.xferSameBoard);
+              1000 + Ic::xferSameBoard);
     EXPECT_EQ(net.deliver(3, 1000, Distance::Remote, 64),
-              1000 + p.xferRemote);
+              1000 + Ic::xferRemote);
 }
 
 TEST(DataNetwork, LinkOccupancySerializesTransfers)
 {
-    InterconnectParams p;
-    DataNetwork net(4, p);
+    DataNetwork net(4);
     // 64 bytes at 16 B/system-cycle = 4 system cycles = 40 CPU cycles.
     const Tick first = net.deliver(0, 0, Distance::OwnChip, 64);
     const Tick second = net.deliver(0, 0, Distance::OwnChip, 64);
@@ -38,18 +38,16 @@ TEST(DataNetwork, LinkOccupancySerializesTransfers)
 
 TEST(DataNetwork, IndependentLinksDoNotInterfere)
 {
-    InterconnectParams p;
-    DataNetwork net(4, p);
+    DataNetwork net(4);
     net.deliver(0, 0, Distance::OwnChip, 64);
     const Tick other = net.deliver(1, 0, Distance::OwnChip, 64);
-    EXPECT_EQ(other, p.xferOwnChip);
+    EXPECT_EQ(other, Ic::xferOwnChip);
     EXPECT_EQ(net.stats().linkWaitCycles, 0u);
 }
 
 TEST(DataNetwork, StatsAccumulate)
 {
-    InterconnectParams p;
-    DataNetwork net(2, p);
+    DataNetwork net(2);
     net.deliver(0, 0, Distance::OwnChip, 64);
     net.deliver(1, 0, Distance::Remote, 128);
     EXPECT_EQ(net.stats().transfers, 2u);
@@ -60,11 +58,10 @@ TEST(DataNetwork, StatsAccumulate)
 
 TEST(DataNetwork, SpacedTransfersDoNotQueue)
 {
-    InterconnectParams p;
-    DataNetwork net(1, p);
+    DataNetwork net(1);
     net.deliver(0, 0, Distance::OwnChip, 64);
     const Tick t = net.deliver(0, 100, Distance::OwnChip, 64);
-    EXPECT_EQ(t, 100 + p.xferOwnChip);
+    EXPECT_EQ(t, 100 + Ic::xferOwnChip);
     EXPECT_EQ(net.stats().linkWaitCycles, 0u);
 }
 

@@ -28,13 +28,11 @@ class DmaTest : public ::testing::Test
         config.prefetch.enabled = false;
         for (unsigned i = 0; i < config.topology.numMemCtrls(); ++i) {
             mcs.push_back(std::make_unique<MemoryController>(
-                static_cast<MemCtrlId>(i), eq, config.interconnect));
+                static_cast<MemCtrlId>(i), eq));
             mcPtrs.push_back(mcs.back().get());
         }
-        net = std::make_unique<DataNetwork>(config.topology.numCpus + 1,
-                                            config.interconnect);
-        bus = std::make_unique<Bus>(eq, config.interconnect, map, *net,
-                                    mcPtrs);
+        net = std::make_unique<DataNetwork>(config.topology.numCpus + 1);
+        bus = std::make_unique<Bus>(eq, map, *net, mcPtrs);
         for (unsigned i = 0; i < config.topology.numCpus; ++i) {
             nodes.push_back(std::make_unique<Node>(
                 static_cast<CpuId>(i), config, eq, *bus, *net, map, mcPtrs,

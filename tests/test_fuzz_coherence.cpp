@@ -61,13 +61,11 @@ class CoherenceFuzz
         map_ = std::make_unique<AddressMap>(config_.topology);
         for (unsigned i = 0; i < config_.topology.numMemCtrls(); ++i) {
             mcs_.push_back(std::make_unique<MemoryController>(
-                static_cast<MemCtrlId>(i), eq_, config_.interconnect));
+                static_cast<MemCtrlId>(i), eq_));
             mcPtrs_.push_back(mcs_.back().get());
         }
-        net_ = std::make_unique<DataNetwork>(config_.topology.numCpus,
-                                             config_.interconnect);
-        bus_ = std::make_unique<Bus>(eq_, config_.interconnect, *map_,
-                                     *net_, mcPtrs_);
+        net_ = std::make_unique<DataNetwork>(config_.topology.numCpus);
+        bus_ = std::make_unique<Bus>(eq_, *map_, *net_, mcPtrs_);
         for (unsigned i = 0; i < config_.topology.numCpus; ++i) {
             nodes_.push_back(std::make_unique<Node>(
                 static_cast<CpuId>(i), config_, eq_, *bus_, *net_, *map_,

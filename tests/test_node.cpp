@@ -43,13 +43,11 @@ class NodeTest : public ::testing::TestWithParam<bool>
     {
         for (unsigned i = 0; i < config.topology.numMemCtrls(); ++i) {
             mcs.push_back(std::make_unique<MemoryController>(
-                static_cast<MemCtrlId>(i), eq, config.interconnect));
+                static_cast<MemCtrlId>(i), eq));
             mcPtrs.push_back(mcs.back().get());
         }
-        net = std::make_unique<DataNetwork>(config.topology.numCpus,
-                                            config.interconnect);
-        bus = std::make_unique<Bus>(eq, config.interconnect, map, *net,
-                                    mcPtrs);
+        net = std::make_unique<DataNetwork>(config.topology.numCpus);
+        bus = std::make_unique<Bus>(eq, map, *net, mcPtrs);
         for (unsigned i = 0; i < config.topology.numCpus; ++i) {
             nodes.push_back(std::make_unique<Node>(
                 static_cast<CpuId>(i), config, eq, *bus, *net, map, mcPtrs,
@@ -435,11 +433,11 @@ TEST_P(NodeTest, PrefetcherIssuesAndLinesArrive)
     std::vector<MemoryController *> pf_mc_ptrs;
     for (unsigned i = 0; i < pf_config.topology.numMemCtrls(); ++i) {
         pf_mcs.push_back(std::make_unique<MemoryController>(
-            static_cast<MemCtrlId>(i), pf_eq, pf_config.interconnect));
+            static_cast<MemCtrlId>(i), pf_eq));
         pf_mc_ptrs.push_back(pf_mcs.back().get());
     }
-    DataNetwork pf_net(pf_config.topology.numCpus, pf_config.interconnect);
-    Bus pf_bus(pf_eq, pf_config.interconnect, pf_map, pf_net, pf_mc_ptrs);
+    DataNetwork pf_net(pf_config.topology.numCpus);
+    Bus pf_bus(pf_eq, pf_map, pf_net, pf_mc_ptrs);
     Node node(0, pf_config, pf_eq, pf_bus, pf_net, pf_map, pf_mc_ptrs,
               makeTracker(0, pf_config.cgct, pf_config.l2.lineBytes));
     pf_bus.addClient(&node);

@@ -43,13 +43,11 @@ class RegionAcqTest : public ::testing::Test
     {
         for (unsigned i = 0; i < config.topology.numMemCtrls(); ++i) {
             mcs.push_back(std::make_unique<MemoryController>(
-                static_cast<MemCtrlId>(i), eq, config.interconnect));
+                static_cast<MemCtrlId>(i), eq));
             mcPtrs.push_back(mcs.back().get());
         }
-        net = std::make_unique<DataNetwork>(config.topology.numCpus,
-                                            config.interconnect);
-        bus = std::make_unique<Bus>(eq, config.interconnect, map, *net,
-                                    mcPtrs);
+        net = std::make_unique<DataNetwork>(config.topology.numCpus);
+        bus = std::make_unique<Bus>(eq, map, *net, mcPtrs);
         for (unsigned i = 0; i < config.topology.numCpus; ++i) {
             nodes.push_back(std::make_unique<Node>(
                 static_cast<CpuId>(i), config, eq, *bus, *net, map, mcPtrs,
@@ -219,11 +217,11 @@ TEST_F(RegionAcqTest, BaselineUnaffectedByMerging)
     std::vector<MemoryController *> bptrs;
     for (unsigned i = 0; i < base_cfg.topology.numMemCtrls(); ++i) {
         bmcs.push_back(std::make_unique<MemoryController>(
-            static_cast<MemCtrlId>(i), beq, base_cfg.interconnect));
+            static_cast<MemCtrlId>(i), beq));
         bptrs.push_back(bmcs.back().get());
     }
-    DataNetwork bnet(base_cfg.topology.numCpus, base_cfg.interconnect);
-    Bus bbus(beq, base_cfg.interconnect, bmap, bnet, bptrs);
+    DataNetwork bnet(base_cfg.topology.numCpus);
+    Bus bbus(beq, bmap, bnet, bptrs);
     Node node(0, base_cfg, beq, bbus, bnet, bmap, bptrs, nullptr);
     bbus.addClient(&node);
 

@@ -29,13 +29,11 @@ class OracleTest : public ::testing::Test
         config.prefetch.enabled = false;
         for (unsigned i = 0; i < config.topology.numMemCtrls(); ++i) {
             mcs.push_back(std::make_unique<MemoryController>(
-                static_cast<MemCtrlId>(i), eq, config.interconnect));
+                static_cast<MemCtrlId>(i), eq));
             mcPtrs.push_back(mcs.back().get());
         }
-        net = std::make_unique<DataNetwork>(config.topology.numCpus,
-                                            config.interconnect);
-        bus = std::make_unique<Bus>(eq, config.interconnect, map, *net,
-                                    mcPtrs);
+        net = std::make_unique<DataNetwork>(config.topology.numCpus);
+        bus = std::make_unique<Bus>(eq, map, *net, mcPtrs);
         for (unsigned i = 0; i < config.topology.numCpus; ++i) {
             nodes.push_back(std::make_unique<Node>(
                 static_cast<CpuId>(i), config, eq, *bus, *net, map, mcPtrs,
@@ -205,11 +203,11 @@ TEST(OracleDifferentialTest, SummaryPlusMaskMatchesFullPeek)
         std::vector<MemoryController *> mc_ptrs;
         for (unsigned i = 0; i < config.topology.numMemCtrls(); ++i) {
             mcs.push_back(std::make_unique<MemoryController>(
-                static_cast<MemCtrlId>(i), eq, config.interconnect));
+                static_cast<MemCtrlId>(i), eq));
             mc_ptrs.push_back(mcs.back().get());
         }
-        DataNetwork net(n, config.interconnect);
-        Bus bus(eq, config.interconnect, map, net, mc_ptrs);
+        DataNetwork net(n);
+        Bus bus(eq, map, net, mc_ptrs);
         std::vector<std::unique_ptr<Node>> nodes;
         for (unsigned i = 0; i < n; ++i) {
             nodes.push_back(std::make_unique<Node>(

@@ -20,9 +20,6 @@ defaults()
 {
     PrefetchParams p;
     p.enabled = true;
-    p.streams = 8;
-    p.runahead = 5;
-    p.exclusivePrefetch = true;
     return p;
 }
 
@@ -123,18 +120,6 @@ TEST(Prefetcher, LoadStreamsPrefetchShared)
     StreamPrefetcher pf(defaults(), 64);
     observe(pf, 0x10000, false);
     const auto out = observe(pf, 0x10040, false);
-    ASSERT_FALSE(out.empty());
-    for (const auto &c : out)
-        EXPECT_FALSE(c.exclusive);
-}
-
-TEST(Prefetcher, ExclusivePrefetchDisabled)
-{
-    PrefetchParams p = defaults();
-    p.exclusivePrefetch = false;
-    StreamPrefetcher pf(p, 64);
-    observe(pf, 0x10000, true);
-    const auto out = observe(pf, 0x10040, true);
     ASSERT_FALSE(out.empty());
     for (const auto &c : out)
         EXPECT_FALSE(c.exclusive);

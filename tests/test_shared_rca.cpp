@@ -42,13 +42,11 @@ class SharedRcaTest : public ::testing::Test
 
         for (unsigned i = 0; i < config.topology.numMemCtrls(); ++i) {
             mcs.push_back(std::make_unique<MemoryController>(
-                static_cast<MemCtrlId>(i), eq, config.interconnect));
+                static_cast<MemCtrlId>(i), eq));
             mcPtrs.push_back(mcs.back().get());
         }
-        net = std::make_unique<DataNetwork>(config.topology.numCpus,
-                                            config.interconnect);
-        bus = std::make_unique<Bus>(eq, config.interconnect, map, *net,
-                                    mcPtrs);
+        net = std::make_unique<DataNetwork>(config.topology.numCpus);
+        bus = std::make_unique<Bus>(eq, map, *net, mcPtrs);
         // Chips: {0,1} and {2,3}; one shared tracker per chip.
         std::vector<std::shared_ptr<RegionTracker>> chip_trackers(
             config.topology.numChips());

@@ -378,8 +378,6 @@ TEST(Fingerprint, CoversEveryConfigField)
         CGCT_SET(topology.cpusPerChip, 1),
         CGCT_SET(topology.chipsPerSwitch, 1),
         CGCT_SET(topology.switchesPerBoard, 1),
-        CGCT_SET(topology.interleaveBytes, 8192),
-        CGCT_SET(core.commitWidth, 8),
         CGCT_SET(core.robEntries, 128),
         CGCT_SET(core.lsqEntries, 64),
         CGCT_SET(core.maxOutstandingMisses, 16),
@@ -396,28 +394,7 @@ TEST(Fingerprint, CoversEveryConfigField)
         CGCT_SET(l2.lineBytes, 128),
         CGCT_SET(l2.latency, 13),
         CGCT_SET(prefetch.enabled, false),
-        CGCT_SET(prefetch.streams, 4),
-        CGCT_SET(prefetch.runahead, 6),
-        CGCT_SET(prefetch.exclusivePrefetch, false),
         CGCT_SET(interconnect.topology, TopologyKind::Hier),
-        // No default latency is 7 cycles.
-        CGCT_SET(interconnect.localSnoopLatency, 7),
-        CGCT_SET(interconnect.dirLookupLatency, 7),
-        CGCT_SET(interconnect.snoopLatency, 7),
-        CGCT_SET(interconnect.dramLatency, 7),
-        CGCT_SET(interconnect.dramOverlappedExtra, 7),
-        CGCT_SET(interconnect.xferOwnChip, 7),
-        CGCT_SET(interconnect.xferSameSwitch, 7),
-        CGCT_SET(interconnect.xferSameBoard, 7),
-        CGCT_SET(interconnect.xferRemote, 7),
-        CGCT_SET(interconnect.directOwnChip, 7),
-        CGCT_SET(interconnect.directSameSwitch, 7),
-        CGCT_SET(interconnect.directSameBoard, 7),
-        CGCT_SET(interconnect.directRemote, 7),
-        CGCT_SET(interconnect.busSlot, 7),
-        CGCT_SET(interconnect.snoopTagOccupancy, 7),
-        CGCT_SET(interconnect.memCtrlSlot, 7),
-        CGCT_SET(interconnect.dataBytesPerSystemCycle, 32),
         CGCT_SET(cgct.enabled, false),
         CGCT_SET(cgct.regionBytes, 256),
         CGCT_SET(cgct.rcaSets, 4096),

@@ -43,13 +43,11 @@ class TimingTest : public ::testing::TestWithParam<bool>
         cfg_.validate();
         for (unsigned i = 0; i < cfg_.topology.numMemCtrls(); ++i) {
             mcs.push_back(std::make_unique<MemoryController>(
-                static_cast<MemCtrlId>(i), eq, cfg_.interconnect));
+                static_cast<MemCtrlId>(i), eq));
             mcPtrs.push_back(mcs.back().get());
         }
-        net = std::make_unique<DataNetwork>(cfg_.topology.numCpus,
-                                            cfg_.interconnect);
-        bus = std::make_unique<Bus>(eq, cfg_.interconnect, map, *net,
-                                    mcPtrs);
+        net = std::make_unique<DataNetwork>(cfg_.topology.numCpus);
+        bus = std::make_unique<Bus>(eq, map, *net, mcPtrs);
         for (unsigned i = 0; i < cfg_.topology.numCpus; ++i) {
             nodes.push_back(std::make_unique<Node>(
                 static_cast<CpuId>(i), cfg_, eq, *bus, *net, map, mcPtrs,

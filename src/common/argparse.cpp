@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -42,6 +43,25 @@ ArgParser::addU64(const std::string &name, std::uint64_t *value,
         if (v)
             *value = *v;
         return v.has_value();
+    };
+    opt.show = [value] { return std::to_string(*value); };
+    options_.push_back(std::move(opt));
+}
+
+void
+ArgParser::addUnsigned(const std::string &name, unsigned *value,
+                       const std::string &help)
+{
+    Option opt;
+    opt.name = name;
+    opt.help = help;
+    opt.metavar = "N";
+    opt.set = [value](const std::string &s) {
+        const std::optional<std::uint64_t> v = parseU64(s);
+        if (!v || *v > std::numeric_limits<unsigned>::max())
+            return false;
+        *value = static_cast<unsigned>(*v);
+        return true;
     };
     opt.show = [value] { return std::to_string(*value); };
     options_.push_back(std::move(opt));

@@ -28,6 +28,9 @@ class ArgParser
                  const std::string &help);
     void addU64(const std::string &name, std::uint64_t *value,
                 const std::string &help);
+    /** As addU64, and a value above UINT_MAX is a bad value. */
+    void addUnsigned(const std::string &name, unsigned *value,
+                     const std::string &help);
     void addDouble(const std::string &name, double *value,
                    const std::string &help);
     void addString(const std::string &name, std::string *value,

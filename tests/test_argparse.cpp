@@ -181,6 +181,27 @@ TEST(ArgParse, U64OptionRejectsASignAndKeepsItsValue)
     }
 }
 
+TEST(ArgParse, UnsignedOptionRejectsValuesAboveUintMax)
+{
+    // 2^32 + 4 would narrow to 4 if it were read as a u64 and cast.
+    unsigned n = 7;
+    ArgParser p("prog");
+    p.addUnsigned("nodes", &n, "");
+    std::string err;
+    for (const char *bad : {"4294967300", "4294967296", "-1", "5x"}) {
+        const char *argv[] = {"prog", "--nodes", bad};
+        EXPECT_FALSE(p.parse(3, argv, &err)) << bad;
+        EXPECT_EQ(err, std::string("bad value '") + bad + "' for --nodes");
+        EXPECT_EQ(n, 7u);
+    }
+    const char *max[] = {"prog", "--nodes=4294967295"};
+    EXPECT_TRUE(p.parse(2, max));
+    EXPECT_EQ(n, 4294967295u);
+    const char *hex[] = {"prog", "--nodes", "0x10"};
+    EXPECT_TRUE(p.parse(3, hex));
+    EXPECT_EQ(n, 16u);
+}
+
 class WarnOnceReset : public ::testing::Test
 {
   protected:

@@ -26,14 +26,15 @@ int
 main(int argc, char **argv)
 {
     std::string names = "all";
-    std::uint64_t jobs = 0;
+    unsigned jobs = 0;
     ArgParser parser("cgct_paper",
                      "Regenerate the EXPERIMENTS.md tables and check the "
                      "paper claims they bear on.");
     parser.addPositional("tables", &names,
                          "comma-separated table names (table1, fig8, a4, "
                          "...), or 'all'");
-    parser.addU64("jobs", &jobs, "worker threads (0 = hardware concurrency)");
+    parser.addUnsigned("jobs", &jobs,
+                       "worker threads (0 = hardware concurrency)");
     std::string error;
     if (!parser.parse(argc, argv, &error)) {
         std::fprintf(stderr, "cgct_paper: %s (try --help)\n", error.c_str());

@@ -132,12 +132,12 @@ main(int argc, char **argv)
     bool dma = false;
     std::uint64_t ops = 120000;
     std::uint64_t warmup = 0;
-    std::uint64_t seeds = 1;
+    unsigned seeds = 1;
     std::uint64_t seed = 20050609;
-    std::uint64_t jobs = 0;
-    std::uint64_t nodes = 4;
+    unsigned jobs = 0;
+    unsigned nodes = 4;
     std::string topology = "bus";
-    std::uint64_t rca_sets = 8192;
+    unsigned rca_sets = 8192;
     bool json = false;
     bool stats = false;
     bool list = false;
@@ -165,7 +165,7 @@ main(int argc, char **argv)
     parser.addFlag("list", &list, "list available benchmarks and exit");
     parser.addFlag("baseline", &baseline, "disable CGCT");
     parser.addU64("region", &region, "region size in bytes (256/512/1024)");
-    parser.addU64("rca-sets", &rca_sets, "RCA sets (2-way)");
+    parser.addUnsigned("rca-sets", &rca_sets, "RCA sets (2-way)");
     parser.addFlag("three-state", &three_state,
                    "use the scaled-back 3-state protocol (paper 3.4)");
     parser.addFlag("no-self-invalidation", &no_self_inval,
@@ -175,7 +175,7 @@ main(int argc, char **argv)
     parser.addFlag("shared-rca", &shared_rca,
                    "one RCA per chip shared by its cores (paper 3.2)");
     parser.addFlag("dma", &dma, "enable I/O-bridge DMA traffic");
-    parser.addU64("nodes", &nodes,
+    parser.addUnsigned("nodes", &nodes,
                   "number of processors (docs/TOPOLOGY.md)");
     parser.addString("topology", &topology,
                      "interconnect organization: bus (flat broadcast), "
@@ -185,12 +185,12 @@ main(int argc, char **argv)
     parser.addU64("warmup", &warmup,
                   "warmup ops per processor (0 = ops/5; with --replay, "
                   "the trace header's declared ops/5)");
-    parser.addU64("seeds", &seeds, "runs (seeds) to average");
+    parser.addUnsigned("seeds", &seeds, "runs (seeds) to average");
     parser.addU64("seed", &seed, "base random seed");
-    parser.addU64("jobs", &jobs,
-                  "worker threads for multi-seed runs, and with --sample "
-                  "the window workers (0 = hardware concurrency, 1 = "
-                  "serial)");
+    parser.addUnsigned("jobs", &jobs,
+                       "worker threads for multi-seed runs, and with "
+                       "--sample the window workers (0 = hardware "
+                       "concurrency, 1 = serial)");
     parser.addString("replay", &replay_path,
                      "replay this recorded trace file instead of a "
                      "benchmark (docs/TRACE_FORMAT.md)");
@@ -259,15 +259,14 @@ main(int argc, char **argv)
     }
 
     SystemConfig config = makeDefaultConfig();
-    config.topology.numCpus = static_cast<unsigned>(nodes);
+    config.topology.numCpus = nodes;
     if (!parseTopologyKind(topology, &config.interconnect.topology)) {
         std::fprintf(stderr,
                      "cgct_sim: --topology must be bus, hier or dir\n");
         return 1;
     }
     if (!baseline) {
-        config = config.withCgct(region,
-                                 static_cast<unsigned>(rca_sets), 2);
+        config = config.withCgct(region, rca_sets, 2);
         config.cgct.threeStateProtocol = three_state;
         config.cgct.selfInvalidation = !no_self_inval;
         config.cgct.favorEmptyRegions = !no_favor_empty;
@@ -377,7 +376,7 @@ main(int argc, char **argv)
         sopts.windows = sample;
         sopts.windowOps = window_ops;
         sopts.warmMode = wmode;
-        sopts.jobs = static_cast<unsigned>(jobs);
+        sopts.jobs = jobs;
         sopts.ciTarget = ci_target;
         sopts.maxWindows = max_windows;
         results.push_back(simulateSampled(
@@ -388,8 +387,7 @@ main(int argc, char **argv)
             config, benchmarkByName(benchmark), opts, ckpt, stats_out));
     } else {
         results = simulateSeeds(config, benchmarkByName(benchmark), opts,
-                                static_cast<unsigned>(seeds),
-                                static_cast<unsigned>(jobs));
+                                seeds, jobs);
     }
 
     if (!trace_out.empty()) {

@@ -55,9 +55,9 @@ main(int argc, char **argv)
     std::string regions = "0,256,512,1024";
     std::uint64_t ops = 120000;
     std::uint64_t warmup = 0;
-    std::uint64_t seeds = 3;
+    unsigned seeds = 3;
     std::uint64_t seed = 20050609;
-    std::uint64_t jobs = 0;
+    unsigned jobs = 0;
     std::string format = "csv";
     bool progress = false;
     bool no_progress = false;
@@ -65,7 +65,7 @@ main(int argc, char **argv)
     std::uint64_t sample = 0;
     std::uint64_t window_ops = 1000;
     std::string warm_mode = "functional";
-    std::uint64_t nodes = 4;
+    unsigned nodes = 4;
     std::string topology = "bus";
 
     ArgParser parser("cgct_sweep",
@@ -79,10 +79,10 @@ main(int argc, char **argv)
                      "comma-separated region sizes; 0 = baseline");
     parser.addU64("ops", &ops, "ops per processor per run");
     parser.addU64("warmup", &warmup, "warmup ops (0 = ops/5)");
-    parser.addU64("seeds", &seeds, "seeds per configuration");
+    parser.addUnsigned("seeds", &seeds, "seeds per configuration");
     parser.addU64("seed", &seed, "base seed");
-    parser.addU64("jobs", &jobs,
-                  "worker threads (0 = hardware concurrency)");
+    parser.addUnsigned("jobs", &jobs,
+                       "worker threads (0 = hardware concurrency)");
     parser.addString("format", &format, "output format: csv or json");
     parser.addFlag("progress", &progress,
                    "force live progress on stderr (default: only when "
@@ -104,10 +104,10 @@ main(int argc, char **argv)
     parser.addString("warm-mode", &warm_mode,
                      "state warming between windows: functional (fast) "
                      "or detailed (reference)");
-    parser.addU64("nodes", &nodes,
-                  "processors per run (4, 16, 64, ... up to 64; "
-                  "docs/TOPOLOGY.md); non-default values append topology "
-                  "columns to the CSV");
+    parser.addUnsigned("nodes", &nodes,
+                       "processors per run (4, 16, 64, ... up to 64; "
+                       "docs/TOPOLOGY.md); non-default values append "
+                       "topology columns to the CSV");
     parser.addString("topology", &topology,
                      "interconnect organization: bus (flat broadcast), "
                      "hier (two-level snoop hierarchy) or dir (full-map "
@@ -160,7 +160,7 @@ main(int argc, char **argv)
             return 1;
         }
     }
-    spec.seedsPerCell = static_cast<unsigned>(seeds);
+    spec.seedsPerCell = seeds;
     spec.baseSeed = seed;
     spec.opts.opsPerCpu = ops;
     spec.opts.warmupOps = warmup ? warmup : ops / 5;
@@ -171,7 +171,7 @@ main(int argc, char **argv)
                      "cgct_sweep: --topology must be bus, hier or dir\n");
         return 1;
     }
-    spec.baseConfig.topology.numCpus = static_cast<unsigned>(nodes);
+    spec.baseConfig.topology.numCpus = nodes;
     spec.baseConfig.interconnect.topology = topo_kind;
     spec.baseConfig.validate();
     // Every cell's configuration, before the CSV header goes out.
@@ -204,7 +204,7 @@ main(int argc, char **argv)
     const bool show_progress =
         !no_progress && (progress || isatty(STDERR_FILENO));
 
-    SweepRunner runner(spec, static_cast<unsigned>(jobs));
+    SweepRunner runner(spec, jobs);
     if (show_progress)
         std::fprintf(stderr, "cgct_sweep: %zu runs on %u threads\n",
                      runner.cells().size(), runner.jobs());

@@ -3,8 +3,9 @@
 #
 # Guards, in order:
 #   1. Every option registered through ArgParser::addFlag/addU64/
-#      addDouble/addString must appear in docs/SWEEP.md as `--name`, and
-#      every positional registered through addPositional as `<name>`.
+#      addUnsigned/addDouble/addString must appear in docs/SWEEP.md as
+#      `--name`, and every positional registered through addPositional
+#      as `<name>`.
 #      Conversely, every `--name` that starts a row of an option table
 #      in docs/SWEEP.md must be registered by some tools/*.cpp.
 #   2. docs/PERF.md must cover the perf tooling and build knobs, and its
@@ -74,7 +75,7 @@ for src in "$root"/tools/*.cpp; do
     tool="$(basename "$src" .cpp)"
 
     flags=$(grep -oE \
-        'add(Flag|U64|Double|String)\("[A-Za-z0-9-]+"' "$src" |
+        'add(Flag|U64|Unsigned|Double|String)\("[A-Za-z0-9-]+"' "$src" |
         sed -E 's/.*\("([A-Za-z0-9-]+)"/\1/' | sort -u)
     for flag in $flags; do
         if ! grep -q -- "--$flag" "$doc"; then
@@ -96,7 +97,7 @@ for src in "$root"/tools/*.cpp; do
 done
 
 registered=$(cat "$root"/tools/*.cpp |
-    grep -oE 'add(Flag|U64|Double|String)\("[A-Za-z0-9-]+"' |
+    grep -oE 'add(Flag|U64|Unsigned|Double|String)\("[A-Za-z0-9-]+"' |
     sed -E 's/.*\("([A-Za-z0-9-]+)"/\1/' | sort -u)
 documented=$(grep -oE '^\| `--[A-Za-z0-9-]+' "$doc" |
     sed -E 's/^\| `--//' | sort -u)
@@ -296,7 +297,7 @@ else
     done <<< "$(comm -13 <(echo "$code_recs") <(echo "$doc_recs"))"
 
     trace_flags=$(grep -oE \
-        'add(Flag|U64|Double|String)\("[A-Za-z0-9-]+"' "$trace_cpp" |
+        'add(Flag|U64|Unsigned|Double|String)\("[A-Za-z0-9-]+"' "$trace_cpp" |
         sed -E 's/.*\("([A-Za-z0-9-]+)"/\1/' | sort -u)
     for flag in $trace_flags; do
         if ! grep -q -- "--$flag" "$fmt_doc"; then

@@ -30,9 +30,10 @@ ArgParser::addFlag(const std::string &name, bool *value,
     options_.push_back(std::move(opt));
 }
 
+template <typename T>
 void
-ArgParser::addU64(const std::string &name, std::uint64_t *value,
-                  const std::string &help)
+ArgParser::addInteger(const std::string &name, T *value,
+                      const std::string &help)
 {
     Option opt;
     opt.name = name;
@@ -40,31 +41,27 @@ ArgParser::addU64(const std::string &name, std::uint64_t *value,
     opt.metavar = "N";
     opt.set = [value](const std::string &s) {
         const std::optional<std::uint64_t> v = parseU64(s);
-        if (v)
-            *value = *v;
-        return v.has_value();
+        if (!v || *v > std::numeric_limits<T>::max())
+            return false;
+        *value = static_cast<T>(*v);
+        return true;
     };
     opt.show = [value] { return std::to_string(*value); };
     options_.push_back(std::move(opt));
 }
 
 void
+ArgParser::addU64(const std::string &name, std::uint64_t *value,
+                  const std::string &help)
+{
+    addInteger(name, value, help);
+}
+
+void
 ArgParser::addUnsigned(const std::string &name, unsigned *value,
                        const std::string &help)
 {
-    Option opt;
-    opt.name = name;
-    opt.help = help;
-    opt.metavar = "N";
-    opt.set = [value](const std::string &s) {
-        const std::optional<std::uint64_t> v = parseU64(s);
-        if (!v || *v > std::numeric_limits<unsigned>::max())
-            return false;
-        *value = static_cast<unsigned>(*v);
-        return true;
-    };
-    opt.show = [value] { return std::to_string(*value); };
-    options_.push_back(std::move(opt));
+    addInteger(name, value, help);
 }
 
 void

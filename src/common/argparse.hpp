@@ -72,6 +72,11 @@ class ArgParser
 
     Option *find(const std::string &name);
 
+    /** A `--name N` option; a value above T's maximum is a bad value. */
+    template <typename T>
+    void addInteger(const std::string &name, T *value,
+                    const std::string &help);
+
     std::string program_;
     std::string description_;
     std::vector<Option> options_;

@@ -42,10 +42,7 @@ struct CoreParams {
     unsigned maxOutstandingMisses = 8;   ///< L2 MSHRs per processor.
 };
 
-/**
- * Prefetch parameters (Power4-style streams; store-trained streams
- * always prefetch exclusive, R10000-style).
- */
+/** Prefetch parameters (Power4 streams; stores prefetch exclusive). */
 struct PrefetchParams {
     bool enabled = true;
     static constexpr unsigned streams = 8;
@@ -68,11 +65,8 @@ enum class TopologyKind : std::uint8_t {
 const char *topologyKindName(TopologyKind k);
 bool parseTopologyKind(const std::string &s, TopologyKind *out);
 
-/**
- * Interconnect organization and memory latencies (Table 3,
- * "Interconnect"). Only the organization is settable; every latency and
- * the data bandwidth is a constant of the modelled machine.
- */
+/** Interconnect organization (settable) and memory latencies (constants,
+ *  Table 3 "Interconnect"). */
 struct InterconnectParams {
     /** Interconnect organization (bus / hier / dir, docs/TOPOLOGY.md). */
     TopologyKind topology = TopologyKind::Bus;

@@ -5,10 +5,6 @@
 
 namespace cgct {
 
-DataNetwork::DataNetwork(unsigned num_cpus) : linkFree_(num_cpus, 0)
-{
-}
-
 Tick
 DataNetwork::deliver(CpuId dst, Tick start, Distance d, unsigned bytes)
 {

@@ -23,7 +23,7 @@ namespace cgct {
 class DataNetwork
 {
   public:
-    explicit DataNetwork(unsigned num_cpus);
+    explicit DataNetwork(unsigned num_cpus) : linkFree_(num_cpus, 0) {}
 
     /**
      * Deliver @p bytes to processor @p dst starting no earlier than

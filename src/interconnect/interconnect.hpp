@@ -102,8 +102,7 @@ class Interconnect
      */
     using PostResolveFn = std::function<void(const SystemRequest &)>;
 
-    Interconnect(EventQueue &eq, const AddressMap &map,
-                 DataNetwork &data_net,
+    Interconnect(EventQueue &eq, const AddressMap &map, DataNetwork &data_net,
                  std::vector<MemoryController *> mem_ctrls);
     virtual ~Interconnect() = default;
 

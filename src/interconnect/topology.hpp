@@ -28,8 +28,7 @@ namespace cgct {
 class HierRouter : public FilteredInterconnect
 {
   public:
-    HierRouter(EventQueue &eq, const AddressMap &map,
-               DataNetwork &data_net,
+    HierRouter(EventQueue &eq, const AddressMap &map, DataNetwork &data_net,
                std::vector<MemoryController *> mem_ctrls,
                const TopologyParams &topo, std::uint64_t region_bytes);
 

@@ -7,11 +7,6 @@
 
 namespace cgct {
 
-MemoryController::MemoryController(MemCtrlId id, EventQueue &eq)
-    : id_(id), eq_(eq)
-{
-}
-
 Tick
 MemoryController::claimSlot(Tick at)
 {

@@ -32,7 +32,7 @@ class TraceSink;
 class MemoryController
 {
   public:
-    MemoryController(MemCtrlId id, EventQueue &eq);
+    MemoryController(MemCtrlId id, EventQueue &eq) : id_(id), eq_(eq) {}
 
     /**
      * Service a request whose DRAM access was started in parallel with the

@@ -8,25 +8,15 @@ namespace cgct {
 namespace {
 
 // Per-event energy costs in nanojoules.
-/** One L2 tag-array lookup (local access or incoming snoop). */
-constexpr double kL2TagLookupNj = 0.20;
-/** One L1 access. */
-constexpr double kL1AccessNj = 0.05;
-/** One L2 data-array access (hit or fill). */
-constexpr double kL2DataAccessNj = 0.60;
-/** Driving one request across the broadcast address network, per
- *  receiving agent. */
-constexpr double kBusBroadcastPerAgentNj = 0.80;
-/** A point-to-point direct request to one memory controller. */
-constexpr double kDirectRequestNj = 0.90;
-/** One DRAM line access (read or write-back sink). */
-constexpr double kDramAccessNj = 12.0;
-/** Moving one byte over the data network. */
-constexpr double kDataPerByteNj = 0.01;
-/** One RCA lookup (the CGCT "additional logic"). */
-constexpr double kRcaLookupNj = 0.12;
-/** One RCA allocation/update. */
-constexpr double kRcaUpdateNj = 0.15;
+constexpr double kL2TagLookupNj = 0.20;  ///< L2 tag lookup (access or snoop).
+constexpr double kL1AccessNj = 0.05;     ///< One L1 access.
+constexpr double kL2DataAccessNj = 0.60; ///< L2 data array (hit or fill).
+constexpr double kBusBroadcastPerAgentNj = 0.80; ///< Broadcast, per agent.
+constexpr double kDirectRequestNj = 0.90; ///< To one memory controller.
+constexpr double kDramAccessNj = 12.0;   ///< DRAM line read or write-back.
+constexpr double kDataPerByteNj = 0.01;  ///< One byte on the data network.
+constexpr double kRcaLookupNj = 0.12;    ///< RCA lookup ("additional logic").
+constexpr double kRcaUpdateNj = 0.15;    ///< RCA allocation/update.
 
 } // namespace
 

@@ -21,13 +21,11 @@ canonicalizeConfig(Serializer &s, const SystemConfig &c)
     s.u32(c.topology.cpusPerChip);
     s.u32(c.topology.chipsPerSwitch);
     s.u32(c.topology.switchesPerBoard);
-    // A constant that was once a field (the interleave, the commit width,
-    // the prefetch streams, runahead and exclusive prefetching, every
-    // interconnect latency) keeps its slot and writes its value.
-    s.u64(TopologyParams::interleaveBytes);
-    // Each retired field keeps its slot and its last default, at its old
+    // A Table 3 constant that was once a field writes its value at its
+    // old slot, and each retired field its last default, at its old
     // width, so that every fingerprint, and so every stored snapshot and
-    // sweep journal, stays valid: the modelled memory size, ...
+    // sweep journal, stays valid: the interleave, the memory size, ...
+    s.u64(TopologyParams::interleaveBytes);
     s.u64(1ULL << 32);
 
     // ... the pipeline depth, fetch queue, decode and issue widths, ...

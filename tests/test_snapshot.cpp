@@ -366,7 +366,8 @@ TEST(Fingerprint, CoversConfigAndRunIdentity)
 
 TEST(Fingerprint, CoversEveryConfigField)
 {
-    // One change to each behaviour-affecting SystemConfig field. A field
+    // One change to each settable, behaviour-affecting SystemConfig
+    // field (ConfigPin.CanonicalBytes pins the constants' slots). A field
     // added to SystemConfig belongs here and in canonicalizeConfig.
     using Change = void (*)(SystemConfig &);
 #define CGCT_SET(field, value) \

@@ -159,38 +159,6 @@ EventQueue::runUntil(Tick until)
 }
 
 void
-EventQueue::clear()
-{
-    // O(pending): container swap for the heap (the old one-pop-at-a-time
-    // loop was O(n log n)) and a walk of the occupied wheel FIFOs. Pool
-    // nodes go back on the free list so the next phase stays
-    // allocation-free.
-    decltype(heap_) empty_heap;
-    heap_.swap(empty_heap);
-    if (wheelCount_ > 0) {
-        for (Bucket &b : wheel_) {
-            if (b.count == 0)
-                continue;
-            for (unsigned cls = 0; cls < kNumEventPriorities; ++cls) {
-                std::uint32_t idx = b.head[cls];
-                while (idx != kNil) {
-                    Node &n = pool_[idx];
-                    const std::uint32_t next = n.next;
-                    n.cb.reset();
-                    n.next = freeHead_;
-                    freeHead_ = idx;
-                    idx = next;
-                }
-                b.head[cls] = kNil;
-                b.tail[cls] = kNil;
-            }
-            b.count = 0;
-        }
-        wheelCount_ = 0;
-    }
-}
-
-void
 EventQueue::transfer(Archive &ar)
 {
     if (!empty())

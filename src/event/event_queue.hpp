@@ -114,14 +114,6 @@ class EventQueue
     std::uint64_t executed() const { return executed_; }
 
     /**
-     * Drop all pending events (used between simulation phases). O(n):
-     * swaps the overflow heap away and free-lists the wheel's pooled
-     * nodes. Pool capacity is retained so the next phase stays
-     * allocation-free.
-     */
-    void clear();
-
-    /**
      * Checkpoint layout. Callbacks cannot be serialized, so snapshots
      * are only taken when the queue is empty (a drained system); saving
      * and loading both panic otherwise. Only the clock and the executed-event

@@ -159,12 +159,4 @@ StreamPrefetcher::transfer(Archive &ar)
     ar.u64(stats_.prefetchesRequested);
 }
 
-void
-StreamPrefetcher::reset()
-{
-    for (auto &s : streams_)
-        s = Stream{};
-    stats_ = Stats{};
-}
-
 } // namespace cgct

@@ -50,7 +50,6 @@ class StreamPrefetcher
 
     const Stats &stats() const { return stats_; }
     void addStats(StatGroup &group) const;
-    void reset();
 
     /** Checkpoint layout: stream table, use clock and statistics. */
     void transfer(Archive &ar);

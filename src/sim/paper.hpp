@@ -1,12 +1,13 @@
 /**
  * @file
  * The paper's tables and figures as data. Each Table names the sweeps it
- * reads (configuration variants over the nine Table 4 profiles, with
- * their region sizes, seeds and run length), renders its rows as the
- * markdown EXPERIMENTS.md holds between `<!-- cgct_paper NAME -->` and
- * `<!-- /cgct_paper -->`, and checks the paper claims those rows bear
- * on. tools/cgct_paper prints the blocks; test_sweep_identity checks the
- * Figure 2/7/8/10 blocks and claims on the frozen default sweep.
+ * reads (configuration variants over the nine Table 4 profiles or a set
+ * of its own, with their region sizes, seeds and run length), renders
+ * its rows as the markdown EXPERIMENTS.md holds between
+ * `<!-- cgct_paper NAME -->` and `<!-- /cgct_paper -->`, and checks the
+ * paper claims those rows bear on. tools/cgct_paper prints the blocks;
+ * test_sweep_identity checks the Figure 2/7/8/10 blocks and claims on the
+ * frozen default sweep, and the §5.1 block on its own runs.
  */
 
 #pragma once
@@ -21,10 +22,11 @@
 #include "sim/energy.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
+#include "workload/profile.hpp"
 
 namespace cgct::paper {
 
-/** One sweep a table reads: the nine profiles under one configuration. */
+/** One sweep a table reads: a set of profiles under one configuration. */
 struct Sweep {
     /** How each cell runs. */
     enum class Cell : std::uint8_t {
@@ -34,6 +36,8 @@ struct Sweep {
     };
 
     SystemConfig config;                  ///< CGCT cells use withCgct().
+    /** Empty = the nine Table 4 profiles (standardBenchmarks()). */
+    std::vector<WorkloadProfile> profiles;
     std::vector<std::uint64_t> regions;   ///< 0 = baseline.
     unsigned seeds = 1;                   ///< Links of the seed chain.
     std::uint64_t ops = 120000;

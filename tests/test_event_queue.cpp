@@ -236,61 +236,6 @@ TEST(EventQueue, ExecutedCounter)
     EXPECT_EQ(eq.executed(), 5u);
 }
 
-TEST(EventQueue, ClearDropsEvents)
-{
-    EventQueue eq;
-    int fired = 0;
-    eq.schedule(1, [&] { ++fired; });
-    eq.clear();
-    eq.run();
-    EXPECT_EQ(fired, 0);
-    EXPECT_TRUE(eq.empty());
-}
-
-TEST(EventQueue, ClearResetsWheelAndHeap)
-{
-    EventQueue eq;
-    int fired = 0;
-    // Populate both levels: near-future wheel and far-future heap.
-    for (Tick t = 1; t <= 64; ++t)
-        eq.schedule(t, [&] { ++fired; });
-    for (Tick t = 0; t < 8; ++t)
-        eq.schedule(EventQueue::kWheelTicks + 100 + t * 2000,
-                    [&] { ++fired; });
-    EXPECT_EQ(eq.pending(), 72u);
-    eq.clear();
-    EXPECT_TRUE(eq.empty());
-    EXPECT_EQ(eq.pending(), 0u);
-    eq.run();
-    EXPECT_EQ(fired, 0);
-    // The queue is fully reusable after clear().
-    eq.schedule(eq.now() + 5, [&] { ++fired; });
-    eq.schedule(eq.now() + EventQueue::kWheelTicks + 5, [&] { ++fired; });
-    eq.run();
-    EXPECT_EQ(fired, 2);
-}
-
-TEST(EventQueue, ClearInsideCallbackDropsRestOfTick)
-{
-    EventQueue eq;
-    std::vector<int> order;
-    eq.schedule(3, [&] {
-        order.push_back(1);
-        eq.clear(); // Drops the two events still pending at tick 3.
-    });
-    eq.schedule(3, [&] { order.push_back(2); });
-    eq.schedule(3, [&] { order.push_back(3); }, EventPriority::Snoop);
-    eq.schedule(500, [&] { order.push_back(4); });
-    // The Snoop event runs first, then the clearing event.
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{3, 1}));
-    EXPECT_TRUE(eq.empty());
-    // The drained bucket is clean for reuse.
-    eq.schedule(eq.now() + 1, [&] { order.push_back(5); });
-    eq.run();
-    EXPECT_EQ(order.back(), 5);
-}
-
 TEST(EventQueueDeath, PastSchedulingPanics)
 {
     EventQueue eq;

@@ -178,16 +178,6 @@ TEST(Prefetcher, JumpPastCursorResyncs)
     EXPECT_GT(out.back().lineAddr, 0x10080u);
 }
 
-TEST(Prefetcher, Reset)
-{
-    StreamPrefetcher pf(defaults(), 64);
-    observe(pf, 0x10000);
-    observe(pf, 0x10040);
-    pf.reset();
-    EXPECT_EQ(pf.stats().prefetchesRequested, 0u);
-    EXPECT_TRUE(observe(pf, 0x10080).empty()); // Must retrain.
-}
-
 /** Sweep line sizes: step arithmetic must hold for any power of two. */
 class PrefetcherLineSizeSweep : public ::testing::TestWithParam<unsigned>
 {

@@ -9,7 +9,8 @@
  * matrix twice. The run also renders the Figure 2/7/8/10 tables from its
  * rows (sim/paper.hpp), checks them against EXPERIMENTS.md byte for byte
  * and asserts their paper claims, so no other case runs the matrix. The
- * analytic Table 1/2/3 and Figure 6 blocks are compared on their own.
+ * analytic Table 1/2/3 and Figure 6 blocks are compared on their own, and
+ * the §5.1 block with its claim from its own 12 runs.
  * Sanitizer builds skip the full matrix. Labels: sanitize_hotpath, and
  * contract on the digest case.
  */
@@ -139,6 +140,19 @@ TEST(PaperBlocks, AnalyticTablesMatchExperiments)
         EXPECT_EQ(paper::renderBlock(*table, {}), experimentsBlock(name))
             << "EXPERIMENTS.md differs from `cgct_paper " << name << "`";
     }
+}
+
+TEST(PaperBlocks, Sec51PhasesMatchExperimentsAndClaim)
+{
+    const paper::Table &table = *paper::findTable("sec51");
+    ASSERT_EQ(table.sweeps.size(), 1u);
+    const paper::SweepData phases = paper::runSweep(table.sweeps[0], 0);
+    ASSERT_EQ(phases.runs.size(), 12u);
+    const paper::Data data{&phases};
+    EXPECT_EQ(paper::renderBlock(table, data), experimentsBlock("sec51"))
+        << "EXPERIMENTS.md differs from `cgct_paper sec51`";
+    for (const paper::Claim &claim : table.claims(data))
+        EXPECT_TRUE(claim.holds) << claim.name << ": " << claim.text;
 }
 
 TEST(PaperBlocks, TableNamesMatchExperimentsMarkers)

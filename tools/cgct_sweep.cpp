@@ -173,16 +173,35 @@ main(int argc, char **argv)
     }
     spec.baseConfig.topology.numCpus = nodes;
     spec.baseConfig.interconnect.topology = topo_kind;
+    WarmMode wmode = WarmMode::Functional;
+    if (!parseWarmMode(warm_mode, &wmode)) {
+        std::fprintf(stderr, "cgct_sweep: --warm-mode must be "
+                             "functional or detailed\n");
+        return 1;
+    }
     spec.baseConfig.validate();
     // Every cell's configuration, before the CSV header goes out.
     for (std::uint64_t bytes : spec.regionSizes)
         if (bytes)
             spec.baseConfig.withCgct(bytes).validate();
     if (sample) {
-        WarmMode wmode = WarmMode::Functional;
-        if (!parseWarmMode(warm_mode, &wmode)) {
-            std::fprintf(stderr, "cgct_sweep: --warm-mode must be "
-                                 "functional or detailed\n");
+        // The windows of every cell, before the CSV header goes out.
+        const std::uint64_t span = ops > spec.opts.warmupOps
+                                       ? ops - spec.opts.warmupOps
+                                       : 0;
+        if (window_ops == 0) {
+            std::fprintf(stderr,
+                         "cgct_sweep: --window-ops must be >= 1\n");
+            return 1;
+        }
+        if (window_ops > span / sample) {
+            std::fprintf(stderr,
+                         "cgct_sweep: --sample %llu windows of "
+                         "--window-ops %llu do not fit in the %llu "
+                         "post-warmup ops\n",
+                         static_cast<unsigned long long>(sample),
+                         static_cast<unsigned long long>(window_ops),
+                         static_cast<unsigned long long>(span));
             return 1;
         }
         // A sampled sweep draws its confidence interval from the

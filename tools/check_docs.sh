@@ -53,6 +53,13 @@
 #      "Determinism contract", docs/SNAPSHOT.md's headline,
 #      docs/SAMPLING.md and docs/ARCHITECTURE.md — must link to a row
 #      and must not restate a contract.
+#  11. Every binary path `build…/<dir>/<name>` cited in README.md,
+#      DESIGN.md, EXPERIMENTS.md, docs/*.md or a skills/ note under a
+#      top-level dot-directory must name a target that some
+#      CMakeLists.txt builds (add_executable, add_library, or a function
+#      that wraps them), so a retired binary cannot linger in the docs.
+#      CHANGES.md, ROADMAP.md and benchmark/ are history or have their
+#      own build, and are not checked.
 #
 # Run from anywhere:
 #
@@ -504,14 +511,37 @@ else
     done
 fi
 
+# Cited binaries: every build…/<dir>/<name> path in the user-facing docs
+# must be a target some CMakeLists.txt defines.
+cmakes=$(ls "$root"/CMakeLists.txt "$root"/*/CMakeLists.txt)
+wrappers=$(grep -ohE '^function\([A-Za-z0-9_]+' $cmakes |
+           sed 's/^function(//' | paste -sd'|')
+targets=" $(grep -ohE "^[[:space:]]*(add_executable|add_library${wrappers:+|$wrappers})\([[:space:]]*[A-Za-z0-9_]+" \
+              $cmakes | sed -E 's/.*\([[:space:]]*//' | sort -u |
+              tr '\n' ' ')"
+cited=$(grep -roE 'build[A-Za-z0-9_.-]*/[A-Za-z0-9_.-]+/[A-Za-z0-9_.-]+' \
+            "$root"/README.md "$root"/DESIGN.md "$root"/EXPERIMENTS.md \
+            "$root"/docs/*.md "$root"/.[!.]*/skills 2>/dev/null | sort -u)
+while IFS=: read -r file path; do
+    [ -n "$path" ] || continue
+    case "$targets" in
+        *" ${path##*/} "*) ;;
+        *)
+            echo "check_docs: ${file#"$root"/} cites $path, but no" \
+                 "CMakeLists.txt builds a target named ${path##*/}" >&2
+            fail=1
+            ;;
+    esac
+done <<< "$cited"
+
 if [ "$fail" -ne 0 ]; then
     echo "check_docs: FAILED — update docs/SWEEP.md / docs/PERF.md /" \
          "docs/TRACING.md / docs/ARCHITECTURE.md / docs/SNAPSHOT.md /" \
          "docs/TRACE_FORMAT.md / docs/SAMPLING.md / docs/TOPOLOGY.md /" \
-         "docs/CONTRACTS.md" >&2
+         "docs/CONTRACTS.md, or the binary paths the docs cite" >&2
     exit 1
 fi
 echo "check_docs: flags, perf tooling, golden pins, trace event and" \
      "record types, stat names, sampling methodology, topology contract," \
-     "determinism contracts, and architecture cross-links are all" \
-     "documented"
+     "determinism contracts, architecture cross-links and cited binaries" \
+     "are all documented"

@@ -9,14 +9,13 @@ MshrFile::MshrFile(unsigned capacity)
     : capacity_(capacity),
       table_(static_cast<std::size_t>(capacity) * 2)
 {
-    prefetch_.assign(capacity_, 0);
     freeSlots_.reserve(capacity_);
     for (std::uint32_t s = capacity_; s-- > 0;)
         freeSlots_.push_back(s);
 }
 
 std::uint32_t
-MshrFile::allocate(Addr line_addr, bool prefetch)
+MshrFile::allocate(Addr line_addr)
 {
     if (full())
         panic("MshrFile: allocate on a full file");
@@ -26,7 +25,6 @@ MshrFile::allocate(Addr line_addr, bool prefetch)
     const std::uint32_t slot = freeSlots_.back();
     freeSlots_.pop_back();
     table_.insert(line_addr) = slot;
-    prefetch_[slot] = prefetch ? 1 : 0;
     ++inFlight_;
     return slot;
 }
@@ -37,7 +35,6 @@ MshrFile::release(Addr line_addr)
     std::uint32_t slot;
     if (!table_.take(line_addr, slot))
         return false;
-    prefetch_[slot] = 0;
     freeSlots_.push_back(slot);
     --inFlight_;
     return true;
@@ -53,8 +50,8 @@ MshrFile::transfer(Archive &ar)
     ar.expect("MSHR capacity", capacity_);
     if (!ar.saving())
         clear();
-    // allocate() indexes prefetch_ (and the node its per-slot context)
-    // by these ids, so each must be a distinct slot below capacity.
+    // The node indexes its per-slot miss records by these ids, so each
+    // must be a distinct slot below capacity.
     std::vector<bool> listed(capacity_, false);
     for (std::uint32_t &slot : freeSlots_) {
         ar.index("MSHR free slot", slot, capacity_);
@@ -71,7 +68,6 @@ MshrFile::clear()
     freeSlots_.clear();
     for (std::uint32_t s = capacity_; s-- > 0;)
         freeSlots_.push_back(s);
-    prefetch_.assign(capacity_, 0);
     inFlight_ = 0;
 }
 

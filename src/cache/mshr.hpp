@@ -7,9 +7,9 @@
  * The file is a fixed-capacity open-addressed table (see AddrTable):
  * sized from config at construction, it performs no allocations after
  * init. Each outstanding miss occupies a stable slot index in
- * [0, capacity); allocate() returns the slot so the owner can keep
- * per-miss context (the completion chain) in a parallel array instead of
- * captured inside heap-allocated closures.
+ * [0, capacity); allocate() returns the slot so the owner can keep its
+ * per-miss record in a parallel array instead of captured inside
+ * heap-allocated closures.
  */
 
 #pragma once
@@ -46,10 +46,9 @@ class MshrFile
 
     /**
      * Register a new outstanding miss. @pre !full() && !contains()
-     * @param prefetch whether the fill was initiated by the prefetcher.
      * @return the slot index, stable until release().
      */
-    std::uint32_t allocate(Addr line_addr, bool prefetch);
+    std::uint32_t allocate(Addr line_addr);
 
     /** Complete the fill for @p line_addr. Returns false if unknown. */
     bool release(Addr line_addr);
@@ -60,26 +59,6 @@ class MshrFile
     {
         const std::uint32_t *slot = table_.find(line_addr);
         return slot ? *slot : kNoSlot;
-    }
-
-    /** Whether the outstanding fill for @p line_addr was a prefetch. */
-    bool
-    isPrefetch(Addr line_addr) const
-    {
-        const std::uint32_t *slot = table_.find(line_addr);
-        return slot && prefetch_[*slot] != 0;
-    }
-
-    /**
-     * Promote a prefetch fill to demand (a demand access merged with it);
-     * used for prefetch-accuracy statistics.
-     */
-    void
-    promoteToDemand(Addr line_addr)
-    {
-        const std::uint32_t *slot = table_.find(line_addr);
-        if (slot)
-            prefetch_[*slot] = 0;
     }
 
     void clear();
@@ -96,8 +75,6 @@ class MshrFile
     unsigned capacity_;
     /** line address -> slot; 2x capacity slots, so it never rehashes. */
     AddrTable<std::uint32_t> table_;
-    /** Per-slot prefetch flag, indexed by slot. */
-    std::vector<std::uint8_t> prefetch_;
     /** Free slot indices (LIFO). */
     std::vector<std::uint32_t> freeSlots_;
     std::size_t inFlight_ = 0;

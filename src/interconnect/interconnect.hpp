@@ -79,8 +79,8 @@ class Interconnect
     /**
      * Inline capture capacity of a snoop-response continuation: sized for
      * the node's continuation (node pointer + request descriptor + issue
-     * tick; the completion context itself lives in the requester's MSHR
-     * slot) with no heap fallback.
+     * tick; the miss record itself lives in the requester's MSHR slot)
+     * with no heap fallback.
      */
     static constexpr std::size_t kResponseFnCapacity = 48;
 

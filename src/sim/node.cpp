@@ -156,10 +156,9 @@ Node::accessL2(CpuOpKind kind, Addr addr, Tick now, Tick &ready_out,
     // Merge with an in-flight transaction for the same line: wait for it
     // to resolve, then replay the access (it usually hits afterwards).
     if (mshr_.contains(line_addr)) {
-        mshr_.promoteToDemand(line_addr);
-        waiterPool_.push(waiterListFor(line_addr),
-                         Waiter{std::move(done), addr, kind,
-                                /*fill=*/false, /*replay=*/true});
+        waiterPool_.push(fillWaiters_.findOrInsert(line_addr),
+                         FillWaiter{Miss{std::move(done), addr, kind},
+                                    /*replay=*/true});
         return false;
     }
 
@@ -179,47 +178,50 @@ Node::accessL2(CpuOpKind kind, Addr addr, Tick now, Tick &ready_out,
         ready_out = std::max(now + l2_.latency(), line->readyTick);
         return true;
     }
-    issueSystemRequest(type, line_addr, now,
-                       Completion{std::move(done), addr, kind,
-                                  /*fill=*/demand},
-                       /*is_prefetch=*/false);
+    issueSystemRequest(Miss{std::move(done), addr, kind, /*fill=*/demand,
+                            type, /*isPrefetch=*/false, line_addr, now});
     return false;
 }
 
 void
-Node::issueSystemRequest(RequestType type, Addr line_addr, Tick now,
-                         Completion &&c, bool is_prefetch)
+Node::issueSystemRequest(Miss &&m)
 {
     // The single switch between the two drivers: during functional
     // warming the request resolves synchronously through the same core
     // steps, with no MSHR, no events and data ready at once.
     if (bus_.functional()) {
-        warmRequest(type, line_addr, now, is_prefetch);
-        runCompletion(c, now);
+        warmRequest(m.type, m.lineAddr, m.issued, m.isPrefetch);
+        runMiss(m, m.issued);
         return;
     }
-
-    const bool needs_mshr = type != RequestType::Writeback;
-    if (needs_mshr) {
-        if (mshr_.contains(line_addr)) {
-            // Only prefetches race their own demand stream here.
-            if (is_prefetch)
-                return;
-            panic("cpu%d: duplicate in-flight request for line %llx",
-                  cpu_, static_cast<unsigned long long>(line_addr));
-        }
-        if (mshr_.full()) {
-            if (is_prefetch)
-                return; // Prefetches never queue for MSHRs.
-            pendingPool_.push(pendingMisses_,
-                              PendingMiss{type, line_addr, std::move(c),
-                                          is_prefetch});
-            return;
-        }
-        const std::uint32_t slot = mshr_.allocate(line_addr, is_prefetch);
-        mshrCtx_[slot] = std::move(c);
+    if (m.type == RequestType::Writeback) {
+        dispatchSystemRequest(m.type, m.lineAddr, m.issued,
+                              /*is_prefetch=*/false);
+        return;
     }
-    dispatchSystemRequest(type, line_addr, now, is_prefetch);
+    if (mshr_.contains(m.lineAddr)) {
+        // Only prefetches race their own demand stream here.
+        if (m.isPrefetch)
+            return;
+        panic("cpu%d: duplicate in-flight request for line %llx", cpu_,
+              static_cast<unsigned long long>(m.lineAddr));
+    }
+    if (mshr_.full()) {
+        if (!m.isPrefetch) // Prefetches never queue for MSHRs.
+            backlogPool_.push(backlog_, std::move(m));
+        return;
+    }
+    startMiss(std::move(m));
+}
+
+void
+Node::startMiss(Miss &&m)
+{
+    Miss &rec = mshrCtx_[mshr_.allocate(m.lineAddr)];
+    rec = std::move(m);
+    // By value: a local completion inside the dispatch vacates the slot.
+    dispatchSystemRequest(rec.type, rec.lineAddr, rec.issued,
+                          rec.isPrefetch);
 }
 
 RouteDecision
@@ -262,12 +264,11 @@ Node::dispatchSystemRequest(RequestType type, Addr line_addr, Tick now,
     // Merge with an in-flight region acquisition: the first broadcast to
     // an Invalid region fetches the region snoop response; later requests
     // to the same region wait for it rather than broadcasting too. The
-    // waiter's Completion stays in its MSHR slot.
+    // waiter's record stays in its MSHR slot; the queue holds the slot.
     if (tracker_ && type != RequestType::Writeback) {
         const Addr region = alignDown(line_addr, config_.cgct.regionBytes);
         if (auto *list = pendingRegionAcq_.find(region)) {
-            regionWaiterPool_.push(
-                *list, RegionWaiter{type, line_addr, is_prefetch, now});
+            regionSlotPool_.push(*list, mshr_.slotOf(line_addr));
             return;
         }
     }
@@ -307,9 +308,12 @@ Node::dispatchSystemRequest(RequestType type, Addr line_addr, Tick now,
         break;
       }
 
-      case RouteKind::LocalComplete:
-        completeLocally(type, line_addr, now);
+      case RouteKind::LocalComplete: {
+        const Tick ready = now + l2_.latency();
+        resolveLocal(type, line_addr, now, ready);
+        completeMiss(type, line_addr, ready, /*defer=*/true);
         break;
+      }
     }
 }
 
@@ -361,13 +365,11 @@ Node::issueDirect(RequestType type, Addr line_addr, MemCtrlId mc, Tick now,
     // Backdated dispatches (speculative fetches resolved by a region
     // acquisition) may complete logically in the past; deliver them now.
     eq_.schedule(std::max(data_ready, eq_.now()),
-                 [this, line_addr, issued = now, is_prefetch] {
-                     Completion c = grabMshrCtx(line_addr);
-                     releaseMshr(line_addr);
-                     drainFillWaiters(line_addr, eq_.now());
+                 [this, type, line_addr, issued = now, is_prefetch] {
                      if (!is_prefetch)
                          noteMissLatency(issued, eq_.now());
-                     runCompletion(c, eq_.now());
+                     completeMiss(type, line_addr, eq_.now(),
+                                  /*defer=*/false);
                  },
                  EventPriority::Data);
 }
@@ -381,26 +383,6 @@ Node::resolveLocal(RequestType type, Addr line_addr, Tick now, Tick ready)
                   grantedState(type, /*other_had_copy=*/false), now, ready);
     if (checker_)
         checker_->onTransition(line_addr, "local_complete");
-}
-
-void
-Node::completeLocally(RequestType type, Addr line_addr, Tick now)
-{
-    const Tick ready = now + l2_.latency();
-    resolveLocal(type, line_addr, now, ready);
-
-    Completion c = grabMshrCtx(line_addr);
-    releaseMshr(line_addr);
-    if (c.done || c.fill) {
-        // Defer the completion so callers never observe their callback
-        // firing inside the access() call itself. Backdated dispatches
-        // may have a logical completion in the past; deliver them now.
-        eq_.schedule(std::max(ready, eq_.now()),
-                     [this, c = std::move(c), ready]() mutable {
-                         runCompletion(c, ready);
-                     },
-                     EventPriority::Data);
-    }
 }
 
 void
@@ -468,15 +450,15 @@ Node::handleBroadcastResponse(RequestType type, Addr line_addr,
     const Tick now = eq_.now();
     resolveBroadcast(type, line_addr, resp, now, data_ready);
 
-    const bool needs_mshr = type != RequestType::Writeback;
     if (data_ready > now) {
         eq_.schedule(data_ready,
-                     [this, line_addr, needs_mshr, data_ready] {
-                         finishRequest(line_addr, needs_mshr, data_ready);
+                     [this, type, line_addr, data_ready] {
+                         completeMiss(type, line_addr, data_ready,
+                                      /*defer=*/false);
                      },
                      EventPriority::Data);
     } else {
-        finishRequest(line_addr, needs_mshr, now);
+        completeMiss(type, line_addr, now, /*defer=*/false);
     }
 }
 
@@ -488,87 +470,76 @@ Node::releaseRegionWaiters(Addr line_addr)
     // fresh region state (usually direct or local now). Functional
     // warming never queues any.
     const Addr region = alignDown(line_addr, config_.cgct.regionBytes);
-    PoolFifo<RegionWaiter>::List waiting;
+    PoolFifo<std::uint32_t>::List waiting;
     if (!pendingRegionAcq_.take(region, waiting))
         return;
     drainingRegion_ = true;
-    RegionWaiter p;
-    while (regionWaiterPool_.pop(waiting, p)) {
+    std::uint32_t slot;
+    while (regionSlotPool_.pop(waiting, slot)) {
         // Requests that can now go direct had their memory fetch started
         // speculatively alongside the acquisition broadcast, so they
         // dispatch with their original timestamp; requests that must
         // broadcast pay full price from now (the bus schedules them at
         // >= now anyway).
-        dispatchSystemRequest(p.type, p.lineAddr, p.queuedAt,
-                              p.isPrefetch);
+        const Miss &m = mshrCtx_[slot];
+        dispatchSystemRequest(m.type, m.lineAddr, m.issued, m.isPrefetch);
     }
     drainingRegion_ = false;
 }
 
-Node::Completion
-Node::grabMshrCtx(Addr line_addr)
-{
-    Completion c;
-    const std::uint32_t slot = mshr_.slotOf(line_addr);
-    if (slot != MshrFile::kNoSlot) {
-        c = std::move(mshrCtx_[slot]);
-        mshrCtx_[slot] = Completion{};
-    }
-    return c;
-}
-
 void
-Node::runCompletion(Completion &c, Tick ready)
+Node::completeMiss(RequestType type, Addr line_addr, Tick ready, bool defer)
 {
-    if (c.fill)
-        fillL1(c.kind, c.addr, ready, ready);
-    if (c.done)
-        c.done(ready);
-}
-
-void
-Node::finishRequest(Addr line_addr, bool needs_mshr, Tick ready)
-{
-    Completion c;
-    if (needs_mshr) {
-        // Grab the context before releasing: the release may start a
+    Miss m;
+    // A write-back holds no slot: the line's MSHR, if any, is a later
+    // miss's.
+    if (type != RequestType::Writeback) {
+        // Take the record before releasing: the release may start a
         // queued miss that claims (and overwrites) this very slot.
-        c = grabMshrCtx(line_addr);
+        m = std::move(mshrCtx_[mshr_.slotOf(line_addr)]);
         releaseMshr(line_addr);
     }
-    drainFillWaiters(line_addr, ready);
-    runCompletion(c, ready);
+    PoolFifo<FillWaiter>::List waiters;
+    fillWaiters_.take(line_addr, waiters);
+    if (!defer) {
+        finishMiss(waiters, m, ready);
+        return;
+    }
+    // Backdated dispatches may have a logical completion in the past;
+    // deliver them now.
+    eq_.schedule(std::max(ready, eq_.now()),
+                 [this, waiters, m = std::move(m), ready]() mutable {
+                     finishMiss(waiters, m, ready);
+                 },
+                 EventPriority::Data);
 }
 
 void
-Node::drainFillWaiters(Addr line_addr, Tick ready)
+Node::finishMiss(PoolFifo<FillWaiter>::List waiters, Miss &m, Tick ready)
 {
-    PoolFifo<Waiter>::List list;
-    if (!fillWaiters_.take(line_addr, list))
-        return;
-    // The list was moved out of the table, so re-registrations from the
-    // replays below land on a fresh list for the next fill.
-    Waiter w;
-    while (waiterPool_.pop(list, w)) {
-        if (w.replay) {
-            Tick r;
-            if (access(w.kind, w.addr, ready, r, std::move(w.done)))
-                w.done(r);
-        } else {
-            if (w.fill)
-                fillL1(w.kind, w.addr, ready, ready);
-            if (w.done)
-                w.done(ready);
+    // The list is out of the table, so re-registrations from the replays
+    // below land on a fresh list for the next fill.
+    FillWaiter w;
+    while (waiterPool_.pop(waiters, w)) {
+        if (!w.replay) {
+            runMiss(w.miss, ready);
+            continue;
         }
+        Tick r;
+        if (access(w.miss.kind, w.miss.addr, ready, r,
+                   std::move(w.miss.done)))
+            w.miss.done(r);
     }
+    runMiss(m, ready);
 }
 
-PoolFifo<Node::Waiter>::List &
-Node::waiterListFor(Addr line_addr)
+void
+Node::runMiss(Miss &m, Tick ready)
 {
-    if (auto *list = fillWaiters_.find(line_addr))
-        return *list;
-    return fillWaiters_.insert(line_addr);
+    if (m.fill)
+        fillL1(m.kind, m.addr, ready, ready);
+    if (m.done)
+        m.done(ready);
 }
 
 void
@@ -633,8 +604,9 @@ void
 Node::issueWriteback(Addr line_addr, Tick now)
 {
     ++stats_.writebacksIssued;
-    issueSystemRequest(RequestType::Writeback, line_addr, now,
-                       Completion{}, /*is_prefetch=*/false);
+    issueSystemRequest(Miss{{}, line_addr, CpuOpKind::Load, /*fill=*/false,
+                            RequestType::Writeback, /*isPrefetch=*/false,
+                            line_addr, now});
 }
 
 void
@@ -678,10 +650,11 @@ Node::maybePrefetch(Addr line_addr, bool is_store, bool was_miss, Tick now)
         if (mshr_.inFlight() + 2 >= mshr_.capacity())
             break;
         ++stats_.prefetchesIssued;
-        issueSystemRequest(c.exclusive ? RequestType::PrefetchExclusive
-                                       : RequestType::Prefetch,
-                           c.lineAddr, now, Completion{},
-                           /*is_prefetch=*/true);
+        issueSystemRequest(Miss{{}, c.lineAddr, CpuOpKind::Load,
+                                /*fill=*/false,
+                                c.exclusive ? RequestType::PrefetchExclusive
+                                            : RequestType::Prefetch,
+                                /*isPrefetch=*/true, c.lineAddr, now});
     }
 }
 
@@ -690,30 +663,29 @@ Node::releaseMshr(Addr line_addr)
 {
     if (!mshr_.release(line_addr))
         return;
-    PendingMiss p;
-    while (!mshr_.full() && pendingPool_.pop(pendingMisses_, p)) {
+    Miss m;
+    while (!mshr_.full() && backlogPool_.pop(backlog_, m)) {
         const Tick now = eq_.now();
         // The world may have changed while the miss was queued.
-        if (CacheLine *line = l2_.lookup(p.lineAddr)) {
-            const bool store_like = wantsExclusive(p.type);
+        if (CacheLine *line = l2_.lookup(m.lineAddr)) {
+            const bool store_like = wantsExclusive(m.type);
             if (!store_like || isWritable(line->state)) {
                 if (store_like)
                     line->state = LineState::Modified;
-                runCompletion(p.c, std::max(now + l2_.latency(),
-                                            line->readyTick));
+                runMiss(m, std::max(now + l2_.latency(), line->readyTick));
                 continue;
             }
         }
-        if (mshr_.contains(p.lineAddr)) {
-            waiterPool_.push(waiterListFor(p.lineAddr),
-                             Waiter{std::move(p.c.done), p.c.addr,
-                                    p.c.kind, p.c.fill,
-                                    /*replay=*/false});
+        if (mshr_.contains(m.lineAddr)) {
+            // Completes with that fill without replaying, so a store may
+            // wake without write permission (ROADMAP.md, backlogged
+            // stores).
+            waiterPool_.push(fillWaiters_.findOrInsert(m.lineAddr),
+                             FillWaiter{std::move(m), /*replay=*/false});
             continue;
         }
-        const std::uint32_t slot = mshr_.allocate(p.lineAddr, p.isPrefetch);
-        mshrCtx_[slot] = std::move(p.c);
-        dispatchSystemRequest(p.type, p.lineAddr, now, p.isPrefetch);
+        m.issued = now;
+        startMiss(std::move(m));
     }
 }
 
@@ -813,9 +785,8 @@ Node::warmL2Access(CpuOpKind kind, Addr addr, Tick now)
             fillL1(kind, addr, now, now);
         return;
     }
-    issueSystemRequest(type, line_addr, now,
-                       Completion{{}, addr, kind, /*fill=*/demand},
-                       /*is_prefetch=*/false);
+    issueSystemRequest(Miss{{}, addr, kind, /*fill=*/demand, type,
+                            /*isPrefetch=*/false, line_addr, now});
 }
 
 void
@@ -862,7 +833,7 @@ Node::transfer(Archive &ar)
 {
     if (ar.saving() &&
         (mshr_.inFlight() != 0 || !fillWaiters_.empty() ||
-         !pendingMisses_.empty() || !pendingRegionAcq_.empty() ||
+         !backlog_.empty() || !pendingRegionAcq_.empty() ||
          drainingRegion_))
         panic("Node: serializing cpu %d with requests in flight — "
               "snapshots require a drained (quiescent) system", cpu_);

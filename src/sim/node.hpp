@@ -26,13 +26,17 @@
  * machine, because a snooped peer reads it too (snoopLine charges no tag
  * port in functional mode).
  *
- * Request-path storage: a miss's completion context — the callback plus
- * what fillL1 needs — lives in a per-MSHR-slot Completion struct
- * (mshrCtx_) instead of being captured inside nested heap-allocated
- * closures; waiter queues (fill merges, the MSHR-full backlog, pending
- * region acquisitions) are pooled FIFOs keyed through open-addressed
- * tables. After the pools reach their high-water marks the request path
- * performs no allocations.
+ * Request-path storage: each outstanding miss is one Miss record — the
+ * request, what fillL1 needs, the caller's callback and the dispatch
+ * tick — held in its MSHR slot (mshrCtx_) rather than captured inside
+ * nested heap-allocated closures. A miss the full MSHR file postpones
+ * queues its record by value (it has no slot yet); one waiting behind a
+ * region acquisition queues just its slot index; a request merged onto
+ * an in-flight fill queues a record plus a replay flag. Direct,
+ * broadcast and local completions all finish through one tail
+ * (completeMiss). The queues are pooled FIFOs keyed through
+ * open-addressed tables, so after the pools reach their high-water
+ * marks the request path performs no allocations.
  */
 
 #pragma once
@@ -185,43 +189,27 @@ class Node : public SnoopClient
 
   private:
     /**
-     * What happens when a request resolves: refresh the L1 (for demand
-     * fills) and invoke the caller's callback. One per outstanding miss,
-     * stored in mshrCtx_[slot] — the flattened form of the closures the
-     * request path used to nest.
+     * One miss, from issue to completion: the system request, what
+     * fillL1 needs, and the caller's callback. Held in its MSHR slot
+     * while outstanding (mshrCtx_), by value while the MSHR file is
+     * full.
      */
-    struct Completion {
+    struct Miss {
         CompletionFn done;
-        Addr addr = 0;
+        Addr addr = 0;                   ///< The op's address.
         CpuOpKind kind = CpuOpKind::Load;
         bool fill = false;               ///< Run fillL1 before done.
+        RequestType type = RequestType::Read;
+        bool isPrefetch = false;
+        Addr lineAddr = 0;
+        /** Dispatch tick; a region waiter re-dispatches with it. */
+        Tick issued = 0;
     };
 
     /** A request merged onto an in-flight fill for the same line. */
-    struct Waiter {
-        CompletionFn done;
-        Addr addr = 0;
-        CpuOpKind kind = CpuOpKind::Load;
-        bool fill = false;
+    struct FillWaiter {
+        Miss miss;
         bool replay = false;             ///< Re-run access() on wake.
-    };
-
-    /** A request postponed because the MSHR file was full. */
-    struct PendingMiss {
-        RequestType type = RequestType::Read;
-        Addr lineAddr = 0;
-        Completion c;
-        bool isPrefetch = false;
-        Tick queuedAt = 0;
-    };
-
-    /** A request waiting behind an in-flight region acquisition; its
-     *  Completion stays in the MSHR slot claimed before dispatch. */
-    struct RegionWaiter {
-        RequestType type = RequestType::Read;
-        Addr lineAddr = 0;
-        bool isPrefetch = false;
-        Tick queuedAt = 0;
     };
 
     // Protocol core: synchronous steps shared by both drivers. Each takes
@@ -298,13 +286,15 @@ class Node : public SnoopClient
                   CompletionFn &&done);
 
     /**
-     * Issue (or queue) a request to the system; in functional mode,
-     * resolve it at once instead and run @p c.
+     * Issue (or queue) @p m to the system at its issue tick; in
+     * functional mode, resolve it at once instead and run it.
      */
-    void issueSystemRequest(RequestType type, Addr line_addr, Tick now,
-                            Completion &&c, bool is_prefetch);
+    void issueSystemRequest(Miss &&m);
 
-    /** The request, with an MSHR (if needed) already claimed. */
+    /** Claim an MSHR slot for @p m, store it there and dispatch it. */
+    void startMiss(Miss &&m);
+
+    /** Route and send a request; a miss's record is already in its slot. */
     void dispatchSystemRequest(RequestType type, Addr line_addr, Tick now,
                                bool is_prefetch);
 
@@ -326,26 +316,25 @@ class Node : public SnoopClient
     void issueDirect(RequestType type, Addr line_addr, MemCtrlId mc,
                      Tick now, bool is_prefetch);
 
-    /** Complete a request locally with no external request. */
-    void completeLocally(RequestType type, Addr line_addr, Tick now);
-
     /** Release an MSHR and start a queued request if one is waiting. */
     void releaseMshr(Addr line_addr);
 
-    /** Move this line's Completion out of its MSHR slot (if any). */
-    Completion grabMshrCtx(Addr line_addr);
+    /**
+     * The completion tail of every route: take the slot's record (a
+     * write-back has none), release the MSHR, take the line's fill
+     * waiters, then wake them and run the record at @p ready — at once,
+     * or from a Data event when @p defer is set (a local completion, so
+     * no callback fires inside access()).
+     */
+    void completeMiss(RequestType type, Addr line_addr, Tick ready,
+                      bool defer);
 
-    /** Run a Completion: optional L1 refresh, then the callback. */
-    void runCompletion(Completion &c, Tick ready);
+    /** Wake @p waiters, then run @p m. */
+    void finishMiss(PoolFifo<FillWaiter>::List waiters, Miss &m,
+                    Tick ready);
 
-    /** Release + resolve: the common tail of broadcast completions. */
-    void finishRequest(Addr line_addr, bool needs_mshr, Tick ready);
-
-    /** Wake everything merged onto @p line_addr's fill. */
-    void drainFillWaiters(Addr line_addr, Tick ready);
-
-    /** The waiter list for @p line_addr, created if absent. */
-    PoolFifo<Waiter>::List &waiterListFor(Addr line_addr);
+    /** Run a record: optional L1 refresh, then the callback. */
+    void runMiss(Miss &m, Tick ready);
 
     /** Record a completed demand miss's latency. */
     void noteMissLatency(Tick issued, Tick ready);
@@ -375,24 +364,25 @@ class Node : public SnoopClient
     MshrFile mshr_;
     StreamPrefetcher prefetcher_;
 
-    /** Per-MSHR-slot completion context, indexed by MshrFile slot. */
-    std::vector<Completion> mshrCtx_;
+    /** Per-MSHR-slot miss record, indexed by MshrFile slot. */
+    std::vector<Miss> mshrCtx_;
 
     /** Waiters merged onto an in-flight fill, keyed by line address. */
-    AddrTable<PoolFifo<Waiter>::List> fillWaiters_;
-    PoolFifo<Waiter> waiterPool_;
+    AddrTable<PoolFifo<FillWaiter>::List> fillWaiters_;
+    PoolFifo<FillWaiter> waiterPool_;
 
-    /** Requests postponed because the MSHR file was full. */
-    PoolFifo<PendingMiss>::List pendingMisses_;
-    PoolFifo<PendingMiss> pendingPool_;
+    /** Misses postponed because the MSHR file was full. */
+    PoolFifo<Miss>::List backlog_;
+    PoolFifo<Miss> backlogPool_;
 
     /**
-     * Requests to a region whose first broadcast (the region acquisition)
-     * is still in flight: they wait for the region snoop response instead
-     * of broadcasting line by line. Keyed by region-aligned address.
+     * Slots of misses to a region whose first broadcast (the region
+     * acquisition) is still in flight: they wait for the region snoop
+     * response instead of broadcasting line by line. Keyed by
+     * region-aligned address.
      */
-    AddrTable<PoolFifo<RegionWaiter>::List> pendingRegionAcq_;
-    PoolFifo<RegionWaiter> regionWaiterPool_;
+    AddrTable<PoolFifo<std::uint32_t>::List> pendingRegionAcq_;
+    PoolFifo<std::uint32_t> regionSlotPool_;
     /** Suppress re-marking acquisitions while draining a region queue. */
     bool drainingRegion_ = false;
 

@@ -405,7 +405,7 @@ TEST(HotpathAllocsTest, RcaMixLoopIsAllocationFree)
 TEST(HotpathAllocsTest, MshrChurnLoopIsAllocationFree)
 {
     // The request chain's bookkeeping, minus the protocol: MSHR allocate
-    // with a per-slot completion context, merges queueing pooled waiters,
+    // with a per-slot miss record, merges queueing pooled waiters,
     // and release draining them (Node::issueSystemRequest's shape).
     using Fn = InlineFunction<void(Tick), 48>;
     constexpr unsigned kCapacity = 16;
@@ -425,7 +425,7 @@ TEST(HotpathAllocsTest, MshrChurnLoopIsAllocationFree)
                 pool.push(waiters.findOrInsert(line),
                           Fn{[&completions](Tick) { ++completions; }});
             } else if (count < kCapacity) {
-                const std::uint32_t slot = mshr.allocate(line, false);
+                const std::uint32_t slot = mshr.allocate(line);
                 ctx[slot] = Fn{[&completions](Tick) { ++completions; }};
                 inflight[(head + count) % kCapacity] = line;
                 ++count;

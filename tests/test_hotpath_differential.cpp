@@ -619,7 +619,7 @@ runNsrtDifferential(std::uint64_t seed, std::uint64_t ops)
 
 // ---------------------------------------------------------------------
 // Reference MSHR: the map the open-addressed file replaced, plus slot
-// bookkeeping checks (stability, uniqueness, prefetch flags).
+// bookkeeping checks (stability, uniqueness).
 // ---------------------------------------------------------------------
 
 void
@@ -629,8 +629,7 @@ runMshrDifferential(std::uint64_t seed, std::uint64_t ops)
     constexpr std::uint64_t kLines = 48;
 
     MshrFile dut(kCapacity);
-    std::unordered_map<Addr, bool> ref; // line -> prefetch flag
-    std::unordered_map<Addr, std::uint32_t> slots;
+    std::unordered_map<Addr, std::uint32_t> ref; // line -> slot
     std::vector<Addr> inflight;
     Rng rng{seed};
 
@@ -646,29 +645,22 @@ runMshrDifferential(std::uint64_t seed, std::uint64_t ops)
 
         auto it = ref.find(line);
         if (it != ref.end()) {
-            ASSERT_EQ(dut.isPrefetch(line), it->second) << "at op " << i;
-            ASSERT_EQ(dut.slotOf(line), slots[line])
+            ASSERT_EQ(dut.slotOf(line), it->second)
                 << "slot moved for an in-flight line at op " << i;
             if (op < 30) {
-                dut.promoteToDemand(line);
-                it->second = false;
-            } else if (op < 60) {
                 ASSERT_TRUE(dut.release(line));
-                ref.erase(line);
-                slots.erase(line);
+                ref.erase(it);
                 inflight.erase(std::find(inflight.begin(),
                                          inflight.end(), line));
             }
         } else if (!dut.full() && op < 70) {
-            const bool prefetch = (op & 1) != 0;
-            const std::uint32_t slot = dut.allocate(line, prefetch);
+            const std::uint32_t slot = dut.allocate(line);
             ASSERT_LT(slot, kCapacity);
-            for (const auto &kv : slots)
+            for (const auto &kv : ref)
                 ASSERT_NE(kv.second, slot)
                     << "slot handed out twice at op " << i;
             ASSERT_EQ(dut.slotOf(line), slot);
-            ref.emplace(line, prefetch);
-            slots.emplace(line, slot);
+            ref.emplace(line, slot);
             inflight.push_back(line);
         } else if (!inflight.empty()) {
             const Addr victim =
@@ -676,7 +668,6 @@ runMshrDifferential(std::uint64_t seed, std::uint64_t ops)
                          inflight.size()];
             ASSERT_TRUE(dut.release(victim));
             ref.erase(victim);
-            slots.erase(victim);
             inflight.erase(std::find(inflight.begin(), inflight.end(),
                                      victim));
         }

@@ -1,7 +1,6 @@
 /**
  * @file
- * Tests for the MSHR file: capacity, merging metadata, and demand
- * promotion.
+ * Tests for the MSHR file: capacity, line lookup, and misuse panics.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +14,7 @@ TEST(Mshr, AllocateAndRelease)
 {
     MshrFile mshr(4);
     EXPECT_FALSE(mshr.full());
-    mshr.allocate(0x100, false);
+    mshr.allocate(0x100);
     EXPECT_TRUE(mshr.contains(0x100));
     EXPECT_EQ(mshr.inFlight(), 1u);
     EXPECT_TRUE(mshr.release(0x100));
@@ -26,37 +25,37 @@ TEST(Mshr, AllocateAndRelease)
 TEST(Mshr, FullAtCapacity)
 {
     MshrFile mshr(2);
-    mshr.allocate(0x000, false);
-    mshr.allocate(0x040, false);
+    mshr.allocate(0x000);
+    mshr.allocate(0x040);
     EXPECT_TRUE(mshr.full());
     mshr.release(0x000);
     EXPECT_FALSE(mshr.full());
 }
 
-TEST(Mshr, TracksPrefetchFlag)
+TEST(Mshr, SlotOfFollowsAllocateAndRelease)
 {
-    MshrFile mshr(4);
-    mshr.allocate(0x100, true);
-    mshr.allocate(0x200, false);
-    EXPECT_TRUE(mshr.isPrefetch(0x100));
-    EXPECT_FALSE(mshr.isPrefetch(0x200));
-    EXPECT_FALSE(mshr.isPrefetch(0x300)); // Unknown address.
-}
-
-TEST(Mshr, PromoteToDemand)
-{
-    MshrFile mshr(4);
-    mshr.allocate(0x100, true);
-    mshr.promoteToDemand(0x100);
-    EXPECT_FALSE(mshr.isPrefetch(0x100));
-    // Promoting an unknown line is a no-op.
-    mshr.promoteToDemand(0xDEAD);
+    // The owner keys its per-miss record by this slot, so it must name
+    // the line's slot exactly while the fill is outstanding and no
+    // longer once it is released; a freed slot is handed out again.
+    MshrFile mshr(2);
+    EXPECT_EQ(mshr.slotOf(0x100), MshrFile::kNoSlot);
+    const std::uint32_t a = mshr.allocate(0x100);
+    const std::uint32_t b = mshr.allocate(0x200);
+    EXPECT_LT(a, 2u);
+    EXPECT_LT(b, 2u);
+    EXPECT_NE(a, b);
+    EXPECT_EQ(mshr.slotOf(0x100), a);
+    EXPECT_EQ(mshr.slotOf(0x200), b);
+    EXPECT_TRUE(mshr.release(0x100));
+    EXPECT_EQ(mshr.slotOf(0x100), MshrFile::kNoSlot);
+    EXPECT_EQ(mshr.slotOf(0x200), b);
+    EXPECT_EQ(mshr.allocate(0x300), a);
 }
 
 TEST(Mshr, Clear)
 {
     MshrFile mshr(4);
-    mshr.allocate(0x100, false);
+    mshr.allocate(0x100);
     mshr.clear();
     EXPECT_EQ(mshr.inFlight(), 0u);
     EXPECT_FALSE(mshr.contains(0x100));
@@ -65,15 +64,15 @@ TEST(Mshr, Clear)
 TEST(MshrDeath, OverflowPanics)
 {
     MshrFile mshr(1);
-    mshr.allocate(0x000, false);
-    EXPECT_DEATH(mshr.allocate(0x040, false), "full");
+    mshr.allocate(0x000);
+    EXPECT_DEATH(mshr.allocate(0x040), "full");
 }
 
 TEST(MshrDeath, DuplicatePanics)
 {
     MshrFile mshr(4);
-    mshr.allocate(0x000, false);
-    EXPECT_DEATH(mshr.allocate(0x000, false), "duplicate");
+    mshr.allocate(0x000);
+    EXPECT_DEATH(mshr.allocate(0x000), "duplicate");
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "check_all.hpp"
@@ -277,6 +278,29 @@ TEST_P(NodeTest, DcbzInExclusiveRegionCompletesLocally)
     expectInvariantsHold();
 }
 
+TEST_P(NodeTest, LocalCompletionWakesMergedWaiters)
+{
+    if (!cgctOn())
+        GTEST_SKIP() << "needs region tracking";
+    // The store acquires the region; the dcbz queues behind that
+    // acquisition holding its MSHR slot, and the load merges onto the
+    // dcbz's line. The region comes back exclusive, so the dcbz completes
+    // locally — and must wake the load merged onto it.
+    int completed = 0;
+    Tick ready = 0;
+    for (const auto &[kind, addr] :
+         {std::pair{CpuOpKind::Store, Addr{0x40000}},
+          std::pair{CpuOpKind::Dcbz, Addr{0x40040}},
+          std::pair{CpuOpKind::Load, Addr{0x40048}}}) {
+        EXPECT_FALSE(nodes[0]->access(kind, addr, eq.now(), ready,
+                                      [&](Tick) { ++completed; }));
+    }
+    eq.run();
+    EXPECT_EQ(completed, 3);
+    EXPECT_EQ(nodes[0]->stats().localCompletes, 1u);
+    expectInvariantsHold();
+}
+
 TEST_P(NodeTest, DcbfFlushesEverywhere)
 {
     doAccess(0, CpuOpKind::Store, 0x50000);
@@ -403,6 +427,29 @@ TEST_P(NodeTest, ConcurrentAccessesToSameLineMerge)
     EXPECT_EQ(completed, 2);
     // Only one system request was issued for the line.
     EXPECT_EQ(nodes[0]->stats().requestsTotal, 1u);
+    expectInvariantsHold();
+}
+
+TEST_P(NodeTest, DirectCompletionWakesMergedWaiters)
+{
+    // The first load brings the region in; under CGCT the next line of
+    // that region goes direct to memory, and a second load merges onto
+    // it. The baseline broadcasts the same pair; both routes must wake
+    // the merged load.
+    doAccess(0, CpuOpKind::Load, 0x10000);
+    int completed = 0;
+    Tick ready = 0;
+    nodes[0]->access(CpuOpKind::Load, 0x10040, eq.now(), ready,
+                     [&](Tick) { ++completed; });
+    nodes[0]->access(CpuOpKind::Load, 0x10048, eq.now(), ready,
+                     [&](Tick) { ++completed; });
+    eq.run();
+    EXPECT_EQ(completed, 2);
+    EXPECT_EQ(nodes[0]->stats().requestsTotal, 2u);
+    if (cgctOn())
+        EXPECT_EQ(nodes[0]->stats().directs, 1u);
+    else
+        EXPECT_EQ(nodes[0]->stats().broadcasts, 2u);
     expectInvariantsHold();
 }
 

@@ -2,8 +2,8 @@
  * @file
  * The one little-endian codec behind every binary format the simulator
  * reads or writes: the v2 trace (workload/trace.cpp), CGCTSNAP
- * snapshots and CGCTJRNL journals (snapshot/), and the xxhash64 that
- * checksums all three. The simulator targets little-endian hosts, so a
+ * snapshots and the RunResult codec (snapshot/), and the xxhash64 that
+ * checksums the first two. The simulator targets little-endian hosts, so a
  * load or store is one unaligned copy; the static_assert keeps a
  * big-endian build from silently writing other bytes.
  */

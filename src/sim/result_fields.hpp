@@ -1,8 +1,8 @@
 /**
  * @file
  * The one list of RunResult fields: visitFields() names each member once,
- * in journal record order, with its JSON key, sweep CSV column and
- * counting window. The journal codec, toJson, the sweep CSV and the
+ * in result codec order, with its JSON key, sweep CSV column and
+ * counting window. The result codec, toJson, the sweep CSV and the
  * sampled aggregation all walk it, so a result field is added here and in
  * collectRunResult only (docs/SWEEP.md, "Result fields").
  */
@@ -47,10 +47,9 @@ struct Field {
     const char *csv;    ///< Sweep CSV column(s); null: not in the CSV.
     Window window;
     int csvDigits = 0;  ///< Digits after the point of a double column.
-    bool tail = false;  ///< Starts an optional tail of the journal record.
 };
 
-/** One of several per-category arrays listed as one entry: the journal
+/** One of several per-category arrays listed as one entry: the codec
  *  interleaves them per category, JSON writes each whole. */
 struct CategoryField {
     Field field;
@@ -67,7 +66,7 @@ struct Overloaded : Fs... {
 };
 
 /**
- * Call @p v once per RunResult field, in the journal record's order:
+ * Call @p v once per RunResult field, in the result codec's order:
  * v(field, &RunResult::member) for a stored member, v(field, accessor)
  * for a derived one, and v({CategoryField...}) for parallel
  * per-category arrays. Every member but `trace` (never encoded) is
@@ -146,10 +145,10 @@ visitFields(Visitor &&v)
         "windows,window_ops,warm_mode,window_cycles_mean,"
         "window_cycles_ci95,avoided_fraction_ci95,l2_miss_ratio_ci95,"
         "avg_miss_latency_ci95,avg_bcast_per_100k_ci95",
-        PostWarmup, 0, true},
+        PostWarmup},
       &R::sampling);
 
-    v(F{Interconnect, "topology", "topology", Label, 0, true}, &R::topology);
+    v(F{Interconnect, "topology", "topology", Label}, &R::topology);
     v(F{Interconnect, "nodes", "nodes", Label}, &R::nodes);
     v(F{Interconnect, "local_resolves", "local_resolves", PostWarmup},
       &R::localResolves);

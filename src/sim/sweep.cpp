@@ -6,6 +6,7 @@
 #include <ostream>
 #include <type_traits>
 
+#include "common/log.hpp"
 #include "common/thread_pool.hpp"
 #include "sim/result_fields.hpp"
 
@@ -45,50 +46,14 @@ SweepRunner::SweepRunner(SweepSpec spec, unsigned jobs)
 std::vector<RunResult>
 SweepRunner::run(const ResultFn &on_result, const ProgressFn &on_progress)
 {
-    return runResumable(ResumeHooks{}, on_result, on_progress).results;
-}
-
-SweepOutcome
-SweepRunner::runResumable(const ResumeHooks &hooks,
-                          const ResultFn &on_result,
-                          const ProgressFn &on_progress)
-{
     const std::size_t total = cells_.size();
-    SweepOutcome out;
-    out.total = total;
-
-    // Snapshot the journal's pre-existing entries by value before any
-    // worker starts: hooks.onCompleted typically appends to the very map
-    // hooks.cached points at (under the journal's own lock), and the
-    // emission loop below must not read a std::map other threads are
-    // concurrently inserting into.
-    std::map<std::uint64_t, RunResult> cached;
-    if (hooks.cached)
-        cached = *hooks.cached;
-
-    std::size_t n_cached = 0;
-    for (const auto &kv : cached)
-        if (kv.first < total)
-            ++n_cached;
-
-    // Every cell keeps its slot so emission stays in cell order; cached
-    // cells simply have no future. A skipped flag (set by the worker
-    // before the future resolves, so the get() below synchronizes it)
-    // marks cells abandoned after a stop request.
-    std::vector<std::future<RunResult>> futures(total);
-    std::vector<char> skipped(total, 0);
-    std::atomic<std::size_t> completed{n_cached};
+    std::vector<std::future<RunResult>> futures;
+    futures.reserve(total);
+    std::atomic<std::size_t> completed{0};
     ThreadPool pool(jobs_);
     for (const SweepCell &cell : cells_) {
-        if (cached.count(cell.index))
-            continue;
-        futures[cell.index] = pool.submit([this, &cell, &completed,
-                                           &hooks, &skipped, &on_progress,
-                                           total] {
-            if (hooks.stopRequested && hooks.stopRequested()) {
-                skipped[cell.index] = 1;
-                return RunResult{};
-            }
+        futures.push_back(pool.submit([this, &cell, &completed,
+                                       &on_progress, total] {
             const SystemConfig config =
                 cell.regionBytes
                     ? spec_.baseConfig.withCgct(cell.regionBytes)
@@ -107,39 +72,23 @@ SweepRunner::runResumable(const ResumeHooks &hooks,
             } else {
                 r = simulateOnce(config, *cell.profile, opts);
             }
-            if (hooks.onCompleted)
-                hooks.onCompleted(cell, r);
             const std::size_t done = completed.fetch_add(1) + 1;
             if (on_progress)
                 on_progress(done, total, cell);
             return r;
-        });
+        }));
     }
 
-    out.results.reserve(total);
+    // Waiting on each future in turn emits row k as soon as rows 0..k-1
+    // are out and cell k is done, whatever order the cells finish in.
+    std::vector<RunResult> results;
+    results.reserve(total);
     for (std::size_t i = 0; i < total; ++i) {
-        RunResult r;
-        if (cached.count(i)) {
-            r = cached.at(i);
-        } else {
-            r = futures[i].get();
-            if (skipped[i]) {
-                out.interrupted = true;
-                break;
-            }
-        }
-        out.results.push_back(std::move(r));
+        results.push_back(futures[i].get());
         if (on_result)
-            on_result(cells_[i], out.results.back());
+            on_result(cells_[i], results.back());
     }
-
-    // Join the stragglers (completed-out-of-order or skipped cells past
-    // the break) before the pool unwinds.
-    for (auto &f : futures)
-        if (f.valid())
-            f.wait();
-    out.completedCells = completed.load();
-    return out;
+    return results;
 }
 
 std::vector<RunResult>
@@ -170,12 +119,8 @@ cell(std::ostream &os, const Field &f, const T &v)
         os << buf;
     } else if constexpr (std::is_same_v<T,
                                         std::shared_ptr<const SamplingInfo>>) {
-        // A full-detail result in a sampled sweep (shouldn't happen, but
-        // a resumed journal could mix) pads with empty CI fields.
-        if (!v) {
-            os << ",,,,,,,,";
-            return;
-        }
+        if (!v)
+            panic("sweep CSV: a sampled column on a full-detail result");
         const SamplingInfo &s = *v;
         std::snprintf(buf, sizeof(buf),
                       "%llu,%llu,%s,%.2f,%.2f,%.6f,%.6f,%.2f,%.2f",

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -62,7 +61,9 @@ struct SweepSpec {
      * Runs one full-detail cell in place of simulateOnce, for in-process
      * callers that read the System after the run (cgct_paper's
      * RegionScout and energy tables). Called from worker threads. Not
-     * part of sweepFingerprint: resumable sweeps leave it unset.
+     * part of sweepFingerprint, so a caller that keys sweeps by their
+     * fingerprint keys the hook too (cgct_paper pairs it with the cell
+     * kind).
      */
     std::function<RunResult(const SweepCell &cell, const SystemConfig &config,
                             const RunOptions &opts)>
@@ -71,16 +72,6 @@ struct SweepSpec {
     /** Enumerate cells: profile-major, then region, then seed — the
      * exact order the serial sweep always emitted. */
     std::vector<SweepCell> expand() const;
-};
-
-/** What a (possibly interrupted) resumable sweep produced. */
-struct SweepOutcome {
-    /** Results for the contiguous completed prefix, in cell order. On
-     *  an uninterrupted run this is every cell. */
-    std::vector<RunResult> results;
-    std::size_t total = 0;          ///< Cells in the matrix.
-    std::size_t completedCells = 0; ///< Cells finished (any order).
-    bool interrupted = false;       ///< Stop was requested mid-run.
 };
 
 /** Runs a SweepSpec's cells across a thread pool. */
@@ -109,32 +100,6 @@ class SweepRunner
      */
     std::vector<RunResult> run(const ResultFn &on_result = {},
                                const ProgressFn &on_progress = {});
-
-    /** Hooks that make a sweep crash-safe and interruptible. */
-    struct ResumeHooks {
-        /** Cells already completed by an earlier run (resume journal),
-         *  keyed by cell index; these are not re-run. May be null. */
-        const std::map<std::uint64_t, RunResult> *cached = nullptr;
-        /** Polled when a worker picks up a cell; true = skip it (and
-         *  every later fresh cell). Signal-handler friendly. */
-        std::function<bool()> stopRequested;
-        /** Called from the worker thread the moment a fresh cell
-         *  finishes — before any ordered emission — so the result can
-         *  be journaled even if emission never reaches it. */
-        ResultFn onCompleted;
-    };
-
-    /**
-     * Like run(), but skips cached cells, stops dispatching when
-     * stopRequested() turns true, and reports whether the matrix
-     * finished. Emission (@p on_result and SweepOutcome::results) still
-     * covers exactly the contiguous completed prefix in cell order, so
-     * an interrupted CSV is a clean truncation — cells completed out of
-     * order beyond the break are preserved via onCompleted only.
-     */
-    SweepOutcome runResumable(const ResumeHooks &hooks,
-                              const ResultFn &on_result = {},
-                              const ProgressFn &on_progress = {});
 
   private:
     SweepSpec spec_;

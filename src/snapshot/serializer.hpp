@@ -19,9 +19,8 @@
  *
  * Inside a section, each type lays out its fields once, in a
  * transfer(Archive &) that both saves and loads them (see Archive). The
- * same classes also back the sweep resume journal
- * (snapshot/journal.hpp), which reuses the per-record checksum but has
- * its own framing.
+ * same classes also back the RunResult codec (snapshot/result_codec.hpp),
+ * which has no framing of its own.
  */
 
 #pragma once
@@ -75,7 +74,7 @@ class Xxh64Stream {
  * Primitive writers append raw LE bytes. beginSection()/endSection()
  * bracket a named, length-prefixed, checksummed payload; sections must
  * not nest. A Serializer used without sections (raw mode) is also the
- * canonical-bytes builder for fingerprints and journal records.
+ * canonical-bytes builder for fingerprints and result encodings.
  */
 class Serializer {
   public:
@@ -228,10 +227,10 @@ class Deserializer {
 };
 
 /**
- * One layout function per format. Each snapshot and journal type states
- * its fields once, in `void transfer(Archive &ar)`; the archive's
- * direction, fixed at construction, decides whether each field is
- * written or read:
+ * One layout function per format. Each snapshot type and the RunResult
+ * codec state their fields once, in `void transfer(Archive &ar)`; the
+ * archive's direction, fixed at construction, decides whether each
+ * field is written or read:
  *
  *     ar.u64(numValid_);   // saves numValid_, or loads it
  *
@@ -344,10 +343,6 @@ class Archive
             fail("%zu bytes left unread", r.remaining());
         in_ = nullptr;
     }
-
-    /** Loading, and the record has no bytes left (never when saving):
-     *  for optional tails appended to a format. */
-    bool atEnd() const { return !saving() && reader().atEnd(); }
 
     /** fatal() with the reader's label: a load-side check failed. */
     [[noreturn]] void fail(const char *fmt, ...) const

@@ -23,8 +23,8 @@ canonicalizeConfig(Serializer &s, const SystemConfig &c)
     s.u32(c.topology.switchesPerBoard);
     // A Table 3 constant that was once a field writes its value at its
     // old slot, and each retired field its last default, at its old
-    // width, so that every fingerprint, and so every stored snapshot and
-    // sweep journal, stays valid: the interleave, the memory size, ...
+    // width, so that every fingerprint, and so every stored snapshot,
+    // stays valid: the interleave, the memory size, ...
     s.u64(TopologyParams::interleaveBytes);
     s.u64(1ULL << 32);
 

@@ -56,7 +56,7 @@ struct CheckpointOptions {
  * Canonical serialization of every behavior-affecting SystemConfig
  * field, in declaration order. Observability knobs are excluded (see
  * file comment). Shared by the snapshot fingerprint and the sweep
- * resume journal.
+ * fingerprint.
  */
 void canonicalizeConfig(Serializer &s, const SystemConfig &config);
 

@@ -34,8 +34,7 @@ namespace cgct::golden {
  * SHA-256 of the default `cgct_sweep` CSV (every standard benchmark x
  * regions {0,256,512,1024} x 3 seeds at 120000 ops), at any --jobs.
  * Asserted by SweepIdentity.DefaultSweepDigestAndPaperClaimsAtJobs1
- * (--jobs 1) and by the snapshot_resume ctest (--jobs 0): contract rows
- * 4 and 6 of docs/CONTRACTS.md. Regenerate:
+ * (--jobs 1): contract row 4 of docs/CONTRACTS.md. Regenerate:
  *   build/tools/cgct_sweep --jobs 1 --no-progress | sha256sum
  */
 inline constexpr const char *kDefaultSweepSha256 =
@@ -127,7 +126,7 @@ inline constexpr std::uint64_t kStandardStreamsXxh64 = 0x814c09a2a029e15aULL;
 
 /**
  * xxhash64 of canonicalizeConfig's bytes (the configuration part of every
- * snapshot and journal fingerprint) for makeDefaultConfig(). Asserted by
+ * snapshot and sweep fingerprint) for makeDefaultConfig(). Asserted by
  * ConfigPin.CanonicalBytes. Regenerate (prints all four):
  *   build/tests/test_config --gtest_filter='ConfigPin.*'
  */
@@ -216,17 +215,9 @@ inline constexpr const char *kDir16DmaCheckpointSha256 =
 inline constexpr std::uint64_t kTraceFileXxh64 = 0x6345d360d1f3cc86ULL;
 
 /**
- * xxhash64 of a two-record CGCTJRNL file as SweepJournal writes it:
- * fingerprint 0x5eedf00d, cells 0 and 3. Asserted by JournalPin.FileBytes.
- * Regenerate (prints it):
- *   build/tests/test_snapshot --gtest_filter='JournalPin.*'
- */
-inline constexpr std::uint64_t kJournalFileXxh64 = 0xe5d257e70fb3312cULL;
-
-/**
  * xxhash64 of toJson for test_result_format.cpp's distinctResult(): one
  * RunResult with every member set to a distinct value, sampled, on the
- * topology tail, with two histograms and a distribution. Asserted by
+ * topology columns, with two histograms and a distribution. Asserted by
  * ResultFormatPin.Json. Regenerate (prints all three):
  *   build/tests/test_result_format
  */
@@ -240,10 +231,9 @@ inline constexpr std::uint64_t kResultJsonXxh64 = 0xf0b07a7aa389aebbULL;
 inline constexpr std::uint64_t kResultCsvXxh64 = 0x93d531b5aeb59d63ULL;
 
 /**
- * xxhash64 of that result's encodeRunResult bytes (the journal record
- * payload after the cell index). Asserted by
- * ResultFormatPin.JournalRecord; regenerated by the same command.
+ * xxhash64 of that result's encodeRunResult bytes. Asserted by
+ * ResultFormatPin.EncodedRecord; regenerated by the same command.
  */
-inline constexpr std::uint64_t kResultJournalXxh64 = 0x790f08676f83b31dULL;
+inline constexpr std::uint64_t kResultRecordXxh64 = 0x790f08676f83b31dULL;
 
 } // namespace cgct::golden

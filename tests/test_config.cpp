@@ -212,8 +212,8 @@ onTopology(SystemConfig c, unsigned nodes, TopologyKind kind)
 
 TEST(ConfigPin, CanonicalBytes)
 {
-    // The fingerprint of every snapshot and sweep journal hashes these
-    // bytes: a change to any slot invalidates every stored file.
+    // The fingerprint of every snapshot and sweep hashes these bytes: a
+    // change to any slot invalidates every stored checkpoint.
     SystemConfig dir16_dma =
         onTopology(makeDefaultConfig().withCgct(512), 16, TopologyKind::Dir);
     dir16_dma.dma.enabled = true;

@@ -3,9 +3,9 @@
  * The in-process determinism contracts of docs/CONTRACTS.md, one test
  * per row, each parameterised by the scopes its row lists: row 2
  * (ContractSameState), row 3 (ContractAnyJobs), row 5 (ContractRestore)
- * and row 8 (ContractInstrumentation). Rows 1, 4, 6 and 7 are
- * test_event_queue_stress, test_sweep_identity, snapshot_resume and
- * trace_replay_e2e. Under sanitizers row 5's bus4 matrix is cut to one
+ * and row 8 (ContractInstrumentation). Rows 1, 4 and 7 are
+ * test_event_queue_stress, test_sweep_identity and trace_replay_e2e; row
+ * 6 is retired. Under sanitizers row 5's bus4 matrix is cut to one
  * cell (the normal-build CI leg runs it whole). Label: contract.
  */
 
@@ -29,7 +29,7 @@
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
 #include "sim/system.hpp"
-#include "snapshot/journal.hpp"
+#include "snapshot/result_codec.hpp"
 #include "snapshot/serializer.hpp"
 #include "snapshot/snapshot.hpp"
 #include "workload/benchmarks.hpp"
@@ -53,7 +53,7 @@ operator<<(std::ostream &os, const Cell &cell)
 
 const auto kCellName = [](const auto &info) { return info.param.name; };
 
-/** The journal's byte encoding of a result: "equal" means every field. */
+/** The codec's byte encoding of a result: "equal" means every field. */
 std::string
 encoded(const RunResult &r)
 {

@@ -17,7 +17,7 @@
 #include "golden.hpp"
 #include "sim/simulator.hpp"
 #include "sim/system.hpp"
-#include "snapshot/journal.hpp"
+#include "snapshot/result_codec.hpp"
 #include "snapshot/serializer.hpp"
 #include "workload/benchmarks.hpp"
 #include "workload/generator.hpp"

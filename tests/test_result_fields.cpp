@@ -1,7 +1,7 @@
 /**
  * @file
  * The RunResult field list (sim/result_fields.hpp): it names every
- * member, every listed field survives the journal round trip at a value
+ * member, every listed field survives the codec round trip at a value
  * no other field shares, no two fields share an output name, and the
  * field table in docs/SWEEP.md is the list rendered.
  */
@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "sim/result_fields.hpp"
-#include "snapshot/journal.hpp"
+#include "snapshot/result_codec.hpp"
 #include "snapshot/serializer.hpp"
 
 namespace cgct {
@@ -174,7 +174,7 @@ jsonPath(const Field &f)
     return f.json ? std::string(group) + "." + f.json : group;
 }
 
-TEST(ResultFields, EveryListedFieldRoundTripsThroughTheJournal)
+TEST(ResultFields, EveryListedFieldRoundTripsThroughTheCodec)
 {
     RunResult in;
     setDistinct(in);

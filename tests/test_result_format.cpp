@@ -2,8 +2,8 @@
  * @file
  * Frozen bytes of the three RunResult encodings: the JSON object
  * (toJson), the sweep CSV header and row with the sampled and topology
- * columns on, and the journal record (encodeRunResult). One result sets
- * every member to a distinct value, both journal tails included, so a
+ * columns on, and the encoded record (encodeRunResult). One result sets
+ * every member to a distinct value, the sampling block included, so a
  * field that moves, drops out or changes format changes a digest.
  */
 
@@ -17,7 +17,7 @@
 #include "golden.hpp"
 #include "sim/json_stats.hpp"
 #include "sim/sweep.hpp"
-#include "snapshot/journal.hpp"
+#include "snapshot/result_codec.hpp"
 #include "snapshot/serializer.hpp"
 
 namespace cgct {
@@ -142,13 +142,13 @@ TEST(ResultFormatPin, SampledTopologyCsv)
     EXPECT_EQ(d, golden::kResultCsvXxh64);
 }
 
-TEST(ResultFormatPin, JournalRecord)
+TEST(ResultFormatPin, EncodedRecord)
 {
     Serializer s;
     encodeRunResult(s, distinctResult());
     const std::uint64_t d = xxhash64(s.buffer().data(), s.size());
-    print("journal record", d);
-    EXPECT_EQ(d, golden::kResultJournalXxh64);
+    print("encoded record", d);
+    EXPECT_EQ(d, golden::kResultRecordXxh64);
 }
 
 } // namespace

@@ -2,9 +2,9 @@
  * @file
  * Tests for the statistical-sampling engine (docs/SAMPLING.md):
  * agreement with full-detail runs, geometry validation, warm-state
- * invariants, journal persistence of the sampling tail, the sampled
- * sweep CSV columns, the recorded full-vs-sampled cell, and digest pins
- * of the functionally-warmed output.
+ * invariants, the result codec's round trip of the sampling block, the
+ * sampled sweep CSV columns, the recorded full-vs-sampled cell, and
+ * digest pins of the functionally-warmed output.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +18,7 @@
 #include "sha256.hpp"
 #include "sim/sampling.hpp"
 #include "sim/sweep.hpp"
-#include "snapshot/journal.hpp"
+#include "snapshot/result_codec.hpp"
 #include "snapshot/serializer.hpp"
 #include "workload/benchmarks.hpp"
 
@@ -44,7 +44,7 @@ smallSampling()
     return sopts;
 }
 
-/** Canonical byte encoding of a result (the journal's), for equality. */
+/** Canonical byte encoding of a result (the codec's), for equality. */
 std::vector<std::uint8_t>
 encoded(const RunResult &r)
 {
@@ -255,7 +255,7 @@ TEST(SamplingDeathTest, RejectsDma)
                  "DMA");
 }
 
-TEST(Sampling, JournalRoundTripsSamplingTail)
+TEST(Sampling, CodecRoundTripsSamplingInfo)
 {
     const SystemConfig config = makeDefaultConfig().withCgct(512);
     const RunResult in = simulateSampled(config, benchmarkByName("tpc-w"),
@@ -274,33 +274,6 @@ TEST(Sampling, JournalRoundTripsSamplingTail)
     EXPECT_DOUBLE_EQ(out.sampling->cycles.ci95Half,
                      in.sampling->cycles.ci95Half);
     EXPECT_EQ(encoded(in), encoded(out));
-}
-
-TEST(Sampling, JournalDecodeAcceptsRecordsWithoutTail)
-{
-    // Records journaled by a full-detail sweep end at the distribution
-    // list; the decoder must not read past them.
-    RunResult in;
-    in.workload = "tpc-w";
-    in.cycles = 123;
-    Serializer s;
-    encodeRunResult(s, in);
-    // Strip the "no sampling" marker and the topology tail to mimic an
-    // old record that ends at the distribution list.
-    Serializer tail;
-    tail.b(false);
-    tail.str(in.topology);
-    tail.u32(in.nodes);
-    tail.u64(in.localResolves);
-    tail.u64(in.interChipBroadcasts);
-    SectionReader r(s.buffer().data(),
-                    s.buffer().data() + s.size() - tail.size(),
-                    "old-record");
-    const RunResult out = decodeRunResult(r);
-    EXPECT_EQ(out.cycles, 123u);
-    EXPECT_EQ(out.sampling, nullptr);
-    EXPECT_EQ(out.topology, "bus");
-    EXPECT_EQ(out.nodes, 4u);
 }
 
 TEST(Sampling, SweepEmitsCiColumns)

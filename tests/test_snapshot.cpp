@@ -2,12 +2,10 @@
  * @file
  * Snapshot serialization unit tests: the XXH64 digest, primitive and
  * section round trips, file framing, corruption detection, the config
- * fingerprint, RunResult journal encoding, the sweep resume journal's
- * crash semantics (torn-tail truncation, fingerprint refusal, a seeded
- * loop of torn and bit-flipped journals), the frozen bytes of a journal
- * file, the load-side checks that turn crafted counts and indices into
- * clean exits, and a seeded loop of mutated checkpoint files that must
- * load or exit cleanly. Label: snapshot.
+ * fingerprint, the RunResult codec, the load-side checks that turn
+ * crafted counts and indices into clean exits, and a seeded loop of
+ * mutated checkpoint files that must load or exit cleanly. Label:
+ * snapshot.
  */
 
 #include <gtest/gtest.h>
@@ -35,7 +33,7 @@
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
 #include "sim/system.hpp"
-#include "snapshot/journal.hpp"
+#include "snapshot/result_codec.hpp"
 #include "snapshot/serializer.hpp"
 #include "snapshot/snapshot.hpp"
 #include "workload/benchmarks.hpp"
@@ -104,8 +102,8 @@ constexpr std::size_t kPinLengths[] = {0, 3, 31, 32, 33, 100, 1 << 20};
 
 TEST(XxHash64, PinnedDigests)
 {
-    // {length, seed 0, seed 1}; frozen, so every digest a snapshot,
-    // journal or trace file stores keeps its value.
+    // {length, seed 0, seed 1}; frozen, so every digest a snapshot or
+    // trace file stores keeps its value.
     struct Pin {
         std::size_t len;
         std::uint64_t seed0;
@@ -558,63 +556,6 @@ TEST(RunResultCodec, RoundTripsEveryField)
     EXPECT_EQ(out.distributions[0].mean, in.distributions[0].mean);
 }
 
-TEST(SweepJournalTest, AppendReloadAndTornTailTruncation)
-{
-    const std::string path = tempPath("journal_torn.bin");
-    std::remove(path.c_str());
-    const RunResult sample = makeSampleResult();
-
-    {
-        SweepJournal j;
-        ASSERT_EQ(j.open(path, 0xABCD), "");
-        j.append(0, sample);
-        j.append(5, sample); // Work stealing: indices need not be dense.
-        j.append(2, sample);
-        EXPECT_EQ(j.appendCount(), 3u);
-    }
-
-    // Simulate a crash mid-append: chop bytes off the last record.
-    {
-        std::FILE *f = std::fopen(path.c_str(), "r+b");
-        ASSERT_NE(f, nullptr);
-        std::fseek(f, 0, SEEK_END);
-        const long sz = std::ftell(f);
-        ASSERT_EQ(ftruncate(fileno(f), sz - 7), 0);
-        std::fclose(f);
-    }
-
-    SweepJournal j2;
-    ASSERT_EQ(j2.open(path, 0xABCD), "");
-    EXPECT_EQ(j2.completed().size(), 2u);
-    EXPECT_TRUE(j2.completed().count(0));
-    EXPECT_TRUE(j2.completed().count(5));
-    EXPECT_FALSE(j2.completed().count(2)); // The torn record.
-    EXPECT_EQ(j2.completed().at(5).cycles, sample.cycles);
-
-    // The torn tail was truncated, so appending and reloading is clean.
-    j2.append(2, sample);
-    SweepJournal j3;
-    ASSERT_EQ(j3.open(path, 0xABCD), "");
-    EXPECT_EQ(j3.completed().size(), 3u);
-    std::remove(path.c_str());
-}
-
-TEST(SweepJournalTest, RefusesForeignJournal)
-{
-    const std::string path = tempPath("journal_foreign.bin");
-    std::remove(path.c_str());
-    {
-        SweepJournal j;
-        ASSERT_EQ(j.open(path, 111), "");
-        j.append(0, makeSampleResult());
-    }
-    SweepJournal other;
-    const std::string err = other.open(path, 222);
-    EXPECT_NE(err, "");
-    EXPECT_NE(err.find("different sweep"), std::string::npos);
-    std::remove(path.c_str());
-}
-
 std::vector<std::uint8_t>
 readBytes(const std::string &path)
 {
@@ -628,156 +569,6 @@ readBytes(const std::string &path)
         bytes.insert(bytes.end(), chunk, chunk + got);
     std::fclose(f);
     return bytes;
-}
-
-void
-writeBytes(const std::string &path, const std::vector<std::uint8_t> &b)
-{
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    const std::size_t put = std::fwrite(b.data(), 1, b.size(), f);
-    std::fclose(f);
-    ASSERT_EQ(put, b.size());
-}
-
-constexpr std::uint64_t kJournalSeedFingerprint = 0x5EEDF00DULL;
-
-/** Record @p k of the seed journals: cell 3k, its own cycle count. */
-RunResult
-journalRecord(std::uint64_t k)
-{
-    RunResult r = makeSampleResult();
-    r.cycles += k;
-    return r;
-}
-
-/** A CGCTJRNL file of @p records records, as SweepJournal writes it. */
-std::vector<std::uint8_t>
-makeJournalBytes(const std::string &path, std::uint64_t records)
-{
-    std::remove(path.c_str());
-    {
-        SweepJournal j;
-        EXPECT_EQ(j.open(path, kJournalSeedFingerprint), "");
-        for (std::uint64_t k = 0; k < records; ++k)
-            j.append(3 * k, journalRecord(k));
-    }
-    std::vector<std::uint8_t> bytes = readBytes(path);
-    std::remove(path.c_str());
-    return bytes;
-}
-
-TEST(JournalPin, FileBytes)
-{
-    // Frozen: header, then two records (length, payload, checksum).
-    // Prints the digest.
-    const std::vector<std::uint8_t> bytes =
-        makeJournalBytes(tempPath("journal_pin.bin"), 2);
-    const std::uint64_t digest = xxhash64(bytes.data(), bytes.size());
-    std::printf("journal file xxhash64 0x%016llx (%zu bytes)\n",
-                static_cast<unsigned long long>(digest), bytes.size());
-    EXPECT_EQ(digest, golden::kJournalFileXxh64);
-}
-
-// Seeded torn-journal loop: truncations, bit flips and length-field edits
-// of a three-record journal, none resealed. open() must either refuse the
-// header or keep exactly the records before the first damaged byte and
-// truncate the file there.
-TEST(JournalMutation, SeededMutantsKeepTheIntactPrefix)
-{
-    const std::string path = tempPath("journal_mutant.bin");
-    const std::vector<std::uint8_t> seed = makeJournalBytes(path, 3);
-    constexpr std::size_t kHeader = 8 + 4 + 8;
-    // ends[k]: the file size with records 0..k-1 intact.
-    std::vector<std::size_t> ends = {kHeader};
-    for (std::uint64_t k = 0; k < 3; ++k) {
-        Serializer payload;
-        payload.u64(3 * k);
-        encodeRunResult(payload, journalRecord(k));
-        ends.push_back(ends.back() + 8 + payload.size() + 8);
-    }
-    ASSERT_EQ(ends.back(), seed.size());
-
-    Rng rng(0x70a4e1);
-    unsigned header_errors = 0;
-    unsigned kept_count[3] = {};
-    for (int m = 0; m < 1000; ++m) {
-        std::vector<std::uint8_t> b = seed;
-        switch (rng.nextBelow(3)) {
-          case 0: // Truncation, possibly to nothing.
-            b.resize(rng.nextBelow(b.size()));
-            break;
-          case 1: { // Bit flips, one in eight confined to the header.
-            const std::size_t span = rng.chance(0.125) ? kHeader : b.size();
-            for (std::uint64_t k = 1 + rng.nextBelow(3); k > 0; --k)
-                b[rng.nextBelow(span)] ^=
-                    static_cast<std::uint8_t>(1u << rng.nextBelow(8));
-            break;
-          }
-          default: { // One record's length field, absolute or nudged.
-            const std::size_t at = ends[rng.nextBelow(3)];
-            std::uint64_t len;
-            std::memcpy(&len, &b[at], 8);
-            const std::uint64_t edits[] = {0,
-                                           7,
-                                           8,
-                                           64ULL << 20,
-                                           (64ULL << 20) + 1,
-                                           UINT64_MAX,
-                                           UINT64_MAX - 7,
-                                           rng.next()};
-            len = rng.chance(0.5) ? edits[rng.nextBelow(std::size(edits))]
-                                  : len + rng.nextRange(-9, 9);
-            std::memcpy(&b[at], &len, 8);
-            break;
-          }
-        }
-        std::size_t first_damaged = std::min(b.size(), seed.size());
-        for (std::size_t i = 0; i < first_damaged; ++i)
-            if (b[i] != seed[i]) {
-                first_damaged = i;
-                break;
-            }
-        if (first_damaged == seed.size())
-            continue; // The edit wrote back what was there.
-        writeBytes(path, b);
-
-        SweepJournal j;
-        const std::string err = j.open(path, kJournalSeedFingerprint);
-        if (first_damaged < kHeader) {
-            EXPECT_NE(err, "") << "mutant " << m;
-            EXPECT_TRUE(err.find("not a cgct_sweep resume journal") !=
-                            std::string::npos ||
-                        err.find("unsupported journal version") !=
-                            std::string::npos ||
-                        err.find("different sweep") != std::string::npos)
-                << "mutant " << m << ": " << err;
-            ++header_errors;
-            continue;
-        }
-        ASSERT_EQ(err, "") << "mutant " << m;
-        std::size_t kept = 0;
-        while (kept < 3 && ends[kept + 1] <= first_damaged)
-            ++kept;
-        ASSERT_EQ(j.completed().size(), kept) << "mutant " << m;
-        for (std::uint64_t k = 0; k < kept; ++k) {
-            ASSERT_TRUE(j.completed().count(3 * k)) << "mutant " << m;
-            Serializer want, got;
-            encodeRunResult(want, journalRecord(k));
-            encodeRunResult(got, j.completed().at(3 * k));
-            EXPECT_EQ(got.buffer(), want.buffer()) << "mutant " << m;
-        }
-        EXPECT_EQ(readBytes(path).size(), ends[kept]) << "mutant " << m;
-        ++kept_count[kept];
-    }
-    std::remove(path.c_str());
-    std::printf("header errors %u, kept 0/1/2 records: %u/%u/%u\n",
-                header_errors, kept_count[0], kept_count[1],
-                kept_count[2]);
-    // Every outcome occurs: header refusals and each intact prefix.
-    EXPECT_GT(header_errors, 20u);
-    for (unsigned n : kept_count)
-        EXPECT_GT(n, 20u);
 }
 
 // ---------------------------------------------------------------------------
@@ -1084,44 +875,6 @@ TEST(SnapshotMutation, SeededMutantsLoadOrExitCleanly)
 // Decoders fed checksum-valid but crafted bytes must exit with a message
 // naming what was wrong — no abort, no allocation sized by the crafted
 // field, no out-of-bounds index (these run under the sanitize preset).
-
-TEST(SnapshotDecoderDeath, CraftedJournalCountExitsCleanly)
-{
-    Serializer payload;
-    payload.u64(0); // cell index
-    encodeRunResult(payload, makeSampleResult());
-    std::vector<std::uint8_t> bytes = payload.buffer();
-
-    // The histogram count (u32 1) directly precedes histogram "h".
-    const std::uint8_t count_then_name[] = {1, 0, 0, 0, 1, 0, 0, 0,
-                                            0, 0, 0, 0, 'h'};
-    const auto at = std::search(bytes.begin(), bytes.end(),
-                                std::begin(count_then_name),
-                                std::end(count_then_name));
-    ASSERT_NE(at, bytes.end());
-    std::fill(at, at + 4, 0xFF);
-
-    // xxhash64 is unkeyed, so the crafted record carries a valid checksum.
-    Serializer file;
-    file.bytes("CGCTJRNL", 8);
-    file.u32(1);
-    file.u64(0xABCD);
-    file.u64(bytes.size());
-    file.bytes(bytes.data(), bytes.size());
-    file.u64(xxhash64(bytes.data(), bytes.size()));
-    const std::string path = tempPath("journal_crafted.bin");
-    ASSERT_EQ(writeFileAtomic(path, file.buffer()), "");
-
-    EXPECT_EXIT(
-        {
-            SweepJournal j;
-            j.open(path, 0xABCD);
-        },
-        ::testing::ExitedWithCode(1),
-        "journal_crafted.bin: record at byte 20: histograms 4294967295 "
-        "exceeds");
-    std::remove(path.c_str());
-}
 
 /** Save @p from raw, let @p patch edit the bytes, load them into @p to;
  *  @p args follow the archive in each transfer() call. */

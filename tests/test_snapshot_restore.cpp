@@ -18,7 +18,7 @@
 #include "golden.hpp"
 #include "sha256.hpp"
 #include "sim/simulator.hpp"
-#include "snapshot/journal.hpp"
+#include "snapshot/result_codec.hpp"
 #include "snapshot/serializer.hpp"
 #include "snapshot/snapshot.hpp"
 #include "workload/benchmarks.hpp"

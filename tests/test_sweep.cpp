@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "sim/sweep.hpp"
-#include "snapshot/journal.hpp"
+#include "snapshot/result_codec.hpp"
 #include "snapshot/serializer.hpp"
 #include "workload/benchmarks.hpp"
 

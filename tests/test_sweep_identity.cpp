@@ -4,11 +4,10 @@
  * default matrix — every standard benchmark x regions {0,256,512,1024}
  * x 3 seeds at 120000 ops — is run in process at --jobs 1 and its CSV
  * hashed with a self-contained SHA-256; the digest must equal
- * golden::kDefaultSweepSha256 (tests/golden.hpp). snapshot_resume checks
- * the same digest through cgct_sweep at --jobs 0, so tier-1 runs the
- * matrix twice. The run also renders the Figure 2/7/8/10 tables from its
- * rows (sim/paper.hpp), checks them against EXPERIMENTS.md byte for byte
- * and asserts their paper claims, so no other case runs the matrix. The
+ * golden::kDefaultSweepSha256 (tests/golden.hpp). The run also renders
+ * the Figure 2/7/8/10 tables from its rows (sim/paper.hpp), checks them
+ * against EXPERIMENTS.md byte for byte and asserts their paper claims, so
+ * no other test in tier-1 runs the matrix. The
  * analytic Table 1/2/3 and Figure 6 blocks are compared on their own, and
  * the §5.1 block with its claim from its own 12 runs.
  * Sanitizer builds skip the full matrix. Labels: sanitize_hotpath, and
@@ -27,7 +26,7 @@
 #include "sha256.hpp"
 #include "sim/paper.hpp"
 #include "sim/sweep.hpp"
-#include "snapshot/journal.hpp"
+#include "snapshot/result_codec.hpp"
 #include "workload/benchmarks.hpp"
 
 namespace cgct {

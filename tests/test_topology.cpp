@@ -26,7 +26,7 @@
 #include "sim/invariants.hpp"
 #include "sim/sweep.hpp"
 #include "sim/system.hpp"
-#include "snapshot/journal.hpp"
+#include "snapshot/result_codec.hpp"
 #include "snapshot/serializer.hpp"
 #include "snapshot/snapshot.hpp"
 #include "workload/benchmarks.hpp"

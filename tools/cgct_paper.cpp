@@ -18,7 +18,7 @@
 
 #include "common/argparse.hpp"
 #include "sim/paper.hpp"
-#include "snapshot/journal.hpp"
+#include "snapshot/result_codec.hpp"
 
 using namespace cgct;
 

@@ -12,10 +12,7 @@
 
 #include <unistd.h>
 
-#include <atomic>
-#include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -27,26 +24,9 @@
 #include "common/log.hpp"
 #include "sim/json_stats.hpp"
 #include "sim/sweep.hpp"
-#include "snapshot/journal.hpp"
 #include "workload/benchmarks.hpp"
 
 using namespace cgct;
-
-namespace {
-
-/** Exit code for "interrupted but resumable" (BSD EX_TEMPFAIL), so
- *  scripts can tell a clean stop with a valid journal from a failure. */
-constexpr int kExitResumable = 75;
-
-volatile std::sig_atomic_t g_stop = 0;
-
-extern "C" void
-onStopSignal(int)
-{
-    g_stop = 1;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -61,7 +41,6 @@ main(int argc, char **argv)
     std::string format = "csv";
     bool progress = false;
     bool no_progress = false;
-    std::string resume_path;
     std::uint64_t sample = 0;
     std::uint64_t window_ops = 1000;
     std::string warm_mode = "functional";
@@ -89,11 +68,6 @@ main(int argc, char **argv)
                    "stderr is a terminal)");
     parser.addFlag("no-progress", &no_progress,
                    "suppress live progress on stderr");
-    parser.addString("resume", &resume_path,
-                     "crash-safe resume journal (docs/SNAPSHOT.md): "
-                     "completed cells are recorded here and skipped on "
-                     "restart; SIGINT/SIGTERM stop cleanly with exit "
-                     "code 75");
     parser.addU64("sample", &sample,
                   "statistical sampling: each cell measures N detailed "
                   "windows after fast-forward warming instead of a full "
@@ -243,44 +217,6 @@ main(int argc, char **argv)
         };
     }
 
-    // Crash-safe resume: journal every completed cell, skip journaled
-    // cells on restart, and turn SIGINT/SIGTERM into a clean stop that
-    // leaves the journal valid (exit 75 = interrupted-but-resumable).
-    SweepJournal journal;
-    SweepRunner::ResumeHooks hooks;
-    std::uint64_t crash_after = 0;
-    if (!resume_path.empty()) {
-        std::signal(SIGINT, onStopSignal);
-        std::signal(SIGTERM, onStopSignal);
-        const std::string err =
-            journal.open(resume_path, sweepFingerprint(spec));
-        if (!err.empty()) {
-            std::fprintf(stderr, "cgct_sweep: %s\n", err.c_str());
-            return 1;
-        }
-        if (show_progress && !journal.completed().empty())
-            std::fprintf(stderr,
-                         "cgct_sweep: resuming — %zu/%zu cells already "
-                         "journaled\n",
-                         journal.completed().size(),
-                         runner.cells().size());
-        // Test hook: crash hard (no journal flush beyond what append
-        // already fsync'd) after N fresh cells, to exercise recovery
-        // (tools/snapshot_resume_test.sh).
-        if (const char *env =
-                std::getenv("CGCT_TEST_CRASH_AFTER_CELLS"))
-            crash_after = std::strtoull(env, nullptr, 10);
-        hooks.cached = &journal.completed();
-        hooks.stopRequested = [] { return g_stop != 0; };
-        hooks.onCompleted = [&journal, crash_after](const SweepCell &cell,
-                                                    const RunResult &r) {
-            journal.append(cell.index, r);
-            if (crash_after && journal.appendCount() >= crash_after)
-                _exit(86);
-        };
-    }
-
-    SweepOutcome outcome;
     if (format == "csv") {
         const bool sampled = spec.sampled;
         // The historical 4-node flat-bus CSV stays byte-identical; any
@@ -289,26 +225,14 @@ main(int argc, char **argv)
             topo_kind != TopologyKind::Bus || nodes != 4;
         writeSweepCsvHeader(std::cout, sampled, topo_cols);
         // Stream each row as soon as every earlier row is out.
-        outcome = runner.runResumable(
-            hooks,
+        runner.run(
             [sampled, topo_cols](const SweepCell &, const RunResult &r) {
                 writeSweepCsvRow(std::cout, r, sampled, topo_cols);
                 std::cout.flush();
             },
             on_progress);
     } else {
-        outcome = runner.runResumable(hooks, {}, on_progress);
-        if (!outcome.interrupted)
-            std::cout << toJson(outcome.results);
-    }
-
-    if (outcome.interrupted) {
-        std::fprintf(stderr,
-                     "cgct_sweep: interrupted — %zu/%zu cells journaled; "
-                     "rerun with --resume %s to finish\n",
-                     outcome.completedCells, outcome.total,
-                     resume_path.c_str());
-        return kExitResumable;
+        std::cout << toJson(runner.run({}, on_progress));
     }
     return 0;
 }

@@ -7,7 +7,12 @@
 #      `--name`, and every positional registered through addPositional
 #      as `<name>`.
 #      Conversely, every `--name` that starts a row of an option table
-#      in docs/SWEEP.md must be registered by some tools/*.cpp.
+#      in docs/SWEEP.md must be registered by some tools/*.cpp, and
+#      every `--name` cited inside backticks in README.md,
+#      EXPERIMENTS.md or docs/*.md must be registered by some
+#      tools/*.cpp or by benchmark/run.py's argparse, so a retired flag
+#      cannot linger in the prose. Allowed besides: ArgParser's built-in
+#      --help, gtest's --gtest_filter and ctest's --preset/--test-dir.
 #   2. docs/PERF.md must cover the perf tooling and build knobs, and its
 #      "Golden results" section must list every constant in
 #      tests/golden.hpp and every SamplingPin case, each with its value.
@@ -17,11 +22,10 @@
 #      addHistogram/addDistribution must be documented in docs/TRACING.md.
 #   5. docs/ARCHITECTURE.md must exist and be cross-linked from
 #      README.md, DESIGN.md, docs/PERF.md, and docs/SWEEP.md.
-#   6. docs/SNAPSHOT.md must cover the checkpoint/journal formats, the
-#      checkpoint flags, and the crash/resume semantics, state the
-#      CGCTSNAP and CGCTJRNL versions the source defines
-#      (kSnapshotVersion, kJournalVersion), and be cross-linked from
-#      README.md, docs/SWEEP.md, and docs/ARCHITECTURE.md.
+#   6. docs/SNAPSHOT.md must cover the checkpoint format and flags,
+#      state the CGCTSNAP version the source defines (kSnapshotVersion),
+#      and be cross-linked from README.md, docs/SWEEP.md, and
+#      docs/ARCHITECTURE.md.
 #   7. docs/TRACE_FORMAT.md's record table must list exactly the v2
 #      record types of the CGCT_TRACE_V2_RECORD_TYPES X-macro
 #      (src/workload/trace_format.hpp), opcode and name. The cgct_trace
@@ -114,6 +118,25 @@ for flag in $documented; do
              "tools/*.cpp registers" >&2
         fail=1
     fi
+done
+
+# Every `--name` inside a backticked span of the prose docs, against the
+# tools' flags, benchmark/run.py's and the allow-list above.
+known=$( (echo "$registered"
+          grep -oE 'add_argument\("--[A-Za-z0-9-]+"' \
+              "$root/benchmark/run.py" | sed -E 's/.*"--([A-Za-z0-9-]+)"/\1/'
+          printf '%s\n' help gtest_filter preset test-dir) | sort -u)
+for file in "$root"/README.md "$root"/EXPERIMENTS.md "$root"/docs/*.md; do
+    cited_flags=$(grep -oE '`[^`]+`' "$file" |
+        grep -oE '(^|[^A-Za-z0-9-])--[A-Za-z0-9][A-Za-z0-9_-]*' |
+        sed -E 's/.*--//' | sort -u)
+    for flag in $cited_flags; do
+        if ! grep -qx -- "$flag" <<< "$known"; then
+            echo "check_docs: ${file#"$root"/} cites --$flag, which no" \
+                 "tools/*.cpp or benchmark/run.py registers" >&2
+            fail=1
+        fi
+    done
 done
 
 # Performance documentation: docs/PERF.md must exist and cover the perf
@@ -214,16 +237,15 @@ else
 fi
 
 # Snapshot documentation: docs/SNAPSHOT.md must cover the on-disk
-# formats, the checkpoint/restore flags, and the resume/crash semantics,
-# and be reachable from the entry-point docs.
+# format and the checkpoint/restore flags, and be reachable from the
+# entry-point docs.
 snap_doc="$root/docs/SNAPSHOT.md"
 if [ ! -f "$snap_doc" ]; then
     echo "check_docs: $snap_doc is missing" >&2
     fail=1
 else
-    for token in CGCTSNAP CGCTJRNL xxhash64 fingerprint \
-                 --checkpoint-every --checkpoint --restore --resume \
-                 CGCT_TEST_CRASH_AFTER_CELLS snapshot_resume_test.sh \
+    for token in CGCTSNAP xxhash64 fingerprint \
+                 --checkpoint-every --checkpoint --restore \
                  golden.hpp setPauseAt resumePhase \
                  simulateCheckpointed; do
         if ! grep -q -- "$token" "$snap_doc"; then
@@ -231,30 +253,20 @@ else
             fail=1
         fi
     done
-    # The "currently N" version under each format's magic must be the
+    # The "currently N" version under the format's magic must be the
     # one the source writes.
-    for fmt in CGCTSNAP:kSnapshotVersion:src/snapshot/serializer.hpp \
-               CGCTJRNL:kJournalVersion:src/snapshot/journal.cpp; do
-        IFS=: read -r magic const file <<< "$fmt"
-        src_ver=$(grep -oE "$const = [0-9]+" "$root/$file" |
-            grep -oE '[0-9]+$')
-        doc_ver=$(awk -v m="\"$magic\"" 'index($0, m) {
-                getline
-                if (match($0, /currently [0-9]+/))
-                    print substr($0, RSTART + 10, RLENGTH - 10)
-                exit
-            }' "$snap_doc")
-        if [ -z "$src_ver" ] || [ "$src_ver" != "$doc_ver" ]; then
-            echo "check_docs: docs/SNAPSHOT.md states $magic version" \
-                 "${doc_ver:-(none)}, but $const in $file is" \
-                 "${src_ver:-(not found)}" >&2
-            fail=1
-        fi
-    done
-    # Exit code 75 (resumable interruption) must be documented.
-    if ! grep -qE '\b75\b' "$snap_doc"; then
-        echo "check_docs: docs/SNAPSHOT.md does not document exit" \
-             "code 75" >&2
+    src_ver=$(grep -oE "kSnapshotVersion = [0-9]+" \
+        "$root/src/snapshot/serializer.hpp" | grep -oE '[0-9]+$')
+    doc_ver=$(awk 'index($0, "\"CGCTSNAP\"") {
+            getline
+            if (match($0, /currently [0-9]+/))
+                print substr($0, RSTART + 10, RLENGTH - 10)
+            exit
+        }' "$snap_doc")
+    if [ -z "$src_ver" ] || [ "$src_ver" != "$doc_ver" ]; then
+        echo "check_docs: docs/SNAPSHOT.md states CGCTSNAP version" \
+             "${doc_ver:-(none)}, but kSnapshotVersion in" \
+             "src/snapshot/serializer.hpp is ${src_ver:-(not found)}" >&2
         fail=1
     fi
     for ref in README.md docs/SWEEP.md docs/ARCHITECTURE.md; do

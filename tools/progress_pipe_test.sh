@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # progress_pipe_test.sh — regression test: live progress goes to stderr,
 # never stdout, so piping a sweep's CSV somewhere with --progress forced
-# on still parses cleanly.
+# on still parses cleanly; and the binary's CSV and JSON are the same
+# bytes at --jobs 1 and --jobs 2.
 #
 #   tools/progress_pipe_test.sh <cgct_sweep-binary>
 #
@@ -59,4 +60,30 @@ if ! cmp -s "$tmp/out.csv" "$tmp/quiet.csv"; then
     exit 1
 fi
 
-echo "progress_pipe_test: CSV parses cleanly with --progress piped"
+# Same bytes at --jobs 1: rows stream in cell order whatever order the
+# worker threads finish them in.
+"$sweep" --benchmarks tpc-w --regions 0,512 --seeds 2 --ops 8000 \
+    --no-progress --jobs 1 > "$tmp/serial.csv" 2> /dev/null
+if ! cmp -s "$tmp/out.csv" "$tmp/serial.csv"; then
+    echo "progress_pipe_test: --jobs 2 CSV differs from --jobs 1" >&2
+    exit 1
+fi
+for jobs in 1 2; do
+    "$sweep" --benchmarks tpc-w --regions 0,512 --seeds 2 --ops 8000 \
+        --no-progress --jobs "$jobs" --format json \
+        > "$tmp/jobs$jobs.json" 2> /dev/null || {
+        echo "progress_pipe_test: --format json --jobs $jobs failed" >&2
+        exit 1
+    }
+done
+if ! grep -q '"workload": *"tpc-w"' "$tmp/jobs1.json"; then
+    echo "progress_pipe_test: JSON output names no tpc-w run" >&2
+    exit 1
+fi
+if ! cmp -s "$tmp/jobs1.json" "$tmp/jobs2.json"; then
+    echo "progress_pipe_test: --jobs 2 JSON differs from --jobs 1" >&2
+    exit 1
+fi
+
+echo "progress_pipe_test: CSV parses cleanly with --progress piped;" \
+     "CSV and JSON identical at --jobs 1 and 2"

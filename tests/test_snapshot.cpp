@@ -556,6 +556,76 @@ TEST(RunResultCodec, RoundTripsEveryField)
     EXPECT_EQ(out.distributions[0].mean, in.distributions[0].mean);
 }
 
+/** makeSampleResult's encoding with the @p len bytes at @p offset
+ *  into the first copy of @p needle set to all ones. */
+std::vector<std::uint8_t>
+craftedResult(const std::vector<std::uint8_t> &needle, std::size_t offset,
+              std::size_t len)
+{
+    Serializer s;
+    encodeRunResult(s, makeSampleResult());
+    std::vector<std::uint8_t> bytes = s.buffer();
+    const auto at =
+        std::search(bytes.begin(), bytes.end(), needle.begin(), needle.end());
+    EXPECT_NE(at, bytes.end());
+    if (at != bytes.end())
+        std::fill_n(at + static_cast<std::ptrdiff_t>(offset), len, 0xFF);
+    return bytes;
+}
+
+/** Decode @p bytes as one record, with any allocation above 1 MiB
+ *  ending the process with exit code 3; run inside EXPECT_EXIT. */
+void
+decodeBounded(const std::vector<std::uint8_t> &bytes)
+{
+    SectionReader r(bytes.data(), bytes.data() + bytes.size(), "crafted");
+    g_allocBound = std::size_t{1} << 20;
+    decodeRunResult(r);
+    std::exit(0);
+}
+
+TEST(SnapshotDecoderDeath, CraftedHistogramCountExitsCleanly)
+{
+    // The histogram count (u32 1) directly precedes histogram "h".
+    const std::vector<std::uint8_t> bytes =
+        craftedResult({1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 'h'}, 0, 4);
+    EXPECT_EXIT(decodeBounded(bytes), ::testing::ExitedWithCode(1),
+                "crafted: histograms 4294967295 exceeds");
+}
+
+TEST(SnapshotDecoderDeath, CraftedBucketCountExitsCleanly)
+{
+    // The bucket count (u64 3) directly precedes buckets {1, 0, 2}.
+    std::vector<std::uint8_t> needle(32, 0);
+    needle[0] = 3;
+    needle[8] = 1;
+    needle[24] = 2;
+    const std::vector<std::uint8_t> bytes = craftedResult(needle, 0, 8);
+    EXPECT_EXIT(decodeBounded(bytes), ::testing::ExitedWithCode(1),
+                "crafted: histogram buckets 18446744073709551615 exceeds");
+}
+
+TEST(SnapshotDecoderDeath, CraftedDistributionCountExitsCleanly)
+{
+    // The distribution count (u32 1) directly precedes distribution "d".
+    const std::vector<std::uint8_t> bytes =
+        craftedResult({1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 'd'}, 0, 4);
+    EXPECT_EXIT(decodeBounded(bytes), ::testing::ExitedWithCode(1),
+                "crafted: distributions 4294967295 exceeds");
+}
+
+TEST(SnapshotDecoderDeath, TruncatedResultExitsCleanly)
+{
+    Serializer s;
+    encodeRunResult(s, makeSampleResult());
+    std::vector<std::uint8_t> bytes = s.buffer();
+    // Whole record decodes; one byte short names the reader and stops.
+    EXPECT_EXIT(decodeBounded(bytes), ::testing::ExitedWithCode(0), "");
+    bytes.pop_back();
+    EXPECT_EXIT(decodeBounded(bytes), ::testing::ExitedWithCode(1),
+                "crafted: read past end");
+}
+
 std::vector<std::uint8_t>
 readBytes(const std::string &path)
 {
@@ -1098,6 +1168,90 @@ TEST(SweepFingerprintTest, TracksSpecDefinition)
     SweepSpec ops = spec;
     ops.opts.opsPerCpu += 1;
     EXPECT_NE(sweepFingerprint(ops), fp);
+}
+
+/** A two-profile, two-region spec on the default configuration. */
+SweepSpec
+fingerprintSpec()
+{
+    SweepSpec spec;
+    spec.profiles = {&benchmarkByName("tpc-w"), &benchmarkByName("ocean")};
+    spec.regionSizes = {0, 512};
+    spec.baseConfig = makeDefaultConfig();
+    return spec;
+}
+
+TEST(SweepFingerprintTest, CoversProfilesAndTheirOrder)
+{
+    // cgct_paper dedupes sweeps by fingerprint: a reordered matrix has
+    // other rows in each position, so it is another sweep.
+    const SweepSpec spec = fingerprintSpec();
+    SweepSpec swapped = spec;
+    std::swap(swapped.profiles[0], swapped.profiles[1]);
+    EXPECT_NE(sweepFingerprint(swapped), sweepFingerprint(spec));
+    SweepSpec other = spec;
+    other.profiles[1] = &benchmarkByName("barnes");
+    EXPECT_NE(sweepFingerprint(other), sweepFingerprint(spec));
+    SweepSpec regions = spec;
+    regions.regionSizes = {512, 0};
+    EXPECT_NE(sweepFingerprint(regions), sweepFingerprint(spec));
+}
+
+TEST(SweepFingerprintTest, CoversTheBaseConfiguration)
+{
+    const SweepSpec spec = fingerprintSpec();
+    SweepSpec topo = spec;
+    topo.baseConfig.interconnect.topology = TopologyKind::Hier;
+    EXPECT_NE(sweepFingerprint(topo), sweepFingerprint(spec));
+    SweepSpec rca = spec;
+    rca.baseConfig.cgct.rcaSets /= 2;
+    EXPECT_NE(sweepFingerprint(rca), sweepFingerprint(spec));
+}
+
+TEST(SweepFingerprintTest, CoversBaseSeedAndWarmup)
+{
+    const SweepSpec spec = fingerprintSpec();
+    SweepSpec seed = spec;
+    seed.baseSeed += 1;
+    EXPECT_NE(sweepFingerprint(seed), sweepFingerprint(spec));
+    SweepSpec warm = spec;
+    warm.opts.warmupOps += 1;
+    EXPECT_NE(sweepFingerprint(warm), sweepFingerprint(spec));
+}
+
+TEST(SweepFingerprintTest, CoversSamplingGeometry)
+{
+    SweepSpec spec = fingerprintSpec();
+    const std::uint64_t full = sweepFingerprint(spec);
+    spec.sampled = true;
+    const std::uint64_t sampled = sweepFingerprint(spec);
+    EXPECT_NE(sampled, full);
+    SweepSpec windows = spec;
+    windows.sampling.windows += 1;
+    EXPECT_NE(sweepFingerprint(windows), sampled);
+    SweepSpec window_ops = spec;
+    window_ops.sampling.windowOps += 1;
+    EXPECT_NE(sweepFingerprint(window_ops), sampled);
+    SweepSpec warm = spec;
+    warm.sampling.warmMode = WarmMode::Detailed;
+    EXPECT_NE(sweepFingerprint(warm), sampled);
+    // A full-detail sweep carries no sampling geometry to key on.
+    SweepSpec unused = fingerprintSpec();
+    unused.sampling.windows += 1;
+    EXPECT_EQ(sweepFingerprint(unused), full);
+}
+
+TEST(SweepFingerprintTest, LeavesOutTheSimulateHook)
+{
+    // Documented on SweepSpec::simulate: a caller that keys sweeps by
+    // fingerprint keys the hook itself.
+    const SweepSpec spec = fingerprintSpec();
+    SweepSpec hooked = spec;
+    hooked.simulate = [](const SweepCell &, const SystemConfig &config,
+                         const RunOptions &opts) {
+        return simulateOnce(config, benchmarkByName("tpc-w"), opts);
+    };
+    EXPECT_EQ(sweepFingerprint(hooked), sweepFingerprint(spec));
 }
 
 } // namespace

@@ -2,12 +2,15 @@
  * @file
  * Tests for the parallel sweep runner: matrix expansion order, the seed
  * chain (shared with simulateSeeds), per-cell result metadata, progress
- * events, and CGCT cells keeping the base RCA geometry.
+ * events, CGCT cells keeping the base RCA geometry, rows streaming in
+ * cell order at any thread count, and the CSV row's sampling check.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <sstream>
+#include <thread>
 #include <vector>
 
 #include "sim/sweep.hpp"
@@ -143,6 +146,42 @@ TEST(Sweep, CgctCellsKeepTheBaseRcaGeometry)
     EXPECT_NE(encoded(swept),
               encoded(simulateOnce(makeDefaultConfig().withCgct(512), tpcw,
                                    opts)));
+}
+
+TEST(Sweep, RowsStreamInCellOrderAtAnyJobs)
+{
+    const SweepSpec spec = smallSpec();
+    const std::vector<RunResult> serial = SweepRunner(spec, 1).run();
+
+    // At three threads cells finish out of order; rows still reach the
+    // caller's thread in cell order, each the row a serial run makes.
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::size_t> order;
+    std::vector<std::vector<std::uint8_t>> rows;
+    SweepRunner runner(spec, 3);
+    const std::vector<RunResult> results =
+        runner.run([&](const SweepCell &cell, const RunResult &r) {
+            EXPECT_EQ(std::this_thread::get_id(), caller);
+            order.push_back(cell.index);
+            rows.push_back(encoded(r));
+        });
+    ASSERT_EQ(order.size(), serial.size());
+    ASSERT_EQ(results.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_EQ(order[i], i);
+        EXPECT_EQ(rows[i], encoded(serial[i])) << "row " << i;
+        EXPECT_EQ(encoded(results[i]), rows[i]) << "row " << i;
+    }
+}
+
+TEST(SweepDeath, SampledColumnsOfAFullDetailResultPanic)
+{
+    // A full-detail result has no sampling block: asking for its sampled
+    // columns is a caller bug, not a row of empty cells.
+    std::ostringstream os;
+    writeSweepCsvRow(os, RunResult{});
+    EXPECT_DEATH(writeSweepCsvRow(os, RunResult{}, /*sampled=*/true),
+                 "a sampled column on a full-detail result");
 }
 
 } // namespace

@@ -117,6 +117,15 @@ ArgParser::find(const std::string &name)
 }
 
 bool
+ArgParser::given(const std::string &name) const
+{
+    for (const auto &opt : options_)
+        if (opt.name == name)
+            return opt.given;
+    return false;
+}
+
+bool
 ArgParser::parse(int argc, const char *const *argv, std::string *error_out)
 {
     std::size_t next_positional = 0;
@@ -149,6 +158,7 @@ ArgParser::parse(int argc, const char *const *argv, std::string *error_out)
                 if (has_value)
                     return fail("option --" + name + " takes no value");
                 opt->set("");
+                opt->given = true;
                 continue;
             }
             if (!has_value) {
@@ -158,6 +168,7 @@ ArgParser::parse(int argc, const char *const *argv, std::string *error_out)
             }
             if (!opt->set(value))
                 return fail("bad value '" + value + "' for --" + name);
+            opt->given = true;
             continue;
         }
         if (next_positional >= positionals_.size())

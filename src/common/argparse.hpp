@@ -50,6 +50,10 @@ class ArgParser
 
     bool helpRequested() const { return helpRequested_; }
 
+    /** True when parse() set option @p name from argv, to any value (its
+     *  default included); false for a name never registered. */
+    bool given(const std::string &name) const;
+
     /** Render the --help text. */
     void printHelp(std::ostream &os) const;
 
@@ -59,6 +63,7 @@ class ArgParser
         std::string help;
         std::string metavar;
         bool isFlag = false;
+        bool given = false;
         std::function<bool(const std::string &)> set;
         std::function<std::string()> show;
     };

@@ -215,14 +215,4 @@ collectRunResult(System &sys, const std::string &workload_name,
     return r;
 }
 
-RunSummary
-runtimeSummary(const std::vector<RunResult> &runs)
-{
-    std::vector<double> cycles;
-    cycles.reserve(runs.size());
-    for (const auto &r : runs)
-        cycles.push_back(static_cast<double>(r.cycles));
-    return summarize(cycles);
-}
-
 } // namespace cgct

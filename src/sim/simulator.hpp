@@ -5,10 +5,10 @@
  * returns a RunResult with everything cgct_paper needs to reproduce the
  * paper's figures. Every run, plain or checkpointed, goes through one
  * drain loop (simulateCheckpointed in snapshot/snapshot.hpp) built from
- * the steps declared here. The seed chain and runtimeSummary implement
- * the paper's variability methodology (several perturbed runs, 95%
- * confidence intervals, after Alameldeen et al. [27]); sim/sweep.hpp
- * runs the perturbed runs.
+ * the steps declared here. The seed chain implements the paper's
+ * variability methodology (several perturbed runs, 95% confidence
+ * intervals, after Alameldeen et al. [27]); sim/sweep.hpp runs the
+ * perturbed runs.
  */
 
 #pragma once
@@ -228,18 +228,15 @@ void runPhase(System &sys, bool resume, std::uint64_t max_events,
               const std::function<void()> &after_start = nullptr);
 
 /**
- * The multi-seed chain step: seed k of a batch is link k+1 from the
- * base seed. Shared by SweepSpec::expand (and so simulateSeeds) and
- * cgct_sim, so `cgct_sim --seeds N` and `cgct_sweep --seeds N` run the
- * same perturbations.
+ * The seed chain step: seed k of a sweep cell is link k+1 from the base
+ * seed (SweepSpec::expand). cgct_sim runs the seed it is given, and its
+ * default is the first link from cgct_sweep's default base, so any
+ * sweep row reproduces as `cgct_sim ... --seed <row seed>`.
  */
 inline std::uint64_t
 nextSweepSeed(std::uint64_t s)
 {
     return s * 2654435761ULL + 12345;
 }
-
-/** Summarize the runtimes (cycles) of a batch of runs. */
-RunSummary runtimeSummary(const std::vector<RunResult> &runs);
 
 } // namespace cgct

@@ -91,20 +91,6 @@ SweepRunner::run(const ResultFn &on_result, const ProgressFn &on_progress)
     return results;
 }
 
-std::vector<RunResult>
-simulateSeeds(const SystemConfig &config, const WorkloadProfile &profile,
-              const RunOptions &opts, unsigned n_seeds, unsigned jobs)
-{
-    SweepSpec spec;
-    spec.profiles = {&profile};
-    spec.regionSizes = {0}; // Region 0 runs the configuration as given.
-    spec.seedsPerCell = n_seeds;
-    spec.baseSeed = opts.seed;
-    spec.opts = opts;
-    spec.baseConfig = config;
-    return SweepRunner(std::move(spec), jobs).run();
-}
-
 namespace {
 
 /** One CSV cell: a double with the field's digits, the sampling columns

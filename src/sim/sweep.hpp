@@ -108,17 +108,6 @@ class SweepRunner
 };
 
 /**
- * Run @p n_seeds simulations of @p config differing only in seed (the
- * nextSweepSeed chain from opts.seed) as a one-cell sweep on @p jobs
- * threads (0 = hardware concurrency), so the results, in chain order,
- * are identical at any job count.
- */
-std::vector<RunResult> simulateSeeds(const SystemConfig &config,
-                                     const WorkloadProfile &profile,
-                                     const RunOptions &opts,
-                                     unsigned n_seeds, unsigned jobs = 1);
-
-/**
  * CSV header matching writeSweepCsvRow's column order, which is the
  * field list's (sim/result_fields.hpp). The default is the historical
  * 16-column format; @p sampled appends the per-window CI columns a

@@ -177,8 +177,9 @@ inline constexpr const char *kGeneratedCheckpointSha256 =
  * same system (warmup 4000 from the trace header, seed 20050609).
  * Asserted by SnapshotPin.ReplayCheckpointBytes. Regenerate:
  *   build/tools/cgct_sim tpc-w --ops 20000 --capture /tmp/t.trace
- *   build/tools/cgct_sim --replay /tmp/t.trace --checkpoint-every 10000
- *     --checkpoint /tmp/rep && sha256sum /tmp/rep.10000
+ *   build/tools/cgct_sim --replay /tmp/t.trace --seed 20050609
+ *     --checkpoint-every 10000 --checkpoint /tmp/rep
+ *     && sha256sum /tmp/rep.10000
  */
 inline constexpr const char *kReplayCheckpointSha256 =
     "913cf0e9095aff0e5b94a4df35dbe2606ba23df4564cd99599b22286f54e79fa";

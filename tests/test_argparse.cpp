@@ -119,6 +119,24 @@ TEST(ArgParse, Errors)
     EXPECT_NE(err.find("unexpected argument"), std::string::npos);
 }
 
+TEST(ArgParse, GivenTellsAnExplicitDefaultFromAnAbsentOption)
+{
+    unsigned seeds = 3;
+    std::uint64_t ops = 10;
+    bool json = false;
+    ArgParser p("prog");
+    p.addUnsigned("seeds", &seeds, "");
+    p.addU64("ops", &ops, "");
+    p.addFlag("json", &json, "");
+    const char *argv[] = {"prog", "--seeds=3", "--json"};
+    EXPECT_TRUE(p.parse(3, argv));
+    EXPECT_EQ(seeds, 3u);
+    EXPECT_TRUE(p.given("seeds"));
+    EXPECT_TRUE(p.given("json"));
+    EXPECT_FALSE(p.given("ops"));
+    EXPECT_FALSE(p.given("nosuch"));
+}
+
 TEST(ArgParse, HelpRequested)
 {
     ArgParser p("prog", "does things");

@@ -227,14 +227,21 @@ sweepCell(std::string name, std::vector<unsigned> jobs,
     });
 }
 
-/** simulateSeeds' results, and each traced one's trace as JSONL. */
+/** A three-seed ocean batch of @p config as a one-cell sweep: each
+ *  result, and each traced one's trace as JSONL. */
 std::string
 seedsOutput(const SystemConfig &config, const RunOptions &opts,
             unsigned jobs)
 {
+    SweepSpec spec;
+    spec.profiles = {&benchmarkByName("ocean")};
+    spec.regionSizes = {0}; // Region 0 runs the configuration as given.
+    spec.seedsPerCell = 3;
+    spec.baseSeed = opts.seed;
+    spec.opts = opts;
+    spec.baseConfig = config;
     std::ostringstream os;
-    for (const RunResult &r :
-         simulateSeeds(config, benchmarkByName("ocean"), opts, 3, jobs)) {
+    for (const RunResult &r : SweepRunner(std::move(spec), jobs).run()) {
         os << encoded(r);
         EXPECT_EQ(r.trace != nullptr, config.obs.trace);
         if (r.trace)
@@ -302,7 +309,7 @@ anyJobsCells()
     sampled.sampling = small;
     cells.push_back(sweepCell("sampled_sweep_tpcw", {4}, sampled));
 
-    // Seed batches (cgct_sim --seeds N --jobs M), untraced and traced;
+    // Seed batches (one-cell sweeps), untraced and traced;
     // the traced run has small caches, so evictions, write-backs and RCA
     // pressure all show in a short trace.
     SystemConfig traced = makeDefaultConfig();

@@ -197,7 +197,7 @@ TEST(SnapshotPin, ReplayCheckpointBytes)
     simulateOnce(configFor(512), benchmarkByName("tpc-w"), live);
 
     RunOptions replay = pinnedRun();
-    replay.seed = 20050609; // cgct_sim --replay does not chain the seed.
+    replay.seed = 20050609; // A replay records the --seed it is given.
     CheckpointOptions ckpt;
     ckpt.everyOps = 10000;
     ckpt.writePrefix = prefix;

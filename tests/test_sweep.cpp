@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the parallel sweep runner: matrix expansion order, the seed
- * chain (shared with simulateSeeds), per-cell result metadata, progress
+ * chain, per-cell result metadata, progress
  * events, CGCT cells keeping the base RCA geometry, rows streaming in
  * cell order at any thread count, and the CSV row's sampling check.
  */
@@ -91,27 +91,6 @@ TEST(Sweep, ProgressCoversEveryCell)
     });
     EXPECT_EQ(events.load(), 8u);
     EXPECT_EQ(max_done.load(), 8u);
-}
-
-TEST(Sweep, SimulateSeedsFollowsSweepChain)
-{
-    // `cgct_sim --seeds 3` and `cgct_sweep --seeds 3` run the same
-    // perturbations: simulateSeeds walks the chain SweepSpec expands.
-    SweepSpec spec = smallSpec();
-    spec.profiles = {&benchmarkByName("ocean")};
-    spec.regionSizes = {0};
-    spec.seedsPerCell = 3;
-    const std::vector<SweepCell> cells = spec.expand();
-
-    RunOptions opts;
-    opts.opsPerCpu = 500;
-    opts.warmupOps = 0;
-    opts.seed = spec.baseSeed;
-    const auto runs =
-        simulateSeeds(spec.baseConfig, *spec.profiles[0], opts, 3);
-    ASSERT_EQ(runs.size(), cells.size());
-    for (std::size_t k = 0; k < runs.size(); ++k)
-        EXPECT_EQ(runs[k].seed, cells[k].seed) << "seed " << k;
 }
 
 std::vector<std::uint8_t>

@@ -4,7 +4,7 @@
  * recorded trace) on a configurable system, baseline or CGCT, and prints
  * a human-readable summary, the full component statistics, or JSON.
  *
- *   cgct_sim tpc-w --region 512 --seeds 3
+ *   cgct_sim ocean --region 512 --ops 20000 --seed 1730938251562416563
  *   cgct_sim barnes --baseline --stats
  *   cgct_sim --replay run.trace --region 1024 --json
  *   cgct_sim ocean --trace ocean.jsonl --trace-format jsonl
@@ -16,6 +16,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "common/argparse.hpp"
 #include "common/log.hpp"
@@ -24,10 +25,11 @@
 #include "sim/json_stats.hpp"
 #include "sim/sampling.hpp"
 #include "sim/simulator.hpp"
-#include "sim/sweep.hpp"
 #include "snapshot/snapshot.hpp"
 #include "workload/benchmarks.hpp"
 #include "workload/trace.hpp"
+
+#include "run_flags.hpp"
 
 using namespace cgct;
 
@@ -102,21 +104,6 @@ printSummary(const RunResult &r)
     }
 }
 
-void
-writeTrace(const RunResult &r, const std::string &path,
-           const std::string &format)
-{
-    if (!r.trace)
-        fatal("run produced no trace to write to %s", path.c_str());
-    std::ofstream os(path);
-    if (!os)
-        fatal("cannot open trace output file %s", path.c_str());
-    if (format == "chrome")
-        TraceSink::writeChromeTrace(*r.trace, os);
-    else
-        TraceSink::writeJsonl(*r.trace, os);
-}
-
 } // namespace
 
 int
@@ -130,13 +117,11 @@ main(int argc, char **argv)
     bool no_favor_empty = false;
     bool shared_rca = false;
     bool dma = false;
-    std::uint64_t ops = 120000;
-    std::uint64_t warmup = 0;
-    unsigned seeds = 1;
-    std::uint64_t seed = 20050609;
+    RunFlags run;
+    // The first seed of cgct_sweep's chain, so a default run is the first
+    // row of a default sweep cell.
+    std::uint64_t seed = nextSweepSeed(20050609);
     unsigned jobs = 0;
-    unsigned nodes = 4;
-    std::string topology = "bus";
     unsigned rca_sets = 8192;
     bool json = false;
     bool stats = false;
@@ -149,9 +134,6 @@ main(int argc, char **argv)
     std::uint64_t checkpoint_every = 0;
     std::string checkpoint_path;
     std::string restore_path;
-    std::uint64_t sample = 0;
-    std::uint64_t window_ops = 1000;
-    std::string warm_mode = "functional";
     double ci_target = 0.0;
     std::uint64_t max_windows = 64;
 
@@ -175,21 +157,12 @@ main(int argc, char **argv)
     parser.addFlag("shared-rca", &shared_rca,
                    "one RCA per chip shared by its cores (paper 3.2)");
     parser.addFlag("dma", &dma, "enable I/O-bridge DMA traffic");
-    parser.addUnsigned("nodes", &nodes,
-                  "number of processors (docs/TOPOLOGY.md)");
-    parser.addString("topology", &topology,
-                     "interconnect organization: bus (flat broadcast), "
-                     "hier (two-level snoop hierarchy) or dir (full-map "
-                     "directory); see docs/TOPOLOGY.md");
-    parser.addU64("ops", &ops, "memory operations per processor");
-    parser.addU64("warmup", &warmup,
-                  "warmup ops per processor (0 = ops/5; with --replay, "
-                  "the trace header's declared ops/5)");
-    parser.addUnsigned("seeds", &seeds, "runs (seeds) to average");
-    parser.addU64("seed", &seed, "base random seed");
+    run.add(parser);
+    parser.addU64("seed", &seed,
+                  "random seed of the run, used as given (a cgct_sweep "
+                  "row's seed reproduces that row)");
     parser.addUnsigned("jobs", &jobs,
-                       "worker threads for multi-seed runs, and with "
-                       "--sample the window workers (0 = hardware "
+                       "with --sample, the window workers (0 = hardware "
                        "concurrency, 1 = serial)");
     parser.addString("replay", &replay_path,
                      "replay this recorded trace file instead of a "
@@ -197,7 +170,7 @@ main(int argc, char **argv)
     parser.addString("capture", &capture_path,
                      "record every op the run consumes to this v2 trace "
                      "file; replaying it reproduces the run's statistics "
-                     "byte-for-byte (requires --seeds 1)");
+                     "byte-for-byte");
     parser.addString("trace", &trace_out,
                      "write a structured event trace of the run to this "
                      "path (see docs/TRACING.md)");
@@ -213,15 +186,6 @@ main(int argc, char **argv)
     parser.addString("restore", &restore_path,
                      "restore from this snapshot and run to the end; "
                      "refuses snapshots from a different configuration");
-    parser.addU64("sample", &sample,
-                  "statistical sampling: fast-forward under --warm-mode "
-                  "and measure N detailed windows with 95% CIs "
-                  "(docs/SAMPLING.md); 0 = full-detail run");
-    parser.addU64("window-ops", &window_ops,
-                  "detailed ops per CPU in each sampled window");
-    parser.addString("warm-mode", &warm_mode,
-                     "state warming between windows: functional (fast) "
-                     "or detailed (reference)");
     parser.addDouble("ci-target", &ci_target,
                      "adaptive sampling: double the window count until "
                      "every headline metric's relative 95% CI half-width "
@@ -250,21 +214,12 @@ main(int argc, char **argv)
                         p.description.c_str());
         return 0;
     }
-    // A run that measures nothing is refused; a replay's length is the
-    // trace's, so --ops does not apply to it.
-    if (seeds == 0 || (ops == 0 && replay_path.empty())) {
-        std::fprintf(stderr, "cgct_sim: %s 0 runs nothing\n",
-                     seeds == 0 ? "--seeds" : "--ops");
+    // A replay's length is the trace's, so --ops does not apply to it.
+    if (!run.validate("cgct_sim", !replay_path.empty()))
         return 1;
-    }
 
     SystemConfig config = makeDefaultConfig();
-    config.topology.numCpus = nodes;
-    if (!parseTopologyKind(topology, &config.interconnect.topology)) {
-        std::fprintf(stderr,
-                     "cgct_sim: --topology must be bus, hier or dir\n");
-        return 1;
-    }
+    run.configure(config);
     if (!baseline) {
         config = config.withCgct(region, rca_sets, 2);
         config.cgct.threeStateProtocol = three_state;
@@ -283,140 +238,79 @@ main(int argc, char **argv)
     config.validate();
 
     RunOptions opts;
-    opts.opsPerCpu = ops;
+    opts.opsPerCpu = run.ops;
     // A replay's op count is the trace's, not --ops: derive the default
     // warmup from the header so a capture replays to the live stats.
-    const std::uint64_t ops_for_warmup =
-        replay_path.empty() ? ops : readTraceInfo(replay_path).opsDeclared;
-    opts.warmupOps = warmup ? warmup : ops_for_warmup / 5;
+    opts.warmupOps = run.warmupFor(
+        replay_path.empty() ? run.ops
+                            : readTraceInfo(replay_path).opsDeclared);
     opts.seed = seed;
     opts.capturePath = capture_path;
-
-    if (!capture_path.empty()) {
-        if (!replay_path.empty()) {
-            std::fprintf(stderr, "cgct_sim: --capture records a live "
-                                 "run; it cannot combine with "
-                                 "--replay\n");
-            return 1;
-        }
-        if (seeds != 1) {
-            std::fprintf(stderr, "cgct_sim: --capture writes one trace "
-                                 "file, so it requires --seeds 1\n");
-            return 1;
-        }
-    }
-
-    WarmMode wmode = WarmMode::Functional;
-    if (!parseWarmMode(warm_mode, &wmode)) {
-        std::fprintf(stderr, "cgct_sim: --warm-mode must be functional "
-                             "or detailed\n");
-        return 1;
-    }
 
     const bool checkpointing =
         checkpoint_every || !checkpoint_path.empty() ||
         !restore_path.empty();
-    if (stats && replay_path.empty() && (seeds != 1 || sample)) {
-        std::fprintf(stderr, "cgct_sim: --stats dumps the statistics of "
-                             "one full-detail run, so it requires --seeds "
-                             "1 and no --sample\n");
+    if (!capture_path.empty() && (!replay_path.empty() || checkpointing)) {
+        std::fprintf(stderr, "cgct_sim: --capture records a live run from "
+                             "its first op; it does not combine with "
+                             "--replay or checkpoint/restore\n");
         return 1;
     }
-    if (sample) {
-        if (!replay_path.empty() || checkpointing ||
-            !capture_path.empty() || !trace_out.empty() || dma) {
-            std::fprintf(stderr,
-                         "cgct_sim: --sample is a live generated run; it "
-                         "does not combine with --replay, "
-                         "checkpoint/restore, --capture, --trace or "
-                         "--dma (docs/SAMPLING.md)\n");
-            return 1;
-        }
-        if (seeds != 1) {
-            std::fprintf(stderr, "cgct_sim: --sample draws its CI from "
-                                 "the windows of one run, so it "
-                                 "requires --seeds 1\n");
-            return 1;
-        }
+    if (run.sample &&
+        (!replay_path.empty() || checkpointing || !capture_path.empty() ||
+         !trace_out.empty() || stats || dma)) {
+        std::fprintf(stderr,
+                     "cgct_sim: --sample is a live generated run; it "
+                     "does not combine with --replay, checkpoint/restore, "
+                     "--capture, --trace, --stats or --dma "
+                     "(docs/SAMPLING.md)\n");
+        return 1;
     }
-    if (checkpointing) {
-        if (!capture_path.empty()) {
-            std::fprintf(stderr, "cgct_sim: --capture does not combine "
-                                 "with checkpoint/restore\n");
-            return 1;
-        }
-        if (seeds != 1) {
-            std::fprintf(stderr, "cgct_sim: checkpoint/restore requires "
-                                 "--seeds 1 (one run, one state)\n");
-            return 1;
-        }
-        if (!checkpoint_path.empty() && !checkpoint_every &&
-            restore_path.empty()) {
-            std::fprintf(stderr, "cgct_sim: --checkpoint needs "
-                                 "--checkpoint-every to know where to "
-                                 "drain\n");
-            return 1;
-        }
+    if (!checkpoint_path.empty() && !checkpoint_every &&
+        restore_path.empty()) {
+        std::fprintf(stderr, "cgct_sim: --checkpoint needs "
+                             "--checkpoint-every to know where to drain\n");
+        return 1;
     }
 
-    // Replays and generated single runs share one harness; the seed of a
-    // generated run is the first link of the --seeds chain, so it is the
-    // same experiment as the first run of `--seeds N`. A replay's stream
-    // is the trace's.
+    // Replays and generated runs share one harness; a replay's stream is
+    // the trace's.
     const CheckpointOptions ckpt{checkpoint_every, checkpoint_path,
                                  restore_path};
     std::ostream *stats_out = stats ? &std::cout : nullptr;
-    std::vector<RunResult> results;
+    RunResult result;
     if (!replay_path.empty()) {
-        results.push_back(
-            simulateCheckpointed(config, replay_path, opts, ckpt, stats_out));
-    } else if (sample) {
-        opts.seed = nextSweepSeed(opts.seed);
-        SamplingOptions sopts;
-        sopts.windows = sample;
-        sopts.windowOps = window_ops;
-        sopts.warmMode = wmode;
+        result =
+            simulateCheckpointed(config, replay_path, opts, ckpt, stats_out);
+    } else if (run.sample) {
+        SamplingOptions sopts = run.sampling();
         sopts.jobs = jobs;
         sopts.ciTarget = ci_target;
         sopts.maxWindows = max_windows;
-        results.push_back(simulateSampled(
-            config, benchmarkByName(benchmark), opts, sopts));
-    } else if (seeds == 1) {
-        opts.seed = nextSweepSeed(opts.seed);
-        results.push_back(simulateCheckpointed(
-            config, benchmarkByName(benchmark), opts, ckpt, stats_out));
+        result = simulateSampled(config, benchmarkByName(benchmark), opts,
+                                 sopts);
     } else {
-        results = simulateSeeds(config, benchmarkByName(benchmark), opts,
-                                seeds, jobs);
+        result = simulateCheckpointed(config, benchmarkByName(benchmark),
+                                      opts, ckpt, stats_out);
     }
 
     if (!trace_out.empty()) {
-        // One file per run: the plain path for a single run, .N suffixes
-        // for multi-seed batches.
-        if (results.size() == 1) {
-            writeTrace(results[0], trace_out, trace_format);
-        } else {
-            for (std::size_t i = 0; i < results.size(); ++i)
-                writeTrace(results[i],
-                           trace_out + "." + std::to_string(i),
-                           trace_format);
-        }
+        if (!result.trace)
+            fatal("run produced no trace to write to %s", trace_out.c_str());
+        std::ofstream os(trace_out);
+        if (!os)
+            fatal("cannot open trace output file %s", trace_out.c_str());
+        if (trace_format == "chrome")
+            TraceSink::writeChromeTrace(*result.trace, os);
+        else
+            TraceSink::writeJsonl(*result.trace, os);
     }
 
     if (json) {
-        std::cout << toJson(results);
+        std::cout << toJson(std::vector<RunResult>{result});
         return 0;
     }
-
-    for (const auto &r : results) {
-        printSummary(r);
-        std::printf("\n");
-    }
-    if (results.size() > 1) {
-        const RunSummary s = runtimeSummary(results);
-        std::printf("runtime over %zu seeds: mean %.0f cycles "
-                    "(95%% CI ±%.0f)\n",
-                    results.size(), s.mean, s.ci95Half);
-    }
+    printSummary(result);
+    std::printf("\n");
     return 0;
 }

@@ -26,6 +26,8 @@
 #include "sim/sweep.hpp"
 #include "workload/benchmarks.hpp"
 
+#include "run_flags.hpp"
+
 using namespace cgct;
 
 int
@@ -33,19 +35,13 @@ main(int argc, char **argv)
 {
     std::string benchmarks = "all";
     std::string regions = "0,256,512,1024";
-    std::uint64_t ops = 120000;
-    std::uint64_t warmup = 0;
+    RunFlags run;
     unsigned seeds = 3;
     std::uint64_t seed = 20050609;
     unsigned jobs = 0;
     std::string format = "csv";
     bool progress = false;
     bool no_progress = false;
-    std::uint64_t sample = 0;
-    std::uint64_t window_ops = 1000;
-    std::string warm_mode = "functional";
-    unsigned nodes = 4;
-    std::string topology = "bus";
 
     ArgParser parser("cgct_sweep",
                      "Run the benchmark x region-size matrix in parallel "
@@ -56,9 +52,9 @@ main(int argc, char **argv)
                      "comma-separated benchmark names, or 'all'");
     parser.addString("regions", &regions,
                      "comma-separated region sizes; 0 = baseline");
-    parser.addU64("ops", &ops, "ops per processor per run");
-    parser.addU64("warmup", &warmup, "warmup ops (0 = ops/5)");
-    parser.addUnsigned("seeds", &seeds, "seeds per configuration");
+    run.add(parser);
+    parser.addUnsigned("seeds", &seeds,
+                       "seeds per configuration (one with --sample)");
     parser.addU64("seed", &seed, "base seed");
     parser.addUnsigned("jobs", &jobs,
                        "worker threads (0 = hardware concurrency)");
@@ -68,24 +64,6 @@ main(int argc, char **argv)
                    "stderr is a terminal)");
     parser.addFlag("no-progress", &no_progress,
                    "suppress live progress on stderr");
-    parser.addU64("sample", &sample,
-                  "statistical sampling: each cell measures N detailed "
-                  "windows after fast-forward warming instead of a full "
-                  "run, and the CSV/JSON rows gain 95% CI columns "
-                  "(docs/SAMPLING.md); forces --seeds 1");
-    parser.addU64("window-ops", &window_ops,
-                  "detailed ops per CPU in each sampled window");
-    parser.addString("warm-mode", &warm_mode,
-                     "state warming between windows: functional (fast) "
-                     "or detailed (reference)");
-    parser.addUnsigned("nodes", &nodes,
-                       "processors per run (4, 16, 64, ... up to 64; "
-                       "docs/TOPOLOGY.md); non-default values append "
-                       "topology columns to the CSV");
-    parser.addString("topology", &topology,
-                     "interconnect organization: bus (flat broadcast), "
-                     "hier (two-level snoop hierarchy) or dir (full-map "
-                     "directory); see docs/TOPOLOGY.md");
 
     std::string error;
     if (!parser.parse(argc, argv, &error)) {
@@ -125,7 +103,6 @@ main(int argc, char **argv)
     // Refuse a sweep that would print only its header or all-zero rows.
     for (const auto &[refused, why] :
          {std::pair{seeds == 0, "--seeds 0 runs nothing"},
-          std::pair{ops == 0, "--ops 0 runs nothing"},
           std::pair{spec.profiles.empty(), "--benchmarks names no benchmark"},
           std::pair{spec.regionSizes.empty(),
                     "--regions names no region size"}}) {
@@ -134,54 +111,24 @@ main(int argc, char **argv)
             return 1;
         }
     }
+    if (!run.validate("cgct_sweep"))
+        return 1;
     spec.seedsPerCell = seeds;
     spec.baseSeed = seed;
-    spec.opts.opsPerCpu = ops;
-    spec.opts.warmupOps = warmup ? warmup : ops / 5;
+    spec.opts.opsPerCpu = run.ops;
+    spec.opts.warmupOps = run.warmupFor(run.ops);
     spec.baseConfig = makeDefaultConfig();
-    TopologyKind topo_kind = TopologyKind::Bus;
-    if (!parseTopologyKind(topology, &topo_kind)) {
-        std::fprintf(stderr,
-                     "cgct_sweep: --topology must be bus, hier or dir\n");
-        return 1;
-    }
-    spec.baseConfig.topology.numCpus = nodes;
-    spec.baseConfig.interconnect.topology = topo_kind;
-    WarmMode wmode = WarmMode::Functional;
-    if (!parseWarmMode(warm_mode, &wmode)) {
-        std::fprintf(stderr, "cgct_sweep: --warm-mode must be "
-                             "functional or detailed\n");
-        return 1;
-    }
+    run.configure(spec.baseConfig);
     spec.baseConfig.validate();
     // Every cell's configuration, before the CSV header goes out.
     for (std::uint64_t bytes : spec.regionSizes)
         if (bytes)
             spec.baseConfig.withCgct(bytes).validate();
-    if (sample) {
-        // The windows of every cell, before the CSV header goes out.
-        const std::uint64_t span = ops > spec.opts.warmupOps
-                                       ? ops - spec.opts.warmupOps
-                                       : 0;
-        if (window_ops == 0) {
-            std::fprintf(stderr,
-                         "cgct_sweep: --window-ops must be >= 1\n");
-            return 1;
-        }
-        if (window_ops > span / sample) {
-            std::fprintf(stderr,
-                         "cgct_sweep: --sample %llu windows of "
-                         "--window-ops %llu do not fit in the %llu "
-                         "post-warmup ops\n",
-                         static_cast<unsigned long long>(sample),
-                         static_cast<unsigned long long>(window_ops),
-                         static_cast<unsigned long long>(span));
-            return 1;
-        }
+    if (run.sample) {
         // A sampled sweep draws its confidence interval from the
         // windows within one run, not from seed repetition: one cell
         // per (benchmark, region), first link of the usual seed chain.
-        if (seeds != 1)
+        if (parser.given("seeds") && seeds != 1)
             warnOnce("sweep-sample-seeds", "cgct_sweep",
                      "--seeds %llu ignored: --sample draws confidence "
                      "from measurement windows, so each cell runs one "
@@ -189,9 +136,7 @@ main(int argc, char **argv)
                      static_cast<unsigned long long>(seeds));
         spec.seedsPerCell = 1;
         spec.sampled = true;
-        spec.sampling.windows = sample;
-        spec.sampling.windowOps = window_ops;
-        spec.sampling.warmMode = wmode;
+        spec.sampling = run.sampling();
     }
 
     const bool show_progress =
@@ -222,7 +167,8 @@ main(int argc, char **argv)
         // The historical 4-node flat-bus CSV stays byte-identical; any
         // non-default --nodes/--topology appends the topology columns.
         const bool topo_cols =
-            topo_kind != TopologyKind::Bus || nodes != 4;
+            spec.baseConfig.interconnect.topology != TopologyKind::Bus ||
+            run.nodes != 4;
         writeSweepCsvHeader(std::cout, sampled, topo_cols);
         // Stream each row as soon as every earlier row is out.
         runner.run(

@@ -2,17 +2,19 @@
 # check_docs.sh — fail when the code and the documentation disagree.
 #
 # Guards, in order:
-#   1. Every option registered through ArgParser::addFlag/addU64/
-#      addUnsigned/addDouble/addString must appear in docs/SWEEP.md as
-#      `--name`, and every positional registered through addPositional
-#      as `<name>`.
-#      Conversely, every `--name` that starts a row of an option table
-#      in docs/SWEEP.md must be registered by some tools/*.cpp, and
-#      every `--name` cited inside backticks in README.md,
-#      EXPERIMENTS.md or docs/*.md must be registered by some
-#      tools/*.cpp or by benchmark/run.py's argparse, so a retired flag
-#      cannot linger in the prose. Allowed besides: ArgParser's built-in
-#      --help, gtest's --gtest_filter and ctest's --preset/--test-dir.
+#   1. Every option a tool registers through ArgParser::addFlag/addU64/
+#      addUnsigned/addDouble/addString (in tools/<tool>.cpp, and in
+#      tools/run_flags.cpp if it includes run_flags.hpp) must appear in
+#      docs/SWEEP.md as `--name`, and every positional registered
+#      through addPositional as `<name>`.
+#      Conversely, every `--name` cited inside backticks in README.md,
+#      EXPERIMENTS.md or docs/*.md must be registered by some tool or
+#      by benchmark/run.py's argparse, so a retired flag cannot linger
+#      in the prose (allowed besides: ArgParser's built-in --help,
+#      gtest's --gtest_filter and ctest's --preset/--test-dir); one
+#      cited after a tool's name, in a span or a code-block line, or
+#      in a row of the tool's own table in docs/SWEEP.md, must be
+#      registered by that tool.
 #   2. docs/PERF.md must cover the perf tooling and build knobs, and its
 #      "Golden results" section must list every constant in
 #      tests/golden.hpp and every SamplingPin case, each with its value.
@@ -82,13 +84,23 @@ if [ ! -f "$doc" ]; then
     exit 1
 fi
 
-for src in "$root"/tools/*.cpp; do
-    tool="$(basename "$src" .cpp)"
+# listed <word> <list>: true when the newline-separated list holds word.
+listed() { [[ $'\n'$2$'\n' == *$'\n'"$1"$'\n'* ]]; }
 
-    flags=$(grep -oE \
-        'add(Flag|U64|Unsigned|Double|String)\("[A-Za-z0-9-]+"' "$src" |
+# The tools, and the flags each registers: its own, plus the shared run
+# flags of tools/run_flags.cpp when it includes run_flags.hpp.
+tools=$(cd "$root/tools" && ls cgct_*.cpp | sed 's/\.cpp$//')
+declare -A flags_of
+for tool in $tools; do
+    src="$root/tools/$tool.cpp"
+    srcs="$src"
+    grep -q '"run_flags.hpp"' "$src" && srcs="$src $root/tools/run_flags.cpp"
+    # shellcheck disable=SC2086 # srcs is a list of files.
+    flags_of[$tool]=$(cat $srcs |
+        grep -oE 'add(Flag|U64|Unsigned|Double|String)\("[A-Za-z0-9-]+"' |
         sed -E 's/.*\("([A-Za-z0-9-]+)"/\1/' | sort -u)
-    for flag in $flags; do
+
+    for flag in ${flags_of[$tool]}; do
         if ! grep -q -- "--$flag" "$doc"; then
             echo "check_docs: $tool flag --$flag is not documented" \
                  "in docs/SWEEP.md" >&2
@@ -107,26 +119,14 @@ for src in "$root"/tools/*.cpp; do
     done
 done
 
-registered=$(cat "$root"/tools/*.cpp |
-    grep -oE 'add(Flag|U64|Unsigned|Double|String)\("[A-Za-z0-9-]+"' |
-    sed -E 's/.*\("([A-Za-z0-9-]+)"/\1/' | sort -u)
-documented=$(grep -oE '^\| `--[A-Za-z0-9-]+' "$doc" |
-    sed -E 's/^\| `--//' | sort -u)
-for flag in $documented; do
-    if ! grep -qx -- "$flag" <<< "$registered"; then
-        echo "check_docs: docs/SWEEP.md documents --$flag, which no" \
-             "tools/*.cpp registers" >&2
-        fail=1
-    fi
-done
-
 # Every `--name` inside a backticked span of the prose docs, against the
 # tools' flags, benchmark/run.py's and the allow-list above.
-known=$( (echo "$registered"
+known=$( (for tool in $tools; do echo "${flags_of[$tool]}"; done
           grep -oE 'add_argument\("--[A-Za-z0-9-]+"' \
               "$root/benchmark/run.py" | sed -E 's/.*"--([A-Za-z0-9-]+)"/\1/'
           printf '%s\n' help gtest_filter preset test-dir) | sort -u)
-for file in "$root"/README.md "$root"/EXPERIMENTS.md "$root"/docs/*.md; do
+prose=("$root"/README.md "$root"/EXPERIMENTS.md "$root"/docs/*.md)
+for file in "${prose[@]}"; do
     cited_flags=$(grep -oE '`[^`]+`' "$file" |
         grep -oE '(^|[^A-Za-z0-9-])--[A-Za-z0-9][A-Za-z0-9_-]*' |
         sed -E 's/.*--//' | sort -u)
@@ -134,6 +134,34 @@ for file in "$root"/README.md "$root"/EXPERIMENTS.md "$root"/docs/*.md; do
         if ! grep -qx -- "$flag" <<< "$known"; then
             echo "check_docs: ${file#"$root"/} cites --$flag, which no" \
                  "tools/*.cpp or benchmark/run.py registers" >&2
+            fail=1
+        fi
+    done
+
+    # Per tool: the flags after a tool's name in a span or a code-block
+    # line, up to a "|", "&" or ";", must be that tool's own (a flag no
+    # tool knows is reported above).
+    while read -r tool flag; do
+        if [ "$flag" != help ] && listed "$flag" "$known" &&
+           ! listed "$flag" "${flags_of[$tool]}"; then
+            echo "check_docs: ${file#"$root"/} cites \`$tool --$flag\`," \
+                 "which $tool does not register" >&2
+            fail=1
+        fi
+    done < <( (grep -oE '`[^`]+`' "$file"
+               awk '/^[[:space:]]*```/ { f = !f; next } f' "$file") |
+              grep -oE 'cgct_(sim|sweep|paper|trace)( [^|;&`]*)?' |
+              grep -oE '^cgct_[a-z]+|(^|[^A-Za-z0-9-])--[A-Za-z0-9][A-Za-z0-9_-]*' |
+              awk '/^cgct_/ { tool = $0; next } { sub(/.*--/, ""); print tool, $0 }')
+done
+
+# Per tool: its table in docs/SWEEP.md lists only its own flags.
+for tool in $tools; do
+    for flag in $(sed -n "/^## \`$tool\`/,/^## /p" "$doc" |
+                      grep -oE '^\| `--[A-Za-z0-9-]+' | sed 's/^| `--//'); do
+        if ! listed "$flag" "${flags_of[$tool]}"; then
+            echo "check_docs: docs/SWEEP.md's $tool table documents" \
+                 "--$flag, which $tool does not register" >&2
             fail=1
         fi
     done

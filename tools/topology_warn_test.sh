@@ -2,8 +2,9 @@
 # topology_warn_test.sh — end-to-end check of the once-only fallback
 # warning (docs/SAMPLING.md): a CLI request the run cannot honor must
 # say so on stderr, name the reason, and say it exactly once, exercised
-# through the real binaries rather than the unit harness. A run that
-# honors every flag, on a non-default topology, must stay silent. A
+# through the real binaries rather than the unit harness. A sampled
+# sweep that was not given --seeds, and a run that honors every flag on
+# a non-default topology, must stay silent. A
 # --regions value that is not a number or not a valid region size must
 # fail before the CSV header.
 #
@@ -50,6 +51,16 @@ if [ "$rows" -ne 3 ]; then
 fi
 if ! head -1 "$tmp/sweep.csv" | grep -q '^workload,region_bytes,seed,'; then
     echo "topology_warn_test: bad CSV header" >&2
+    exit 1
+fi
+
+# Leg 1b: a sampled sweep given no --seeds ignores nothing: no warning.
+if ! "$sweep" --benchmarks tpc-w --regions 512 --ops 100000 --sample 4 \
+         --window-ops 1000 --no-progress > /dev/null 2> "$tmp/noseeds.err" ||
+   [ -s "$tmp/noseeds.err" ]; then
+    echo "topology_warn_test: a sampled sweep without --seeds failed or" \
+         "wrote to stderr:" >&2
+    cat "$tmp/noseeds.err" >&2
     exit 1
 fi
 

@@ -162,8 +162,8 @@ if ! cmp -s "$tmp/ck.full.json" "$tmp/ck.resumed.json"; then
     exit 1
 fi
 
-# Captures are deterministic across worker-thread counts: --jobs only
-# parallelizes multi-seed batches, so a --seeds 1 capture must emit the
+# Captures are deterministic across worker-thread counts: cgct_sim
+# --jobs sizes only the sampled window pool, so a capture must emit the
 # same trace bytes at any job count.
 "$sim" tpc-w --ops 10000 --seed 7 --jobs 1 \
     --capture "$tmp/jobs1.trace" --json > /dev/null 2>&1

@@ -6,34 +6,28 @@
  * supplies only its entry type and, when it allocates, its victim
  * preference; the array holds everything else.
  *
- * Each frame's address is stored once, in its entry's `kAddr` member;
- * lookups (the hot path of every simulated memory access) compare those
- * addresses directly, so a hit touches one set's entries and nothing
- * else. Beside the entries the array keeps:
- *  - a per-set occupancy bitmask (one bit per way), so empty sets cost
- *    one load and the branch-free compare loop needs no per-way valid
- *    branch;
- *  - a per-set MRU way hint, so repeated hits to the same block skip the
- *    scan entirely. The hint is host-side only: no checkpoint saves it,
- *    and no lookup result depends on it.
- * Entry pointers stay valid until the frame is invalidated or
- * reallocated. A cleared frame (invalidate(), reset()) is Entry{}.
+ * The array stores its frames and nothing beside them. Each frame's
+ * address is stored once, in its entry's `kAddr` member, and its state is
+ * its entry's `valid()` (a coherence state, or a residency flag): as in
+ * the paper's storage accounting (Table 2), Invalid is the valid bit.
+ * Lookups (the hot path of every simulated memory access) compare the
+ * addresses of one set's frames and confirm `valid()` on a match, so a
+ * hit touches that set's entries and nothing else. A frame is empty when
+ * its entry is not valid; allocate() fills the first empty way.
  *
- * The occupancy bit tracks block residency and is set by allocate(). An
- * entry type with a `valid()` member (a coherence state) also has a
- * validity of its own, which the caller assigns right after allocate();
- * lookups confirm it on an address match, so a frame inside that window
- * reads as a miss. An entry without `valid()` is valid while its block
- * is resident. Every entry has a `Tick lastUse`, the LRU timestamp.
+ * allocate() sets only the frame's address; the caller assigns its state
+ * right after. Until then the frame reads as a miss and is the set's
+ * first empty way. Entry pointers stay valid until the frame is
+ * invalidated or reallocated. A cleared frame (invalidate(), reset()) is
+ * Entry{}. Every entry has a `Tick lastUse`, the LRU timestamp.
  */
 
 #pragma once
 
 #include <algorithm>
-#include <bit>
-#include <cassert>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/log.hpp"
@@ -42,12 +36,15 @@
 namespace cgct {
 
 /**
- * @tparam Entry the per-frame metadata
+ * @tparam Entry the per-frame metadata; `valid()` is the frame's state
  * @tparam kAddr the Entry member that holds the frame's aligned address
  */
 template <typename Entry, Addr Entry::*kAddr>
 class SetAssocArray
 {
+    static_assert(requires(const Entry &e) { bool(e.valid()); },
+                  "a tag-array entry's valid() is its frame's state");
+
   public:
     /** Plain LRU victim order: the least recently used entry first. */
     struct Lru {
@@ -61,14 +58,13 @@ class SetAssocArray
     /**
      * @param what        names the array in panics ("cache", "RCA", ...)
      * @param sets        number of sets (power of two)
-     * @param ways        associativity (1..64; the occupancy mask is one
-     *                    64-bit word per set)
+     * @param ways        associativity (1..64; the checkpoint stores one
+     *                    64-bit occupancy mask per set)
      * @param block_bytes bytes one entry covers (power of two)
      */
     SetAssocArray(const char *what, std::uint64_t sets, unsigned ways,
                   std::uint64_t block_bytes)
         : what_(what), sets_(sets), ways_(ways), shift_(log2i(block_bytes)),
-          occupied_(sets, 0), mruWay_(sets, 0),
           entries_(sets * ways)
     {
         if (!isPowerOfTwo(sets))
@@ -80,8 +76,8 @@ class SetAssocArray
         if (ways == 0)
             panic("%s: associativity must be >= 1", what);
         if (ways > 64)
-            panic("%s: associativity above 64 exceeds the per-set "
-                  "occupancy mask", what);
+            panic("%s: associativity above 64 exceeds the checkpoint's "
+                  "per-set occupancy mask", what);
     }
 
     std::uint64_t numSets() const { return sets_; }
@@ -91,42 +87,29 @@ class SetAssocArray
     /** Align an address down to its block. */
     Addr align(Addr addr) const { return alignDown(addr, blockBytes()); }
 
-    /** The valid entry covering @p addr, or nullptr. On a non-const
-     *  array a hit becomes its set's MRU way. */
-    Entry *
-    find(Addr addr)
-    {
-        const Addr block = align(addr);
-        const std::size_t set = setOf(block);
-        const std::size_t base = set * ways_;
-
-        // MRU fast path: a repeated hit to the same block skips the scan.
-        const unsigned hint = mruWay_[set];
-        Entry &e = entries_[base + hint];
-        if (((occupied_[set] >> hint) & 1) && e.*kAddr == block)
-            return valid(e) ? &e : nullptr;
-
-        const unsigned w = scan(set, block);
-        if (w == ways_)
-            return nullptr;
-        mruWay_[set] = static_cast<std::uint8_t>(w);
-        return &entries_[base + w];
-    }
-
+    /** The valid entry covering @p addr, or nullptr. */
     const Entry *
     find(Addr addr) const
     {
         const Addr block = align(addr);
-        const std::size_t set = setOf(block);
-        const unsigned w = scan(set, block);
-        return w == ways_ ? nullptr : &entries_[set * ways_ + w];
+        const Entry *set = &entries_[setOf(block) * ways_];
+        for (unsigned w = 0; w < ways_; ++w)
+            if (set[w].*kAddr == block && set[w].valid())
+                return &set[w];
+        return nullptr;
+    }
+
+    Entry *
+    find(Addr addr)
+    {
+        return const_cast<Entry *>(std::as_const(*this).find(addr));
     }
 
     /**
      * Claim a frame for @p addr's block: the first empty way of its set,
      * else the way @p prefer orders first (prefer(a, b): a is the better
      * victim; ties go to the lower way). The frame is reset to Entry{}
-     * with its address set, and becomes the set's MRU way.
+     * with its address set.
      * @param[out] evicted the valid entry the frame held, if any.
      */
     template <typename Prefer = Lru>
@@ -135,36 +118,27 @@ class SetAssocArray
     {
         evicted.reset();
         const Addr block = align(addr);
-        const std::size_t set = setOf(block);
-        const std::size_t base = set * ways_;
-        const std::uint64_t occ = occupied_[set];
+        Entry *set = &entries_[setOf(block) * ways_];
 
-        unsigned victim = ways_;
+        Entry *victim = nullptr;
         for (unsigned w = 0; w < ways_; ++w) {
-            if (!((occ >> w) & 1)) {
-                victim = w;
+            Entry &e = set[w];
+            if (!e.valid()) {
+                victim = &e;
                 break;
             }
-            const Entry &e = entries_[base + w];
-            if (e.*kAddr == block && valid(e))
+            if (e.*kAddr == block)
                 panic("%s: allocating an entry that is already present",
                       what_);
-            if (victim == ways_ || prefer(e, entries_[base + victim]))
-                victim = w;
+            if (!victim || prefer(e, *victim))
+                victim = &e;
         }
 
-        Entry &frame = entries_[base + victim];
-        if ((occ >> victim) & 1) {
-            if (valid(frame))
-                evicted = frame;
-        } else {
-            occupied_[set] |= std::uint64_t{1} << victim;
-            ++numValid_;
-        }
-        mruWay_[set] = static_cast<std::uint8_t>(victim);
-        frame = Entry{};
-        frame.*kAddr = block;
-        return &frame;
+        if (victim->valid())
+            evicted = *victim;
+        *victim = Entry{};
+        victim->*kAddr = block;
+        return victim;
     }
 
     /** Drop the valid entry covering @p addr; returns it, if there was
@@ -172,16 +146,11 @@ class SetAssocArray
     std::optional<Entry>
     invalidate(Addr addr)
     {
-        const Addr block = align(addr);
-        const std::size_t set = setOf(block);
-        const unsigned w = scan(set, block);
-        if (w == ways_)
+        Entry *frame = find(addr);
+        if (!frame)
             return std::nullopt;
-        Entry &frame = entries_[set * ways_ + w];
-        const Entry prior = frame;
-        frame = Entry{};
-        occupied_[set] &= ~(std::uint64_t{1} << w);
-        --numValid_;
+        const Entry prior = *frame;
+        *frame = Entry{};
         return prior;
     }
 
@@ -193,15 +162,9 @@ class SetAssocArray
     void
     forEachValid(Fn &&fn) const
     {
-        for (std::size_t set = 0; set < sets_; ++set) {
-            for (std::uint64_t occ = occupied_[set]; occ; occ &= occ - 1) {
-                const Entry &e =
-                    entries_[set * ways_ +
-                             static_cast<unsigned>(std::countr_zero(occ))];
-                if (valid(e))
-                    fn(e);
-            }
-        }
+        for (const Entry &e : entries_)
+            if (e.valid())
+                fn(e);
     }
 
     /**
@@ -216,50 +179,33 @@ class SetAssocArray
     {
         const Addr first = align(base);
         const Addr blocks = (bytes + blockBytes() - 1) >> shift_;
-        for (Addr i = 0; i < blocks; ++i) {
-            const Addr block = first + (i << shift_);
-            const std::size_t set = setOf(block);
-            const unsigned w = scan(set, block);
-            if (w != ways_)
-                fn(entries_[set * ways_ + w]);
-        }
+        for (Addr i = 0; i < blocks; ++i)
+            if (const Entry *e = find(first + (i << shift_)))
+                fn(*e);
     }
 
-    /** Count of valid entries (O(1): maintained incrementally). */
+    /** Count of valid entries (a full scan). */
     std::uint64_t
     countValid() const
     {
-#ifndef NDEBUG
-        // The counter tracks tag occupancy; outside the allocate()-to-
-        // state-assignment window every occupied frame is valid. Debug
-        // builds verify that.
         std::uint64_t n = 0;
         forEachValid([&n](const Entry &) { ++n; });
-        assert(n == numValid_ && "incremental valid counter out of sync");
-#endif
-        return numValid_;
+        return n;
     }
 
     /** Invalidate everything (between simulation phases). */
-    void
-    reset()
-    {
-        std::fill(entries_.begin(), entries_.end(), Entry{});
-        std::fill(occupied_.begin(), occupied_.end(), 0);
-        std::fill(mruWay_.begin(), mruWay_.end(), 0);
-        numValid_ = 0;
-    }
+    void reset() { std::fill(entries_.begin(), entries_.end(), Entry{}); }
 
     /**
-     * Checkpoint layout: the occupancy masks, then every frame's entry
-     * through @p entry(e); an empty frame is Entry{}. The owner states
-     * the geometry first. Only simulated state is saved: a load recounts
-     * the valid entries from the masks and restarts every MRU hint at
-     * way 0. On load, no mask may name a way at or above ways(); an
-     * occupied frame must hold a valid entry whose address is
-     * block-aligned and maps to the frame's set; an empty frame must
-     * store address 0. @p ar is the checkpoint Archive
-     * (snapshot/serializer.hpp).
+     * Checkpoint layout: one u64 occupancy mask per set (bit w = way w is
+     * valid), then every frame's entry through @p entry(e); an empty
+     * frame is Entry{}. The owner states the geometry first. Only
+     * simulated state is saved. On load, no mask may name a way at or
+     * above ways(); an occupied frame must hold a valid entry whose
+     * address is block-aligned, maps to the frame's set and is in no
+     * other way of it; an empty frame must store address 0. A loaded
+     * entry's valid() comes from @p entry, and an empty frame is reset to
+     * Entry{}. @p ar is the checkpoint Archive (snapshot/serializer.hpp).
      */
     template <typename Ar, typename Fn>
     void
@@ -267,56 +213,56 @@ class SetAssocArray
     {
         const std::uint64_t beyond =
             ways_ < 64 ? ~std::uint64_t{0} << ways_ : 0;
-        for (std::uint64_t &occ : occupied_) {
+        std::vector<std::uint64_t> occupied(sets_, 0);
+        for (std::size_t set = 0; set < sets_; ++set) {
+            std::uint64_t &occ = occupied[set];
+            if (ar.saving())
+                for (unsigned w = 0; w < ways_; ++w)
+                    occ |= std::uint64_t{entries_[set * ways_ + w].valid()}
+                           << w;
             ar.u64(occ);
             if (occ & beyond)
                 ar.fail("occupancy mask %016llx names a way at or above %u",
                         static_cast<unsigned long long>(occ), ways_);
         }
-        numValid_ = 0;
         for (std::size_t set = 0; set < sets_; ++set) {
+            Entry *frames = &entries_[set * ways_];
             for (unsigned w = 0; w < ways_; ++w) {
-                Entry &e = entries_[set * ways_ + w];
+                Entry &e = frames[w];
                 entry(e);
                 const auto stored =
                     static_cast<unsigned long long>(e.*kAddr);
-                if (!((occupied_[set] >> w) & 1)) {
+                if (!((occupied[set] >> w) & 1)) {
                     if (stored != 0)
                         ar.fail("empty way %u of set %zu stores address "
                                 "%016llx",
                                 w, set, stored);
                     e = Entry{};
-                } else if (e.*kAddr != align(e.*kAddr)) {
+                    continue;
+                }
+                if (e.*kAddr != align(e.*kAddr))
                     ar.fail("way %u of set %zu holds misaligned address "
                             "%016llx",
                             w, set, stored);
-                } else if (setOf(e.*kAddr) != set) {
+                if (setOf(e.*kAddr) != set)
                     ar.fail("way %u of set %zu holds address %016llx of "
                             "set %zu",
                             w, set, stored, setOf(e.*kAddr));
-                } else if (!valid(e)) {
+                if (!e.valid())
                     ar.fail("occupied way %u of set %zu holds an invalid "
                             "entry",
                             w, set);
-                }
+                // The ways before w are loaded, so find() meets a copy
+                // there before it meets e.
+                if (const Entry *first = find(e.*kAddr); first != &e)
+                    ar.fail("set %zu holds block %016llx in ways %td and "
+                            "%u",
+                            set, stored, first - frames, w);
             }
-            numValid_ += static_cast<std::uint64_t>(
-                std::popcount(occupied_[set]));
         }
-        if (!ar.saving())
-            std::fill(mruWay_.begin(), mruWay_.end(), 0);
     }
 
   private:
-    static bool
-    valid(const Entry &e)
-    {
-        if constexpr (requires(const Entry &x) { x.valid(); })
-            return e.valid();
-        else
-            return true;
-    }
-
     /** The set of the block at aligned address @p block. */
     std::size_t
     setOf(Addr block) const
@@ -324,39 +270,12 @@ class SetAssocArray
         return static_cast<std::size_t>((block >> shift_) & (sets_ - 1));
     }
 
-    /** The first occupied way of @p set holding @p block if its entry is
-     *  valid, else ways_. */
-    unsigned
-    scan(std::size_t set, Addr block) const
-    {
-        const std::uint64_t occ = occupied_[set];
-        if (!occ)
-            return ways_;
-        const std::size_t base = set * ways_;
-        std::uint64_t match = 0;
-        for (unsigned w = 0; w < ways_; ++w)
-            match |= static_cast<std::uint64_t>(
-                         entries_[base + w].*kAddr == block)
-                     << w;
-        match &= occ;
-        if (!match)
-            return ways_;
-        const unsigned w = static_cast<unsigned>(std::countr_zero(match));
-        return valid(entries_[base + w]) ? w : ways_;
-    }
-
     const char *what_;
     std::uint64_t sets_;
     unsigned ways_;
     unsigned shift_;
-    /** Per-set occupancy bitmask (bit w = way w holds its block). */
-    std::vector<std::uint64_t> occupied_;
-    /** Per-set most-recently-hit way hint. */
-    std::vector<std::uint8_t> mruWay_;
     /** The frames, set-major, way-minor; each holds its own address. */
     std::vector<Entry> entries_;
-    /** Occupied-frame count, maintained incrementally. */
-    std::uint64_t numValid_ = 0;
 };
 
 } // namespace cgct

@@ -11,12 +11,14 @@
  * preserve inclusion. The paper reports 65.1% of evicted regions empty
  * with this policy at 512 B regions.
  *
- * The storage is the one SetAssocArray (common/set_assoc_array.hpp);
- * this class adds the victim preference, the lookup and eviction
- * statistics, the eviction histograms and the rca_evict trace event.
- * Lookups confirm `state != Invalid` on a tag match, so the
- * allocate()-to-state-set window (during which the controller runs
- * inclusion flushes) reads as a miss.
+ * The storage is the one SetAssocArray (common/set_assoc_array.hpp),
+ * which holds the 32-byte entries and nothing beside them: an entry's
+ * region state is its frame's valid bit, as in Table 2. This class adds
+ * the victim preference, the lookup and eviction statistics, the
+ * eviction histograms and the rca_evict trace event. Lookups confirm
+ * `state != Invalid` on a tag match, so the allocate()-to-state-set
+ * window (during which the controller runs inclusion flushes) reads as
+ * a miss.
  */
 
 #pragma once

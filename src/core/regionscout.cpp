@@ -76,7 +76,9 @@ RegionScout::onBroadcastResponse(RequestType type, Addr line_addr,
     } else if (!nsrt_.find(region)) {
         // Globally not shared: remember it.
         std::optional<NsrtEntry> displaced;
-        nsrt_.allocate(region, displaced)->lastUse = now;
+        NsrtEntry *e = nsrt_.allocate(region, displaced);
+        e->lastUse = now;
+        e->resident = true;
         ++stats_.nsrtFills;
     }
 }
@@ -142,9 +144,12 @@ RegionScout::transfer(Archive &ar, unsigned /*mem_ctrls*/)
     ar.expect("RegionScout NSRT sets", nsrt_.numSets());
     ar.expect("RegionScout NSRT ways", nsrt_.ways());
     ar.expect("RegionScout CRH entries", crh_.size());
+    // Residency is not stored: it is the frame's occupancy bit.
     nsrt_.transfer(ar, [&ar](NsrtEntry &e) {
         ar.u64(e.regionAddr);
         ar.u64(e.lastUse);
+        if (!ar.saving())
+            e.resident = true;
     });
     for (std::uint32_t &c : crh_)
         ar.u32(c);

@@ -82,11 +82,14 @@ class RegionScout : public RegionTracker
     void transfer(Archive &ar, unsigned mem_ctrls) override;
 
   private:
-    /** A region known to be cached by no other processor; valid while
-     *  resident. */
+    /** A region known to be cached by no other processor. */
     struct NsrtEntry {
         Addr regionAddr = 0;
         Tick lastUse = 0;
+        /** The frame's state: set once allocated, and by a load. */
+        bool resident = false;
+
+        bool valid() const { return resident; }
     };
 
     Addr regionAlign(Addr a) const { return nsrt_.align(a); }

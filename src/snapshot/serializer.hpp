@@ -232,7 +232,7 @@ class Deserializer {
  * archive's direction, fixed at construction, decides whether each
  * field is written or read:
  *
- *     ar.u64(numValid_);   // saves numValid_, or loads it
+ *     ar.u64(stats_.hits);   // saves stats_.hits, or loads it
  *
  * Primitives take references and store the named width (enums and
  * narrower integers are cast). On load, the checks that make a crafted

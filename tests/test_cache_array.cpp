@@ -167,8 +167,8 @@ loadBytes(CacheArray &arr, const std::vector<std::uint8_t> &bytes)
 
 TEST(SetAssocArray, LookupsLeaveTheCheckpointAlone)
 {
-    // One set, two ways; the second allocation is the MRU way, so a
-    // non-const hit on the first moves the hint.
+    // One set, two ways, looked up through the const and non-const
+    // find() of both arrays: hits on either way, and misses.
     CacheArray arr("cache", 1, 2, 64);
     std::optional<CacheLine> ev;
     arr.allocate(0x0000, ev)->state = LineState::Shared;
@@ -209,30 +209,6 @@ TEST(SetAssocArray, LookupsLeaveTheCheckpointAlone)
     // reset() clears every frame to Entry{}.
     arr.reset();
     EXPECT_EQ(saveBytes(arr), empty);
-}
-
-/** An entry with no state: valid exactly while its tag is resident. */
-struct Tagged {
-    Addr addr = 0;
-    Tick lastUse = 0;
-};
-
-TEST(SetAssocArray, StatelessEntryIsValidWhileResident)
-{
-    SetAssocArray<Tagged, &Tagged::addr> arr("table", 1, 2, 512);
-    std::optional<Tagged> ev;
-    arr.allocate(0x1234, ev)->lastUse = 5;
-    EXPECT_FALSE(ev);
-    ASSERT_NE(arr.find(0x1200), nullptr);
-    EXPECT_EQ(arr.find(0x1200)->addr, 0x1200u);
-    arr.allocate(0x2000, ev)->lastUse = 3;
-    // The set is full: the LRU entry goes.
-    arr.allocate(0x4000, ev);
-    ASSERT_TRUE(ev);
-    EXPECT_EQ(ev->addr, 0x2000u);
-    EXPECT_TRUE(arr.invalidate(0x1200));
-    EXPECT_FALSE(arr.invalidate(0x1200));
-    EXPECT_EQ(arr.countValid(), 1u);
 }
 
 TEST(CacheArrayDeath, DoubleAllocatePanics)

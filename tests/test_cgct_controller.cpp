@@ -169,8 +169,8 @@ TEST_F(CgctControllerTest, MayHoldLinesFollowsEntryAndLineCount)
     EXPECT_TRUE(ask(0x1000));
     EXPECT_TRUE(ask(0x11C0));
     EXPECT_FALSE(ask(0x1200));
-    // A second region in the same set takes the MRU way hint; asking
-    // about the first counts no hit.
+    // A second region in the same set; asking about either counts no
+    // hit.
     ctrl.onBroadcastResponse(RequestType::Read, 0x1800, true,
                              response(false, false), 11);
     ctrl.onLineFill(0x1800);

@@ -15,9 +15,10 @@
  * the wheel horizon), cache-array and RCA lookup/allocate churn, and the
  * MSHR + pooled-waiter request bookkeeping.
  *
- * The same operator new also tracks live heap bytes (malloc_usable_size),
- * which bounds a sampled run's peak heap: it must not grow with the
- * window count.
+ * The same operator new also tracks live heap bytes (malloc_usable_size).
+ * They bound a sampled run's peak heap, which must not grow with the
+ * window count, and a 16-node hier System's heap, which must stay within
+ * its tag frames plus 32 KiB per node.
  */
 
 #include <gtest/gtest.h>
@@ -231,6 +232,38 @@ TEST(HotpathAllocsTest, SampledPeakHeapDoesNotGrowWithWindows)
     EXPECT_LE(k16, k4 + kSlack);
 }
 
+TEST(HotpathAllocsTest, HierNodeHeapIsItsTagFrames)
+{
+    // A node's heap is its tag frames: the L1I, L1D and L2 lines and the
+    // RCA entries, 32 bytes each, 34 304 of them at Table 3's geometry.
+    // The slack covers everything else a node and its share of the
+    // system hold (MSHR tables, pools, rings, statistics). A side array
+    // per set would not fit in it: one u64 and one byte per set were
+    // 147 KiB per node.
+    SystemConfig config = makeDefaultConfig();
+    config.topology.numCpus = 16;
+    config.interconnect.topology = TopologyKind::Hier;
+    config = config.withCgct(512);
+    const std::uint64_t frames =
+        config.l1i.numLines() + config.l1d.numLines() +
+        config.l2.numLines() + config.cgct.rcaEntries();
+    ASSERT_EQ(frames, 34304u);
+    static_assert(sizeof(CacheLine) == 32 && sizeof(RegionEntry) == 32);
+
+    SyntheticWorkload workload(benchmarkByName("tpc-w"),
+                               config.topology.numCpus, kOpsPerCpu, 7);
+    const std::uint64_t base = g_liveBytes.load(std::memory_order_relaxed);
+    System sys(config, workload);
+    const std::uint64_t per_node =
+        (g_liveBytes.load(std::memory_order_relaxed) - base) /
+        config.topology.numCpus;
+    std::printf("16-node hier System: %.1f KiB of heap per node, %.1f KiB "
+                "of it tag frames\n",
+                static_cast<double>(per_node) / 1024,
+                static_cast<double>(frames * 32) / 1024);
+    EXPECT_LE(per_node, frames * 32 + 32 * 1024);
+}
+
 /** Heap allocations made while @p body runs. */
 template <typename F>
 std::uint64_t
@@ -322,8 +355,8 @@ struct Rng {
 
 TEST(HotpathAllocsTest, CacheHitLoopIsAllocationFree)
 {
-    // L2-like geometry, fully resident: every probe hits, alternating the
-    // MRU fast path with a full tag scan.
+    // L2-like geometry, fully resident: every probe hits, alternating
+    // repeated hits on one line with random lines.
     CacheArray array("cache", 1024, 8, 64);
     constexpr std::uint64_t kLines = 1024 * 8;
     std::optional<CacheLine> ev;

@@ -12,6 +12,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/regionscout.hpp"
 #include "golden.hpp"
@@ -172,6 +173,50 @@ TEST_F(RegionScoutTest, PeekStateMapsNsrtToExclusive)
     rs.onBroadcastResponse(RequestType::Read, 0x1000, true,
                            response(false, false), 1);
     EXPECT_EQ(rs.peekState(0x1000), RegionState::DirtyInvalid);
+}
+
+/** @p rs's checkpoint bytes (NSRT, CRH and statistics). */
+std::vector<std::uint8_t>
+saveBytes(RegionScout &rs)
+{
+    Serializer s;
+    Archive ar(s);
+    rs.transfer(ar, /*mem_ctrls=*/4);
+    return s.buffer();
+}
+
+TEST(RegionScoutSnapshot, NsrtRoundTripRestoresResidency)
+{
+    // Set 0 (regions 0x0000 and 0x2000, region address 0 included) is
+    // full, set 1 holds 0x0200, set 2 is empty and set 3 emptied again
+    // by an external snoop.
+    RegionScout saved(0, smallParams(), 64);
+    for (Addr region : {0x0000ULL, 0x2000ULL, 0x0200ULL, 0x0600ULL})
+        saved.onBroadcastResponse(RequestType::Read, region, true,
+                                  response(false, false), region + 1);
+    saved.onLineFill(0x0240);
+    saved.externalSnoop(0x0600, false, 9);
+    const std::vector<std::uint8_t> bytes = saveBytes(saved);
+
+    // The loading side holds regions of its own in sets 1 and 2.
+    RegionScout loaded(0, smallParams(), 64);
+    for (Addr region : {0x4200ULL, 0x4400ULL})
+        loaded.onBroadcastResponse(RequestType::Read, region, true,
+                                   response(false, false), 1);
+    SectionReader r(bytes.data(), bytes.data() + bytes.size(), "nsrt");
+    Archive load(r);
+    loaded.transfer(load, /*mem_ctrls=*/4);
+    EXPECT_TRUE(r.atEnd());
+    EXPECT_EQ(saveBytes(loaded), bytes);
+
+    for (Addr region : {0x0000ULL, 0x2000ULL, 0x0200ULL})
+        EXPECT_EQ(loaded.peekState(region), RegionState::DirtyInvalid)
+            << std::hex << region;
+    for (Addr region : {0x0600ULL, 0x4200ULL, 0x4400ULL, 0x4000ULL})
+        EXPECT_EQ(loaded.peekState(region), RegionState::Invalid)
+            << std::hex << region;
+    EXPECT_EQ(loaded.stats().nsrtFills, 4u);
+    EXPECT_EQ(loaded.stats().nsrtInvalidations, 1u);
 }
 
 TEST(RegionScoutSystem, TrackersBuiltThroughSystemRouteRequests)

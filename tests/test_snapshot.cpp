@@ -276,8 +276,9 @@ TEST(SnapshotFile, DetectsCorruptionAndTruncation)
 
 TEST(SnapshotFile, RefusesAVersion2File)
 {
-    // v2 stored tag-array tags, MRU way hints and valid counts; v3 reads
-    // none of them, so a v2 header is refused before any section.
+    // v2 stored every tag-array frame's last tag, each set's way hint
+    // and each array's valid count; v3 reads none of them, so a v2
+    // header is refused before any section.
     Serializer s;
     s.beginSection("data");
     s.u64(1);
@@ -1037,6 +1038,26 @@ TEST(SnapshotDecoderDeath, OccupiedFrameHoldsAValidBlockOfItsSet)
     EXPECT_EQ(std::as_const(loaded).lookup(0x1040), nullptr);
 }
 
+TEST(SnapshotDecoderDeath, SetHoldsEachBlockInOneWay)
+{
+    // Line 0x1040 in both ways of set 1: a lookup would find way 0, and
+    // invalidating it would leave way 1 to reappear.
+    Cache saved("l2", kFourSetCache);
+    Cache loaded("l2", kFourSetCache);
+    Eviction ev;
+    saved.fill(0x1040, LineState::Shared, 0, 0, ev); // set 1, way 0
+    const std::size_t way0 = kCacheFrames + 2 * kCacheFrameBytes;
+    EXPECT_EXIT(reload(saved, loaded,
+                       [way0](std::vector<std::uint8_t> &b) {
+                           b[kCacheMasks + 8] = 0b11;
+                           std::memcpy(&b[way0 + kCacheFrameBytes],
+                                       &b[way0], kCacheFrameBytes);
+                       }),
+                ::testing::ExitedWithCode(1),
+                "patched: set 1 holds block 0000000000001040 in ways 0 "
+                "and 1");
+}
+
 TEST(SnapshotDecoderDeath, EmptyFrameStoresAddressZero)
 {
     Cache saved("l2", kFourSetCache);
@@ -1073,8 +1094,8 @@ TEST(SnapshotDecoder, RestoredValidCountIsTheOccupiedFrames)
         s.u64(0);
     const std::vector<std::uint8_t> bytes = s.buffer();
 
-    // The loading cache held five other lines, and its MRU hints point
-    // past way 0.
+    // The loading cache held five other lines, some of them in way 1,
+    // which the load must clear.
     Cache loaded("l2", kFourSetCache);
     Eviction ev;
     for (Addr a : {0x3000, 0x3100, 0x3040, 0x3140, 0x3080})

@@ -76,29 +76,13 @@ Cache::transfer(Archive &ar)
         ar.u64(line.readyTick);
         ar.u64(line.lastUse);
     });
-    ar.u64(stats_.hits);
-    ar.u64(stats_.misses);
-    ar.u64(stats_.fills);
-    ar.u64(stats_.evictionsClean);
-    ar.u64(stats_.evictionsDirty);
-    ar.u64(stats_.invalidations);
+    ar.counters(stats_);
 }
 
 void
 Cache::addStats(StatGroup &group) const
 {
-    group.addScalar(name_ + ".hits", "probe hits", &stats_.hits);
-    group.addScalar(name_ + ".misses", "probe misses", &stats_.misses);
-    group.addScalar(name_ + ".fills", "lines installed", &stats_.fills);
-    group.addScalar(name_ + ".evictions_clean",
-                    "clean lines displaced by fills",
-                    &stats_.evictionsClean);
-    group.addScalar(name_ + ".evictions_dirty",
-                    "dirty lines displaced by fills",
-                    &stats_.evictionsDirty);
-    group.addScalar(name_ + ".invalidations",
-                    "lines invalidated by snoops or back-invalidation",
-                    &stats_.invalidations);
+    group.addCounters(stats_, name_ + ".");
     group.addDerived(name_ + ".miss_ratio", "misses / probes",
                      [this] { return missRatio(); });
 }

@@ -89,6 +89,21 @@ class Cache
         std::uint64_t evictionsClean = 0;
         std::uint64_t evictionsDirty = 0;
         std::uint64_t invalidations = 0;
+
+        static void
+        visit(auto &&f, auto &...s)
+        {
+            f("hits", "probe hits", s.hits...);
+            f("misses", "probe misses", s.misses...);
+            f("fills", "lines installed", s.fills...);
+            f("evictions_clean", "clean lines displaced by fills",
+              s.evictionsClean...);
+            f("evictions_dirty", "dirty lines displaced by fills",
+              s.evictionsDirty...);
+            f("invalidations",
+              "lines invalidated by snoops or back-invalidation",
+              s.invalidations...);
+        }
     };
 
     const Stats &stats() const { return stats_; }

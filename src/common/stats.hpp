@@ -1,8 +1,9 @@
 /**
  * @file
- * Statistics framework: named scalar stats grouped per component, simple
- * histograms, and the interval traffic tracker used to reproduce Figure 10
- * (average and peak broadcasts per 100,000-cycle window).
+ * Statistics framework: each component's counter list, named scalar stats
+ * grouped per component, simple histograms, and the interval traffic
+ * tracker used to reproduce Figure 10 (average and peak broadcasts per
+ * 100,000-cycle window).
  */
 
 #pragma once
@@ -22,6 +23,31 @@ class Distribution;
 class Archive;
 
 /**
+ * A component's counter list: its Stats struct holds only std::uint64_t
+ * counters and names each once, in checkpoint order, in a static
+ * visit(f, s...) that calls f(name, desc, s.counter...) per counter. The
+ * name is the --stats name; null means the text does not print the
+ * counter. The checkpoint (Archive::counters), the --stats text
+ * (StatGroup::addCounters) and the run totals (operator+=) walk the
+ * list, so a counter is one line there.
+ */
+template <typename S>
+concept CounterList = requires(S &s) {
+    S::visit([](const char *, const char *, std::uint64_t &) {}, s);
+};
+
+/** Add each of @p b's counters to @p a's. */
+template <CounterList S>
+S &
+operator+=(S &a, const S &b)
+{
+    S::visit([](const char *, const char *, std::uint64_t &x,
+                const std::uint64_t &y) { x += y; },
+             a, b);
+    return a;
+}
+
+/**
  * A group of named statistics belonging to one component. Components
  * register pointers to their counters (or closures computing derived
  * values); dump() renders them. Registration is cheap and the counters
@@ -35,6 +61,19 @@ class StatGroup
     /** Register a raw 64-bit counter. The pointer must outlive the group. */
     void
     addScalar(std::string name, std::string desc, const std::uint64_t *value);
+
+    /** Register each named counter of @p s's list as @p prefix + name. */
+    template <CounterList S>
+    void
+    addCounters(const S &s, const std::string &prefix = {})
+    {
+        S::visit(
+            [&](const char *name, const char *desc, const std::uint64_t &v) {
+                if (name)
+                    addScalar(prefix + name, desc, &v);
+            },
+            s);
+    }
 
     /** Register a derived value computed on demand. */
     void

@@ -10,6 +10,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -113,6 +114,10 @@ enum class RequestCategory : std::uint8_t {
     DcbOp,
     NumCategories,
 };
+
+/** The number of request categories (per-category counter arrays). */
+inline constexpr std::size_t kNumCategories =
+    static_cast<std::size_t>(RequestCategory::NumCategories);
 
 /** Map a request type onto its Figure 2 category. */
 constexpr RequestCategory

@@ -186,12 +186,6 @@ CgctController::peekState(Addr line_addr)
     return entry ? entry->state : RegionState::Invalid;
 }
 
-void
-CgctController::addStats(StatGroup &group) const
-{
-    rca_.addStats(group);
-}
-
 std::shared_ptr<RegionTracker>
 makeTracker(CpuId cpu, const CgctParams &params, unsigned line_bytes)
 {

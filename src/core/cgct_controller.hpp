@@ -162,7 +162,7 @@ class CgctController : public RegionTracker
         return entry && entry->lineCount > 0;
     }
 
-    void addStats(StatGroup &group) const override;
+    void addStats(StatGroup &group) const override { rca_.addStats(group); }
     void setTraceSink(TraceSink *sink) override;
 
     RegionCoherenceArray &rca() { return rca_; }

@@ -79,17 +79,7 @@ RegionCoherenceArray::transfer(Archive &ar, unsigned mem_ctrls)
         ar.u64(e.lastUse);
         ar.u64(e.allocTick);
     });
-    ar.u64(stats_.hits);
-    ar.u64(stats_.misses);
-    ar.u64(stats_.allocations);
-    ar.u64(stats_.evictedEmpty);
-    ar.u64(stats_.evictedOneLine);
-    ar.u64(stats_.evictedTwoLines);
-    ar.u64(stats_.evictedMoreLines);
-    ar.u64(stats_.inclusionFlushedLines);
-    ar.u64(stats_.selfInvalidations);
-    ar.u64(stats_.lineCountSum);
-    ar.u64(stats_.lineCountSamples);
+    ar.counters(stats_);
     evictedLines_.transfer(ar);
     lifetime_.transfer(ar);
 }
@@ -97,29 +87,7 @@ RegionCoherenceArray::transfer(Archive &ar, unsigned mem_ctrls)
 void
 RegionCoherenceArray::addStats(StatGroup &group) const
 {
-    group.addScalar("rca.hits", "region lookups that hit", &stats_.hits);
-    group.addScalar("rca.misses", "region lookups that missed",
-                    &stats_.misses);
-    group.addScalar("rca.allocations", "region entries allocated",
-                    &stats_.allocations);
-    group.addScalar("rca.evicted_empty",
-                    "evicted regions with no cached lines",
-                    &stats_.evictedEmpty);
-    group.addScalar("rca.evicted_one_line",
-                    "evicted regions with one cached line",
-                    &stats_.evictedOneLine);
-    group.addScalar("rca.evicted_two_lines",
-                    "evicted regions with two cached lines",
-                    &stats_.evictedTwoLines);
-    group.addScalar("rca.evicted_more_lines",
-                    "evicted regions with three or more cached lines",
-                    &stats_.evictedMoreLines);
-    group.addScalar("rca.inclusion_flushed_lines",
-                    "cache lines flushed to preserve RCA inclusion",
-                    &stats_.inclusionFlushedLines);
-    group.addScalar("rca.self_invalidations",
-                    "regions invalidated by the zero-line-count mechanism",
-                    &stats_.selfInvalidations);
+    group.addCounters(stats_);
     group.addHistogram("rca.lines_at_eviction",
                        "lines cached per region at eviction",
                        &evictedLines_);

@@ -112,11 +112,40 @@ class RegionCoherenceArray
         /** Sum/samples of lineCount at eviction (avg lines per region). */
         std::uint64_t lineCountSum = 0;
         std::uint64_t lineCountSamples = 0;
+
+        static void
+        visit(auto &&f, auto &...s)
+        {
+            f("rca.hits", "region lookups that hit", s.hits...);
+            f("rca.misses", "region lookups that missed", s.misses...);
+            f("rca.allocations", "region entries allocated", s.allocations...);
+            f("rca.evicted_empty", "evicted regions with no cached lines",
+              s.evictedEmpty...);
+            f("rca.evicted_one_line", "evicted regions with one cached line",
+              s.evictedOneLine...);
+            f("rca.evicted_two_lines", "evicted regions with two cached lines",
+              s.evictedTwoLines...);
+            f("rca.evicted_more_lines",
+              "evicted regions with three or more cached lines",
+              s.evictedMoreLines...);
+            f("rca.inclusion_flushed_lines",
+              "cache lines flushed to preserve RCA inclusion",
+              s.inclusionFlushedLines...);
+            f("rca.self_invalidations",
+              "regions invalidated by the zero-line-count mechanism",
+              s.selfInvalidations...);
+            f(nullptr, nullptr, s.lineCountSum...);
+            f(nullptr, nullptr, s.lineCountSamples...);
+        }
     };
 
     Stats &stats() { return stats_; }
     const Stats &stats() const { return stats_; }
     void addStats(StatGroup &group) const;
+
+    /** Lines-at-eviction geometry: one bucket per count, 0..7, overflow. */
+    static constexpr std::uint64_t kEvictedLinesBucketWidth = 1;
+    static constexpr std::size_t kEvictedLinesBuckets = 8;
 
     /** Lines-cached-at-eviction histogram (Section 3.2's Figure 9 data). */
     const Histogram &evictedLinesHistogram() const { return evictedLines_; }
@@ -142,8 +171,7 @@ class RegionCoherenceArray
   private:
     bool favorEmpty_;
     Stats stats_;
-    /** Lines cached at eviction: one bucket per count, 0..7, overflow. */
-    Histogram evictedLines_{1, 8};
+    Histogram evictedLines_{kEvictedLinesBucketWidth, kEvictedLinesBuckets};
     Distribution lifetime_;
     TraceSink *trace_ = nullptr;
     CpuId traceCpu_ = kInvalidCpu;

@@ -153,26 +153,7 @@ RegionScout::transfer(Archive &ar, unsigned /*mem_ctrls*/)
     });
     for (std::uint32_t &c : crh_)
         ar.u32(c);
-    ar.u64(stats_.nsrtHits);
-    ar.u64(stats_.nsrtFills);
-    ar.u64(stats_.nsrtInvalidations);
-    ar.u64(stats_.crhFilteredSnoops);
-}
-
-void
-RegionScout::addStats(StatGroup &group) const
-{
-    group.addScalar("regionscout.nsrt_hits",
-                    "requests routed using an NSRT entry",
-                    &stats_.nsrtHits);
-    group.addScalar("regionscout.nsrt_fills", "NSRT entries installed",
-                    &stats_.nsrtFills);
-    group.addScalar("regionscout.nsrt_invalidations",
-                    "NSRT entries dropped on external activity",
-                    &stats_.nsrtInvalidations);
-    group.addScalar("regionscout.crh_filtered_snoops",
-                    "external snoops answered 'not cached' by the CRH",
-                    &stats_.crhFilteredSnoops);
+    ar.counters(stats_);
 }
 
 } // namespace cgct

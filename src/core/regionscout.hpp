@@ -67,13 +67,28 @@ class RegionScout : public RegionTracker
                                   bool external_gets_exclusive,
                                   Tick now) override;
     RegionState peekState(Addr line_addr) override;
-    void addStats(StatGroup &group) const override;
+    void addStats(StatGroup &g) const override { g.addCounters(stats_); }
 
     struct Stats {
         std::uint64_t nsrtHits = 0;
         std::uint64_t nsrtFills = 0;
         std::uint64_t nsrtInvalidations = 0;
         std::uint64_t crhFilteredSnoops = 0;
+
+        static void
+        visit(auto &&f, auto &...s)
+        {
+            f("regionscout.nsrt_hits", "requests routed using an NSRT entry",
+              s.nsrtHits...);
+            f("regionscout.nsrt_fills", "NSRT entries installed",
+              s.nsrtFills...);
+            f("regionscout.nsrt_invalidations",
+              "NSRT entries dropped on external activity",
+              s.nsrtInvalidations...);
+            f("regionscout.crh_filtered_snoops",
+              "external snoops answered 'not cached' by the CRH",
+              s.crhFilteredSnoops...);
+        }
     };
 
     const Stats &stats() const { return stats_; }

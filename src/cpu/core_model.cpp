@@ -224,10 +224,7 @@ CoreModel::transfer(Archive &ar)
     ar.u64(instructions_);
     ar.u64(memOps_);
     ar.u32(gapCarry_);
-    ar.u64(stats_.ifetchStallCycles);
-    ar.u64(stats_.loadStallCycles);
-    ar.u64(stats_.robStallCycles);
-    ar.u64(stats_.storeStallCycles);
+    ar.counters(stats_);
     ar.expect("sync_stall_cycles", std::uint64_t{0}); // Retired.
     if (!ar.saving()) {
         state_ = State::Finished;
@@ -261,23 +258,6 @@ CoreModel::resume()
         panic("CoreModel: resume on a core that has not drained");
     state_ = State::Running;
     scheduleRun(clock_);
-}
-
-void
-CoreModel::addStats(StatGroup &group) const
-{
-    group.addScalar("ifetch_stall_cycles",
-                    "cycles fetch waited on instruction misses",
-                    &stats_.ifetchStallCycles);
-    group.addScalar("load_stall_cycles",
-                    "cycles serialized on dependent loads",
-                    &stats_.loadStallCycles);
-    group.addScalar("rob_stall_cycles",
-                    "cycles the ROB head load blocked retirement",
-                    &stats_.robStallCycles);
-    group.addScalar("store_stall_cycles",
-                    "cycles stalled on a full store queue",
-                    &stats_.storeStallCycles);
 }
 
 } // namespace cgct

@@ -84,10 +84,25 @@ class CoreModel
         std::uint64_t loadStallCycles = 0;
         std::uint64_t robStallCycles = 0;
         std::uint64_t storeStallCycles = 0;
+
+        static void
+        visit(auto &&f, auto &...s)
+        {
+            f("ifetch_stall_cycles",
+              "cycles fetch waited on instruction misses",
+              s.ifetchStallCycles...);
+            f("load_stall_cycles", "cycles serialized on dependent loads",
+              s.loadStallCycles...);
+            f("rob_stall_cycles",
+              "cycles the ROB head load blocked retirement",
+              s.robStallCycles...);
+            f("store_stall_cycles", "cycles stalled on a full store queue",
+              s.storeStallCycles...);
+        }
     };
 
     const Stats &stats() const { return stats_; }
-    void addStats(StatGroup &group) const;
+    void addStats(StatGroup &group) const { group.addCounters(stats_); }
 
     /**
      * Checkpoint layout. Snapshots are taken at quiescence, so the core

@@ -28,20 +28,7 @@ DataNetwork::transfer(Archive &ar)
               static_cast<std::uint64_t>(linkFree_.size()));
     for (Tick &t : linkFree_)
         ar.u64(t);
-    ar.u64(stats_.transfers);
-    ar.u64(stats_.bytes);
-    ar.u64(stats_.linkWaitCycles);
-}
-
-void
-DataNetwork::addStats(StatGroup &group) const
-{
-    group.addScalar("data_net.transfers", "data transfers delivered",
-                    &stats_.transfers);
-    group.addScalar("data_net.bytes", "total bytes moved", &stats_.bytes);
-    group.addScalar("data_net.link_wait_cycles",
-                    "cycles transfers waited for a busy link",
-                    &stats_.linkWaitCycles);
+    ar.counters(stats_);
 }
 
 } // namespace cgct

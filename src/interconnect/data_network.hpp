@@ -36,11 +36,21 @@ class DataNetwork
         std::uint64_t transfers = 0;
         std::uint64_t bytes = 0;
         std::uint64_t linkWaitCycles = 0;
+
+        static void
+        visit(auto &&f, auto &...s)
+        {
+            f("data_net.transfers", "data transfers delivered",
+              s.transfers...);
+            f("data_net.bytes", "total bytes moved", s.bytes...);
+            f("data_net.link_wait_cycles",
+              "cycles transfers waited for a busy link", s.linkWaitCycles...);
+        }
     };
 
     const Stats &stats() const { return stats_; }
     void resetStats() { stats_ = Stats{}; }
-    void addStats(StatGroup &group) const;
+    void addStats(StatGroup &group) const { group.addCounters(stats_); }
 
     /**
      * Checkpoint layout: per-link busy-until ticks (a link can be

@@ -126,14 +126,13 @@ Interconnect::addCommonStats(StatGroup &group, const std::string &prefix,
 void
 Interconnect::transferStats(Archive &ar, bool domain_counters)
 {
-    ar.u64(stats_.broadcasts);
-    ar.u64(stats_.queueCycles);
-    ar.u64(stats_.cacheToCache);
-    ar.u64(stats_.memorySupplied);
-    if (domain_counters) {
-        ar.u64(stats_.localResolves);
-        ar.u64(stats_.interChip);
-    }
+    std::size_t i = 0;
+    Stats::visit(
+        [&](const char *, const char *, std::uint64_t &v) {
+            if (domain_counters || i++ < Stats::kFlatCounters)
+                ar.u64(v);
+        },
+        stats_);
     traffic_.transfer(ar);
 }
 

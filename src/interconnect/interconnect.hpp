@@ -157,6 +157,20 @@ class Interconnect
         std::uint64_t localResolves = 0;
         /** Requests that crossed the inter-chip level. */
         std::uint64_t interChip = 0;
+
+        /** Each topology names these in its own --stats lines. */
+        static void
+        visit(auto &&f, auto &...s)
+        {
+            f(nullptr, nullptr, s.broadcasts...);
+            f(nullptr, nullptr, s.queueCycles...);
+            f(nullptr, nullptr, s.cacheToCache...);
+            f(nullptr, nullptr, s.memorySupplied...);
+            f(nullptr, nullptr, s.localResolves...);
+            f(nullptr, nullptr, s.interChip...);
+        }
+        /** The list prefix the flat bus checkpoints (transferStats). */
+        static constexpr std::size_t kFlatCounters = 4;
     };
 
     const Stats &stats() const { return stats_; }
@@ -256,7 +270,8 @@ class Interconnect
     /**
      * Checkpoint layout of the counters and traffic windows every
      * topology keeps. The flat bus has no snoop domains, so it stores
-     * neither localResolves nor interChip (@p domain_counters false).
+     * only the list's first Stats::kFlatCounters, leaving out
+     * localResolves and interChip (@p domain_counters false).
      */
     void transferStats(Archive &ar, bool domain_counters);
 

@@ -1,7 +1,5 @@
 #include "mem/memory_controller.hpp"
 
-#include <string>
-
 #include "common/trace_sink.hpp"
 #include "snapshot/serializer.hpp"
 
@@ -53,27 +51,7 @@ void
 MemoryController::transfer(Archive &ar)
 {
     ar.u64(nextFreeSlot_);
-    ar.u64(stats_.overlappedReads);
-    ar.u64(stats_.directReads);
-    ar.u64(stats_.writebacks);
-    ar.u64(stats_.queuedCycles);
-}
-
-void
-MemoryController::addStats(StatGroup &group) const
-{
-    const std::string p = "mc" + std::to_string(id_) + ".";
-    group.addScalar(p + "overlapped_reads",
-                    "reads serviced with snoop-overlapped DRAM access",
-                    &stats_.overlappedReads);
-    group.addScalar(p + "direct_reads",
-                    "reads serviced by CGCT direct requests",
-                    &stats_.directReads);
-    group.addScalar(p + "writebacks", "write-backs sunk",
-                    &stats_.writebacks);
-    group.addScalar(p + "queued_cycles",
-                    "total cycles requests waited for an initiation slot",
-                    &stats_.queuedCycles);
+    ar.counters(stats_);
 }
 
 } // namespace cgct

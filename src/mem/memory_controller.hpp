@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 
 #include "common/config.hpp"
 #include "common/stats.hpp"
@@ -59,13 +60,31 @@ class MemoryController
     MemCtrlId id() const { return id_; }
 
     /** Register this controller's statistics into @p group. */
-    void addStats(StatGroup &group) const;
+    void
+    addStats(StatGroup &group) const
+    {
+        group.addCounters(stats_, "mc" + std::to_string(id_) + ".");
+    }
 
     struct Stats {
         std::uint64_t overlappedReads = 0;
         std::uint64_t directReads = 0;
         std::uint64_t writebacks = 0;
         std::uint64_t queuedCycles = 0;   ///< Total cycles spent queued.
+
+        static void
+        visit(auto &&f, auto &...s)
+        {
+            f("overlapped_reads",
+              "reads serviced with snoop-overlapped DRAM access",
+              s.overlappedReads...);
+            f("direct_reads", "reads serviced by CGCT direct requests",
+              s.directReads...);
+            f("writebacks", "write-backs sunk", s.writebacks...);
+            f("queued_cycles",
+              "total cycles requests waited for an initiation slot",
+              s.queuedCycles...);
+        }
     };
 
     const Stats &stats() const { return stats_; }

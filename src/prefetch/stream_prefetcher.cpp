@@ -126,20 +126,6 @@ StreamPrefetcher::observe(Addr line_addr, bool is_store, bool was_miss,
 }
 
 void
-StreamPrefetcher::addStats(StatGroup &group) const
-{
-    group.addScalar("prefetch.streams_allocated",
-                    "stream table entries trained",
-                    &stats_.streamsAllocated);
-    group.addScalar("prefetch.streams_confirmed",
-                    "streams that reached confirmed state",
-                    &stats_.streamsConfirmed);
-    group.addScalar("prefetch.requests",
-                    "prefetch candidates handed to the cache",
-                    &stats_.prefetchesRequested);
-}
-
-void
 StreamPrefetcher::transfer(Archive &ar)
 {
     ar.expect("prefetcher streams",
@@ -154,9 +140,7 @@ StreamPrefetcher::transfer(Archive &ar)
         ar.u64(st.lastUse);
     }
     ar.u64(useClock_);
-    ar.u64(stats_.streamsAllocated);
-    ar.u64(stats_.streamsConfirmed);
-    ar.u64(stats_.prefetchesRequested);
+    ar.counters(stats_);
 }
 
 } // namespace cgct

@@ -46,10 +46,21 @@ class StreamPrefetcher
         std::uint64_t streamsAllocated = 0;
         std::uint64_t streamsConfirmed = 0;
         std::uint64_t prefetchesRequested = 0;
+
+        static void
+        visit(auto &&f, auto &...s)
+        {
+            f("prefetch.streams_allocated", "stream table entries trained",
+              s.streamsAllocated...);
+            f("prefetch.streams_confirmed",
+              "streams that reached confirmed state", s.streamsConfirmed...);
+            f("prefetch.requests", "prefetch candidates handed to the cache",
+              s.prefetchesRequested...);
+        }
     };
 
     const Stats &stats() const { return stats_; }
-    void addStats(StatGroup &group) const;
+    void addStats(StatGroup &group) const { group.addCounters(stats_); }
 
     /** Checkpoint layout: stream table, use clock and statistics. */
     void transfer(Archive &ar);

@@ -67,24 +67,7 @@ void
 DmaEngine::transfer(Archive &ar)
 {
     rng_.transfer(ar);
-    ar.u64(stats_.transfers);
-    ar.u64(stats_.readLines);
-    ar.u64(stats_.writeLines);
-    ar.u64(stats_.dirtyHits);
-}
-
-void
-DmaEngine::addStats(StatGroup &group) const
-{
-    group.addScalar("dma.transfers", "DMA buffer transfers issued",
-                    &stats_.transfers);
-    group.addScalar("dma.read_lines", "lines read from memory by DMA",
-                    &stats_.readLines);
-    group.addScalar("dma.write_lines", "lines written to memory by DMA",
-                    &stats_.writeLines);
-    group.addScalar("dma.dirty_hits",
-                    "DMA reads that found a dirty cached copy",
-                    &stats_.dirtyHits);
+    ar.counters(stats_);
 }
 
 } // namespace cgct

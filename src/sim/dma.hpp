@@ -53,10 +53,22 @@ class DmaEngine
         std::uint64_t readLines = 0;
         std::uint64_t writeLines = 0;
         std::uint64_t dirtyHits = 0;   ///< Reads that found dirty data.
+
+        static void
+        visit(auto &&f, auto &...s)
+        {
+            f("dma.transfers", "DMA buffer transfers issued", s.transfers...);
+            f("dma.read_lines", "lines read from memory by DMA",
+              s.readLines...);
+            f("dma.write_lines", "lines written to memory by DMA",
+              s.writeLines...);
+            f("dma.dirty_hits", "DMA reads that found a dirty cached copy",
+              s.dirtyHits...);
+        }
     };
 
     const Stats &stats() const { return stats_; }
-    void addStats(StatGroup &group) const;
+    void addStats(StatGroup &group) const { group.addCounters(stats_); }
 
     /**
      * Checkpoint layout: the RNG stream and counters. The pending

@@ -843,24 +843,7 @@ Node::transfer(Archive &ar)
     mshr_.transfer(ar);
     prefetcher_.transfer(ar);
     ar.u64(l2TagBusy_);
-    ar.u64(stats_.requestsTotal);
-    ar.u64(stats_.broadcasts);
-    ar.u64(stats_.directs);
-    ar.u64(stats_.localCompletes);
-    for (std::size_t i = 0; i < Stats::kNumCat; ++i) {
-        ar.u64(stats_.broadcastsByCat[i]);
-        ar.u64(stats_.directsByCat[i]);
-        ar.u64(stats_.localByCat[i]);
-    }
-    ar.u64(stats_.writebacksIssued);
-    ar.u64(stats_.demandMisses);
-    ar.u64(stats_.prefetchesIssued);
-    ar.u64(stats_.upgradeRaces);
-    ar.u64(stats_.inclusionWritebacks);
-    ar.u64(stats_.snoopsReceived);
-    ar.u64(stats_.tagWaitCycles);
-    ar.u64(stats_.memLatencySum);
-    ar.u64(stats_.memLatencyCount);
+    ar.counters(stats_);
     missLatencyHist_.transfer(ar);
 }
 
@@ -877,33 +860,7 @@ Node::resetStats()
 void
 Node::addStats(StatGroup &group) const
 {
-    group.addScalar("requests_total", "system requests issued",
-                    &stats_.requestsTotal);
-    group.addScalar("broadcasts", "requests broadcast",
-                    &stats_.broadcasts);
-    group.addScalar("directs", "requests sent directly to memory",
-                    &stats_.directs);
-    group.addScalar("local_completes",
-                    "requests completed with no external request",
-                    &stats_.localCompletes);
-    group.addScalar("writebacks", "write-backs issued",
-                    &stats_.writebacksIssued);
-    group.addScalar("demand_misses", "demand L2 misses",
-                    &stats_.demandMisses);
-    group.addScalar("prefetches", "prefetches issued",
-                    &stats_.prefetchesIssued);
-    group.addScalar("upgrade_races",
-                    "upgrades that lost the line before resolving",
-                    &stats_.upgradeRaces);
-    group.addScalar("inclusion_writebacks",
-                    "lines flushed by region evictions",
-                    &stats_.inclusionWritebacks);
-    group.addScalar("snoops_received",
-                    "external snoops that probed this node's tags",
-                    &stats_.snoopsReceived);
-    group.addScalar("tag_wait_cycles",
-                    "cycles local accesses waited behind snoop lookups",
-                    &stats_.tagWaitCycles);
+    group.addCounters(stats_);
     group.addDerived("avg_miss_latency",
                      "average demand miss latency (cycles)",
                      [this] {

@@ -140,16 +140,13 @@ class Node : public SnoopClient
 
     /** Per-node request statistics, broken down for Figures 2 and 7. */
     struct Stats {
-        static constexpr std::size_t kNumCat =
-            static_cast<std::size_t>(RequestCategory::NumCategories);
-
         std::uint64_t requestsTotal = 0;     ///< All system requests.
         std::uint64_t broadcasts = 0;
         std::uint64_t directs = 0;
         std::uint64_t localCompletes = 0;
-        std::uint64_t broadcastsByCat[kNumCat] = {};
-        std::uint64_t directsByCat[kNumCat] = {};
-        std::uint64_t localByCat[kNumCat] = {};
+        std::uint64_t broadcastsByCat[kNumCategories] = {};
+        std::uint64_t directsByCat[kNumCategories] = {};
+        std::uint64_t localByCat[kNumCategories] = {};
         std::uint64_t writebacksIssued = 0;
         std::uint64_t demandMisses = 0;
         std::uint64_t prefetchesIssued = 0;
@@ -160,6 +157,37 @@ class Node : public SnoopClient
                                              ///< behind snoop lookups.
         std::uint64_t memLatencySum = 0;     ///< Demand-miss latency.
         std::uint64_t memLatencyCount = 0;
+
+        /** The per-category counters interleave, as in the checkpoint. */
+        static void
+        visit(auto &&f, auto &...s)
+        {
+            f("requests_total", "system requests issued", s.requestsTotal...);
+            f("broadcasts", "requests broadcast", s.broadcasts...);
+            f("directs", "requests sent directly to memory", s.directs...);
+            f("local_completes", "requests completed with no external request",
+              s.localCompletes...);
+            for (std::size_t i = 0; i < kNumCategories; ++i) {
+                f(nullptr, nullptr, s.broadcastsByCat[i]...);
+                f(nullptr, nullptr, s.directsByCat[i]...);
+                f(nullptr, nullptr, s.localByCat[i]...);
+            }
+            f("writebacks", "write-backs issued", s.writebacksIssued...);
+            f("demand_misses", "demand L2 misses", s.demandMisses...);
+            f("prefetches", "prefetches issued", s.prefetchesIssued...);
+            f("upgrade_races", "upgrades that lost the line before resolving",
+              s.upgradeRaces...);
+            f("inclusion_writebacks", "lines flushed by region evictions",
+              s.inclusionWritebacks...);
+            f("snoops_received",
+              "external snoops that probed this node's tags",
+              s.snoopsReceived...);
+            f("tag_wait_cycles",
+              "cycles local accesses waited behind snoop lookups",
+              s.tagWaitCycles...);
+            f(nullptr, nullptr, s.memLatencySum...);
+            f(nullptr, nullptr, s.memLatencyCount...);
+        }
     };
 
     const Stats &stats() const { return stats_; }

@@ -25,6 +25,7 @@
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "coherence/snoop.hpp"
+#include "snapshot/serializer.hpp"
 
 namespace cgct {
 
@@ -44,33 +45,49 @@ class Oracle
         std::uint64_t unnecessary = 0;
     };
 
+    struct Stats {
+        Counts byCat[kNumCategories];
+        std::uint64_t total = 0;
+        std::uint64_t unnecessary = 0;
+
+        static void
+        visit(auto &&f, auto &...s)
+        {
+            for (std::size_t i = 0; i < kNumCategories; ++i) {
+                f(nullptr, nullptr, s.byCat[i].total...);
+                f(nullptr, nullptr, s.byCat[i].unnecessary...);
+            }
+            f("oracle.broadcasts", "broadcasts observed", s.total...);
+            f("oracle.unnecessary", "broadcasts an oracle would have avoided",
+              s.unnecessary...);
+        }
+    };
+
     const Counts &
     category(RequestCategory cat) const
     {
-        return byCat_[static_cast<std::size_t>(cat)];
+        return stats_.byCat[static_cast<std::size_t>(cat)];
     }
 
-    std::uint64_t total() const { return total_; }
-    std::uint64_t unnecessary() const { return unnecessary_; }
+    std::uint64_t total() const { return stats_.total; }
+    std::uint64_t unnecessary() const { return stats_.unnecessary; }
 
     double
     unnecessaryFraction() const
     {
-        return total_ ? static_cast<double>(unnecessary_) /
-                            static_cast<double>(total_)
-                      : 0.0;
+        return stats_.total ? static_cast<double>(stats_.unnecessary) /
+                                  static_cast<double>(stats_.total)
+                            : 0.0;
     }
 
-    void reset();
+    void reset() { stats_ = Stats{}; }
     void addStats(StatGroup &group) const;
 
-    /** Checkpoint layout: per-category and total tallies. */
-    void transfer(Archive &ar);
+    /** Checkpoint layout: the counter list. */
+    void transfer(Archive &ar) { ar.counters(stats_); }
 
   private:
-    Counts byCat_[static_cast<std::size_t>(RequestCategory::NumCategories)];
-    std::uint64_t total_ = 0;
-    std::uint64_t unnecessary_ = 0;
+    Stats stats_;
 };
 
 } // namespace cgct

@@ -3,8 +3,11 @@
  * The one list of RunResult fields: visitFields() names each member once,
  * in result codec order, with its JSON key, sweep CSV column and
  * counting window. The result codec, toJson, the sweep CSV and the
- * sampled aggregation all walk it, so a result field is added here and in
- * collectRunResult only (docs/SWEEP.md, "Result fields").
+ * sampled aggregation all walk it. A counter is one line in its
+ * component's list (common/stats.hpp), which carries it to --stats, the
+ * checkpoint and System::totals(); a field reporting it is one line here,
+ * and collectRunResult reads it from the totals (docs/SWEEP.md, "Result
+ * fields").
  */
 
 #pragma once

@@ -6,6 +6,26 @@
 
 namespace cgct {
 
+namespace {
+
+HistogramSnapshot
+snapshot(const char *name, const char *desc, const Histogram &h)
+{
+    HistogramSnapshot s{name, desc, h.bucketWidth(), h.samples(), h.sum(),
+                        {}};
+    for (std::size_t i = 0; i < h.numBuckets(); ++i)
+        s.buckets.push_back(h.bucketCount(i));
+    return s;
+}
+
+DistributionSnapshot
+snapshot(const char *name, const char *desc, const Distribution &d)
+{
+    return {name, desc, d.samples(), d.min(), d.max(), d.mean(), d.stddev()};
+}
+
+} // namespace
+
 void
 scheduleWarmupCheck(System &sys, std::function<std::uint64_t()> min_ops,
                     std::uint64_t warmup_ops, Tick *measure_start,
@@ -26,9 +46,7 @@ scheduleWarmupCheck(System &sys, std::function<std::uint64_t()> min_ops,
                 *done = true;
             return; // Warmed up: stop checking.
         }
-        if (!sys.allCoresFinished())
-            scheduleWarmupCheck(sys, min_ops, warmup_ops, measure_start,
-                                done);
+        scheduleWarmupCheck(sys, min_ops, warmup_ops, measure_start, done);
     });
 }
 
@@ -76,62 +94,35 @@ collectRunResult(System &sys, const std::string &workload_name,
     r.seed = seed;
     r.cycles = sys.maxCoreClock() - measure_start;
 
-    for (unsigned i = 0; i < sys.numCpus(); ++i) {
-        const Node::Stats &ns = sys.node(i).stats();
-        r.requestsTotal += ns.requestsTotal;
-        r.broadcasts += ns.broadcasts;
-        r.directs += ns.directs;
-        r.locals += ns.localCompletes;
-        r.writebacks += ns.writebacksIssued;
-        for (std::size_t c = 0; c < RunResult::kNumCat; ++c) {
-            r.broadcastsByCat[c] += ns.broadcastsByCat[c];
-            r.directsByCat[c] += ns.directsByCat[c];
-            r.localsByCat[c] += ns.localByCat[c];
-        }
-        r.inclusionWritebacks += ns.inclusionWritebacks;
-        r.instructions += sys.core(i).instructions();
+    const System::Totals t = sys.totals();
+    r.requestsTotal = t.node.requestsTotal;
+    r.broadcasts = t.node.broadcasts;
+    r.directs = t.node.directs;
+    r.locals = t.node.localCompletes;
+    r.writebacks = t.node.writebacksIssued;
+    for (std::size_t c = 0; c < RunResult::kNumCat; ++c) {
+        r.broadcastsByCat[c] = t.node.broadcastsByCat[c];
+        r.directsByCat[c] = t.node.directsByCat[c];
+        r.localsByCat[c] = t.node.localByCat[c];
     }
+    r.inclusionWritebacks = t.node.inclusionWritebacks;
+    r.instructions = t.instructions;
 
-    // Each CGCT controller once: with sharedPerChip the chip's cores
-    // share one.
-    std::vector<const CgctController *> ctrls;
-    for (const System::OwnedTracker &t : sys.trackers())
-        if (const auto *c = dynamic_cast<const CgctController *>(t.tracker))
-            ctrls.push_back(c);
-    for (const CgctController *c : ctrls) {
-        const auto &rs = c->rca().stats();
-        r.rcaEvictedEmpty += rs.evictedEmpty;
-        r.rcaEvictedOne += rs.evictedOneLine;
-        r.rcaEvictedTwo += rs.evictedTwoLines;
-        r.rcaEvictedMore += rs.evictedMoreLines;
-        r.rcaSelfInvalidations += rs.selfInvalidations;
-        if (rs.lineCountSamples > 0) {
-            r.avgLinesPerEvictedRegion +=
-                static_cast<double>(rs.lineCountSum) /
-                static_cast<double>(rs.lineCountSamples);
-        }
-    }
-    if (!ctrls.empty())
-        r.avgLinesPerEvictedRegion /= static_cast<double>(ctrls.size());
+    r.rcaEvictedEmpty = t.rca.evictedEmpty;
+    r.rcaEvictedOne = t.rca.evictedOneLine;
+    r.rcaEvictedTwo = t.rca.evictedTwoLines;
+    r.rcaEvictedMore = t.rca.evictedMoreLines;
+    r.rcaSelfInvalidations = t.rca.selfInvalidations;
+    r.avgLinesPerEvictedRegion = t.avgLinesPerEvictedRegion;
 
-    // Convert the accumulators into proper averages.
-    {
-        std::uint64_t probes = 0;
-        std::uint64_t lat_count = 0;
-        double lat_sum = 0.0;
-        double misses = 0.0;
-        for (unsigned i = 0; i < sys.numCpus(); ++i) {
-            const Cache::Stats &l2s = sys.node(i).l2().stats();
-            probes += l2s.hits + l2s.misses;
-            misses += static_cast<double>(l2s.misses);
-            lat_sum += static_cast<double>(sys.node(i).stats().memLatencySum);
-            lat_count += sys.node(i).stats().memLatencyCount;
-        }
-        r.l2MissRatio = probes ? misses / static_cast<double>(probes) : 0.0;
-        r.avgMissLatency = lat_count
-                               ? lat_sum / static_cast<double>(lat_count)
-                               : 0.0;
-    }
+    const std::uint64_t probes = t.l2.hits + t.l2.misses;
+    r.l2MissRatio = probes ? static_cast<double>(t.l2.misses) /
+                                 static_cast<double>(probes)
+                           : 0.0;
+    r.avgMissLatency = t.node.memLatencyCount
+                           ? static_cast<double>(t.node.memLatencySum) /
+                                 static_cast<double>(t.node.memLatencyCount)
+                           : 0.0;
 
     const Oracle &oracle = sys.oracle();
     r.oracleTotal = oracle.total();
@@ -154,50 +145,20 @@ collectRunResult(System &sys, const std::string &workload_name,
     r.localResolves = sys.bus().localDomainResolves();
     r.interChipBroadcasts = sys.bus().interChipBroadcasts();
 
-    // Aggregate the observability histograms/distributions system-wide.
-    {
-        auto snapshotHist = [](std::string name, std::string desc,
-                               const Histogram &h) {
-            HistogramSnapshot s;
-            s.name = std::move(name);
-            s.desc = std::move(desc);
-            s.bucketWidth = h.bucketWidth();
-            s.samples = h.samples();
-            s.sum = h.sum();
-            s.buckets.resize(h.numBuckets());
-            for (std::size_t i = 0; i < h.numBuckets(); ++i)
-                s.buckets[i] = h.bucketCount(i);
-            return s;
-        };
-
-        Histogram miss(Node::kMissLatencyBucketWidth,
-                       Node::kMissLatencyBuckets);
-        for (unsigned i = 0; i < sys.numCpus(); ++i)
-            miss.merge(sys.node(i).missLatencyHistogram());
-        r.histograms.push_back(snapshotHist(
-            "node.miss_latency",
-            "demand miss latency distribution (cycles)", miss));
-
-        if (!ctrls.empty()) {
-            Histogram lines = ctrls.front()->rca().evictedLinesHistogram();
-            Distribution life = ctrls.front()->rca().regionLifetime();
-            for (std::size_t i = 1; i < ctrls.size(); ++i) {
-                lines.merge(ctrls[i]->rca().evictedLinesHistogram());
-                life.merge(ctrls[i]->rca().regionLifetime());
-            }
-            r.histograms.push_back(snapshotHist(
-                "rca.lines_at_eviction",
-                "lines cached per region at eviction", lines));
-            DistributionSnapshot d;
-            d.name = "rca.region_lifetime";
-            d.desc = "allocation-to-eviction region lifetime (cycles)";
-            d.samples = life.samples();
-            d.min = life.min();
-            d.max = life.max();
-            d.mean = life.mean();
-            d.stddev = life.stddev();
-            r.distributions.push_back(std::move(d));
-        }
+    // The observability histograms/distributions, system-wide.
+    r.histograms.push_back(snapshot("node.miss_latency",
+                                    "demand miss latency distribution "
+                                    "(cycles)",
+                                    t.missLatency));
+    if (t.rcas > 0) {
+        r.histograms.push_back(snapshot("rca.lines_at_eviction",
+                                        "lines cached per region at "
+                                        "eviction",
+                                        t.rcaLinesAtEviction));
+        r.distributions.push_back(snapshot("rca.region_lifetime",
+                                           "allocation-to-eviction region "
+                                           "lifetime (cycles)",
+                                           t.rcaLifetime));
     }
 
     // End-of-run invariant sweep over every region still live anywhere.

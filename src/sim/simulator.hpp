@@ -93,8 +93,7 @@ struct SamplingInfo {
  * lists each member once with its output names and counting window.
  */
 struct RunResult {
-    static constexpr std::size_t kNumCat =
-        static_cast<std::size_t>(RequestCategory::NumCategories);
+    static constexpr std::size_t kNumCat = kNumCategories;
 
     std::string workload;
     std::uint64_t regionBytes = 0;   ///< 0 = baseline (CGCT off).

@@ -160,6 +160,41 @@ System::maxCoreClock() const
     return m;
 }
 
+System::Totals
+System::totals() const
+{
+    Totals t;
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+        const Node &n = *nodes_[i];
+        t.node += n.stats();
+        t.l1i += n.l1i().stats();
+        t.l1d += n.l1d().stats();
+        t.l2 += n.l2().stats();
+        t.instructions += cores_[i]->instructions();
+        t.missLatency.merge(n.missLatencyHistogram());
+    }
+    for (const auto &mc : memCtrls_)
+        t.mem += mc->stats();
+    for (const OwnedTracker &owned : trackers_) {
+        const auto *c = dynamic_cast<const CgctController *>(owned.tracker);
+        if (!c)
+            continue;
+        const RegionCoherenceArray &rca = c->rca();
+        const RegionCoherenceArray::Stats &rs = rca.stats();
+        ++t.rcas;
+        t.rca += rs;
+        if (rs.lineCountSamples > 0)
+            t.avgLinesPerEvictedRegion +=
+                static_cast<double>(rs.lineCountSum) /
+                static_cast<double>(rs.lineCountSamples);
+        t.rcaLinesAtEviction.merge(rca.evictedLinesHistogram());
+        t.rcaLifetime.merge(rca.regionLifetime());
+    }
+    if (t.rcas > 0)
+        t.avgLinesPerEvictedRegion /= static_cast<double>(t.rcas);
+    return t;
+}
+
 void
 System::resetStats(Tick now)
 {

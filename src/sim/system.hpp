@@ -81,19 +81,6 @@ class System
         return static_cast<unsigned>(memCtrls_.size());
     }
 
-    /** A region tracker and the first core that owns it. */
-    struct OwnedTracker {
-        unsigned firstOwner;
-        RegionTracker *tracker;
-    };
-
-    /**
-     * Every distinct region tracker, in core order: a chip-shared
-     * tracker appears once, under its first owner. Empty when no core
-     * tracks regions.
-     */
-    const std::vector<OwnedTracker> &trackers() const { return trackers_; }
-
     /** The DMA engine, or nullptr when config.dma.enabled is false. */
     DmaEngine *dma() { return dma_.get(); }
 
@@ -111,6 +98,26 @@ class System
 
     bool allCoresFinished() const;
     Tick maxCoreClock() const;
+
+    /** The run totals: each component's counters summed over its
+     *  instances (a chip-shared RCA once), and its histograms merged. */
+    struct Totals {
+        Node::Stats node;
+        Cache::Stats l1i, l1d, l2;
+        MemoryController::Stats mem;
+        std::uint64_t instructions = 0;   ///< Retired over the cores.
+        Histogram missLatency{Node::kMissLatencyBucketWidth,
+                              Node::kMissLatencyBuckets};
+        unsigned rcas = 0;                ///< Distinct RCAs summed.
+        RegionCoherenceArray::Stats rca;
+        /** Mean of each RCA's lines per evicted region (not of sums). */
+        double avgLinesPerEvictedRegion = 0.0;
+        Histogram rcaLinesAtEviction{
+            RegionCoherenceArray::kEvictedLinesBucketWidth,
+            RegionCoherenceArray::kEvictedLinesBuckets};
+        Distribution rcaLifetime;
+    };
+    Totals totals() const;
 
     /**
      * Switch the whole machine into (or out of) functional mode for
@@ -160,6 +167,13 @@ class System
     std::unique_ptr<Interconnect> bus_;
     std::vector<std::unique_ptr<Node>> nodes_;
     std::vector<std::unique_ptr<CoreModel>> cores_;
+    /** A region tracker and the first core that owns it. */
+    struct OwnedTracker {
+        unsigned firstOwner;
+        RegionTracker *tracker;
+    };
+    /** Every distinct region tracker, in core order: a chip-shared
+     *  tracker appears once, under its first owner. */
     std::vector<OwnedTracker> trackers_;
     Oracle oracle_;
     std::unique_ptr<DmaEngine> dma_;

@@ -232,7 +232,7 @@ class Deserializer {
  * archive's direction, fixed at construction, decides whether each
  * field is written or read:
  *
- *     ar.u64(stats_.hits);   // saves stats_.hits, or loads it
+ *     ar.u64(nextFreeSlot_);   // saves nextFreeSlot_, or loads it
  *
  * Primitives take references and store the named width (enums and
  * narrower integers are cast). On load, the checks that make a crafted
@@ -260,6 +260,16 @@ class Archive
     /** Also the layout of signed fields (two's complement, i64). */
     template <class T> void u64(T &v) { field<std::uint64_t>(v); }
     void b(bool &v) { field<std::uint8_t>(v); }
+    /** Every counter of a component's list (CounterList, common/stats.hpp)
+     *  as a u64, in list order. */
+    template <class S>
+    void
+    counters(S &s)
+    {
+        S::visit([this](const char *, const char *,
+                        std::uint64_t &v) { u64(v); },
+                 s);
+    }
     /** Raw IEEE-754 bit pattern — bit-exact round trip. */
     void f64(double &v);
     void str(std::string &v);

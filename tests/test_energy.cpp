@@ -52,6 +52,25 @@ TEST(Energy, BaselineHasNoRcaEnergy)
     EXPECT_GT(e.cacheAccess, 0.0);
 }
 
+TEST(Energy, SharedRcaBreakdownPin)
+{
+    // Each component as an exact double, on a cell whose chip-shared
+    // RCAs serve two cores each: a shared array counts once.
+    SystemConfig config = makeDefaultConfig().withCgct(512, 256, 2);
+    config.cgct.sharedPerChip = true;
+    SyntheticWorkload wl(benchmarkByName("tpc-w"), 4, 6000, 21);
+    System sys(config, wl);
+    sys.start();
+    sys.eq().run();
+    const EnergyBreakdown e = computeEnergy(sys);
+    EXPECT_EQ(e.tagLookups, 1866.6000000000001);
+    EXPECT_EQ(e.cacheAccess, 13931.200000000001);
+    EXPECT_EQ(e.network, 21583.200000000001);
+    EXPECT_EQ(e.dram, 185328.0);
+    EXPECT_EQ(e.dataTransfer, 6625.9200000000001);
+    EXPECT_EQ(e.rca, 6473.3100000000004);
+}
+
 TEST(Energy, CgctSpendsOnRcaButSavesNetworkAndTags)
 {
     const EnergyBreakdown base = runEnergy(false, 10000);

@@ -1,17 +1,89 @@
 /**
  * @file
- * Tests for the statistics framework: StatGroup rendering, histograms, and
- * the Figure 10 interval traffic tracker.
+ * Tests for the statistics framework: the components' counter lists,
+ * StatGroup rendering, histograms, and the Figure 10 interval traffic
+ * tracker.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <vector>
 
 #include "common/stats.hpp"
+#include "core/regionscout.hpp"
+#include "cpu/core_model.hpp"
+#include "sim/dma.hpp"
+#include "sim/node.hpp"
+#include "sim/oracle.hpp"
 
 namespace cgct {
 namespace {
+
+/** Each counter of @p S once: the words its list visits tile the struct. */
+template <typename S>
+void
+expectListCoversEveryMember(const char *name)
+{
+    S s{};
+    const auto *base = reinterpret_cast<const char *>(&s);
+    std::vector<std::ptrdiff_t> offsets;
+    S::visit(
+        [&](const char *, const char *, const std::uint64_t &v) {
+            offsets.push_back(reinterpret_cast<const char *>(&v) - base);
+        },
+        s);
+    ASSERT_EQ(offsets.size(), sizeof(S) / sizeof(std::uint64_t)) << name;
+    std::sort(offsets.begin(), offsets.end());
+    for (std::size_t i = 0; i < offsets.size(); ++i)
+        EXPECT_EQ(offsets[i], static_cast<std::ptrdiff_t>(
+                                  i * sizeof(std::uint64_t)))
+            << name << " word " << i;
+}
+
+TEST(Counters, ListCoversEveryMember)
+{
+    // A counter left off its list would drop out of the checkpoint,
+    // --stats and the run totals.
+    expectListCoversEveryMember<Node::Stats>("Node");
+    expectListCoversEveryMember<Cache::Stats>("Cache");
+    expectListCoversEveryMember<RegionCoherenceArray::Stats>("RCA");
+    expectListCoversEveryMember<StreamPrefetcher::Stats>("StreamPrefetcher");
+    expectListCoversEveryMember<MemoryController::Stats>("MemoryController");
+    expectListCoversEveryMember<CoreModel::Stats>("CoreModel");
+    expectListCoversEveryMember<DataNetwork::Stats>("DataNetwork");
+    expectListCoversEveryMember<DmaEngine::Stats>("DmaEngine");
+    expectListCoversEveryMember<RegionScout::Stats>("RegionScout");
+    expectListCoversEveryMember<Interconnect::Stats>("Interconnect");
+    expectListCoversEveryMember<Oracle::Stats>("Oracle");
+}
+
+TEST(Counters, SumAndTextWalkTheList)
+{
+    Cache::Stats a, b;
+    a.hits = 1;
+    a.invalidations = 2;
+    b.hits = 10;
+    b.fills = 20;
+    a += b;
+    EXPECT_EQ(a.hits, 11u);
+    EXPECT_EQ(a.fills, 20u);
+    EXPECT_EQ(a.invalidations, 2u);
+    EXPECT_EQ(b.hits, 10u);
+
+    // Named counters print under the prefix; unnamed ones do not.
+    RegionCoherenceArray::Stats rs;
+    rs.evictedEmpty = 5;
+    rs.lineCountSum = 9;
+    StatGroup g("grp");
+    g.addCounters(rs, "x.");
+    std::ostringstream os;
+    g.dump(os);
+    const std::string out = os.str();
+    EXPECT_NE(out.find("grp.x.rca.evicted_empty"), std::string::npos);
+    EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 9);
+}
 
 TEST(StatGroup, RendersScalarsAndDerived)
 {

@@ -20,8 +20,9 @@
 #      tests/golden.hpp and every SamplingPin case, each with its value.
 #   3. Every trace event type in the CGCT_TRACE_EVENT_TYPES X-macro
 #      (src/common/trace_sink.hpp) must be documented in docs/TRACING.md.
-#   4. Every histogram/distribution stat registered through
-#      addHistogram/addDistribution must be documented in docs/TRACING.md.
+#   4. Every histogram/distribution stat (a name passed to addHistogram,
+#      addDistribution or collectRunResult's snapshot, the call wrapped or
+#      not) must be documented in docs/TRACING.md; finding none fails.
 #   5. docs/ARCHITECTURE.md must exist and be cross-linked from
 #      README.md, DESIGN.md, docs/PERF.md, and docs/SWEEP.md.
 #   6. docs/SNAPSHOT.md must cover the checkpoint format and flags,
@@ -236,9 +237,14 @@ else
         fi
     done
 
-    stat_names=$(grep -rhoE \
-        'add(Histogram|Distribution)\("[A-Za-z0-9_.]+"' "$root/src" |
-        sed -E 's/.*\("([A-Za-z0-9_.]+)"/\1/' | sort -u)
+    stat_names=$(grep -rhozE \
+        '(add(Histogram|Distribution)|snapshot)\(\s*"[a-z_.]+"' "$root/src" |
+        tr '\0\n' '\n ' | sed -E 's/.*"([a-z_.]+)"/\1/' | sort -u)
+    if [ -z "$stat_names" ]; then
+        echo "check_docs: found no histogram/distribution stats in src/" \
+             "(registrations moved?)" >&2
+        fail=1
+    fi
     for stat in $stat_names; do
         if ! grep -q -- "$stat" "$trace_doc"; then
             echo "check_docs: histogram/distribution stat $stat is not" \

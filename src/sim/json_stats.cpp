@@ -173,7 +173,7 @@ toJson(const RunResult &r, const std::string &indent)
             [&](std::initializer_list<CategoryField> arrays) {
                 for (const CategoryField &a : arrays)
                     if (a.field.group == group)
-                        w.array(a.field.json, r.*a.member, RunResult::kNumCat);
+                        w.array(a.field.json, r.*a.member, kNumCategories);
             }});
         if (kGroupNames[g])
             w.close();

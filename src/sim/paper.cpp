@@ -243,7 +243,7 @@ renderFig2(const Data &d)
         Cells c{f0(m.mean(i, 0, [](const RunResult &r) {
             return static_cast<double>(r.oracleTotal);
         }))};
-        for (std::size_t k = 0; k < RunResult::kNumCat; ++k)
+        for (std::size_t k = 0; k < kNumCategories; ++k)
             c.push_back(f1(pct(m.mean(i, 0, [k](const RunResult &r) {
                 return static_cast<double>(r.oracleUnnecessaryByCat[k]) /
                        static_cast<double>(r.oracleTotal);

@@ -56,7 +56,7 @@ struct Field {
  *  interleaves them per category, JSON writes each whole. */
 struct CategoryField {
     Field field;
-    std::uint64_t (RunResult::*member)[RunResult::kNumCat];
+    std::uint64_t (RunResult::*member)[kNumCategories];
 };
 
 /** A field a RunResult accessor computes from stored ones. */

@@ -337,7 +337,7 @@ sampledAtK(const SystemConfig &config, const WorkloadProfile &profile,
         [](const Field &, DerivedField) {},
         [&](std::initializer_list<CategoryField> arrays) {
             for (const CategoryField &a : arrays)
-                for (std::size_t c = 0; c < RunResult::kNumCat; ++c)
+                for (std::size_t c = 0; c < kNumCategories; ++c)
                     (agg.*a.member)[c] = scaled_sum(
                         [&](const RunResult &r) { return (r.*a.member)[c]; });
         }});

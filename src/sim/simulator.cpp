@@ -100,7 +100,7 @@ collectRunResult(System &sys, const std::string &workload_name,
     r.directs = t.node.directs;
     r.locals = t.node.localCompletes;
     r.writebacks = t.node.writebacksIssued;
-    for (std::size_t c = 0; c < RunResult::kNumCat; ++c) {
+    for (std::size_t c = 0; c < kNumCategories; ++c) {
         r.broadcastsByCat[c] = t.node.broadcastsByCat[c];
         r.directsByCat[c] = t.node.directsByCat[c];
         r.localsByCat[c] = t.node.localByCat[c];
@@ -127,7 +127,7 @@ collectRunResult(System &sys, const std::string &workload_name,
     const Oracle &oracle = sys.oracle();
     r.oracleTotal = oracle.total();
     r.oracleUnnecessary = oracle.unnecessary();
-    for (std::size_t c = 0; c < RunResult::kNumCat; ++c) {
+    for (std::size_t c = 0; c < kNumCategories; ++c) {
         const auto &counts =
             oracle.category(static_cast<RequestCategory>(c));
         r.oracleTotalByCat[c] = counts.total;

@@ -93,8 +93,6 @@ struct SamplingInfo {
  * lists each member once with its output names and counting window.
  */
 struct RunResult {
-    static constexpr std::size_t kNumCat = kNumCategories;
-
     std::string workload;
     std::uint64_t regionBytes = 0;   ///< 0 = baseline (CGCT off).
     std::uint64_t seed = 0;          ///< Seed that produced this run.
@@ -107,14 +105,14 @@ struct RunResult {
     std::uint64_t directs = 0;
     std::uint64_t locals = 0;
     std::uint64_t writebacks = 0;
-    std::uint64_t broadcastsByCat[kNumCat] = {};
-    std::uint64_t directsByCat[kNumCat] = {};
-    std::uint64_t localsByCat[kNumCat] = {};
+    std::uint64_t broadcastsByCat[kNumCategories] = {};
+    std::uint64_t directsByCat[kNumCategories] = {};
+    std::uint64_t localsByCat[kNumCategories] = {};
 
     std::uint64_t oracleTotal = 0;
     std::uint64_t oracleUnnecessary = 0;
-    std::uint64_t oracleTotalByCat[kNumCat] = {};
-    std::uint64_t oracleUnnecessaryByCat[kNumCat] = {};
+    std::uint64_t oracleTotalByCat[kNumCategories] = {};
+    std::uint64_t oracleUnnecessaryByCat[kNumCategories] = {};
 
     double avgBroadcastsPer100k = 0.0;
     double peakBroadcastsPer100k = 0.0;

@@ -87,7 +87,7 @@ transfer(Archive &ar, RunResult &r)
         [&](const Field &, auto RunResult::*m) { io(ar, r.*m); },
         [](const Field &, DerivedField) {},
         [&](std::initializer_list<CategoryField> arrays) {
-            for (std::size_t c = 0; c < RunResult::kNumCat; ++c)
+            for (std::size_t c = 0; c < kNumCategories; ++c)
                 for (const CategoryField &a : arrays)
                     ar.u64((r.*a.member)[c]);
         }});

@@ -52,23 +52,55 @@ TEST(Energy, BaselineHasNoRcaEnergy)
     EXPECT_GT(e.cacheAccess, 0.0);
 }
 
-TEST(Energy, SharedRcaBreakdownPin)
+/** tpc-w on @p cpus CPUs whose chip-shared RCAs serve two cores each. */
+EnergyBreakdown
+runSharedRca(unsigned cpus, TopologyKind kind)
 {
-    // Each component as an exact double, on a cell whose chip-shared
-    // RCAs serve two cores each: a shared array counts once.
     SystemConfig config = makeDefaultConfig().withCgct(512, 256, 2);
     config.cgct.sharedPerChip = true;
-    SyntheticWorkload wl(benchmarkByName("tpc-w"), 4, 6000, 21);
+    config.topology.numCpus = cpus;
+    config.interconnect.topology = kind;
+    config.validate();
+    SyntheticWorkload wl(benchmarkByName("tpc-w"), cpus, 6000, 21);
     System sys(config, wl);
     sys.start();
     sys.eq().run();
-    const EnergyBreakdown e = computeEnergy(sys);
+    return computeEnergy(sys);
+}
+
+// Each component as recorded when every node's and every RCA's share
+// was priced and added separately: a shared array counts once. The
+// four-CPU cell rounds the same when the counters are summed first.
+TEST(Energy, SharedRcaBreakdownPin)
+{
+    const EnergyBreakdown e = runSharedRca(4, TopologyKind::Bus);
     EXPECT_EQ(e.tagLookups, 1866.6000000000001);
     EXPECT_EQ(e.cacheAccess, 13931.200000000001);
     EXPECT_EQ(e.network, 21583.200000000001);
     EXPECT_EQ(e.dram, 185328.0);
     EXPECT_EQ(e.dataTransfer, 6625.9200000000001);
     EXPECT_EQ(e.rca, 6473.3100000000004);
+}
+
+// On sixteen CPUs, pricing the summed counters once rounds differently
+// in the last place (at most two ulps here): equal within four ulps.
+TEST(Energy, SixteenCpuSharedRcaBreakdownPin)
+{
+    const EnergyBreakdown bus = runSharedRca(16, TopologyKind::Bus);
+    EXPECT_DOUBLE_EQ(bus.tagLookups, 39198.0);
+    EXPECT_DOUBLE_EQ(bus.cacheAccess, 56187.19999999999);
+    EXPECT_DOUBLE_EQ(bus.network, 212911.70000000001);
+    EXPECT_DOUBLE_EQ(bus.dram, 728256.0);
+    EXPECT_DOUBLE_EQ(bus.dataTransfer, 26683.52);
+    EXPECT_DOUBLE_EQ(bus.rca, 44967.809999999998);
+
+    const EnergyBreakdown hier = runSharedRca(16, TopologyKind::Hier);
+    EXPECT_DOUBLE_EQ(hier.tagLookups, 7648.7999999999993);
+    EXPECT_DOUBLE_EQ(hier.cacheAccess, 56150.450000000012);
+    EXPECT_DOUBLE_EQ(hier.network, 209267.10000000001);
+    EXPECT_DOUBLE_EQ(hier.dram, 728196.0);
+    EXPECT_DOUBLE_EQ(hier.dataTransfer, 26696.32);
+    EXPECT_DOUBLE_EQ(hier.rca, 26075.369999999995);
 }
 
 TEST(Energy, CgctSpendsOnRcaButSavesNetworkAndTags)

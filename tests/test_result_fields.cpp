@@ -52,7 +52,7 @@ listedInitializers()
         [&](const Field &, auto RunResult::*) { ++n; },
         [](const Field &, DerivedField) {},
         [&](std::initializer_list<CategoryField> arrays) {
-            n += arrays.size() * RunResult::kNumCat;
+            n += arrays.size() * kNumCategories;
         }});
     return n;
 }
@@ -196,7 +196,7 @@ TEST(ResultFields, EveryListedFieldRoundTripsThroughTheCodec)
         },
         [&](std::initializer_list<CategoryField> arrays) {
             for (const CategoryField &a : arrays)
-                for (std::size_t c = 0; c < RunResult::kNumCat; ++c)
+                for (std::size_t c = 0; c < kNumCategories; ++c)
                     EXPECT_EQ((out.*a.member)[c], (in.*a.member)[c])
                         << jsonPath(a.field) << "[" << c << "]";
         }});

@@ -37,7 +37,7 @@ distinctResult()
     r.directs = 50021;
     r.locals = 9973;
     r.writebacks = 7001;
-    for (std::size_t c = 0; c < RunResult::kNumCat; ++c) {
+    for (std::size_t c = 0; c < kNumCategories; ++c) {
         r.broadcastsByCat[c] = 1100 + c;
         r.directsByCat[c] = 1200 + c;
         r.localsByCat[c] = 1300 + c;

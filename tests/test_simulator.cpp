@@ -62,7 +62,7 @@ TEST(Simulator, RoutingIdentityUnderCgct)
     EXPECT_EQ(r.oracleTotal, r.broadcasts);
     // Per-category counts add up to the totals.
     std::uint64_t cat_sum = 0;
-    for (std::size_t c = 0; c < RunResult::kNumCat; ++c) {
+    for (std::size_t c = 0; c < kNumCategories; ++c) {
         cat_sum += r.broadcastsByCat[c] + r.directsByCat[c] +
                    r.localsByCat[c];
     }

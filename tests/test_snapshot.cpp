@@ -491,7 +491,7 @@ makeSampleResult()
     r.directs = 300;
     r.locals = 100;
     r.writebacks = 55;
-    for (std::size_t c = 0; c < RunResult::kNumCat; ++c) {
+    for (std::size_t c = 0; c < kNumCategories; ++c) {
         r.broadcastsByCat[c] = 10 + c;
         r.directsByCat[c] = 20 + c;
         r.localsByCat[c] = 30 + c;

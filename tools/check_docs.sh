@@ -238,8 +238,8 @@ else
     done
 
     stat_names=$(grep -rhozE \
-        '(add(Histogram|Distribution)|snapshot)\(\s*"[a-z_.]+"' "$root/src" |
-        tr '\0\n' '\n ' | sed -E 's/.*"([a-z_.]+)"/\1/' | sort -u)
+        '(add(Histogram|Distribution)|snapshot)\(\s*"[A-Za-z0-9_.]+"' "$root/src" |
+        tr '\0\n' '\n ' | sed -E 's/.*"([A-Za-z0-9_.]+)"/\1/' | sort -u)
     if [ -z "$stat_names" ]; then
         echo "check_docs: found no histogram/distribution stats in src/" \
              "(registrations moved?)" >&2

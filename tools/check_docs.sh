@@ -178,8 +178,9 @@ if [ ! -f "$perf_doc" ]; then
     fail=1
 else
     for token in benchmark/run.py --compare --check CGCT_SANITIZE \
-                 cgct_sweep sanitize_hotpath test_hotpath_allocs \
-                 test_hotpath_differential test_sweep_identity; do
+                 cgct_sweep cgct_pgo_train sanitize_hotpath \
+                 test_hotpath_allocs test_hotpath_differential \
+                 test_sweep_identity; do
         if ! grep -q -- "$token" "$perf_doc"; then
             echo "check_docs: docs/PERF.md does not mention $token" >&2
             fail=1

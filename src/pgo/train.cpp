@@ -10,8 +10,11 @@
  *
  * The mix calls only the public entry points and uses seeds and sizes
  * that no benchmark job uses, so the profile is not fitted to the
- * measured jobs. It is single-threaded (sampling at one job, no sweep
- * pool), so the counts are the same on every build.
+ * measured jobs. Sampling runs at one job and there is no sweep pool,
+ * but functional warming draws its ops on a second thread
+ * (workload/op_feed.hpp). The twin counts with -fprofile-update=atomic,
+ * and the feed keeps its waits out of the profile, so the counts, and
+ * the order in which functions first ran, are the same on every build.
  */
 
 #include <cstdio>
@@ -79,7 +82,10 @@ main(int argc, char **argv)
                  benchmarkByName("tpc-b"), trainOptions(8000, seed));
     runs += 2;
 
-    // Functional warming with an in-memory checkpoint per window.
+    // Functional warming with an in-memory checkpoint per window. It
+    // comes after the full runs, so the feed's thread draws through
+    // functions that have already run; the few it runs first (its own
+    // loop, setPauseAt) run before it hands over a single op.
     SamplingOptions sopts;
     sopts.windows = 8;
     sopts.windowOps = 1500;

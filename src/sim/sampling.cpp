@@ -17,6 +17,7 @@
 #include "snapshot/serializer.hpp"
 #include "snapshot/snapshot.hpp"
 #include "workload/generator.hpp"
+#include "workload/op_feed.hpp"
 
 namespace cgct {
 
@@ -82,11 +83,12 @@ using EmitWindow =
     std::function<void(std::uint64_t i, std::vector<std::uint8_t> &&image)>;
 
 /**
- * Functional warming: one serial pass over the op streams. Each op is
- * applied architecturally (Node::warmAccess) at a shared monotonic warm
- * tick — one tick per op, so LRU order matches program order — and at
- * every window start the cores are advanced to the warm tick and the
- * quiescent system is snapshotted and emitted.
+ * Functional warming: one serial pass over the op streams, drawn ahead
+ * on the feed's thread. Each op is applied architecturally
+ * (Node::warmAccess) at a shared monotonic warm tick — one tick per op,
+ * so LRU order matches program order — and at every window start the
+ * cores are advanced to the warm tick and the quiescent system is
+ * snapshotted and emitted.
  */
 void
 warmFunctional(const SystemConfig &config, const WorkloadProfile &profile,
@@ -98,6 +100,9 @@ warmFunctional(const SystemConfig &config, const WorkloadProfile &profile,
     SyntheticWorkload workload(profile, n_cpus, opts.opsPerCpu, opts.seed);
     System sys(config, workload);
     sys.setFunctional(true);
+    // Round-robin draw, one op per CPU per pass: the interleaving a
+    // lock-step detailed run approximates, and fully deterministic.
+    OpFeed feed(workload, n_cpus);
 
     Tick warm_tick = 0;
     std::vector<std::uint64_t> instr_delta(n_cpus, 0);
@@ -105,21 +110,14 @@ warmFunctional(const SystemConfig &config, const WorkloadProfile &profile,
     std::size_t image_bytes = 0;
 
     for (std::size_t i = 0; i < starts.size(); ++i) {
-        workload.setPauseAt(starts[i]);
-        // Round-robin draw, one op per CPU per pass: the interleaving a
-        // lock-step detailed run approximates, and fully deterministic.
-        bool drew = true;
-        while (drew) {
-            drew = false;
-            for (unsigned cpu = 0; cpu < n_cpus; ++cpu) {
-                CpuOp op;
-                if (!workload.next(static_cast<CpuId>(cpu), op))
-                    continue;
-                drew = true;
+        feed.draw(starts[i]);
+        for (auto ops = feed.take(); !ops.empty(); ops = feed.take()) {
+            for (const OpFeed::Op &o : ops) {
+                const auto cpu = static_cast<unsigned>(o.cpu);
                 ++warm_tick;
-                instr_delta[cpu] += op.gap + 1;
+                instr_delta[cpu] += o.op.gap + 1;
                 ++memop_delta[cpu];
-                sys.node(cpu).warmAccess(op.kind, op.addr, warm_tick);
+                sys.node(cpu).warmAccess(o.op.kind, o.op.addr, warm_tick);
             }
         }
         for (unsigned cpu = 0; cpu < n_cpus; ++cpu) {
@@ -128,6 +126,7 @@ warmFunctional(const SystemConfig &config, const WorkloadProfile &profile,
             instr_delta[cpu] = 0;
             memop_delta[cpu] = 0;
         }
+        // The feed is parked at the window start, and so is the workload.
         emit(i, makeWarmSnapshot(sys, workload, fingerprint, image_bytes));
     }
 }

@@ -11,8 +11,8 @@
  * Warm, snapshot and measure form a stream: each checkpoint image goes
  * to its window the moment the warm pass builds it, and the warm pass
  * starts the next image once that window has restored and freed it.
- * Peak memory is one warm System, one image and `jobs` window Systems,
- * whatever K is.
+ * Peak memory is one warm System, one image, `jobs` window Systems and
+ * (functional warming) the op feed's ring, whatever K is.
  *
  * Two warming modes:
  *
@@ -20,14 +20,15 @@
  *    are updated on every access, but no timing events run — no bus
  *    arbitration, no MSHR occupancy, no latency. The detailed window
  *    warms the timing state (it is tiny: bank cursors, tag-port busy
- *    ticks). The whole sampled run is about 1.5x faster than one
- *    full-detail run of the same ops: tpc-w, 512 B regions, 1.5 M ops
- *    per CPU, 16 windows of 2000 ops, --jobs 1 took 1.82 s against
- *    2.80 s (Release, median of 5 alternating pairs, 2-vCPU host).
+ *    ticks). Its ops are drawn ahead on one more thread
+ *    (workload/op_feed.hpp) and applied here in draw order. How much
+ *    faster the whole sampled run is than one full-detail run is
+ *    measured once, in docs/SAMPLING.md ("Warming modes").
  *  - detailed: the full timing model fast-forwards between windows
  *    (no speedup; the reference mode for validating functional warming).
  *
- * Determinism: the warm phase is a single serial pass, every window
+ * Determinism: the warm phase applies its ops in one serial order (the
+ * feed hands them over in round-robin draw order), every window
  * restores a byte-exact snapshot and runs under the deterministic
  * (tick, priority, seq) event contract, and aggregation walks windows
  * in index order — so a sampled run is byte-identical at any --jobs.

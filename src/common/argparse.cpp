@@ -65,26 +65,6 @@ ArgParser::addUnsigned(const std::string &name, unsigned *value,
 }
 
 void
-ArgParser::addDouble(const std::string &name, double *value,
-                     const std::string &help)
-{
-    Option opt;
-    opt.name = name;
-    opt.help = help;
-    opt.metavar = "X";
-    opt.set = [value](const std::string &s) {
-        char *end = nullptr;
-        const double v = std::strtod(s.c_str(), &end);
-        if (end == s.c_str() || *end != '\0')
-            return false;
-        *value = v;
-        return true;
-    };
-    opt.show = [value] { return std::to_string(*value); };
-    options_.push_back(std::move(opt));
-}
-
-void
 ArgParser::addString(const std::string &name, std::string *value,
                      const std::string &help)
 {

@@ -31,8 +31,6 @@ class ArgParser
     /** As addU64, and a value above UINT_MAX is a bad value. */
     void addUnsigned(const std::string &name, unsigned *value,
                      const std::string &help);
-    void addDouble(const std::string &name, double *value,
-                   const std::string &help);
     void addString(const std::string &name, std::string *value,
                    const std::string &help);
 

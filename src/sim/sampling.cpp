@@ -233,15 +233,29 @@ mergeHistograms(const std::vector<RunResult> &windows)
 
 } // namespace
 
-namespace {
-
-/** One sampled run at a fixed window count @p k (options validated). */
 RunResult
-sampledAtK(const SystemConfig &config, const WorkloadProfile &profile,
-           const RunOptions &opts, const SamplingOptions &sopts,
-           std::uint64_t k)
+simulateSampled(const SystemConfig &config, const WorkloadProfile &profile,
+                const RunOptions &opts, const SamplingOptions &sopts)
 {
+    const std::uint64_t k = sopts.windows;
     const std::uint64_t w = sopts.windowOps;
+    if (k == 0)
+        return simulateOnce(config, profile, opts);
+    if (w == 0)
+        fatal("simulateSampled: --window-ops must be >= 1");
+    if (config.dma.enabled)
+        fatal("simulateSampled: sampling does not support DMA (the DMA "
+              "engine is event-driven and cannot be functionally "
+              "warmed) — run full-detail instead");
+    if (!opts.capturePath.empty())
+        fatal("simulateSampled: --capture cannot be combined with "
+              "sampling (the warm phase skips the op tee); capture a "
+              "full-detail run instead");
+    if (opts.warmupOps >= opts.opsPerCpu)
+        fatal("simulateSampled: warmup (%llu) must be smaller than ops "
+              "per CPU (%llu)",
+              static_cast<unsigned long long>(opts.warmupOps),
+              static_cast<unsigned long long>(opts.opsPerCpu));
     const std::uint64_t span = opts.opsPerCpu - opts.warmupOps;
     if (w > span / k)
         fatal("simulateSampled: %llu windows of %llu ops do not fit in "
@@ -369,78 +383,6 @@ sampledAtK(const SystemConfig &config, const WorkloadProfile &profile,
     info->avgBroadcastsPer100k = summarize(s_bcast);
     agg.sampling = std::move(info);
     return agg;
-}
-
-/**
- * Every headline metric's relative 95% CI half-width within @p target?
- * A zero mean with nonzero spread can never satisfy a relative target,
- * so it reports unmet (the adaptive loop then runs to its window cap).
- */
-bool
-ciTargetMet(const SamplingInfo &info, double target)
-{
-    const RunSummary *metrics[] = {
-        &info.cycles, &info.avgMissLatency, &info.l2MissRatio,
-        &info.avoidedFraction, &info.avgBroadcastsPer100k,
-    };
-    for (const RunSummary *m : metrics) {
-        if (m->count < 2)
-            return false;
-        if (m->ci95Half == 0.0)
-            continue;
-        if (m->mean == 0.0 ||
-            m->ci95Half / std::fabs(m->mean) > target)
-            return false;
-    }
-    return true;
-}
-
-} // namespace
-
-RunResult
-simulateSampled(const SystemConfig &config, const WorkloadProfile &profile,
-                const RunOptions &opts, const SamplingOptions &sopts)
-{
-    const std::uint64_t w = sopts.windowOps;
-    if (sopts.windows == 0)
-        return simulateOnce(config, profile, opts);
-    if (w == 0)
-        fatal("simulateSampled: --window-ops must be >= 1");
-    if (config.dma.enabled)
-        fatal("simulateSampled: sampling does not support DMA (the DMA "
-              "engine is event-driven and cannot be functionally "
-              "warmed) — run full-detail instead");
-    if (!opts.capturePath.empty())
-        fatal("simulateSampled: --capture cannot be combined with "
-              "sampling (the warm phase skips the op tee); capture a "
-              "full-detail run instead");
-    if (opts.warmupOps >= opts.opsPerCpu)
-        fatal("simulateSampled: warmup (%llu) must be smaller than ops "
-              "per CPU (%llu)",
-              static_cast<unsigned long long>(opts.warmupOps),
-              static_cast<unsigned long long>(opts.opsPerCpu));
-
-    if (sopts.ciTarget <= 0.0)
-        return sampledAtK(config, profile, opts, sopts, sopts.windows);
-
-    // Adaptive precision (docs/SAMPLING.md): double the window count
-    // until every headline metric's relative 95% CI half-width reaches
-    // the target, capped by --max-windows and by the window geometry
-    // (k windows of w ops must fit in the post-warmup span). Each
-    // attempt is a fresh deterministic run, so the returned result is
-    // identical to a fixed --windows run at the final K.
-    const std::uint64_t span = opts.opsPerCpu - opts.warmupOps;
-    const std::uint64_t geom_cap = span / w;
-    std::uint64_t cap = sopts.maxWindows ? sopts.maxWindows : 1;
-    if (geom_cap > 0 && cap > geom_cap)
-        cap = geom_cap;
-    std::uint64_t k = sopts.windows < cap ? sopts.windows : cap;
-    for (;;) {
-        RunResult r = sampledAtK(config, profile, opts, sopts, k);
-        if (k >= cap || ciTargetMet(*r.sampling, sopts.ciTarget))
-            return r;
-        k = k * 2 < cap ? k * 2 : cap;
-    }
 }
 
 } // namespace cgct

@@ -61,9 +61,9 @@ const char *warmModeName(WarmMode mode);
 
 /** Knobs for one sampled simulation. */
 struct SamplingOptions {
-    /** Measurement windows (the paper-methodology K). 0 = sampling off.
-     *  With a CI target this is the *starting* window count. */
-    std::uint64_t windows = 8;
+    /** Measurement windows (the paper-methodology K); the run measures
+     *  exactly this many. 0, the default, is sampling off. */
+    std::uint64_t windows = 0;
     /** Detailed ops per CPU measured in each window. */
     std::uint64_t windowOps = 1000;
     WarmMode warmMode = WarmMode::Functional;
@@ -71,25 +71,16 @@ struct SamplingOptions {
      *  System); 1 measures each window inline right after its snapshot,
      *  0 = hardware concurrency. Results are identical at any value. */
     unsigned jobs = 0;
-    /**
-     * Adaptive precision (docs/SAMPLING.md): when > 0, double the
-     * window count until the relative 95% CI half-width of every
-     * headline metric (cycles, avg miss latency, L2 miss ratio,
-     * avoided fraction, broadcasts/100k) is <= this value — e.g. 0.05
-     * for +/-5% — capped by maxWindows and the window geometry.
-     */
-    double ciTarget = 0.0;
-    /** Hard cap on the adaptive window count (the K cap). */
-    std::uint64_t maxWindows = 64;
 };
 
 /**
  * Run one sampled simulation: warm, checkpoint at the K window starts,
  * measure each window in detail, aggregate. The result's counters are
  * scaled estimates of the full measured run (span / (K * windowOps));
- * r.sampling carries the per-window summaries and CIs. fatal()s on
- * invalid geometry (windows * windowOps must fit in opsPerCpu -
- * warmupOps) and on options sampling cannot honor (DMA, trace capture).
+ * r.sampling carries the per-window summaries and CIs. With K = 0 it is
+ * simulateOnce. fatal()s on invalid geometry (windows * windowOps must
+ * fit in opsPerCpu - warmupOps) and on options sampling cannot honor
+ * (DMA, trace capture).
  */
 RunResult simulateSampled(const SystemConfig &config,
                           const WorkloadProfile &profile,

@@ -61,7 +61,7 @@ SweepRunner::run(const ResultFn &on_result, const ProgressFn &on_progress)
             RunOptions opts = spec_.opts;
             opts.seed = cell.seed;
             RunResult r;
-            if (spec_.sampled) {
+            if (spec_.sampling.windows) {
                 // Cells are the unit of parallelism; the windows inside
                 // one cell run serially (no nested pools).
                 SamplingOptions sopts = spec_.sampling;

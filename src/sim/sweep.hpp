@@ -47,14 +47,13 @@ struct SweepSpec {
     SystemConfig baseConfig;
 
     /**
-     * When true, every cell runs one sampled simulation
+     * When sampling.windows != 0, every cell runs one sampled simulation
      * (simulateSampled) instead of a full-detail run: confidence comes
      * from the measurement windows rather than seed repetition, so the
      * caller normally pairs this with seedsPerCell = 1
      * (docs/SAMPLING.md). Windows run serially inside each cell — the
      * sweep already parallelizes across cells.
      */
-    bool sampled = false;
     SamplingOptions sampling;
 
     /**

@@ -127,7 +127,7 @@ sweepFingerprint(const SweepSpec &spec)
     s.u64(spec.baseSeed);
     s.u64(spec.opts.opsPerCpu);
     s.u64(spec.opts.warmupOps);
-    if (spec.sampled) {
+    if (spec.sampling.windows) {
         s.str("sampled");
         s.u64(spec.sampling.windows);
         s.u64(spec.sampling.windowOps);

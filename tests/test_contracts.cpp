@@ -207,13 +207,14 @@ Cell
 sweepCell(std::string name, std::vector<unsigned> jobs,
           const SweepSpec &spec)
 {
+    const bool sampled = spec.sampling.windows != 0;
     return anyJobsCell(std::move(name), std::move(jobs), [=](unsigned j) {
         std::ostringstream csv;
-        writeSweepCsvHeader(csv, spec.sampled);
+        writeSweepCsvHeader(csv, sampled);
         SweepRunner runner(spec, j);
         const std::vector<RunResult> results =
             runner.run([&](const SweepCell &, const RunResult &r) {
-                writeSweepCsvRow(csv, r, spec.sampled);
+                writeSweepCsvRow(csv, r, sampled);
             });
         std::string out = csv.str();
         EXPECT_EQ(std::count(out.begin(), out.end(), '\n'),
@@ -274,8 +275,7 @@ anyJobsCells()
 
     // Sampled library call: windows stream through the workers as the
     // warm pass emits them; K below the job count and K not a multiple
-    // of it must land every window in its slot all the same, and an
-    // adaptive run streams each of its rounds the same way.
+    // of it must land every window in its slot all the same.
     SamplingOptions small;
     small.windows = 4;
     small.windowOps = 500;
@@ -295,17 +295,11 @@ anyJobsCells()
                 fixed.windows = k;
                 sample(fixed);
             }
-        SamplingOptions adaptive = small;
-        adaptive.windows = 2;
-        adaptive.ciTarget = 1e-9;
-        adaptive.maxWindows = 8;
-        sample(adaptive);
         return out;
     }));
 
     SweepSpec sampled = sweepOf({"tpc-w"}, sampledRun);
     sampled.seedsPerCell = 1;
-    sampled.sampled = true;
     sampled.sampling = small;
     cells.push_back(sweepCell("sampled_sweep_tpcw", {4}, sampled));
 

@@ -83,17 +83,55 @@ TEST(Sampling, InfoGeometry)
     EXPECT_GT(r.requestsTotal, 0u);
 }
 
+TEST(Sampling, WindowsThatExactlyFillTheSpanRun)
+{
+    // Span 9600, 4 windows of 2400 ops: the largest geometry that fits
+    // runs exactly the K windows asked, covering the whole span.
+    const SystemConfig config = makeDefaultConfig().withCgct(512);
+    SamplingOptions sopts = smallSampling();
+    sopts.windowOps = 2400;
+    const RunResult r = simulateSampled(config, benchmarkByName("tpc-w"),
+                                        smallRun(), sopts);
+    ASSERT_NE(r.sampling, nullptr);
+    EXPECT_EQ(r.sampling->windows, 4u);
+    EXPECT_EQ(r.sampling->sampledOps, 9600u);
+    EXPECT_DOUBLE_EQ(r.sampling->scale, 1.0);
+    EXPECT_EQ(r.sampling->cycles.count, 4u);
+}
+
+TEST(Sampling, SingleWindowHasZeroWidthCi)
+{
+    // K = 1 is a valid request: one window, scaled by span / w, with a
+    // single CI sample and so no interval.
+    const SystemConfig config = makeDefaultConfig().withCgct(512);
+    SamplingOptions sopts = smallSampling();
+    sopts.windows = 1;
+    const RunResult r = simulateSampled(config, benchmarkByName("tpc-w"),
+                                        smallRun(), sopts);
+    ASSERT_NE(r.sampling, nullptr);
+    EXPECT_EQ(r.sampling->windows, 1u);
+    EXPECT_EQ(r.sampling->sampledOps, 500u);
+    EXPECT_DOUBLE_EQ(r.sampling->scale, 9600.0 / 500.0);
+    EXPECT_EQ(r.sampling->cycles.count, 1u);
+    EXPECT_EQ(r.sampling->cycles.ci95Half, 0.0);
+    EXPECT_GT(r.cycles, 0u);
+}
+
 TEST(Sampling, ZeroWindowsFallsBackToFullDetail)
 {
     const SystemConfig config = makeDefaultConfig().withCgct(512);
     const WorkloadProfile &profile = benchmarkByName("tpc-w");
-    SamplingOptions off;
-    off.windows = 0;
-    const RunResult sampled =
-        simulateSampled(config, profile, smallRun(), off);
     const RunResult full = simulateOnce(config, profile, smallRun());
-    EXPECT_EQ(sampled.sampling, nullptr);
-    EXPECT_EQ(encoded(sampled), encoded(full));
+    // The default options mean sampling off, as does K = 0 beside any
+    // other geometry.
+    SamplingOptions zero = smallSampling();
+    zero.windows = 0;
+    for (const SamplingOptions &off : {SamplingOptions{}, zero}) {
+        const RunResult sampled =
+            simulateSampled(config, profile, smallRun(), off);
+        EXPECT_EQ(sampled.sampling, nullptr);
+        EXPECT_EQ(encoded(sampled), encoded(full));
+    }
 }
 
 TEST(Sampling, FunctionalEstimatesTrackFullDetail)
@@ -165,66 +203,6 @@ TEST(Sampling, WarmStateSatisfiesInvariants)
     EXPECT_GT(r.requestsTotal, 0u);
 }
 
-TEST(Sampling, AdaptiveGrowsWindowsToCap)
-{
-    // An unreachable precision target doubles K until the hard cap.
-    const SystemConfig config = makeDefaultConfig().withCgct(512);
-    SamplingOptions sopts = smallSampling();
-    sopts.windows = 2;
-    sopts.ciTarget = 1e-9;
-    sopts.maxWindows = 8;
-    const RunResult r = simulateSampled(config, benchmarkByName("tpc-w"),
-                                        smallRun(), sopts);
-    ASSERT_NE(r.sampling, nullptr);
-    EXPECT_EQ(r.sampling->windows, 8u);
-}
-
-TEST(Sampling, AdaptiveStopsWhenTargetMet)
-{
-    // A trivially loose target is met by the starting window count.
-    const SystemConfig config = makeDefaultConfig().withCgct(512);
-    SamplingOptions sopts = smallSampling();
-    sopts.windows = 2;
-    sopts.ciTarget = 1e9;
-    const RunResult r = simulateSampled(config, benchmarkByName("tpc-w"),
-                                        smallRun(), sopts);
-    ASSERT_NE(r.sampling, nullptr);
-    EXPECT_EQ(r.sampling->windows, 2u);
-}
-
-TEST(Sampling, AdaptiveRespectsWindowGeometry)
-{
-    // Span 9600, 2000 ops per window: at most 4 windows fit, whatever
-    // maxWindows allows.
-    const SystemConfig config = makeDefaultConfig().withCgct(512);
-    SamplingOptions sopts;
-    sopts.windows = 2;
-    sopts.windowOps = 2000;
-    sopts.ciTarget = 1e-9;
-    sopts.maxWindows = 64;
-    const RunResult r = simulateSampled(config, benchmarkByName("tpc-w"),
-                                        smallRun(), sopts);
-    ASSERT_NE(r.sampling, nullptr);
-    EXPECT_EQ(r.sampling->windows, 4u);
-}
-
-TEST(Sampling, AdaptiveFinalRoundMatchesFixedRun)
-{
-    // The adaptive loop's last round is a plain fixed-K run: pinning
-    // start == cap reproduces the non-adaptive result byte for byte.
-    const SystemConfig config = makeDefaultConfig().withCgct(512);
-    SamplingOptions fixed = smallSampling(); // 4 windows, no target.
-    SamplingOptions adaptive = smallSampling();
-    adaptive.ciTarget = 1e-9;
-    adaptive.maxWindows = 4;
-    const WorkloadProfile &profile = benchmarkByName("tpc-w");
-    const RunResult a =
-        simulateSampled(config, profile, smallRun(), fixed);
-    const RunResult b =
-        simulateSampled(config, profile, smallRun(), adaptive);
-    EXPECT_EQ(encoded(a), encoded(b));
-}
-
 TEST(SamplingDeathTest, RejectsOversizedWindows)
 {
     const SystemConfig config = makeDefaultConfig().withCgct(512);
@@ -253,6 +231,26 @@ TEST(SamplingDeathTest, RejectsDma)
     EXPECT_DEATH(simulateSampled(config, benchmarkByName("tpc-w"),
                                  smallRun(), smallSampling()),
                  "DMA");
+}
+
+TEST(SamplingDeathTest, RejectsZeroWindowOps)
+{
+    const SystemConfig config = makeDefaultConfig().withCgct(512);
+    SamplingOptions sopts = smallSampling();
+    sopts.windowOps = 0;
+    EXPECT_DEATH(simulateSampled(config, benchmarkByName("tpc-w"),
+                                 smallRun(), sopts),
+                 "window-ops must be >= 1");
+}
+
+TEST(SamplingDeathTest, RejectsCapture)
+{
+    const SystemConfig config = makeDefaultConfig().withCgct(512);
+    RunOptions opts = smallRun();
+    opts.capturePath = "sampled.trace";
+    EXPECT_DEATH(simulateSampled(config, benchmarkByName("tpc-w"), opts,
+                                 smallSampling()),
+                 "capture");
 }
 
 TEST(Sampling, CodecRoundTripsSamplingInfo)
@@ -284,7 +282,6 @@ TEST(Sampling, SweepEmitsCiColumns)
     spec.seedsPerCell = 1;
     spec.opts = smallRun();
     spec.baseConfig = makeDefaultConfig();
-    spec.sampled = true;
     spec.sampling = smallSampling();
 
     std::ostringstream os;

@@ -1244,7 +1244,7 @@ TEST(SweepFingerprintTest, CoversSamplingGeometry)
 {
     SweepSpec spec = fingerprintSpec();
     const std::uint64_t full = sweepFingerprint(spec);
-    spec.sampled = true;
+    spec.sampling.windows = 8;
     const std::uint64_t sampled = sweepFingerprint(spec);
     EXPECT_NE(sampled, full);
     SweepSpec windows = spec;
@@ -1258,7 +1258,7 @@ TEST(SweepFingerprintTest, CoversSamplingGeometry)
     EXPECT_NE(sweepFingerprint(warm), sampled);
     // A full-detail sweep carries no sampling geometry to key on.
     SweepSpec unused = fingerprintSpec();
-    unused.sampling.windows += 1;
+    unused.sampling.windowOps += 1;
     EXPECT_EQ(sweepFingerprint(unused), full);
 }
 

@@ -134,8 +134,6 @@ main(int argc, char **argv)
     std::uint64_t checkpoint_every = 0;
     std::string checkpoint_path;
     std::string restore_path;
-    double ci_target = 0.0;
-    std::uint64_t max_windows = 64;
 
     ArgParser parser(
         "cgct_sim",
@@ -186,13 +184,6 @@ main(int argc, char **argv)
     parser.addString("restore", &restore_path,
                      "restore from this snapshot and run to the end; "
                      "refuses snapshots from a different configuration");
-    parser.addDouble("ci-target", &ci_target,
-                     "adaptive sampling: double the window count until "
-                     "every headline metric's relative 95% CI half-width "
-                     "is <= this (e.g. 0.05); 0 = fixed --sample count");
-    parser.addU64("max-windows", &max_windows,
-                  "hard cap on the adaptive window count for "
-                  "--ci-target");
     parser.addFlag("check-invariants", &check_invariants,
                    "cross-check region state against cache contents at "
                    "every ordering point");
@@ -285,8 +276,6 @@ main(int argc, char **argv)
     } else if (run.sample) {
         SamplingOptions sopts = run.sampling();
         sopts.jobs = jobs;
-        sopts.ciTarget = ci_target;
-        sopts.maxWindows = max_windows;
         result = simulateSampled(config, benchmarkByName(benchmark), opts,
                                  sopts);
     } else {

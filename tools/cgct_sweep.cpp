@@ -135,7 +135,6 @@ main(int argc, char **argv)
                      "seed (docs/SAMPLING.md)",
                      static_cast<unsigned long long>(seeds));
         spec.seedsPerCell = 1;
-        spec.sampled = true;
         spec.sampling = run.sampling();
     }
 
@@ -163,7 +162,7 @@ main(int argc, char **argv)
     }
 
     if (format == "csv") {
-        const bool sampled = spec.sampled;
+        const bool sampled = spec.sampling.windows != 0;
         // The historical 4-node flat-bus CSV stays byte-identical; any
         // non-default --nodes/--topology appends the topology columns.
         const bool topo_cols =

@@ -3,7 +3,7 @@
 #
 # Guards, in order:
 #   1. Every option a tool registers through ArgParser::addFlag/addU64/
-#      addUnsigned/addDouble/addString (in tools/<tool>.cpp, and in
+#      addUnsigned/addString (in tools/<tool>.cpp, and in
 #      tools/run_flags.cpp if it includes run_flags.hpp) must appear in
 #      docs/SWEEP.md as `--name`, and every positional registered
 #      through addPositional as `<name>`.
@@ -38,8 +38,7 @@
 #      document every cgct_trace flag and the format invariants, and be
 #      cross-linked from README.md, docs/SWEEP.md, and
 #      docs/ARCHITECTURE.md.
-#   8. docs/SAMPLING.md must cover the sampling flags (including the
-#      adaptive --ci-target / --max-windows loop), both warming modes,
+#   8. docs/SAMPLING.md must cover the sampling flags, both warming modes,
 #      the CI math and its stat names, the validation tests and golden
 #      cell, and the "when not to trust" caveats, and be cross-linked from
 #      README.md, docs/SWEEP.md, and docs/ARCHITECTURE.md.
@@ -98,7 +97,7 @@ for tool in $tools; do
     grep -q '"run_flags.hpp"' "$src" && srcs="$src $root/tools/run_flags.cpp"
     # shellcheck disable=SC2086 # srcs is a list of files.
     flags_of[$tool]=$(cat $srcs |
-        grep -oE 'add(Flag|U64|Unsigned|Double|String)\("[A-Za-z0-9-]+"' |
+        grep -oE 'add(Flag|U64|Unsigned|String)\("[A-Za-z0-9-]+"' |
         sed -E 's/.*\("([A-Za-z0-9-]+)"/\1/' | sort -u)
 
     for flag in ${flags_of[$tool]}; do
@@ -351,7 +350,7 @@ else
     done <<< "$(comm -13 <(echo "$code_recs") <(echo "$doc_recs"))"
 
     trace_flags=$(grep -oE \
-        'add(Flag|U64|Unsigned|Double|String)\("[A-Za-z0-9-]+"' "$trace_cpp" |
+        'add(Flag|U64|Unsigned|String)\("[A-Za-z0-9-]+"' "$trace_cpp" |
         sed -E 's/.*\("([A-Za-z0-9-]+)"/\1/' | sort -u)
     for flag in $trace_flags; do
         if ! grep -q -- "--$flag" "$fmt_doc"; then
@@ -428,8 +427,7 @@ else
                  avg_miss_latency avg_broadcasts_per_100k warm_mode \
                  span_ops sampled_ops CGCTSNAP Cold-start \
                  peak_bcast_per_100k test_sampling test_confidence \
-                 RecordedCellAgainstFullDetail --ci-target \
-                 --max-windows; do
+                 RecordedCellAgainstFullDetail; do
         if ! grep -q -- "$token" "$sampling_doc"; then
             echo "check_docs: docs/SAMPLING.md does not mention $token" \
                  >&2

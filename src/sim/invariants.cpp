@@ -242,14 +242,6 @@ InvariantChecker::checkAll() const
 }
 
 void
-InvariantChecker::noteCheckpoint(const std::string &path, Tick tick)
-{
-    lastCheckpointPath_ = path;
-    lastCheckpointTick_ = tick;
-    haveCheckpoint_ = true;
-}
-
-void
 InvariantChecker::onTransition(Addr addr, const char *site)
 {
     ++checksRun_;
@@ -258,15 +250,6 @@ InvariantChecker::onTransition(Addr addr, const char *site)
         return;
     const unsigned long long tick =
         eq_ ? static_cast<unsigned long long>(eq_->now()) : 0ULL;
-    if (haveCheckpoint_) {
-        fatal("region invariant violated after %s at tick %llu: %s\n"
-              "  nearest checkpoint: %s (tick %llu) — replay with "
-              "`cgct_sim --restore %s --trace out.jsonl "
-              "--check-invariants`",
-              site, tick, err.c_str(), lastCheckpointPath_.c_str(),
-              static_cast<unsigned long long>(lastCheckpointTick_),
-              lastCheckpointPath_.c_str());
-    }
     fatal("region invariant violated after %s at tick %llu: %s", site,
           tick, err.c_str());
 }

@@ -109,14 +109,6 @@ class InvariantChecker
      */
     std::string checkCoverage(Addr addr) const;
 
-    /**
-     * Record the most recent checkpoint written (snapshot harness), so
-     * an invariant failure can point at the nearest restore point:
-     * replay the failing window with
-     * `cgct_sim --restore <path> --trace out.jsonl --check-invariants`.
-     */
-    void noteCheckpoint(const std::string &path, Tick tick);
-
   private:
     /** Nodes sharing one CGCT controller (one entry per chip when the
      *  RCA is shared; one per CPU otherwise). */
@@ -131,9 +123,6 @@ class InvariantChecker
     std::uint64_t checksRun_ = 0;
     const EventQueue *eq_ = nullptr;
     const Interconnect *interconnect_ = nullptr;
-    std::string lastCheckpointPath_;
-    Tick lastCheckpointTick_ = 0;
-    bool haveCheckpoint_ = false;
 };
 
 } // namespace cgct

@@ -14,7 +14,6 @@
 #include "common/thread_pool.hpp"
 #include "sim/result_fields.hpp"
 #include "sim/system.hpp"
-#include "snapshot/serializer.hpp"
 #include "snapshot/snapshot.hpp"
 #include "workload/generator.hpp"
 #include "workload/op_feed.hpp"
@@ -53,28 +52,6 @@ windowStarts(std::uint64_t warmup, std::uint64_t span, std::uint64_t k)
     for (std::uint64_t i = 0; i < k; ++i)
         starts.push_back(warmup + span * i / k);
     return starts;
-}
-
-/**
- * Serialize the quiescent warm system + workload into CGCTSNAP bytes,
- * header first, so the image is built once and never copied.
- * @p image_bytes carries the previous image's size from call to call;
- * the buffer reserves it plus 1/16, because one run's images grow slowly
- * (hier and dir presence maps fill up) and one byte over would double
- * the buffer.
- */
-std::vector<std::uint8_t>
-makeWarmSnapshot(System &sys, SyntheticWorkload &workload,
-                 std::uint64_t fingerprint, std::size_t &image_bytes)
-{
-    Serializer s;
-    s.reserve(image_bytes + image_bytes / 16);
-    beginSnapshotFile(s, fingerprint);
-    Archive ar(s);
-    ar.section("workload", [&] { workload.transfer(ar); });
-    sys.transfer(ar);
-    image_bytes = s.size();
-    return std::move(s).take();
 }
 
 /** Takes window @p i's CGCTSNAP image the moment the warm pass has
@@ -127,14 +104,14 @@ warmFunctional(const SystemConfig &config, const WorkloadProfile &profile,
             memop_delta[cpu] = 0;
         }
         // The feed is parked at the window start, and so is the workload.
-        emit(i, makeWarmSnapshot(sys, workload, fingerprint, image_bytes));
+        emit(i, saveImage(sys, workload, fingerprint, image_bytes));
     }
 }
 
 /**
- * Detailed warming: the drain loop's phases with the pause schedule at
- * the window starts, snapshotting to memory instead of disk. The
- * reference mode: no speedup, but the warm state is exact.
+ * Detailed warming: the full timing model runs one phase to each window
+ * start, drains there and is snapshotted. The reference mode: no
+ * speedup, but the warm state is exact.
  */
 void
 warmDetailed(const SystemConfig &config, const WorkloadProfile &profile,
@@ -150,7 +127,7 @@ warmDetailed(const SystemConfig &config, const WorkloadProfile &profile,
     for (std::size_t i = 0; i < starts.size(); ++i) {
         workload.setPauseAt(starts[i]);
         runPhase(sys, /*resume=*/i > 0, opts.maxEvents);
-        emit(i, makeWarmSnapshot(sys, workload, fingerprint, image_bytes));
+        emit(i, saveImage(sys, workload, fingerprint, image_bytes));
     }
 }
 
@@ -171,20 +148,8 @@ runWindow(const SystemConfig &config, const WorkloadProfile &profile,
     SyntheticWorkload workload(profile, n_cpus, opts.opsPerCpu, opts.seed);
     System sys(config, workload);
 
-    {
-        Deserializer d;
-        const std::string label =
-            "window " + std::to_string(window_index) + " snapshot";
-        const std::string err = d.openBytes(std::move(image), label);
-        if (!err.empty())
-            fatal("simulateSampled: %s", err.c_str());
-        if (d.fingerprint() != fingerprint)
-            panic("simulateSampled: warm snapshot fingerprint mismatch");
-
-        Archive ar(d);
-        ar.section("workload", [&] { workload.transfer(ar); });
-        sys.transfer(ar);
-    }
+    restoreImage(sys, workload, std::move(image), fingerprint,
+                 "window " + std::to_string(window_index) + " snapshot");
     freed.reset();
 
     // The window measures only its own ops: reset everything and record
@@ -267,7 +232,7 @@ simulateSampled(const SystemConfig &config, const WorkloadProfile &profile,
               static_cast<unsigned long long>(span / k));
 
     // The fingerprint ties every window to this exact run identity; the
-    // window geometry stands in for the checkpoint interval.
+    // window geometry is its drain schedule.
     const std::uint64_t fingerprint =
         snapshotFingerprint(config, profile.name, opts, k * 1000000 + w);
 

@@ -1,8 +1,12 @@
 #include "sim/simulator.hpp"
 
+#include <optional>
+
 #include "common/log.hpp"
 #include "sim/system.hpp"
-#include "snapshot/snapshot.hpp"
+#include "workload/generator.hpp"
+#include "workload/trace.hpp"
+#include "workload/trace_replay.hpp"
 
 namespace cgct {
 
@@ -24,16 +28,37 @@ snapshot(const char *name, const char *desc, const Distribution &d)
     return {name, desc, d.samples(), d.min(), d.max(), d.mean(), d.stddev()};
 }
 
+/**
+ * Run the fresh @p sys to the end of its op stream in one phase and
+ * collect. The warmup check is armed when the warmup ends inside the
+ * @p stream_ops-op stream; @p min_ops is the stream's progress.
+ */
+RunResult
+runToEnd(System &sys, const std::function<std::uint64_t()> &min_ops,
+         std::uint64_t stream_ops, const std::string &label,
+         const RunOptions &opts, std::ostream *stats_out)
+{
+    Tick measure_start = 0;
+    runPhase(sys, /*resume=*/false, opts.maxEvents, [&] {
+        if (opts.warmupOps > 0 && opts.warmupOps < stream_ops)
+            scheduleWarmupCheck(sys, min_ops, opts.warmupOps,
+                                &measure_start);
+    });
+    RunResult r = collectRunResult(sys, label, opts.seed, measure_start);
+    if (stats_out)
+        sys.dumpStats(*stats_out);
+    return r;
+}
+
 } // namespace
 
 void
 scheduleWarmupCheck(System &sys, std::function<std::uint64_t()> min_ops,
-                    std::uint64_t warmup_ops, Tick *measure_start,
-                    bool *done)
+                    std::uint64_t warmup_ops, Tick *measure_start)
 {
     constexpr Tick kCheckInterval = 5000;
     sys.eq().scheduleIn(kCheckInterval, [&sys, min_ops, warmup_ops,
-                                         measure_start, done] {
+                                         measure_start] {
         // A run that completed before this check has nothing left to
         // measure — resetting stats now would zero the whole result
         // and put measure_start past the final clock.
@@ -42,11 +67,9 @@ scheduleWarmupCheck(System &sys, std::function<std::uint64_t()> min_ops,
         if (min_ops() >= warmup_ops) {
             *measure_start = sys.eq().now();
             sys.resetStats(sys.eq().now());
-            if (done)
-                *done = true;
             return; // Warmed up: stop checking.
         }
-        scheduleWarmupCheck(sys, min_ops, warmup_ops, measure_start, done);
+        scheduleWarmupCheck(sys, min_ops, warmup_ops, measure_start);
     });
 }
 
@@ -71,16 +94,35 @@ runPhase(System &sys, bool resume, std::uint64_t max_events,
 
 RunResult
 simulateOnce(const SystemConfig &config, const WorkloadProfile &profile,
-             const RunOptions &opts)
+             const RunOptions &opts, std::ostream *stats_out)
 {
-    return simulateCheckpointed(config, profile, opts, {});
+    const unsigned n_cpus = config.topology.numCpus;
+    SyntheticWorkload workload(profile, n_cpus, opts.opsPerCpu, opts.seed);
+    std::optional<TraceCapture> capture;
+    if (!opts.capturePath.empty())
+        capture.emplace(workload, opts.capturePath, n_cpus, opts.opsPerCpu);
+    System sys(config,
+               capture ? static_cast<OpSource &>(*capture) : workload);
+    RunResult r = runToEnd(
+        sys, [&workload] { return workload.minOpsDrawn(); },
+        workload.opsPerCpu(), profile.name, opts, stats_out);
+    if (capture)
+        capture->finish();
+    return r;
 }
 
 RunResult
 simulateReplay(const SystemConfig &config, const std::string &trace_path,
                const RunOptions &opts, std::ostream *stats_out)
 {
-    return simulateCheckpointed(config, trace_path, opts, {}, stats_out);
+    TraceReplay replay(trace_path);
+    if (replay.numLanes() != config.topology.numCpus)
+        fatal("trace has %u lanes but the system has %u CPUs",
+              replay.numLanes(), config.topology.numCpus);
+    System sys(config, replay);
+    return runToEnd(
+        sys, [&replay] { return replay.minOpsConsumed(); },
+        replay.maxLaneMemOps(), "trace:" + trace_path, opts, stats_out);
 }
 
 RunResult

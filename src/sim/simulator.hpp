@@ -3,12 +3,11 @@
  * Run harness: builds a System around an op source (the synthetic
  * workload generator or a recorded v2 trace), warms it up, measures, and
  * returns a RunResult with everything cgct_paper needs to reproduce the
- * paper's figures. Every run, plain or checkpointed, goes through one
- * drain loop (simulateCheckpointed in snapshot/snapshot.hpp) built from
- * the steps declared here. The seed chain implements the paper's
- * variability methodology (several perturbed runs, 95% confidence
- * intervals, after Alameldeen et al. [27]); sim/sweep.hpp runs the
- * perturbed runs.
+ * paper's figures. A full-detail run is one phase of runPhase(); the
+ * sampler (sim/sampling.hpp) runs its windows through the same step.
+ * The seed chain implements the paper's variability methodology
+ * (several perturbed runs, 95% confidence intervals, after Alameldeen
+ * et al. [27]); sim/sweep.hpp runs the perturbed runs.
  */
 
 #pragma once
@@ -168,10 +167,17 @@ struct RunResult {
     }
 };
 
-/** Run one simulation of a generated workload. */
+/**
+ * Run one simulation of a generated workload, teed into a v2 capture
+ * when opts.capturePath is set (the tee is transparent, so a captured
+ * run is the plain run). When @p stats_out is non-null the full
+ * component statistics are dumped to it before the system is torn down
+ * (the CLI's --stats).
+ */
 RunResult simulateOnce(const SystemConfig &config,
                        const WorkloadProfile &profile,
-                       const RunOptions &opts);
+                       const RunOptions &opts,
+                       std::ostream *stats_out = nullptr);
 
 class System;
 
@@ -179,10 +185,10 @@ class System;
  * Replay a recorded v2 trace to completion on @p config and return the
  * full RunResult, exactly as simulateOnce() would for a generated
  * workload. The trace streams through the mmap replayer.
- * opts.opsPerCpu is ignored (the trace defines the stream). A version-1
- * trace, or one holding a retired synchronization record, is rejected.
- * When @p stats_out is non-null the full component statistics are
- * dumped to it before the system is torn down (the CLI's --stats).
+ * opts.opsPerCpu is ignored (the trace defines the stream: its longest
+ * lane; shorter lanes simply end earlier). A version-1 trace, one
+ * holding a retired synchronization record, or one whose lane count is
+ * not the CPU count, is rejected. @p stats_out is simulateOnce's.
  */
 RunResult simulateReplay(const SystemConfig &config,
                          const std::string &trace_path,
@@ -204,22 +210,20 @@ RunResult collectRunResult(System &sys, const std::string &workload_name,
  * the generator, minOpsConsumed() for a trace replay) has reached
  * @p warmup_ops, and reset the measurement statistics (recording the
  * tick in @p measure_start) once it has. The event stops rescheduling
- * when every core is finished — at a checkpoint drain as well as at the
- * end of the run — so the drain loop re-arms it each phase and uses
- * @p done (may be null) to know whether the reset already happened.
+ * once it has reset, and when every core is finished, so a check armed
+ * in a phase that drains before the warmup ends dies with that phase.
  */
 void scheduleWarmupCheck(System &sys,
                          std::function<std::uint64_t()> min_ops,
-                         std::uint64_t warmup_ops, Tick *measure_start,
-                         bool *done = nullptr);
+                         std::uint64_t warmup_ops, Tick *measure_start);
 
 /**
  * Run one phase to its drain point, the step every harness shares:
  * start() a fresh system, or resumePhase() one that drained or was
- * restored (@p resume), call @p after_start (events that must be
- * scheduled after the cores, such as the warmup check), and run the
- * event queue dry. fatal()s when @p max_events is hit; panic()s on a
- * drain that left a core unfinished.
+ * restored from an image (@p resume), call @p after_start (events that
+ * must be scheduled after the cores, such as the warmup check), and run
+ * the event queue dry. fatal()s when @p max_events is hit; panic()s on
+ * a drain that left a core unfinished.
  */
 void runPhase(System &sys, bool resume, std::uint64_t max_events,
               const std::function<void()> &after_start = nullptr);

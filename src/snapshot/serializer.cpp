@@ -224,51 +224,22 @@ SectionReader::bytes(void *out, std::size_t len)
 // Deserializer
 
 std::string
-Deserializer::open(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return "cannot open snapshot file: " + path;
-    std::fseek(f, 0, SEEK_END);
-    long size = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    if (size < 0) {
-        std::fclose(f);
-        return "cannot stat snapshot file: " + path;
-    }
-    data_.resize(static_cast<std::size_t>(size));
-    std::size_t got =
-        size ? std::fread(data_.data(), 1, data_.size(), f) : 0;
-    std::fclose(f);
-    if (got != data_.size())
-        return "short read on snapshot file: " + path;
-
-    return parse(path);
-}
-
-std::string
 Deserializer::openBytes(std::vector<std::uint8_t> bytes,
                         const std::string &label)
 {
     data_ = std::move(bytes);
-    return parse(label);
-}
-
-std::string
-Deserializer::parse(const std::string &path)
-{
-    label_ = path;
+    label_ = label;
     if (data_.size() < sizeof(kSnapshotMagic) + 4 + 8)
-        return path + ": truncated snapshot header";
+        return label + ": truncated snapshot header";
     if (std::memcmp(data_.data(), kSnapshotMagic,
                     sizeof(kSnapshotMagic)) != 0)
-        return path + ": not a CGCT snapshot (bad magic)";
+        return label + ": not a CGCT snapshot (bad magic)";
 
     std::size_t off = sizeof(kSnapshotMagic);
     version_ = loadLe<std::uint32_t>(data_.data() + off);
     off += 4;
     if (version_ != kSnapshotVersion)
-        return path + ": unsupported snapshot format version " +
+        return label + ": unsupported snapshot format version " +
                std::to_string(version_) + " (this build reads version " +
                std::to_string(kSnapshotVersion) + ")";
     fingerprint_ = loadLe<std::uint64_t>(data_.data() + off);
@@ -277,13 +248,13 @@ Deserializer::parse(const std::string &path)
     sections_.clear();
     while (off < data_.size()) {
         if (data_.size() - off < 4)
-            return path + ": torn section header";
+            return label + ": torn section header";
         const auto name_len = loadLe<std::uint32_t>(data_.data() + off);
         off += 4;
         // Size arithmetic on untrusted lengths: compute in size_t so a
         // crafted name_len near UINT32_MAX cannot wrap the sum.
         if (data_.size() - off < static_cast<std::size_t>(name_len) + 8)
-            return path + ": torn section header";
+            return label + ": torn section header";
         std::string name(reinterpret_cast<const char *>(data_.data() + off),
                          name_len);
         off += name_len;
@@ -293,13 +264,13 @@ Deserializer::parse(const std::string &path)
         // up to UINT64_MAX, so `payload_len + 8` could wrap and pass.
         if (payload_len > data_.size() - off ||
             data_.size() - off - static_cast<std::size_t>(payload_len) < 8)
-            return path + ": torn section '" + name + "'";
+            return label + ": torn section '" + name + "'";
         const std::size_t hash_at =
             off + static_cast<std::size_t>(payload_len);
         if (xxhash64(data_.data() + off,
                      static_cast<std::size_t>(payload_len)) !=
             loadLe<std::uint64_t>(data_.data() + hash_at))
-            return path + ": checksum mismatch in section '" + name +
+            return label + ": checksum mismatch in section '" + name +
                    "' (snapshot file is corrupt)";
         Range r;
         r.begin = off;
@@ -384,33 +355,6 @@ makeSnapshotFile(std::uint64_t fingerprint, const Serializer &sections)
     beginSnapshotFile(file, fingerprint);
     file.bytes(sections.buffer().data(), sections.size());
     return std::move(file).take();
-}
-
-std::string
-writeFileAtomic(const std::string &path,
-                const std::vector<std::uint8_t> &bytes)
-{
-    std::string tmp = path + ".tmp";
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f)
-        return "cannot create " + tmp;
-    std::size_t put =
-        bytes.empty() ? 0 : std::fwrite(bytes.data(), 1, bytes.size(), f);
-    if (put != bytes.size()) {
-        std::fclose(f);
-        std::remove(tmp.c_str());
-        return "short write on " + tmp;
-    }
-    std::fflush(f);
-    fsync(fileno(f));
-    std::fclose(f);
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return "cannot rename " + tmp + " to " + path;
-    }
-    // The rename is durable only once the directory entry is on disk.
-    fsyncDirOf(path);
-    return "";
 }
 
 void

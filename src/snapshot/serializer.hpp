@@ -13,9 +13,8 @@
  * bit pattern so a round trip is bit-exact (this is what makes
  * restore-then-run byte-identical stats possible). Each section's
  * payload is covered by an XXH64 checksum verified on open; the header
- * carries a format version and a config fingerprint so a snapshot taken
- * under one SimConfig refuses to restore under another (see
- * docs/SNAPSHOT.md).
+ * carries a format version and a config fingerprint so an image never
+ * restores under a run it was not taken from (see docs/SNAPSHOT.md).
  *
  * Inside a section, each type lays out its fields once, in a
  * transfer(Archive &) that both saves and loads them (see Archive). The
@@ -185,22 +184,15 @@ class SectionReader {
 };
 
 /**
- * Loads a snapshot file, validates framing and every section checksum
+ * Takes a snapshot image, validates framing and every section checksum
  * up front, and hands out SectionReaders by name.
  */
 class Deserializer {
   public:
     /**
-     * Read and validate @p path. Returns an error message on any
-     * problem (missing file, bad magic, unsupported version, torn
-     * section, checksum mismatch); empty string on success.
-     */
-    std::string open(const std::string &path);
-
-    /**
-     * Validate an in-memory snapshot (same checks as open()). @p label
-     * names the buffer in error messages. Used by the sampling engine,
-     * whose warm-phase checkpoints never touch disk (docs/SAMPLING.md).
+     * Take and validate the image @p bytes. Returns an error message
+     * naming @p label on any problem (bad magic, unsupported version,
+     * torn section, checksum mismatch); empty string on success.
      */
     std::string openBytes(std::vector<std::uint8_t> bytes,
                           const std::string &label);
@@ -216,8 +208,6 @@ class Deserializer {
         std::size_t begin = 0;
         std::size_t end = 0;
     };
-
-    std::string parse(const std::string &label);
 
     std::vector<std::uint8_t> data_;
     std::vector<std::pair<std::string, Range>> sections_;
@@ -416,14 +406,6 @@ void beginSnapshotFile(Serializer &s, std::uint64_t fingerprint);
 /** Build a complete snapshot byte stream: header + a copy of @p sections. */
 std::vector<std::uint8_t> makeSnapshotFile(std::uint64_t fingerprint,
                                            const Serializer &sections);
-
-/**
- * Write @p bytes to @p path atomically (write to "<path>.tmp", fsync,
- * rename, fsync the containing directory so the new name survives power
- * loss). Returns an error message or empty string.
- */
-std::string writeFileAtomic(const std::string &path,
-                            const std::vector<std::uint8_t> &bytes);
 
 /**
  * fsync the directory containing @p path, making a just-created or

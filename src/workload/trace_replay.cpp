@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/log.hpp"
-#include "snapshot/serializer.hpp"
 
 namespace cgct {
 
@@ -53,8 +52,8 @@ TraceReplay::next(CpuId cpu, CpuOp &op)
         fatal("trace replay: op for cpu %u but the trace has %zu lanes",
               li, lanes_.size());
     Lane &lane = lanes_[li];
-    if (lane.ended || lane.memConsumed >= pauseAt_)
-        return false; // Ended, or paused for a checkpoint drain.
+    if (lane.ended)
+        return false;
     const std::uint8_t *at = lane.base + lane.cursor;
     const std::uint64_t avail = lane.bytes - lane.cursor;
     DecodedRecord rec;
@@ -76,33 +75,6 @@ TraceReplay::next(CpuId cpu, CpuOp &op)
     ++lane.memConsumed;
     op = rec.mem;
     return true;
-}
-
-void
-TraceReplay::transfer(Archive &ar)
-{
-    ar.expect("trace_id", info_.traceId);
-    ar.expect("trace lanes", static_cast<std::uint32_t>(lanes_.size()));
-    if (!ar.saving())
-        endedLanes_ = 0;
-    for (Lane &lane : lanes_) {
-        ar.u64(lane.cursor);
-        ar.u64(lane.memConsumed);
-        ar.expect("lane sync records", std::uint64_t{0}); // Retired.
-        ar.b(lane.ended);
-        if (ar.saving())
-            continue;
-        if (lane.cursor > lane.bytes)
-            ar.fail("lane cursor past the payload");
-        // Drop what the old position left resident; the window restarts
-        // at the loaded cursor, and released pages fault back on demand.
-        map_.release(lane.offset, lane.offset + lane.bytes);
-        lane.mark = lane.cursor;
-        endedLanes_ += lane.ended ? 1 : 0;
-    }
-    // Retired: the held-lock and banked-signal counts.
-    ar.expect("held locks", std::uint32_t{0});
-    ar.expect("banked signals", std::uint32_t{0});
 }
 
 } // namespace cgct

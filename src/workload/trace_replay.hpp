@@ -28,8 +28,6 @@
 
 namespace cgct {
 
-class Archive;
-
 /** OpSource that streams a v2 trace file. */
 class TraceReplay : public OpSource
 {
@@ -38,8 +36,8 @@ class TraceReplay : public OpSource
      *  a legacy version-1 trace. */
     explicit TraceReplay(const std::string &path);
 
-    /** The lane's next memory op; false once it reached its end record
-     *  or its pause point. */
+    /** The lane's next memory op; false once it reached its end
+     *  record. */
     bool next(CpuId cpu, CpuOp &op) override;
 
     unsigned numLanes() const { return info_.numLanes; }
@@ -57,22 +55,8 @@ class TraceReplay : public OpSource
      */
     std::uint64_t minOpsConsumed() const;
 
-    /** Checkpoint support: next() reports the end of a lane once it
-     *  has consumed @p ops memory ops, so the run drains for a
-     *  snapshot. */
-    void setPauseAt(std::uint64_t ops) { pauseAt_ = ops; }
-
     /** True once every lane reached its end record. */
     bool allEnded() const { return endedLanes_ == lanes_.size(); }
-
-    /**
-     * Checkpoint layout of replay progress: the lane cursors, plus the
-     * retired synchronization slots (a per-lane sync count, the held-lock
-     * and banked-signal counts), written as 0 and expected as 0 on load.
-     * A load verifies the trace identity (trace_id) before restoring
-     * cursors.
-     */
-    void transfer(Archive &ar);
 
   private:
     struct Lane {
@@ -89,7 +73,6 @@ class TraceReplay : public OpSource
     MappedFile map_;
     TraceInfo info_;
     std::vector<Lane> lanes_;
-    std::uint64_t pauseAt_ = UINT64_MAX;
     std::uint32_t endedLanes_ = 0;
 };
 

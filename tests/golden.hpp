@@ -1,7 +1,7 @@
 /**
  * @file
  * Golden results: the frozen digests of simulated output (and of the
- * checkpoint files a run writes) that a change must reproduce bit for
+ * CGCTSNAP image of a drained run) that a change must reproduce bit for
  * bit, in one table. Each constant names the test
  * that asserts it and the command that regenerates it; docs/PERF.md
  * ("Golden results") lists the same table and tools/check_docs.sh keeps
@@ -153,59 +153,45 @@ inline constexpr std::uint64_t kHier16ConfigXxh64 = 0x461ee57b8601cd6eULL;
 inline constexpr std::uint64_t kDir16DmaConfigXxh64 = 0x80a1fbccccc560c0ULL;
 
 /*
- * The four CGCTSNAP digests below are of format v3, whose tag arrays
- * store occupancy masks and entries only. They were re-pinned when v3
- * dropped the per-frame tags, the per-set MRU way hints and the valid
- * counts; each 4-node file shrank by 1 164 928 bytes, and no simulated
- * value changed.
+ * The three CGCTSNAP digests below are of format v3, whose tag arrays
+ * store occupancy masks and entries only. Each is the image saveImage
+ * writes of a system drained at 10000 ops per CPU, the warmup check
+ * armed as a full run arms it, under the header fingerprint
+ * snapshotFingerprint(config, "tpc-w", opts, 10000).
  */
 
 /**
- * SHA-256 of the CGCTSNAP file a generated run writes at its 10000-op
- * drain: tpc-w, 512 B CGCT, 20000 ops per CPU, warmup 4000, seed
- * nextSweepSeed(20050609). Asserted by
- * SnapshotPin.GeneratedCheckpointBytes. Regenerate:
- *   build/tools/cgct_sim tpc-w --ops 20000 --checkpoint-every 10000
- *     --checkpoint /tmp/gen && sha256sum /tmp/gen.10000
+ * SHA-256 of the image of tpc-w, 512 B CGCT, 20000 ops per CPU, warmup
+ * 4000, seed nextSweepSeed(20050609) (`cgct_sim tpc-w --ops 20000`).
+ * Asserted by SnapshotPin.GeneratedCheckpointBytes. Regenerate (prints
+ * it):
+ *   build/tests/test_snapshot_restore
+ *     --gtest_filter='SnapshotPin.GeneratedCheckpointBytes'
  */
 inline constexpr const char *kGeneratedCheckpointSha256 =
-    "b11c59e8cdfd7fa461f67f2e5cb391d86f85bc82d06b0c2a35246044fa7ea802";
+    "686690945cf875728e8521a233b2a774e9e0668606a6ca9bd3aa895693368d75";
 
 /**
- * SHA-256 of the CGCTSNAP file a v2 trace replay writes at its 10000-op
- * drain: the capture of `cgct_sim tpc-w --ops 20000`, replayed on the
- * same system (warmup 4000 from the trace header, seed 20050609).
- * Asserted by SnapshotPin.ReplayCheckpointBytes. Regenerate:
- *   build/tools/cgct_sim tpc-w --ops 20000 --capture /tmp/t.trace
- *   build/tools/cgct_sim --replay /tmp/t.trace --seed 20050609
- *     --checkpoint-every 10000 --checkpoint /tmp/rep
- *     && sha256sum /tmp/rep.10000
- */
-inline constexpr const char *kReplayCheckpointSha256 =
-    "913cf0e9095aff0e5b94a4df35dbe2606ba23df4564cd99599b22286f54e79fa";
-
-/**
- * SHA-256 of the CGCTSNAP file a 16-node hierarchy run with one RCA per
- * chip writes at its 10000-op drain (HierRouter state, shared-tracker
- * dedupe). Asserted by SnapshotPin.Hier16SharedRcaCheckpointBytes.
- * Regenerate:
- *   build/tools/cgct_sim tpc-w --nodes 16 --topology hier --shared-rca
- *     --ops 20000 --checkpoint-every 10000 --checkpoint /tmp/hier
- *     && sha256sum /tmp/hier.10000
+ * SHA-256 of the same image for a 16-node hierarchy with one RCA per
+ * chip (HierRouter state, shared-tracker dedupe): `cgct_sim tpc-w
+ * --nodes 16 --topology hier --shared-rca --ops 20000`. Asserted by
+ * SnapshotPin.Hier16SharedRcaCheckpointBytes. Regenerate (prints it):
+ *   build/tests/test_snapshot_restore
+ *     --gtest_filter='SnapshotPin.Hier16SharedRcaCheckpointBytes'
  */
 inline constexpr const char *kHier16SharedRcaCheckpointSha256 =
-    "ca2bb7c60b1f8f9ccccd8b1f7ec047e2a245d0b3e2cfd4e2b37f3c9ef367a789";
+    "3f19dd811bd755e9a4052d073467e7ff533e41cff104905409357c0c4efa9aba";
 
 /**
- * SHA-256 of the same checkpoint on the 16-node directory with DMA on
- * (sharer and presence tables, the "dma" section). Asserted by
- * SnapshotPin.Dir16DmaCheckpointBytes. Regenerate:
- *   build/tools/cgct_sim tpc-w --nodes 16 --topology dir --dma
- *     --shared-rca --ops 20000 --checkpoint-every 10000
- *     --checkpoint /tmp/dir && sha256sum /tmp/dir.10000
+ * SHA-256 of the same image on the 16-node directory with DMA on
+ * (sharer and presence tables, the "dma" section): `cgct_sim tpc-w
+ * --nodes 16 --topology dir --dma --shared-rca --ops 20000`. Asserted by
+ * SnapshotPin.Dir16DmaCheckpointBytes. Regenerate (prints it):
+ *   build/tests/test_snapshot_restore
+ *     --gtest_filter='SnapshotPin.Dir16DmaCheckpointBytes'
  */
 inline constexpr const char *kDir16DmaCheckpointSha256 =
-    "00f6d5013b881032eca68f20e6341fa074cd081cf363f629399601db3fbe71f5";
+    "39d2b8e127e7a96afdf93d364c076a6a4bb2302658ed87389a476944ae7d3d1d";
 
 /**
  * xxhash64 of the v2 trace file TraceWriter writes for the TraceMutation

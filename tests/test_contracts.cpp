@@ -2,8 +2,9 @@
  * @file
  * The in-process determinism contracts of docs/CONTRACTS.md, one test
  * per row, each parameterised by the scopes its row lists: row 2
- * (ContractSameState), row 3 (ContractAnyJobs), row 5 (ContractRestore)
- * and row 8 (ContractInstrumentation). Rows 1, 4 and 7 are
+ * (ContractSameState), row 3 (ContractAnyJobs), row 5 (ContractRestore,
+ * through the sampler's saveImage/restoreImage pair) and row 8
+ * (ContractInstrumentation). Rows 1, 4 and 7 are
  * test_event_queue_stress, test_sweep_identity and trace_replay_e2e; row
  * 6 is retired. Under sanitizers row 5's bus4 matrix is cut to one
  * cell (the normal-build CI leg runs it whole). Label: contract.
@@ -13,7 +14,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <sstream>
@@ -23,6 +23,7 @@
 
 #include "common/trace_sink.hpp"
 #include "core/regionscout.hpp"
+#include "drain_schedule.hpp"
 #include "golden.hpp"
 #include "sim/json_stats.hpp"
 #include "sim/sampling.hpp"
@@ -60,16 +61,6 @@ encoded(const RunResult &r)
     Serializer s;
     encodeRunResult(s, r);
     return {s.buffer().begin(), s.buffer().end()};
-}
-
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in) << path;
-    std::stringstream bytes;
-    bytes << in.rdbuf();
-    return bytes.str();
 }
 
 RunOptions
@@ -333,55 +324,15 @@ INSTANTIATE_TEST_SUITE_P(Paths, ContractAnyJobs,
                          ::testing::ValuesIn(anyJobsCells()), kCellName);
 
 // ---------------------------------------------------------------------
-// Row 5: restore == uninterrupted, under the same drain schedule.
+// Row 5: a System restored from an image == the drained System continued.
 
-/**
- * @p run straight through writes a checkpoint at every drain of the
- * @p interval schedule; restoring each must give the same bytes and
- * rewrite the later checkpoint files byte for byte. A schedule with no
- * drain before @p ops must give the bytes of a run without checkpoints
- * (`simulateOnce` and `simulateReplay` are that run). The files left
- * under `<TempDir>contract_<name>` are removed.
- */
+/** @p sch straight through, then restored from each of its drain
+ *  images (expectRestoresMatch). */
 Cell
-restoreCell(std::string name, std::uint64_t ops, std::uint64_t interval,
-            std::function<std::string(const CheckpointOptions &)> run)
+restoreCell(std::string name, Schedule sch)
 {
-    return {name, [=] {
-                const std::string first =
-                    std::string(::testing::TempDir()) + "contract_" + name;
-                const auto path = [](const std::string &prefix,
-                                     std::uint64_t at) {
-                    return prefix + "." + std::to_string(at);
-                };
-                CheckpointOptions writing;
-                writing.everyOps = interval;
-                writing.writePrefix = first;
-                const std::string reference = run(writing);
-                EXPECT_FALSE(reference.empty());
-                if (interval >= ops) {
-                    EXPECT_EQ(reference, run({}))
-                        << "a schedule with no drain must be the plain run";
-                }
-                for (std::uint64_t at = interval; at < ops; at += interval) {
-                    SCOPED_TRACE("restoring " + path(first, at));
-                    CheckpointOptions restoring = writing;
-                    restoring.restorePath = path(first, at);
-                    restoring.writePrefix = first + "_restored";
-                    EXPECT_EQ(run(restoring), reference)
-                        << "restored run diverged from the uninterrupted run";
-                    for (std::uint64_t later = at + interval; later < ops;
-                         later += interval)
-                        EXPECT_EQ(slurp(path(restoring.writePrefix, later)),
-                                  slurp(path(first, later)))
-                            << "checkpoint " << later << " differs";
-                }
-                for (std::uint64_t at = interval; at < ops; at += interval) {
-                    std::remove(path(first, at).c_str());
-                    std::remove(path(first + "_restored", at).c_str());
-                }
-                std::remove((first + ".trace").c_str());
-            }};
+    return {std::move(name),
+            [sch] { expectRestoresMatch(sch, runSchedule(sch)); }};
 }
 
 Cell
@@ -389,78 +340,48 @@ generatedCell(std::string name, const SystemConfig &config,
               const std::string &benchmark, const RunOptions &opts,
               std::uint64_t interval)
 {
-    const WorkloadProfile *profile = &benchmarkByName(benchmark);
-    return restoreCell(std::move(name), opts.opsPerCpu, interval,
-                       [=](const CheckpointOptions &ckpt) {
-                           return encoded(simulateCheckpointed(
-                               config, *profile, opts, ckpt));
-                       });
+    return restoreCell(std::move(name),
+                       {config, plainSystem(config),
+                        &benchmarkByName(benchmark), opts, interval});
 }
 
-/** A replay of a tpc-w capture on the 512 B CGCT bus; the straight run
- *  captures, the others replay its file, which restoreCell removes. */
+/** A schedule with no drain inside the stream is the plain run: its one
+ *  phase, paused at the stream's end, gives simulateOnce's result and
+ *  `--stats` text. */
 Cell
-replayCell(std::string name, std::uint64_t interval)
+noDrainCell(std::string name, const SystemConfig &config,
+            const std::string &benchmark, const RunOptions &opts)
 {
-    const SystemConfig config = makeDefaultConfig().withCgct(512);
-    const RunOptions opts = runOf(8000, 1600, 7);
-    const std::string trace =
-        std::string(::testing::TempDir()) + "contract_" + name + ".trace";
-    return restoreCell(
-        std::move(name), opts.opsPerCpu, interval,
-        [=](const CheckpointOptions &ckpt) {
-            if (!ckpt.writePrefix.empty() && ckpt.restorePath.empty()) {
-                RunOptions capture = opts;
-                capture.capturePath = trace;
-                simulateOnce(config, benchmarkByName("tpc-w"), capture);
-            }
-            return encoded(simulateCheckpointed(config, trace, opts, ckpt));
-        });
+    return {std::move(name), [=] {
+                const Drains drains = runSchedule(
+                    {config, plainSystem(config), &benchmarkByName(benchmark),
+                     opts, opts.opsPerCpu});
+                EXPECT_TRUE(drains.images.empty());
+                std::ostringstream stats;
+                EXPECT_EQ(drains.result,
+                          encoded(simulateOnce(config,
+                                               benchmarkByName(benchmark),
+                                               opts, &stats)));
+                EXPECT_EQ(drains.stats, stats.str());
+            }};
 }
 
-/** simulateCheckpointed builds its own trackers, so this scope drives its
- *  one drain itself: the checkpoint holds the workload and the system,
- *  and saving straight after a restore must give back the file. */
-std::string
-regionScoutRun(const CheckpointOptions &ckpt)
+/** The default bus with a RegionScout tracker per CPU: the image holds
+ *  the trackers the System was built with. */
+Cell
+regionScoutCell()
 {
-    constexpr std::uint64_t kOps = 5000, kSeed = 20050609;
     const SystemConfig config = makeDefaultConfig();
-    SyntheticWorkload w(benchmarkByName("tpc-w"), config.topology.numCpus,
-                        kOps, kSeed);
-    System sys(config, w, [&config](CpuId cpu) {
-        return std::make_shared<RegionScout>(cpu, RegionScoutParams{},
-                                             config.l2.lineBytes);
-    });
-    const auto save = [&] {
-        Serializer s;
-        beginSnapshotFile(s, 0);
-        Archive ar(s);
-        ar.section("workload", [&] { w.transfer(ar); });
-        sys.transfer(ar);
-        return std::string(s.buffer().begin(), s.buffer().end());
+    const MakeSystem make = [config](OpSource &ops) {
+        return std::make_unique<System>(
+            config, ops, [line = config.l2.lineBytes](CpuId cpu) {
+                return std::make_shared<RegionScout>(
+                    cpu, RegionScoutParams{}, line);
+            });
     };
-    if (ckpt.restorePath.empty()) {
-        w.setPauseAt(ckpt.everyOps);
-        runPhase(sys, /*resume=*/false, RunOptions{}.maxEvents);
-        std::ofstream(ckpt.writePrefix + "." + std::to_string(ckpt.everyOps),
-                      std::ios::binary)
-            << save();
-    } else {
-        Deserializer d;
-        EXPECT_EQ(d.open(ckpt.restorePath), "");
-        Archive ar(d);
-        ar.section("workload", [&] { w.transfer(ar); });
-        sys.transfer(ar);
-        EXPECT_EQ(save(), slurp(ckpt.restorePath))
-            << "save after restore must give back the file";
-    }
-    w.setPauseAt(UINT64_MAX);
-    runPhase(sys, /*resume=*/true, RunOptions{}.maxEvents);
-    Serializer s;
-    sys.serializeState(s);
-    encodeRunResult(s, collectRunResult(sys, "tpc-w", kSeed, 0));
-    return {s.buffer().begin(), s.buffer().end()};
+    return restoreCell("bus4_regionscout_tpc_w",
+                       {config, make, &benchmarkByName("tpc-w"),
+                        runOf(5000, 0, 20050609), 2500});
 }
 
 std::vector<Cell>
@@ -483,13 +404,10 @@ restoreCells()
     cells.push_back(generatedCell("bus4_ocean_r512_s3_nowarmup",
                                   bus4.withCgct(512), "ocean",
                                   runOf(9000, 0, 3), 3000));
-    cells.push_back(generatedCell("bus4_tpc_w_r512_nodrain",
-                                  bus4.withCgct(512), "tpc-w",
-                                  runOf(8000, 1600, 7), 8000));
-    cells.push_back(replayCell("replay_tpc_w_r512_nodrain", 8000));
-    cells.push_back(replayCell("replay_tpc_w_r512", 3000));
-    cells.push_back(
-        restoreCell("bus4_regionscout_tpc_w", 5000, 2500, regionScoutRun));
+    cells.push_back(noDrainCell("bus4_tpc_w_r512_nodrain",
+                                bus4.withCgct(512), "tpc-w",
+                                runOf(8000, 1600, 7)));
+    cells.push_back(regionScoutCell());
 
     for (TopologyKind k :
          {TopologyKind::Bus, TopologyKind::Hier, TopologyKind::Dir})
@@ -520,36 +438,38 @@ INSTANTIATE_TEST_SUITE_P(Scopes, ContractRestore,
 // Row 8: instrumentation never changes a run's results.
 
 /** canonicalizeConfig leaves config.obs out of every fingerprint on this
- *  claim, which is what lets `--restore` add `--trace
- *  --check-invariants` to a plain checkpoint. */
+ *  claim, which is what lets a plain image restore under `--trace
+ *  --check-invariants`. */
 Cell
 instrumentationCell(std::string name, const SystemConfig &plain)
 {
     return {name, [=] {
                 SystemConfig observed = plain;
                 observed.obs.trace = observed.obs.checkInvariants = true;
+                const RunOptions opts = runOf(3000, 600, 7);
                 // The encoded result and the dumpStats text.
-                const auto run = [](const SystemConfig &c,
-                                    const CheckpointOptions &ckpt) {
+                const auto full = [&opts](const SystemConfig &c) {
                     std::ostringstream stats;
-                    const std::string result =
-                        encoded(simulateCheckpointed(
-                            c, benchmarkByName("tpc-w"),
-                            runOf(3000, 600, 7), ckpt, &stats));
+                    const std::string result = encoded(simulateOnce(
+                        c, benchmarkByName("tpc-w"), opts, &stats));
                     return std::pair{result, stats.str()};
                 };
-                CheckpointOptions writing;
-                writing.everyOps = 1500;
-                writing.writePrefix =
-                    std::string(::testing::TempDir()) + "contract_" + name;
-                CheckpointOptions drained;
-                drained.everyOps = 1500;
-                EXPECT_EQ(run(observed, drained), run(plain, writing));
+                EXPECT_EQ(full(observed), full(plain));
 
-                drained.restorePath = writing.writePrefix + ".1500";
-                EXPECT_EQ(run(observed, drained), run(plain, drained))
-                    << "a plain checkpoint restored under instrumentation";
-                std::remove(drained.restorePath.c_str());
+                Schedule sch{plain, plainSystem(plain),
+                             &benchmarkByName("tpc-w"), opts, 1500};
+                const Drains drained = runSchedule(sch);
+                ASSERT_EQ(drained.images.size(), 1u);
+                const auto continued = [&](const SystemConfig &c) {
+                    sch.config = c;
+                    sch.make = plainSystem(c);
+                    const Drains d = runSchedule(sch, &drained.images[0],
+                                                 1500,
+                                                 drained.measureStarts[0]);
+                    return std::pair{d.end, d.stats};
+                };
+                EXPECT_EQ(continued(observed), continued(plain))
+                    << "a plain image restored under instrumentation";
             }};
 }
 

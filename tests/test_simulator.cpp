@@ -2,13 +2,19 @@
  * @file
  * Tests for the run harness: seeds that perturb, RunResult accounting
  * identities, baseline-vs-CGCT relationships on a small workload, and
- * distinct seeds of one batch giving distinct runs.
+ * distinct seeds of one batch giving distinct runs, and `--stats` output
+ * that leaves the result alone.
  */
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
+#include "snapshot/result_codec.hpp"
+#include "snapshot/serializer.hpp"
 #include "workload/benchmarks.hpp"
 
 namespace cgct {
@@ -131,6 +137,20 @@ TEST(Simulator, InstructionsCounted)
                                      quickOpts(4000));
     // 4 CPUs x 4000 memory ops, plus gap instructions.
     EXPECT_GT(r.instructions, 4u * 4000u);
+}
+
+TEST(Simulator, StatsOutLeavesTheResultUnchanged)
+{
+    // --stats dumps the component statistics after the result is
+    // collected, so asking for them changes no result byte.
+    const WorkloadProfile &p = benchmarkByName("tpc-w");
+    const SystemConfig cfg = makeDefaultConfig().withCgct(512);
+    std::ostringstream stats;
+    Serializer with, without;
+    encodeRunResult(with, simulateOnce(cfg, p, quickOpts(3000), &stats));
+    encodeRunResult(without, simulateOnce(cfg, p, quickOpts(3000)));
+    EXPECT_EQ(with.buffer(), without.buffer());
+    EXPECT_NE(stats.str().find("cpu0.requests_total"), std::string::npos);
 }
 
 } // namespace

@@ -1,11 +1,10 @@
 /**
  * @file
  * Snapshot serialization unit tests: the XXH64 digest, primitive and
- * section round trips, file framing, corruption detection, the config
+ * section round trips, image framing, corruption detection, the config
  * fingerprint, the RunResult codec, the load-side checks that turn
  * crafted counts and indices into clean exits, and a seeded loop of
- * mutated checkpoint files that must load or exit cleanly. Label:
- * snapshot.
+ * mutated images that must load or exit cleanly. Label: snapshot.
  */
 
 #include <gtest/gtest.h>
@@ -38,7 +37,6 @@
 #include "snapshot/snapshot.hpp"
 #include "workload/benchmarks.hpp"
 #include "workload/generator.hpp"
-#include "workload/trace_replay.hpp"
 
 using namespace cgct;
 
@@ -70,12 +68,6 @@ void operator delete(void *p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
 
 namespace {
-
-std::string
-tempPath(const char *stem)
-{
-    return std::string(::testing::TempDir()) + stem;
-}
 
 TEST(XxHash64, ReferenceVectors)
 {
@@ -208,7 +200,7 @@ TEST(Serializer, LittleEndianLayout)
     EXPECT_EQ(s.buffer()[3], 4);
 }
 
-TEST(SnapshotFile, SectionRoundTripThroughDisk)
+TEST(SnapshotFile, SectionRoundTripThroughBytes)
 {
     Serializer s;
     s.beginSection("alpha");
@@ -219,11 +211,8 @@ TEST(SnapshotFile, SectionRoundTripThroughDisk)
     s.u32(9);
     s.endSection();
 
-    const std::string path = tempPath("snap_roundtrip.bin");
-    ASSERT_EQ(writeFileAtomic(path, makeSnapshotFile(0xF00D, s)), "");
-
     Deserializer d;
-    ASSERT_EQ(d.open(path), "");
+    ASSERT_EQ(d.openBytes(makeSnapshotFile(0xF00D, s), "roundtrip"), "");
     EXPECT_EQ(d.version(), kSnapshotVersion);
     EXPECT_EQ(d.fingerprint(), 0xF00DULL);
 
@@ -233,7 +222,6 @@ TEST(SnapshotFile, SectionRoundTripThroughDisk)
     EXPECT_TRUE(a.atEnd());
     SectionReader b = d.section("beta");
     EXPECT_EQ(b.u32(), 9u);
-    std::remove(path.c_str());
 }
 
 TEST(SnapshotFile, DetectsCorruptionAndTruncation)
@@ -244,34 +232,28 @@ TEST(SnapshotFile, DetectsCorruptionAndTruncation)
         s.u64(static_cast<std::uint64_t>(i) * 0x9E3779B97F4A7C15ULL);
     s.endSection();
     const std::vector<std::uint8_t> good = makeSnapshotFile(1, s);
-    const std::string path = tempPath("snap_corrupt.bin");
 
     // Flip one payload byte: the section checksum must catch it.
     std::vector<std::uint8_t> bad = good;
     bad[bad.size() / 2] ^= 0x01;
-    ASSERT_EQ(writeFileAtomic(path, bad), "");
     Deserializer d1;
-    EXPECT_NE(d1.open(path), "");
+    EXPECT_NE(d1.openBytes(bad, "corrupt"), "");
 
     // Truncate mid-section: framing must catch it.
     std::vector<std::uint8_t> torn(good.begin(),
                                    good.end() - good.size() / 3);
-    ASSERT_EQ(writeFileAtomic(path, torn), "");
     Deserializer d2;
-    EXPECT_NE(d2.open(path), "");
+    EXPECT_NE(d2.openBytes(torn, "torn"), "");
 
     // Wrong magic.
     std::vector<std::uint8_t> wrong = good;
     wrong[0] ^= 0xFF;
-    ASSERT_EQ(writeFileAtomic(path, wrong), "");
     Deserializer d3;
-    EXPECT_NE(d3.open(path), "");
+    EXPECT_NE(d3.openBytes(wrong, "wrong magic"), "");
 
     // And the pristine bytes still open.
-    ASSERT_EQ(writeFileAtomic(path, good), "");
     Deserializer d4;
-    EXPECT_EQ(d4.open(path), "");
-    std::remove(path.c_str());
+    EXPECT_EQ(d4.openBytes(good, "good"), "");
 }
 
 TEST(SnapshotFile, RefusesAVersion2File)
@@ -298,7 +280,6 @@ TEST(SnapshotFile, CraftedLengthsCannotWrapBoundsChecks)
     s.u64(1);
     s.endSection();
     const std::vector<std::uint8_t> good = makeSnapshotFile(1, s);
-    const std::string path = tempPath("snap_wrap.bin");
     const std::size_t name_len_at = sizeof(kSnapshotMagic) + 4 + 8;
     const std::size_t payload_len_at = name_len_at + 4 + 4; // "data"
 
@@ -308,9 +289,8 @@ TEST(SnapshotFile, CraftedLengthsCannotWrapBoundsChecks)
     std::vector<std::uint8_t> bad = good;
     for (int i = 0; i < 4; ++i)
         bad[name_len_at + i] = 0xFF;
-    ASSERT_EQ(writeFileAtomic(path, bad), "");
     Deserializer d1;
-    EXPECT_NE(d1.open(path), "");
+    EXPECT_NE(d1.openBytes(bad, "wrapped name"), "");
 
     // payload_len = 2^64 - 8: `payload_len + 8` wraps to zero, which
     // would pass a naive check and underflow the section range.
@@ -318,16 +298,8 @@ TEST(SnapshotFile, CraftedLengthsCannotWrapBoundsChecks)
     bad[payload_len_at] = 0xF8;
     for (int i = 1; i < 8; ++i)
         bad[payload_len_at + i] = 0xFF;
-    ASSERT_EQ(writeFileAtomic(path, bad), "");
     Deserializer d2;
-    EXPECT_NE(d2.open(path), "");
-    std::remove(path.c_str());
-}
-
-TEST(SnapshotFile, MissingFileIsAnError)
-{
-    Deserializer d;
-    EXPECT_NE(d.open(tempPath("does_not_exist.bin")), "");
+    EXPECT_NE(d2.openBytes(bad, "wrapped payload"), "");
 }
 
 TEST(Fingerprint, CoversConfigAndRunIdentity)
@@ -350,8 +322,8 @@ TEST(Fingerprint, CoversConfigAndRunIdentity)
     EXPECT_NE(snapshotFingerprint(base, "tpc-w", opts, 10000), fp);
 
     // Observability knobs never affect behavior, so they must not
-    // affect the fingerprint — that's what lets `--restore` add
-    // --trace / --check-invariants for time-travel debugging.
+    // affect the fingerprint: a plain image restores under --trace and
+    // --check-invariants (contract row 8).
     SystemConfig traced = base;
     traced.obs.trace = true;
     traced.obs.checkInvariants = true;
@@ -438,26 +410,38 @@ TEST(Fingerprint, CoversEveryConfigField)
 
 TEST(Fingerprint, MismatchRefusesRestore)
 {
-    const SystemConfig config = makeDefaultConfig().withCgct(512);
+    // An image saved under 512 B regions, restored through restoreImage
+    // into a 1024 B system that checks its own fingerprint: refused, with
+    // both fingerprints named, before any section is read.
     const WorkloadProfile &profile = benchmarkByName("tpc-w");
     RunOptions opts;
     opts.opsPerCpu = 6000;
     opts.warmupOps = 0;
-    CheckpointOptions ckpt;
-    ckpt.everyOps = 3000;
-    ckpt.writePrefix = tempPath("fp_mismatch");
-    simulateCheckpointed(config, profile, opts, ckpt);
+    const auto drained = [&](const SystemConfig &config) {
+        SyntheticWorkload workload(profile, config.topology.numCpus,
+                                   opts.opsPerCpu, opts.seed);
+        System sys(config, workload);
+        workload.setPauseAt(3000);
+        runPhase(sys, /*resume=*/false, opts.maxEvents);
+        std::size_t image_bytes = 0;
+        return saveImage(
+            sys, workload,
+            snapshotFingerprint(config, profile.name, opts, 3000),
+            image_bytes);
+    };
+    const SystemConfig config = makeDefaultConfig().withCgct(512);
+    const std::vector<std::uint8_t> image = drained(config);
 
-    CheckpointOptions restore;
-    restore.restorePath = ckpt.writePrefix + ".3000";
     const SystemConfig other = makeDefaultConfig().withCgct(1024);
-    EXPECT_DEATH(simulateCheckpointed(other, profile, opts, restore),
-                 "fingerprint");
-    // Same config, different workload: refused with the workload named.
-    EXPECT_DEATH(simulateCheckpointed(config, benchmarkByName("barnes"),
-                                      opts, restore),
-                 "workload");
-    std::remove((ckpt.writePrefix + ".3000").c_str());
+    SyntheticWorkload workload(profile, other.topology.numCpus,
+                               opts.opsPerCpu, opts.seed);
+    System sys(other, workload);
+    EXPECT_EXIT(restoreImage(sys, workload, std::vector<std::uint8_t>(image),
+                             snapshotFingerprint(other, profile.name, opts,
+                                                 3000),
+                             "512 B image"),
+                ::testing::ExitedWithCode(1),
+                "512 B image belongs to another run");
 }
 
 TEST(Rng, SerializeRoundTripContinuesStream)
@@ -627,33 +611,17 @@ TEST(SnapshotDecoderDeath, TruncatedResultExitsCleanly)
                 "crafted: read past end");
 }
 
-std::vector<std::uint8_t>
-readBytes(const std::string &path)
-{
-    std::vector<std::uint8_t> bytes;
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return bytes;
-    std::uint8_t chunk[4096];
-    std::size_t got;
-    while ((got = std::fread(chunk, 1, sizeof chunk, f)) > 0)
-        bytes.insert(bytes.end(), chunk, chunk + got);
-    std::fclose(f);
-    return bytes;
-}
-
 // ---------------------------------------------------------------------------
 // Seeded CGCTSNAP mutation loop: bit flips, truncations, section-length
-// and count-field edits of two small checkpoints, a generated run's on
-// the two-level hierarchy (whose mask tables are stored behind a count)
-// and a trace replay's on the bus (whose "replay" section carries the
-// retired slots that must load as 0). Half the mutants are resealed, so
-// they pass the section checksums and reach Archive's count / index /
-// expect checks. Each mutant that passes the framing is loaded in a
-// forked child: it must load, or exit 1 with one [fatal] line, never
-// crash, trip a sanitizer or allocate from an unchecked count.
+// and count-field edits of two small images, saveImage's of a drained
+// generated run on the two-level hierarchy (whose mask tables are stored
+// behind a count) and on the bus. Half the mutants are resealed, so they
+// pass the section checksums and reach Archive's count / index / expect
+// checks. Each mutant that passes the framing is loaded by restoreImage
+// in a forked child: it must load, or exit 1 with one [fatal] line,
+// never crash, trip a sanitizer or allocate from an unchecked count.
 
-/** A small 4-CPU machine, so a checkpoint is tens of KB. */
+/** A small 4-CPU machine, so an image is tens of KB. */
 SystemConfig
 mutationConfig(TopologyKind topology)
 {
@@ -725,8 +693,7 @@ struct CountAt {
 /**
  * The counts of trailing arrays in @p b: each u32 or u64 whose value
  * times an item size (8, 12 or 16 bytes) is exactly the bytes after it
- * in its section. That finds the hierarchy's mask-table count and the
- * replay section's retired held-lock and banked-signal counts.
+ * in its section. That finds the hierarchy's mask-table count.
  */
 std::vector<CountAt>
 countsOf(const std::vector<std::uint8_t> &b,
@@ -799,48 +766,50 @@ mutateSnapshot(std::vector<std::uint8_t> &b,
     }
 }
 
-/** A mutation seed: a checkpoint and what it loads against. */
+/** The drain point of a mutation seed, in ops per CPU. */
+constexpr std::uint64_t kMutationDrainOps = 400;
+
+/** A mutation seed: an image and the machine it loads into. */
 struct SnapshotSeed {
     SystemConfig config;
-    std::string trace; ///< The replayed trace, or "" for a generated run.
     std::vector<std::uint8_t> bytes;
+
+    std::uint64_t
+    fingerprint() const
+    {
+        return snapshotFingerprint(config, "tpc-w", mutationRun(),
+                                   kMutationDrainOps);
+    }
 };
 
-/**
- * Load @p bytes the way a restore does, minus the run-identity checks:
- * the harness fields (HarnessState's layout in snapshot.cpp), the
- * workload section, then every System section.
- */
-void
-loadCheckpoint(const SnapshotSeed &seed, std::vector<std::uint8_t> bytes)
+/** The seed of @p config: its image at the drain point. */
+SnapshotSeed
+drainedSeed(const SystemConfig &config)
 {
     const RunOptions opts = mutationRun();
-    Deserializer d;
-    if (!d.openBytes(std::move(bytes), "mutant").empty())
-        std::_Exit(2);
-    Archive ar(d);
-    ar.section("harness", [&] {
-        std::string profile;
-        std::uint64_t u = 0;
-        bool warmup_done = false;
-        ar.str(profile);
-        for (int i = 0; i < 6; ++i)
-            ar.u64(u);
-        ar.b(warmup_done);
-    });
-    if (seed.trace.empty()) {
-        SyntheticWorkload workload(benchmarkByName("tpc-w"),
-                                   seed.config.topology.numCpus,
-                                   opts.opsPerCpu, opts.seed);
-        System sys(seed.config, workload);
-        ar.section("workload", [&] { workload.transfer(ar); });
-        sys.transfer(ar);
-    } else {
-        TraceReplay replay(seed.trace);
-        System sys(seed.config, replay);
-        ar.section("replay", [&] { replay.transfer(ar); });
-        sys.transfer(ar);
-    }
+    SnapshotSeed seed{config, {}};
+    SyntheticWorkload workload(benchmarkByName("tpc-w"),
+                               config.topology.numCpus, opts.opsPerCpu,
+                               opts.seed);
+    System sys(config, workload);
+    workload.setPauseAt(kMutationDrainOps);
+    runPhase(sys, /*resume=*/false, opts.maxEvents);
+    std::size_t image_bytes = 0;
+    seed.bytes = saveImage(sys, workload, seed.fingerprint(), image_bytes);
+    return seed;
+}
+
+/** Load @p bytes into a fresh system as the sampler's windows do. */
+void
+loadImage(const SnapshotSeed &seed, std::vector<std::uint8_t> bytes)
+{
+    const RunOptions opts = mutationRun();
+    SyntheticWorkload workload(benchmarkByName("tpc-w"),
+                               seed.config.topology.numCpus, opts.opsPerCpu,
+                               opts.seed);
+    System sys(seed.config, workload);
+    restoreImage(sys, workload, std::move(bytes), seed.fingerprint(),
+                 "mutant");
 }
 
 /** How one forked load ended: its exit code (-1 on a signal) and what
@@ -861,7 +830,7 @@ loadInChild(const SnapshotSeed &seed, const std::vector<std::uint8_t> &bytes)
         ::dup2(pipe_fd[1], STDERR_FILENO);
         ::close(pipe_fd[0]);
         g_allocBound = std::size_t{64} << 20;
-        loadCheckpoint(seed, bytes);
+        loadImage(seed, bytes);
         std::_Exit(0);
     }
     ::close(pipe_fd[1]);
@@ -880,29 +849,12 @@ loadInChild(const SnapshotSeed &seed, const std::vector<std::uint8_t> &bytes)
 
 TEST(SnapshotMutation, SeededMutantsLoadOrExitCleanly)
 {
-    SnapshotSeed generated{mutationConfig(TopologyKind::Hier), "", {}};
-    SnapshotSeed replayed{mutationConfig(TopologyKind::Bus),
-                          tempPath("mutation_seed.trace"), {}};
-    CheckpointOptions ckpt;
-    ckpt.everyOps = 400;
-    ckpt.writePrefix = tempPath("mutation_gen");
-    simulateCheckpointed(generated.config, benchmarkByName("tpc-w"),
-                         mutationRun(), ckpt);
-    generated.bytes = readBytes(ckpt.writePrefix + ".400");
-    RunOptions live = mutationRun();
-    live.capturePath = replayed.trace;
-    simulateOnce(replayed.config, benchmarkByName("tpc-w"), live);
-    ckpt.writePrefix = tempPath("mutation_rep");
-    simulateCheckpointed(replayed.config, replayed.trace, mutationRun(),
-                         ckpt);
-    replayed.bytes = readBytes(ckpt.writePrefix + ".400");
-    for (const char *stem : {"mutation_gen", "mutation_rep"})
-        for (const char *at : {".400", ".800"})
-            std::remove((tempPath(stem) + at).c_str());
+    const SnapshotSeed hier = drainedSeed(mutationConfig(TopologyKind::Hier));
+    const SnapshotSeed bus = drainedSeed(mutationConfig(TopologyKind::Bus));
 
     Rng rng(0x5eed5a7);
     unsigned framing = 0, rejected = 0, loaded = 0;
-    for (const SnapshotSeed *seed : {&generated, &replayed}) {
+    for (const SnapshotSeed *seed : {&hier, &bus}) {
         const std::vector<SectionAt> secs = sectionsOf(seed->bytes);
         ASSERT_GT(secs.size(), 10u);
         const std::vector<CountAt> counts = countsOf(seed->bytes, secs);
@@ -933,7 +885,6 @@ TEST(SnapshotMutation, SeededMutantsLoadOrExitCleanly)
                 ++rejected;
         }
     }
-    std::remove(replayed.trace.c_str());
     std::printf("framing errors %u, load errors %u, loaded %u of 2000\n",
                 framing, rejected, loaded);
     // The loop reaches every layer: the framing and checksums, the

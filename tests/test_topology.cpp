@@ -28,7 +28,6 @@
 #include "sim/system.hpp"
 #include "snapshot/result_codec.hpp"
 #include "snapshot/serializer.hpp"
-#include "snapshot/snapshot.hpp"
 #include "workload/benchmarks.hpp"
 #include "workload/generator.hpp"
 
@@ -439,8 +438,7 @@ dumpStatsDigest(const SystemConfig &config, RunResult &result)
     opts.warmupOps = kPinOps / 5;
     opts.seed = 20050609;
     std::ostringstream os;
-    result = simulateCheckpointed(config, benchmarkByName("tpc-w"), opts,
-                                  {}, &os);
+    result = simulateOnce(config, benchmarkByName("tpc-w"), opts, &os);
     const std::string text = os.str();
     const std::uint64_t digest = fnv1a(
         reinterpret_cast<const std::uint8_t *>(text.data()), text.size());

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the streaming v2 trace replayer: live-lane progress, and
- * progress serialization and its retired zero slots.
+ * Tests for the streaming v2 trace replayer: each lane's ops in record
+ * order, lanes that end apart, and live-lane progress.
  */
 
 #include <gtest/gtest.h>
@@ -9,9 +9,7 @@
 #include <cstdio>
 #include <string>
 #include <unistd.h>
-#include <vector>
 
-#include "snapshot/serializer.hpp"
 #include "workload/trace.hpp"
 #include "workload/trace_replay.hpp"
 
@@ -49,27 +47,6 @@ writeTwoLaneTrace(const char *tag)
     return path;
 }
 
-/** A snapshot file image holding @p replay's progress as its "replay"
- *  section. */
-std::vector<std::uint8_t>
-saveProgress(TraceReplay &replay)
-{
-    Serializer s;
-    Archive save(s);
-    save.section("replay", [&] { replay.transfer(save); });
-    return makeSnapshotFile(0, s);
-}
-
-/** Load @p file's "replay" section into @p replay. */
-void
-loadProgress(std::vector<std::uint8_t> file, TraceReplay &replay)
-{
-    Deserializer d;
-    ASSERT_EQ(d.openBytes(std::move(file), "progress"), "");
-    Archive load(d);
-    load.section("replay", [&] { replay.transfer(load); });
-}
-
 TEST(TraceReplay, MinOpsConsumedTracksLiveLanes)
 {
     const std::string path = writeTwoLaneTrace("minops");
@@ -90,82 +67,50 @@ TEST(TraceReplay, MinOpsConsumedTracksLiveLanes)
     std::remove(path.c_str());
 }
 
-TEST(TraceReplay, ProgressSerializesAndRestores)
+TEST(TraceReplay, LaneOpsComeOutInRecordOrder)
 {
-    const std::string path = writeTwoLaneTrace("progress");
+    const std::string path = writeTwoLaneTrace("order");
+    TraceReplay replay(path);
+    EXPECT_EQ(replay.numLanes(), 2u);
+    EXPECT_EQ(replay.maxLaneMemOps(), 2u);
+    CpuOp op;
+    ASSERT_TRUE(replay.next(1, op));
+    EXPECT_EQ(op.addr, 0x200u);
+    ASSERT_TRUE(replay.next(0, op));
+    EXPECT_EQ(op.kind, CpuOpKind::Load);
+    EXPECT_EQ(op.addr, 0x100u);
+    ASSERT_TRUE(replay.next(0, op));
+    EXPECT_EQ(op.addr, 0x140u);
+    EXPECT_FALSE(replay.next(0, op));
+    std::remove(path.c_str());
+}
+
+TEST(TraceReplay, EndedLaneStaysEnded)
+{
+    // A core may ask an ended lane again; it stays ended, and it counts
+    // once toward allEnded().
+    const std::string path = writeTwoLaneTrace("ended");
     TraceReplay replay(path);
     CpuOp op;
-    // Lane 0 takes one of its two loads; lane 1 takes its load and ends.
-    ASSERT_TRUE(replay.next(0, op));
     ASSERT_TRUE(replay.next(1, op));
-    EXPECT_FALSE(replay.next(1, op));
-
-    // Restore into a fresh replay of the same file: the lane cursors,
-    // the ended lane and minOpsConsumed all survive.
-    TraceReplay fresh(path);
-    loadProgress(saveProgress(replay), fresh);
-    EXPECT_EQ(fresh.minOpsConsumed(), 1u);
-    EXPECT_FALSE(fresh.next(1, op));
-    ASSERT_TRUE(fresh.next(0, op));
-    EXPECT_EQ(op.addr, 0x140u);
-    EXPECT_FALSE(fresh.next(0, op));
-    EXPECT_TRUE(fresh.allEnded());
+    for (int i = 0; i < 3; ++i)
+        EXPECT_FALSE(replay.next(1, op));
+    EXPECT_FALSE(replay.allEnded());
+    ASSERT_TRUE(replay.next(0, op));
+    EXPECT_EQ(op.addr, 0x100u);
+    ASSERT_TRUE(replay.next(0, op));
+    EXPECT_FALSE(replay.next(0, op));
+    EXPECT_TRUE(replay.allEnded());
     std::remove(path.c_str());
 }
 
-/** Store 1 in the byte @p back bytes before the xxhash64 that ends
- *  @p file's "replay" section, then reseal the section so a load gets
- *  past the checksum to the slot. */
-void
-storeOneBeforeHash(std::vector<std::uint8_t> &file, std::size_t back)
+TEST(TraceReplayDeath, OpForALaneBeyondTheTraceIsFatal)
 {
-    const std::size_t hash_at = file.size() - 8;
-    file[hash_at - back] = 1;
-    const std::size_t payload_bytes = loadLe<std::uint64_t>(
-        file.data() + 20 + 4 + 6); // Header, name length, "replay".
-    const std::size_t payload_at = hash_at - payload_bytes;
-    storeLe<std::uint64_t>(file.data() + hash_at,
-                           xxhash64(file.data() + payload_at,
-                                    payload_bytes));
-}
-
-// The section ends with lane 1's retired sync-record count (u64) and
-// its ended flag (u8), then the retired held-lock and banked-signal
-// counts (u32 each). Each slot must load as zero.
-
-TEST(TraceReplayDeath, HeldLockSlotMustBeZero)
-{
-    const std::string path = writeTwoLaneTrace("held_lock");
+    const std::string path = writeTwoLaneTrace("beyond");
     TraceReplay replay(path);
-    std::vector<std::uint8_t> file = saveProgress(replay);
-    storeOneBeforeHash(file, 8);
-    TraceReplay fresh(path);
-    EXPECT_EXIT(loadProgress(file, fresh), ::testing::ExitedWithCode(1),
-                "held locks mismatch \\(1 stored, 0 here\\)");
-    std::remove(path.c_str());
-}
-
-TEST(TraceReplayDeath, BankedSignalSlotMustBeZero)
-{
-    const std::string path = writeTwoLaneTrace("banked_signal");
-    TraceReplay replay(path);
-    std::vector<std::uint8_t> file = saveProgress(replay);
-    storeOneBeforeHash(file, 4);
-    TraceReplay fresh(path);
-    EXPECT_EXIT(loadProgress(file, fresh), ::testing::ExitedWithCode(1),
-                "banked signals mismatch \\(1 stored, 0 here\\)");
-    std::remove(path.c_str());
-}
-
-TEST(TraceReplayDeath, LaneSyncRecordsSlotMustBeZero)
-{
-    const std::string path = writeTwoLaneTrace("lane_sync");
-    TraceReplay replay(path);
-    std::vector<std::uint8_t> file = saveProgress(replay);
-    storeOneBeforeHash(file, 8 + 1 + 8);
-    TraceReplay fresh(path);
-    EXPECT_EXIT(loadProgress(file, fresh), ::testing::ExitedWithCode(1),
-                "lane sync records mismatch \\(1 stored, 0 here\\)");
+    CpuOp op;
+    EXPECT_EXIT(replay.next(2, op), ::testing::ExitedWithCode(1),
+                "op for cpu 2 but the trace has 2 lanes");
     std::remove(path.c_str());
 }
 

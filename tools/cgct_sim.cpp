@@ -25,7 +25,6 @@
 #include "sim/json_stats.hpp"
 #include "sim/sampling.hpp"
 #include "sim/simulator.hpp"
-#include "snapshot/snapshot.hpp"
 #include "workload/benchmarks.hpp"
 #include "workload/trace.hpp"
 
@@ -131,9 +130,6 @@ main(int argc, char **argv)
     std::string capture_path;
     std::string trace_out;
     std::string trace_format = "jsonl";
-    std::uint64_t checkpoint_every = 0;
-    std::string checkpoint_path;
-    std::string restore_path;
 
     ArgParser parser(
         "cgct_sim",
@@ -174,16 +170,6 @@ main(int argc, char **argv)
                      "path (see docs/TRACING.md)");
     parser.addString("trace-format", &trace_format,
                      "trace output format: jsonl (default) or chrome");
-    parser.addU64("checkpoint-every", &checkpoint_every,
-                  "drain and checkpoint every N ops per CPU (see "
-                  "docs/SNAPSHOT.md); the drain schedule is part of the "
-                  "experiment, so pass the same value when restoring");
-    parser.addString("checkpoint", &checkpoint_path,
-                     "write each checkpoint to PATH.<ops> (requires "
-                     "--checkpoint-every)");
-    parser.addString("restore", &restore_path,
-                     "restore from this snapshot and run to the end; "
-                     "refuses snapshots from a different configuration");
     parser.addFlag("check-invariants", &check_invariants,
                    "cross-check region state against cache contents at "
                    "every ordering point");
@@ -238,49 +224,34 @@ main(int argc, char **argv)
     opts.seed = seed;
     opts.capturePath = capture_path;
 
-    const bool checkpointing =
-        checkpoint_every || !checkpoint_path.empty() ||
-        !restore_path.empty();
-    if (!capture_path.empty() && (!replay_path.empty() || checkpointing)) {
+    if (!capture_path.empty() && !replay_path.empty()) {
         std::fprintf(stderr, "cgct_sim: --capture records a live run from "
                              "its first op; it does not combine with "
-                             "--replay or checkpoint/restore\n");
+                             "--replay\n");
         return 1;
     }
     if (run.sample &&
-        (!replay_path.empty() || checkpointing || !capture_path.empty() ||
+        (!replay_path.empty() || !capture_path.empty() ||
          !trace_out.empty() || stats || dma)) {
         std::fprintf(stderr,
                      "cgct_sim: --sample is a live generated run; it "
-                     "does not combine with --replay, checkpoint/restore, "
-                     "--capture, --trace, --stats or --dma "
-                     "(docs/SAMPLING.md)\n");
-        return 1;
-    }
-    if (!checkpoint_path.empty() && !checkpoint_every &&
-        restore_path.empty()) {
-        std::fprintf(stderr, "cgct_sim: --checkpoint needs "
-                             "--checkpoint-every to know where to drain\n");
+                     "does not combine with --replay, --capture, --trace, "
+                     "--stats or --dma (docs/SAMPLING.md)\n");
         return 1;
     }
 
-    // Replays and generated runs share one harness; a replay's stream is
-    // the trace's.
-    const CheckpointOptions ckpt{checkpoint_every, checkpoint_path,
-                                 restore_path};
     std::ostream *stats_out = stats ? &std::cout : nullptr;
     RunResult result;
     if (!replay_path.empty()) {
-        result =
-            simulateCheckpointed(config, replay_path, opts, ckpt, stats_out);
+        result = simulateReplay(config, replay_path, opts, stats_out);
     } else if (run.sample) {
         SamplingOptions sopts = run.sampling();
         sopts.jobs = jobs;
         result = simulateSampled(config, benchmarkByName(benchmark), opts,
                                  sopts);
     } else {
-        result = simulateCheckpointed(config, benchmarkByName(benchmark),
-                                      opts, ckpt, stats_out);
+        result = simulateOnce(config, benchmarkByName(benchmark), opts,
+                              stats_out);
     }
 
     if (!trace_out.empty()) {

@@ -25,10 +25,10 @@
 #      not) must be documented in docs/TRACING.md; finding none fails.
 #   5. docs/ARCHITECTURE.md must exist and be cross-linked from
 #      README.md, DESIGN.md, docs/PERF.md, and docs/SWEEP.md.
-#   6. docs/SNAPSHOT.md must cover the checkpoint format and flags,
-#      state the CGCTSNAP version the source defines (kSnapshotVersion),
-#      and be cross-linked from README.md, docs/SWEEP.md, and
-#      docs/ARCHITECTURE.md.
+#   6. docs/SNAPSHOT.md must cover the CGCTSNAP image format and its
+#      writer and reader, state the CGCTSNAP version the source defines
+#      (kSnapshotVersion), and be cross-linked from README.md,
+#      docs/SWEEP.md, and docs/ARCHITECTURE.md.
 #   7. docs/TRACE_FORMAT.md's record table must list exactly the v2
 #      record types of the CGCT_TRACE_V2_RECORD_TYPES X-macro
 #      (src/workload/trace_format.hpp), opcode and name. The cgct_trace
@@ -270,8 +270,8 @@ else
     done
 fi
 
-# Snapshot documentation: docs/SNAPSHOT.md must cover the on-disk
-# format and the checkpoint/restore flags, and be reachable from the
+# Snapshot documentation: docs/SNAPSHOT.md must cover the CGCTSNAP
+# image format and its one writer and reader, and be reachable from the
 # entry-point docs.
 snap_doc="$root/docs/SNAPSHOT.md"
 if [ ! -f "$snap_doc" ]; then
@@ -279,9 +279,8 @@ if [ ! -f "$snap_doc" ]; then
     fail=1
 else
     for token in CGCTSNAP xxhash64 fingerprint \
-                 --checkpoint-every --checkpoint --restore \
                  golden.hpp setPauseAt resumePhase \
-                 simulateCheckpointed; do
+                 saveImage restoreImage; do
         if ! grep -q -- "$token" "$snap_doc"; then
             echo "check_docs: docs/SNAPSHOT.md does not mention $token" >&2
             fail=1

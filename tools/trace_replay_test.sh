@@ -5,8 +5,8 @@
 # JSON results and --stats dumps to hash identically after normalizing
 # the fields that legitimately differ (the workload label and, for
 # replays, the seed the trace file does not carry). Also covers cgct_trace
-# verify/info and its refusal of the retired record subcommand,
-# checkpoint-mid-replay restore, and the rejection of legacy v1 files.
+# verify/info and its refusal of the retired record subcommand, and the
+# rejection of legacy v1 files.
 #
 #   tools/trace_replay_test.sh <cgct_sim-binary> <cgct_trace-binary>
 #
@@ -137,31 +137,6 @@ if [ "$status" -ne 1 ] ||
     exit 1
 fi
 
-# Checkpoint mid-replay: a restored replay must finish byte-identical
-# to the uninterrupted checkpointed run (same drain schedule).
-ck="$tmp/ck"
-"$sim" --replay "$tmp/barnes.10000.trace" --checkpoint-every 4000 \
-    --checkpoint "$ck" --json > "$tmp/ck.full.json" 2> /dev/null || {
-    echo "trace_replay_test: checkpointed replay failed" >&2
-    exit 1
-}
-snap="$(ls "$ck".* 2>/dev/null | head -1)"
-if [ -z "$snap" ]; then
-    echo "trace_replay_test: checkpointed replay wrote no snapshot" >&2
-    exit 1
-fi
-"$sim" --replay "$tmp/barnes.10000.trace" --checkpoint-every 4000 \
-    --restore "$snap" --json > "$tmp/ck.resumed.json" 2> /dev/null || {
-    echo "trace_replay_test: restore-from-snapshot replay failed" >&2
-    exit 1
-}
-if ! cmp -s "$tmp/ck.full.json" "$tmp/ck.resumed.json"; then
-    echo "trace_replay_test: restored replay diverged from the" \
-         "uninterrupted checkpointed run" >&2
-    diff "$tmp/ck.full.json" "$tmp/ck.resumed.json" >&2
-    exit 1
-fi
-
 # Captures are deterministic across worker-thread counts: cgct_sim
 # --jobs sizes only the sampled window pool, so a capture must emit the
 # same trace bytes at any job count.
@@ -203,5 +178,5 @@ for cmd in "$sim --replay $v1 --nodes 1" "$trace info $v1"; do
 done
 
 echo "trace_replay_test: capture→replay byte-identity holds for all 9" \
-     "profiles and a second seed; capture/info/verify/checkpoint paths" \
+     "profiles and a second seed; capture/info/verify paths" \
      "OK; record refused; v1 rejected"
